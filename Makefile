@@ -24,7 +24,8 @@
 #                   sweeps, per-tenant contention metrics, and the
 #                   pareq band under -domains 4
 #   make fuzz     - short native-fuzz pass over the manifest and shard
-#                   plan parsers (FUZZTIME per target, default 10s)
+#                   plan parsers and the cache entry decoder (FUZZTIME
+#                   per target, default 10s)
 #   make golden   - golden-row conformance suite (all nine experiments)
 #   make bench    - one pass over the benchmark harness (short mode);
 #                   refreshes the BENCH_*.json perf trajectories in
@@ -182,12 +183,14 @@ hetsmoke:
 parallelsmoke:
 	$(GO) run ./cmd/accesys pareq -nocache -domains 4 -tol 0.05 testdata/fig4.json
 
-# Short native-fuzz pass: both parsers explore beyond their seed
-# corpora for FUZZTIME each. Crashers land under testdata/fuzz/ in the
-# failing package — commit them as regression seeds after fixing.
+# Short native-fuzz pass: the parsers and the cache entry decoder
+# explore beyond their seed corpora for FUZZTIME each. Crashers land
+# under testdata/fuzz/ in the failing package — commit them as
+# regression seeds after fixing.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzManifestParse$$' -fuzztime $(FUZZTIME) ./internal/scenario
 	$(GO) test -run '^$$' -fuzz '^FuzzPlanParse$$' -fuzztime $(FUZZTIME) ./internal/shard
+	$(GO) test -run '^$$' -fuzz '^FuzzCacheEntry$$' -fuzztime $(FUZZTIME) ./internal/sweep
 
 # The golden suite re-runs all nine experiments and diffs their rows
 # against testdata/golden/ (it skips itself under -short and -race, so

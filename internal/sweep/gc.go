@@ -65,12 +65,15 @@ type GCResult struct {
 // before GC removes it; younger temps may belong to a live writer.
 const gcTempAge = time.Hour
 
-// GC evicts entries last touched more than maxAge ago (0 = no age
-// bound), then the oldest entries beyond maxEntries (0 = no count
-// bound), and removes abandoned staging temps. Ages are measured
-// against the cache's Clock. Eviction is safe against concurrent
-// readers and writers: a removed entry simply reads as a miss and is
-// re-simulated.
+// GC evicts entries written more than maxAge ago (0 = no age bound),
+// then the oldest-written entries beyond maxEntries (0 = no count
+// bound), and removes abandoned staging temps. Age is the entry file's
+// mtime, set by the Put that wrote it — hits never refresh it — and is
+// measured against the cache's Clock. Eviction is safe against
+// concurrent readers and writers: a removed entry simply reads as a
+// miss and is re-simulated. Any eviction clears this Cache's memory
+// tier; other processes' tiers keep serving outcomes they already
+// verified.
 func (c *Cache) GC(maxAge time.Duration, maxEntries int) (GCResult, error) {
 	var res GCResult
 	des, err := os.ReadDir(c.dir)
@@ -121,6 +124,9 @@ func (c *Cache) GC(maxAge time.Duration, maxEntries int) (GCResult, error) {
 		for _, e := range live[:len(live)-maxEntries] {
 			evict(e)
 		}
+	}
+	if res.Evicted > 0 {
+		c.dropMem("")
 	}
 	return res, nil
 }

@@ -182,7 +182,7 @@ func (e *Engine) execute(i int, p Point, dig string) Result {
 	var ref Ref
 	if e.Cache != nil && p.Fingerprint != "" {
 		ref = e.Cache.Ref(p.Fingerprint)
-		if out, ok := e.Cache.GetRef(ref); ok {
+		if out, ok := e.Cache.getRef(&ref); ok {
 			return Result{Index: i, Key: p.Key, Outcome: out, Cached: true}
 		}
 	}
