@@ -203,6 +203,21 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	})
 }
 
+// BenchmarkSystemBuild measures assembling one PCIe-8GB system and its
+// driver — the fixed cost every cold sweep point pays before its first
+// event. It is a layer benchmark and is not part of the BENCH_*.json
+// ratchet.
+func BenchmarkSystemBuild(b *testing.B) {
+	cfg := core.PCIe8GB()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sys, _ := scenario.BuildSystem(cfg)
+		if sys.LLC == nil {
+			b.Fatal("no LLC")
+		}
+	}
+}
+
 // BenchmarkParallelSpeedup races the partitioned event loop against
 // the sequential one on the pinned GEMM workload (256^3 over
 // PCIe-8GB, four domains at the timing-exact quantum) and records the

@@ -78,13 +78,22 @@ func (c *Config) setDefaults() {
 	}
 }
 
+// line is the state of one way in 16 bytes. It holds no pointers, so a
+// cache's whole line array is one allocation the garbage collector
+// never scans; the payload lives apart (see Cache.chunks).
 type line struct {
-	valid   bool
-	dirty   bool
-	tag     uint64
-	lastUse uint64
-	data    []byte
+	tag uint64
+	// stamp is zero while the line is invalid. Otherwise bit 0 is
+	// dirtyBit and the bits above it are the line's last use, a count
+	// no other line of the cache shares.
+	stamp uint64
 }
+
+const dirtyBit = 1
+
+func (l *line) valid() bool     { return l.stamp != 0 }
+func (l *line) dirty() bool     { return l.stamp&dirtyBit != 0 }
+func (l *line) lastUse() uint64 { return l.stamp >> 1 }
 
 // txn tracks one original packet that may span several lines.
 type txn struct {
@@ -122,20 +131,33 @@ type Cache struct {
 	memQ    *mem.PacketQueue // downstream requests
 	respQ   *mem.PacketQueue // upstream responses
 
-	sets       [][]line
-	numSets    int
+	// lines holds every way, set-major: set s owns
+	// lines[s*Assoc : (s+1)*Assoc].
+	lines      []line
+	setMask    uint64
+	setShift   uint
+	lineShift  uint
 	useCounter uint64
 
-	mshrs     map[uint64]*mshr
+	// chunks holds the line payloads way-major: the payload of way w
+	// of set s is payload line w*numSets+s, and chunk k holds payload
+	// lines [k*chunkLines, (k+1)*chunkLines). A chunk is allocated on
+	// the first fill of any of its lines. Fills take the lowest
+	// invalid way, so a workload that touches a few lines in many sets
+	// fills way 0 of neighbouring sets and uses most of each chunk it
+	// allocates, and a build zeroes no payload at all.
+	chunks [][]byte
+
+	// mshrs holds the outstanding fills, at most cfg.MSHRs (the
+	// admission check guarantees it); it is only searched, never
+	// iterated in order, so removal swaps with the last entry.
+	mshrs     []*mshr
 	needRetry bool
 
-	// txnFree/mshrFree/bufFree recycle transaction records, miss
-	// records, and line buffers so the steady-state request path does
-	// not allocate. Line buffers come back from acknowledged
-	// writebacks (cloneWrite copies, so nothing else aliases them).
+	// txnFree/mshrFree recycle transaction and miss records so the
+	// steady-state request path does not allocate.
 	txnFree  []*txn
 	mshrFree []*mshr
-	bufFree  [][]byte
 
 	snoopers []Snooper
 	downFunc mem.Functional
@@ -154,21 +176,24 @@ func New(name string, eq *sim.EventQueue, reg *stats.Registry, cfg Config) *Cach
 	if cfg.SizeBytes <= 0 || cfg.Assoc <= 0 {
 		panic(fmt.Sprintf("cache %s: size/assoc must be positive", name))
 	}
+	if !mem.IsPow2(uint64(cfg.LineBytes)) {
+		panic(fmt.Sprintf("cache %s: line size %d must be a power of two", name, cfg.LineBytes))
+	}
 	numSets := cfg.SizeBytes / (cfg.Assoc * cfg.LineBytes)
 	if numSets == 0 || !mem.IsPow2(uint64(numSets)) {
 		panic(fmt.Sprintf("cache %s: %d sets (size %d / assoc %d / line %d) must be a power of two",
 			name, numSets, cfg.SizeBytes, cfg.Assoc, cfg.LineBytes))
 	}
 	c := &Cache{
-		name:    name,
-		eq:      eq,
-		cfg:     cfg,
-		numSets: numSets,
-		mshrs:   make(map[uint64]*mshr),
-	}
-	c.sets = make([][]line, numSets)
-	for i := range c.sets {
-		c.sets[i] = make([]line, cfg.Assoc)
+		name:      name,
+		eq:        eq,
+		cfg:       cfg,
+		lines:     make([]line, numSets*cfg.Assoc),
+		chunks:    make([][]byte, (numSets*cfg.Assoc+chunkLines-1)/chunkLines),
+		mshrs:     make([]*mshr, 0, cfg.MSHRs),
+		setMask:   uint64(numSets - 1),
+		setShift:  mem.Log2(uint64(numSets)),
+		lineShift: mem.Log2(uint64(cfg.LineBytes)),
 	}
 	c.cpuPort = mem.NewResponsePort(name+".cpu", c)
 	c.memPort = mem.NewRequestPort(name+".mem", c)
@@ -214,79 +239,100 @@ func (c *Cache) SetDownstreamFunctional(f mem.Functional) { c.downFunc = f }
 func (c *Cache) lineBytes() uint64 { return uint64(c.cfg.LineBytes) }
 
 func (c *Cache) setIndex(lineAddr uint64) int {
-	return int((lineAddr / c.lineBytes()) % uint64(c.numSets))
+	return int((lineAddr >> c.lineShift) & c.setMask)
 }
 
-func (c *Cache) lookup(lineAddr uint64) *line {
-	set := c.sets[c.setIndex(lineAddr)]
-	for i := range set {
-		if set[i].valid && set[i].tag == lineAddr {
-			return &set[i]
+// slot names one way of one set.
+type slot struct{ set, way int }
+
+func (c *Cache) line(s slot) *line { return &c.lines[s.set*c.cfg.Assoc+s.way] }
+
+// chunkLines is the number of line payloads allocated at once.
+const chunkLines = 64
+
+// payloadLine returns the way-major payload line number of a slot.
+func (c *Cache) payloadLine(s slot) int { return s.way<<c.setShift | s.set }
+
+// data returns the payload of a slot. Only valid lines have one: a
+// chunk exists from the first fill of one of its lines on.
+func (c *Cache) data(s slot) []byte {
+	i := c.payloadLine(s)
+	off := (i % chunkLines) << c.lineShift
+	return c.chunks[i/chunkLines][off : off+c.cfg.LineBytes]
+}
+
+// lookup finds the valid line holding lineAddr.
+func (c *Cache) lookup(lineAddr uint64) (slot, bool) {
+	set := c.setIndex(lineAddr)
+	ways := c.lines[set*c.cfg.Assoc : (set+1)*c.cfg.Assoc]
+	for w := range ways {
+		if ways[w].tag == lineAddr && ways[w].valid() {
+			return slot{set, w}, true
 		}
 	}
-	return nil
+	return slot{}, false
 }
 
 // victim picks a line to replace in lineAddr's set, writing back dirty
-// victims, and returns a reset line bound to lineAddr.
-func (c *Cache) victim(lineAddr uint64) *line {
-	set := c.sets[c.setIndex(lineAddr)]
+// victims, and returns a zeroed line bound to lineAddr.
+func (c *Cache) victim(lineAddr uint64) slot {
+	set := c.setIndex(lineAddr)
+	ways := c.lines[set*c.cfg.Assoc : (set+1)*c.cfg.Assoc]
 	vi := 0
-	for i := range set {
-		if !set[i].valid {
+	for i := range ways {
+		if !ways[i].valid() {
 			vi = i
 			break
 		}
-		if set[i].lastUse < set[vi].lastUse {
+		if ways[i].lastUse() < ways[vi].lastUse() {
 			vi = i
 		}
 	}
-	v := &set[vi]
-	if v.valid {
+	s := slot{set, vi}
+	v := &ways[vi]
+	if k := c.payloadLine(s) / chunkLines; c.chunks[k] == nil {
+		n := min(chunkLines, len(c.lines)-k*chunkLines)
+		c.chunks[k] = make([]byte, n*c.cfg.LineBytes)
+	}
+	if v.valid() {
 		c.evictions.Inc()
-		if v.dirty {
+		if v.dirty() {
+			// The writeback carries its own copy of the line, so the
+			// way can be refilled at once.
 			c.writebacks.Inc()
-			wb := mem.NewWrite(v.tag, v.data)
+			wb := mem.NewWriteSize(v.tag, c.cfg.LineBytes)
+			copy(wb.AllocData(), c.data(s))
 			wb.PushState(wbState{})
 			c.memQ.Schedule(wb, c.eq.Now())
-			v.data = nil // ownership moved to the writeback packet
 		}
 	}
-	if v.data == nil || len(v.data) != c.cfg.LineBytes {
-		if n := len(c.bufFree); n > 0 {
-			v.data = c.bufFree[n-1]
-			c.bufFree[n-1] = nil
-			c.bufFree = c.bufFree[:n-1]
-			clear(v.data)
-		} else {
-			v.data = make([]byte, c.cfg.LineBytes)
-		}
-	} else {
-		for i := range v.data {
-			v.data[i] = 0
-		}
-	}
-	v.valid = true
-	v.dirty = false
+	clear(c.data(s))
 	v.tag = lineAddr
+	v.stamp = 0
+	c.touch(v)
+	return s
+}
+
+// touch makes l the cache's most recently used line, which also makes
+// it valid; its dirty flag is kept.
+func (c *Cache) touch(l *line) {
 	c.useCounter++
-	v.lastUse = c.useCounter
-	return v
+	l.stamp = c.useCounter<<1 | l.stamp&dirtyBit
 }
 
 // apply copies data between a packet segment and a cache line.
-func (c *Cache) apply(l *line, tg target) {
+func (c *Cache) apply(s slot, tg target) {
+	l, d := c.line(s), c.data(s)
 	pkt := tg.t.pkt
 	if tg.isWrite {
 		if pkt.Data != nil {
-			copy(l.data[tg.lineOff:tg.lineOff+tg.n], pkt.Data[tg.pktOff:tg.pktOff+tg.n])
+			copy(d[tg.lineOff:tg.lineOff+tg.n], pkt.Data[tg.pktOff:tg.pktOff+tg.n])
 		}
-		l.dirty = true
+		l.stamp |= dirtyBit
 	} else {
-		copy(pkt.AllocData()[tg.pktOff:tg.pktOff+tg.n], l.data[tg.lineOff:tg.lineOff+tg.n])
+		copy(pkt.AllocData()[tg.pktOff:tg.pktOff+tg.n], d[tg.lineOff:tg.lineOff+tg.n])
 	}
-	c.useCounter++
-	l.lastUse = c.useCounter
+	c.touch(l)
 }
 
 func (c *Cache) lineDone(t *txn, at sim.Tick) {
@@ -331,6 +377,17 @@ func (c *Cache) putMSHR(m *mshr) {
 	m.targets = m.targets[:0]
 	m.lineAddr = 0
 	c.mshrFree = append(c.mshrFree, m)
+}
+
+// findMSHR returns the index in c.mshrs of the fill outstanding for
+// lineAddr, or -1.
+func (c *Cache) findMSHR(lineAddr uint64) int {
+	for i, m := range c.mshrs {
+		if m.lineAddr == lineAddr {
+			return i
+		}
+	}
+	return -1
 }
 
 // snoopLine consults all registered snoopers for a line; returns dirty
@@ -408,19 +465,19 @@ func (c *Cache) RecvTimingReq(port *mem.ResponsePort, pkt *mem.Packet) bool {
 		if len(c.snoopers) > 0 {
 			if dirty, data := c.snoopLine(la, isWrite); dirty {
 				// Take ownership of the dirty line.
-				l := c.lookup(la)
-				if l == nil {
-					l = c.victim(la)
+				s, ok := c.lookup(la)
+				if !ok {
+					s = c.victim(la)
 				}
-				copy(l.data, data)
-				l.dirty = true
+				copy(c.data(s), data)
+				c.line(s).stamp |= dirtyBit
 				extra = c.cfg.SnoopLatency
 			}
 		}
 
-		if l := c.lookup(la); l != nil {
+		if s, ok := c.lookup(la); ok {
 			c.hits.Inc()
-			c.apply(l, tg)
+			c.apply(s, tg)
 			c.lineDone(t, now+c.cfg.HitLatency+extra)
 			continue
 		}
@@ -428,21 +485,20 @@ func (c *Cache) RecvTimingReq(port *mem.ResponsePort, pkt *mem.Packet) bool {
 		// Full-line write: install without fetching.
 		if isWrite && tg.n == int(lb) {
 			c.hits.Inc()
-			l := c.victim(la)
-			c.apply(l, tg)
+			c.apply(c.victim(la), tg)
 			c.lineDone(t, now+c.cfg.HitLatency+extra)
 			continue
 		}
 
 		c.misses.Inc()
-		if m, ok := c.mshrs[la]; ok {
-			m.targets = append(m.targets, tg)
+		if i := c.findMSHR(la); i >= 0 {
+			c.mshrs[i].targets = append(c.mshrs[i].targets, tg)
 			continue
 		}
 		m := c.getMSHR()
 		m.lineAddr = la
 		m.targets = append(m.targets, tg)
-		c.mshrs[la] = m
+		c.mshrs = append(c.mshrs, m)
 		fill := mem.NewRead(la, int(lb))
 		fill.PushState(m)
 		c.memQ.Schedule(fill, now+c.cfg.HitLatency+extra)
@@ -457,12 +513,7 @@ func (c *Cache) RecvTimingResp(port *mem.RequestPort, pkt *mem.Packet) bool {
 	switch st := pkt.PopState().(type) {
 	case wbState:
 		// Writeback acknowledged; resources may have freed. The cache
-		// originated the writeback, so its lease ends here and the
-		// line buffer it carried returns to the buffer freelist
-		// (posted-write clones copy, so nothing else aliases it).
-		if len(pkt.Data) == c.cfg.LineBytes {
-			c.bufFree = append(c.bufFree, pkt.Data)
-		}
+		// originated the writeback, so its lease ends here.
 		pkt.Release()
 		c.retryAfterFree()
 		return true
@@ -472,13 +523,17 @@ func (c *Cache) RecvTimingResp(port *mem.RequestPort, pkt *mem.Packet) bool {
 		return true
 	case *mshr:
 		m := st
-		l := c.victim(m.lineAddr)
-		copy(l.data, pkt.Data)
+		s := c.victim(m.lineAddr)
+		copy(c.data(s), pkt.Data)
 		for _, tg := range m.targets {
-			c.apply(l, tg)
+			c.apply(s, tg)
 			c.lineDone(tg.t, now+c.cfg.ResponseLatency)
 		}
-		delete(c.mshrs, m.lineAddr)
+		i := c.findMSHR(m.lineAddr)
+		last := len(c.mshrs) - 1
+		c.mshrs[i] = c.mshrs[last]
+		c.mshrs[last] = nil
+		c.mshrs = c.mshrs[:last]
 		c.putMSHR(m)
 		pkt.Release() // fill read originated by this cache; consumed here
 		c.retryAfterFree()
@@ -504,31 +559,28 @@ func (c *Cache) RecvRetryResp(port *mem.ResponsePort) { c.respQ.RetryReceived() 
 
 // SnoopInvalidate implements Snooper.
 func (c *Cache) SnoopInvalidate(lineAddr uint64) (bool, []byte) {
-	l := c.lookup(lineAddr)
-	if l == nil {
+	s, ok := c.lookup(lineAddr)
+	if !ok {
 		return false, nil
 	}
-	dirty := l.dirty
+	l := c.line(s)
+	dirty := l.dirty()
 	var data []byte
 	if dirty {
-		data = make([]byte, len(l.data))
-		copy(data, l.data)
+		data = append([]byte(nil), c.data(s)...)
 	}
-	l.valid = false
-	l.dirty = false
+	l.stamp = 0
 	return dirty, data
 }
 
 // SnoopDowngrade implements Snooper.
 func (c *Cache) SnoopDowngrade(lineAddr uint64) (bool, []byte) {
-	l := c.lookup(lineAddr)
-	if l == nil || !l.dirty {
+	s, ok := c.lookup(lineAddr)
+	if !ok || !c.line(s).dirty() {
 		return false, nil
 	}
-	data := make([]byte, len(l.data))
-	copy(data, l.data)
-	l.dirty = false
-	return true, data
+	c.line(s).stamp &^= dirtyBit
+	return true, append([]byte(nil), c.data(s)...)
 }
 
 // ReadFunctional implements mem.Functional: cached lines win over
@@ -540,7 +592,7 @@ func (c *Cache) ReadFunctional(addr uint64, buf []byte) {
 	lb := c.lineBytes()
 	first := mem.AlignDown(addr, lb)
 	for la := first; la < addr+uint64(len(buf)); la += lb {
-		if l := c.lookup(la); l != nil {
+		if s, ok := c.lookup(la); ok {
 			ovStart, ovEnd := la, la+lb
 			if addr > ovStart {
 				ovStart = addr
@@ -548,7 +600,7 @@ func (c *Cache) ReadFunctional(addr uint64, buf []byte) {
 			if addr+uint64(len(buf)) < ovEnd {
 				ovEnd = addr + uint64(len(buf))
 			}
-			copy(buf[ovStart-addr:ovEnd-addr], l.data[ovStart-la:ovEnd-la])
+			copy(buf[ovStart-addr:ovEnd-addr], c.data(s)[ovStart-la:ovEnd-la])
 		}
 	}
 }
@@ -559,7 +611,7 @@ func (c *Cache) WriteFunctional(addr uint64, data []byte) {
 	lb := c.lineBytes()
 	first := mem.AlignDown(addr, lb)
 	for la := first; la < addr+uint64(len(data)); la += lb {
-		if l := c.lookup(la); l != nil {
+		if s, ok := c.lookup(la); ok {
 			ovStart, ovEnd := la, la+lb
 			if addr > ovStart {
 				ovStart = addr
@@ -567,7 +619,7 @@ func (c *Cache) WriteFunctional(addr uint64, data []byte) {
 			if addr+uint64(len(data)) < ovEnd {
 				ovEnd = addr + uint64(len(data))
 			}
-			copy(l.data[ovStart-la:ovEnd-la], data[ovStart-addr:ovEnd-addr])
+			copy(c.data(s)[ovStart-la:ovEnd-la], data[ovStart-addr:ovEnd-addr])
 		}
 	}
 	if c.downFunc != nil {
@@ -583,7 +635,7 @@ func (c *Cache) OverlayFunctional(addr uint64, buf []byte) {
 	lb := c.lineBytes()
 	first := mem.AlignDown(addr, lb)
 	for la := first; la < addr+uint64(len(buf)); la += lb {
-		if l := c.lookup(la); l != nil {
+		if s, ok := c.lookup(la); ok {
 			ovStart, ovEnd := la, la+lb
 			if addr > ovStart {
 				ovStart = addr
@@ -591,7 +643,7 @@ func (c *Cache) OverlayFunctional(addr uint64, buf []byte) {
 			if addr+uint64(len(buf)) < ovEnd {
 				ovEnd = addr + uint64(len(buf))
 			}
-			copy(buf[ovStart-addr:ovEnd-addr], l.data[ovStart-la:ovEnd-la])
+			copy(buf[ovStart-addr:ovEnd-addr], c.data(s)[ovStart-la:ovEnd-la])
 		}
 	}
 }
@@ -602,7 +654,7 @@ func (c *Cache) UpdateFunctional(addr uint64, data []byte) {
 	lb := c.lineBytes()
 	first := mem.AlignDown(addr, lb)
 	for la := first; la < addr+uint64(len(data)); la += lb {
-		if l := c.lookup(la); l != nil {
+		if s, ok := c.lookup(la); ok {
 			ovStart, ovEnd := la, la+lb
 			if addr > ovStart {
 				ovStart = addr
@@ -610,7 +662,7 @@ func (c *Cache) UpdateFunctional(addr uint64, data []byte) {
 			if addr+uint64(len(data)) < ovEnd {
 				ovEnd = addr + uint64(len(data))
 			}
-			copy(l.data[ovStart-la:ovEnd-la], data[ovStart-addr:ovEnd-addr])
+			copy(c.data(s)[ovStart-la:ovEnd-la], data[ovStart-addr:ovEnd-addr])
 		}
 	}
 }
@@ -619,15 +671,12 @@ func (c *Cache) UpdateFunctional(addr uint64, data []byte) {
 // invalidates the whole cache — the driver-managed flush used by the
 // DM access method.
 func (c *Cache) FlushAll() {
-	for si := range c.sets {
-		for wi := range c.sets[si] {
-			l := &c.sets[si][wi]
-			if l.valid && l.dirty && c.downFunc != nil {
-				c.downFunc.WriteFunctional(l.tag, l.data)
-			}
-			l.valid = false
-			l.dirty = false
+	for i := range c.lines {
+		l := &c.lines[i]
+		if l.dirty() && c.downFunc != nil {
+			c.downFunc.WriteFunctional(l.tag, c.data(slot{i / c.cfg.Assoc, i % c.cfg.Assoc}))
 		}
+		l.stamp = 0
 	}
 }
 

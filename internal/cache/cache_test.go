@@ -307,7 +307,7 @@ func TestSnoopInvalidateOnWrite(t *testing.T) {
 	if got, _ := l1.SnoopDowngrade(0x300); got {
 		t.Fatal("l1 line should have been invalidated, not dirty")
 	}
-	if l1.lookup(0x300) != nil {
+	if _, ok := l1.lookup(0x300); ok {
 		t.Fatal("l1 line should be gone after invalidation snoop")
 	}
 }
@@ -366,15 +366,140 @@ func TestBadGeometryPanics(t *testing.T) {
 	New("bad", eq, reg, Config{SizeBytes: 3000, Assoc: 2, LineBytes: 64})
 }
 
+func TestBadLineSizePanics(t *testing.T) {
+	eq := sim.NewEventQueue()
+	reg := stats.NewRegistry()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("non-power-of-two line size should panic")
+		}
+	}()
+	New("bad", eq, reg, Config{SizeBytes: 192, Assoc: 1, LineBytes: 48}) // 4 sets
+}
+
+// pattern returns n bytes seed, seed+1, ...
+func pattern(n int, seed byte) []byte {
+	b := make([]byte, n)
+	for i := range b {
+		b[i] = seed + byte(i)
+	}
+	return b
+}
+
+// A dirty eviction must write back the exact bytes of the evicted line
+// even though the way is refilled at once, and the refilled line must
+// not show the old payload.
+func TestDirtyEvictionWritesBackLineAndRefillIsZero(t *testing.T) {
+	rg := newRig(t, Config{SizeBytes: 256, Assoc: 1, LineBytes: 64}) // 4 sets
+	old := pattern(64, 0x40)
+	rg.req.Send(mem.NewWrite(0x0, old))
+	rg.eq.Run()
+	// A payload-less full-line write to the same set evicts 0x0 and
+	// installs 0x100 without fetching or copying any bytes.
+	rg.req.Send(mem.NewWriteSize(0x100, 64))
+	rg.eq.Run()
+	if got := rg.reg.Lookup("l1.writebacks").Value(); got != 1 {
+		t.Fatalf("writebacks = %v, want 1", got)
+	}
+	got := make([]byte, 64)
+	rg.mem.Store.Read(0x0, got)
+	if !bytes.Equal(got, old) {
+		t.Fatalf("written-back line = %v, want %v", got, old)
+	}
+	rd := mem.NewRead(0x100, 64)
+	rg.req.Send(rd)
+	rg.eq.Run()
+	if rg.reg.Lookup("l1.misses").Value() != 0 {
+		t.Fatal("read of the installed line should hit")
+	}
+	if !bytes.Equal(rd.Data, make([]byte, 64)) {
+		t.Fatalf("refilled line reads %v, want zeros", rd.Data)
+	}
+}
+
+// FlushAll must handle lines whose payload was never allocated (most of
+// the cache here) next to dirty and clean lines.
+func TestFlushAllSkipsUnfilledSets(t *testing.T) {
+	rg := newRig(t, Config{SizeBytes: 16 << 10, Assoc: 2, LineBytes: 64}) // 128 sets
+	rg.c.FlushAll()                                                       // nothing filled yet
+	dirty := pattern(64, 1)
+	rg.req.Send(mem.NewWrite(0x1c0, dirty)) // set 7
+	rg.req.Send(mem.NewRead(0x40, 4))       // set 1, clean
+	rg.eq.Run()
+	rg.c.FlushAll()
+	got := make([]byte, 64)
+	rg.mem.Store.Read(0x1c0, got)
+	if !bytes.Equal(got, dirty) {
+		t.Fatalf("flushed line = %v, want %v", got, dirty)
+	}
+	for _, la := range []uint64{0x1c0, 0x40} {
+		if _, ok := rg.c.lookup(la); ok {
+			t.Fatalf("line %#x still cached after FlushAll", la)
+		}
+	}
+}
+
+// The snoop calls must return a copy of the line's own payload — here
+// of the second way of a set other than 0 — and leave the cache's copy
+// untouched when the caller scribbles on it.
+func TestSnoopsReturnLineData(t *testing.T) {
+	rg := newRig(t, Config{SizeBytes: 512, Assoc: 2, LineBytes: 64}) // 4 sets
+	first, second := pattern(64, 0x10), pattern(64, 0x80)
+	rg.req.Send(mem.NewWrite(0x40, first))   // set 1, way 0
+	rg.req.Send(mem.NewWrite(0x140, second)) // set 1, way 1
+	rg.eq.Run()
+	if s, ok := rg.c.lookup(0x140); !ok || s.way != 1 {
+		t.Fatalf("0x140 at %+v (found %v), want way 1", s, ok)
+	}
+
+	dirty, data := rg.c.SnoopDowngrade(0x140)
+	if !dirty || !bytes.Equal(data, second) {
+		t.Fatalf("SnoopDowngrade = %v, %v; want true, %v", dirty, data, second)
+	}
+	clear(data)
+	if dirty, _ := rg.c.SnoopDowngrade(0x140); dirty {
+		t.Fatal("a downgraded line should be clean")
+	}
+	rd := mem.NewRead(0x140, 64)
+	rg.req.Send(rd)
+	rg.eq.Run()
+	if !bytes.Equal(rd.Data, second) {
+		t.Fatalf("line after downgrade reads %v, want %v", rd.Data, second)
+	}
+
+	dirty, data = rg.c.SnoopInvalidate(0x40)
+	if !dirty || !bytes.Equal(data, first) {
+		t.Fatalf("SnoopInvalidate = %v, %v; want true, %v", dirty, data, first)
+	}
+	if _, ok := rg.c.lookup(0x40); ok {
+		t.Fatal("invalidated line still cached")
+	}
+	if dirty, data := rg.c.SnoopInvalidate(0x140); dirty || data != nil {
+		t.Fatalf("clean line invalidation = %v, %v; want false, nil", dirty, data)
+	}
+}
+
 // Property: randomized mixed reads/writes through the cache always
 // agree with a flat reference model.
+// The geometries include a non-power-of-two associativity, whose line
+// count leaves the last payload chunk partly sized.
 func TestCacheVsReferenceProperty(t *testing.T) {
+	for _, cfg := range []Config{
+		{SizeBytes: 512, Assoc: 2, LineBytes: 64},  // 4 sets
+		{SizeBytes: 768, Assoc: 3, LineBytes: 64},  // 4 sets
+		{SizeBytes: 6144, Assoc: 3, LineBytes: 64}, // 32 sets
+	} {
+		checkVsReference(t, cfg)
+	}
+}
+
+func checkVsReference(t *testing.T, cfg Config) {
 	f := func(ops []struct {
 		Addr  uint16
 		Write bool
 		Val   byte
 	}) bool {
-		rg := newRig(t, Config{SizeBytes: 512, Assoc: 2, LineBytes: 64})
+		rg := newRig(t, cfg)
 		ref := make([]byte, 1<<16+8)
 		okAll := true
 		for _, op := range ops {
@@ -399,7 +524,7 @@ func TestCacheVsReferenceProperty(t *testing.T) {
 		return okAll
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
+		t.Fatalf("%+v: %v", cfg, err)
 	}
 }
 
@@ -410,8 +535,8 @@ func TestSetIndexCoverage(t *testing.T) {
 	for a := uint64(0); a < 1<<16; a += 64 {
 		counts[rg.c.setIndex(a)]++
 	}
-	if len(counts) != rg.c.numSets {
-		t.Fatalf("covered %d sets of %d", len(counts), rg.c.numSets)
+	if numSets := int(rg.c.setMask) + 1; len(counts) != numSets {
+		t.Fatalf("covered %d sets of %d", len(counts), numSets)
 	}
 	want := counts[0]
 	for s, n := range counts {

@@ -149,10 +149,14 @@ type SMMU struct {
 	rootTable uint64
 	haveRoot  bool
 
-	utlb    []utlbEntry
-	tlbSets [][]tlbEntry
-	pwc     []pwcEntry
-	useCtr  uint64
+	utlb []utlbEntry
+	// tlb holds the main TLB set-major: set i owns
+	// tlb[i*TLBAssoc : (i+1)*TLBAssoc]. Entries hold no pointers, so
+	// the whole TLB is one allocation the garbage collector never scans.
+	tlb        []tlbEntry
+	tlbSetMask uint64
+	pwc        []pwcEntry
+	useCtr     uint64
 
 	walks       map[uint64]*walk // by vpn
 	activeWalks int
@@ -181,7 +185,14 @@ func New(name string, eq *sim.EventQueue, reg *stats.Registry, cfg Config) *SMMU
 	if numSets == 0 || !mem.IsPow2(uint64(numSets)) {
 		panic(fmt.Sprintf("smmu %s: TLB sets (%d) must be a power of two", name, numSets))
 	}
-	s := &SMMU{name: name, eq: eq, cfg: cfg, walks: make(map[uint64]*walk)}
+	s := &SMMU{
+		name:       name,
+		eq:         eq,
+		cfg:        cfg,
+		tlb:        make([]tlbEntry, numSets*cfg.TLBAssoc),
+		tlbSetMask: uint64(numSets - 1),
+		walks:      make(map[uint64]*walk),
+	}
 	s.devPort = mem.NewResponsePort(name+".dev", s)
 	s.memPort = mem.NewRequestPort(name+".mem", s)
 	s.memQ = mem.NewPacketQueue(name+".memq", eq, func(p *mem.Packet) bool {
@@ -190,10 +201,6 @@ func New(name string, eq *sim.EventQueue, reg *stats.Registry, cfg Config) *SMMU
 	s.respQ = mem.NewPacketQueue(name+".respq", eq, func(p *mem.Packet) bool {
 		return s.devPort.SendTimingResp(p)
 	})
-	s.tlbSets = make([][]tlbEntry, numSets)
-	for i := range s.tlbSets {
-		s.tlbSets[i] = make([]tlbEntry, cfg.TLBAssoc)
-	}
 
 	g := reg.Group(name)
 	s.translations = g.Counter("translations", "address translations performed")
@@ -223,11 +230,7 @@ func (s *SMMU) SetRootTable(phys uint64) {
 // InvalidateAll flushes the uTLB, TLB, and page-walk cache.
 func (s *SMMU) InvalidateAll() {
 	s.utlb = s.utlb[:0]
-	for i := range s.tlbSets {
-		for j := range s.tlbSets[i] {
-			s.tlbSets[i][j] = tlbEntry{}
-		}
-	}
+	clear(s.tlb)
 	s.pwc = s.pwc[:0]
 }
 
@@ -259,8 +262,14 @@ func (s *SMMU) utlbFill(vpn, ppn uint64) {
 	s.utlb[lru] = utlbEntry{vpn: vpn, ppn: ppn, lastUse: s.useCtr}
 }
 
+// tlbSet returns the ways of vpn's main-TLB set.
+func (s *SMMU) tlbSet(vpn uint64) []tlbEntry {
+	base := int(vpn&s.tlbSetMask) * s.cfg.TLBAssoc
+	return s.tlb[base : base+s.cfg.TLBAssoc]
+}
+
 func (s *SMMU) tlbLookup(vpn uint64) (uint64, bool) {
-	set := s.tlbSets[vpn%uint64(len(s.tlbSets))]
+	set := s.tlbSet(vpn)
 	for i := range set {
 		if set[i].valid && set[i].vpn == vpn {
 			s.useCtr++
@@ -272,7 +281,7 @@ func (s *SMMU) tlbLookup(vpn uint64) (uint64, bool) {
 }
 
 func (s *SMMU) tlbFill(vpn, ppn uint64) {
-	set := s.tlbSets[vpn%uint64(len(s.tlbSets))]
+	set := s.tlbSet(vpn)
 	vi := 0
 	for i := range set {
 		if !set[i].valid {
