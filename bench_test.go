@@ -218,6 +218,25 @@ func BenchmarkSystemBuild(b *testing.B) {
 	}
 }
 
+// BenchmarkFig4SmallPacket times one fig4 point at the matrix's most
+// event-heavy packet size: GEMM-512 over PCIe-8GB with 64-B host DMA
+// packets, system build plus event loop. ns/event divides the wall
+// time by the events dispatched. It is a layer benchmark and is not
+// part of the BENCH_*.json ratchet.
+func BenchmarkFig4SmallPacket(b *testing.B) {
+	cfg := core.PCIe8GB()
+	cfg.Accel.HostDMA.BurstBytes = 64
+	b.ReportAllocs()
+	var events uint64
+	for i := 0; i < b.N; i++ {
+		sys, drv := exp.BuildSystem(cfg)
+		drv.RunGEMM(driver.GEMMSpec{M: 512, N: 512, K: 512}, func(driver.Result) {})
+		sys.Run()
+		events += sys.EQ.Executed
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
+}
+
 // BenchmarkParallelSpeedup races the partitioned event loop against
 // the sequential one on the pinned GEMM workload (256^3 over
 // PCIe-8GB, four domains at the timing-exact quantum) and records the

@@ -28,7 +28,8 @@ type Endpoint struct {
 	up   *conn // EP -> switch; set at tree construction
 	pool *tlpPool
 
-	procFree     sim.Tick
+	// proc is the EP's processing pipeline, shared by both directions.
+	proc         pipe
 	devNeedRetry bool
 
 	ranges []mem.AddrRange
@@ -39,7 +40,8 @@ type Endpoint struct {
 }
 
 func newEndpoint(name string, idx int, eq *sim.EventQueue, reg *stats.Registry, cfg Config, pool *tlpPool, ranges []mem.AddrRange) *Endpoint {
-	ep := &Endpoint{name: name, idx: idx, eq: eq, cfg: cfg, pool: pool, ranges: ranges}
+	ep := &Endpoint{name: name, idx: idx, eq: eq, cfg: cfg, pool: pool, ranges: ranges,
+		proc: newPipe(eq, name, cfg.EPProcII, cfg.EPLatency)}
 	ep.devPort = mem.NewResponsePort(name+".dev", ep)
 	ep.busPort = mem.NewRequestPort(name+".bus", ep)
 	ep.devRespQ = mem.NewPacketQueue(name+".devrespq", eq, func(p *mem.Packet) bool {
@@ -66,13 +68,13 @@ func (ep *Endpoint) BusPort() *mem.RequestPort { return ep.busPort }
 // endpoint claims on the fabric.
 func (ep *Endpoint) Ranges() []mem.AddrRange { return ep.ranges }
 
-func (ep *Endpoint) procDelay() sim.Tick {
-	start := ep.eq.Now()
-	if ep.procFree > start {
-		start = ep.procFree
-	}
-	ep.procFree = start + ep.cfg.EPProcII
-	return start + ep.cfg.EPLatency
+// send processes t and then puts it on the link toward the switch.
+func (ep *Endpoint) send(t *TLP) {
+	ep.tlpsUp.Inc()
+	ep.bytesUp.Add(uint64(t.Bytes))
+	t.stage = stageSend
+	t.sendConn = ep.up
+	ep.proc.enter(t, ep.eq.Now())
 }
 
 // RecvTimingReq implements mem.Responder: device-initiated (DMA)
@@ -83,7 +85,7 @@ func (ep *Endpoint) RecvTimingReq(port *mem.ResponsePort, pkt *mem.Packet) bool 
 		return false
 	}
 
-	t := ep.pool.get(ep.eq)
+	t := ep.pool.get()
 	switch pkt.Cmd {
 	case mem.ReadReq:
 		t.Kind, t.Pkt, t.Bytes, t.SrcEP = MemRd, pkt, ep.cfg.TLPHeaderBytes, ep.idx
@@ -97,22 +99,16 @@ func (ep *Endpoint) RecvTimingReq(port *mem.ResponsePort, pkt *mem.Packet) bool 
 		panic(fmt.Sprintf("pcie: %s unexpected device command %v", ep.name, pkt.Cmd))
 	}
 
-	at := ep.procDelay()
-	ep.tlpsUp.Inc()
-	ep.bytesUp.Add(uint64(t.Bytes))
-	t.stage = stageSend
-	t.sendConn = ep.up
-	ep.eq.ScheduleEvent(t.ev, at, sim.PriorityDefault)
+	ep.send(t)
 	return true
 }
 
 // deliverTLP implements receiver: downstream traffic from the switch.
 func (ep *Endpoint) deliverTLP(from *conn, t *TLP) {
 	ep.tlpsDown.Inc()
-	at := ep.procDelay()
 	t.stage = stageEPUnwrap
 	t.dlvEP = ep
-	ep.eq.ScheduleEvent(t.ev, at, sim.PriorityDefault)
+	ep.proc.enter(t, ep.eq.Now())
 }
 
 // unwrap hands the TLP's payload to the device side once it has left
@@ -141,14 +137,9 @@ func (ep *Endpoint) RecvTimingResp(port *mem.RequestPort, pkt *mem.Packet) bool 
 		pkt.Release()
 		return true
 	}
-	t := ep.pool.get(ep.eq)
+	t := ep.pool.get()
 	t.Kind, t.Pkt, t.Bytes, t.SrcEP = Cpl, pkt, ep.cfg.TLPHeaderBytes+pkt.Size, ep.idx
-	at := ep.procDelay()
-	ep.tlpsUp.Inc()
-	ep.bytesUp.Add(uint64(t.Bytes))
-	t.stage = stageSend
-	t.sendConn = ep.up
-	ep.eq.ScheduleEvent(t.ev, at, sim.PriorityDefault)
+	ep.send(t)
 	return true
 }
 

@@ -91,15 +91,14 @@ type TLP struct {
 	SrcEP int // originating endpoint (upstream traffic)
 	DstEP int // destination endpoint (downstream completions)
 
-	// ev is the TLP's reusable step event: it drives every scheduled
-	// hop of the journey (send after bridge processing, forward at the
-	// switch, delivery at the end of a link, unwrap at the far
-	// bridge). The stages of one TLP never overlap in the event queue,
-	// so a single event suffices — and because each stage is scheduled
-	// by exactly one ScheduleEvent call where a closure Schedule used
-	// to be, the (tick, priority, seq) dispatch order is unchanged.
-	ev    *sim.Event
-	stage tlpStage
+	// stepFn is the TLP's bound step method, cached once when the pool
+	// creates the TLP. Each hop of the journey (send after bridge
+	// processing, forward at the switch, delivery at the end of a link,
+	// unwrap at the far bridge) sets stage and pushes stepFn onto that
+	// hop's sim.Lane; the stages of one TLP never overlap, so one set
+	// of stage fields suffices.
+	stepFn func()
+	stage  tlpStage
 
 	sendConn *conn        // stageSend: egress after bridge processing
 	fwd      *Switch      // stageForward: forwarding switch
@@ -200,13 +199,12 @@ func (t *TLP) idle() bool {
 	return true
 }
 
-// tlpPool recycles TLPs (and their bound step events) within one
-// fabric. It is single-threaded like the event queue it schedules on;
-// pooling per tree keeps each TLP's event on its own queue.
+// tlpPool recycles TLPs within one fabric. It is single-threaded like
+// the event queue the fabric runs on.
 type tlpPool struct{ free []*TLP }
 
-// get leases a zeroed TLP whose step event is bound to eq.
-func (p *tlpPool) get(eq *sim.EventQueue) *TLP {
+// get leases a zeroed TLP.
+func (p *tlpPool) get() *TLP {
 	if n := len(p.free); n > 0 {
 		t := p.free[n-1]
 		p.free[n-1] = nil
@@ -214,7 +212,7 @@ func (p *tlpPool) get(eq *sim.EventQueue) *TLP {
 		return t
 	}
 	t := &TLP{pool: p}
-	t.ev = eq.NewEvent("pcie.tlp", t.step)
+	t.stepFn = t.step
 	return t
 }
 
@@ -226,9 +224,29 @@ func (p *tlpPool) put(t *TLP) {
 		t.retired = true
 		return
 	}
-	ev := t.ev
-	*t = TLP{ev: ev, pool: p}
+	stepFn := t.stepFn
+	*t = TLP{stepFn: stepFn, pool: p}
 	p.free = append(p.free, t)
+}
+
+// pipe is one hop's processing pipeline in one direction: it accepts a
+// TLP every ii and releases it lat later. Release ticks never move
+// backwards, so the TLPs in the pipeline wait on one sim.Lane.
+type pipe struct {
+	ii, lat sim.Tick
+	free    sim.Tick
+	lane    *sim.Lane
+}
+
+func newPipe(eq *sim.EventQueue, name string, ii, lat sim.Tick) pipe {
+	return pipe{ii: ii, lat: lat, lane: eq.NewLane(name)}
+}
+
+// enter admits t at tick now; its step fires when it leaves.
+func (p *pipe) enter(t *TLP, now sim.Tick) {
+	start := max(now, p.free)
+	p.free = start + p.ii
+	p.lane.Push(t.stepFn, start+p.lat)
 }
 
 // receiver consumes TLPs delivered by a conn.
@@ -250,6 +268,10 @@ type conn struct {
 	// once that many bytes have serialized (cut-through) instead of
 	// after the full TLP (store-and-forward).
 	cutThroughHdr int
+
+	// dlv holds the TLPs on the wire. A link serialises, so they arrive
+	// in the order they were sent.
+	dlv *sim.Lane
 
 	capacity int // receiver buffer size in bytes
 	credit   int
@@ -281,7 +303,7 @@ func newConn(name string, eq *sim.EventQueue, link LinkConfig, dst receiver, buf
 		link.PropDelay = 5 * sim.Nanosecond
 	}
 	c := &conn{name: name, eq: eq, link: link, dst: dst,
-		capacity: bufBytes, credit: bufBytes}
+		dlv: eq.NewLane(name), capacity: bufBytes, credit: bufBytes}
 	c.txDoneEv = eq.NewEvent(name+".txdone", c.txDone)
 	return c
 }
@@ -338,7 +360,7 @@ func (c *conn) kick() {
 	}
 	t.stage = stageDeliver
 	t.dlvFrom = c
-	c.eq.ScheduleEvent(t.ev, c.eq.Now()+deliverAt+c.link.PropDelay, sim.PriorityDefault)
+	c.dlv.Push(t.stepFn, c.eq.Now()+deliverAt+c.link.PropDelay)
 }
 
 // txDone completes the in-flight transmission: the line is free for

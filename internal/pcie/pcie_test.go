@@ -366,3 +366,31 @@ func BenchmarkFabricStream(b *testing.B) {
 		b.ReportMetric(float64(eq.Executed), "events")
 	}
 }
+
+// TestQueueDepthStaysBounded streams small TLPs both ways through the
+// fabric and pins the event queue's depth: every pipeline stage and
+// link holds its in-flight TLPs on one sim.Lane, so the heap holds at
+// most one slot per lane, per link txdone and per packet queue, not
+// one per TLP in flight.
+func TestQueueDepthStaysBounded(t *testing.T) {
+	f := newFabric(t, defLink())
+	for a := uint64(0); a < 1<<16; a += 64 {
+		f.dma.Send(mem.NewRead(a, 64))
+		f.dma.Send(mem.NewWrite(a+1<<16, make([]byte, 64)))
+	}
+	peak, steps := 0, 0
+	for f.eq.Step() {
+		steps++
+		peak = max(peak, f.eq.Len())
+	}
+	if got := f.dma.Pending(); got != 0 {
+		t.Fatalf("%d requests never issued", got)
+	}
+	if got, want := len(f.dma.Done), 2<<10; got != want {
+		t.Fatalf("%d responses, want %d", got, want)
+	}
+	t.Logf("event queue peaked at %d entries over %d steps", peak, steps)
+	if peak > 24 {
+		t.Fatalf("event queue peaked at %d entries over %d steps, want <= 24", peak, steps)
+	}
+}

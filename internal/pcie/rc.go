@@ -44,8 +44,10 @@ type RootComplex struct {
 	down *conn // RC -> switch; set at tree construction
 	pool *tlpPool
 
-	upProcFree   sim.Tick
-	downProcFree sim.Tick
+	// Processing pipelines: up unwraps device TLPs into host memory,
+	// down wraps host requests and DMA completions into TLPs.
+	upPipe   pipe
+	downPipe pipe
 
 	hostNeedRetry bool
 
@@ -60,7 +62,9 @@ type RootComplex struct {
 }
 
 func newRootComplex(name string, eq *sim.EventQueue, reg *stats.Registry, cfg Config, pool *tlpPool) *RootComplex {
-	rc := &RootComplex{name: name, eq: eq, cfg: cfg, pool: pool}
+	rc := &RootComplex{name: name, eq: eq, cfg: cfg, pool: pool,
+		upPipe:   newPipe(eq, name+".uppipe", cfg.RCProcII, cfg.RCLatency),
+		downPipe: newPipe(eq, name+".downpipe", cfg.RCProcII, cfg.RCLatency)}
 	rc.upPort = mem.NewRequestPort(name+".up", rc)
 	rc.hostPort = mem.NewResponsePort(name+".host", rc)
 	rc.memQ = mem.NewPacketQueue(name+".memq", eq, func(p *mem.Packet) bool {
@@ -85,29 +89,23 @@ func (rc *RootComplex) UpstreamPort() *mem.RequestPort { return rc.upPort }
 // CPU-initiated MMIO and DevMem-over-PCIe accesses.
 func (rc *RootComplex) HostPort() *mem.ResponsePort { return rc.hostPort }
 
-// procDelay runs t through the RC's directioned processing pipeline
-// and returns the tick at which forwarding may happen.
-func (rc *RootComplex) procDelay(upstream bool) sim.Tick {
-	procFree := &rc.downProcFree
-	if upstream {
-		procFree = &rc.upProcFree
-	}
-	start := rc.eq.Now()
-	if *procFree > start {
-		start = *procFree
-	}
-	*procFree = start + rc.cfg.RCProcII
-	return start + rc.cfg.RCLatency
+// send runs t through the RC's downstream processing pipeline and
+// then onto the link toward the switch.
+func (rc *RootComplex) send(t *TLP) {
+	rc.tlpsDown.Inc()
+	rc.bytesDown.Add(uint64(t.Bytes))
+	t.stage = stageSend
+	t.sendConn = rc.down
+	rc.downPipe.enter(t, rc.eq.Now())
 }
 
 // deliverTLP implements receiver: upstream traffic from the switch.
 func (rc *RootComplex) deliverTLP(from *conn, t *TLP) {
 	rc.tlpsUp.Inc()
 	rc.bytesUp.Add(uint64(t.Bytes))
-	at := rc.procDelay(true)
 	t.stage = stageRCUnwrap
 	t.dlvRC = rc
-	rc.eq.ScheduleEvent(t.ev, at, sim.PriorityDefault)
+	rc.upPipe.enter(t, rc.eq.Now())
 }
 
 // epState returns the cached boxed epOrigin for an endpoint index.
@@ -147,14 +145,9 @@ func (rc *RootComplex) RecvTimingResp(port *mem.RequestPort, pkt *mem.Packet) bo
 			pkt.Release()
 			return true
 		}
-		t := rc.pool.get(rc.eq)
+		t := rc.pool.get()
 		t.Kind, t.Pkt, t.Bytes, t.DstEP = Cpl, pkt, rc.cfg.TLPHeaderBytes+pkt.Size, st.ep
-		at := rc.procDelay(false)
-		rc.tlpsDown.Inc()
-		rc.bytesDown.Add(uint64(t.Bytes))
-		t.stage = stageSend
-		t.sendConn = rc.down
-		rc.eq.ScheduleEvent(t.ev, at, sim.PriorityDefault)
+		rc.send(t)
 		return true
 	default:
 		panic(fmt.Sprintf("pcie: %s unexpected response state %T", rc.name, st))
@@ -169,7 +162,7 @@ func (rc *RootComplex) RecvTimingReq(port *mem.ResponsePort, pkt *mem.Packet) bo
 		return false
 	}
 
-	t := rc.pool.get(rc.eq)
+	t := rc.pool.get()
 	switch {
 	case pkt.Cmd == mem.ReadReq:
 		t.Kind, t.Pkt, t.Bytes = MemRd, pkt, rc.cfg.TLPHeaderBytes
@@ -184,12 +177,7 @@ func (rc *RootComplex) RecvTimingReq(port *mem.ResponsePort, pkt *mem.Packet) bo
 		panic(fmt.Sprintf("pcie: %s: unexpected host command %v", rc.name, pkt.Cmd))
 	}
 
-	at := rc.procDelay(false)
-	rc.tlpsDown.Inc()
-	rc.bytesDown.Add(uint64(t.Bytes))
-	t.stage = stageSend
-	t.sendConn = rc.down
-	rc.eq.ScheduleEvent(t.ev, at, sim.PriorityDefault)
+	rc.send(t)
 	return true
 }
 

@@ -31,15 +31,17 @@ type Switch struct {
 	// because completions carry endpoint indexes, not addresses.
 	epPort []int
 
-	upProcFree   sim.Tick
-	downProcFree sim.Tick
+	upPipe   pipe
+	downPipe pipe
 
 	forwarded *stats.Counter
 	bytes     *stats.Counter
 }
 
 func newSwitch(name string, eq *sim.EventQueue, reg *stats.Registry, cfg Config) *Switch {
-	s := &Switch{name: name, eq: eq, cfg: cfg}
+	s := &Switch{name: name, eq: eq, cfg: cfg,
+		upPipe:   newPipe(eq, name+".uppipe", cfg.SwitchProcII, cfg.SwitchLatency),
+		downPipe: newPipe(eq, name+".downpipe", cfg.SwitchProcII, cfg.SwitchLatency)}
 	g := reg.Group(name)
 	s.forwarded = g.Counter("tlps", "TLPs forwarded")
 	s.bytes = g.Counter("bytes", "TLP bytes forwarded")
@@ -50,19 +52,7 @@ func newSwitch(name string, eq *sim.EventQueue, reg *stats.Registry, cfg Config)
 // processing pipeline and is forwarded after SwitchLatency; the
 // pipeline accepts one TLP per SwitchProcII per direction.
 func (s *Switch) deliverTLP(from *conn, t *TLP) {
-	now := s.eq.Now()
 	upstream := from != s.fromRC
-
-	procFree := &s.downProcFree
-	if upstream {
-		procFree = &s.upProcFree
-	}
-	start := now
-	if *procFree > start {
-		start = *procFree
-	}
-	*procFree = start + s.cfg.SwitchProcII
-
 	s.forwarded.Inc()
 	s.bytes.Add(uint64(t.Bytes))
 
@@ -70,7 +60,11 @@ func (s *Switch) deliverTLP(from *conn, t *TLP) {
 	t.fwd = s
 	t.fwdFrom = from
 	t.fwdUp = upstream
-	s.eq.ScheduleEvent(t.ev, start+s.cfg.SwitchLatency, sim.PriorityDefault)
+	p := &s.downPipe
+	if upstream {
+		p = &s.upPipe
+	}
+	p.enter(t, s.eq.Now())
 }
 
 func (s *Switch) route(t *TLP, upstream bool) *conn {

@@ -60,6 +60,31 @@ func TestRescheduleCycleAllocFree(t *testing.T) {
 	}
 }
 
+// Steady-state lane traffic must be allocation-free too: once the ring
+// has grown to the lane's depth, Push and dispatch touch only the ring
+// and the lane's one heap slot. An ordinary event rides along so the
+// lane's slot is re-keyed against other heap entries.
+func TestLanePushDispatchAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	q := NewEventQueue()
+	l := q.NewLane("lane")
+	fn := func() {}
+	cycle := func() {
+		base := q.Now()
+		for i := 0; i < 64; i++ {
+			l.Push(fn, base+Tick(1+i/2))
+		}
+		q.Schedule(fn, base+16)
+		q.Run()
+	}
+	cycle() // grow the ring and warm the freelist
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Fatalf("lane push->dispatch cycle allocated %.2f per run, want 0", allocs)
+	}
+}
+
 // A recycled one-shot handle that is rescheduled after firing must be
 // pulled back out of the freelist, never handed out twice.
 func TestRecycledHandleReschedule(t *testing.T) {

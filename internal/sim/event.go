@@ -75,7 +75,8 @@ func NewEventQueue() *EventQueue {
 // Now reports the current simulation tick.
 func (q *EventQueue) Now() Tick { return q.now }
 
-// Len reports the number of pending events.
+// Len reports the number of heap entries: every pending event, plus
+// one per non-empty Lane however many items it holds.
 func (q *EventQueue) Len() int { return len(q.heap) }
 
 // PeekTick reports the tick of the earliest pending event. The second
@@ -135,10 +136,17 @@ func (q *EventQueue) ScheduleEvent(e *Event, when Tick, prio Priority) {
 		// back out of the freelist so Schedule cannot hand it out twice.
 		q.unfree(e)
 	}
+	seq := q.seq
+	q.seq++
+	q.insert(e, when, prio, seq)
+}
+
+// insert keys e by (when, prio, seq) and adds it to the heap. The
+// caller has checked e is not pending and has taken seq from q.seq.
+func (q *EventQueue) insert(e *Event, when Tick, prio Priority, seq uint64) {
 	e.when = when
 	e.prio = prio
-	e.seq = q.seq
-	q.seq++
+	e.seq = seq
 	q.heap = append(q.heap, e)
 	q.siftUp(len(q.heap)-1, e)
 }

@@ -17,8 +17,9 @@ import (
 // checkAccounting verifies the heap/freelist bookkeeping invariants:
 // every heap entry knows its index and is not simultaneously free,
 // every freelist entry knows its slot and is not simultaneously
-// queued, and no handle appears twice anywhere.
-func checkAccounting(t *testing.T, q *EventQueue) {
+// queued, and no handle appears twice anywhere. Each given lane holds
+// a heap slot exactly when it has items, keyed by its head item.
+func checkAccounting(t *testing.T, q *EventQueue, lanes ...*Lane) {
 	t.Helper()
 	seen := make(map[*Event]string, len(q.heap)+len(q.free))
 	for i, e := range q.heap {
@@ -45,31 +46,56 @@ func checkAccounting(t *testing.T, q *EventQueue) {
 		}
 		seen[e] = "free"
 	}
+	for i, l := range lanes {
+		if l.n == 0 {
+			if l.ev.Pending() {
+				t.Fatalf("empty lane %d still holds heap slot %d", i, l.ev.index)
+			}
+			continue
+		}
+		if seen[&l.ev] != "heap" {
+			t.Fatalf("lane %d holds %d items but no heap slot", i, l.n)
+		}
+		head := l.items[l.head]
+		if l.ev.when != head.when || l.ev.seq != head.seq {
+			t.Fatalf("lane %d slot keyed (%v, %d), head item is (%v, %d)", i, l.ev.when, l.ev.seq, head.when, head.seq)
+		}
+	}
 }
 
 // TestRunUntilPendingEventsStayAccounted drives a random windowed
-// workload — every window ends with events still pending — and checks
-// the accounting after each window, after a drain to completion, and
-// across a reuse cycle.
+// workload — every window ends with events and lane items still
+// pending — and checks the accounting after each window, after a
+// drain to completion, and across a reuse cycle.
 func TestRunUntilPendingEventsStayAccounted(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	q := NewEventQueue()
+	lanes := []*Lane{q.NewLane("a"), q.NewLane("b")}
+	laneLast := make([]Tick, len(lanes))
 	fired := 0
 	var schedule func(depth int)
 	schedule = func(depth int) {
-		q.Schedule(func() {
+		fn := func() {
 			fired++
 			if depth > 0 && rng.Intn(2) == 0 {
 				schedule(depth - 1)
 			}
-		}, q.Now()+Tick(1+rng.Intn(40)))
+		}
+		when := q.Now() + Tick(1+rng.Intn(40))
+		if i := rng.Intn(3); i < len(lanes) {
+			when = max(when, laneLast[i])
+			laneLast[i] = when
+			lanes[i].Push(fn, when)
+			return
+		}
+		q.Schedule(fn, when)
 	}
 	for i := 0; i < 64; i++ {
 		schedule(3)
 	}
 	for limit := Tick(10); q.Len() > 0; limit += 10 {
 		q.RunUntil(limit)
-		checkAccounting(t, q)
+		checkAccounting(t, q, lanes...)
 		if q.Now() != limit {
 			t.Fatalf("RunUntil(%d) left now at %d", limit, q.Now())
 		}
