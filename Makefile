@@ -1,7 +1,8 @@
 # AcceSys build and CI entry points.
 #
-#   make ci       - what CI runs: lint + vet + race-enabled tests +
-#                   example builds + a manifest sweep smoke run
+#   make ci       - what CI runs: lint, vet, race, examples, smoke,
+#                   shardsmoke, fleetsmoke, servesmoke, exploresmoke,
+#                   fuzz, golden, equiv, bench, benchcheck, cover
 #   make lint     - gofmt gate (fails listing unformatted files)
 #   make test     - fast test pass
 #   make race     - full test pass under the race detector (exercises
@@ -20,12 +21,10 @@
 #                   fig4-derived objective, run twice from fresh caches
 #                   to verify byte-identical frontiers/traces, with the
 #                   trace proving the screen pruned the space
-#   make hetsmoke - heterogeneous farms: deterministic mixed-kind
-#                   sweeps, per-tenant contention metrics, and the
-#                   pareq band under -domains 4
 #   make fuzz     - short native-fuzz pass over the manifest and shard
-#                   plan parsers and the cache entry decoder (FUZZTIME
-#                   per target, default 10s)
+#                   plan parsers, the cache entry decoder, and the
+#                   profile.json/counters.json loaders (FUZZTIME per
+#                   target, default 10s)
 #   make golden   - golden-row conformance suite (all nine experiments)
 #   make bench    - one pass over the benchmark harness (short mode);
 #                   refreshes the BENCH_*.json perf trajectories in
@@ -39,7 +38,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test race examples smoke shardsmoke fleetsmoke servesmoke exploresmoke parallelsmoke hetsmoke fuzz golden cover equiv ci bench benchcheck figures clean
+.PHONY: all build vet lint test race examples smoke shardsmoke fleetsmoke servesmoke exploresmoke fuzz golden cover equiv ci bench benchcheck figures clean
 
 # Minimum total statement coverage (percent) make cover enforces.
 COVER_FLOOR ?= 75
@@ -156,33 +155,6 @@ exploresmoke:
 	@echo "exploresmoke: deterministic frontier, optimum found, warm re-run fully cached"
 	@rm -rf $(EXPLORESMOKE_DIR)
 
-# Heterogeneous smoke: the mixed-kind farm manifest swept twice from
-# fresh caches must render byte-identical rows, the two-tenant
-# contention sweep must surface per-tenant slowdown and fairness, and
-# both manifests must stay inside the 5% pareq band under -domains 4.
-HETSMOKE_DIR := .hetsmoke
-hetsmoke:
-	@rm -rf $(HETSMOKE_DIR) && mkdir -p $(HETSMOKE_DIR)
-	$(GO) run ./cmd/accesys sweep -nocache -jobs 4 testdata/hetfarm.json > $(HETSMOKE_DIR)/farm1.txt
-	$(GO) run ./cmd/accesys sweep -nocache -jobs 4 testdata/hetfarm.json > $(HETSMOKE_DIR)/farm2.txt
-	@cmp $(HETSMOKE_DIR)/farm1.txt $(HETSMOKE_DIR)/farm2.txt || \
-		{ echo "hetsmoke: fresh-cache hetfarm sweeps differ"; exit 1; }
-	$(GO) run ./cmd/accesys sweep -nocache -jobs 4 testdata/tenants.json > $(HETSMOKE_DIR)/tenants.txt
-	@grep -q "t0_slowdown" $(HETSMOKE_DIR)/tenants.txt && \
-		grep -q "t1_slowdown" $(HETSMOKE_DIR)/tenants.txt && \
-		grep -q "fairness" $(HETSMOKE_DIR)/tenants.txt || \
-		{ echo "hetsmoke: per-tenant metrics missing:"; cat $(HETSMOKE_DIR)/tenants.txt; exit 1; }
-	$(GO) run ./cmd/accesys pareq -nocache -domains 4 -tol 0.05 testdata/hetfarm.json testdata/tenants.json
-	@echo "hetsmoke: deterministic rows, tenant metrics present, pareq within band"
-	@rm -rf $(HETSMOKE_DIR)
-
-# Parallel smoke: run the fig4 matrix partitioned into 4 tick-domains
-# and audit every point's divergence against the sequential loop via
-# the pareq command — the conservative barrier scheme must stay inside
-# the pinned band at the timing-exact default quantum.
-parallelsmoke:
-	$(GO) run ./cmd/accesys pareq -nocache -domains 4 -tol 0.05 testdata/fig4.json
-
 # Short native-fuzz pass: the parsers and the cache entry decoder
 # explore beyond their seed corpora for FUZZTIME each. Crashers land
 # under testdata/fuzz/ in the failing package — commit them as
@@ -191,6 +163,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzManifestParse$$' -fuzztime $(FUZZTIME) ./internal/scenario
 	$(GO) test -run '^$$' -fuzz '^FuzzPlanParse$$' -fuzztime $(FUZZTIME) ./internal/shard
 	$(GO) test -run '^$$' -fuzz '^FuzzCacheEntry$$' -fuzztime $(FUZZTIME) ./internal/sweep
+	$(GO) test -run '^$$' -fuzz '^FuzzProfileLoad$$' -fuzztime $(FUZZTIME) ./internal/sweep
+	$(GO) test -run '^$$' -fuzz '^FuzzCountersLoad$$' -fuzztime $(FUZZTIME) ./internal/sweep
 
 # The golden suite re-runs all nine experiments and diffs their rows
 # against testdata/golden/ (it skips itself under -short and -race, so
@@ -210,7 +184,7 @@ cover:
 equiv:
 	$(GO) run ./cmd/accesys equiv fig2 fig3 fig4 fig5 fig6 tab4 fig7 fig8 fig9
 
-ci: lint vet race examples smoke shardsmoke fleetsmoke servesmoke exploresmoke parallelsmoke hetsmoke fuzz golden bench benchcheck cover
+ci: lint vet race examples smoke shardsmoke fleetsmoke servesmoke exploresmoke fuzz golden equiv bench benchcheck cover
 
 bench:
 	$(GO) test -short -bench=. -benchtime=1x -run '^$$' .
@@ -221,7 +195,7 @@ BENCHFRESH_DIR := .benchfresh
 benchcheck:
 	@rm -rf $(BENCHFRESH_DIR) && mkdir -p $(BENCHFRESH_DIR)
 	BENCH_DIR=$(BENCHFRESH_DIR) $(GO) test -short -run '^$$' \
-		-bench 'SimulatorThroughput|SweepThroughput|ShardMerge|ParallelSpeedup|Explore' \
+		-bench 'SimulatorThroughput|SweepThroughput|ShardMerge|Explore' \
 		-benchtime=1x -count=3 .
 	$(GO) run ./cmd/benchcheck -baseline . -fresh $(BENCHFRESH_DIR) -tol $(BENCH_TOL)
 	@rm -rf $(BENCHFRESH_DIR)

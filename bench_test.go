@@ -237,54 +237,6 @@ func BenchmarkFig4SmallPacket(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
 }
 
-// BenchmarkParallelSpeedup races the partitioned event loop against
-// the sequential one on the pinned GEMM workload (256^3 over
-// PCIe-8GB, four domains at the timing-exact quantum) and records the
-// wall-clock ratio plus partitioned throughput in BENCH_parallel.json.
-// The context pins the host's core count: the barrier scheme can only
-// win wall-clock when the domains actually occupy separate cores, so
-// a speedup below 1 on a single-core host measures coordination
-// overhead, not a regression.
-func BenchmarkParallelSpeedup(b *testing.B) {
-	var seqWall, parWall time.Duration
-	var parEvents float64
-	for i := 0; i < b.N; i++ {
-		seqCfg := core.PCIe8GB()
-		seqCfg.Name = fmt.Sprintf("parbench-seq-%d", i)
-		sys, drv := exp.BuildSystem(seqCfg)
-		drv.RunGEMM(driver.GEMMSpec{M: 256, N: 256, K: 256}, func(driver.Result) {})
-		start := time.Now()
-		sys.Run()
-		seqWall += time.Since(start)
-
-		parCfg := core.PCIe8GB()
-		parCfg.Name = fmt.Sprintf("parbench-par-%d", i)
-		parCfg.Domains = 4
-		psys, pdrv := exp.BuildSystem(parCfg)
-		pdrv.RunGEMM(driver.GEMMSpec{M: 256, N: 256, K: 256}, func(driver.Result) {})
-		start = time.Now()
-		psys.Run()
-		parWall += time.Since(start)
-		parEvents = float64(psys.ExecutedEvents())
-	}
-	b.StopTimer()
-	if seqWall <= 0 || parWall <= 0 {
-		return
-	}
-	speedup := seqWall.Seconds() / parWall.Seconds()
-	b.ReportMetric(speedup, "speedup")
-	ctx := map[string]float64{
-		"gemm_n": 256, "domains": 4,
-		"host_cores": float64(runtime.NumCPU()),
-	}
-	recordBest(b, "BENCH_parallel.json", []bench.Record{
-		{Benchmark: "ParallelSpeedup", Metric: "speedup_vs_seq",
-			Value: speedup, Unit: "x", Context: ctx},
-		{Benchmark: "ParallelSpeedup", Metric: "par_events_per_sec",
-			Value: parEvents * float64(b.N) / parWall.Seconds(), Unit: "events/s", Context: ctx},
-	})
-}
-
 // BenchmarkSweepThroughput measures end-to-end sweep speed over the
 // fig4 matrix, cold (every point simulated) and warm (every point
 // recalled from the on-disk cache), single-worker so the numbers are

@@ -24,7 +24,7 @@ func (a *app) cmdExplore(args []string) int {
 	tracePath := fs.String("trace", "explore.json", "write the generation-by-generation search trace to this file (\"\" = skip)")
 	csvPath := fs.String("csv", "", "also write the frontier table as CSV to this file")
 	fs.Usage = func() {
-		fmt.Fprintf(a.stderr, "usage: accesys explore [-full] [-v] [-jobs N] [-cache dir] [-nocache] [-domains N] [-quantum d] [-strategy name] [-seed N] [-budget N|dur] [-trace file] [-csv file] manifest.json\n")
+		fmt.Fprintf(a.stderr, "usage: accesys explore [-full] [-v] [-jobs N] [-cache dir] [-nocache] [-strategy name] [-seed N] [-budget N|dur] [-trace file] [-csv file] manifest.json\n")
 		fs.PrintDefaults()
 	}
 	if code := parse(fs, args); code >= 0 {

@@ -2,9 +2,8 @@ package main
 
 // End-to-end coverage of the heterogeneous manifests: golden rows for
 // the mixed-kind farm and the two-tenant contention scenario (quick
-// scale), byte-determinism across fresh caches and worker counts, the
-// per-tenant metric surface, and the pareq divergence audit under
-// -domains 4. Regenerate the golden files with
+// scale), byte-determinism across fresh caches and worker counts, and
+// the per-tenant metric surface. Regenerate the golden files with
 //
 //	UPDATE_GOLDEN=1 go test ./cmd/accesys -run TestHetGoldenRows
 //
@@ -71,18 +70,6 @@ func TestTenantSweepReportsPerTenantMetrics(t *testing.T) {
 	for _, col := range []string{"t0_slowdown", "t1_slowdown", "t0_solo_ns", "fairness"} {
 		if !strings.Contains(rows, col) {
 			t.Fatalf("tenant sweep missing %s column:\n%s", col, rows)
-		}
-	}
-}
-
-func TestHetPareqWithinBand(t *testing.T) {
-	// The acceptance bound: both heterogeneous manifests run under
-	// -domains 4 within the 5% pareq divergence band.
-	for _, name := range hetManifests {
-		code, out, errOut := testApp(t, "pareq", "-nocache", "-domains", "4", "-tol", "0.05",
-			"../../testdata/"+name+".json")
-		if code != 0 {
-			t.Fatalf("pareq %s exit %d:\n%s%s", name, code, out, errOut)
 		}
 	}
 }

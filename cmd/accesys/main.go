@@ -7,7 +7,6 @@
 //	accesys sweep [-full] [-v] [-jobs N] [-cache dir] [-nocache] [-csv file] manifest.json ...
 //	accesys equiv [-full] [-v] [-jobs N] [-cache dir] [-nocache] [-tol f] [-warn f] [-json] manifest.json|experiment ...
 //	accesys explore [-full] [-v] [-jobs N] [-cache dir] [-nocache] [-strategy name] [-seed N] [-budget N|dur] [-trace file] [-csv file] manifest.json
-//	accesys pareq [-full] [-v] [-jobs N] [-cache dir] [-nocache] [-domains N] [-quantum d] [-tol f] manifest.json|experiment ...
 //	accesys shard plan [-full] [-profile DIR] -shards N manifest.json
 //	accesys shard run [-full] [-v] [-jobs N] [-plan FILE] -shard k/N -dir DIR manifest.json
 //	accesys shard merge -out DIR sharddir ...
@@ -50,15 +49,6 @@
 // compose with the warm cache: re-exploring promotes the same points
 // and simulates none of them cold. See README.md "Design-space
 // exploration" for the stanza schema.
-//
-// pareq is the intra-point parallelism audit: it runs the same matrix
-// through the sequential event loop and through a partitioned
-// (-domains N) build — N concurrent tick-domains under conservative
-// barrier synchronization — and reports per-point relative divergence
-// of the primary duration. Exit status 1 when any point diverges
-// beyond -tol. run/sweep/equiv also accept -domains/-quantum to
-// execute their matrices on partitioned builds directly; -domains 1
-// (the default) is the sequential loop the golden corpus pins.
 //
 // Every run matrix executes on the parallel sweep engine: -jobs
 // bounds the worker pool (default: all CPUs) and completed runs are
@@ -119,7 +109,6 @@ import (
 	"accesys/internal/equiv"
 	"accesys/internal/exp"
 	"accesys/internal/scenario"
-	"accesys/internal/sim"
 	"accesys/internal/sweep"
 )
 
@@ -161,8 +150,6 @@ type sweepFlags struct {
 	nocache    *bool
 	cpuprofile *string
 	memprofile *string
-	domains    *int
-	quantum    *time.Duration
 }
 
 func addSweepFlags(fs *flag.FlagSet) *sweepFlags {
@@ -174,8 +161,6 @@ func addSweepFlags(fs *flag.FlagSet) *sweepFlags {
 		nocache:    fs.Bool("nocache", false, "disable the on-disk result cache"),
 		cpuprofile: fs.String("cpuprofile", "", "write a CPU profile of the whole command to this file"),
 		memprofile: fs.String("memprofile", "", "write a heap profile (post-GC) to this file on exit"),
-		domains:    fs.Int("domains", 1, "partition each simulated system into N concurrent tick-domains (1 = the sequential event loop)"),
-		quantum:    fs.Duration("quantum", 0, "barrier window for -domains > 1 (0 = the build's minimum cut latency, timing-exact)"),
 	}
 }
 
@@ -225,8 +210,6 @@ func (a *app) startProfiles(f *sweepFlags) (stop func(), code int) {
 func (a *app) options(f *sweepFlags) scenario.Options {
 	opt := scenario.Options{
 		Full: *f.full, Verbose: *f.verbose, Out: a.stderr, Jobs: *f.jobs,
-		Domains: *f.domains,
-		Quantum: sim.Tick(f.quantum.Nanoseconds()) * sim.Nanosecond,
 	}
 	if !*f.nocache {
 		cache, err := sweep.OpenSalted(*f.cache)
@@ -547,8 +530,6 @@ func (a *app) main(args []string) int {
 			return a.cmdEquiv(args[1:])
 		case "explore":
 			return a.cmdExplore(args[1:])
-		case "pareq":
-			return a.cmdPareq(args[1:])
 		case "shard":
 			return a.cmdShard(args[1:])
 		case "fleet":
@@ -560,7 +541,7 @@ func (a *app) main(args []string) int {
 		case "list":
 			return a.cmdList(args[1:])
 		case "help", "-h", "-help", "--help":
-			fmt.Fprintf(a.stderr, "usage: accesys [run|sweep|equiv|explore|pareq|shard|fleet|serve|cachestats|list] ...\n")
+			fmt.Fprintf(a.stderr, "usage: accesys [run|sweep|equiv|explore|shard|fleet|serve|cachestats|list] ...\n")
 			fmt.Fprintf(a.stderr, "run 'accesys <command> -h' for command flags; a bare flag list runs `run`\n")
 			return usageErr
 		}

@@ -270,7 +270,7 @@ func TestHelpExitsUsage(t *testing.T) {
 	if code != 2 {
 		t.Fatalf("exit %d, want 2", code)
 	}
-	if !strings.Contains(errOut, "run|sweep|equiv|explore|pareq|shard|fleet|serve|cachestats|list") {
+	if !strings.Contains(errOut, "run|sweep|equiv|explore|shard|fleet|serve|cachestats|list") {
 		t.Fatalf("help missing subcommands:\n%s", errOut)
 	}
 }

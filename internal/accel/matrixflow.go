@@ -150,12 +150,6 @@ type MatrixFlow struct {
 	// OnDone fires when a job completes (after the MSI write lands).
 	OnDone func(JobResult)
 
-	// CrossPost, when non-nil, carries the OnDone callback into the
-	// driver's tick-domain (partitioned builds route it across the
-	// domain cut like the MSI it follows); when nil OnDone runs inline
-	// on the accelerator's event queue.
-	CrossPost func(func())
-
 	jobs      *stats.Counter
 	tilesStat *stats.Counter
 	computeNs *stats.Scalar
@@ -435,12 +429,7 @@ func (m *MatrixFlow) finish() {
 	}
 	m.job = nil
 	if m.OnDone != nil {
-		if m.CrossPost != nil {
-			done := m.OnDone
-			m.CrossPost(func() { done(res) })
-		} else {
-			m.OnDone(res)
-		}
+		m.OnDone(res)
 	}
 }
 

@@ -109,9 +109,3 @@ func (c Config) MemberKind(i int) string {
 func (c Config) MemberAccel(i int) accel.Config {
 	return accelKinds[c.MemberKind(i)](c.Accel)
 }
-
-// DomainCap is the largest useful -domains request for the config:
-// host + PCIe fabric + device complex + one domain per cluster
-// member. Requests beyond it are clamped (the surplus domains would
-// hold no components and only pay barrier cost).
-func (c Config) DomainCap() int { return 3 + c.NumAccels() }

@@ -1,7 +1,7 @@
 package core
 
-// Heterogeneous clusters: slot validation, config resolution, mixed-kind
-// functional correctness, and the topology-derived domain clamp.
+// Heterogeneous clusters: slot validation, config resolution, and
+// mixed-kind functional correctness.
 
 import (
 	"fmt"
@@ -11,7 +11,6 @@ import (
 	"accesys/internal/accel"
 	"accesys/internal/driver"
 	"accesys/internal/mem"
-	"accesys/internal/sim"
 )
 
 func TestValidateCluster(t *testing.T) {
@@ -38,9 +37,6 @@ func TestClusterConfigResolution(t *testing.T) {
 	cfg = cfg.Resolved()
 	if cfg.Accelerators != 3 || cfg.NumAccels() != 3 {
 		t.Fatalf("cluster did not resolve accelerator count: %d", cfg.Accelerators)
-	}
-	if cfg.DomainCap() != 6 {
-		t.Fatalf("DomainCap = %d, want 3+3", cfg.DomainCap())
 	}
 	for i, want := range []string{"gemm", "gemm", "hpc"} {
 		if got := cfg.MemberKind(i); got != want {
@@ -109,78 +105,5 @@ func TestHeterogeneousClusterFunctional(t *testing.T) {
 	if r1.Job.ComputeBusy >= r0.Job.ComputeBusy {
 		t.Fatalf("hpc member (%v busy) not faster than gemm member (%v busy)",
 			r1.Job.ComputeBusy, r0.Job.ComputeBusy)
-	}
-}
-
-// domainSet counts the distinct domains a plan instantiated.
-func domainSet(p domainPlan) map[*sim.Domain]bool {
-	set := map[*sim.Domain]bool{}
-	for _, d := range append([]*sim.Domain{p.host, p.pcie, p.dev}, p.accels...) {
-		if d != nil {
-			set[d] = true
-		}
-	}
-	return set
-}
-
-func TestDomainClampAtTopologyCap(t *testing.T) {
-	// Requests past DomainCap clamp deterministically onto the cap
-	// plan: same domain count, same member assignment, same timing.
-	cfg := PCIe8GB()
-	cfg.Name = "clamp"
-	cfg.Accelerators = 2
-	cfg.SMMU.Bypass = true
-	cap := cfg.Resolved().DomainCap()
-	if cap != 5 {
-		t.Fatalf("cap = %d, want 3+2", cap)
-	}
-
-	atCap := cfg.Resolved()
-	atCap.Domains = cap
-	over := cfg.Resolved()
-	over.Domains = cap + 1
-	pCap := planDomains(atCap, sim.Nanosecond, sim.Nanosecond)
-	pOver := planDomains(over, sim.Nanosecond, sim.Nanosecond)
-	if got, want := len(domainSet(pOver)), len(domainSet(pCap)); got != want {
-		t.Fatalf("over-cap plan has %d domains, cap plan %d", got, want)
-	}
-
-	run := func(domains int) sim.Tick {
-		c := cfg
-		c.Domains = domains
-		sys := Build(c)
-		drv := driver.New("clamp.drv", sys.EQ, sys.Stats, driver.Deps{
-			EQ: sys.EQ, MMIO: sys.AttachHostPort("drv"),
-			FuncHost: sys.FuncHost(), FuncDev: sys.FuncDev(),
-			SMMU: sys.SMMU, Accel: sys.Accel, BARBase: BARBase,
-			HostRange: sys.Cfg.HostRange(), DevRange: sys.Cfg.DevRange(),
-			IOVABase: IOVABase,
-		}, driver.Config{NoIOMMU: true})
-		var d sim.Tick
-		drv.RunGEMM(driver.GEMMSpec{M: 128, N: 128, K: 128}, func(r driver.Result) { d = r.Job.Duration() })
-		sys.Run()
-		return d
-	}
-	if dCap, dOver := run(cap), run(cap+1); dCap != dOver {
-		t.Fatalf("clamped run diverged: domains=%d -> %v, domains=%d -> %v", cap, dCap, cap+1, dOver)
-	}
-}
-
-func TestDomainPlanFollowsLeaves(t *testing.T) {
-	// With fewer cluster domains than leaf switches, members sharing a
-	// leaf must share a domain (the leaf is their sync point anyway).
-	cfg := PCIe8GB()
-	cfg.Name = "leafdom"
-	cfg.Accelerators = 4
-	cfg.PCIe.Topology.Levels = 2
-	cfg.PCIe.Topology.Fanout = 2
-	cfg = cfg.Resolved()
-	cfg.Domains = 5 // host, pcie, dev + 2 cluster domains for 2 leaves
-	p := planDomains(cfg, sim.Nanosecond, sim.Nanosecond)
-	if p.accels[0] != p.accels[1] || p.accels[2] != p.accels[3] {
-		t.Fatalf("leaf-mates split across domains: %v", p.accels)
-	}
-	if p.accels[0] == p.accels[2] {
-		t.Fatal("both leaves collapsed onto one domain despite two being available")
 	}
 }

@@ -117,21 +117,6 @@ type Config struct {
 	// to the slot-count sum so downstream consumers agree on size).
 	Cluster []ClusterSlot
 
-	// Domains partitions the built system into that many concurrently
-	// ticking event-loop domains under conservative barrier
-	// synchronization (<= 1, the default, is the sequential event loop
-	// whose results the golden corpus pins). Domains and Quantum are
-	// ordinary config fields so they land in the fingerprint: a
-	// partitioned run can never alias a sequential cache entry.
-	Domains int
-
-	// Quantum is the barrier window length for Domains > 1. Zero picks
-	// the minimum cross-domain channel latency of the build, the
-	// largest timing-exact window. Larger quanta run fewer barriers at
-	// the cost of bounded extra cross-domain delivery delay (see README
-	// "Parallel simulation").
-	Quantum sim.Tick
-
 	// Functional carries real data end to end (tests/examples); sweeps
 	// run timing-only.
 	Functional bool

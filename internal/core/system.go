@@ -27,21 +27,11 @@ const (
 	IOCacheHitLatency = 4 * sim.Nanosecond
 )
 
-// CrossDepth bounds each direction of a cross-domain channel in
-// packets — the "bounded inbox" of the conservative scheme.
-const CrossDepth = 32
-
 // System is a fully wired AcceSys platform.
 type System struct {
 	Cfg   Config
 	EQ    *sim.EventQueue
 	Stats *stats.Registry
-
-	// Par coordinates the tick-domains of a partitioned build
-	// (Cfg.Domains > 1); nil for the sequential event loop. EQ is the
-	// host complex's queue in both modes — the driver, CPU, and every
-	// pre-run scheduling call target it exactly as before.
-	Par *sim.Parallel
 
 	CPU     *cpu.CPU
 	L1D     *cache.Cache
@@ -63,101 +53,6 @@ type System struct {
 	Accels []*accel.MatrixFlow
 
 	hostFunc mem.Functional
-	hostDom  *sim.Domain
-}
-
-// domainPlan assigns every partition of the system graph to a
-// tick-domain along the natural latency boundaries: the host complex
-// (CPU, caches, memory bus, host DRAM, SMMU, IOCache, driver), the
-// PCIe tree below the root complex, the device complex (device bus and
-// device DRAM), and the accelerator cluster. All fields are nil for a
-// sequential build.
-type domainPlan struct {
-	par    *sim.Parallel
-	host   *sim.Domain
-	pcie   *sim.Domain
-	dev    *sim.Domain
-	accels []*sim.Domain // one entry per cluster member
-}
-
-// planDomains builds the domain ladder for cfg.Domains: 1 = the
-// sequential loop, 2 splits the host from everything below the root
-// complex, 3 separates the PCIe tree from the device complex, 4 gives
-// the accelerator cluster its own domain, and beyond 4 the cluster
-// members spread over the extra domains in blocks that follow the
-// fabric shape (endpoints sharing a leaf switch stay in one domain).
-// Requests past the topology-derived cap (Config.DomainCap) are
-// clamped — the surplus domains would hold no components and only pay
-// barrier cost. scenario.Options applies the same clamp before
-// fingerprinting, so a clamped request can never alias a distinct
-// cache entry; this one is the in-core backstop for direct Build
-// callers.
-//
-// A zero cfg.Quantum defaults to the minimum cut latency the plan
-// instantiates, the largest window that is still timing-exact: a
-// message posted during window W can never be due before W+1 starts,
-// so barrier delivery never clamps. Explicit larger quanta run fewer
-// barriers at the cost of bounded extra cross-domain delivery delay
-// (pinned by the `accesys pareq` divergence audit).
-func planDomains(cfg Config, pcieLat, devLat sim.Tick) domainPlan {
-	nd := cfg.Domains
-	if max := cfg.DomainCap(); nd > max {
-		nd = max
-	}
-	if nd <= 1 {
-		return domainPlan{}
-	}
-	q := cfg.Quantum
-	if q <= 0 {
-		// The host|pcie|dev cuts all carry the PCIe flight latency;
-		// ladders that isolate accelerators add device-bus-latency cuts.
-		q = pcieLat
-		if nd >= 4 && devLat < q {
-			q = devLat
-		}
-	}
-	n := cfg.Name
-	p := domainPlan{par: sim.NewParallel(q)}
-	p.host = p.par.AddDomain(n + ".host")
-	p.accels = make([]*sim.Domain, cfg.Accelerators)
-	switch {
-	case nd == 2:
-		below := p.par.AddDomain(n + ".dev")
-		p.pcie, p.dev = below, below
-		for i := range p.accels {
-			p.accels[i] = below
-		}
-	case nd == 3:
-		p.pcie = p.par.AddDomain(n + ".pcie")
-		p.dev = p.par.AddDomain(n + ".dev")
-		for i := range p.accels {
-			p.accels[i] = p.dev
-		}
-	default:
-		p.pcie = p.par.AddDomain(n + ".pcie")
-		p.dev = p.par.AddDomain(n + ".dev")
-		clusters := make([]*sim.Domain, nd-3)
-		for j := range clusters {
-			clusters[j] = p.par.AddDomain(fmt.Sprintf("%s.accel%d", n, j))
-		}
-		// Partitioning follows the tree: with fewer domains than leaf
-		// switches, members that share a leaf share a domain (the leaf
-		// is their synchronization point anyway); with at least one
-		// domain per leaf, members split into contiguous index blocks,
-		// which on a flat switch is simply per-endpoint.
-		nAcc := cfg.Accelerators
-		nLeaf := cfg.PCIe.Topology.LeafCount(nAcc)
-		for i := range p.accels {
-			var j int
-			if len(clusters) >= nLeaf {
-				j = i * len(clusters) / nAcc
-			} else {
-				j = cfg.PCIe.Topology.LeafOf(i) * len(clusters) / nLeaf
-			}
-			p.accels[i] = clusters[j]
-		}
-	}
-	return p
 }
 
 // Build wires a System from a Config.
@@ -169,46 +64,14 @@ func Build(cfg Config) *System {
 	reg := stats.NewRegistry()
 	n := cfg.Name
 
-	// Cut latencies: crossings that model the PCIe boundary use the
-	// link's flight latency, device-side crossings the device bus
-	// latency.
-	pcieLat := cfg.PCIe.Link.PropDelay
-	if pcieLat == 0 {
-		pcieLat = 5 * sim.Nanosecond
-	}
-	devLat := cfg.DevBusLat
-
-	plan := planDomains(cfg, pcieLat, devLat)
-	var seqEQ *sim.EventQueue
-	if plan.par == nil {
-		seqEQ = sim.NewEventQueue()
-	}
-	// eqFor resolves a component's event queue: its domain's queue in
-	// a partitioned build, the single shared queue otherwise.
-	eqFor := func(d *sim.Domain) *sim.EventQueue {
-		if d == nil {
-			return seqEQ
-		}
-		return d.EQ
-	}
-	// bind joins two ports directly when both sides tick in the same
-	// domain, and through a latency-annotated bounded cross-domain
-	// channel when they do not.
-	bind := func(rq *mem.RequestPort, da *sim.Domain, rs *mem.ResponsePort, db *sim.Domain, lat sim.Tick) {
-		if da == db {
-			mem.Bind(rq, rs)
-			return
-		}
-		mem.CrossBind(da, db, rq, rs, lat, CrossDepth)
-	}
-	hostEQ := eqFor(plan.host)
-	s := &System{Cfg: cfg, EQ: hostEQ, Stats: reg, Par: plan.par, hostDom: plan.host}
+	eq := sim.NewEventQueue()
+	s := &System{Cfg: cfg, EQ: eq, Stats: reg}
 
 	// --- Host memory behind the LLC ---------------------------------
 	var hostPort *mem.ResponsePort
 	var hostFunc mem.Functional
 	if cfg.HostSimple != nil {
-		s.HostSimple = simplemem.New(n+".hostmem", hostEQ, reg, simplemem.Config{
+		s.HostSimple = simplemem.New(n+".hostmem", eq, reg, simplemem.Config{
 			Range:         cfg.HostRange(),
 			Latency:       cfg.HostSimple.Latency,
 			BandwidthGBps: cfg.HostSimple.BandwidthGBps,
@@ -216,7 +79,7 @@ func Build(cfg Config) *System {
 		hostPort = s.HostSimple.Port()
 		hostFunc = s.HostSimple
 	} else {
-		s.HostDRAM = dram.New(n+".hostmem", hostEQ, reg, dram.Config{
+		s.HostDRAM = dram.New(n+".hostmem", eq, reg, dram.Config{
 			Spec:  cfg.HostSpec,
 			Range: cfg.HostRange(),
 		})
@@ -224,7 +87,7 @@ func Build(cfg Config) *System {
 		hostFunc = s.HostDRAM
 	}
 
-	s.LLC = cache.New(n+".llc", hostEQ, reg, cache.Config{
+	s.LLC = cache.New(n+".llc", eq, reg, cache.Config{
 		SizeBytes:     cfg.LLCBytes,
 		Assoc:         16,
 		HitLatency:    LLCHitLatency,
@@ -235,21 +98,21 @@ func Build(cfg Config) *System {
 	s.LLC.SetDownstreamFunctional(hostFunc)
 
 	// --- Memory bus --------------------------------------------------
-	s.Bus = interconnect.New(n+".membus", hostEQ, reg, interconnect.Config{
+	s.Bus = interconnect.New(n+".membus", eq, reg, interconnect.Config{
 		Latency:    cfg.BusLatency,
 		QueueDepth: 64,
 	})
 	mem.Bind(s.Bus.AddResponderPort("llc", cfg.HostRange()), s.LLC.CPUPort())
 
 	// --- CPU cluster -------------------------------------------------
-	s.CPU = cpu.New(n+".cpu", hostEQ, reg, cpu.Config{ClockMHz: cfg.CPUClockMHz, MLP: cfg.CPUMLP})
-	s.L1D = cache.New(n+".l1d", hostEQ, reg, cache.Config{
+	s.CPU = cpu.New(n+".cpu", eq, reg, cpu.Config{ClockMHz: cfg.CPUClockMHz, MLP: cfg.CPUMLP})
+	s.L1D = cache.New(n+".l1d", eq, reg, cache.Config{
 		SizeBytes:  cfg.L1DBytes,
 		Assoc:      4,
 		HitLatency: L1HitLatency,
 		MSHRs:      16,
 	})
-	s.L1I = cache.New(n+".l1i", hostEQ, reg, cache.Config{
+	s.L1I = cache.New(n+".l1i", eq, reg, cache.Config{
 		SizeBytes:  cfg.L1IBytes,
 		Assoc:      4,
 		HitLatency: L1HitLatency,
@@ -272,7 +135,7 @@ func Build(cfg Config) *System {
 		}
 		epRanges = append(epRanges, ranges)
 	}
-	s.Tree = pcie.NewTree(n+".pcie", eqFor(plan.pcie), reg, cfg.PCIe, epRanges...)
+	s.Tree = pcie.NewTree(n+".pcie", eq, reg, cfg.PCIe, epRanges...)
 
 	// Host-initiated traffic to the device windows goes through the RC.
 	rcPort := s.Bus.AddResponderPort("rc", cfg.BARRangeOf(0))
@@ -280,13 +143,13 @@ func Build(cfg Config) *System {
 		s.Bus.AddRange(rcPort, cfg.BARRangeOf(i))
 	}
 	s.Bus.AddRange(rcPort, cfg.DevRange())
-	bind(rcPort, plan.host, s.Tree.RC.HostPort(), plan.pcie, pcieLat)
+	mem.Bind(rcPort, s.Tree.RC.HostPort())
 
 	// --- SMMU + IOCache on the upstream (DMA) path --------------------
-	s.SMMU = smmu.New(n+".smmu", hostEQ, reg, cfg.SMMU)
-	bind(s.Tree.RC.UpstreamPort(), plan.pcie, s.SMMU.DevPort(), plan.host, pcieLat)
+	s.SMMU = smmu.New(n+".smmu", eq, reg, cfg.SMMU)
+	mem.Bind(s.Tree.RC.UpstreamPort(), s.SMMU.DevPort())
 
-	s.IOCache = cache.New(n+".iocache", hostEQ, reg, cache.Config{
+	s.IOCache = cache.New(n+".iocache", eq, reg, cache.Config{
 		SizeBytes:     cfg.IOCacheB,
 		Assoc:         4,
 		HitLatency:    IOCacheHitLatency,
@@ -303,13 +166,12 @@ func Build(cfg Config) *System {
 	s.LLC.RegisterSnooper(s.IOCache)
 
 	// --- Device side ---------------------------------------------------
-	devEQ := eqFor(plan.dev)
-	s.DevDRAM = dram.New(n+".devmem", devEQ, reg, dram.Config{
+	s.DevDRAM = dram.New(n+".devmem", eq, reg, dram.Config{
 		Spec:  cfg.DevSpec,
 		Range: cfg.DevRange(),
 	})
 
-	s.DevBus = interconnect.New(n+".devbus", devEQ, reg, interconnect.Config{
+	s.DevBus = interconnect.New(n+".devbus", eq, reg, interconnect.Config{
 		Latency:    cfg.DevBusLat,
 		QueueDepth: 64,
 	})
@@ -318,26 +180,13 @@ func Build(cfg Config) *System {
 	for i := 0; i < cfg.Accelerators; i++ {
 		acfg := cfg.MemberAccel(i)
 		acfg.BAR = cfg.BARRangeOf(i)
-		var aDom *sim.Domain
-		if plan.par != nil {
-			aDom = plan.accels[i]
-		}
-		a := accel.New(fmt.Sprintf("%s.accel%d", n, i), eqFor(aDom), reg, acfg)
+		a := accel.New(fmt.Sprintf("%s.accel%d", n, i), eq, reg, acfg)
 		s.Accels = append(s.Accels, a)
 
-		bind(s.Tree.EP(i).BusPort(), plan.pcie, s.DevBus.AddRequestorPort(fmt.Sprintf("ep%d", i)), plan.dev, pcieLat)
-		bind(a.DevDMAPort(), aDom, s.DevBus.AddRequestorPort(fmt.Sprintf("devdma%d", i)), plan.dev, devLat)
-		bind(s.DevBus.AddResponderPort(fmt.Sprintf("csr%d", i), cfg.BARRangeOf(i)), plan.dev, a.CSRPort(), aDom, devLat)
-		bind(a.HostDMAPort(), aDom, s.Tree.EP(i).DevPort(), plan.pcie, pcieLat)
-
-		// The completion callback crosses from the accelerator's domain
-		// into the driver's (host) domain like the MSI it models.
-		if plan.par != nil {
-			ad := aDom
-			a.CrossPost = func(fn func()) {
-				ad.Post(plan.host, ad.EQ.Now()+pcieLat, fn)
-			}
-		}
+		mem.Bind(s.Tree.EP(i).BusPort(), s.DevBus.AddRequestorPort(fmt.Sprintf("ep%d", i)))
+		mem.Bind(a.DevDMAPort(), s.DevBus.AddRequestorPort(fmt.Sprintf("devdma%d", i)))
+		mem.Bind(s.DevBus.AddResponderPort(fmt.Sprintf("csr%d", i), cfg.BARRangeOf(i)), a.CSRPort())
+		mem.Bind(a.HostDMAPort(), s.Tree.EP(i).DevPort())
 	}
 	s.Accel = s.Accels[0]
 
@@ -376,36 +225,8 @@ func (h hostView) WriteFunctional(addr uint64, data []byte) {
 // the driver and by tests.
 func (s *System) FuncHost() mem.Functional { return hostView{s} }
 
-// frozenFunc guards a functional view that lives outside the caller's
-// tick-domain: each access runs under the coordinator's Freeze
-// rendezvous, i.e. with every other domain parked at a window boundary.
-// The caller is the host domain (the driver is the only cross-domain
-// functional client).
-type frozenFunc struct {
-	par *sim.Parallel
-	dom *sim.Domain
-	f   mem.Functional
-}
-
-// ReadFunctional implements mem.Functional.
-func (z frozenFunc) ReadFunctional(addr uint64, buf []byte) {
-	z.par.Freeze(z.dom, func() { z.f.ReadFunctional(addr, buf) })
-}
-
-// WriteFunctional implements mem.Functional.
-func (z frozenFunc) WriteFunctional(addr uint64, data []byte) {
-	z.par.Freeze(z.dom, func() { z.f.WriteFunctional(addr, data) })
-}
-
-// FuncDev returns the functional view of device memory. In a
-// partitioned build device DRAM ticks in another domain, so the view
-// is wrapped in the Freeze rendezvous.
-func (s *System) FuncDev() mem.Functional {
-	if s.Par != nil {
-		return frozenFunc{par: s.Par, dom: s.hostDom, f: s.DevDRAM}
-	}
-	return s.DevDRAM
-}
+// FuncDev returns the functional view of device memory.
+func (s *System) FuncDev() mem.Functional { return s.DevDRAM }
 
 // FlushCaches writes back and invalidates the whole cache hierarchy —
 // the driver-managed coherence step of the DM access method.
@@ -416,23 +237,11 @@ func (s *System) FlushCaches() {
 	s.LLC.FlushAll()
 }
 
-// Run drains the event queue — all domain queues under the barrier
-// coordinator for a partitioned build.
-func (s *System) Run() {
-	if s.Par != nil {
-		s.Par.Run()
-		return
-	}
-	s.EQ.Run()
-}
+// Run drains the event queue.
+func (s *System) Run() { s.EQ.Run() }
 
-// ExecutedEvents totals dispatched events across every domain.
-func (s *System) ExecutedEvents() uint64 {
-	if s.Par != nil {
-		return s.Par.Executed()
-	}
-	return s.EQ.Executed
-}
+// ExecutedEvents counts the events the queue has dispatched.
+func (s *System) ExecutedEvents() uint64 { return s.EQ.Executed }
 
 // Now returns the current simulation time.
 func (s *System) Now() sim.Tick { return s.EQ.Now() }

@@ -36,45 +36,42 @@ func sweepScenario(opt Options, id string) (*scenario.Scenario, []scenario.Run, 
 		// a programming error.
 		panic(err)
 	}
-	opt.Apply(runs)
 	return sc, runs, opt.Sweep(sc.Name, sc.Points(runs))
 }
 
-// All runs every experiment in paper order.
-func All(opt Options) []*Result {
-	return []*Result{
-		Fig2Roofline(opt),
-		Fig3BandwidthSweep(opt),
-		Fig4PacketSize(opt),
-		Fig5MemoryLocation(opt),
-		Fig6MemSweep(opt),
-		Tab4Translation(opt),
-		Fig7Transformer(opt),
-		Fig8Split(opt),
-		Fig9Model(opt),
-	}
+// experiments lists every reproduced figure and table in paper order.
+var experiments = []struct {
+	id  string
+	run func(Options) *Result
+}{
+	{"fig2", Fig2Roofline},
+	{"fig3", Fig3BandwidthSweep},
+	{"fig4", Fig4PacketSize},
+	{"fig5", Fig5MemoryLocation},
+	{"fig6", Fig6MemSweep},
+	{"tab4", Tab4Translation},
+	{"fig7", Fig7Transformer},
+	{"fig8", Fig8Split},
+	{"fig9", Fig9Model},
 }
 
 // ByID resolves an experiment by its identifier.
 func ByID(id string) (func(Options) *Result, bool) {
-	m := map[string]func(Options) *Result{
-		"fig2": Fig2Roofline,
-		"fig3": Fig3BandwidthSweep,
-		"fig4": Fig4PacketSize,
-		"fig5": Fig5MemoryLocation,
-		"fig6": Fig6MemSweep,
-		"tab4": Tab4Translation,
-		"fig7": Fig7Transformer,
-		"fig8": Fig8Split,
-		"fig9": Fig9Model,
+	for _, e := range experiments {
+		if e.id == id {
+			return e.run, true
+		}
 	}
-	f, ok := m[id]
-	return f, ok
+	return nil, false
 }
 
 // IDs lists the experiment identifiers in paper order.
 func IDs() []string {
-	return []string{"fig2", "fig3", "fig4", "fig5", "fig6", "tab4", "fig7", "fig8", "fig9"}
+	ids := make([]string, len(experiments))
+	for i, e := range experiments {
+		ids[i] = e.id
+	}
+	return ids
 }
 
 // Matrix exposes the built-in run matrix behind an experiment id to

@@ -54,7 +54,6 @@ const (
 // Fidelity names for trace records.
 const (
 	FidelityAnalytic = "analytic"
-	FidelityProxy    = "proxy"
 	FidelityTiming   = "timing"
 )
 
@@ -80,7 +79,6 @@ type Report struct {
 // cand is one candidate moving through the fidelity ladder.
 type cand struct {
 	index  int
-	run    scenario.Run
 	point  sweep.Point
 	digest string
 	// obj is the objective at the candidate's latest evaluated
@@ -324,13 +322,8 @@ func (s *Search) Screen(indexes []int) ([]*cand, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Stamp the session's engine knobs (-domains/-quantum) before
-		// fingerprinting so screening digests match the points the
-		// timing rung will submit.
-		runs := []scenario.Run{r}
-		s.opts.Apply(runs)
-		p := s.sc.Points(runs)[0]
-		m, err := s.sc.AnalyticMetrics(runs[0])
+		p := s.sc.Points([]scenario.Run{r})[0]
+		m, err := s.sc.AnalyticMetrics(r)
 		if err != nil {
 			return nil, err
 		}
@@ -340,7 +333,6 @@ func (s *Search) Screen(indexes []int) ([]*cand, error) {
 		}
 		cands = append(cands, &cand{
 			index:  i,
-			run:    runs[0],
 			point:  p,
 			digest: sweep.Digest(p.Fingerprint),
 			obj:    obj,
@@ -368,40 +360,29 @@ func (s *Search) Rank(cands []*cand) []*cand {
 	return out
 }
 
-// EvalTiming promotes ranked candidates to a timing fidelity: at the
-// exact rung the budget is charged per candidate in rank order
-// (prediction from the wall profile) and only the admitted prefix
-// runs; the admitted candidates are simulated through the sweep
-// engine (cache, flight, and profile compose), and the generation
-// lands in the trace. Returns the evaluated candidates with timing
+// EvalTiming promotes ranked candidates to exact timing: the budget
+// is charged per candidate in rank order (prediction from the wall
+// profile) and only the admitted prefix runs; the admitted candidates
+// are simulated through the sweep engine (cache, flight, and profile
+// compose), and the generation lands in the trace with timing
 // objectives.
 //
-// Only the exact rung spends the budget: ExploreSpec.Budget caps
-// exact-timing promotions, and the proxy rung — a screening fidelity
-// whose size the halving ladder already bounds to budget*eta — would
-// otherwise exhaust the whole allowance on any space larger than
-// budget*eta and admit nothing to the final rung. Every admitted
-// exact promotion charges the budget whether or not the cache already
-// holds its result — that is what keeps point-budgeted searches
-// deterministic across cache states.
-func (s *Search) EvalTiming(ranked []*cand, fidelity string) ([]*cand, error) {
+// Every admitted promotion charges the budget whether or not the
+// cache already holds its result — that is what keeps point-budgeted
+// searches deterministic across cache states.
+func (s *Search) EvalTiming(ranked []*cand) {
 	var admitted []*cand
 	for _, c := range ranked {
-		pc, err := s.proxyCand(c, fidelity)
-		if err != nil {
-			return nil, err
-		}
-		if fidelity == FidelityTiming &&
-			!s.budget.Take(s.opts.Profile.Predict(pc.digest, defaultPredicted)) {
+		if !s.budget.Take(s.opts.Profile.Predict(c.digest, defaultPredicted)) {
 			break
 		}
 		if c.eval != nil {
 			c.eval.Promoted = true
 		}
-		admitted = append(admitted, pc)
+		admitted = append(admitted, c)
 	}
 	if len(admitted) == 0 {
-		return nil, nil
+		return
 	}
 	// Fold results in ascending point-index order regardless of rank.
 	sort.SliceStable(admitted, func(a, b int) bool { return admitted[a].index < admitted[b].index })
@@ -419,43 +400,15 @@ func (s *Search) EvalTiming(ranked []*cand, fidelity string) ([]*cand, error) {
 			prev(r)
 		}
 	}
-	label := fmt.Sprintf("%s %s g%d", s.sc.Name, fidelity, len(s.trace.Generations))
+	label := fmt.Sprintf("%s %s g%d", s.sc.Name, FidelityTiming, len(s.trace.Generations))
 	outs := run.Sweep(label, points)
 	for i, c := range admitted {
 		c.out = outs[i]
 		c.cold = cold[i]
 		c.obj = s.timingObjective(outs[i])
 	}
-	s.recordGen(fidelity, admitted)
-	if fidelity == FidelityTiming {
-		s.exact = append(s.exact, admitted...)
-	}
-	return admitted, nil
-}
-
-// proxyCand rebuilds a candidate for the proxy rung (partitioned
-// build, optionally clamped quantum — a distinct fingerprint, so
-// proxy results can never alias exact ones); exact-rung candidates
-// pass through.
-func (s *Search) proxyCand(c *cand, fidelity string) (*cand, error) {
-	if fidelity != FidelityProxy {
-		return c, nil
-	}
-	p := s.spec.Proxy
-	if p == nil {
-		return c, nil
-	}
-	r := c.run
-	r.Cfg.Domains = p.Domains
-	r.Cfg.Quantum = sim.Tick(p.QuantumNs) * sim.Nanosecond
-	pt := s.sc.Points([]scenario.Run{r})[0]
-	return &cand{
-		index:  c.index,
-		run:    r,
-		point:  pt,
-		digest: sweep.Digest(pt.Fingerprint),
-		obj:    c.obj,
-	}, nil
+	s.recordGen(FidelityTiming, admitted)
+	s.exact = append(s.exact, admitted...)
 }
 
 // timingObjective extracts the objective from a timing outcome in

@@ -44,42 +44,27 @@ func (random) Run(s *Search) error {
 		}
 		ranked := s.Rank(cands)
 		k := ceilFrac(len(ranked), s.promote)
-		if _, err := s.EvalTiming(ranked[:k], FidelityTiming); err != nil {
-			return err
-		}
+		s.EvalTiming(ranked[:k])
 	}
 	return nil
 }
 
 // halving is successive halving over the fidelity ladder: sample one
-// large population sized so that keeping 1/eta per rung lands the
-// exact-timing rung at the point budget, screen it analytically, then
-// (optionally) run the survivors through the proxy rung — a
-// partitioned short-quantum timing build, cheap but approximate —
-// before spending exact simulation only on the final survivors. Only
-// that last rung charges the budget: the analytic screen and the
-// proxy rung are screening fidelities (EvalTiming enforces this), so
-// the ladder can be budget*eta^rungs wide without starving the exact
-// rung.
+// large population sized so that keeping 1/eta lands the exact-timing
+// rung at the point budget, screen it analytically, and spend exact
+// simulation only on the survivors. Only the exact rung charges the
+// budget, so the screened population can be budget*eta wide without
+// starving it.
 type halving struct{}
 
 func (halving) Name() string { return "halving" }
 
 func (halving) Run(s *Search) error {
-	rungs := 2
-	if s.spec.Proxy != nil {
-		rungs = 3
+	pop := s.budget.Points
+	if pop <= 0 {
+		pop = defaultGeneration // wall budgets have no natural count
 	}
-	base := s.budget.Points
-	if base <= 0 {
-		base = defaultGeneration // wall budgets have no natural count
-	}
-	pop := base
-	for i := 0; i < rungs-1; i++ {
-		pop *= s.eta
-	}
-
-	gen := s.Sample(pop)
+	gen := s.Sample(pop * s.eta)
 	if len(gen) == 0 {
 		return nil
 	}
@@ -88,34 +73,6 @@ func (halving) Run(s *Search) error {
 		return err
 	}
 	ranked := s.Rank(cands)
-	keep := ceilDiv(len(ranked), s.eta)
-	survivors := ranked[:keep]
-
-	if s.spec.Proxy != nil {
-		evaled, err := s.EvalTiming(survivors, FidelityProxy)
-		if err != nil {
-			return err
-		}
-		ranked = s.Rank(evaled)
-		keep = ceilDiv(len(ranked), s.eta)
-		if keep > len(ranked) {
-			keep = len(ranked)
-		}
-		// Proxy candidates carry partitioned configs; remap the
-		// survivors back to their exact-rung selves by index.
-		byIndex := map[int]*cand{}
-		for _, c := range cands {
-			byIndex[c.index] = c
-		}
-		survivors = survivors[:0]
-		for _, pc := range ranked[:keep] {
-			if c, ok := byIndex[pc.index]; ok {
-				c.obj = pc.obj   // rank downstream by proxy timing
-				c.eval = pc.eval // exact admission marks the proxy record
-				survivors = append(survivors, c)
-			}
-		}
-	}
-	_, err = s.EvalTiming(survivors, FidelityTiming)
-	return err
+	s.EvalTiming(ranked[:ceilDiv(len(ranked), s.eta)])
+	return nil
 }

@@ -54,8 +54,8 @@ type BestPoint struct {
 type Summary struct {
 	// Screened counts analytic evaluations (free).
 	Screened int `json:"screened"`
-	// Promoted counts timing evaluations (proxy and exact), warm or
-	// cold; only the exact ones charge the budget.
+	// Promoted counts exact-timing evaluations, warm or cold; each
+	// one charges the budget.
 	Promoted int `json:"promoted"`
 	// ColdTiming / WarmTiming split promotions by cache state — the
 	// pruning proof: cold is what the search actually paid.

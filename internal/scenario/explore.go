@@ -53,19 +53,6 @@ type Constraint struct {
 	Equals Value `json:"equals,omitempty"`
 }
 
-// ProxySpec declares the optional mid-fidelity rung between the
-// analytic screen and exact timing: a partitioned run with a clamping
-// barrier quantum — approximate timing, cached under its own
-// fingerprints (Domains/Quantum are part of core.Config).
-type ProxySpec struct {
-	// Domains is the tick-domain count (>= 2).
-	Domains int `json:"domains"`
-	// QuantumNs widens the barrier window past the timing-exact
-	// default; 0 keeps the default (then the rung is exact but
-	// partitioned).
-	QuantumNs int64 `json:"quantum_ns,omitempty"`
-}
-
 // ExploreSpec is the manifest's "explore" stanza.
 type ExploreSpec struct {
 	// Objective selects the optimized metric and direction.
@@ -93,9 +80,6 @@ type ExploreSpec struct {
 	// Frontier is how many ranked rows the final table keeps
 	// (default 10).
 	Frontier int `json:"frontier,omitempty"`
-	// Proxy inserts the mid-fidelity partitioned-timing rung
-	// (halving strategy).
-	Proxy *ProxySpec `json:"proxy,omitempty"`
 }
 
 // validateExplore checks the stanza against the scenario. fail wraps
@@ -165,14 +149,6 @@ func (s *Scenario) validateExplore(fail func(string, ...any) error) error {
 	}
 	if e.Frontier < 0 {
 		return fail("explore: frontier must be positive")
-	}
-	if p := e.Proxy; p != nil {
-		if p.Domains < 2 {
-			return fail("explore: proxy domains must be >= 2")
-		}
-		if p.QuantumNs < 0 {
-			return fail("explore: proxy quantum must be non-negative")
-		}
 	}
 	return nil
 }

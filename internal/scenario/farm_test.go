@@ -2,14 +2,12 @@ package scenario
 
 // Farm/tenant workload contracts: the committed heterogeneous
 // manifests stay valid, runs are deterministic, per-tenant metrics are
-// sane, heterogeneous fingerprints never alias homogeneous cache
-// entries, and the -domains clamp is deterministic and warned once.
+// sane, and heterogeneous fingerprints never alias homogeneous cache
+// entries.
 
 import (
-	"bytes"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"testing"
 
 	"accesys/internal/core"
@@ -169,43 +167,4 @@ func TestHeterogeneousFingerprintsDisjoint(t *testing.T) {
 func bypassed(cfg core.Config) core.Config {
 	cfg.SMMU.Bypass = true
 	return cfg.Resolved()
-}
-
-func TestOptionsApplyClampsDomainsOnce(t *testing.T) {
-	sc := loadHet(t, "hetfarm")
-	runs, err := sc.Expand(false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cap := runs[0].Cfg.DomainCap()
-
-	var buf bytes.Buffer
-	over := Options{Domains: cap + 1, Out: &buf}
-	over.Apply(runs)
-	for i := range runs {
-		if runs[i].Cfg.Domains != min(cap+1, runs[i].Cfg.DomainCap()) {
-			t.Fatalf("run %d: domains = %d, cap %d", i, runs[i].Cfg.Domains, runs[i].Cfg.DomainCap())
-		}
-	}
-	warns := strings.Count(buf.String(), "clamping")
-	if warns != 1 {
-		t.Fatalf("clamp warned %d times, want exactly once:\n%s", warns, buf.String())
-	}
-
-	// At the cap: no warning, no clamp.
-	runs, err = sc.Expand(false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf.Reset()
-	at := Options{Domains: cap, Out: &buf}
-	at.Apply(runs)
-	if buf.Len() != 0 {
-		t.Fatalf("in-cap request warned:\n%s", buf.String())
-	}
-	for i := range runs {
-		if runs[i].Cfg.Domains != cap {
-			t.Fatalf("run %d: domains = %d, want %d", i, runs[i].Cfg.Domains, cap)
-		}
-	}
 }

@@ -121,6 +121,9 @@ func TestParseErrors(t *testing.T) {
 		{"trailing data", `{"name": "x", "workload": {"kind": "gemm", "n": 64}} {"again": true}`, "trailing data"},
 		{"trailing garbage", `{"name": "x", "workload": {"kind": "gemm", "n": 64}} }`, "trailing data"},
 		{"bad size", `{"name": "x", "workload": {"kind": "gemm", "n": "big"}}`, "cannot unmarshal"},
+		{"explore proxy", `{"name": "x", "workload": {"kind": "gemm", "n": 64},
+			"axes": [{"axis": "packet_bytes", "values": [256, 512]}],
+			"explore": {"objective": {"metric": "exec"}, "strategy": "halving", "proxy": {"domains": 2}}}`, `unknown field "proxy"`},
 	}
 	for _, tc := range cases {
 		_, err := Parse([]byte(tc.data))

@@ -14,7 +14,6 @@ import (
 	"strings"
 
 	"accesys/internal/core"
-	"accesys/internal/sim"
 	"accesys/internal/sweep"
 	"accesys/internal/workload"
 )
@@ -507,47 +506,6 @@ type Options struct {
 	// per-job progress counters. It composes with, and runs after, the
 	// verbose progress printer.
 	OnResult func(sweep.Result)
-	// Domains partitions every built system into that many concurrently
-	// ticking event-loop domains under conservative barrier sync
-	// (core.Config.Domains); <= 1 keeps the sequential loop whose
-	// results the golden corpus pins.
-	Domains int
-	// Quantum overrides the barrier window for Domains > 1 (0 = the
-	// build's minimum cross-domain channel latency, the timing-exact
-	// default).
-	Quantum sim.Tick
-}
-
-// Apply stamps the options' simulation-engine knobs (domain count and
-// quantum) onto every expanded run. The fields live in each run's
-// core.Config, so partitioned points fingerprint differently from
-// sequential ones and can never alias their cache entries.
-//
-// Requests past a run's topology-derived cap (core.Config.DomainCap)
-// are clamped here, before fingerprinting: a `-domains 9` request on a
-// 1-accelerator system stamps the same Domains=4 a `-domains 4`
-// request does, so the two fingerprint (and cache) identically instead
-// of simulating the same partition under distinct keys. The clamp is
-// warned once per Apply (to Out regardless of Verbose — it changes
-// what the cache key means, not just progress).
-func (o Options) Apply(runs []Run) {
-	if o.Domains <= 1 {
-		return
-	}
-	warned := false
-	for i := range runs {
-		nd := o.Domains
-		if max := runs[i].Cfg.DomainCap(); nd > max {
-			if !warned && o.Out != nil {
-				fmt.Fprintf(o.Out, "scenario: -domains %d exceeds the topology-derived cap %d (host+pcie+dev+%d accelerators); clamping\n",
-					o.Domains, max, runs[i].Cfg.NumAccels())
-			}
-			warned = true
-			nd = max
-		}
-		runs[i].Cfg.Domains = nd
-		runs[i].Cfg.Quantum = o.Quantum
-	}
 }
 
 // Logf writes a progress line when verbose output is enabled.
@@ -600,7 +558,6 @@ func (s *Scenario) Run(o Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	o.Apply(runs)
 	outs := o.Sweep(s.Name, s.Points(runs))
 	return s.Render(o.Full, runs, outs)
 }

@@ -148,7 +148,6 @@ func TestExploreStanzaValidation(t *testing.T) {
 			min, max := 3.0, 2.0
 			e.Constraints = []Constraint{{Axis: "packet_bytes", Min: &min, Max: &max}}
 		}},
-		{"proxy one domain", func(e *ExploreSpec) { e.Proxy = &ProxySpec{Domains: 1} }},
 	}
 	for _, tc := range cases {
 		sc := base()

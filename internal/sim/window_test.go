@@ -1,8 +1,7 @@
 package sim
 
 // Freelist-accounting regression tests for windowed execution: when
-// RunUntil returns with events still scheduled (the normal state of a
-// tick-domain between barriers), pending pooled events must neither
+// RunUntil returns with events still scheduled, pending pooled events must neither
 // leak out of the accounting nor be recycled while still queued. The
 // invariant checks below walk both the heap and the freelist by
 // identity, so a double-recycle (one handle at two freelist slots, or

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"path/filepath"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -291,6 +292,129 @@ func FuzzCacheEntry(f *testing.F) {
 		check("file", data)
 		if prefix, err := entryPrefix(key); err == nil {
 			check("spliced", append(append(prefix, data...), '}'))
+		}
+	})
+}
+
+// FuzzProfileLoad feeds arbitrary bytes to LoadProfile as a cache
+// directory's profile.json. A file that loads must hold only positive
+// walls, predict a positive wall for any digest given a positive
+// default, and survive Load -> Flush -> Load with every wall intact.
+func FuzzProfileLoad(f *testing.F) {
+	dir := f.TempDir()
+	p, err := LoadProfile(dir)
+	if err != nil {
+		f.Fatal(err)
+	}
+	p.Observe("a", 10*time.Millisecond)
+	p.Observe("b", 30*time.Millisecond)
+	p.Observe("b", time.Nanosecond)
+	if err := p.Flush(); err != nil {
+		f.Fatal(err)
+	}
+	flushed, err := os.ReadFile(filepath.Join(dir, ProfileName))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(flushed)
+	f.Add([]byte(`{"walls_ns":{"a":0,"b":-5,"c":1}}`))
+	f.Add([]byte(`{"walls_ns":{"a":9223372036854775807,"b":9223372036854775807}}`))
+	f.Add([]byte(`{"walls_ns":null}`))
+	f.Add([]byte(`{"walls_ns":{"a":1.5}}`))
+	f.Add([]byte(`null`))
+	f.Add([]byte(`{not json`))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		path := filepath.Join(dir, ProfileName)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		p, err := LoadProfile(dir)
+		if err != nil {
+			return
+		}
+		for d, ns := range p.walls {
+			if ns <= 0 {
+				t.Fatalf("loaded wall %d for %q", ns, d)
+			}
+			if got := p.Predict(d, time.Nanosecond); got <= 0 {
+				t.Fatalf("Predict(%q) = %v", d, got)
+			}
+		}
+		if got := p.Predict(Digest("unprofiled"), time.Nanosecond); got <= 0 {
+			t.Fatalf("Predict(unprofiled) = %v", got)
+		}
+		// Mark every wall as this process's, so Flush rewrites them all
+		// over the fuzzed file it re-reads.
+		for d := range p.walls {
+			p.updated[d] = true
+		}
+		if err := p.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		again, err := LoadProfile(dir)
+		if err != nil {
+			t.Fatalf("reload after Flush: %v", err)
+		}
+		if !reflect.DeepEqual(again.walls, p.walls) {
+			t.Fatalf("walls changed across Flush:\n%v\n%v", p.walls, again.walls)
+		}
+	})
+}
+
+// FuzzCountersLoad feeds arbitrary bytes to Counters as a cache
+// directory's counters.json. Counters that load must survive
+// Load -> FlushCounters -> Load unchanged.
+func FuzzCountersLoad(f *testing.F) {
+	c, err := Open(f.TempDir())
+	if err != nil {
+		f.Fatal(err)
+	}
+	fp := Fingerprint("counters")
+	c.Get(fp)
+	c.Put(fp, Outcome{Dur: 1})
+	c.Get(fp)
+	if err := c.FlushCounters(); err != nil {
+		f.Fatal(err)
+	}
+	flushed, err := os.ReadFile(filepath.Join(c.Dir(), countersName))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(flushed)
+	f.Add([]byte(`{"hits":-1,"misses":9223372036854775807}`))
+	f.Add([]byte(`{"hits":1,"Hits":2}`))
+	f.Add([]byte(`{"hits":1.5}`))
+	f.Add([]byte(`null`))
+	f.Add([]byte(`{not json`))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, countersName), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		c, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := c.Counters()
+		if err != nil {
+			return
+		}
+		if err := c.FlushCounters(); err != nil {
+			t.Fatal(err)
+		}
+		reopened, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		again, err := reopened.Counters()
+		if err != nil {
+			t.Fatalf("reload after FlushCounters: %v", err)
+		}
+		if again != loaded {
+			t.Fatalf("counters changed across FlushCounters: %+v -> %+v", loaded, again)
 		}
 	})
 }

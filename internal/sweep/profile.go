@@ -182,17 +182,6 @@ func (p *Profile) Predict(digest string, def time.Duration) time.Duration {
 	return def
 }
 
-// MeanWall is the mean profiled wall across all points (0 when the
-// profile is empty or nil).
-func (p *Profile) MeanWall() time.Duration {
-	if p == nil {
-		return 0
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.meanLocked()
-}
-
 func (p *Profile) meanLocked() time.Duration {
 	if len(p.walls) == 0 {
 		return 0

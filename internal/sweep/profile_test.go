@@ -267,8 +267,8 @@ func TestProfilePredictLadder(t *testing.T) {
 	if got := nilProf.Predict("d", 7*time.Second); got != 7*time.Second {
 		t.Fatalf("nil profile predicted %v", got)
 	}
-	if got := nilProf.MeanWall(); got != 0 {
-		t.Fatalf("nil profile mean = %v", got)
+	if got := nilProf.Predict(Digest("a"), 0); got != 0 {
+		t.Fatalf("nil profile predicted %v with a zero default", got)
 	}
 
 	p, err := LoadProfile(t.TempDir())
@@ -286,7 +286,8 @@ func TestProfilePredictLadder(t *testing.T) {
 	if got := p.Predict(Digest("zzz"), time.Second); got != 20*time.Millisecond {
 		t.Fatalf("unprofiled digest predicted %v, want the 20ms mean", got)
 	}
-	if got := p.MeanWall(); got != 20*time.Millisecond {
-		t.Fatalf("MeanWall = %v", got)
+	// The mean fallback ignores the caller's default entirely.
+	if got := p.Predict(Digest("zzz"), 0); got != 20*time.Millisecond {
+		t.Fatalf("unprofiled digest with a zero default predicted %v, want the 20ms mean", got)
 	}
 }
