@@ -22,9 +22,10 @@
 #                   to verify byte-identical frontiers/traces, with the
 #                   trace proving the screen pruned the space
 #   make fuzz     - short native-fuzz pass over the manifest and shard
-#                   plan parsers, the cache entry decoder, and the
-#                   profile.json/counters.json loaders (FUZZTIME per
-#                   target, default 10s)
+#                   plan parsers, the cache entry decoder, the
+#                   profile.json/counters.json loaders, and the event
+#                   queue's dispatch order against a brute-force
+#                   reference (FUZZTIME per target, default 10s)
 #   make golden   - golden-row conformance suite (all nine experiments)
 #   make bench    - one pass over the benchmark harness (short mode);
 #                   refreshes the BENCH_*.json perf trajectories in
@@ -155,16 +156,17 @@ exploresmoke:
 	@echo "exploresmoke: deterministic frontier, optimum found, warm re-run fully cached"
 	@rm -rf $(EXPLORESMOKE_DIR)
 
-# Short native-fuzz pass: the parsers and the cache entry decoder
-# explore beyond their seed corpora for FUZZTIME each. Crashers land
-# under testdata/fuzz/ in the failing package — commit them as
-# regression seeds after fixing.
+# Short native-fuzz pass: the parsers, the cache entry decoder and the
+# event queue's ordering explore beyond their seed corpora for FUZZTIME
+# each. Crashers land under testdata/fuzz/ in the failing package —
+# commit them as regression seeds after fixing.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzManifestParse$$' -fuzztime $(FUZZTIME) ./internal/scenario
 	$(GO) test -run '^$$' -fuzz '^FuzzPlanParse$$' -fuzztime $(FUZZTIME) ./internal/shard
 	$(GO) test -run '^$$' -fuzz '^FuzzCacheEntry$$' -fuzztime $(FUZZTIME) ./internal/sweep
 	$(GO) test -run '^$$' -fuzz '^FuzzProfileLoad$$' -fuzztime $(FUZZTIME) ./internal/sweep
 	$(GO) test -run '^$$' -fuzz '^FuzzCountersLoad$$' -fuzztime $(FUZZTIME) ./internal/sweep
+	$(GO) test -run '^$$' -fuzz '^FuzzEventQueueOrder$$' -fuzztime $(FUZZTIME) ./internal/sim
 
 # The golden suite re-runs all nine experiments and diffs their rows
 # against testdata/golden/ (it skips itself under -short and -race, so

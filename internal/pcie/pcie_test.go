@@ -369,7 +369,7 @@ func BenchmarkFabricStream(b *testing.B) {
 
 // TestQueueDepthStaysBounded streams small TLPs both ways through the
 // fabric and pins the event queue's depth: every pipeline stage and
-// link holds its in-flight TLPs on one sim.Lane, so the heap holds at
+// link holds its in-flight TLPs on one sim.Lane, so the queue holds at
 // most one slot per lane, per link txdone and per packet queue, not
 // one per TLP in flight.
 func TestQueueDepthStaysBounded(t *testing.T) {

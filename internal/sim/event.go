@@ -31,7 +31,7 @@ type Event struct {
 	when    Tick
 	prio    Priority
 	seq     uint64
-	index   int // heap index, -1 when not queued
+	index   int // position in the pending slice, -1 when not queued
 	freeIdx int // freelist index, -1 when not in the freelist
 	recycle bool
 	name    string
@@ -51,13 +51,16 @@ func (e *Event) Name() string { return e.name }
 // safe for concurrent use; the whole simulation runs on one queue in
 // one goroutine.
 //
-// The pending set is a 4-ary min-heap ordered by (tick, priority,
-// sequence). Four-way branching halves the tree depth of a binary
-// heap and keeps each node's children in one cache line, and the sift
-// loops below work directly on []*Event — no heap.Interface dynamic
-// dispatch, no any-boxing per push/pop.
+// The pending set is one slice sorted latest-first by (tick,
+// priority, sequence), so the next event is its tail: Step pops it and
+// moves nothing, and insert shifts only the entries that dispatch
+// before the new one. Insertion is O(n), which beats a heap's sift
+// loops only while the set stays small (BenchmarkEventQueuePending
+// crosses over between 32 and 64 entries). With every PCIe stage on a
+// Lane the whole-system set is bounded by the number of components,
+// not by packets in flight: it peaks near 24.
 type EventQueue struct {
-	heap    []*Event
+	pending []*Event // sorted latest-first; pending[i].index == i
 	free    []*Event // recycled one-shot events
 	now     Tick
 	seq     uint64
@@ -75,17 +78,18 @@ func NewEventQueue() *EventQueue {
 // Now reports the current simulation tick.
 func (q *EventQueue) Now() Tick { return q.now }
 
-// Len reports the number of heap entries: every pending event, plus
-// one per non-empty Lane however many items it holds.
-func (q *EventQueue) Len() int { return len(q.heap) }
+// Len reports the number of pending entries: every pending event,
+// plus one per non-empty Lane however many items it holds.
+func (q *EventQueue) Len() int { return len(q.pending) }
 
 // PeekTick reports the tick of the earliest pending event. The second
 // result is false when the queue is empty.
 func (q *EventQueue) PeekTick() (Tick, bool) {
-	if len(q.heap) == 0 {
+	n := len(q.pending)
+	if n == 0 {
 		return 0, false
 	}
-	return q.heap[0].when, true
+	return q.pending[n-1].when, true
 }
 
 // NewEvent creates a named, unscheduled event bound to this queue.
@@ -141,14 +145,23 @@ func (q *EventQueue) ScheduleEvent(e *Event, when Tick, prio Priority) {
 	q.insert(e, when, prio, seq)
 }
 
-// insert keys e by (when, prio, seq) and adds it to the heap. The
-// caller has checked e is not pending and has taken seq from q.seq.
+// insert keys e by (when, prio, seq) and adds it to the pending
+// slice, walking back from the tail over the entries that dispatch
+// before it. The caller has checked e is not pending and has taken seq
+// from q.seq.
 func (q *EventQueue) insert(e *Event, when Tick, prio Priority, seq uint64) {
 	e.when = when
 	e.prio = prio
 	e.seq = seq
-	q.heap = append(q.heap, e)
-	q.siftUp(len(q.heap)-1, e)
+	p := append(q.pending, e)
+	i := len(p) - 1
+	for ; i > 0 && eventLess(p[i-1], e); i-- {
+		p[i] = p[i-1]
+		p[i].index = i
+	}
+	p[i] = e
+	e.index = i
+	q.pending = p
 }
 
 // Deschedule removes a pending event from the queue. Descheduling a
@@ -177,18 +190,13 @@ func (q *EventQueue) Reschedule(e *Event, when Tick) {
 // Step dispatches the single next event. It reports false when the
 // queue is empty.
 func (q *EventQueue) Step() bool {
-	h := q.heap
-	n := len(h) - 1
+	n := len(q.pending) - 1
 	if n < 0 {
 		return false
 	}
-	e := h[0]
-	last := h[n]
-	h[n] = nil
-	q.heap = h[:n]
-	if n > 0 {
-		q.siftDown(0, last)
-	}
+	e := q.pending[n]
+	q.pending[n] = nil
+	q.pending = q.pending[:n]
 	e.index = -1
 	q.now = e.when
 	q.Executed++
@@ -213,10 +221,7 @@ func (q *EventQueue) Run() {
 func (q *EventQueue) RunUntil(limit Tick) {
 	q.stopped = false
 	for !q.stopped {
-		if len(q.heap) == 0 {
-			break
-		}
-		if q.heap[0].when > limit {
+		if t, ok := q.PeekTick(); !ok || t > limit {
 			break
 		}
 		q.Step()
@@ -229,7 +234,7 @@ func (q *EventQueue) RunUntil(limit Tick) {
 // Stop makes a Run/RunUntil in progress return after the current event.
 func (q *EventQueue) Stop() { q.stopped = true }
 
-// less reports whether a dispatches strictly before b: earlier tick
+// eventLess reports whether a dispatches strictly before b: earlier tick
 // first, then lower priority band, then FIFO by sequence number.
 func eventLess(a, b *Event) bool {
 	if a.when != b.when {
@@ -241,73 +246,18 @@ func eventLess(a, b *Event) bool {
 	return a.seq < b.seq
 }
 
-// siftUp moves e (logically at index i, slot not yet written) toward
-// the root until its parent dispatches no later than it does.
-func (q *EventQueue) siftUp(i int, e *Event) {
-	h := q.heap
-	for i > 0 {
-		pi := (i - 1) >> 2
-		p := h[pi]
-		if !eventLess(e, p) {
-			break
-		}
-		h[i] = p
-		p.index = i
-		i = pi
-	}
-	h[i] = e
-	e.index = i
-}
-
-// siftDown places e at index i, pushing it toward the leaves while any
-// child dispatches earlier.
-func (q *EventQueue) siftDown(i int, e *Event) {
-	h := q.heap
-	n := len(h)
-	for {
-		ci := i<<2 + 1
-		if ci >= n {
-			break
-		}
-		end := ci + 4
-		if end > n {
-			end = n
-		}
-		min := ci
-		c := h[ci]
-		for j := ci + 1; j < end; j++ {
-			if eventLess(h[j], c) {
-				min = j
-				c = h[j]
-			}
-		}
-		if !eventLess(c, e) {
-			break
-		}
-		h[i] = c
-		c.index = i
-		i = min
-	}
-	h[i] = e
-	e.index = i
-}
-
-// remove deletes e from an arbitrary heap position.
+// remove deletes e from the pending slice, shifting the entries that
+// dispatch after it down one slot.
 func (q *EventQueue) remove(e *Event) {
-	h := q.heap
-	i := e.index
-	n := len(h) - 1
-	last := h[n]
-	h[n] = nil
-	q.heap = h[:n]
+	p := q.pending
+	n := len(p) - 1
+	for i := e.index; i < n; i++ {
+		p[i] = p[i+1]
+		p[i].index = i
+	}
+	p[n] = nil
+	q.pending = p[:n]
 	e.index = -1
-	if i == n {
-		return
-	}
-	q.siftDown(i, last)
-	if last.index == i {
-		q.siftUp(i, last)
-	}
 }
 
 // toFree pushes a dead one-shot event onto the freelist.

@@ -93,7 +93,7 @@ func TestEventOrderingProperties(t *testing.T) {
 
 func TestSameTickFIFOStability(t *testing.T) {
 	// All events on one tick, same priority: must fire in insertion
-	// order no matter how the heap rebalances.
+	// order no matter how the pending set is reordered.
 	for seed := int64(1); seed <= 10; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		q := NewEventQueue()

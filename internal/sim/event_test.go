@@ -3,6 +3,7 @@ package sim
 import (
 	"math/rand"
 	"sort"
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -339,5 +340,34 @@ func BenchmarkEventQueueDeepHeap(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q.Step()
+	}
+}
+
+// BenchmarkEventQueuePending times one dispatch plus one re-insert
+// with n events pending at all times, each rescheduling itself after a
+// pseudo-random delay in [1, 1024] ticks so re-inserts land throughout
+// the pending set. It locates the size at which the sorted pending
+// slice's linear insert stops paying; whole-system runs peak near 24.
+func BenchmarkEventQueuePending(b *testing.B) {
+	for _, n := range []int{8, 16, 24, 32, 64, 128, 256, 1024, 4096} {
+		b.Run(strconv.Itoa(n), func(b *testing.B) {
+			q := NewEventQueue()
+			x := uint32(n)
+			delay := func() Tick {
+				x ^= x << 13 // xorshift32: cheap, deterministic
+				x ^= x >> 17
+				x ^= x << 5
+				return Tick(1 + x&1023)
+			}
+			for i := 0; i < n; i++ {
+				var fn func()
+				fn = func() { q.ScheduleAfter(fn, delay()) }
+				q.ScheduleAfter(fn, delay())
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				q.Step()
+			}
+		})
 	}
 }

@@ -3,12 +3,14 @@ package sim
 import "fmt"
 
 // Lane is a FIFO of callbacks due at non-decreasing ticks. However
-// many items it holds, it occupies one slot in its queue's heap, keyed
-// by its head item, so a pipeline stage with hundreds of packets in
-// flight costs the heap one entry instead of hundreds.
+// many items it holds, it occupies one slot in its queue's pending
+// slice, keyed by its head item, so a pipeline stage with hundreds of
+// packets in flight costs the queue one entry instead of hundreds —
+// which is what keeps the pending set small enough for the queue's
+// linear insert.
 //
 // Push reserves the queue's next sequence number for the item, exactly
-// as ScheduleEvent would, and the lane's heap slot carries its head's
+// as ScheduleEvent would, and the lane's slot carries its head's
 // original (tick, priority, sequence). The global dispatch order is
 // therefore the one a queue scheduling every item as its own event
 // would produce, and each item is still one Step and one count in

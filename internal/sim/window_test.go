@@ -3,7 +3,7 @@ package sim
 // Freelist-accounting regression tests for windowed execution: when
 // RunUntil returns with events still scheduled, pending pooled events must neither
 // leak out of the accounting nor be recycled while still queued. The
-// invariant checks below walk both the heap and the freelist by
+// invariant checks below walk both the pending slice and the freelist by
 // identity, so a double-recycle (one handle at two freelist slots, or
 // queued and free at once) fails loudly instead of corrupting a later
 // window.
@@ -13,32 +13,36 @@ import (
 	"testing"
 )
 
-// checkAccounting verifies the heap/freelist bookkeeping invariants:
-// every heap entry knows its index and is not simultaneously free,
-// every freelist entry knows its slot and is not simultaneously
-// queued, and no handle appears twice anywhere. Each given lane holds
-// a heap slot exactly when it has items, keyed by its head item.
+// checkAccounting verifies the pending/freelist bookkeeping
+// invariants: the pending slice is sorted latest-first, every pending
+// entry knows its index and is not simultaneously free, every freelist
+// entry knows its slot and is not simultaneously queued, and no handle
+// appears twice anywhere. Each given lane holds a pending slot exactly
+// when it has items, keyed by its head item.
 func checkAccounting(t *testing.T, q *EventQueue, lanes ...*Lane) {
 	t.Helper()
-	seen := make(map[*Event]string, len(q.heap)+len(q.free))
-	for i, e := range q.heap {
+	seen := make(map[*Event]string, len(q.pending)+len(q.free))
+	for i, e := range q.pending {
 		if e.index != i {
-			t.Fatalf("heap[%d] has index %d", i, e.index)
+			t.Fatalf("pending[%d] has index %d", i, e.index)
+		}
+		if i > 0 && !eventLess(e, q.pending[i-1]) {
+			t.Fatalf("pending[%d] does not dispatch before pending[%d]", i, i-1)
 		}
 		if e.freeIdx >= 0 {
-			t.Fatalf("heap[%d] also sits in the freelist at %d", i, e.freeIdx)
+			t.Fatalf("pending[%d] also sits in the freelist at %d", i, e.freeIdx)
 		}
 		if where, dup := seen[e]; dup {
-			t.Fatalf("event in heap[%d] already seen at %s", i, where)
+			t.Fatalf("event in pending[%d] already seen at %s", i, where)
 		}
-		seen[e] = "heap"
+		seen[e] = "pending"
 	}
 	for i, e := range q.free {
 		if e.freeIdx != i {
 			t.Fatalf("free[%d] has freeIdx %d", i, e.freeIdx)
 		}
 		if e.index >= 0 {
-			t.Fatalf("free[%d] is also pending at heap index %d", i, e.index)
+			t.Fatalf("free[%d] is also pending at pending index %d", i, e.index)
 		}
 		if where, dup := seen[e]; dup {
 			t.Fatalf("event in free[%d] already seen at %s", i, where)
@@ -48,12 +52,12 @@ func checkAccounting(t *testing.T, q *EventQueue, lanes ...*Lane) {
 	for i, l := range lanes {
 		if l.n == 0 {
 			if l.ev.Pending() {
-				t.Fatalf("empty lane %d still holds heap slot %d", i, l.ev.index)
+				t.Fatalf("empty lane %d still holds pending slot %d", i, l.ev.index)
 			}
 			continue
 		}
-		if seen[&l.ev] != "heap" {
-			t.Fatalf("lane %d holds %d items but no heap slot", i, l.n)
+		if seen[&l.ev] != "pending" {
+			t.Fatalf("lane %d holds %d items but no pending slot", i, l.n)
 		}
 		head := l.items[l.head]
 		if l.ev.when != head.when || l.ev.seq != head.seq {
