@@ -133,7 +133,7 @@ func newHarness(t *testing.T, cfg Config) *harness {
 	if cfg.Backend == nil {
 		cfg.Backend = TileModel{}
 	}
-	mf := New("mf", eq, reg, cfg)
+	mf := New("mf", eq, mem.NewPackets(), reg, cfg)
 
 	h := &harness{eq: eq, mf: mf}
 	h.hostMem = memtest.NewEchoResponder(eq, 0, memSize, 50*sim.Nanosecond)

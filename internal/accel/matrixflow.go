@@ -158,8 +158,9 @@ type MatrixFlow struct {
 
 // New builds a MatrixFlow accelerator. Bind HostDMAPort to the PCIe
 // endpoint, DevDMAPort to the device-memory fabric, and CSRPort to the
-// device-internal bus serving the BAR range.
-func New(name string, eq *sim.EventQueue, reg *stats.Registry, cfg Config) *MatrixFlow {
+// device-internal bus serving the BAR range. Both DMA engines lease
+// their bursts from pkts.
+func New(name string, eq *sim.EventQueue, pkts *mem.Packets, reg *stats.Registry, cfg Config) *MatrixFlow {
 	cfg = cfg.Resolved()
 	if cfg.BAR.Size() == 0 {
 		panic(fmt.Sprintf("accel %s: BAR range required", name))
@@ -170,8 +171,8 @@ func New(name string, eq *sim.EventQueue, reg *stats.Registry, cfg Config) *Matr
 	m.csrRespQ = mem.NewPacketQueue(name+".csrresp", eq, func(p *mem.Packet) bool {
 		return m.csrPort.SendTimingResp(p)
 	})
-	m.hostDMA = dma.New(name+".hostdma", eq, reg, cfg.HostDMA)
-	m.devDMA = dma.New(name+".devdma", eq, reg, cfg.DevDMA)
+	m.hostDMA = dma.New(name+".hostdma", eq, pkts, reg, cfg.HostDMA)
+	m.devDMA = dma.New(name+".devdma", eq, pkts, reg, cfg.DevDMA)
 
 	g := reg.Group(name)
 	m.jobs = g.Counter("jobs", "GEMM jobs completed")

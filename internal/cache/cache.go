@@ -124,6 +124,7 @@ type bypassState struct{}
 type Cache struct {
 	name string
 	eq   *sim.EventQueue
+	pkts *mem.Packets
 	cfg  Config
 
 	cpuPort *mem.ResponsePort
@@ -170,8 +171,9 @@ type Cache struct {
 	bypasses   *stats.Counter
 }
 
-// New builds a cache and registers statistics under name.
-func New(name string, eq *sim.EventQueue, reg *stats.Registry, cfg Config) *Cache {
+// New builds a cache and registers statistics under name. Fills and
+// writebacks are leased from pkts, the system's packet freelist.
+func New(name string, eq *sim.EventQueue, pkts *mem.Packets, reg *stats.Registry, cfg Config) *Cache {
 	cfg.setDefaults()
 	if cfg.SizeBytes <= 0 || cfg.Assoc <= 0 {
 		panic(fmt.Sprintf("cache %s: size/assoc must be positive", name))
@@ -187,6 +189,7 @@ func New(name string, eq *sim.EventQueue, reg *stats.Registry, cfg Config) *Cach
 	c := &Cache{
 		name:      name,
 		eq:        eq,
+		pkts:      pkts,
 		cfg:       cfg,
 		lines:     make([]line, numSets*cfg.Assoc),
 		chunks:    make([][]byte, (numSets*cfg.Assoc+chunkLines-1)/chunkLines),
@@ -300,7 +303,7 @@ func (c *Cache) victim(lineAddr uint64) slot {
 			// The writeback carries its own copy of the line, so the
 			// way can be refilled at once.
 			c.writebacks.Inc()
-			wb := mem.NewWriteSize(v.tag, c.cfg.LineBytes)
+			wb := c.pkts.NewWriteSize(v.tag, c.cfg.LineBytes)
 			copy(wb.AllocData(), c.data(s))
 			wb.PushState(wbState{})
 			c.memQ.Schedule(wb, c.eq.Now())
@@ -499,7 +502,7 @@ func (c *Cache) RecvTimingReq(port *mem.ResponsePort, pkt *mem.Packet) bool {
 		m.lineAddr = la
 		m.targets = append(m.targets, tg)
 		c.mshrs = append(c.mshrs, m)
-		fill := mem.NewRead(la, int(lb))
+		fill := c.pkts.NewRead(la, int(lb))
 		fill.PushState(m)
 		c.memQ.Schedule(fill, now+c.cfg.HitLatency+extra)
 	}

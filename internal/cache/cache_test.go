@@ -34,7 +34,7 @@ func newRig(t *testing.T, cfg Config) *rig {
 	if cfg.HitLatency == 0 {
 		cfg.HitLatency = 2 * sim.Nanosecond
 	}
-	c := New("l1", eq, reg, cfg)
+	c := New("l1", eq, mem.NewPackets(), reg, cfg)
 	r := memtest.NewRequestor(eq)
 	m := memtest.NewEchoResponder(eq, 0, 1<<20, 50*sim.Nanosecond)
 	mem.Bind(r.Port, c.CPUPort())
@@ -233,8 +233,8 @@ func TestSnoopDowngradePullsDirtyData(t *testing.T) {
 	// upper cache (l1) above llc: llc snoops l1.
 	eq := sim.NewEventQueue()
 	reg := stats.NewRegistry()
-	l1 := New("l1x", eq, reg, Config{SizeBytes: 1 << 10, Assoc: 2, HitLatency: sim.Nanosecond})
-	llc := New("llcx", eq, reg, Config{SizeBytes: 8 << 10, Assoc: 4, HitLatency: 5 * sim.Nanosecond})
+	l1 := New("l1x", eq, mem.NewPackets(), reg, Config{SizeBytes: 1 << 10, Assoc: 2, HitLatency: sim.Nanosecond})
+	llc := New("llcx", eq, mem.NewPackets(), reg, Config{SizeBytes: 8 << 10, Assoc: 4, HitLatency: 5 * sim.Nanosecond})
 	llc.RegisterSnooper(l1)
 
 	cpu := memtest.NewRequestor(eq)
@@ -280,8 +280,8 @@ func TestSnoopDowngradePullsDirtyData(t *testing.T) {
 func TestSnoopInvalidateOnWrite(t *testing.T) {
 	eq := sim.NewEventQueue()
 	reg := stats.NewRegistry()
-	l1 := New("l1y", eq, reg, Config{SizeBytes: 1 << 10, Assoc: 2, HitLatency: sim.Nanosecond})
-	llc := New("llcy", eq, reg, Config{SizeBytes: 8 << 10, Assoc: 4, HitLatency: 5 * sim.Nanosecond})
+	l1 := New("l1y", eq, mem.NewPackets(), reg, Config{SizeBytes: 1 << 10, Assoc: 2, HitLatency: sim.Nanosecond})
+	llc := New("llcy", eq, mem.NewPackets(), reg, Config{SizeBytes: 8 << 10, Assoc: 4, HitLatency: 5 * sim.Nanosecond})
 	llc.RegisterSnooper(l1)
 	cpu := memtest.NewRequestor(eq)
 	dma := memtest.NewRequestor(eq)
@@ -363,7 +363,7 @@ func TestBadGeometryPanics(t *testing.T) {
 			t.Fatal("non-power-of-two sets should panic")
 		}
 	}()
-	New("bad", eq, reg, Config{SizeBytes: 3000, Assoc: 2, LineBytes: 64})
+	New("bad", eq, nil, reg, Config{SizeBytes: 3000, Assoc: 2, LineBytes: 64})
 }
 
 func TestBadLineSizePanics(t *testing.T) {
@@ -374,7 +374,7 @@ func TestBadLineSizePanics(t *testing.T) {
 			t.Fatal("non-power-of-two line size should panic")
 		}
 	}()
-	New("bad", eq, reg, Config{SizeBytes: 192, Assoc: 1, LineBytes: 48}) // 4 sets
+	New("bad", eq, nil, reg, Config{SizeBytes: 192, Assoc: 1, LineBytes: 48}) // 4 sets
 }
 
 // pattern returns n bytes seed, seed+1, ...

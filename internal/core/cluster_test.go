@@ -72,7 +72,7 @@ func TestHeterogeneousClusterFunctional(t *testing.T) {
 
 	mk := func(i int, lo, hi uint64) *driver.Driver {
 		return driver.New(fmt.Sprintf("hetero.drv%d", i), sys.EQ, sys.Stats, driver.Deps{
-			EQ: sys.EQ, MMIO: sys.AttachHostPort(fmt.Sprintf("drv%d", i)),
+			EQ: sys.EQ, Packets: sys.Packets, MMIO: sys.AttachHostPort(fmt.Sprintf("drv%d", i)),
 			FuncHost: sys.FuncHost(), FuncDev: sys.FuncDev(),
 			SMMU: sys.SMMU, Accel: sys.Accels[i],
 			BARBase:   BARBase + uint64(i)*BARSize,

@@ -32,6 +32,10 @@ type System struct {
 	Cfg   Config
 	EQ    *sim.EventQueue
 	Stats *stats.Registry
+	// Packets is the system's packet freelist, owned like EQ by the one
+	// goroutine that runs the system. Every component that creates
+	// packets leases them from it.
+	Packets *mem.Packets
 
 	CPU     *cpu.CPU
 	L1D     *cache.Cache
@@ -65,7 +69,8 @@ func Build(cfg Config) *System {
 	n := cfg.Name
 
 	eq := sim.NewEventQueue()
-	s := &System{Cfg: cfg, EQ: eq, Stats: reg}
+	pkts := mem.NewPackets()
+	s := &System{Cfg: cfg, EQ: eq, Stats: reg, Packets: pkts}
 
 	// --- Host memory behind the LLC ---------------------------------
 	var hostPort *mem.ResponsePort
@@ -87,7 +92,7 @@ func Build(cfg Config) *System {
 		hostFunc = s.HostDRAM
 	}
 
-	s.LLC = cache.New(n+".llc", eq, reg, cache.Config{
+	s.LLC = cache.New(n+".llc", eq, pkts, reg, cache.Config{
 		SizeBytes:     cfg.LLCBytes,
 		Assoc:         16,
 		HitLatency:    LLCHitLatency,
@@ -105,14 +110,14 @@ func Build(cfg Config) *System {
 	mem.Bind(s.Bus.AddResponderPort("llc", cfg.HostRange()), s.LLC.CPUPort())
 
 	// --- CPU cluster -------------------------------------------------
-	s.CPU = cpu.New(n+".cpu", eq, reg, cpu.Config{ClockMHz: cfg.CPUClockMHz, MLP: cfg.CPUMLP})
-	s.L1D = cache.New(n+".l1d", eq, reg, cache.Config{
+	s.CPU = cpu.New(n+".cpu", eq, pkts, reg, cpu.Config{ClockMHz: cfg.CPUClockMHz, MLP: cfg.CPUMLP})
+	s.L1D = cache.New(n+".l1d", eq, pkts, reg, cache.Config{
 		SizeBytes:  cfg.L1DBytes,
 		Assoc:      4,
 		HitLatency: L1HitLatency,
 		MSHRs:      16,
 	})
-	s.L1I = cache.New(n+".l1i", eq, reg, cache.Config{
+	s.L1I = cache.New(n+".l1i", eq, pkts, reg, cache.Config{
 		SizeBytes:  cfg.L1IBytes,
 		Assoc:      4,
 		HitLatency: L1HitLatency,
@@ -146,10 +151,10 @@ func Build(cfg Config) *System {
 	mem.Bind(rcPort, s.Tree.RC.HostPort())
 
 	// --- SMMU + IOCache on the upstream (DMA) path --------------------
-	s.SMMU = smmu.New(n+".smmu", eq, reg, cfg.SMMU)
+	s.SMMU = smmu.New(n+".smmu", eq, pkts, reg, cfg.SMMU)
 	mem.Bind(s.Tree.RC.UpstreamPort(), s.SMMU.DevPort())
 
-	s.IOCache = cache.New(n+".iocache", eq, reg, cache.Config{
+	s.IOCache = cache.New(n+".iocache", eq, pkts, reg, cache.Config{
 		SizeBytes:     cfg.IOCacheB,
 		Assoc:         4,
 		HitLatency:    IOCacheHitLatency,
@@ -180,7 +185,7 @@ func Build(cfg Config) *System {
 	for i := 0; i < cfg.Accelerators; i++ {
 		acfg := cfg.MemberAccel(i)
 		acfg.BAR = cfg.BARRangeOf(i)
-		a := accel.New(fmt.Sprintf("%s.accel%d", n, i), eq, reg, acfg)
+		a := accel.New(fmt.Sprintf("%s.accel%d", n, i), eq, pkts, reg, acfg)
 		s.Accels = append(s.Accels, a)
 
 		mem.Bind(s.Tree.EP(i).BusPort(), s.DevBus.AddRequestorPort(fmt.Sprintf("ep%d", i)))

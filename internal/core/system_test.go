@@ -30,6 +30,7 @@ func buildWithDriver(t *testing.T, cfg Config) (*System, *driver.Driver) {
 	}
 	drv := driver.New(sys.Cfg.Name+".driver", sys.EQ, sys.Stats, driver.Deps{
 		EQ:        sys.EQ,
+		Packets:   sys.Packets,
 		MMIO:      sys.AttachHostPort("driver"),
 		FuncHost:  sys.FuncHost(),
 		FuncDev:   sys.FuncDev(),
@@ -307,6 +308,7 @@ func TestAcceleratorCluster(t *testing.T) {
 	newDrv := func(i int, hostLo, hostHi uint64) *driver.Driver {
 		return driver.New(fmt.Sprintf("cluster.drv%d", i), sys.EQ, sys.Stats, driver.Deps{
 			EQ:        sys.EQ,
+			Packets:   sys.Packets,
 			MMIO:      sys.AttachHostPort(fmt.Sprintf("drv%d", i)),
 			FuncHost:  sys.FuncHost(),
 			FuncDev:   sys.FuncDev(),
@@ -368,7 +370,7 @@ func TestClusterContention(t *testing.T) {
 		cfg.SMMU.Bypass = true
 		sys := Build(cfg)
 		drv := driver.New("single.drv", sys.EQ, sys.Stats, driver.Deps{
-			EQ: sys.EQ, MMIO: sys.AttachHostPort("drv"),
+			EQ: sys.EQ, Packets: sys.Packets, MMIO: sys.AttachHostPort("drv"),
 			FuncHost: sys.FuncHost(), FuncDev: sys.FuncDev(),
 			SMMU: sys.SMMU, Accel: sys.Accel, BARBase: BARBase,
 			HostRange: sys.Cfg.HostRange(), DevRange: sys.Cfg.DevRange(),
@@ -387,7 +389,7 @@ func TestClusterContention(t *testing.T) {
 	sys := Build(cfg)
 	mk := func(i int, lo, hi uint64) *driver.Driver {
 		return driver.New(fmt.Sprintf("contend.drv%d", i), sys.EQ, sys.Stats, driver.Deps{
-			EQ: sys.EQ, MMIO: sys.AttachHostPort(fmt.Sprintf("drv%d", i)),
+			EQ: sys.EQ, Packets: sys.Packets, MMIO: sys.AttachHostPort(fmt.Sprintf("drv%d", i)),
 			FuncHost: sys.FuncHost(), FuncDev: sys.FuncDev(),
 			SMMU: sys.SMMU, Accel: sys.Accels[i],
 			BARBase:   BARBase + uint64(i)*BARSize,

@@ -42,6 +42,7 @@ type Config struct {
 type CPU struct {
 	name  string
 	eq    *sim.EventQueue
+	pkts  *mem.Packets
 	cfg   Config
 	clock sim.Clock
 
@@ -68,8 +69,9 @@ type CPU struct {
 	group   *stats.Group
 }
 
-// New builds a CPU; bind Port to the L1 data cache.
-func New(name string, eq *sim.EventQueue, reg *stats.Registry, cfg Config) *CPU {
+// New builds a CPU that leases its requests from pkts; bind Port to
+// the L1 data cache.
+func New(name string, eq *sim.EventQueue, pkts *mem.Packets, reg *stats.Registry, cfg Config) *CPU {
 	if cfg.ClockMHz == 0 {
 		cfg.ClockMHz = 1000
 	}
@@ -79,7 +81,7 @@ func New(name string, eq *sim.EventQueue, reg *stats.Registry, cfg Config) *CPU 
 	if cfg.LineBytes == 0 {
 		cfg.LineBytes = 64
 	}
-	c := &CPU{name: name, eq: eq, cfg: cfg, clock: sim.NewClock(cfg.ClockMHz)}
+	c := &CPU{name: name, eq: eq, pkts: pkts, cfg: cfg, clock: sim.NewClock(cfg.ClockMHz)}
 	c.port = mem.NewRequestPort(name+".dport", c)
 	c.group = reg.Group(name)
 	c.opsDone = c.group.Counter("ops", "operators executed")
@@ -145,13 +147,13 @@ func (c *CPU) issue() {
 			if c.rdLeft < n {
 				n = c.rdLeft
 			}
-			pkt = mem.NewRead(c.rdCursor, n)
+			pkt = c.pkts.NewRead(c.rdCursor, n)
 		} else {
 			n = lb
 			if c.wrLeft < n {
 				n = c.wrLeft
 			}
-			pkt = mem.NewWriteSize(c.wrCursor, n)
+			pkt = c.pkts.NewWriteSize(c.wrCursor, n)
 		}
 		pkt.Issued = c.eq.Now()
 		if !c.port.SendTimingReq(pkt) {

@@ -13,7 +13,7 @@ func newCPU(t *testing.T, cfg Config, memLat sim.Tick) (*sim.EventQueue, *CPU, *
 	t.Helper()
 	eq := sim.NewEventQueue()
 	reg := stats.NewRegistry()
-	c := New("cpu", eq, reg, cfg)
+	c := New("cpu", eq, mem.NewPackets(), reg, cfg)
 	m := memtest.NewEchoResponder(eq, 0, 1<<22, memLat)
 	mem.Bind(c.Port(), m.Port)
 	return eq, c, m, reg
@@ -123,7 +123,7 @@ func TestEmptyOpList(t *testing.T) {
 func TestBackpressuredPort(t *testing.T) {
 	eq := sim.NewEventQueue()
 	reg := stats.NewRegistry()
-	c := New("cpu", eq, reg, Config{MLP: 4})
+	c := New("cpu", eq, mem.NewPackets(), reg, Config{MLP: 4})
 	m := memtest.NewEchoResponder(eq, 0, 1<<20, 20*sim.Nanosecond)
 	m.RefuseRequests = true
 	mem.Bind(c.Port(), m.Port)

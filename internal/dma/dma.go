@@ -107,6 +107,7 @@ func (e *Engine) putBS(st *burstState) {
 type Engine struct {
 	name string
 	eq   *sim.EventQueue
+	pkts *mem.Packets
 	cfg  Config
 
 	port  *mem.RequestPort
@@ -122,14 +123,15 @@ type Engine struct {
 	latency     *stats.Distribution
 }
 
-// New builds an Engine; bind Port() to the PCIe endpoint (host path)
-// or to the device memory fabric (DevMem path).
-func New(name string, eq *sim.EventQueue, reg *stats.Registry, cfg Config) *Engine {
+// New builds an Engine that leases its bursts from pkts; bind Port()
+// to the PCIe endpoint (host path) or to the device memory fabric
+// (DevMem path).
+func New(name string, eq *sim.EventQueue, pkts *mem.Packets, reg *stats.Registry, cfg Config) *Engine {
 	cfg.setDefaults()
 	if cfg.BurstBytes > int(cfg.PageBytes) {
 		panic(fmt.Sprintf("dma %s: burst %d exceeds page size %d", name, cfg.BurstBytes, cfg.PageBytes))
 	}
-	e := &Engine{name: name, eq: eq, cfg: cfg}
+	e := &Engine{name: name, eq: eq, pkts: pkts, cfg: cfg}
 	e.port = mem.NewRequestPort(name+".port", e)
 	e.reqQ = mem.NewPacketQueue(name+".reqq", eq, func(p *mem.Packet) bool {
 		return e.port.SendTimingReq(p)
@@ -226,13 +228,13 @@ func (c *channel) pump() {
 		var pkt *mem.Packet
 		if t.isWrite {
 			if t.buf != nil {
-				pkt = mem.NewWrite(addr, t.buf[t.offset:t.offset+n])
+				pkt = c.e.pkts.NewWrite(addr, t.buf[t.offset:t.offset+n])
 			} else {
-				pkt = mem.NewWriteSize(addr, n)
+				pkt = c.e.pkts.NewWriteSize(addr, n)
 			}
 			c.e.bytesWrit.Add(uint64(n))
 		} else {
-			pkt = mem.NewRead(addr, n)
+			pkt = c.e.pkts.NewRead(addr, n)
 			c.e.bytesRead.Add(uint64(n))
 		}
 		pkt.Uncacheable = c.e.cfg.Uncacheable

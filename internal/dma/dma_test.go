@@ -14,7 +14,7 @@ func newEngine(t *testing.T, cfg Config) (*sim.EventQueue, *Engine, *memtest.Ech
 	t.Helper()
 	eq := sim.NewEventQueue()
 	reg := stats.NewRegistry()
-	e := New("dma", eq, reg, cfg)
+	e := New("dma", eq, mem.NewPackets(), reg, cfg)
 	m := memtest.NewEchoResponder(eq, 0, 1<<22, 20*sim.Nanosecond)
 	mem.Bind(e.Port(), m.Port)
 	return eq, e, m, reg
@@ -92,7 +92,7 @@ func TestWindowLimitsInflight(t *testing.T) {
 	// Refusing memory: all issued bursts stay queued in the reqQ.
 	eq := sim.NewEventQueue()
 	reg := stats.NewRegistry()
-	e := New("dma", eq, reg, Config{BurstBytes: 256, WindowBytes: 1024, Channels: 1})
+	e := New("dma", eq, mem.NewPackets(), reg, Config{BurstBytes: 256, WindowBytes: 1024, Channels: 1})
 	m := memtest.NewEchoResponder(eq, 0, 1<<22, 20*sim.Nanosecond)
 	m.RefuseRequests = true
 	mem.Bind(e.Port(), m.Port)
@@ -156,7 +156,7 @@ func TestOversizeBurstPanics(t *testing.T) {
 			t.Fatal("burst > page must panic")
 		}
 	}()
-	New("dma", eq, reg, Config{BurstBytes: 8192, PageBytes: 4096})
+	New("dma", eq, nil, reg, Config{BurstBytes: 8192, PageBytes: 4096})
 }
 
 func TestStats(t *testing.T) {

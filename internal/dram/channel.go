@@ -16,10 +16,32 @@ type bank struct {
 	preReady sim.Tick // earliest next PRE
 }
 
+// timing holds a spec's timing parameters in ticks, converted once
+// when a channel is built so the access path neither copies the Spec
+// nor redoes TCK's divide. Each field equals Spec.Cycles of the
+// parameter it names; burst equals Spec.BurstTicks.
+type timing struct {
+	cl, cwl, rcd, rp, ras, rc, wr, rtp, ccd sim.Tick
+	rrd, faw, wtr, rtw, refi, rfc, burst    sim.Tick
+}
+
+func newTiming(s Spec) timing {
+	tck := s.TCK()
+	cyc := func(n int) sim.Tick { return sim.Tick(n) * tck }
+	return timing{
+		cl: cyc(s.CL), cwl: cyc(s.CWL), rcd: cyc(s.RCD), rp: cyc(s.RP),
+		ras: cyc(s.RAS), rc: cyc(s.RC), wr: cyc(s.WR), rtp: cyc(s.RTP),
+		ccd: cyc(s.CCD), rrd: cyc(s.RRD), faw: cyc(s.FAW), wtr: cyc(s.WTR),
+		rtw: cyc(s.RTW), refi: cyc(s.REFI), rfc: cyc(s.RFC),
+		burst: cyc(s.BurstLength / 2),
+	}
+}
+
 // channel models one DRAM channel: banks, the shared data bus, the
 // activation window, and FR-FCFS scheduling state.
 type channel struct {
-	spec Spec
+	t        timing
+	rowBytes uint64
 
 	banks []bank
 
@@ -36,11 +58,13 @@ type channel struct {
 }
 
 func newChannel(spec Spec) *channel {
+	t := newTiming(spec)
 	return &channel{
-		spec:       spec,
+		t:          t,
+		rowBytes:   spec.RowBytes,
 		banks:      make([]bank, spec.BanksPerChannel()),
 		actWindow:  make([]sim.Tick, 0, 4),
-		nextRefill: spec.Cycles(spec.REFI),
+		nextRefill: t.refi,
 	}
 }
 
@@ -54,7 +78,7 @@ type coord struct {
 // Mapping: row : bank : row-offset — consecutive rows rotate across
 // banks so streaming accesses exploit bank parallelism.
 func (c *channel) decompose(addr uint64) coord {
-	rowID := addr / c.spec.RowBytes
+	rowID := addr / c.rowBytes
 	nb := uint64(len(c.banks))
 	return coord{
 		bank: int(rowID % nb),
@@ -66,7 +90,7 @@ func (c *channel) decompose(addr uint64) coord {
 // closes every row and blocks all banks for tRFC.
 func (c *channel) applyRefresh(now sim.Tick) {
 	for now >= c.nextRefill {
-		end := c.nextRefill + c.spec.Cycles(c.spec.RFC)
+		end := c.nextRefill + c.t.rfc
 		for i := range c.banks {
 			b := &c.banks[i]
 			b.rowOpen = false
@@ -75,7 +99,7 @@ func (c *channel) applyRefresh(now sim.Tick) {
 			}
 		}
 		c.refreshes++
-		c.nextRefill += c.spec.Cycles(c.spec.REFI)
+		c.nextRefill += c.t.refi
 	}
 }
 
@@ -102,7 +126,7 @@ func (c *channel) fawConstraint() sim.Tick {
 	if len(c.actWindow) < 4 {
 		return 0
 	}
-	return c.actWindow[len(c.actWindow)-4] + c.spec.Cycles(c.spec.FAW)
+	return c.actWindow[len(c.actWindow)-4] + c.t.faw
 }
 
 func (c *channel) recordAct(t sim.Tick) {
@@ -118,7 +142,7 @@ func (c *channel) recordAct(t sim.Tick) {
 // the tick at which its data transfer completes.
 func (c *channel) access(now sim.Tick, co coord, isWrite bool, nBursts int) sim.Tick {
 	c.applyRefresh(now)
-	s := c.spec
+	t := &c.t
 	b := &c.banks[co.bank]
 
 	var col sim.Tick // column command issue time
@@ -129,51 +153,50 @@ func (c *channel) access(now sim.Tick, co coord, isWrite bool, nBursts int) sim.
 	case b.rowOpen: // conflict: PRE + ACT + column
 		c.rowMisses++
 		pre := maxTick(now, b.preReady)
-		act := maxTick(pre+s.Cycles(s.RP), b.actReady, c.fawConstraint(), c.lastAct+s.Cycles(s.RRD))
+		act := maxTick(pre+t.rp, b.actReady, c.fawConstraint(), c.lastAct+t.rrd)
 		c.recordAct(act)
-		b.actReady = act + s.Cycles(s.RC)
-		b.preReady = act + s.Cycles(s.RAS)
-		col = act + s.Cycles(s.RCD)
+		b.actReady = act + t.rc
+		b.preReady = act + t.ras
+		col = act + t.rcd
 	default: // closed: ACT + column
 		c.rowMisses++
-		act := maxTick(now, b.actReady, c.fawConstraint(), c.lastAct+s.Cycles(s.RRD))
+		act := maxTick(now, b.actReady, c.fawConstraint(), c.lastAct+t.rrd)
 		c.recordAct(act)
-		b.actReady = act + s.Cycles(s.RC)
-		b.preReady = act + s.Cycles(s.RAS)
-		col = act + s.Cycles(s.RCD)
+		b.actReady = act + t.rc
+		b.preReady = act + t.ras
+		col = act + t.rcd
 	}
 	b.rowOpen = true
 	b.row = co.row
 
 	// Column-to-data latency and the shared data bus. A read/write
 	// turnaround penalty applies when direction flips.
-	lat := s.Cycles(s.CL)
+	lat := t.cl
 	if isWrite {
-		lat = s.Cycles(s.CWL)
+		lat = t.cwl
 	}
 	busAvail := c.busFree
 	if c.lastIsWr != isWrite && c.busFree > 0 {
 		if isWrite {
-			busAvail += s.Cycles(s.RTW)
+			busAvail += t.rtw
 		} else {
-			busAvail += s.Cycles(s.WTR)
+			busAvail += t.wtr
 		}
 	}
 	dataStart := maxTick(col+lat, busAvail)
 	// Back-shift the column command so data aligns with the bus slot.
 	col = dataStart - lat
 
-	burst := s.BurstTicks()
-	dataEnd := dataStart + sim.Tick(nBursts)*burst
+	dataEnd := dataStart + sim.Tick(nBursts)*t.burst
 
-	b.colReady = col + s.Cycles(s.CCD)*sim.Tick(nBursts)
+	b.colReady = col + t.ccd*sim.Tick(nBursts)
 	if isWrite {
-		wrRecov := dataEnd + s.Cycles(s.WR)
+		wrRecov := dataEnd + t.wr
 		if wrRecov > b.preReady {
 			b.preReady = wrRecov
 		}
 	} else {
-		rtp := col + s.Cycles(s.RTP)
+		rtp := col + t.rtp
 		if rtp > b.preReady {
 			b.preReady = rtp
 		}

@@ -237,8 +237,7 @@ func (cc *chanCtrl) pick(q []*dramReq) int {
 // re-kicks just in time to extend the bus schedule seamlessly.
 func (cc *chanCtrl) issue() {
 	d := cc.d
-	s := d.cfg.Spec
-	lookahead := s.Cycles(s.CL)
+	lookahead := cc.ch.t.cl
 
 	for {
 		now := d.eq.Now()

@@ -61,6 +61,31 @@ func TestSpecDerived(t *testing.T) {
 	}
 }
 
+// TestTimingMatchesSpec pins the channel's precomputed tick timings
+// to the Spec conversions they replace, for every built-in spec.
+func TestTimingMatchesSpec(t *testing.T) {
+	for _, s := range allSpecs() {
+		tm := newTiming(s)
+		for _, c := range []struct {
+			name   string
+			cycles int
+			got    sim.Tick
+		}{
+			{"CL", s.CL, tm.cl}, {"CWL", s.CWL, tm.cwl}, {"RCD", s.RCD, tm.rcd}, {"RP", s.RP, tm.rp},
+			{"RAS", s.RAS, tm.ras}, {"RC", s.RC, tm.rc}, {"WR", s.WR, tm.wr}, {"RTP", s.RTP, tm.rtp},
+			{"CCD", s.CCD, tm.ccd}, {"RRD", s.RRD, tm.rrd}, {"FAW", s.FAW, tm.faw}, {"WTR", s.WTR, tm.wtr},
+			{"RTW", s.RTW, tm.rtw}, {"REFI", s.REFI, tm.refi}, {"RFC", s.RFC, tm.rfc},
+		} {
+			if want := s.Cycles(c.cycles); c.got != want {
+				t.Errorf("%s: t%s = %d ticks, Spec.Cycles gives %d", s.Name, c.name, c.got, want)
+			}
+		}
+		if tm.burst != s.BurstTicks() {
+			t.Errorf("%s: burst = %d ticks, Spec.BurstTicks gives %d", s.Name, tm.burst, s.BurstTicks())
+		}
+	}
+}
+
 func TestSpecByName(t *testing.T) {
 	s, ok := SpecByName("HBM2-2000")
 	if !ok || s.Channels != 2 || s.ChannelBits != 128 {

@@ -21,6 +21,7 @@ import (
 // Deps are the system handles the driver operates on.
 type Deps struct {
 	EQ       *sim.EventQueue
+	Packets  *mem.Packets      // the system's packet freelist; nil leases unpooled
 	MMIO     *mem.ResponsePort // memory-bus port for the driver's MMIO
 	FuncHost mem.Functional
 	FuncDev  mem.Functional
@@ -208,7 +209,7 @@ func (d *Driver) MSIAddr() uint64 { return d.msiAddr }
 func (d *Driver) writeReg(off uint64, v uint64) {
 	buf := make([]byte, 8)
 	binary.LittleEndian.PutUint64(buf, v)
-	pkt := mem.NewWrite(d.deps.BARBase+off, buf)
+	pkt := d.deps.Packets.NewWrite(d.deps.BARBase+off, buf)
 	pkt.Issued = d.eq.Now()
 	d.mmioStat.Inc()
 	d.reqQ.Schedule(pkt, d.eq.Now())

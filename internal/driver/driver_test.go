@@ -45,11 +45,12 @@ func newRig(t *testing.T, dcfg Config) *rig {
 	t.Helper()
 	eq := sim.NewEventQueue()
 	reg := stats.NewRegistry()
+	pkts := mem.NewPackets()
 
 	hostMem := memtest.NewEchoResponder(eq, 0, hostSize, 30*sim.Nanosecond)
 	devMem := memtest.NewEchoResponder(eq, devBase, devSize, 15*sim.Nanosecond)
 
-	mf := accel.New("mf", eq, reg, accel.Config{
+	mf := accel.New("mf", eq, pkts, reg, accel.Config{
 		BAR:        mem.Range(barBase, 1<<16),
 		Functional: true,
 		HostDMA:    dma.Config{BurstBytes: 256},
@@ -58,10 +59,11 @@ func newRig(t *testing.T, dcfg Config) *rig {
 	mem.Bind(mf.DevDMAPort(), devMem.Port)
 
 	// The driver's MMIO lands directly on the CSR port.
-	s := smmu.New("smmu", eq, reg, smmu.Config{})
+	s := smmu.New("smmu", eq, pkts, reg, smmu.Config{})
 
 	drv := New("drv", eq, reg, Deps{
 		EQ:        eq,
+		Packets:   pkts,
 		MMIO:      mf.CSRPort(),
 		FuncHost:  funcStore{hostMem},
 		FuncDev:   funcStore{devMem},

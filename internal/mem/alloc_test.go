@@ -41,15 +41,15 @@ func (r *allocRequestor) RecvTimingResp(port *RequestPort, pkt *Packet) bool {
 func (r *allocRequestor) RecvRetryReq(port *RequestPort) { r.reqQ.RetryReceived() }
 
 // TestPacketRoundTripAllocFree pins the zero-allocation steady state of
-// the packet hot path: lease a read from the pool, schedule it through
-// a PacketQueue, echo it back as a response, and release it — all
-// without allocating. A tiny epsilon tolerates the rare sync.Pool
-// shard eviction at a GC boundary.
+// the packet hot path: lease a read from a freelist, schedule it
+// through a PacketQueue, echo it back as a response, and release it —
+// all without allocating.
 func TestPacketRoundTripAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	eq := sim.NewEventQueue()
+	pkts := NewPackets()
 	req := &allocRequestor{}
 	req.port = NewRequestPort("t.req", req)
 	req.reqQ = NewPacketQueue("t.reqq", eq, req.port.SendTimingReq)
@@ -61,22 +61,39 @@ func TestPacketRoundTripAllocFree(t *testing.T) {
 	const batch = 64
 	roundTrip := func() {
 		for i := 0; i < batch; i++ {
-			pkt := NewRead(uint64(i)*64, 64)
+			pkt := pkts.NewRead(uint64(i)*64, 64)
 			req.reqQ.Schedule(pkt, eq.Now())
 		}
 		eq.Run()
 	}
 
-	// Warm the pools and the queue backing arrays.
+	// Warm the freelist and the queue backing arrays.
 	for i := 0; i < 4; i++ {
 		roundTrip()
 	}
 
-	avg := testing.AllocsPerRun(50, roundTrip)
-	if perPkt := avg / batch; perPkt > 0.02 {
-		t.Fatalf("packet round trip allocates %.3f allocs/packet, want ~0", perPkt)
+	if avg := testing.AllocsPerRun(50, roundTrip); avg != 0 {
+		t.Fatalf("packet round trip allocates %.3f allocs/packet, want 0", avg/batch)
 	}
 	if req.done == 0 {
 		t.Fatal("no responses observed")
+	}
+}
+
+// BenchmarkPacketLease times one lease+release pair from a warm
+// freelist, with the route and state push and pop every hop makes.
+func BenchmarkPacketLease(b *testing.B) {
+	pkts := NewPackets()
+	port := NewResponsePort("b.resp", nil)
+	pkts.NewRead(0, 64).Release()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := pkts.NewRead(uint64(i)*64, 64)
+		p.PushRoute(port)
+		p.PushState(struct{}{})
+		p.PopState()
+		p.PopRoute()
+		p.Release()
 	}
 }

@@ -27,7 +27,8 @@ func TestCmdProperties(t *testing.T) {
 }
 
 func TestPacketLifecycle(t *testing.T) {
-	p := NewRead(0x1000, 64)
+	pkts := NewPackets()
+	p := pkts.NewRead(0x1000, 64)
 	if !p.IsRequest() || p.Cmd != ReadReq || p.Size != 64 {
 		t.Fatalf("unexpected read packet: %v", p)
 	}
@@ -36,7 +37,7 @@ func TestPacketLifecycle(t *testing.T) {
 		t.Fatalf("MakeResponse produced %v", p.Cmd)
 	}
 
-	w := NewWrite(0x2000, make([]byte, 32))
+	w := pkts.NewWrite(0x2000, make([]byte, 32))
 	if w.Size != 32 || w.Cmd != WriteReq {
 		t.Fatalf("unexpected write packet: %v", w)
 	}

@@ -5,8 +5,6 @@ package mem
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"accesys/internal/sim"
 )
@@ -63,17 +61,6 @@ func (c Cmd) ResponseFor() Cmd {
 	}
 }
 
-var nextPacketID atomic.Uint64
-
-// NextPacketID hands out process-unique packet identifiers. Each
-// simulation is single-threaded, but the sweep engine runs many
-// systems in parallel, so the counter is atomic. IDs are diagnostic
-// labels only — they never influence timing or routing, so sharing
-// one counter across concurrent systems keeps results deterministic.
-func NextPacketID() uint64 {
-	return nextPacketID.Add(1)
-}
-
 // Packet is one memory transaction travelling through the system. A
 // request packet is turned into its own response in place (MakeResponse)
 // and routed back along the port stack that intermediate components
@@ -105,38 +92,69 @@ type Packet struct {
 	// scratch is the packet-owned payload buffer AllocData hands out;
 	// it survives Release so steady-state reads recycle one array.
 	scratch  []byte
+	home     *Packets // nil for unpooled packets
 	ownsData bool
 	released bool
 }
 
-// packetPool recycles Packet values, including their route/state stack
-// and scratch-buffer capacity. Each simulation is single-threaded but
-// the sweep engine runs many systems per process, hence a sync.Pool.
-var packetPool = sync.Pool{New: func() any { return new(Packet) }}
+// Packets is one system's packet freelist. It recycles Packet values,
+// including their route/state stacks and scratch-buffer capacity, and
+// numbers the packets it leases. A system runs on one goroutine, so the
+// freelist is a plain slice and a plain counter: every component of a
+// system leases from the same Packets, and no lock, atomic or sync.Pool
+// sits on the lease path. Packets from two systems never mix, because
+// each packet goes back to the freelist that leased it.
+//
+// A nil *Packets is valid and leases unpooled packets, with ID 0, that
+// Release leaves to the garbage collector; the package-level NewRead,
+// NewWrite and NewWriteSize use it.
+type Packets struct {
+	free   []*Packet
+	nextID uint64
+}
 
-// getPacket leases a zeroed packet from the pool with a fresh ID.
-func getPacket() *Packet {
-	p := packetPool.Get().(*Packet)
-	p.released = false
-	p.ID = NextPacketID()
+// NewPackets returns an empty freelist.
+func NewPackets() *Packets { return &Packets{} }
+
+// lease returns a zeroed packet. IDs count up from 1 in lease order, so
+// they are unique and deterministic within one freelist; they are
+// diagnostic labels only and never influence timing or routing.
+func (ps *Packets) lease() *Packet {
+	if ps == nil {
+		return &Packet{}
+	}
+	var p *Packet
+	if n := len(ps.free); n > 0 {
+		p = ps.free[n-1]
+		ps.free = ps.free[:n-1]
+		p.released = false
+	} else {
+		p = &Packet{home: ps}
+	}
+	ps.nextID++
+	p.ID = ps.nextID
 	return p
 }
 
-// NewRead builds a read request of the given size. The data buffer is
+// Leased reports how many packets the freelist has leased, which is
+// also the ID of the latest one.
+func (ps *Packets) Leased() uint64 { return ps.nextID }
+
+// NewRead leases a read request of the given size. The data buffer is
 // allocated lazily by the responder (see AllocData).
-func NewRead(addr uint64, size int) *Packet {
-	p := getPacket()
+func (ps *Packets) NewRead(addr uint64, size int) *Packet {
+	p := ps.lease()
 	p.Cmd = ReadReq
 	p.Addr = addr
 	p.Size = size
 	return p
 }
 
-// NewWrite builds a write request carrying data. Size is len(data).
+// NewWrite leases a write request carrying data. Size is len(data).
 // The packet aliases data; it stays owned by the caller and is never
 // recycled by Release.
-func NewWrite(addr uint64, data []byte) *Packet {
-	p := getPacket()
+func (ps *Packets) NewWrite(addr uint64, data []byte) *Packet {
+	p := ps.lease()
 	p.Cmd = WriteReq
 	p.Addr = addr
 	p.Size = len(data)
@@ -144,14 +162,31 @@ func NewWrite(addr uint64, data []byte) *Packet {
 	return p
 }
 
-// NewWriteSize builds a timing-only write request with no payload.
-func NewWriteSize(addr uint64, size int) *Packet {
-	p := getPacket()
+// NewWriteSize leases a timing-only write request with no payload.
+func (ps *Packets) NewWriteSize(addr uint64, size int) *Packet {
+	p := ps.lease()
 	p.Cmd = WriteReq
 	p.Addr = addr
 	p.Size = size
 	return p
 }
+
+// NewRead builds an unpooled read request (see Packets.NewRead).
+func NewRead(addr uint64, size int) *Packet { return (*Packets)(nil).NewRead(addr, size) }
+
+// NewWrite builds an unpooled write request carrying data (see
+// Packets.NewWrite).
+func NewWrite(addr uint64, data []byte) *Packet { return (*Packets)(nil).NewWrite(addr, data) }
+
+// NewWriteSize builds an unpooled timing-only write request.
+func NewWriteSize(addr uint64, size int) *Packet {
+	return (*Packets)(nil).NewWriteSize(addr, size)
+}
+
+// Home returns the freelist that leased the packet, or nil for an
+// unpooled packet. Components that derive a packet from another (a
+// posted write's clone) lease it from the original's home.
+func (p *Packet) Home() *Packets { return p.home }
 
 // AllocData returns p.Data sized to p.Size, reusing the packet's own
 // scratch buffer when it is large enough. Responders call it to
@@ -173,17 +208,23 @@ func (p *Packet) AllocData() []byte {
 	return p.Data
 }
 
-// Release returns the packet to the pool. Lease discipline: the
-// component that terminally consumes a packet releases it — the
-// original requester receiving its response, or the sink of a posted
-// write's acknowledged clone; everything in between only forwards.
-// Data is dropped unless AllocData produced it: write payloads alias
-// caller-owned buffers and must never be recycled. Releasing twice
-// panics. Packets that intentionally escape (held by tests for
-// assertions) may simply never be released.
+// Release ends the packet's lease and returns it to its home
+// freelist; an unpooled packet is only marked released. Lease
+// discipline: the component that terminally consumes a packet releases
+// it — the original requester receiving its response, or the sink of a
+// posted write's acknowledged clone; everything in between only
+// forwards. Data is dropped unless AllocData produced it: write
+// payloads alias caller-owned buffers and must never be recycled.
+// Releasing twice panics. Packets that intentionally escape (held by
+// tests for assertions) may simply never be released.
 func (p *Packet) Release() {
 	if p.released {
 		panic(fmt.Sprintf("mem: packet %d released twice", p.ID))
+	}
+	home := p.home
+	if home == nil {
+		p.released = true
+		return
 	}
 	for i := range p.route {
 		p.route[i] = nil
@@ -191,17 +232,16 @@ func (p *Packet) Release() {
 	for i := range p.states {
 		p.states[i] = nil
 	}
-	scratch := p.scratch
+	route, states, scratch := p.route[:0], p.states[:0], p.scratch[:0]
 	if p.ownsData {
-		scratch = p.Data
+		scratch = p.Data[:0]
 	}
-	*p = Packet{
-		route:    p.route[:0],
-		states:   p.states[:0],
-		scratch:  scratch[:0],
-		released: true,
-	}
-	packetPool.Put(p)
+	// Zero in place and restore the kept fields: cheaper than copying
+	// in a composite literal.
+	*p = Packet{}
+	p.route, p.states, p.scratch = route, states, scratch
+	p.home, p.released = home, true
+	home.free = append(home.free, p)
 }
 
 // MakeResponse converts the request into its response in place. The

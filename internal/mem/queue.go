@@ -62,13 +62,19 @@ func (q *PacketQueue) Schedule(pkt *Packet, when sim.Tick) {
 	if when < q.eq.Now() {
 		when = q.eq.Now()
 	}
-	i := len(q.entries)
-	for i > q.head && q.entries[i-1].ready > when {
-		i--
+	n := len(q.entries)
+	if n == q.head || q.entries[n-1].ready <= when {
+		// In order (the common case): no later entry to shift.
+		q.entries = append(q.entries, queuedPacket{pkt: pkt, ready: when})
+	} else {
+		i := n - 1
+		for i > q.head && q.entries[i-1].ready > when {
+			i--
+		}
+		q.entries = append(q.entries, queuedPacket{})
+		copy(q.entries[i+1:], q.entries[i:])
+		q.entries[i] = queuedPacket{pkt: pkt, ready: when}
 	}
-	q.entries = append(q.entries, queuedPacket{})
-	copy(q.entries[i+1:], q.entries[i:])
-	q.entries[i] = queuedPacket{pkt: pkt, ready: when}
 	q.arm()
 }
 

@@ -2,6 +2,6 @@
 
 package mem
 
-// The race detector instruments the allocator and sync.Pool fast
-// paths, so allocation counts are not meaningful under -race.
+// The race detector instruments the allocator, so allocation counts
+// are not meaningful under -race.
 const raceEnabled = true

@@ -102,9 +102,9 @@ func TestStorageRoundtripProperty(t *testing.T) {
 
 func TestPacketQueueInOrder(t *testing.T) {
 	eq := sim.NewEventQueue()
-	var sent []uint64
+	var sent []*Packet
 	q := NewPacketQueue("q", eq, func(p *Packet) bool {
-		sent = append(sent, p.ID)
+		sent = append(sent, p)
 		return true
 	})
 	p1, p2, p3 := NewRead(0, 8), NewRead(8, 8), NewRead(16, 8)
@@ -112,7 +112,7 @@ func TestPacketQueueInOrder(t *testing.T) {
 	q.Schedule(p2, 10)
 	q.Schedule(p3, 20)
 	eq.Run()
-	if len(sent) != 3 || sent[0] != p2.ID || sent[1] != p3.ID || sent[2] != p1.ID {
+	if len(sent) != 3 || sent[0] != p2 || sent[1] != p3 || sent[2] != p1 {
 		t.Fatalf("send order %v, want ready-tick order", sent)
 	}
 	if !q.Empty() {

@@ -199,9 +199,10 @@ func (rc *RootComplex) wakeHost() {
 // cloneWrite duplicates a write request for posted forwarding. The
 // payload is copied, not aliased: the original is acknowledged (and
 // its lease may end) at this bridge while the clone travels on, so
-// the two must not share a buffer.
+// the two must not share a buffer. The clone is leased from the
+// original's freelist, so it stays within the original's system.
 func cloneWrite(pkt *mem.Packet) *mem.Packet {
-	c := mem.NewWriteSize(pkt.Addr, pkt.Size)
+	c := pkt.Home().NewWriteSize(pkt.Addr, pkt.Size)
 	if pkt.Data != nil {
 		copy(c.AllocData(), pkt.Data)
 	}

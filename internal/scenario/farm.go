@@ -64,6 +64,7 @@ func BuildFarm(cfg core.Config) (*core.System, []*driver.Driver) {
 	for i := 0; i < k; i++ {
 		drvs[i] = driver.New(fmt.Sprintf("%s.drv%d", sys.Cfg.Name, i), sys.EQ, sys.Stats, driver.Deps{
 			EQ:        sys.EQ,
+			Packets:   sys.Packets,
 			MMIO:      sys.AttachHostPort(fmt.Sprintf("drv%d", i)),
 			FuncHost:  sys.FuncHost(),
 			FuncDev:   sys.FuncDev(),

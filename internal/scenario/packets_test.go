@@ -1,0 +1,59 @@
+package scenario
+
+import (
+	"slices"
+	"sync"
+	"testing"
+
+	"accesys/internal/core"
+	"accesys/internal/driver"
+)
+
+// packetTrace runs one GEMM-n on a fresh system a Step at a time and
+// records, after every dispatched event, how many packets the system
+// has leased. Packet IDs count up in lease order within a system, so
+// two equal traces mean two equal packet-ID sequences. It reports
+// failures with Errorf, so it may run on a goroutine of its own.
+func packetTrace(t *testing.T, cfg core.Config, n int) []uint64 {
+	t.Helper()
+	sys, drv := BuildSystem(cfg)
+	done := false
+	drv.RunGEMM(driver.GEMMSpec{M: n, N: n, K: n}, func(driver.Result) { done = true })
+	var trace []uint64
+	for sys.EQ.Step() {
+		trace = append(trace, sys.Packets.Leased())
+	}
+	if !done || sys.Packets.Leased() == 0 {
+		t.Errorf("%s: GEMM completed %v after leasing %d packets", cfg.Name, done, sys.Packets.Leased())
+	}
+	return trace
+}
+
+// TestSystemPacketIDsDeterministic checks that a system's packet IDs
+// depend on nothing but its own simulation: a run alone and a run
+// beside another system on a second goroutine (as the sweep engine's
+// workers do) lease identical ID sequences. Under -race the concurrent
+// pair also proves the two systems share no packet: a packet released
+// by one and leased by the other would be a data race.
+func TestSystemPacketIDsDeterministic(t *testing.T) {
+	pcie := core.PCIe8GB()
+	pcie.Accel.HostDMA.BurstBytes = 64
+	devmem := core.DevMemCfg()
+	const n = 128
+	soloPCIe := packetTrace(t, pcie, n)
+	soloDev := packetTrace(t, devmem, n)
+
+	var pairPCIe, pairDev []uint64
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() { defer wg.Done(); pairPCIe = packetTrace(t, pcie, n) }()
+	go func() { defer wg.Done(); pairDev = packetTrace(t, devmem, n) }()
+	wg.Wait()
+
+	if !slices.Equal(soloPCIe, pairPCIe) {
+		t.Errorf("%s: packet IDs differ between a solo and a concurrent run", pcie.Name)
+	}
+	if !slices.Equal(soloDev, pairDev) {
+		t.Errorf("%s: packet IDs differ between a solo and a concurrent run", devmem.Name)
+	}
+}

@@ -27,6 +27,7 @@ func BuildSystem(cfg core.Config) (*core.System, *driver.Driver) {
 	}
 	drv := driver.New(sys.Cfg.Name+".driver", sys.EQ, sys.Stats, driver.Deps{
 		EQ:        sys.EQ,
+		Packets:   sys.Packets,
 		MMIO:      sys.AttachHostPort("driver"),
 		FuncHost:  sys.FuncHost(),
 		FuncDev:   sys.FuncDev(),

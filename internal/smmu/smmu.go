@@ -139,6 +139,7 @@ type pendingPkt struct {
 type SMMU struct {
 	name string
 	eq   *sim.EventQueue
+	pkts *mem.Packets
 	cfg  Config
 
 	devPort *mem.ResponsePort
@@ -178,8 +179,8 @@ type SMMU struct {
 // zero-size so boxing it into the packet state stack never allocates.
 type passThrough struct{}
 
-// New builds an SMMU.
-func New(name string, eq *sim.EventQueue, reg *stats.Registry, cfg Config) *SMMU {
+// New builds an SMMU whose walker leases its PTE reads from pkts.
+func New(name string, eq *sim.EventQueue, pkts *mem.Packets, reg *stats.Registry, cfg Config) *SMMU {
 	cfg.setDefaults()
 	numSets := cfg.TLBEntries / cfg.TLBAssoc
 	if numSets == 0 || !mem.IsPow2(uint64(numSets)) {
@@ -188,6 +189,7 @@ func New(name string, eq *sim.EventQueue, reg *stats.Registry, cfg Config) *SMMU
 	s := &SMMU{
 		name:       name,
 		eq:         eq,
+		pkts:       pkts,
 		cfg:        cfg,
 		tlb:        make([]tlbEntry, numSets*cfg.TLBAssoc),
 		tlbSetMask: uint64(numSets - 1),
@@ -411,7 +413,7 @@ func (s *SMMU) finishTranslation(pkt *mem.Packet, vpn, ppn uint64, now sim.Tick,
 // stepWalk issues the next PTE read of a walk.
 func (s *SMMU) stepWalk(w *walk) {
 	ptAddr := w.base + vaIndex(w.vpn*PageBytes, w.level)*PTESize
-	rd := mem.NewRead(ptAddr, PTESize)
+	rd := s.pkts.NewRead(ptAddr, PTESize)
 	rd.PushState(w)
 	s.memQ.Schedule(rd, s.eq.Now()+s.cfg.TLBLatency)
 }

@@ -30,7 +30,7 @@ func newRig(t *testing.T, cfg Config) *rig {
 	t.Helper()
 	eq := sim.NewEventQueue()
 	reg := stats.NewRegistry()
-	s := New("smmu", eq, reg, cfg)
+	s := New("smmu", eq, mem.NewPackets(), reg, cfg)
 	dev := memtest.NewRequestor(eq)
 	m := memtest.NewEchoResponder(eq, 0, 1<<23, 30*sim.Nanosecond)
 	mem.Bind(dev.Port, s.DevPort())
