@@ -85,7 +85,7 @@ func BenchmarkFig9Model(b *testing.B)          { run(b, exp.Fig9Model) }
 // timeGEMM is the shared single-run kernel for the ablations below.
 func timeGEMM(b *testing.B, cfg core.Config, n int) sim.Tick {
 	b.Helper()
-	sys, drv := exp.BuildSystem(cfg)
+	sys, drv := scenario.BuildSystem(cfg)
 	var d sim.Tick
 	drv.RunGEMM(driver.GEMMSpec{M: n, N: n, K: n}, func(r driver.Result) { d = r.Job.Duration() })
 	sys.Run()
@@ -180,7 +180,7 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cfg := core.PCIe8GB()
 		cfg.Name = fmt.Sprintf("throughput-%d", i)
-		sys, drv := exp.BuildSystem(cfg)
+		sys, drv := scenario.BuildSystem(cfg)
 		drv.RunGEMM(driver.GEMMSpec{M: 256, N: 256, K: 256}, func(driver.Result) {})
 		start := time.Now()
 		sys.Run()
@@ -229,7 +229,7 @@ func BenchmarkFig4SmallPacket(b *testing.B) {
 	b.ReportAllocs()
 	var events uint64
 	for i := 0; i < b.N; i++ {
-		sys, drv := exp.BuildSystem(cfg)
+		sys, drv := scenario.BuildSystem(cfg)
 		drv.RunGEMM(driver.GEMMSpec{M: 512, N: 512, K: 512}, func(driver.Result) {})
 		sys.Run()
 		events += sys.EQ.Executed
@@ -281,14 +281,15 @@ func BenchmarkSweepThroughput(b *testing.B) {
 	})
 }
 
-// BenchmarkViTLayer measures one simulated encoder layer end to end.
+// BenchmarkViTLayer measures one simulated ViT-Base encoder layer on
+// PCIe-8GB end to end: system build plus the chain of GEMM offloads
+// and CPU operators.
 func BenchmarkViTLayer(b *testing.B) {
 	g := workload.ViT(workload.ViTBase)
 	b.ReportMetric(float64(len(g.Items)), "ops/layer")
 	for i := 0; i < b.N; i++ {
-		res := exp.Fig9Model(exp.Options{})
-		if len(res.Rows) == 0 {
-			b.Fatal("no rows")
+		if t := scenario.SimViT(core.PCIe8GB(), workload.ViTBase); t.Total() == 0 {
+			b.Fatal("no simulated time")
 		}
 	}
 }

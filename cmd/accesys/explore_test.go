@@ -146,9 +146,11 @@ func TestExploreCSVOutput(t *testing.T) {
 func TestExploreFig4CacheAliasesGoldenSweep(t *testing.T) {
 	// The acceptance path: a halving search over the fig4-derived
 	// objective must find the known optimum while cold-simulating
-	// fewer than half of the 35 points, and the cache it leaves behind
-	// must serve the plain fig4 sweep rows byte-identical to the
-	// committed golden rows for every touched point.
+	// fewer than half of the 35 points, a second search from a fresh
+	// cache must reproduce it byte for byte, a warm re-run must
+	// simulate nothing, and the cache it leaves behind must serve the
+	// plain fig4 sweep rows byte-identical to the committed golden rows
+	// for every touched point.
 	if testing.Short() {
 		t.Skip("simulates fig4 points; skipped in -short")
 	}
@@ -156,12 +158,31 @@ func TestExploreFig4CacheAliasesGoldenSweep(t *testing.T) {
 		t.Skip("simulates fig4 points under -race for minutes without adding race coverage")
 	}
 	const manifest = "../../testdata/explore_fig4.json"
-	cache := filepath.Join(t.TempDir(), "cache")
-	trace := filepath.Join(t.TempDir(), "explore.json")
-	code, out, errOut := testApp(t, "explore", "-cache", cache, "-jobs", "4", "-trace", trace, manifest)
-	if code != 0 {
-		t.Fatalf("explore exit %d:\n%s%s", code, out, errOut)
+	type summary struct {
+		SpaceSize int `json:"space_size"`
+		Summary   struct {
+			Screened   int `json:"screened"`
+			ColdTiming int `json:"cold_timing"`
+		} `json:"summary"`
 	}
+	explore := func(cache string) (frontier string, trace []byte, tr summary) {
+		t.Helper()
+		path := filepath.Join(t.TempDir(), "explore.json")
+		code, out, errOut := testApp(t, "explore", "-cache", cache, "-jobs", "4", "-trace", path, manifest)
+		if code != 0 {
+			t.Fatalf("explore exit %d:\n%s%s", code, out, errOut)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(data, &tr); err != nil {
+			t.Fatal(err)
+		}
+		return out, data, tr
+	}
+	cache := filepath.Join(t.TempDir(), "cache")
+	out, trace, tr := explore(cache)
 	// Known optimum: the widest link with the 512B packet sweet spot.
 	rank1 := ""
 	for _, line := range strings.Split(out, "\n") {
@@ -173,25 +194,29 @@ func TestExploreFig4CacheAliasesGoldenSweep(t *testing.T) {
 	if !strings.Contains(rank1, "fig4-64-512") {
 		t.Fatalf("frontier rank 1 is not the known optimum:\n%s", out)
 	}
-	data, err := os.ReadFile(trace)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var tr struct {
-		SpaceSize int `json:"space_size"`
-		Summary   struct {
-			Screened   int `json:"screened"`
-			ColdTiming int `json:"cold_timing"`
-		} `json:"summary"`
-	}
-	if err := json.Unmarshal(data, &tr); err != nil {
-		t.Fatal(err)
-	}
 	if tr.SpaceSize != 35 || tr.Summary.Screened != 35 {
 		t.Fatalf("screen did not cover the space: %+v", tr)
 	}
 	if tr.Summary.ColdTiming == 0 || tr.Summary.ColdTiming*2 >= tr.SpaceSize {
 		t.Fatalf("cold-simulated %d of %d points; the screen is not pruning", tr.Summary.ColdTiming, tr.SpaceSize)
+	}
+
+	// Same seed from a fresh cache: byte-identical frontier and trace.
+	out2, trace2, _ := explore(filepath.Join(t.TempDir(), "cache2"))
+	if out2 != out {
+		t.Fatalf("same-seed frontiers differ:\n--- first\n%s\n--- second\n%s", out, out2)
+	}
+	if string(trace2) != string(trace) {
+		t.Fatalf("same-seed traces differ:\n--- first\n%s\n--- second\n%s", trace, trace2)
+	}
+
+	// A warm re-run over the first cache promotes no cold point.
+	out3, _, tr3 := explore(cache)
+	if out3 != out {
+		t.Fatalf("warm re-run frontier differs:\n--- cold\n%s\n--- warm\n%s", out, out3)
+	}
+	if tr3.Summary.ColdTiming != 0 {
+		t.Fatalf("warm re-run cold-simulated %d points", tr3.Summary.ColdTiming)
 	}
 
 	// The explored points alias the plain sweep's cache entries: a

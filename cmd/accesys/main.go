@@ -53,10 +53,10 @@
 // Every run matrix executes on the parallel sweep engine: -jobs
 // bounds the worker pool (default: all CPUs) and completed runs are
 // memoised in an on-disk cache keyed by the run's full configuration,
-// so repeated invocations skip untouched design points. Parallel and
-// sequential execution produce identical rows. With -v each completed
-// point prints a k/n progress line with an ETA derived from measured
-// per-point wall times.
+// so repeated invocations skip untouched design points (-nocache: in
+// memory, for one process). Parallel and sequential execution produce
+// identical rows. With -v each completed point prints a k/n progress
+// line with an ETA derived from measured per-point wall times.
 //
 // shard distributes a manifest's matrix across worker processes or
 // machines: plan prints the deterministic partition (stable rendezvous
@@ -205,16 +205,17 @@ func (a *app) startProfiles(f *sweepFlags) (stop func(), code int) {
 	}, -1
 }
 
-// options opens the cache (unless disabled) and assembles the shared
-// execution options.
+// options opens the disk cache (unless disabled, else a memory-only
+// one) and assembles the shared execution options.
 func (a *app) options(f *sweepFlags) scenario.Options {
 	opt := scenario.Options{
 		Full: *f.full, Verbose: *f.verbose, Out: a.stderr, Jobs: *f.jobs,
+		Cache: sweep.Memory(),
 	}
 	if !*f.nocache {
 		cache, err := sweep.OpenSalted(*f.cache)
 		if err != nil {
-			fmt.Fprintf(a.stderr, "accesys: result cache disabled: %v\n", err)
+			fmt.Fprintf(a.stderr, "accesys: on-disk result cache disabled: %v\n", err)
 		} else {
 			opt.Cache = cache
 			// The wall-time profile rides along with the cache: every
@@ -232,10 +233,10 @@ func (a *app) options(f *sweepFlags) scenario.Options {
 	return opt
 }
 
-// finish folds this process's cache counters into the persisted totals
+// finish folds a disk cache's counters into the persisted totals
 // (backing `accesys cachestats`) and reports them when verbose.
 func (a *app) finish(opt scenario.Options) {
-	if opt.Cache == nil {
+	if opt.Cache.Dir() == "" {
 		return
 	}
 	hits, misses, errors := opt.Cache.Stats()

@@ -10,8 +10,8 @@ import (
 
 	"accesys/internal/core"
 	"accesys/internal/driver"
-	"accesys/internal/exp"
 	"accesys/internal/pcie"
+	"accesys/internal/scenario"
 	"accesys/internal/sim"
 )
 
@@ -29,7 +29,7 @@ func main() {
 		cfg.Name = fmt.Sprintf("pkt-%d", sz)
 		cfg.PCIe = pcie.Config{Link: pcie.LinkForGBps(*gbps, 16)}
 		cfg.Accel.HostDMA.BurstBytes = sz
-		sys, drv := exp.BuildSystem(cfg)
+		sys, drv := scenario.BuildSystem(cfg)
 		var d sim.Tick
 		drv.RunGEMM(driver.GEMMSpec{M: *n, N: *n, K: *n}, func(r driver.Result) {
 			d = r.Job.Duration()

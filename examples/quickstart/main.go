@@ -13,7 +13,7 @@ import (
 	"accesys/internal/accel"
 	"accesys/internal/core"
 	"accesys/internal/driver"
-	"accesys/internal/exp"
+	"accesys/internal/scenario"
 )
 
 func main() {
@@ -22,7 +22,7 @@ func main() {
 	// systolic-array accelerator.
 	cfg := core.PCIe8GB()
 	cfg.Functional = true // carry real data end to end
-	sys, drv := exp.BuildSystem(cfg)
+	sys, drv := scenario.BuildSystem(cfg)
 
 	// Random operands for C = A x B with M = N = K = 128.
 	const n = 128

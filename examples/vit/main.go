@@ -13,7 +13,7 @@ import (
 	"accesys/internal/core"
 	"accesys/internal/cpu"
 	"accesys/internal/driver"
-	"accesys/internal/exp"
+	"accesys/internal/scenario"
 	"accesys/internal/sim"
 	"accesys/internal/workload"
 )
@@ -55,7 +55,7 @@ func main() {
 
 // runLayer simulates one encoder layer and returns the timed split.
 func runLayer(cfg core.Config, g workload.Graph) (gemm, nonGemm sim.Tick) {
-	sys, drv := exp.BuildSystem(cfg)
+	sys, drv := scenario.BuildSystem(cfg)
 	var actBase uint64
 	if sys.Cfg.Access == core.DevMem {
 		actBase = drv.AllocDev(64 << 20)

@@ -7,8 +7,6 @@
 package exp
 
 import (
-	"accesys/internal/core"
-	"accesys/internal/driver"
 	"accesys/internal/scenario"
 	"accesys/internal/sweep"
 )
@@ -18,12 +16,6 @@ type Options = scenario.Options
 
 // Result is one regenerated table/figure; see scenario.Result.
 type Result = scenario.Result
-
-// BuildSystem assembles a system together with its kernel driver, the
-// standard front door for examples and experiments.
-func BuildSystem(cfg core.Config) (*core.System, *driver.Driver) {
-	return scenario.BuildSystem(cfg)
-}
 
 // sweep expands the named built-in scenario for the options' scale,
 // sweeps it, and returns the resolved runs with their outcomes in

@@ -19,6 +19,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"accesys/internal/sweep"
 )
 
 // goldenDir is the repository-root golden corpus.
@@ -60,7 +62,12 @@ func TestGoldenRows(t *testing.T) {
 		t.Skip("golden suite under -race re-simulates for minutes without adding race coverage")
 	}
 	update := os.Getenv("UPDATE_GOLDEN") != ""
-	opt := Options{}
+	// One memory cache for the whole suite, as `accesys run -nocache`
+	// uses: fig8 and fig9 sweep a subset of fig7's (system, model)
+	// points, so once fig7 has run they must be served from it without
+	// a single new simulation.
+	opt := Options{Cache: sweep.Memory()}
+	ranFig7 := false
 	for _, id := range IDs() {
 		id := id
 		t.Run(id, func(t *testing.T) {
@@ -68,7 +75,15 @@ func TestGoldenRows(t *testing.T) {
 			if !ok {
 				t.Fatalf("no experiment %q", id)
 			}
+			_, missesBefore, _ := opt.Cache.Stats()
 			got := renderGolden(expf(opt))
+			_, misses, _ := opt.Cache.Stats()
+			switch {
+			case id == "fig7":
+				ranFig7 = true
+			case (id == "fig8" || id == "fig9") && ranFig7 && misses != missesBefore:
+				t.Errorf("%s simulated %d points after fig7 ran; want all memory-cache hits", id, misses-missesBefore)
+			}
 			path := filepath.Join(goldenDir, id+".txt")
 			if update {
 				if err := os.WriteFile(path, got, 0o644); err != nil {

@@ -19,7 +19,7 @@ func vitConfigs() []core.Config {
 // vitSweep runs the named scenario's (config x model) matrix through
 // the engine and returns the GEMM/Non-GEMM splits keyed by config then
 // model name. ViT runs are identified by their physical system, so the
-// Fig. 7/8/9 trio share cached outcomes and the in-process layer memo.
+// Fig. 7/8/9 trio share outcomes through the options' result cache.
 func vitSweep(opt Options, id string) map[string]map[string]scenario.ViTSplit {
 	_, runs, outs := sweepScenario(opt, id)
 	times := map[string]map[string]scenario.ViTSplit{}

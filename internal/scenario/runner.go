@@ -6,7 +6,6 @@ package scenario
 
 import (
 	"fmt"
-	"sync"
 
 	"accesys/internal/core"
 	"accesys/internal/cpu"
@@ -85,37 +84,8 @@ type ViTSplit struct {
 // Total is the end-to-end inference time.
 func (v ViTSplit) Total() sim.Tick { return v.GEMM + v.NonGEMM }
 
-// vitMemo caches in-process ViT runs across scenarios sweeping the
-// same systems (the Fig. 7/8/9 trio); keys are full fingerprints so
-// physically different systems can never alias. The mutex makes it
-// safe under parallel sweep workers.
-var (
-	vitMu   sync.Mutex
-	vitMemo = map[string]ViTSplit{}
-)
-
-func vitFingerprint(cfg core.Config, v workload.ViTVariant) string {
-	return sweep.Fingerprint(append([]any{"vit", v}, cfg.FingerprintParts()...)...)
-}
-
-// RunViT simulates one encoder layer of the variant under cfg and
-// scales by the layer count, memoized per physical (config, model).
-func RunViT(cfg core.Config, v workload.ViTVariant) ViTSplit {
-	key := vitFingerprint(cfg, v)
-	vitMu.Lock()
-	t, ok := vitMemo[key]
-	vitMu.Unlock()
-	if ok {
-		return t
-	}
-	t = SimViT(cfg, v)
-	vitMu.Lock()
-	vitMemo[key] = t
-	vitMu.Unlock()
-	return t
-}
-
-// SimViT is the uncached simulation of one encoder layer.
+// SimViT simulates one encoder layer of the variant under cfg and
+// scales the split by the layer count.
 func SimViT(cfg core.Config, v workload.ViTVariant) ViTSplit {
 	g := workload.ViT(v)
 	sys, drv := BuildSystem(cfg)
@@ -183,13 +153,13 @@ func SimViT(cfg core.Config, v workload.ViTVariant) ViTSplit {
 
 // ViTPoint wraps one (config, model) ViT run as a sweep point. The
 // outcome carries the GEMM/Non-GEMM split so it survives the result
-// cache.
+// cache, the one place ViT outcomes are remembered.
 func ViTPoint(cfg core.Config, v workload.ViTVariant) sweep.Point {
 	return sweep.Point{
 		Key:         cfg.Name + "/" + v.Name,
-		Fingerprint: vitFingerprint(cfg, v),
+		Fingerprint: sweep.Fingerprint(append([]any{"vit", v}, cfg.FingerprintParts()...)...),
 		Run: func() sweep.Outcome {
-			t := RunViT(cfg, v)
+			t := SimViT(cfg, v)
 			return sweep.Outcome{
 				Dur: t.Total(),
 				Values: map[string]float64{

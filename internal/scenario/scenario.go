@@ -432,9 +432,8 @@ func (s *Scenario) hasAxis(name string) bool {
 // runs, first axis varying slowest. Every run carries a fully
 // defaulted-and-overridden core.Config plus workload parameters; gemm
 // runs are named <scenario>-<label>-..., while vit runs keep the
-// physical config name (so identical systems share cache entries and
-// the in-process memo across scenarios) and are keyed
-// <config>/<model>.
+// physical config name (so identical systems share cache entries
+// across scenarios) and are keyed <config>/<model>.
 func (s *Scenario) Expand(full bool) ([]Run, error) {
 	sp, err := s.Space(full)
 	if err != nil {
@@ -453,8 +452,8 @@ func (s *Scenario) Expand(full bool) ([]Run, error) {
 
 // nameRun fixes the run's config name and progress key. ViT runs are
 // identified by their physical system (preset name) so the result
-// cache and the in-process layer memo are shared across figures that
-// sweep the same systems.
+// cache, on disk or memory-only, is shared across figures that sweep
+// the same systems.
 func (s *Scenario) nameRun(r *Run) {
 	if s.Workload.Kind == "vit" {
 		key := r.Cfg.Name + "/" + r.Model.Name
@@ -489,8 +488,9 @@ type Options struct {
 	// Jobs bounds each sweep's worker pool; <= 0 runs one worker per
 	// CPU. Results are ordering-deterministic regardless.
 	Jobs int
-	// Cache, when non-nil, memoises completed runs on disk so repeated
-	// invocations skip untouched design points.
+	// Cache, when non-nil, remembers completed runs so repeated points
+	// skip simulation: across invocations for a directory cache, inside
+	// one process for sweep.Memory().
 	Cache *sweep.Cache
 	// Profile, when non-nil, records measured per-point wall times —
 	// the weighted shard partitioner's scheduling input. Flush it after

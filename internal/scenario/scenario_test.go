@@ -154,7 +154,7 @@ func TestDefaultsSurvivePresetAxis(t *testing.T) {
 
 // TestViTRunsShareIdentity pins the cross-figure sharing contract:
 // fig7 and fig8 sweep physically identical systems, so their points
-// carry equal fingerprints (one cache entry, one memo slot) and keep
+// carry equal fingerprints (one cache entry) and keep
 // the preset's config name.
 func TestViTRunsShareIdentity(t *testing.T) {
 	runs7, err := MustBuiltin("fig7").Expand(false)

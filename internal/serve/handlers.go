@@ -220,13 +220,9 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	// Every job finish flushes the in-memory counters into the persisted
-	// totals, so the lifetime numbers are the sum of both.
-	hits, misses, errors := s.cfg.Cache.Stats()
-	if t, err := s.cfg.Cache.Counters(); err == nil {
-		hits += t.Hits
-		misses += t.Misses
-		errors += t.Errors
-	}
+	// totals, so the lifetime numbers are the sum of both; a failed
+	// read of the persisted file still reports the in-memory part.
+	t, _ := s.cfg.Cache.Totals()
 	s.mu.Lock()
 	counts := map[string]int{}
 	for _, j := range s.jobs {
@@ -236,7 +232,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Unlock()
 	writeJSON(w, http.StatusOK, map[string]any{
-		"cache": map[string]int{"hits": hits, "misses": misses, "errors": errors},
+		"cache": map[string]int{"hits": t.Hits, "misses": t.Misses, "errors": t.Errors},
 		"dedup": map[string]int{"inflight": s.flight.Inflight()},
 		"queue": map[string]int{"depth": len(s.queue), "limit": s.cfg.queueLimit()},
 		"jobs":  counts,

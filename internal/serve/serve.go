@@ -123,8 +123,8 @@ var testHookRunning func(*job)
 // New validates the config and starts the runner pool (and the GC
 // ticker when configured). The server accepts submissions until Close.
 func New(cfg Config) (*Server, error) {
-	if cfg.Cache == nil {
-		return nil, fmt.Errorf("serve: config needs a cache")
+	if cfg.Cache == nil || cfg.Cache.Dir() == "" {
+		return nil, fmt.Errorf("serve: config needs a cache with a directory")
 	}
 	if cfg.WorkDir == "" {
 		cfg.WorkDir = filepath.Join(cfg.Cache.Dir(), "serve")

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"io"
 	"maps"
 	"os"
@@ -24,7 +25,8 @@ import (
 // In front of the directory sits a bounded, per-process memory tier
 // holding outcomes a disk read has already verified against the stored
 // fingerprint, so a repeated hit skips the file entirely. Put drops the
-// key from it and any GC eviction clears it.
+// key from it and any GC eviction clears it. A cache from Memory has
+// no directory and keeps outcomes in that tier alone.
 type Cache struct {
 	dir string
 
@@ -68,6 +70,14 @@ type entry struct {
 	Outcome     Outcome `json:"outcome"`
 }
 
+// errNoDir is what disk-only methods return for a cache from Memory.
+var errNoDir = errors.New("sweep: cache has no directory")
+
+// Memory returns a cache with no directory. Put stores outcomes in the
+// bounded memory tier only and a tier miss is a plain miss: nothing
+// touches the disk, and the disk-only methods return an error.
+func Memory() *Cache { return &Cache{} }
+
 // Open creates (if needed) and returns the cache rooted at dir.
 func Open(dir string) (*Cache, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -94,7 +104,7 @@ func OpenSalted(dir string) (*Cache, error) {
 	return cache, nil
 }
 
-// Dir returns the cache root.
+// Dir returns the cache root, or "" for a cache from Memory.
 func (c *Cache) Dir() string { return c.dir }
 
 // now reads the cache's clock.
@@ -172,6 +182,10 @@ func (c *Cache) getRef(r *Ref) (Outcome, bool) {
 	if ok {
 		return cloneOutcome(out), true
 	}
+	if c.dir == "" {
+		c.count(&c.misses)
+		return Outcome{}, false
+	}
 
 	data, err := os.ReadFile(r.entryPath(c))
 	if err != nil {
@@ -193,18 +207,24 @@ func (c *Cache) getRef(r *Ref) (Outcome, bool) {
 	}
 	c.hits++
 	if gen == c.memGen {
-		if c.mem == nil {
-			c.mem = make(map[string]Outcome)
-		}
-		if len(c.mem) >= memCap {
-			for k := range c.mem { // evict an arbitrary entry
-				delete(c.mem, k)
-				break
-			}
-		}
-		c.mem[r.key] = out
+		c.rememberLocked(r.key, out)
 	}
 	return cloneOutcome(out), true
+}
+
+// rememberLocked inserts out into the memory tier, evicting an
+// arbitrary entry first when the tier is full. The caller holds mu.
+func (c *Cache) rememberLocked(key string, out Outcome) {
+	if c.mem == nil {
+		c.mem = make(map[string]Outcome)
+	}
+	if len(c.mem) >= memCap {
+		for k := range c.mem {
+			delete(c.mem, k)
+			break
+		}
+	}
+	c.mem[key] = out
 }
 
 // cloneOutcome copies out's Values so callers can never alias an
@@ -291,8 +311,15 @@ func (c *Cache) Put(fingerprint string, out Outcome) {
 	c.PutRef(c.Ref(fingerprint), out)
 }
 
-// PutRef is Put for an already-computed reference.
+// PutRef is Put for an already-computed reference. Without a
+// directory it inserts a copy of out into the memory tier.
 func (c *Cache) PutRef(r Ref, out Outcome) {
+	if c.dir == "" {
+		c.mu.Lock()
+		c.rememberLocked(r.key, cloneOutcome(out))
+		c.mu.Unlock()
+		return
+	}
 	// Drop the key only once the write has landed (or failed), so no
 	// concurrent read can re-promote the outcome it replaces.
 	defer c.dropMem(r.key)
@@ -312,7 +339,7 @@ func (c *Cache) count(field *int) {
 	c.mu.Unlock()
 }
 
-// Stats reports hit, miss, and error counts since Open.
+// Stats reports the hit, miss, and error counts not yet flushed.
 func (c *Cache) Stats() (hits, misses, errors int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -194,49 +194,52 @@ func TestCacheMemoryTierBounded(t *testing.T) {
 }
 
 // TestCacheTierConcurrentGetPutGC drives the memory tier from several
-// goroutines at once (run it under -race): every hit must return the
-// key's own outcome, and callers mutating their copies never disturb
-// one another.
+// goroutines at once (run it under -race), in front of a directory and
+// in a cache from Memory: every hit must return the key's own outcome,
+// and callers mutating their copies never disturb one another.
 func TestCacheTierConcurrentGetPutGC(t *testing.T) {
-	c := openT(t, "s")
-	const keys = 4
-	fps := make([]string, keys)
-	for k := range fps {
-		fps[k] = Fingerprint("concurrent", k)
-		c.Put(fps[k], Outcome{Dur: sim.Tick(k), Values: map[string]float64{"k": float64(k)}})
-	}
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				k := (g + i) % keys
-				switch {
-				case g == 0 && i%20 == 0:
-					if _, err := c.GC(0, 2); err != nil {
-						t.Error(err)
-						return
-					}
-				case g == 1 && i%5 == 0:
-					c.Put(fps[k], Outcome{Dur: sim.Tick(k), Values: map[string]float64{"k": float64(k)}})
-				default:
-					out, ok := c.Get(fps[k])
-					if !ok {
-						continue // evicted by GC
-					}
-					if out.Dur != sim.Tick(k) || out.Values["k"] != float64(k) || len(out.Values) != 1 {
-						t.Errorf("key %d: got %+v", k, out)
-						return
-					}
-					out.Values["k"] = -1
-				}
+	for name, c := range map[string]*Cache{"disk": openT(t, "s"), "memory": Memory()} {
+		t.Run(name, func(t *testing.T) {
+			const keys = 4
+			fps := make([]string, keys)
+			for k := range fps {
+				fps[k] = Fingerprint("concurrent", k)
+				c.Put(fps[k], Outcome{Dur: sim.Tick(k), Values: map[string]float64{"k": float64(k)}})
 			}
-		}()
-	}
-	wg.Wait()
-	if _, _, errors := c.Stats(); errors != 0 {
-		t.Fatalf("%d cache errors, want 0", errors)
+			var wg sync.WaitGroup
+			for g := 0; g < 4; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 0; i < 200; i++ {
+						k := (g + i) % keys
+						switch {
+						case g == 0 && i%20 == 0 && c.Dir() != "":
+							if _, err := c.GC(0, 2); err != nil {
+								t.Error(err)
+								return
+							}
+						case g == 1 && i%5 == 0:
+							c.Put(fps[k], Outcome{Dur: sim.Tick(k), Values: map[string]float64{"k": float64(k)}})
+						default:
+							out, ok := c.Get(fps[k])
+							if !ok {
+								continue // evicted by GC
+							}
+							if out.Dur != sim.Tick(k) || out.Values["k"] != float64(k) || len(out.Values) != 1 {
+								t.Errorf("key %d: got %+v", k, out)
+								return
+							}
+							out.Values["k"] = -1
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			if _, _, errors := c.Stats(); errors != 0 {
+				t.Fatalf("%d cache errors, want 0", errors)
+			}
+		})
 	}
 }
 

@@ -55,6 +55,9 @@ func (e *CollisionError) Error() string {
 // are not touched — fold them separately with AddCounters.
 func (c *Cache) ImportFrom(src *Cache) (ImportStats, error) {
 	var st ImportStats
+	if c.dir == "" || src.dir == "" {
+		return st, errNoDir
+	}
 	des, err := os.ReadDir(src.dir)
 	if err != nil {
 		return st, err
@@ -94,27 +97,10 @@ func (c *Cache) ImportFrom(src *Cache) (ImportStats, error) {
 	return st, nil
 }
 
-// writeEntry stages data to a temp file and renames it into place, the
-// same atomicity Put guarantees.
+// writeEntry stages data and renames it onto the entry file at path,
+// the same atomicity Put guarantees.
 func (c *Cache) writeEntry(path string, data []byte) error {
-	tmp, err := os.CreateTemp(c.dir, "put-*.tmp")
-	if err != nil {
-		return err
-	}
-	_, werr := tmp.Write(data)
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		if werr != nil {
-			return werr
-		}
-		return cerr
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return nil
+	return WriteFileAtomic(c.dir, "put-*.tmp", filepath.Base(path), data)
 }
 
 // AddCounters folds the given deltas into the persisted totals — the
@@ -141,22 +127,5 @@ func (c *Cache) addCountersLocked(d Counters) error {
 	if err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(c.dir, "counters-*.tmp")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), filepath.Join(c.dir, countersName)); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return nil
+	return WriteFileAtomic(c.dir, "counters-*.tmp", countersName, data)
 }

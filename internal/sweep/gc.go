@@ -32,6 +32,9 @@ func isEntryName(name string) bool {
 // Usage reports the cache's on-disk footprint: entry count and total
 // entry bytes.
 func (c *Cache) Usage() (entries int, bytes int64, err error) {
+	if c.dir == "" {
+		return 0, 0, errNoDir
+	}
 	des, err := os.ReadDir(c.dir)
 	if err != nil {
 		return 0, 0, err
@@ -76,6 +79,9 @@ const gcTempAge = time.Hour
 // verified.
 func (c *Cache) GC(maxAge time.Duration, maxEntries int) (GCResult, error) {
 	var res GCResult
+	if c.dir == "" {
+		return res, errNoDir
+	}
 	des, err := os.ReadDir(c.dir)
 	if err != nil {
 		return res, err
@@ -147,6 +153,9 @@ const countersName = "counters.json"
 // flushed).
 func (c *Cache) Counters() (Counters, error) {
 	var t Counters
+	if c.dir == "" {
+		return t, errNoDir
+	}
 	data, err := os.ReadFile(filepath.Join(c.dir, countersName))
 	if os.IsNotExist(err) {
 		return t, nil
@@ -172,6 +181,9 @@ func (c *Cache) Counters() (Counters, error) {
 // only accuracy of the advisory cachestats report. On failure the
 // in-memory counts are restored so a retry can still flush them.
 func (c *Cache) FlushCounters() error {
+	if c.dir == "" {
+		return errNoDir
+	}
 	c.flushMu.Lock()
 	defer c.flushMu.Unlock()
 	c.mu.Lock()
@@ -187,4 +199,18 @@ func (c *Cache) FlushCounters() error {
 		return err
 	}
 	return nil
+}
+
+// Totals returns the persisted counters plus this process's unflushed
+// counts, under flushMu so a concurrent FlushCounters cannot hide counts
+// it is moving to disk. A read error still returns the unflushed part.
+func (c *Cache) Totals() (Counters, error) {
+	c.flushMu.Lock()
+	defer c.flushMu.Unlock()
+	t, err := c.Counters()
+	hits, misses, errors := c.Stats()
+	t.Hits += hits
+	t.Misses += misses
+	t.Errors += errors
+	return t, err
 }

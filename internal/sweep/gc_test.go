@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -280,5 +281,49 @@ func TestCountersSurviveGC(t *testing.T) {
 	}
 	if tot.Hits != 1 {
 		t.Fatalf("counters lost by gc: %+v", tot)
+	}
+}
+
+// TestTotalsNeverDropDuringFlush pins the lifetime counters a daemon
+// reports against a concurrent flush. FlushCounters moves counts from
+// memory into the persisted file; a reader summing the two must never
+// see a total below the count already recorded, as it would if it
+// read the zeroed memory counts and then the not-yet-renamed file.
+func TestTotalsNeverDropDuringFlush(t *testing.T) {
+	c := openT(t, "")
+	const flushes = 300
+	var recorded atomic.Int64
+	done := make(chan error, 1)
+	go func() {
+		for i := 0; i < flushes; i++ {
+			c.Get(Fingerprint("absent", i)) // one miss
+			recorded.Add(1)
+			if err := c.FlushCounters(); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	for reads := 0; ; reads++ {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tot, err := c.Totals(); err != nil || tot.Misses != flushes {
+				t.Fatalf("final totals = %+v, %v; want %d misses", tot, err, flushes)
+			}
+			return
+		default:
+		}
+		want := recorded.Load()
+		tot, err := c.Totals()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if int64(tot.Misses) < want {
+			t.Fatalf("read %d: totals show %d misses after %d were recorded", reads, tot.Misses, want)
+		}
 	}
 }

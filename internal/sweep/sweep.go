@@ -80,7 +80,8 @@ type Result struct {
 type Engine struct {
 	// Jobs bounds the worker pool; <= 0 means runtime.NumCPU().
 	Jobs int
-	// Cache memoises outcomes across processes; nil disables.
+	// Cache memoises outcomes, across processes for a directory cache
+	// and within this one for Memory(); nil disables.
 	Cache *Cache
 	// OnResult, when non-nil, observes each completed point. Calls are
 	// serialised but arrive in completion order, not declaration order.
