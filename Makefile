@@ -11,10 +11,11 @@
 #                   -race: sweep, shard plan/run/merge, fleet, the
 #                   serve daemon over HTTP, and explore determinism
 #   make fuzz     - short native-fuzz pass over the manifest and shard
-#                   plan parsers, the cache entry decoder, the
-#                   profile.json/counters.json loaders, and the event
-#                   queue's dispatch order against a brute-force
-#                   reference (FUZZTIME per target, default 10s)
+#                   plan parsers, the cache entry decoder, the cache's
+#                   entries.log reader, the profile.json/counters.json
+#                   loaders, and the event queue's dispatch order
+#                   against a brute-force reference (FUZZTIME per
+#                   target, default 10s)
 #   make golden   - golden-row conformance suite (all nine experiments)
 #   make bench    - one pass over the benchmark harness (short mode);
 #                   refreshes the BENCH_*.json perf trajectories in
@@ -75,14 +76,16 @@ examples:
 e2e:
 	$(GO) test -count=1 ./cmd/accesys
 
-# Short native-fuzz pass: the parsers, the cache entry decoder and the
-# event queue's ordering explore beyond their seed corpora for FUZZTIME
-# each. Crashers land under testdata/fuzz/ in the failing package —
-# commit them as regression seeds after fixing.
+# Short native-fuzz pass: the parsers, the cache entry decoder, the
+# cache log reader and the event queue's ordering explore beyond their
+# seed corpora for FUZZTIME each. Crashers land under testdata/fuzz/
+# in the failing package — commit them as regression seeds after
+# fixing.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzManifestParse$$' -fuzztime $(FUZZTIME) ./internal/scenario
 	$(GO) test -run '^$$' -fuzz '^FuzzPlanParse$$' -fuzztime $(FUZZTIME) ./internal/shard
 	$(GO) test -run '^$$' -fuzz '^FuzzCacheEntry$$' -fuzztime $(FUZZTIME) ./internal/sweep
+	$(GO) test -run '^$$' -fuzz '^FuzzCacheLog$$' -fuzztime $(FUZZTIME) ./internal/sweep
 	$(GO) test -run '^$$' -fuzz '^FuzzProfileLoad$$' -fuzztime $(FUZZTIME) ./internal/sweep
 	$(GO) test -run '^$$' -fuzz '^FuzzCountersLoad$$' -fuzztime $(FUZZTIME) ./internal/sweep
 	$(GO) test -run '^$$' -fuzz '^FuzzEventQueueOrder$$' -fuzztime $(FUZZTIME) ./internal/sim

@@ -47,8 +47,8 @@ type MergeStats struct {
 
 // ledgerName records, inside the destination cache, which shard
 // states earlier merges already folded (as digests of their shard.json
-// bytes). Its name deliberately fails the cache's entry-name check, so
-// GC, Usage, and import all ignore it.
+// bytes). Its name fails the cache's pre-log entry-name check, so GC
+// leaves it in place.
 const ledgerName = "merged.json"
 
 // ledger is the on-disk merge history of a destination cache.

@@ -15,9 +15,9 @@ import (
 	"accesys/internal/sweep"
 )
 
-// SummaryName is the per-shard manifest written next to the cache
-// entries. Its name deliberately fails the cache's entry-name check,
-// so GC, Usage, and import all ignore it.
+// SummaryName is the per-shard manifest written next to the cache's
+// entry log. Its name fails the cache's pre-log entry-name check, so
+// GC leaves it in place.
 const SummaryName = "shard.json"
 
 // Summary records what one shard worker ran — the merge step's unit

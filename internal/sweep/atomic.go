@@ -8,8 +8,9 @@ import (
 // WriteFileAtomic stages data in a temp file inside dir (pattern names
 // it, and must end in ".tmp" so cache GC can reap abandoned stages)
 // and renames it onto dir/name — the write-then-rename pattern every
-// cache-adjacent artifact (entries, counters, shard summaries, merge
-// ledgers, wall profiles) uses so readers never observe a torn file.
+// cache-adjacent artifact (the compacted entry log, counters, shard
+// summaries, merge ledgers, wall profiles) uses so readers never
+// observe a torn file.
 func WriteFileAtomic(dir, pattern, name string, data []byte) error {
 	tmp, err := os.CreateTemp(dir, pattern)
 	if err != nil {

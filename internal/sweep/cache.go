@@ -15,29 +15,36 @@ import (
 	"unicode/utf8"
 )
 
-// Cache is the on-disk result store. Entries are JSON files named by
-// the SHA-256 of their fingerprint; each records the full fingerprint
-// so hash collisions and stale or corrupt files read as misses rather
-// than wrong results. A Cache is safe for concurrent use by engine
-// workers and by multiple processes sharing one directory (writes are
-// staged to a temp file and renamed into place).
+// Cache is the on-disk result store. Every entry is one record of the
+// directory's append-only log, entries.log (see log.go), indexed by the
+// SHA-256 of its salted fingerprint. Each record stores the full
+// fingerprint and is verified against it on every disk read, so hash
+// collisions and stale or corrupt records read as misses rather than
+// wrong results. A Put is one append, so a Cache is safe for concurrent
+// use by engine workers and by processes on one host sharing a
+// directory; a Get picks up other processes' records by reading only
+// what the log gained since its last look. Writers on several hosts
+// sharing one directory over a network filesystem are not supported.
+// A directory Cache keeps the log open from its first disk access; the
+// descriptor is released when the Cache is garbage collected.
 //
-// In front of the directory sits a bounded, per-process memory tier
-// holding outcomes a disk read has already verified against the stored
-// fingerprint, so a repeated hit skips the file entirely. Put drops the
+// In front of the log sits a bounded, per-process memory tier holding
+// outcomes a disk read has already verified against the stored
+// fingerprint, so a repeated hit skips the log entirely. Put drops the
 // key from it and any GC eviction clears it. A cache from Memory has
 // no directory and keeps outcomes in that tier alone.
 type Cache struct {
 	dir string
+	log entryLog
 
 	// Salt, when non-empty, is mixed into every entry key so results
 	// from a different simulator build read as misses. Set it before
 	// first use — BinaryFingerprint gives a ready-made value.
 	Salt string
 
-	// Clock supplies the wall-clock readings GC ages entries against,
-	// injectable so a daemon's periodic GC is testable without sleeps or
-	// mtime rewriting. Nil means time.Now.
+	// Clock supplies the wall-clock readings Put stamps records with
+	// and GC ages them against, injectable so a daemon's periodic GC is
+	// testable without sleeps. Nil means time.Now.
 	Clock func() time.Time
 
 	// mu guards the counters and the memory tier.
@@ -64,7 +71,7 @@ type Cache struct {
 // the key).
 const memCap = 4096
 
-// entry is the on-disk record format.
+// entry is the JSON a log record carries after its write time.
 type entry struct {
 	Fingerprint string  `json:"fingerprint"`
 	Outcome     Outcome `json:"outcome"`
@@ -83,7 +90,7 @@ func Open(dir string) (*Cache, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	return &Cache{dir: dir}, nil
+	return &Cache{dir: dir, log: entryLog{path: filepath.Join(dir, logName)}}, nil
 }
 
 // OpenSalted opens the cache at dir salted with the running binary's
@@ -125,19 +132,15 @@ func (c *Cache) key(fingerprint string) string {
 	return c.Salt + "\x00" + fingerprint
 }
 
-func (c *Cache) path(key string) string {
-	sum := sha256.Sum256([]byte(key))
-	return filepath.Join(c.dir, hex.EncodeToString(sum[:])+".json")
-}
-
 // Ref is a precomputed cache reference: the salted key for one
 // fingerprint, reusable across GetRef and PutRef. Compute it after Salt
-// is set; a Ref does not track later Salt changes. The entry path is
-// hashed from the key only when the disk is touched (a memory hit
-// never needs it).
+// is set; a Ref does not track later Salt changes. The key's log index
+// hash is computed only when the disk is touched (a memory hit never
+// needs it).
 type Ref struct {
-	key  string
-	path string
+	key    string
+	sum    [32]byte
+	hashed bool
 }
 
 // Ref precomputes the cache reference for a fingerprint.
@@ -145,20 +148,20 @@ func (c *Cache) Ref(fingerprint string) Ref {
 	return Ref{key: c.key(fingerprint)}
 }
 
-// entryPath returns the reference's entry file, hashing it on first
-// use so the engine's miss path hashes once across get and put.
-func (r *Ref) entryPath(c *Cache) string {
-	if r.path == "" {
-		r.path = c.path(r.key)
+// hash returns the key's log index hash, computing it on first use so
+// the engine's miss path hashes once across get and put.
+func (r *Ref) hash() *[32]byte {
+	if !r.hashed {
+		r.sum = sha256.Sum256([]byte(r.key))
+		r.hashed = true
 	}
-	return r.path
+	return &r.sum
 }
 
-// Get returns the cached outcome for the fingerprint. Unreadable,
-// malformed, or mismatching entries count as misses; a mismatching or
-// malformed file, or a read failure other than a missing file,
-// additionally counts as an error (the former are overwritten by the
-// next Put).
+// Get returns the cached outcome for the fingerprint. A fingerprint
+// with no record is a plain miss; a record that is malformed or stores
+// a different fingerprint, or a log read failure, counts as a miss and
+// an error (the next Put supersedes the bad record).
 func (c *Cache) Get(fingerprint string) (Outcome, bool) {
 	return c.GetRef(c.Ref(fingerprint))
 }
@@ -169,8 +172,8 @@ func (c *Cache) GetRef(r Ref) (Outcome, bool) {
 }
 
 // getRef serves r from the memory tier, else reads and verifies its
-// entry file, promoting a verified outcome into the tier. Every hit
-// returns its own copy of Values.
+// latest log record, promoting a verified outcome into the tier. Every
+// hit returns its own copy of Values.
 func (c *Cache) getRef(r *Ref) (Outcome, bool) {
 	c.mu.Lock()
 	out, ok := c.mem[r.key]
@@ -187,10 +190,10 @@ func (c *Cache) getRef(r *Ref) (Outcome, bool) {
 		return Outcome{}, false
 	}
 
-	data, err := os.ReadFile(r.entryPath(c))
-	if err != nil {
+	data, found, err := c.log.read(r.hash())
+	if err != nil || !found {
 		c.mu.Lock()
-		if !os.IsNotExist(err) {
+		if err != nil {
 			c.errors++
 		}
 		c.misses++
@@ -248,11 +251,11 @@ func (c *Cache) dropMem(key string) {
 	c.mu.Unlock()
 }
 
-// decodeEntry parses an entry file and reports whether it records
+// decodeEntry parses a record's entry JSON and reports whether it records
 // key's outcome. PutRef's encoding is deterministic, so a file whose
 // bytes start with exactly the fingerprint prefix PutRef would write
 // needs only its small outcome tail decoded; anything else takes the
-// full decode, which alone decides mismatches and malformed files.
+// full decode, which alone decides mismatches and malformed records.
 func decodeEntry(data []byte, key string) (Outcome, bool) {
 	if out, ok := decodeTail(data, key); ok {
 		return out, true
@@ -260,7 +263,7 @@ func decodeEntry(data []byte, key string) (Outcome, bool) {
 	return decodeFull(data, key)
 }
 
-// decodeFull unmarshals a whole entry file and compares its stored
+// decodeFull unmarshals a whole entry and compares its stored
 // fingerprint with key.
 func decodeFull(data []byte, key string) (Outcome, bool) {
 	var e entry
@@ -275,7 +278,7 @@ func decodeFull(data []byte, key string) (Outcome, bool) {
 // between it and the closing brace. It reports false whenever it
 // cannot decide on its own. Keys that are not valid UTF-8 never take
 // it: json.Marshal rewrites their invalid bytes to U+FFFD, so the
-// prefix would match a file whose decoded fingerprint differs from key.
+// prefix would match a record whose decoded fingerprint differs from key.
 func decodeTail(data []byte, key string) (Outcome, bool) {
 	if !utf8.ValidString(key) {
 		return Outcome{}, false
@@ -311,8 +314,9 @@ func (c *Cache) Put(fingerprint string, out Outcome) {
 	c.PutRef(c.Ref(fingerprint), out)
 }
 
-// PutRef is Put for an already-computed reference. Without a
-// directory it inserts a copy of out into the memory tier.
+// PutRef is Put for an already-computed reference: one append of a
+// record stamped with the Clock's time. Without a directory it inserts
+// a copy of out into the memory tier.
 func (c *Cache) PutRef(r Ref, out Outcome) {
 	if c.dir == "" {
 		c.mu.Lock()
@@ -323,12 +327,12 @@ func (c *Cache) PutRef(r Ref, out Outcome) {
 	// Drop the key only once the write has landed (or failed), so no
 	// concurrent read can re-promote the outcome it replaces.
 	defer c.dropMem(r.key)
-	data, err := json.Marshal(entry{Fingerprint: r.key, Outcome: out})
+	line, rec, err := encodeRecord(c.now().UnixNano(), entry{Fingerprint: r.key, Outcome: out})
 	if err != nil {
 		c.count(&c.errors)
 		return
 	}
-	if err := c.writeEntry(r.entryPath(c), data); err != nil {
+	if err := c.log.put(r.hash(), line, rec); err != nil {
 		c.count(&c.errors)
 	}
 }

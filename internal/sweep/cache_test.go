@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -88,11 +89,7 @@ func TestCacheGCEvictionClearsMemoryTier(t *testing.T) {
 func TestCacheCountsFixedSequence(t *testing.T) {
 	c := openT(t, "s")
 	a, b, d := Fingerprint("seq-a"), Fingerprint("seq-b"), Fingerprint("seq-d")
-	corrupt := func(fp string) {
-		if err := os.WriteFile(c.path(c.key(fp)), []byte("{not json"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
+	corrupt := func(fp string) { overwriteRecord(t, c, fp, "{not json") }
 	c.Get(a) // miss
 	c.Put(a, Outcome{Dur: 1})
 	c.Get(a) // hit (disk)
@@ -103,7 +100,7 @@ func TestCacheCountsFixedSequence(t *testing.T) {
 	c.Put(a, Outcome{Dur: 3})
 	c.Get(a) // hit (disk)
 	corrupt(b)
-	c.Put(b, Outcome{Dur: 2}) // repairs the file
+	c.Put(b, Outcome{Dur: 2}) // supersedes the bad record
 	c.Get(b)                  // hit (disk)
 	c.Put(d, Outcome{Dur: 4})
 	corrupt(d)
@@ -122,15 +119,17 @@ func TestCacheCountsFixedSequence(t *testing.T) {
 	}
 }
 
-// TestPutRefBytesTakeFastPath pins PutRef's on-disk bytes to the exact
-// prefix decodeTail compares against, so real entries are decoded
-// without re-parsing their fingerprint.
+// TestPutRefBytesTakeFastPath pins PutRef's log record to its write
+// time, a space, the exact prefix decodeTail compares against and a
+// newline, so real records are decoded without re-parsing their
+// fingerprint.
 func TestPutRefBytesTakeFastPath(t *testing.T) {
 	c := openT(t, fmt.Sprintf("%064x", 3))
+	c.Clock = func() time.Time { return gcBase }
 	fp := Fingerprint("gemm", 64, map[string]any{"Name": "a<b>&c", "Sep": "\u2028"})
 	out := Outcome{Dur: 9054850, Values: map[string]float64{"pages": 12}}
 	c.Put(fp, out)
-	data, err := os.ReadFile(c.path(c.key(fp)))
+	data, err := os.ReadFile(filepath.Join(c.Dir(), logName))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,16 +137,17 @@ func TestPutRefBytesTakeFastPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := string(prefix) + `{"dur":9054850,"values":{"pages":12}}}`; string(data) != want {
-		t.Fatalf("entry bytes %q, want %q", data, want)
+	entry := string(prefix) + `{"dur":9054850,"values":{"pages":12}}}`
+	if want := fmt.Sprintf("%d %s\n", gcBase.UnixNano(), entry); string(data) != want {
+		t.Fatalf("log bytes %q, want %q", data, want)
 	}
-	if got, ok := decodeTail(data, c.key(fp)); !ok || !reflect.DeepEqual(got, out) {
+	if got, ok := decodeTail([]byte(entry), c.key(fp)); !ok || !reflect.DeepEqual(got, out) {
 		t.Fatalf("fast path on PutRef output = %+v %v", got, ok)
 	}
 }
 
 // TestCacheReadErrorCountsAsError pins that a broken cache directory
-// shows up in the error counter: a directory sitting at an entry's path
+// shows up in the error counter: a directory sitting at the log's path
 // cannot be read, which is a miss and an error, unlike a plain absent
 // entry.
 func TestCacheReadErrorCountsAsError(t *testing.T) {
@@ -159,7 +159,11 @@ func TestCacheReadErrorCountsAsError(t *testing.T) {
 		t.Fatalf("absent entry: %d misses %d errors, want 1/0", misses, errors)
 	}
 	fp := Fingerprint("dir-in-the-way")
-	if err := os.Mkdir(c.path(c.key(fp)), 0o755); err != nil {
+	path := filepath.Join(c.Dir(), logName)
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(path, 0o755); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := c.Get(fp); ok {
@@ -244,10 +248,11 @@ func TestCacheTierConcurrentGetPutGC(t *testing.T) {
 }
 
 // FuzzCacheEntry differentially checks decodeEntry's prefix fast path
-// against the full decode: for arbitrary entry bytes and keys both must
-// agree on hit or miss and on the outcome. Each input is tried as a
-// whole file and as an outcome spliced behind the key's own prefix,
-// where the fast path actually engages.
+// against the full decode, and the log scan's unquoteASCII against
+// encoding/json: for arbitrary entry bytes and keys each pair must
+// agree. Each input is tried as a whole entry and as an outcome
+// spliced behind the key's own prefix, where the fast path actually
+// engages.
 func FuzzCacheEntry(f *testing.F) {
 	keys := []string{
 		"plain",
@@ -295,6 +300,19 @@ func FuzzCacheEntry(f *testing.F) {
 		check("file", data)
 		if prefix, err := entryPrefix(key); err == nil {
 			check("spliced", append(append(prefix, data...), '}'))
+		}
+		// The log scan's fast key decode must agree with encoding/json
+		// whenever it decides, on arbitrary bytes and on real keys.
+		if got, ok := unquoteASCII(data); ok {
+			var want string
+			if err := json.NewDecoder(bytes.NewReader(append([]byte{'"'}, data...))).Decode(&want); err != nil || got != want {
+				t.Fatalf("unquoteASCII(%q) = %q, encoding/json %q %v", data, got, want, err)
+			}
+		}
+		if enc, err := json.Marshal(key); err == nil {
+			if got, ok := unquoteASCII(enc[1:]); ok && got != key {
+				t.Fatalf("unquoteASCII of key %q's encoding = %q", key, got)
+			}
 		}
 	})
 }

@@ -2,37 +2,41 @@ package sweep
 
 // Cache export/import: the distributed-shard merge path. A shard
 // worker fills a self-contained cache directory; ImportFrom folds one
-// such directory into another, entry by entry, and AddCounters folds
-// its persisted counters — together they turn N shard caches into one
-// canonical cache that warm-hits exactly like a single-process run.
+// such directory's log into another in one append, and AddCounters
+// folds its persisted counters — together they turn N shard caches
+// into one canonical cache that warm-hits exactly like a
+// single-process run.
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
+	"reflect"
 )
 
 // ImportStats summarises one ImportFrom pass.
 type ImportStats struct {
 	// Imported counts entries copied into the destination.
 	Imported int
-	// Duplicates counts entries the destination already held with
-	// byte-identical payloads (skipped).
+	// Duplicates counts entries the destination already held with the
+	// same fingerprint and outcome (skipped).
 	Duplicates int
-	// Corrupt counts unreadable or unparseable source entries
-	// (skipped — Get would treat them as misses anyway).
+	// Corrupt counts source records that do not decode (skipped — Get
+	// would treat them as misses anyway).
 	Corrupt int
 }
 
-// CollisionError reports two caches holding different payloads under
-// one entry key — either a SHA-256 filename collision between distinct
+// CollisionError reports two caches holding different entries under
+// one record hash — either a SHA-256 collision between distinct
 // fingerprints (astronomically unlikely) or, the case worth detecting,
 // equal fingerprints with diverging outcomes: two shard workers that
 // should have produced interchangeable results did not.
 type CollisionError struct {
-	// Name is the colliding entry file name.
+	// Name is the colliding record's hash: the hex SHA-256 of its
+	// stored key.
 	Name string
 	// SrcFingerprint and DstFingerprint are the stored (salted) keys.
 	SrcFingerprint string
@@ -46,61 +50,93 @@ func (e *CollisionError) Error() string {
 	return fmt.Sprintf("sweep: cache entry %s: hash collision between distinct fingerprints", e.Name)
 }
 
-// ImportFrom copies every entry of src into c. Entries already present
-// with identical payloads are skipped; an entry present with a
-// different payload is a *CollisionError and aborts the import (the
-// destination is left valid — every entry fully copied or untouched).
-// Corrupt source entries are skipped and counted; a corrupt
-// destination entry is overwritten by a healthy source one. Counters
-// are not touched — fold them separately with AddCounters.
+// ImportFrom copies the latest record of every key in src's log into
+// c. A key c already holds with the same fingerprint and outcome is a
+// duplicate and skipped; one held with a different entry is a
+// *CollisionError and aborts the import before anything is written.
+// Source records that do not decode are skipped and counted; a corrupt
+// destination record is superseded by the healthy source one. The
+// imported records, with their original write times, land in one
+// append. Counters are not touched — fold them separately with
+// AddCounters.
 func (c *Cache) ImportFrom(src *Cache) (ImportStats, error) {
 	var st ImportStats
 	if c.dir == "" || src.dir == "" {
 		return st, errNoDir
 	}
-	des, err := os.ReadDir(src.dir)
+	type srcRecord struct {
+		keyed
+		line []byte
+		e    entry
+	}
+	var recs []srcRecord
+	latest := map[[32]byte]int{} // key hash -> index in recs
+	f, err := os.Open(src.log.path)
+	if os.IsNotExist(err) {
+		return st, nil
+	}
 	if err != nil {
 		return st, err
 	}
-	for _, de := range des {
-		name := de.Name()
-		if !isEntryName(name) {
-			continue
-		}
-		data, err := os.ReadFile(filepath.Join(src.dir, name))
-		if err != nil {
-			st.Corrupt++
-			continue
-		}
-		var se entry
-		if err := json.Unmarshal(data, &se); err != nil {
-			st.Corrupt++
-			continue
-		}
-		dstPath := filepath.Join(c.dir, name)
-		if old, err := os.ReadFile(dstPath); err == nil {
-			if bytes.Equal(old, data) {
-				st.Duplicates++
-				continue
+	info, err := f.Stat()
+	if err == nil {
+		_, err = eachLine(f, 0, info.Size(), func(_ int64, line []byte) {
+			if len(line) == 1 {
+				return // the empty line an append after a torn record leaves
 			}
-			var oe entry
-			if err := json.Unmarshal(old, &oe); err == nil {
-				return st, &CollisionError{Name: name, SrcFingerprint: se.Fingerprint, DstFingerprint: oe.Fingerprint}
+			r := srcRecord{line: bytes.Clone(line)}
+			var ok bool
+			if r.rec, _, ok = parseRecord(r.line); !ok || json.Unmarshal(r.line[r.rec.head:len(r.line)-1], &r.e) != nil {
+				st.Corrupt++
+				return
 			}
-			// Destination entry is corrupt: the healthy source copy wins.
-		}
-		if err := c.writeEntry(dstPath, data); err != nil {
-			return st, fmt.Errorf("sweep: importing %s: %v", name, err)
-		}
-		st.Imported++
+			r.sum = sha256.Sum256([]byte(r.e.Fingerprint))
+			if i, seen := latest[r.sum]; seen {
+				recs[i] = r
+				return
+			}
+			latest[r.sum] = len(recs)
+			recs = append(recs, r)
+		})
 	}
-	return st, nil
-}
+	f.Close()
+	if err != nil {
+		return st, err
+	}
 
-// writeEntry stages data and renames it onto the entry file at path,
-// the same atomicity Put guarantees.
-func (c *Cache) writeEntry(path string, data []byte) error {
-	return WriteFileAtomic(c.dir, "put-*.tmp", filepath.Base(path), data)
+	l := &c.log
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if err := l.refreshLocked(); err != nil {
+		return st, err
+	}
+	var lines []byte
+	var add []keyed
+	for _, r := range recs {
+		if old, ok := l.idx[r.sum]; ok {
+			var oe entry
+			if data, err := l.readLocked(old); err == nil && json.Unmarshal(data, &oe) == nil {
+				if oe.Fingerprint == r.e.Fingerprint && reflect.DeepEqual(oe.Outcome, r.e.Outcome) {
+					st.Duplicates++
+					continue
+				}
+				return st, &CollisionError{Name: hex.EncodeToString(r.sum[:]), SrcFingerprint: r.e.Fingerprint, DstFingerprint: oe.Fingerprint}
+			}
+			// The destination record is corrupt: the healthy source copy wins.
+		}
+		r.rec.off = int64(len(lines))
+		add = append(add, r.keyed)
+		lines = append(lines, r.line...)
+	}
+	if len(add) == 0 {
+		return st, nil
+	}
+	if err := l.appendLocked(lines, add); err != nil {
+		return st, fmt.Errorf("sweep: importing %d entries: %v", len(add), err)
+	}
+	st.Imported = len(add)
+	c.dropMem("")
+	return st, nil
 }
 
 // AddCounters folds the given deltas into the persisted totals — the

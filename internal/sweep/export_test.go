@@ -1,9 +1,9 @@
 package sweep
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"accesys/internal/sim"
@@ -62,6 +62,7 @@ func TestImportFromDetectsDivergentPayloads(t *testing.T) {
 	// broken somewhere. The import must refuse, not pick a winner.
 	src := openT(t, "s")
 	dst := openT(t, "s")
+	src.Put("before", Outcome{Dur: 3})
 	src.Put("fp", Outcome{Dur: 1})
 	dst.Put("fp", Outcome{Dur: 2})
 
@@ -73,9 +74,15 @@ func TestImportFromDetectsDivergentPayloads(t *testing.T) {
 	if ce.SrcFingerprint != ce.DstFingerprint {
 		t.Fatalf("collision between distinct fingerprints reported: %+v", ce)
 	}
-	// The destination entry must be untouched.
+	if sum := sha256.Sum256([]byte(dst.key("fp"))); ce.Name != hex.EncodeToString(sum[:]) {
+		t.Fatalf("collision name %q, want the record hash", ce.Name)
+	}
+	// The destination must be untouched: nothing was appended.
 	if out, ok := dst.Get("fp"); !ok || out.Dur != 2 {
 		t.Fatalf("destination entry clobbered: %v, %v", out, ok)
+	}
+	if _, ok := dst.Get("before"); ok {
+		t.Fatal("an aborted import appended records")
 	}
 }
 
@@ -83,18 +90,15 @@ func TestImportFromSkipsCorruptSourceEntries(t *testing.T) {
 	src := openT(t, "s")
 	dst := openT(t, "s")
 	src.Put("good", Outcome{Dur: 1})
-	// A well-named but unparseable entry.
-	bad := filepath.Join(src.Dir(), "0123456789abcdef0123456789abcdef0123456789abcdef0123456789abcdef.json")
-	if err := os.WriteFile(bad, []byte("{not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
+	// A record that does not decode, between two that do.
+	appendLog(t, src, "1 {not json\n")
+	src.Put("also-good", Outcome{Dur: 2})
 	st, err := dst.ImportFrom(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Imported != 1 || st.Corrupt != 1 {
-		t.Fatalf("stats = %+v, want 1 imported + 1 corrupt", st)
+	if st.Imported != 2 || st.Corrupt != 1 {
+		t.Fatalf("stats = %+v, want 2 imported + 1 corrupt", st)
 	}
 }
 
@@ -102,23 +106,8 @@ func TestImportFromOverwritesCorruptDestinationEntry(t *testing.T) {
 	src := openT(t, "s")
 	dst := openT(t, "s")
 	src.Put("fp", Outcome{Dur: 5})
-	// Find the entry's file name and corrupt the destination copy.
-	des, err := os.ReadDir(src.Dir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var name string
-	for _, de := range des {
-		if isEntryName(de.Name()) {
-			name = de.Name()
-		}
-	}
-	if name == "" {
-		t.Fatal("no entry written")
-	}
-	if err := os.WriteFile(filepath.Join(dst.Dir(), name), []byte("{broken"), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	dst.Put("fp", Outcome{Dur: 5})
+	overwriteRecord(t, dst, "fp", "{broken")
 
 	st, err := dst.ImportFrom(src)
 	if err != nil {

@@ -1,10 +1,10 @@
 package sweep
 
-// Cache lifecycle: eviction, on-disk usage accounting, and persisted
+// Cache lifecycle: compaction, on-disk usage accounting, and persisted
 // hit/miss/error counters. Entries never expire on their own — a
-// long-lived cache directory only grows — so GC bounds it by age and
-// entry count, and Usage/Counters back the `accesys cachestats`
-// inspection command.
+// long-lived cache's log only grows — so GC bounds it by age and entry
+// count, and Usage/Counters back the `accesys cachestats` inspection
+// command.
 
 import (
 	"encoding/hex"
@@ -16,10 +16,9 @@ import (
 	"time"
 )
 
-// isEntryName reports whether a directory entry is a cache record:
-// the hex SHA-256 of its key plus ".json" (see Cache.path). Anything
-// else in the directory (counters file, staging temps) is not an
-// entry.
+// isEntryName reports whether a directory entry is a pre-log entry
+// file: the hex SHA-256 of its key plus ".json". Such files are misses
+// already, salted by the binary that wrote them; GC removes them.
 func isEntryName(name string) bool {
 	const hexLen = 64
 	if !strings.HasSuffix(name, ".json") || len(name) != hexLen+len(".json") {
@@ -29,28 +28,20 @@ func isEntryName(name string) bool {
 	return err == nil
 }
 
-// Usage reports the cache's on-disk footprint: entry count and total
-// entry bytes.
+// Usage reports the cache's on-disk footprint: the number of keys the
+// log holds a record for, and the log's size in bytes (superseded
+// records included until GC compacts them).
 func (c *Cache) Usage() (entries int, bytes int64, err error) {
 	if c.dir == "" {
 		return 0, 0, errNoDir
 	}
-	des, err := os.ReadDir(c.dir)
-	if err != nil {
+	l := &c.log
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if err := l.refreshLocked(); err != nil {
 		return 0, 0, err
 	}
-	for _, de := range des {
-		if !isEntryName(de.Name()) {
-			continue
-		}
-		info, err := de.Info()
-		if err != nil {
-			continue // racing eviction; skip
-		}
-		entries++
-		bytes += info.Size()
-	}
-	return entries, bytes, nil
+	return len(l.idx), l.size, nil
 }
 
 // GCResult summarizes one eviction pass.
@@ -64,77 +55,140 @@ type GCResult struct {
 	Temps int
 }
 
-// gcTempAge is how old an abandoned put-*.tmp staging file must be
-// before GC removes it; younger temps may belong to a live writer.
+// gcTempAge is how old an abandoned *.tmp staging file must be before
+// GC removes it; younger temps may belong to a live writer.
 const gcTempAge = time.Hour
 
-// GC evicts entries written more than maxAge ago (0 = no age bound),
-// then the oldest-written entries beyond maxEntries (0 = no count
-// bound), and removes abandoned staging temps. Age is the entry file's
-// mtime, set by the Put that wrote it — hits never refresh it — and is
-// measured against the cache's Clock. Eviction is safe against
-// concurrent readers and writers: a removed entry simply reads as a
-// miss and is re-simulated. Any eviction clears this Cache's memory
-// tier; other processes' tiers keep serving outcomes they already
-// verified.
+// gcLockName is the lock file GC holds while it compacts the log.
+const gcLockName = logName + ".lock"
+
+// GC compacts the log. It keeps the latest record per key, evicts
+// entries written more than maxAge ago (0 = no age bound), then the
+// oldest-written entries beyond maxEntries (0 = no count bound), and
+// renames the survivors, staged in a temp file, over the log. Age is
+// the write time the Put recorded — hits never refresh it — measured
+// against the cache's Clock. GC also removes abandoned staging temps
+// and pre-log entry files.
+//
+// GCs serialise on a lock file; appenders never take it. Readers and
+// writers in other processes switch to the compacted log on their next
+// access; an append from another process that lands during the
+// compaction may be lost, and like an evicted entry reads as a miss
+// and is re-simulated. Any eviction clears this Cache's memory tier;
+// other processes' tiers keep serving outcomes they already verified.
 func (c *Cache) GC(maxAge time.Duration, maxEntries int) (GCResult, error) {
 	var res GCResult
 	if c.dir == "" {
 		return res, errNoDir
 	}
-	des, err := os.ReadDir(c.dir)
+	unlock, err := lockFile(filepath.Join(c.dir, gcLockName))
 	if err != nil {
 		return res, err
 	}
+	defer unlock()
 	now := c.now()
+	res.Temps = c.removeStale(now)
 
-	type entryInfo struct {
-		path string
-		mod  time.Time
-		size int64
+	l := &c.log
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if err := l.refreshLocked(); err != nil {
+		return res, err
 	}
-	var live []entryInfo
-	evict := func(e entryInfo) {
-		if os.Remove(e.path) == nil {
-			res.Evicted++
-			res.EvictedBytes += e.size
-		}
+	live := make([]keyed, 0, len(l.idx))
+	for sum, rec := range l.idx {
+		live = append(live, keyed{sum, rec})
 	}
-	for _, de := range des {
-		name := de.Name()
-		path := filepath.Join(c.dir, name)
-		info, err := de.Info()
-		if err != nil {
-			continue
+	res.Scanned = len(live)
+	// Newest first; of two records written at the same time, the later
+	// in the log counts as newer.
+	sort.Slice(live, func(i, j int) bool {
+		if live[i].rec.at != live[j].rec.at {
+			return live[i].rec.at > live[j].rec.at
 		}
-		if strings.HasSuffix(name, ".tmp") {
-			if now.Sub(info.ModTime()) > gcTempAge && os.Remove(path) == nil {
-				res.Temps++
+		return live[i].rec.off > live[j].rec.off
+	})
+	keep := len(live)
+	if maxEntries > 0 {
+		keep = min(keep, maxEntries)
+	}
+	if maxAge > 0 {
+		for i, k := range live[:keep] {
+			if now.Sub(time.Unix(0, k.rec.at)) > maxAge {
+				keep = i
+				break
 			}
-			continue
 		}
-		if !isEntryName(name) {
-			continue
-		}
-		res.Scanned++
-		e := entryInfo{path: path, mod: info.ModTime(), size: info.Size()}
-		if maxAge > 0 && now.Sub(e.mod) > maxAge {
-			evict(e)
-			continue
-		}
-		live = append(live, e)
 	}
-
-	if maxEntries > 0 && len(live) > maxEntries {
-		sort.Slice(live, func(i, j int) bool { return live[i].mod.Before(live[j].mod) })
-		for _, e := range live[:len(live)-maxEntries] {
-			evict(e)
-		}
+	var kept int64
+	for _, k := range live[:keep] {
+		kept += int64(k.rec.n)
+	}
+	for _, k := range live[keep:] {
+		res.Evicted++
+		res.EvictedBytes += int64(k.rec.n)
+	}
+	if kept == l.size {
+		return res, nil // no eviction, superseded record or stray byte to drop
+	}
+	if err := l.compactLocked(c.dir, live[:keep], kept); err != nil {
+		return GCResult{Scanned: res.Scanned, Temps: res.Temps}, err
 	}
 	if res.Evicted > 0 {
 		c.dropMem("")
 	}
 	return res, nil
+}
+
+// compactLocked writes the survivors, in log order, over the log
+// (staged and renamed) and switches the handle and index to it.
+func (l *entryLog) compactLocked(dir string, survivors []keyed, size int64) error {
+	sort.Slice(survivors, func(i, j int) bool { return survivors[i].rec.off < survivors[j].rec.off })
+	data := make([]byte, 0, size)
+	idx := make(map[[32]byte]record, len(survivors))
+	for _, k := range survivors {
+		off := len(data)
+		data = data[:off+k.rec.n]
+		if _, err := l.f.ReadAt(data[off:], k.rec.off); err != nil {
+			return err
+		}
+		k.rec.off = int64(off)
+		idx[k.sum] = k.rec
+	}
+	if err := WriteFileAtomic(dir, "entries-*.tmp", logName, data); err != nil {
+		return err
+	}
+	l.closeLocked()
+	f, err := os.OpenFile(l.path, os.O_RDWR|os.O_APPEND, 0)
+	if err != nil {
+		return err
+	}
+	// Appends that landed since the rename are scanned by the next
+	// refresh, from size.
+	l.f, l.end, l.size, l.idx = f, size, size, idx
+	return nil
+}
+
+// removeStale removes staging temps older than gcTempAge and every
+// pre-log entry file, and returns how many temps it removed.
+func (c *Cache) removeStale(now time.Time) (temps int) {
+	des, err := os.ReadDir(c.dir)
+	if err != nil {
+		return 0
+	}
+	for _, de := range des {
+		name := de.Name()
+		path := filepath.Join(c.dir, name)
+		switch {
+		case strings.HasSuffix(name, ".tmp"):
+			if info, err := de.Info(); err == nil && now.Sub(info.ModTime()) > gcTempAge && os.Remove(path) == nil {
+				temps++
+			}
+		case isEntryName(name):
+			os.Remove(path)
+		}
+	}
+	return temps
 }
 
 // Counters are cumulative hit/miss/error counts across processes
@@ -145,8 +199,7 @@ type Counters struct {
 	Errors int `json:"errors"`
 }
 
-// countersName holds the persisted counters inside the cache dir; its
-// name deliberately fails isEntryName so GC and Usage ignore it.
+// countersName holds the persisted counters inside the cache dir.
 const countersName = "counters.json"
 
 // Counters reads the persisted cumulative counters (zero if never

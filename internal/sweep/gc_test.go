@@ -25,7 +25,9 @@ func TestUsageCountsOnlyEntries(t *testing.T) {
 		t.Fatal(err)
 	}
 	fillCache(t, c, 3)
-	// Non-entry files in the directory must not count.
+	// A superseding Put and non-log files in the directory must not
+	// count.
+	c.Put(Fingerprint("gc", 0), Outcome{Dur: 2})
 	if err := os.WriteFile(filepath.Join(c.Dir(), countersName), []byte("{}"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -44,20 +46,23 @@ func TestUsageCountsOnlyEntries(t *testing.T) {
 	}
 }
 
+// fillAt puts entries gc/from..gc/to-1 with the cache Clock reading at.
+func fillAt(c *Cache, from, to int, at time.Time) {
+	c.Clock = func() time.Time { return at }
+	for i := from; i < to; i++ {
+		c.Put(Fingerprint("gc", i), Outcome{Dur: 1})
+	}
+}
+
 func TestGCByCountEvictsOldest(t *testing.T) {
 	c, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	fillCache(t, c, 5)
-	// Backdate the first two entries so mtime ordering is unambiguous.
-	old := time.Now().Add(-time.Hour)
-	for i := 0; i < 2; i++ {
-		path := c.path(c.key(Fingerprint("gc", i)))
-		if err := os.Chtimes(path, old, old); err != nil {
-			t.Fatal(err)
-		}
-	}
+	// The first two entries are written an hour earlier, so write-time
+	// ordering is unambiguous.
+	fillAt(c, 0, 2, gcBase)
+	fillAt(c, 2, 5, gcBase.Add(time.Hour))
 
 	res, err := c.GC(0, 3)
 	if err != nil {
@@ -66,7 +71,7 @@ func TestGCByCountEvictsOldest(t *testing.T) {
 	if res.Scanned != 5 || res.Evicted != 2 || res.EvictedBytes == 0 {
 		t.Fatalf("gc result = %+v, want scanned 5, evicted 2", res)
 	}
-	// The backdated entries are gone; the newest three survive.
+	// The older entries are gone; the newest three survive.
 	for i := 0; i < 2; i++ {
 		if _, ok := c.Get(Fingerprint("gc", i)); ok {
 			t.Fatalf("entry %d should be evicted", i)
@@ -79,9 +84,9 @@ func TestGCByCountEvictsOldest(t *testing.T) {
 	}
 }
 
-// gcBase is the fixed epoch the fake-clock GC tests pin entry mtimes
-// and the cache Clock against, so ages are exact and independent of
-// when the test runs.
+// gcBase is the fixed epoch the fake-clock tests write entries and age
+// them against, so ages are exact and independent of when the test
+// runs.
 var gcBase = time.Unix(1_700_000_000, 0)
 
 func TestGCByAge(t *testing.T) {
@@ -89,19 +94,10 @@ func TestGCByAge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fillCache(t, c, 3)
-	// Pin every entry's mtime and read "now" off the fake clock: entry
-	// 0 is 49h old, the others 13h — only 0 crosses the 24h bound.
-	for i := 0; i < 3; i++ {
-		mod := gcBase.Add(36 * time.Hour)
-		if i == 0 {
-			mod = gcBase
-		}
-		path := c.path(c.key(Fingerprint("gc", i)))
-		if err := os.Chtimes(path, mod, mod); err != nil {
-			t.Fatal(err)
-		}
-	}
+	// Entry 0 is 49h old at GC time, the others 13h — only 0 crosses
+	// the 24h bound.
+	fillAt(c, 0, 1, gcBase)
+	fillAt(c, 1, 3, gcBase.Add(36*time.Hour))
 	c.Clock = func() time.Time { return gcBase.Add(49 * time.Hour) }
 	res, err := c.GC(24*time.Hour, 0)
 	if err != nil {
@@ -115,6 +111,14 @@ func TestGCByAge(t *testing.T) {
 	}
 	if _, ok := c.Get(Fingerprint("gc", 0)); ok {
 		t.Fatal("49h-old entry should be evicted")
+	}
+	// A second handle reading the compacted log agrees.
+	again, err := Open(c.Dir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if entries, _, _ := again.Usage(); entries != 2 {
+		t.Fatalf("reopened entries = %d, want 2", entries)
 	}
 }
 
@@ -153,7 +157,7 @@ func TestGCRemovesStaleTemps(t *testing.T) {
 // the same cache — the serve daemon's steady state. A nanosecond max
 // age makes every landed entry instantly stale, so eviction races
 // every Get window (the real clock stays: skewing it forward would
-// also age in-flight put temps past gcTempAge, a reap no live
+// also age in-flight staging temps past gcTempAge, a reap no live
 // deployment sees). Evicted entries must read as misses and
 // re-simulate; nothing may surface as an error or a wrong outcome.
 func TestGCRacesWarmSweep(t *testing.T) {

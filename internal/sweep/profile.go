@@ -32,8 +32,8 @@ func Digest(fingerprint string) string {
 }
 
 // ProfileName holds the persisted profile inside a cache directory;
-// its name deliberately fails the cache's entry-name check, so GC,
-// Usage, and import all ignore it.
+// its name fails the cache's pre-log entry-name check, so GC leaves it
+// in place.
 const ProfileName = "profile.json"
 
 // profileFile is the on-disk format: fingerprint digest -> EWMA wall
@@ -194,8 +194,8 @@ func (p *Profile) meanLocked() time.Duration {
 }
 
 // lockName guards Flush's read-overlay-rename cycle inside a cache
-// directory. Like ProfileName it fails the cache's entry-name check,
-// so GC and import ignore it.
+// directory. Like ProfileName it fails the cache's pre-log entry-name
+// check, so GC leaves it in place.
 const lockName = ProfileName + ".lock"
 
 // Flush persists the profile: under an exclusive lock on the
@@ -244,5 +244,19 @@ func (p *Profile) Flush() error {
 	if err != nil {
 		return err
 	}
-	return WriteFileAtomic(p.dir, "profile-*.tmp", ProfileName, append(enc, '\n'))
+	if err := WriteFileAtomic(p.dir, "profile-*.tmp", ProfileName, append(enc, '\n')); err != nil {
+		return err
+	}
+	// The flushed estimates are persisted: stop re-writing them, so a
+	// later flush neither costs O(every digest ever observed) nor
+	// overwrites newer estimates other processes flushed for them. A
+	// digest observed again since the copy keeps its mark.
+	p.mu.Lock()
+	for d, ns := range updated {
+		if p.walls[d] == ns {
+			delete(p.updated, d)
+		}
+	}
+	p.mu.Unlock()
+	return nil
 }

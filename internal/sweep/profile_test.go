@@ -86,6 +86,35 @@ func TestProfileFlushOverlaysDoesNotClobber(t *testing.T) {
 	}
 }
 
+// TestProfileFlushForgetsFlushedDigests pins that a flush persists
+// each observation once: a long-lived profile that flushed digest d
+// must not re-write d on its later flushes, which would overwrite the
+// newer estimate another process flushed for d in between.
+func TestProfileFlushForgetsFlushedDigests(t *testing.T) {
+	dir := t.TempDir()
+	a, _ := LoadProfile(dir)
+	a.Observe("d", time.Second)
+	if err := a.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	b, _ := LoadProfile(dir)
+	b.Observe("d", 3*time.Second) // EWMA: 2s
+	if err := b.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	a.Observe("e", time.Second)
+	if err := a.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	got, _ := LoadProfile(dir)
+	if w, ok := got.Wall("d"); !ok || w != 2*time.Second {
+		t.Fatalf("d = %v, %v; want b's flushed 2s, not a's stale 1s", w, ok)
+	}
+	if w, ok := got.Wall("e"); !ok || w != time.Second {
+		t.Fatalf("e = %v, %v; want 1s", w, ok)
+	}
+}
+
 // TestProfileFlushConcurrentDisjointWriters pins the Flush
 // serialization fix: two flushers racing read-overlay-rename cycles on
 // one directory, each persisting a digest the other never observes.

@@ -3,8 +3,6 @@ package sweep
 import (
 	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -268,13 +266,7 @@ func TestCacheCorruptEntryReadsAsMiss(t *testing.T) {
 	fp := Fingerprint("corrupt-me")
 	cache.Put(fp, Outcome{Dur: 42})
 
-	entries, err := filepath.Glob(filepath.Join(dir, "*.json"))
-	if err != nil || len(entries) != 1 {
-		t.Fatalf("expected one cache entry, got %v (%v)", entries, err)
-	}
-	if err := os.WriteFile(entries[0], []byte("{not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	overwriteRecord(t, cache, fp, "{not json")
 	if _, ok := cache.Get(fp); ok {
 		t.Fatal("corrupt entry must read as a miss")
 	}
@@ -282,12 +274,9 @@ func TestCacheCorruptEntryReadsAsMiss(t *testing.T) {
 		t.Fatal("corruption should be counted as an error")
 	}
 
-	// A fingerprint-mismatching file (hash collision, stale rename) is
-	// equally a miss, and Put repairs it.
-	if err := os.WriteFile(entries[0],
-		[]byte(`{"fingerprint":"someone else","outcome":{"dur":7}}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	// A fingerprint-mismatching record (hash collision, stray write) is
+	// equally a miss, and Put supersedes it.
+	overwriteRecord(t, cache, fp, `{"fingerprint":"someone else","outcome":{"dur":7}}`)
 	if _, ok := cache.Get(fp); ok {
 		t.Fatal("mismatching fingerprint must read as a miss")
 	}
