@@ -1,7 +1,8 @@
 # AcceSys build and CI entry points.
 #
 #   make ci       - what CI runs: lint, vet, race, examples, e2e, fuzz,
-#                   golden, equiv, bench, benchcheck, cover
+#                   golden, equiv, benchsmoke, benchcheck, cover; it
+#                   writes no committed file
 #   make lint     - gofmt gate (fails listing unformatted files)
 #   make test     - fast test pass
 #   make race     - full test pass under the race detector (exercises
@@ -20,6 +21,8 @@
 #   make bench    - one pass over the benchmark harness (short mode);
 #                   refreshes the BENCH_*.json perf trajectories in
 #                   place (ratcheted: committed values only improve)
+#   make benchsmoke - the same pass into a throwaway BENCH_DIR: every
+#                   root benchmark still runs, no baseline is touched
 #   make benchcheck - perf regression gate: fresh trajectory run into a
 #                   scratch dir, compared against the committed
 #                   BENCH_*.json baselines with a BENCH_TOL band
@@ -29,7 +32,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test race examples e2e fuzz golden cover equiv ci bench benchcheck figures clean
+.PHONY: all build vet lint test race examples e2e fuzz golden cover equiv ci bench benchsmoke benchcheck figures clean
 
 # Minimum total statement coverage (percent) make cover enforces.
 COVER_FLOOR ?= 75
@@ -108,10 +111,15 @@ cover:
 equiv:
 	$(GO) run ./cmd/accesys equiv fig2 fig3 fig4 fig5 fig6 tab4 fig7 fig8 fig9
 
-ci: lint vet race examples e2e fuzz golden equiv bench benchcheck cover
+ci: lint vet race examples e2e fuzz golden equiv benchsmoke benchcheck cover
 
 bench:
 	$(GO) test -short -bench=. -benchtime=1x -run '^$$' .
+
+benchsmoke:
+	@dir=$$(mktemp -d) && \
+	BENCH_DIR=$$dir $(GO) test -short -bench=. -benchtime=1x -run '^$$' . ; \
+	status=$$?; rm -rf $$dir; exit $$status
 
 # Fresh trajectory run (3 samples, ratcheted to best) into a scratch
 # directory, then compare against the committed baselines.

@@ -1,14 +1,16 @@
-// Package accesys_bench hosts the benchmark harness: one testing.B
-// benchmark per table and figure of the paper's evaluation, each
-// regenerating the artifact's rows at interactive scale (run the
-// accesys command with -full for paper-scale matrices), plus ablation
-// benchmarks for the design choices called out in DESIGN.md.
+// Package accesys_bench hosts the benchmark harness: the recorded
+// throughput trajectories (BENCH_*.json, written by `make bench` and
+// compared by `make benchcheck`), benchmarks of single layers (system
+// build, one fig4 point, scenario expansion, the analytic backend, a
+// ViT layer), and ablations of modelled design choices (local buffer,
+// access method, SMMU, host DRAM, cut-through forwarding). The paper's
+// figures are not benchmarked here: the golden suite (`make golden`)
+// re-runs every figure's matrix and checks its rows.
 package accesys_bench
 
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -20,7 +22,6 @@ import (
 	"accesys/internal/core"
 	"accesys/internal/dram"
 	"accesys/internal/driver"
-	"accesys/internal/exp"
 	"accesys/internal/explore"
 	"accesys/internal/pcie"
 	"accesys/internal/scenario"
@@ -55,32 +56,6 @@ func recordBest(b *testing.B, name string, recs []bench.Record) {
 		b.Logf("bench trajectory not recorded: %v", err)
 	}
 }
-
-// run executes one experiment per benchmark iteration and reports the
-// emitted rows so regressions in coverage are visible.
-func run(b *testing.B, f func(exp.Options) *exp.Result) {
-	b.Helper()
-	opt := exp.Options{}
-	var rows int
-	for i := 0; i < b.N; i++ {
-		res := f(opt)
-		rows = len(res.Rows)
-		if testing.Verbose() {
-			res.Fprint(io.Discard)
-		}
-	}
-	b.ReportMetric(float64(rows), "rows")
-}
-
-func BenchmarkFig2Roofline(b *testing.B)       { run(b, exp.Fig2Roofline) }
-func BenchmarkFig3BandwidthSweep(b *testing.B) { run(b, exp.Fig3BandwidthSweep) }
-func BenchmarkFig4PacketSize(b *testing.B)     { run(b, exp.Fig4PacketSize) }
-func BenchmarkFig5MemoryLocation(b *testing.B) { run(b, exp.Fig5MemoryLocation) }
-func BenchmarkFig6MemSweep(b *testing.B)       { run(b, exp.Fig6MemSweep) }
-func BenchmarkTab4Translation(b *testing.B)    { run(b, exp.Tab4Translation) }
-func BenchmarkFig7Transformer(b *testing.B)    { run(b, exp.Fig7Transformer) }
-func BenchmarkFig8Split(b *testing.B)          { run(b, exp.Fig8Split) }
-func BenchmarkFig9Model(b *testing.B)          { run(b, exp.Fig9Model) }
 
 // timeGEMM is the shared single-run kernel for the ablations below.
 func timeGEMM(b *testing.B, cfg core.Config, n int) sim.Tick {

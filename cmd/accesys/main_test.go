@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -95,6 +96,37 @@ func TestSweepBadManifestFails(t *testing.T) {
 	}
 	if !strings.Contains(errOut, "unknown axis") {
 		t.Fatalf("stderr missing validation error:\n%s", errOut)
+	}
+}
+
+// TestSweepRejectsUntileableSizes pins that a GEMM size the
+// accelerator cannot tile fails validation before any point runs, with
+// an error naming the field. The sweep runs in a re-executed process
+// (TestMain's ACCESYS_WORKER_MODE=run): a panicking worker also exits
+// 2, so only its stderr tells the two apart.
+func TestSweepRejectsUntileableSizes(t *testing.T) {
+	for _, tc := range []struct{ field, manifest string }{
+		{"workload n", `{"name": "n100", "base": "pcie8gb", "workload": {"kind": "gemm", "n": 100}, "axes": [{"axis": "packet_bytes", "values": [256, 512]}]}`},
+		{`axis "size"`, `{"name": "size100", "base": "pcie8gb", "workload": {"kind": "gemm", "n": 64}, "axes": [{"axis": "size", "values": [64, 100]}]}`},
+	} {
+		cmd := exec.Command(os.Args[0], "sweep", "-nocache", "-jobs", "2", writeManifest(t, tc.manifest))
+		cmd.Env = append(os.Environ(), "ACCESYS_WORKER_MODE=run")
+		var stdout, stderr bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		err := cmd.Run()
+		if err == nil {
+			t.Fatalf("%s: sweep succeeded", tc.field)
+		}
+		errOut := stderr.String()
+		if !strings.Contains(errOut, tc.field+": dimension 100 must be a positive multiple of 16") {
+			t.Errorf("%s: stderr does not name the field:\n%s", tc.field, errOut)
+		}
+		if strings.Contains(errOut, "panic") || strings.Contains(errOut, "goroutine") {
+			t.Errorf("%s: sweep panicked:\n%s", tc.field, errOut)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%s: rows written before validation failed:\n%s", tc.field, stdout.String())
+		}
 	}
 }
 

@@ -27,10 +27,20 @@ func PadDim(x int) int { return (x + Dim - 1) / Dim * Dim }
 // Table IV implies (3 matrices x N^2 x 4 B).
 const ElemBytes = 4
 
+// CheckDim is the array's tiling rule for a matrix dimension: it must
+// be a positive multiple of Dim. The driver enforces it on every job
+// and the scenario layer on every declared GEMM size.
+func CheckDim(d int) error {
+	if d <= 0 || d%Dim != 0 {
+		return fmt.Errorf("dimension %d must be a positive multiple of %d", d, Dim)
+	}
+	return nil
+}
+
 func checkDims(dims ...int) {
 	for _, d := range dims {
-		if d <= 0 || d%Dim != 0 {
-			panic(fmt.Sprintf("accel: dimension %d must be a positive multiple of %d", d, Dim))
+		if err := CheckDim(d); err != nil {
+			panic("accel: " + err.Error())
 		}
 	}
 }

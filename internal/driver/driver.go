@@ -221,9 +221,10 @@ func (d *Driver) RunGEMM(spec GEMMSpec, onDone func(Result)) {
 	if d.jobActive {
 		panic(fmt.Sprintf("driver %s: RunGEMM while a job is active", d.name))
 	}
-	if spec.M%accel.Dim != 0 || spec.N%accel.Dim != 0 || spec.K%accel.Dim != 0 {
-		panic(fmt.Sprintf("driver %s: dimensions %dx%dx%d must be multiples of %d",
-			d.name, spec.M, spec.N, spec.K, accel.Dim))
+	for _, dim := range [...]int{spec.M, spec.N, spec.K} {
+		if err := accel.CheckDim(dim); err != nil {
+			panic(fmt.Sprintf("driver %s: %v", d.name, err))
+		}
 	}
 	d.jobActive = true
 	d.spec = spec

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 
+	"accesys/internal/accel"
 	"accesys/internal/core"
 	"accesys/internal/dram"
 	"accesys/internal/pcie"
@@ -34,23 +35,175 @@ const (
 	maxPhase    = phasePlaced
 )
 
-// axisDef is one entry of the axis registry: how to validate a value,
-// apply it to a run, and format it as a key fragment (label) or table
-// header.
+// setting is one decoded axis value: its effect on a run, its key
+// fragment (label) and its table header. Settings are shared by every
+// run of a space, so apply must not hand out state a run could mutate
+// under another.
+type setting struct {
+	apply  func(r *Run)
+	label  string
+	header string
+}
+
+// labelled is a setting whose header is its label.
+func labelled(label string, apply func(r *Run)) setting {
+	return setting{apply: apply, label: label, header: label}
+}
+
+// axisDef is one entry of the axis registry: the phase its values apply
+// in and the one decoder every consumer reads a value through.
 type axisDef struct {
-	name   string
-	phase  int
-	doc    string
-	check  func(v Value) error
-	apply  func(r *Run, v Value) error
-	label  func(v Value) string
-	header func(v Value) string
+	phase int
+	parse func(v Value) (setting, error)
 }
 
 // axisRegistry maps axis names to their definitions. To add a new
 // swept dimension, add an entry here — manifests and built-in
 // scenarios pick it up by name.
-var axisRegistry = map[string]*axisDef{}
+var axisRegistry = map[string]axisDef{
+	// Replace the whole base system with a named preset.
+	"preset": {phasePreset, func(v Value) (setting, error) {
+		s, err := str(v)
+		if err != nil {
+			return setting{}, err
+		}
+		preset, ok := presets[s]
+		if !ok {
+			return setting{}, fmt.Errorf("unknown preset %q (want one of %s)", s, presetNames())
+		}
+		return setting{apply: func(r *Run) { r.Cfg = preset() }, label: s, header: preset().Name}, nil
+	}},
+	"access": {phaseField, named(accessByName, func(r *Run, a core.AccessMethod) { r.Cfg.Access = a })},
+	// PCIe link by total raw bandwidth: {gbps, lanes}.
+	"link": {phaseField, func(v Value) (setting, error) {
+		m, err := obj(v, []string{"gbps", "lanes"})
+		if err != nil {
+			return setting{}, err
+		}
+		link := pcie.LinkForGBps(m["gbps"], int(m["lanes"]))
+		return labelled(fmt.Sprintf("%g", m["gbps"]), func(r *Run) { r.Cfg.PCIe.Link = link }), nil
+	}},
+	// Lane count (keeps the per-lane rate) and per-lane rate in Gbps.
+	"lanes":     {phaseField, numeric("", func(r *Run, f float64) { r.Cfg.PCIe.Link.Lanes = int(f) })},
+	"lane_gbps": {phaseField, numeric("Gbps", func(r *Run, f float64) { r.Cfg.PCIe.Link.LaneGbps = f })},
+	// Host-path and device-path DMA burst (request packet) sizes.
+	"packet_bytes":     {phaseField, numeric("B", func(r *Run, f float64) { r.Cfg.Accel.HostDMA.BurstBytes = int(f) })},
+	"dev_packet_bytes": {phaseField, numeric("B", func(r *Run, f float64) { r.Cfg.Accel.DevDMA.BurstBytes = int(f) })},
+	// Per-tile compute time override in nanoseconds (0 = model).
+	"compute_ns": {phaseField, numeric("", func(r *Run, f float64) {
+		r.Cfg.Accel.ComputeOverride = sim.Tick(f) * sim.Nanosecond
+	})},
+	"hostmem": {phaseField, named(specByName, func(r *Run, s dram.Spec) { r.Cfg.HostSpec = s })},
+	"devmem":  {phaseField, named(specByName, func(r *Run, s dram.Spec) { r.Cfg.DevSpec = s })},
+	// The DRAM the accelerator streams from: the device side under
+	// DevMem access, the host side otherwise.
+	"mem": {phasePlaced, named(specByName, func(r *Run, s dram.Spec) {
+		if r.Cfg.Access == core.DevMem {
+			r.Cfg.DevSpec = s
+		} else {
+			r.Cfg.HostSpec = s
+		}
+	})},
+	// Fixed-latency host memory: {latency_ns, bandwidth_gbps}.
+	"simplemem": {phaseField, func(v Value) (setting, error) {
+		m, err := obj(v, []string{"latency_ns", "bandwidth_gbps"})
+		if err != nil {
+			return setting{}, err
+		}
+		p := core.SimpleMemParams{Latency: sim.TicksFromNanoseconds(m["latency_ns"]), BandwidthGBps: m["bandwidth_gbps"]}
+		return labelled(fmt.Sprintf("%g-%g", m["latency_ns"], m["bandwidth_gbps"]), func(r *Run) {
+			own := p
+			r.Cfg.HostSimple = &own
+		}), nil
+	}},
+	// Disable address translation (physical addressing).
+	"smmu_bypass": {phaseField, func(v Value) (setting, error) {
+		b, ok := v.(bool)
+		if !ok {
+			return setting{}, fmt.Errorf("want a bool, got %T", v)
+		}
+		label := "mmu"
+		if b {
+			label = "nommu"
+		}
+		return labelled(label, func(r *Run) { r.Cfg.SMMU.Bypass = b }), nil
+	}},
+	// SMMU sizing: any of smmuFields.
+	"smmu": {phaseField, func(v Value) (setting, error) {
+		keys := make([]string, len(smmuFields))
+		for i, f := range smmuFields {
+			keys[i] = f.key
+		}
+		m, err := obj(v, nil, keys...)
+		if err != nil {
+			return setting{}, err
+		}
+		parts := []string{}
+		for _, f := range smmuFields {
+			if val, ok := m[f.key]; ok {
+				parts = append(parts, fmt.Sprintf("%s%g", f.tag, val))
+			}
+		}
+		return labelled(strings.Join(parts, "-"), func(r *Run) {
+			for _, f := range smmuFields {
+				if val, ok := m[f.key]; ok {
+					*f.dst(r) = int(val)
+				}
+			}
+		}), nil
+	}},
+	// Square GEMM size, overriding the workload's n.
+	"size": {phaseField, func(v Value) (setting, error) {
+		if f, ok := v.(float64); ok {
+			if err := accel.CheckDim(int(f)); err != nil {
+				return setting{}, err
+			}
+		}
+		return numeric("", func(r *Run, f float64) { r.N = int(f) })(v)
+	}},
+	"model": {phaseField, named(modelByName, func(r *Run, m workload.ViTVariant) { r.Model = m })},
+	// Accelerator cluster size (endpoints sharing the switch).
+	"accelerators": {phaseField, numeric("", func(r *Run, f float64) { r.Cfg.Accelerators = int(f) })},
+	// Heterogeneous composition: [{kind, n}, ...] slots expanding to
+	// consecutive endpoints (overrides accelerators).
+	"cluster": {phaseField, func(v Value) (setting, error) {
+		slots, err := clusterOf(v)
+		if err != nil {
+			return setting{}, err
+		}
+		parts := make([]string, len(slots))
+		for i, s := range slots {
+			parts[i] = fmt.Sprintf("%s%d", s.Kind, s.N)
+		}
+		return labelled(strings.Join(parts, "-"), func(r *Run) { r.Cfg.Cluster = slots }), nil
+	}},
+	// PCIe tree shape: "flat" (one switch) or {levels: 2, fanout}
+	// (leaf switches below a root).
+	"topology": {phaseField, func(v Value) (setting, error) {
+		t, err := topologyOf(v)
+		if err != nil {
+			return setting{}, err
+		}
+		label := "flat"
+		if !t.Flat() {
+			label = fmt.Sprintf("t%dx%d", t.Levels, t.Fanout)
+		}
+		return labelled(label, func(r *Run) { r.Cfg.PCIe.Topology = t }), nil
+	}},
+}
+
+// smmuFields are the smmu axis's object fields in label order: the
+// manifest key, its label tag and the config field it sets.
+var smmuFields = []struct {
+	key, tag string
+	dst      func(r *Run) *int
+}{
+	{"utlb_entries", "utlb", func(r *Run) *int { return &r.Cfg.SMMU.UTLBEntries }},
+	{"tlb_entries", "tlb", func(r *Run) *int { return &r.Cfg.SMMU.TLBEntries }},
+	{"tlb_assoc", "assoc", func(r *Run) *int { return &r.Cfg.SMMU.TLBAssoc }},
+	{"pwc_entries", "pwc", func(r *Run) *int { return &r.Cfg.SMMU.PWCEntries }},
+	{"walkers", "walkers", func(r *Run) *int { return &r.Cfg.SMMU.Walkers }},
+}
 
 func axisNames() string { return sortedKeys(axisRegistry) }
 
@@ -63,11 +216,33 @@ func sortedKeys[V any](m map[string]V) string {
 	return strings.Join(names, " ")
 }
 
-func register(d *axisDef) {
-	if d.header == nil {
-		d.header = d.label
+// numeric decodes a number-valued axis: the label is the number (%g),
+// the header adds unit.
+func numeric(unit string, set func(r *Run, f float64)) func(Value) (setting, error) {
+	return func(v Value) (setting, error) {
+		f, err := num(v)
+		if err != nil {
+			return setting{}, err
+		}
+		label := fmt.Sprintf("%g", f)
+		return setting{apply: func(r *Run) { set(r, f) }, label: label, header: label + unit}, nil
 	}
-	axisRegistry[d.name] = d
+}
+
+// named decodes a string-valued axis through a name lookup; the name
+// is both label and header.
+func named[T any](lookup func(string) (T, error), set func(r *Run, x T)) func(Value) (setting, error) {
+	return func(v Value) (setting, error) {
+		s, err := str(v)
+		if err != nil {
+			return setting{}, err
+		}
+		x, err := lookup(s)
+		if err != nil {
+			return setting{}, err
+		}
+		return labelled(s, func(r *Run) { set(r, x) }), nil
+	}
 }
 
 // Value accessors: axis values arrive canonicalized (JSON semantics),
@@ -87,14 +262,6 @@ func str(v Value) (string, error) {
 		return "", fmt.Errorf("want a string, got %T", v)
 	}
 	return s, nil
-}
-
-func boolean(v Value) (bool, error) {
-	b, ok := v.(bool)
-	if !ok {
-		return false, fmt.Errorf("want a bool, got %T", v)
-	}
-	return b, nil
 }
 
 // obj decodes an object value against a field set; required fields
@@ -128,379 +295,6 @@ func obj(v Value, required []string, optional ...string) (map[string]float64, er
 		}
 	}
 	return out, nil
-}
-
-func numCheck(v Value) error    { _, err := num(v); return err }
-func numLabel(v Value) string   { f, _ := num(v); return fmt.Sprintf("%g", f) }
-func boolCheck(v Value) error   { _, err := boolean(v); return err }
-func stringCheck(v Value) error { _, err := str(v); return err }
-
-func init() {
-	register(&axisDef{
-		name:  "preset",
-		phase: phasePreset,
-		doc:   "replace the whole base system with a named preset",
-		check: func(v Value) error {
-			s, err := str(v)
-			if err != nil {
-				return err
-			}
-			if _, ok := presets[s]; !ok {
-				return fmt.Errorf("unknown preset %q (want one of %s)", s, presetNames())
-			}
-			return nil
-		},
-		apply: func(r *Run, v Value) error {
-			s, _ := str(v)
-			r.Cfg = presets[s]()
-			return nil
-		},
-		label: func(v Value) string { s, _ := str(v); return s },
-		header: func(v Value) string {
-			s, _ := str(v)
-			return presets[s]().Name
-		},
-	})
-
-	register(&axisDef{
-		name:  "access",
-		phase: phaseField,
-		doc:   "accelerator data access method: DC, DM, or DevMem",
-		check: func(v Value) error {
-			_, err := accessByName(v)
-			return err
-		},
-		apply: func(r *Run, v Value) error {
-			a, err := accessByName(v)
-			if err != nil {
-				return err
-			}
-			r.Cfg.Access = a
-			return nil
-		},
-		label: func(v Value) string { s, _ := str(v); return s },
-	})
-
-	register(&axisDef{
-		name:  "link",
-		phase: phaseField,
-		doc:   "PCIe link by total raw bandwidth: {gbps, lanes}",
-		check: func(v Value) error {
-			_, err := obj(v, []string{"gbps", "lanes"})
-			return err
-		},
-		apply: func(r *Run, v Value) error {
-			m, err := obj(v, []string{"gbps", "lanes"})
-			if err != nil {
-				return err
-			}
-			r.Cfg.PCIe.Link = pcie.LinkForGBps(m["gbps"], int(m["lanes"]))
-			return nil
-		},
-		label: func(v Value) string {
-			m, _ := obj(v, []string{"gbps", "lanes"})
-			return fmt.Sprintf("%g", m["gbps"])
-		},
-	})
-
-	register(&axisDef{
-		name:  "lanes",
-		phase: phaseField,
-		doc:   "PCIe lane count (keeps the per-lane rate)",
-		check: numCheck,
-		apply: func(r *Run, v Value) error {
-			f, _ := num(v)
-			r.Cfg.PCIe.Link.Lanes = int(f)
-			return nil
-		},
-		label: numLabel,
-	})
-
-	register(&axisDef{
-		name:  "lane_gbps",
-		phase: phaseField,
-		doc:   "per-lane signalling rate in Gbps",
-		check: numCheck,
-		apply: func(r *Run, v Value) error {
-			f, _ := num(v)
-			r.Cfg.PCIe.Link.LaneGbps = f
-			return nil
-		},
-		label:  numLabel,
-		header: func(v Value) string { f, _ := num(v); return fmt.Sprintf("%gGbps", f) },
-	})
-
-	register(&axisDef{
-		name:  "packet_bytes",
-		phase: phaseField,
-		doc:   "host-path DMA burst (request packet) size in bytes",
-		check: numCheck,
-		apply: func(r *Run, v Value) error {
-			f, _ := num(v)
-			r.Cfg.Accel.HostDMA.BurstBytes = int(f)
-			return nil
-		},
-		label:  numLabel,
-		header: func(v Value) string { f, _ := num(v); return fmt.Sprintf("%gB", f) },
-	})
-
-	register(&axisDef{
-		name:  "dev_packet_bytes",
-		phase: phaseField,
-		doc:   "device-path DMA burst size in bytes",
-		check: numCheck,
-		apply: func(r *Run, v Value) error {
-			f, _ := num(v)
-			r.Cfg.Accel.DevDMA.BurstBytes = int(f)
-			return nil
-		},
-		label:  numLabel,
-		header: func(v Value) string { f, _ := num(v); return fmt.Sprintf("%gB", f) },
-	})
-
-	register(&axisDef{
-		name:  "compute_ns",
-		phase: phaseField,
-		doc:   "per-tile compute time override in nanoseconds (0 = model)",
-		check: numCheck,
-		apply: func(r *Run, v Value) error {
-			f, _ := num(v)
-			r.Cfg.Accel.ComputeOverride = sim.Tick(f) * sim.Nanosecond
-			return nil
-		},
-		label: numLabel,
-	})
-
-	register(&axisDef{
-		name:  "hostmem",
-		phase: phaseField,
-		doc:   "host DRAM technology by spec name",
-		check: specCheck,
-		apply: func(r *Run, v Value) error {
-			spec, err := specByName(v)
-			if err != nil {
-				return err
-			}
-			r.Cfg.HostSpec = spec
-			return nil
-		},
-		label: func(v Value) string { s, _ := str(v); return s },
-	})
-
-	register(&axisDef{
-		name:  "devmem",
-		phase: phaseField,
-		doc:   "device-side DRAM technology by spec name",
-		check: specCheck,
-		apply: func(r *Run, v Value) error {
-			spec, err := specByName(v)
-			if err != nil {
-				return err
-			}
-			r.Cfg.DevSpec = spec
-			return nil
-		},
-		label: func(v Value) string { s, _ := str(v); return s },
-	})
-
-	register(&axisDef{
-		name:  "mem",
-		phase: phasePlaced,
-		doc:   "DRAM technology applied to the side the accelerator streams from (device under DevMem access, host otherwise)",
-		check: specCheck,
-		apply: func(r *Run, v Value) error {
-			spec, err := specByName(v)
-			if err != nil {
-				return err
-			}
-			if r.Cfg.Access == core.DevMem {
-				r.Cfg.DevSpec = spec
-			} else {
-				r.Cfg.HostSpec = spec
-			}
-			return nil
-		},
-		label: func(v Value) string { s, _ := str(v); return s },
-	})
-
-	register(&axisDef{
-		name:  "simplemem",
-		phase: phaseField,
-		doc:   "fixed-latency host memory: {latency_ns, bandwidth_gbps}",
-		check: func(v Value) error {
-			_, err := obj(v, []string{"latency_ns", "bandwidth_gbps"})
-			return err
-		},
-		apply: func(r *Run, v Value) error {
-			m, err := obj(v, []string{"latency_ns", "bandwidth_gbps"})
-			if err != nil {
-				return err
-			}
-			r.Cfg.HostSimple = &core.SimpleMemParams{
-				Latency:       sim.TicksFromNanoseconds(m["latency_ns"]),
-				BandwidthGBps: m["bandwidth_gbps"],
-			}
-			return nil
-		},
-		label: func(v Value) string {
-			m, _ := obj(v, []string{"latency_ns", "bandwidth_gbps"})
-			return fmt.Sprintf("%g-%g", m["latency_ns"], m["bandwidth_gbps"])
-		},
-	})
-
-	register(&axisDef{
-		name:  "smmu_bypass",
-		phase: phaseField,
-		doc:   "disable address translation (physical addressing)",
-		check: boolCheck,
-		apply: func(r *Run, v Value) error {
-			b, _ := boolean(v)
-			r.Cfg.SMMU.Bypass = b
-			return nil
-		},
-		label: func(v Value) string {
-			if b, _ := boolean(v); b {
-				return "nommu"
-			}
-			return "mmu"
-		},
-	})
-
-	register(&axisDef{
-		name:  "smmu",
-		phase: phaseField,
-		doc:   "SMMU sizing: {utlb_entries, tlb_entries, tlb_assoc, pwc_entries, walkers} (all optional)",
-		check: func(v Value) error {
-			_, err := obj(v, nil, "utlb_entries", "tlb_entries", "tlb_assoc", "pwc_entries", "walkers")
-			return err
-		},
-		apply: func(r *Run, v Value) error {
-			m, err := obj(v, nil, "utlb_entries", "tlb_entries", "tlb_assoc", "pwc_entries", "walkers")
-			if err != nil {
-				return err
-			}
-			set := func(dst *int, key string) {
-				if f, ok := m[key]; ok {
-					*dst = int(f)
-				}
-			}
-			set(&r.Cfg.SMMU.UTLBEntries, "utlb_entries")
-			set(&r.Cfg.SMMU.TLBEntries, "tlb_entries")
-			set(&r.Cfg.SMMU.TLBAssoc, "tlb_assoc")
-			set(&r.Cfg.SMMU.PWCEntries, "pwc_entries")
-			set(&r.Cfg.SMMU.Walkers, "walkers")
-			return nil
-		},
-		label: func(v Value) string {
-			m, _ := obj(v, nil, "utlb_entries", "tlb_entries", "tlb_assoc", "pwc_entries", "walkers")
-			parts := []string{}
-			for _, f := range []struct{ key, tag string }{
-				{"utlb_entries", "utlb"}, {"tlb_entries", "tlb"}, {"tlb_assoc", "assoc"},
-				{"pwc_entries", "pwc"}, {"walkers", "walkers"},
-			} {
-				if val, ok := m[f.key]; ok {
-					parts = append(parts, fmt.Sprintf("%s%g", f.tag, val))
-				}
-			}
-			return strings.Join(parts, "-")
-		},
-	})
-
-	register(&axisDef{
-		name:  "size",
-		phase: phaseField,
-		doc:   "square GEMM size, overriding the workload's n",
-		check: numCheck,
-		apply: func(r *Run, v Value) error {
-			f, _ := num(v)
-			r.N = int(f)
-			return nil
-		},
-		label: numLabel,
-	})
-
-	register(&axisDef{
-		name:  "model",
-		phase: phaseField,
-		doc:   "ViT model variant by name",
-		check: func(v Value) error {
-			_, err := modelByName(v)
-			return err
-		},
-		apply: func(r *Run, v Value) error {
-			m, err := modelByName(v)
-			if err != nil {
-				return err
-			}
-			r.Model = m
-			return nil
-		},
-		label: func(v Value) string { s, _ := str(v); return s },
-	})
-
-	register(&axisDef{
-		name:  "accelerators",
-		phase: phaseField,
-		doc:   "accelerator cluster size (endpoints sharing the switch)",
-		check: numCheck,
-		apply: func(r *Run, v Value) error {
-			f, _ := num(v)
-			r.Cfg.Accelerators = int(f)
-			return nil
-		},
-		label: numLabel,
-	})
-
-	register(&axisDef{
-		name:  "cluster",
-		phase: phaseField,
-		doc:   "heterogeneous cluster composition: [{kind, n}, ...] slots expanding to consecutive endpoints (overrides accelerators)",
-		check: func(v Value) error {
-			_, err := clusterOf(v)
-			return err
-		},
-		apply: func(r *Run, v Value) error {
-			slots, err := clusterOf(v)
-			if err != nil {
-				return err
-			}
-			r.Cfg.Cluster = slots
-			return nil
-		},
-		label: func(v Value) string {
-			slots, _ := clusterOf(v)
-			parts := make([]string, len(slots))
-			for i, s := range slots {
-				parts[i] = fmt.Sprintf("%s%d", s.Kind, s.N)
-			}
-			return strings.Join(parts, "-")
-		},
-	})
-
-	register(&axisDef{
-		name:  "topology",
-		phase: phaseField,
-		doc:   `PCIe tree shape: "flat" (one switch) or {levels: 2, fanout} (leaf switches below a root)`,
-		check: func(v Value) error {
-			_, err := topologyOf(v)
-			return err
-		},
-		apply: func(r *Run, v Value) error {
-			t, err := topologyOf(v)
-			if err != nil {
-				return err
-			}
-			r.Cfg.PCIe.Topology = t
-			return nil
-		},
-		label: func(v Value) string {
-			t, _ := topologyOf(v)
-			if t.Flat() {
-				return "flat"
-			}
-			return fmt.Sprintf("t%dx%d", t.Levels, t.Fanout)
-		},
-	})
 }
 
 // clusterOf decodes a cluster axis value: a non-empty array of
@@ -573,11 +367,7 @@ func topologyOf(v Value) (pcie.Topology, error) {
 	return t, nil
 }
 
-func accessByName(v Value) (core.AccessMethod, error) {
-	s, err := str(v)
-	if err != nil {
-		return 0, err
-	}
+func accessByName(s string) (core.AccessMethod, error) {
 	switch s {
 	case "DC":
 		return core.DC, nil
@@ -589,16 +379,7 @@ func accessByName(v Value) (core.AccessMethod, error) {
 	return 0, fmt.Errorf("unknown access method %q (want DC, DM, or DevMem)", s)
 }
 
-func specCheck(v Value) error {
-	_, err := specByName(v)
-	return err
-}
-
-func specByName(v Value) (dram.Spec, error) {
-	s, err := str(v)
-	if err != nil {
-		return dram.Spec{}, err
-	}
+func specByName(s string) (dram.Spec, error) {
 	spec, ok := dram.SpecByName(s)
 	if !ok {
 		return dram.Spec{}, fmt.Errorf("unknown DRAM spec %q", s)
@@ -606,11 +387,7 @@ func specByName(v Value) (dram.Spec, error) {
 	return spec, nil
 }
 
-func modelByName(v Value) (workload.ViTVariant, error) {
-	s, err := str(v)
-	if err != nil {
-		return workload.ViTVariant{}, err
-	}
+func modelByName(s string) (workload.ViTVariant, error) {
 	for _, m := range workload.Variants() {
 		if m.Name == s {
 			return m, nil

@@ -5,7 +5,11 @@ package scenario
 // The scenario layer owns the schema and validation so `accesys
 // explore` rejects bad manifests before any simulation starts.
 
-import "accesys/internal/sweep"
+import (
+	"fmt"
+
+	"accesys/internal/sweep"
+)
 
 // Objective names the metric a search optimizes and the direction.
 type Objective struct {
@@ -82,73 +86,72 @@ type ExploreSpec struct {
 	Frontier int `json:"frontier,omitempty"`
 }
 
-// validateExplore checks the stanza against the scenario. fail wraps
-// errors with the scenario name.
-func (s *Scenario) validateExplore(fail func(string, ...any) error) error {
+// validateExplore checks the stanza against the scenario.
+func (s *Scenario) validateExplore() error {
 	e := s.Explore
 	// The optimizer's screening rung is the analytic backend, which has
 	// no model for farm makespans or tenant schedules (scenario.ErrNoModel
 	// territory) — reject at parse time rather than aborting mid-search.
 	switch s.Workload.Kind {
 	case "farm", "tenants":
-		return fail("explore: workload kind %q has no analytic screening model; sweep it instead", s.Workload.Kind)
+		return fmt.Errorf("workload kind %q has no analytic screening model; sweep it instead", s.Workload.Kind)
 	}
 	switch e.Objective.Metric {
 	case "", "exec":
 	case "gemm", "nongemm":
 		if s.Workload.Kind != "vit" {
-			return fail("explore: objective metric %q needs a vit workload", e.Objective.Metric)
+			return fmt.Errorf("objective metric %q needs a vit workload", e.Objective.Metric)
 		}
 	default:
-		return fail("explore: unknown objective metric %q (want exec, gemm, or nongemm)", e.Objective.Metric)
+		return fmt.Errorf("unknown objective metric %q (want exec, gemm, or nongemm)", e.Objective.Metric)
 	}
 	switch e.Objective.Goal {
 	case "", "min", "max":
 	default:
-		return fail("explore: objective goal %q (want min or max)", e.Objective.Goal)
+		return fmt.Errorf("objective goal %q (want min or max)", e.Objective.Goal)
 	}
 	for i, c := range e.Constraints {
 		switch {
 		case c.Axis != "" && c.Metric != "":
-			return fail("explore: constraint %d sets both axis and metric", i)
+			return fmt.Errorf("constraint %d sets both axis and metric", i)
 		case c.Axis == "" && c.Metric == "":
-			return fail("explore: constraint %d sets neither axis nor metric", i)
+			return fmt.Errorf("constraint %d sets neither axis nor metric", i)
 		case c.Axis != "" && !s.hasAxis(c.Axis):
-			return fail("explore: constraint %d: %q is not a declared axis", i, c.Axis)
+			return fmt.Errorf("constraint %d: %q is not a declared axis", i, c.Axis)
 		case c.Field != "" && c.Axis == "":
-			return fail("explore: constraint %d: field needs an axis", i)
+			return fmt.Errorf("constraint %d: field needs an axis", i)
 		}
 		if c.Min == nil && c.Max == nil && c.Equals == nil {
-			return fail("explore: constraint %d has no bound (want min, max, or equals)", i)
+			return fmt.Errorf("constraint %d has no bound (want min, max, or equals)", i)
 		}
 		if c.Equals != nil && (c.Min != nil || c.Max != nil) {
-			return fail("explore: constraint %d mixes equals with min/max", i)
+			return fmt.Errorf("constraint %d mixes equals with min/max", i)
 		}
 		if c.Min != nil && c.Max != nil && *c.Min > *c.Max {
-			return fail("explore: constraint %d: min %g exceeds max %g", i, *c.Min, *c.Max)
+			return fmt.Errorf("constraint %d: min %g exceeds max %g", i, *c.Min, *c.Max)
 		}
 	}
 	switch e.Strategy {
 	case "", "random", "halving":
 	default:
-		return fail("explore: unknown strategy %q (want random or halving)", e.Strategy)
+		return fmt.Errorf("unknown strategy %q (want random or halving)", e.Strategy)
 	}
 	if e.Budget != "" {
 		if _, err := sweep.ParseBudget(e.Budget); err != nil {
-			return fail("explore: %v", err)
+			return err
 		}
 	}
 	if e.Generation < 0 {
-		return fail("explore: generation must be positive")
+		return fmt.Errorf("generation must be positive")
 	}
 	if e.Promote < 0 || e.Promote > 1 {
-		return fail("explore: promote fraction %g outside (0, 1]", e.Promote)
+		return fmt.Errorf("promote fraction %g outside (0, 1]", e.Promote)
 	}
 	if e.Eta == 1 || e.Eta < 0 {
-		return fail("explore: eta must be >= 2")
+		return fmt.Errorf("eta must be >= 2")
 	}
 	if e.Frontier < 0 {
-		return fail("explore: frontier must be positive")
+		return fmt.Errorf("frontier must be positive")
 	}
 	return nil
 }
@@ -157,19 +160,20 @@ func (s *Scenario) validateExplore(fail func(string, ...any) error) error {
 // axis takes at point i of the space. Points in scenarios that do not
 // declare the axis never got here (validation rejects them).
 func (sp *Space) EvalAxisConstraint(c Constraint, i int) bool {
-	v, ok := sp.AxisValue(i, c.Axis)
-	if !ok {
+	ax := sp.axis(c.Axis)
+	if ax == nil || i < 0 || i >= sp.size {
 		return false
 	}
+	pos := ax.pos(i)
 	if c.Equals != nil {
-		def := axisRegistry[c.Axis]
 		cv, err := canon(c.Equals)
 		if err != nil {
 			return false
 		}
-		return def.label(cv) == def.label(v)
+		want, err := axisRegistry[c.Axis].parse(cv)
+		return err == nil && want.label == ax.sets[pos].label
 	}
-	num, ok := constraintNumber(v, c.Field)
+	num, ok := constraintNumber(ax.vals[pos], c.Field)
 	if !ok {
 		return false
 	}

@@ -80,32 +80,6 @@ func BuildFarm(cfg core.Config) (*core.System, []*driver.Driver) {
 	return sys, drvs
 }
 
-// SimFarm launches one timing-only n^3 GEMM on every cluster member at
-// t=0 and returns the makespan plus each member's completion time.
-func SimFarm(cfg core.Config, n int) (sim.Tick, []sim.Tick) {
-	sys, drvs := BuildFarm(cfg)
-	ends := make([]sim.Tick, len(drvs))
-	done := make([]bool, len(drvs))
-	for i, drv := range drvs {
-		i := i
-		drv.RunGEMM(driver.GEMMSpec{M: n, N: n, K: n}, func(driver.Result) {
-			ends[i] = sys.Now()
-			done[i] = true
-		})
-	}
-	sys.Run()
-	var makespan sim.Tick
-	for i := range drvs {
-		if !done[i] {
-			panic(fmt.Sprintf("scenario: farm member %d under %s never completed", i, cfg.Name))
-		}
-		if ends[i] > makespan {
-			makespan = ends[i]
-		}
-	}
-	return makespan, ends
-}
-
 // runTenants simulates the tenants' schedules on a fresh system and
 // returns each driven tenant's completion time. only >= 0 restricts
 // the run to that single tenant (the solo baseline); -1 co-runs all.
@@ -167,10 +141,17 @@ func FarmPoint(cfg core.Config, n int) sweep.Point {
 		Key:         cfg.Name,
 		Fingerprint: sweep.Fingerprint(append([]any{"farm", n}, cfg.FingerprintParts()...)...),
 		Run: func() sweep.Outcome {
-			makespan, ends := SimFarm(cfg, n)
+			// A farm is one single-job tenant per cluster member.
+			members := make([]TenantJob, cfg.NumAccels())
+			for i := range members {
+				members[i] = TenantJob{N: n, Jobs: 1}
+			}
+			ends := runTenants(cfg, members, -1)
 			vals := make(map[string]float64, len(ends))
+			var makespan sim.Tick
 			for i, e := range ends {
 				vals[fmt.Sprintf("m%d_exec_ns", i)] = float64(e.Nanoseconds())
+				makespan = max(makespan, e)
 			}
 			return sweep.Outcome{Dur: makespan, Values: vals}
 		},

@@ -7,6 +7,7 @@ package scenario
 // `accesys sweep testdata/fig4.json` rests on that sharing).
 
 import (
+	"cmp"
 	"encoding/csv"
 	"fmt"
 	"io"
@@ -105,32 +106,23 @@ func (s *Scenario) Render(full bool, runs []Run, outs []sweep.Outcome) (*Result,
 		return s.renderFlat(r, runs, outs, cell)
 	}
 
-	// Pivot: validation pinned exactly two axes. Work out which is
-	// which so either declaration order renders.
-	rowVals := s.axisValues(s.Table.Row, full)
-	colVals := s.axisValues(s.Table.Col, full)
-	rowDef, colDef := axisRegistry[s.Table.Row], axisRegistry[s.Table.Col]
-	rowOuter := s.Axes[0].Name == s.Table.Row
-	index := func(ri, ci int) int {
-		if rowOuter {
-			return ri*len(colVals) + ci
+	// Pivot: validation pinned exactly two axes. Their strides locate
+	// each (row, col) cell's outcome in either declaration order.
+	sp, err := s.Space(full)
+	if err != nil {
+		return nil, err
+	}
+	rows, cols := sp.axis(s.Table.Row), sp.axis(s.Table.Col)
+	r.Headers = []string{cmp.Or(s.Table.RowHeader, s.Table.Row)}
+	for _, c := range cols.sets {
+		r.Headers = append(r.Headers, c.header)
+	}
+	for ri, row := range rows.sets {
+		cells := []string{row.label}
+		for ci := range cols.sets {
+			cells = append(cells, cell(outs[ri*rows.stride+ci*cols.stride].Dur))
 		}
-		return ci*len(rowVals) + ri
-	}
-
-	r.Headers = []string{s.Table.RowHeader}
-	if r.Headers[0] == "" {
-		r.Headers[0] = s.Table.Row
-	}
-	for _, v := range colVals {
-		r.Headers = append(r.Headers, colDef.header(v))
-	}
-	for ri, rv := range rowVals {
-		row := []string{rowDef.label(rv)}
-		for ci := range colVals {
-			row = append(row, cell(outs[index(ri, ci)].Dur))
-		}
-		r.AddRow(row...)
+		r.AddRow(cells...)
 	}
 	return r, nil
 }

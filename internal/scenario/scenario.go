@@ -8,11 +8,13 @@
 package scenario
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
 	"strings"
 
+	"accesys/internal/accel"
 	"accesys/internal/core"
 	"accesys/internal/sweep"
 	"accesys/internal/workload"
@@ -196,34 +198,25 @@ func (s *Scenario) TitleFor(full bool) string {
 	return s.Title
 }
 
-// axisValues returns the named axis's canonicalized values for the
-// given mode, or nil when absent.
-func (s *Scenario) axisValues(name string, full bool) []Value {
-	for _, ax := range s.Axes {
-		if ax.Name == name {
-			vals := append(append([]Value{}, ax.Values...), fullExtra(ax, full)...)
-			out := make([]Value, len(vals))
-			for i, v := range vals {
-				out[i], _ = canon(v)
-			}
-			return out
-		}
-	}
-	return nil
-}
-
-// AxisStrings formats the named axis's values (quick+full as
-// requested) with the axis's header formatter — the labels figure code
-// uses when walking the matrix.
-func (s *Scenario) AxisStrings(name string, full bool) []string {
-	def, ok := axisRegistry[name]
-	if !ok {
+// resolvedAxis returns the named axis as the scenario's space resolves
+// it for the given mode: nil when the scenario does not validate or
+// does not declare the axis.
+func (s *Scenario) resolvedAxis(name string, full bool) *spaceAxis {
+	sp, err := s.Space(full)
+	if err != nil {
 		return nil
 	}
-	vals := s.axisValues(name, full)
-	out := make([]string, len(vals))
-	for i, v := range vals {
-		out[i] = def.label(v)
+	return sp.axis(name)
+}
+
+// AxisStrings returns the named axis's value labels (quick+full as
+// requested) — the labels figure code uses when walking the matrix.
+func (s *Scenario) AxisStrings(name string, full bool) []string {
+	var out []string
+	if ax := s.resolvedAxis(name, full); ax != nil {
+		for _, st := range ax.sets {
+			out = append(out, st.label)
+		}
 	}
 	return out
 }
@@ -232,10 +225,12 @@ func (s *Scenario) AxisStrings(name string, full bool) []string {
 // figure code walking the matrix uses for knee/stride math.
 // Non-numeric values come back as 0.
 func (s *Scenario) AxisNumbers(name string, full bool) []float64 {
-	vals := s.axisValues(name, full)
-	out := make([]float64, len(vals))
-	for i, v := range vals {
-		out[i], _ = v.(float64)
+	var out []float64
+	if ax := s.resolvedAxis(name, full); ax != nil {
+		for _, v := range ax.vals {
+			f, _ := v.(float64)
+			out = append(out, f)
+		}
 	}
 	return out
 }
@@ -245,16 +240,17 @@ func (s *Scenario) AxisNumbers(name string, full bool) []float64 {
 // simplemem) without duplicating the value lists. Non-object values
 // come back as empty maps.
 func (s *Scenario) AxisObjects(name string, full bool) []map[string]float64 {
-	vals := s.axisValues(name, full)
-	out := make([]map[string]float64, len(vals))
-	for i, v := range vals {
-		out[i] = map[string]float64{}
-		if m, ok := v.(map[string]any); ok {
+	var out []map[string]float64
+	if ax := s.resolvedAxis(name, full); ax != nil {
+		for _, v := range ax.vals {
+			fields := map[string]float64{}
+			m, _ := v.(map[string]any)
 			for k, f := range m {
 				if fv, ok := f.(float64); ok {
-					out[i][k] = fv
+					fields[k] = fv
 				}
 			}
+			out = append(out, fields)
 		}
 	}
 	return out
@@ -262,14 +258,7 @@ func (s *Scenario) AxisObjects(name string, full bool) []map[string]float64 {
 
 // AxisLen returns the named axis's value count for the given mode.
 func (s *Scenario) AxisLen(name string, full bool) int {
-	return len(s.axisValues(name, full))
-}
-
-func fullExtra(ax Axis, full bool) []Value {
-	if full {
-		return ax.FullValues
-	}
-	return nil
+	return len(s.AxisNumbers(name, full))
 }
 
 // canon round-trips a value through JSON so Go-declared scenarios and
@@ -294,23 +283,30 @@ func canon(v Value) (Value, error) {
 // Validate checks the scenario against the axis registry without
 // expanding it.
 func (s *Scenario) Validate() error {
-	fail := func(format string, args ...any) error {
-		return fmt.Errorf("scenario %s: %s", s.Name, fmt.Sprintf(format, args...))
+	_, _, err := s.decode()
+	return err
+}
+
+// decode validates the scenario and decodes every axis value (quick
+// and full, in declaration order) and every default: the one pass
+// Validate and Space share.
+func (s *Scenario) decode() ([]spaceAxis, []fixed, error) {
+	fail := func(format string, args ...any) ([]spaceAxis, []fixed, error) {
+		return nil, nil, fmt.Errorf("scenario %s: %s", s.Name, fmt.Sprintf(format, args...))
 	}
 	if s.Name == "" {
-		return fmt.Errorf("scenario: missing name")
+		return nil, nil, fmt.Errorf("scenario: missing name")
 	}
 	if _, ok := presets[s.base()]; !ok {
 		return fail("unknown base preset %q (want one of %s)", s.Base, presetNames())
 	}
 	switch s.Workload.Kind {
-	case "", "gemm":
+	case "", "gemm", "farm":
 		if s.SizeFor(false) <= 0 && !s.hasAxis("size") {
-			return fail("gemm workload needs a positive n or a size axis")
+			return fail("%s workload needs a positive n or a size axis", cmp.Or(s.Workload.Kind, "gemm"))
 		}
-	case "farm":
-		if s.SizeFor(false) <= 0 && !s.hasAxis("size") {
-			return fail("farm workload needs a positive n or a size axis")
+		if err := checkDims(s.Workload.N); err != nil {
+			return fail("workload n: %v", err)
 		}
 	case "tenants":
 		if len(s.Workload.Tenants) < 2 {
@@ -320,6 +316,9 @@ func (s *Scenario) Validate() error {
 			if t.N.Pick(false) <= 0 || t.N.Pick(true) <= 0 {
 				return fail("tenant %d needs a positive n", i)
 			}
+			if err := checkDims(t.N); err != nil {
+				return fail("tenant %d n: %v", i, err)
+			}
 			if t.Jobs < 0 {
 				return fail("tenant %d: negative job count %d", i, t.Jobs)
 			}
@@ -328,8 +327,9 @@ func (s *Scenario) Validate() error {
 	default:
 		return fail("unknown workload kind %q (want gemm, vit, farm, or tenants)", s.Workload.Kind)
 	}
+	axes := make([]spaceAxis, len(s.Axes))
 	seen := map[string]bool{}
-	for _, ax := range s.Axes {
+	for i, ax := range s.Axes {
 		def, ok := axisRegistry[ax.Name]
 		if !ok {
 			return fail("unknown axis %q (want one of %s)", ax.Name, axisNames())
@@ -341,17 +341,22 @@ func (s *Scenario) Validate() error {
 		if len(ax.Values) == 0 {
 			return fail("axis %q: empty matrix (no values)", ax.Name)
 		}
+		axes[i] = spaceAxis{name: ax.Name, phase: def.phase}
 		for _, v := range append(append([]Value{}, ax.Values...), ax.FullValues...) {
 			cv, err := canon(v)
 			if err != nil {
 				return fail("axis %q: %v", ax.Name, err)
 			}
-			if err := def.check(cv); err != nil {
+			st, err := def.parse(cv)
+			if err != nil {
 				return fail("axis %q: %v", ax.Name, err)
 			}
+			axes[i].vals = append(axes[i].vals, cv)
+			axes[i].sets = append(axes[i].sets, st)
 		}
 	}
-	for _, d := range s.Defaults {
+	defaults := make([]fixed, len(s.Defaults))
+	for i, d := range s.Defaults {
 		def, ok := axisRegistry[d.Axis]
 		if !ok {
 			return fail("defaults: unknown axis %q", d.Axis)
@@ -360,9 +365,11 @@ func (s *Scenario) Validate() error {
 		if err != nil {
 			return fail("defaults %q: %v", d.Axis, err)
 		}
-		if err := def.check(cv); err != nil {
+		st, err := def.parse(cv)
+		if err != nil {
 			return fail("defaults %q: %v", d.Axis, err)
 		}
+		defaults[i] = fixed{phase: def.phase, apply: st.apply}
 	}
 	for _, m := range s.Metrics {
 		if _, ok := metricGroups[m]; !ok {
@@ -398,7 +405,21 @@ func (s *Scenario) Validate() error {
 		}
 	}
 	if s.Explore != nil {
-		if err := s.validateExplore(fail); err != nil {
+		if err := s.validateExplore(); err != nil {
+			return fail("explore: %v", err)
+		}
+	}
+	return axes, defaults, nil
+}
+
+// checkDims applies the accelerator's tiling rule to both modes of a
+// GEMM size; 0 leaves the mode to a size axis.
+func checkDims(sz Size) error {
+	for _, n := range []int{sz.Quick, sz.Full} {
+		if n == 0 {
+			continue
+		}
+		if err := accel.CheckDim(n); err != nil {
 			return err
 		}
 	}

@@ -367,6 +367,19 @@ func TestValidateErrors(t *testing.T) {
 			Axes: []Axis{{Name: "link", Values: vals(map[string]any{"gbps": 8.0})}}}, "missing field"},
 		{"unknown link field", Scenario{Name: "x", Workload: gemm64,
 			Axes: []Axis{{Name: "link", Values: vals(map[string]any{"gbps": 8.0, "lanes": 8.0, "color": 1.0})}}}, "unknown field"},
+		// GEMM sizes the accelerator cannot tile fail here, naming the
+		// field, instead of panicking the driver mid-sweep.
+		{"n off the tile grid", Scenario{Name: "x", Workload: Workload{Kind: "gemm", N: Size{Quick: 100, Full: 100}}},
+			"workload n: dimension 100 must be a positive multiple of 16"},
+		{"full n off the tile grid", Scenario{Name: "x", Workload: Workload{Kind: "farm", N: Size{Quick: 64, Full: 100}}},
+			"workload n: dimension 100 must be a positive multiple of 16"},
+		{"size off the tile grid", Scenario{Name: "x", Workload: gemm64,
+			Axes: []Axis{{Name: "size", Values: vals(64, 100)}}}, `axis "size": dimension 100 must be a positive multiple of 16`},
+		{"full size off the tile grid", Scenario{Name: "x", Workload: gemm64,
+			Axes: []Axis{{Name: "size", Values: vals(64), FullValues: vals(0)}}}, `axis "size": dimension 0 must be a positive multiple of 16`},
+		{"tenant n off the tile grid", Scenario{Name: "x", Workload: Workload{Kind: "tenants",
+			Tenants: []TenantSpec{{N: Size{Quick: 64, Full: 64}}, {N: Size{Quick: 64, Full: 100}}}}},
+			"tenant 1 n: dimension 100 must be a positive multiple of 16"},
 	}
 	for _, tc := range cases {
 		err := tc.sc.Validate()

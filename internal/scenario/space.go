@@ -13,43 +13,59 @@ import (
 	"accesys/internal/workload"
 )
 
-// spaceAxis is one resolved dimension of the cross product: the
-// registry definition, the mode-resolved canonical values, and the
-// mixed-radix stride of the axis's position (first axis slowest).
+// spaceAxis is one resolved dimension of the cross product: the axis
+// name and phase, its canonical values with their decoded settings,
+// and the mixed-radix stride of the axis's position (first axis
+// slowest).
 type spaceAxis struct {
-	def    *axisDef
+	name   string
+	phase  int
 	vals   []Value
+	sets   []setting
 	stride int
+}
+
+// fixed is one decoded scenario default.
+type fixed struct {
+	phase int
+	apply func(r *Run)
 }
 
 // Space is a validated, lazily indexable view of a scenario's run
 // matrix. Index i corresponds one-to-one with Expand's i-th run — the
-// stable enumeration contract PointsFor documents.
+// stable enumeration contract PointsFor documents. Every axis value
+// and default is decoded once, when the space is built; resolving a
+// point only applies the settings the space holds.
 type Space struct {
-	sc   *Scenario
-	full bool
-	axes []spaceAxis
-	size int
+	sc       *Scenario
+	full     bool
+	defaults []fixed
+	axes     []spaceAxis
+	names    []string
+	size     int
 }
 
 // Space validates the scenario once and returns the indexable view of
 // its cross product for the given mode.
 func (s *Scenario) Space(full bool) (*Space, error) {
-	if err := s.Validate(); err != nil {
+	axes, defaults, err := s.decode()
+	if err != nil {
 		return nil, err
 	}
-	sp := &Space{sc: s, full: full, axes: make([]spaceAxis, len(s.Axes))}
-	sp.size = 1
-	for i, ax := range s.Axes {
-		sp.axes[i].def = axisRegistry[ax.Name]
-		sp.axes[i].vals = s.axisValues(ax.Name, full)
-		sp.size *= len(sp.axes[i].vals)
+	sp := &Space{sc: s, full: full, defaults: defaults, axes: axes, names: make([]string, len(axes)), size: 1}
+	for i := range axes {
+		if !full {
+			n := len(s.Axes[i].Values)
+			axes[i].vals, axes[i].sets = axes[i].vals[:n], axes[i].sets[:n]
+		}
+		sp.names[i] = axes[i].name
+		sp.size *= len(axes[i].sets)
 	}
 	// Mixed-radix strides, last axis fastest (stride 1).
 	stride := 1
-	for i := len(sp.axes) - 1; i >= 0; i-- {
-		sp.axes[i].stride = stride
-		stride *= len(sp.axes[i].vals)
+	for i := len(axes) - 1; i >= 0; i-- {
+		axes[i].stride = stride
+		stride *= len(axes[i].sets)
 	}
 	return sp, nil
 }
@@ -63,12 +79,19 @@ func (sp *Space) Full() bool { return sp.full }
 // Scenario returns the scenario the space indexes.
 func (sp *Space) Scenario() *Scenario { return sp.sc }
 
-// coord decodes index i into per-axis value positions.
-func (sp *Space) coord(i int, out []int) {
+// axis returns the named axis, nil when the scenario does not declare
+// it.
+func (sp *Space) axis(name string) *spaceAxis {
 	for j := range sp.axes {
-		out[j] = (i / sp.axes[j].stride) % len(sp.axes[j].vals)
+		if sp.axes[j].name == name {
+			return &sp.axes[j]
+		}
 	}
+	return nil
 }
+
+// pos is the position of point i along the axis.
+func (ax *spaceAxis) pos(i int) int { return (i / ax.stride) % len(ax.sets) }
 
 // AxisValue returns the canonical value the named axis takes at point
 // i, without resolving the run — the cheap probe explore's axis
@@ -76,16 +99,11 @@ func (sp *Space) coord(i int, out []int) {
 // ok is false when the axis is not part of the scenario or i is out
 // of range.
 func (sp *Space) AxisValue(i int, axis string) (Value, bool) {
-	if i < 0 || i >= sp.size {
+	ax := sp.axis(axis)
+	if ax == nil || i < 0 || i >= sp.size {
 		return nil, false
 	}
-	for j := range sp.axes {
-		if sp.axes[j].def.name == axis {
-			pos := (i / sp.axes[j].stride) % len(sp.axes[j].vals)
-			return sp.axes[j].vals[pos], true
-		}
-	}
-	return nil, false
+	return ax.vals[ax.pos(i)], true
 }
 
 // RunAt resolves point i of the cross product — byte-identical to
@@ -96,13 +114,12 @@ func (sp *Space) RunAt(i int) (Run, error) {
 	if i < 0 || i >= sp.size {
 		return Run{}, fmt.Errorf("scenario %s: point index %d out of range [0,%d)", s.Name, i, sp.size)
 	}
-	coord := make([]int, len(sp.axes))
-	sp.coord(i, coord)
-
 	r := Run{
-		Cfg:   presets[s.base()](),
-		N:     s.SizeFor(sp.full),
-		Model: workload.ViTBase,
+		Cfg:       presets[s.base()](),
+		N:         s.SizeFor(sp.full),
+		Model:     workload.ViTBase,
+		axisNames: sp.names,
+		labels:    make([]string, len(sp.axes)),
 	}
 	// Apply defaults and the selected value of every axis in phase
 	// order (presets replace the config wholesale, so they go first;
@@ -111,30 +128,20 @@ func (sp *Space) RunAt(i int) (Run, error) {
 	// swept axis can override a default — and a field default (e.g.
 	// compute_ns) survives a preset axis replacing the whole config in
 	// the earlier phase.
-	r.axisNames = make([]string, len(sp.axes))
-	r.labels = make([]string, len(sp.axes))
 	for phase := 0; phase <= maxPhase; phase++ {
-		for _, d := range s.Defaults {
-			def := axisRegistry[d.Axis]
-			if def.phase != phase {
-				continue
-			}
-			cv, _ := canon(d.Value)
-			if err := def.apply(&r, cv); err != nil {
-				return Run{}, fmt.Errorf("scenario %s: defaults %q: %v", s.Name, d.Axis, err)
+		for _, d := range sp.defaults {
+			if d.phase == phase {
+				d.apply(&r)
 			}
 		}
 		for j := range sp.axes {
 			ax := &sp.axes[j]
-			if ax.def.phase != phase {
+			if ax.phase != phase {
 				continue
 			}
-			v := ax.vals[coord[j]]
-			if err := ax.def.apply(&r, v); err != nil {
-				return Run{}, fmt.Errorf("scenario %s: axis %q: %v", s.Name, ax.def.name, err)
-			}
-			r.axisNames[j] = ax.def.name
-			r.labels[j] = ax.def.label(v)
+			st := ax.sets[ax.pos(i)]
+			st.apply(&r)
+			r.labels[j] = st.label
 		}
 	}
 	if k := s.Workload.Kind; k == "farm" || k == "tenants" {

@@ -86,9 +86,12 @@ func TestSpaceAxisValue(t *testing.T) {
 		if !ok {
 			t.Fatalf("point %d has no packet_bytes value", i)
 		}
-		def := axisRegistry["packet_bytes"]
-		if def.label(v) != r.Label("packet_bytes") {
-			t.Fatalf("point %d: AxisValue label %q, run label %q", i, def.label(v), r.Label("packet_bytes"))
+		st, err := axisRegistry["packet_bytes"].parse(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.label != r.Label("packet_bytes") {
+			t.Fatalf("point %d: AxisValue label %q, run label %q", i, st.label, r.Label("packet_bytes"))
 		}
 		if obj, ok := sp.AxisValue(i, "link"); !ok {
 			t.Fatalf("point %d has no link value", i)
