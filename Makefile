@@ -117,8 +117,7 @@ bench:
 	$(GO) test -short -bench=. -benchtime=1x -run '^$$' .
 
 benchsmoke:
-	@dir=$$(mktemp -d) && \
-	BENCH_DIR=$$dir $(GO) test -short -bench=. -benchtime=1x -run '^$$' . ; \
+	@dir=$$(mktemp -d) && BENCH_DIR=$$dir $(MAKE) --no-print-directory bench; \
 	status=$$?; rm -rf $$dir; exit $$status
 
 # Fresh trajectory run (3 samples, ratcheted to best) into a scratch

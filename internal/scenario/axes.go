@@ -37,8 +37,8 @@ const (
 
 // setting is one decoded axis value: its effect on a run, its key
 // fragment (label) and its table header. Settings are shared by every
-// run of a space, so apply must not hand out state a run could mutate
-// under another.
+// run of a space, and so is any state apply hands a run (cluster
+// slots, simplemem parameters): nothing may mutate it.
 type setting struct {
 	apply  func(r *Run)
 	label  string
@@ -110,11 +110,8 @@ var axisRegistry = map[string]axisDef{
 		if err != nil {
 			return setting{}, err
 		}
-		p := core.SimpleMemParams{Latency: sim.TicksFromNanoseconds(m["latency_ns"]), BandwidthGBps: m["bandwidth_gbps"]}
-		return labelled(fmt.Sprintf("%g-%g", m["latency_ns"], m["bandwidth_gbps"]), func(r *Run) {
-			own := p
-			r.Cfg.HostSimple = &own
-		}), nil
+		p := &core.SimpleMemParams{Latency: sim.TicksFromNanoseconds(m["latency_ns"]), BandwidthGBps: m["bandwidth_gbps"]}
+		return labelled(fmt.Sprintf("%g-%g", m["latency_ns"], m["bandwidth_gbps"]), func(r *Run) { r.Cfg.HostSimple = p }), nil
 	}},
 	// Disable address translation (physical addressing).
 	"smmu_bypass": {phaseField, func(v Value) (setting, error) {

@@ -52,7 +52,7 @@ type Item struct {
 
 // Graph is an operator sequence plus a layer multiplier: transformer
 // encoder layers are architecturally identical, so one layer is
-// simulated and scaled (see DESIGN.md).
+// simulated and scaled.
 type Graph struct {
 	Name   string
 	Items  []Item
