@@ -212,6 +212,36 @@ func BenchmarkFig4SmallPacket(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
 }
 
+// BenchmarkSmallPointsCold times the small cold points a design-space
+// sweep is made of: one iteration builds and runs GEMM n ∈ {32, 64,
+// 96, 128} on PCIe-8GB, PCIe-64GB and DevMem, twelve systems in all.
+// At these sizes a point lasts a few milliseconds, so the garbage
+// collector's cycles overlap the event loop; run it with -cpu 1 and
+// GODEBUG=gctrace=1 to see how long each mark phase holds the write
+// barrier on. ns/event divides the wall time by the events
+// dispatched. It is a layer benchmark and is not part of the
+// BENCH_*.json ratchet.
+func BenchmarkSmallPointsCold(b *testing.B) {
+	cfgs := []func() core.Config{core.PCIe8GB, core.PCIe64GB, core.DevMemCfg}
+	b.ReportAllocs()
+	var events uint64
+	for i := 0; i < b.N; i++ {
+		for _, cfg := range cfgs {
+			for _, n := range []int{32, 64, 96, 128} {
+				sys, drv := scenario.BuildSystem(cfg())
+				done := false
+				drv.RunGEMM(driver.GEMMSpec{M: n, N: n, K: n}, func(driver.Result) { done = true })
+				sys.Run()
+				if !done {
+					b.Fatalf("GEMM-%d under %s did not complete", n, sys.Cfg.Name)
+				}
+				events += sys.EQ.Executed
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
+}
+
 // BenchmarkSweepThroughput measures end-to-end sweep speed over the
 // fig4 matrix, cold (every point simulated) and warm (every point
 // recalled from the on-disk cache), single-worker so the numbers are

@@ -130,6 +130,39 @@ func TestSweepRejectsUntileableSizes(t *testing.T) {
 	}
 }
 
+// TestSweepLinkAxesOverDefaultBase pins that a lanes or lane_gbps axis
+// over the bare Table II base sweeps: the base fills each half of the
+// link on its own, so neither axis is reset or left without a rate.
+// Like TestSweepRejectsUntileableSizes it re-executes the CLI, so a
+// panicking point fails the test instead of the test binary.
+func TestSweepLinkAxesOverDefaultBase(t *testing.T) {
+	for _, axis := range []string{"lanes", "lane_gbps"} {
+		manifest := `{"name":"n","workload":{"kind":"gemm","n":64},"axes":[{"axis":"` + axis + `","values":[4,8]}]}`
+		csvPath := filepath.Join(t.TempDir(), "rows.csv")
+		cmd := exec.Command(os.Args[0], "sweep", "-nocache", "-jobs", "2", "-csv", csvPath, writeManifest(t, manifest))
+		cmd.Env = append(os.Environ(), "ACCESYS_WORKER_MODE=run")
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		if err := cmd.Run(); err != nil {
+			t.Errorf("%s: sweep failed (%v):\n%s", axis, err, stderr.String())
+			continue
+		}
+		data, err := os.ReadFile(csvPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(strings.TrimSpace(string(data)), "\n")
+		if len(lines) != 3 { // header + two points
+			t.Fatalf("%s: CSV rows = %d, want 3:\n%s", axis, len(lines), data)
+		}
+		_, a, _ := strings.Cut(lines[1], ",")
+		_, b, _ := strings.Cut(lines[2], ",")
+		if a == b {
+			t.Errorf("%s: both points simulated alike (%s), the axis value was lost:\n%s", axis, a, data)
+		}
+	}
+}
+
 func TestSweepMissingManifestFileFails(t *testing.T) {
 	if code, _, _ := testApp(t, "sweep", "-nocache", "no/such/file.json"); code != 2 {
 		t.Fatal("missing manifest should exit 2")

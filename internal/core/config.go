@@ -156,8 +156,14 @@ func (c *Config) setDefaults() {
 	if c.DevMemBytes == 0 {
 		c.DevMemBytes = 256 << 20
 	}
+	// Table II link: x4 at 4 Gbps per lane. Each half defaults on its
+	// own, so a lanes or lane_gbps axis over a bare config keeps its
+	// value and takes the other half from the table.
 	if c.PCIe.Link.Lanes == 0 {
-		c.PCIe.Link = pcie.LinkConfig{Lanes: 4, LaneGbps: 4} // Table II
+		c.PCIe.Link.Lanes = 4
+	}
+	if c.PCIe.Link.LaneGbps == 0 {
+		c.PCIe.Link.LaneGbps = 4
 	}
 	if c.BusLatency == 0 {
 		c.BusLatency = 2 * sim.Nanosecond

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
@@ -84,14 +85,15 @@ var axisRegistry = map[string]axisDef{
 		return labelled(fmt.Sprintf("%g", m["gbps"]), func(r *Run) { r.Cfg.PCIe.Link = link }), nil
 	}},
 	// Lane count (keeps the per-lane rate) and per-lane rate in Gbps.
-	"lanes":     {phaseField, numeric("", func(r *Run, f float64) { r.Cfg.PCIe.Link.Lanes = int(f) })},
+	"lanes":     {phaseField, integer("", func(r *Run, n int) { r.Cfg.PCIe.Link.Lanes = n })},
 	"lane_gbps": {phaseField, numeric("Gbps", func(r *Run, f float64) { r.Cfg.PCIe.Link.LaneGbps = f })},
 	// Host-path and device-path DMA burst (request packet) sizes.
-	"packet_bytes":     {phaseField, numeric("B", func(r *Run, f float64) { r.Cfg.Accel.HostDMA.BurstBytes = int(f) })},
-	"dev_packet_bytes": {phaseField, numeric("B", func(r *Run, f float64) { r.Cfg.Accel.DevDMA.BurstBytes = int(f) })},
-	// Per-tile compute time override in nanoseconds (0 = model).
+	"packet_bytes":     {phaseField, integer("B", func(r *Run, n int) { r.Cfg.Accel.HostDMA.BurstBytes = n })},
+	"dev_packet_bytes": {phaseField, integer("B", func(r *Run, n int) { r.Cfg.Accel.DevDMA.BurstBytes = n })},
+	// Per-tile compute time override in nanoseconds (0 = model),
+	// scaled before the conversion so fractions keep their picoseconds.
 	"compute_ns": {phaseField, numeric("", func(r *Run, f float64) {
-		r.Cfg.Accel.ComputeOverride = sim.Tick(f) * sim.Nanosecond
+		r.Cfg.Accel.ComputeOverride = sim.Tick(f * float64(sim.Nanosecond))
 	})},
 	"hostmem": {phaseField, named(specByName, func(r *Run, s dram.Spec) { r.Cfg.HostSpec = s })},
 	"devmem":  {phaseField, named(specByName, func(r *Run, s dram.Spec) { r.Cfg.DevSpec = s })},
@@ -151,16 +153,15 @@ var axisRegistry = map[string]axisDef{
 	}},
 	// Square GEMM size, overriding the workload's n.
 	"size": {phaseField, func(v Value) (setting, error) {
-		if f, ok := v.(float64); ok {
-			if err := accel.CheckDim(int(f)); err != nil {
-				return setting{}, err
-			}
+		s, err := integer("", func(r *Run, n int) { r.N = n })(v)
+		if err == nil {
+			err = accel.CheckDim(int(v.(float64)))
 		}
-		return numeric("", func(r *Run, f float64) { r.N = int(f) })(v)
+		return s, err
 	}},
 	"model": {phaseField, named(modelByName, func(r *Run, m workload.ViTVariant) { r.Model = m })},
 	// Accelerator cluster size (endpoints sharing the switch).
-	"accelerators": {phaseField, numeric("", func(r *Run, f float64) { r.Cfg.Accelerators = int(f) })},
+	"accelerators": {phaseField, integer("", func(r *Run, n int) { r.Cfg.Accelerators = n })},
 	// Heterogeneous composition: [{kind, n}, ...] slots expanding to
 	// consecutive endpoints (overrides accelerators).
 	"cluster": {phaseField, func(v Value) (setting, error) {
@@ -223,6 +224,19 @@ func numeric(unit string, set func(r *Run, f float64)) func(Value) (setting, err
 		}
 		label := fmt.Sprintf("%g", f)
 		return setting{apply: func(r *Run) { set(r, f) }, label: label, header: label + unit}, nil
+	}
+}
+
+// integer is numeric for an axis that sets an int field: a fractional
+// value is an error, not a truncation that runs one config under two
+// keys.
+func integer(unit string, set func(r *Run, n int)) func(Value) (setting, error) {
+	parse := numeric(unit, func(r *Run, f float64) { set(r, int(f)) })
+	return func(v Value) (setting, error) {
+		if f, ok := v.(float64); ok && f != math.Trunc(f) {
+			return setting{}, fmt.Errorf("want an integer, got %g", f)
+		}
+		return parse(v)
 	}
 }
 

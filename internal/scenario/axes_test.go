@@ -108,7 +108,7 @@ var axisPins = []axisPin{
 		field: func(r Run) string { return fmt.Sprint(int64(r.Cfg.Accel.ComputeOverride)) },
 		samples: []axisSample{
 			{0, "0", "0", "0"},
-			{12.5, "12.5", "12.5", "12000"},
+			{12.5, "12.5", "12.5", "12500"},
 		},
 		wrongType: "fast", wrongTypeErr: `scenario pin: axis "compute_ns": want a number, got string`,
 	},

@@ -380,6 +380,19 @@ func TestValidateErrors(t *testing.T) {
 		{"tenant n off the tile grid", Scenario{Name: "x", Workload: Workload{Kind: "tenants",
 			Tenants: []TenantSpec{{N: Size{Quick: 64, Full: 64}}, {N: Size{Quick: 64, Full: 100}}}}},
 			"tenant 1 n: dimension 100 must be a positive multiple of 16"},
+		// Integer axes reject fractions instead of truncating them
+		// under a label that keeps the fraction.
+		{"fractional size", Scenario{Name: "x", Workload: gemm64,
+			Axes: []Axis{{Name: "size", Values: vals(64, 64.5)}}}, `axis "size": want an integer, got 64.5`},
+		{"fractional lanes", Scenario{Name: "x", Workload: gemm64,
+			Axes: []Axis{{Name: "lanes", Values: vals(4, 4.5)}}}, `axis "lanes": want an integer, got 4.5`},
+		{"fractional packet_bytes", Scenario{Name: "x", Workload: gemm64,
+			Axes: []Axis{{Name: "packet_bytes", Values: vals(64.5)}}}, `axis "packet_bytes": want an integer, got 64.5`},
+		{"fractional dev_packet_bytes", Scenario{Name: "x", Workload: gemm64,
+			Axes: []Axis{{Name: "dev_packet_bytes", Values: vals(128), FullValues: vals(256.25)}}},
+			`axis "dev_packet_bytes": want an integer, got 256.25`},
+		{"fractional accelerators", Scenario{Name: "x", Workload: gemm64,
+			Defaults: []Setting{{Axis: "accelerators", Value: 2.5}}}, `defaults "accelerators": want an integer, got 2.5`},
 	}
 	for _, tc := range cases {
 		err := tc.sc.Validate()

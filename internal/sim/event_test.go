@@ -2,8 +2,10 @@ package sim
 
 import (
 	"math/rand"
+	"runtime"
 	"sort"
 	"strconv"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -311,6 +313,48 @@ func TestExecutedCounter(t *testing.T) {
 	q.Run()
 	if q.Executed != 7 {
 		t.Fatalf("Executed = %d, want 7", q.Executed)
+	}
+}
+
+// On one P a goroutine that becomes runnable while the event loop runs
+// gets the processor only when the loop yields it; the garbage
+// collector's mark worker is such a goroutine. Run and RunUntil must
+// yield within two checkpoint intervals, not wait for the scheduler to
+// preempt them some milliseconds later. Without the checkpoint the
+// chain below finishes all its dispatches before the goroutine runs.
+func TestRunYieldsProcessor(t *testing.T) {
+	prev := runtime.GOMAXPROCS(1)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	for _, tc := range []struct {
+		name string
+		run  func(q *EventQueue)
+	}{
+		{"Run", (*EventQueue).Run},
+		{"RunUntil", func(q *EventQueue) { q.RunUntil(1 << 40) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const limit = 2 * yieldEvery
+			q := NewEventQueue()
+			var ran atomic.Bool
+			seenAt := uint64(0)
+			var fire func()
+			fire = func() {
+				if ran.Load() {
+					seenAt = q.Executed
+					return
+				}
+				if q.Executed < 4*limit {
+					q.ScheduleAfter(fire, 1)
+				}
+			}
+			q.ScheduleAfter(fire, 1)
+			go ran.Store(true)
+			tc.run(q)
+			if seenAt == 0 || seenAt > limit {
+				t.Fatalf("goroutine observed at dispatch %d of %d, want within %d (0 = never)",
+					seenAt, q.Executed, limit)
+			}
+		})
 	}
 }
 
