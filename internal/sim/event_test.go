@@ -336,7 +336,7 @@ func TestRunYieldsProcessor(t *testing.T) {
 			const limit = 2 * yieldEvery
 			q := NewEventQueue()
 			var ran atomic.Bool
-			seenAt := uint64(0)
+			var seenAt uint64
 			var fire func()
 			fire = func() {
 				if ran.Load() {
