@@ -1,13 +1,15 @@
 # AcceSys build and CI entry points.
 #
-#   make ci       - what CI runs: lint, vet, race, examples, e2e, fuzz,
-#                   golden, equiv, benchsmoke, benchcheck, cover; it
-#                   writes no committed file
+#   make ci       - what CI runs: lint, vet, race, examples, benchvet,
+#                   e2e, fuzz, golden, equiv, benchsmoke, benchcheck,
+#                   cover; it writes no committed file
 #   make lint     - gofmt gate (fails listing unformatted files)
 #   make test     - fast test pass
 #   make race     - full test pass under the race detector (exercises
 #                   the sweep worker pool with concurrent simulations)
 #   make examples - compile every example and command
+#   make benchvet - vet and compile the perfbench module (the benchmark
+#                   driver), which go build ./... does not reach
 #   make e2e      - the CLI end-to-end tests that skip under -short and
 #                   -race: sweep, shard plan/run/merge, fleet, the
 #                   serve daemon over HTTP, and explore determinism
@@ -32,7 +34,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test race examples e2e fuzz golden cover equiv ci bench benchsmoke benchcheck figures clean
+.PHONY: all build vet lint test race examples benchvet e2e fuzz golden cover equiv ci bench benchsmoke benchcheck figures clean
 
 # Minimum total statement coverage (percent) make cover enforces.
 COVER_FLOOR ?= 75
@@ -73,6 +75,13 @@ race:
 examples:
 	$(GO) build ./examples/... ./cmd/...
 
+# perfbench/ is its own module (it reaches the repo through a replace
+# directive), so go build ./... and the test targets never compile it.
+# Vet and build it here, so an API change that breaks the benchmark
+# fails CI. It writes nothing under perfbench/.
+benchvet:
+	cd perfbench && $(GO) vet ./... && $(GO) build -o /dev/null .
+
 # The CLI's end-to-end tests: each drives real subcommands (and, for
 # serve, a re-executed daemon process) and compares structured rows,
 # caches and traces. make race runs the same package but skips them.
@@ -111,7 +120,7 @@ cover:
 equiv:
 	$(GO) run ./cmd/accesys equiv fig2 fig3 fig4 fig5 fig6 tab4 fig7 fig8 fig9
 
-ci: lint vet race examples e2e fuzz golden equiv benchsmoke benchcheck cover
+ci: lint vet race examples benchvet e2e fuzz golden equiv benchsmoke benchcheck cover
 
 bench:
 	$(GO) test -short -bench=. -benchtime=1x -run '^$$' .

@@ -57,19 +57,6 @@ func recordBest(b *testing.B, name string, recs []bench.Record) {
 	}
 }
 
-// timeGEMM is the shared single-run kernel for the ablations below.
-func timeGEMM(b *testing.B, cfg core.Config, n int) sim.Tick {
-	b.Helper()
-	sys, drv := scenario.BuildSystem(cfg)
-	var d sim.Tick
-	drv.RunGEMM(driver.GEMMSpec{M: n, N: n, K: n}, func(r driver.Result) { d = r.Job.Duration() })
-	sys.Run()
-	if d == 0 {
-		b.Fatal("GEMM did not complete")
-	}
-	return d
-}
-
 // BenchmarkAblationLocalBuffer quantifies the local-buffer blocking
 // choice: smaller buffers force B-panel reloads (more PCIe traffic).
 func BenchmarkAblationLocalBuffer(b *testing.B) {
@@ -79,7 +66,7 @@ func BenchmarkAblationLocalBuffer(b *testing.B) {
 				cfg := core.PCIe8GB()
 				cfg.Name = fmt.Sprintf("abl-buf-%d-%d", kb, i)
 				cfg.Accel.LocalBufBytes = kb << 10
-				d := timeGEMM(b, cfg, 256)
+				d, _, _ := scenario.TimeGEMM(cfg, 256)
 				b.ReportMetric(d.Seconds()*1e6, "sim_us")
 			}
 		})
@@ -101,7 +88,7 @@ func BenchmarkAblationAccessMethod(b *testing.B) {
 					cfg.Access = m
 				}
 				cfg.Name = fmt.Sprintf("abl-acc-%s-%d", m, i)
-				d := timeGEMM(b, cfg, 256)
+				d, _, _ := scenario.TimeGEMM(cfg, 256)
 				b.ReportMetric(d.Seconds()*1e6, "sim_us")
 			}
 		})
@@ -121,7 +108,7 @@ func BenchmarkAblationSMMU(b *testing.B) {
 				cfg := core.PCIe8GB()
 				cfg.Name = fmt.Sprintf("abl-smmu-%v-%d", bypass, i)
 				cfg.SMMU.Bypass = bypass
-				d := timeGEMM(b, cfg, 256)
+				d, _, _ := scenario.TimeGEMM(cfg, 256)
 				b.ReportMetric(d.Seconds()*1e6, "sim_us")
 			}
 		})
@@ -137,7 +124,7 @@ func BenchmarkAblationHostMemTech(b *testing.B) {
 				cfg := core.PCIe64GB()
 				cfg.Name = fmt.Sprintf("abl-mem-%s-%d", spec.Name, i)
 				cfg.HostSpec = spec
-				d := timeGEMM(b, cfg, 256)
+				d, _, _ := scenario.TimeGEMM(cfg, 256)
 				b.ReportMetric(d.Seconds()*1e6, "sim_us")
 			}
 		})
@@ -204,9 +191,7 @@ func BenchmarkFig4SmallPacket(b *testing.B) {
 	b.ReportAllocs()
 	var events uint64
 	for i := 0; i < b.N; i++ {
-		sys, drv := scenario.BuildSystem(cfg)
-		drv.RunGEMM(driver.GEMMSpec{M: 512, N: 512, K: 512}, func(driver.Result) {})
-		sys.Run()
+		_, sys, _ := scenario.TimeGEMM(cfg, 512)
 		events += sys.EQ.Executed
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
@@ -228,13 +213,7 @@ func BenchmarkSmallPointsCold(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, cfg := range cfgs {
 			for _, n := range []int{32, 64, 96, 128} {
-				sys, drv := scenario.BuildSystem(cfg())
-				done := false
-				drv.RunGEMM(driver.GEMMSpec{M: n, N: n, K: n}, func(driver.Result) { done = true })
-				sys.Run()
-				if !done {
-					b.Fatalf("GEMM-%d under %s did not complete", n, sys.Cfg.Name)
-				}
+				_, sys, _ := scenario.TimeGEMM(cfg(), n)
 				events += sys.EQ.Executed
 			}
 		}
@@ -461,7 +440,7 @@ func BenchmarkAblationCutThrough(b *testing.B) {
 				cfg.Name = fmt.Sprintf("abl-cut-%v-%d", cut, i)
 				cfg.PCIe.CutThrough = cut
 				cfg.Accel.HostDMA.BurstBytes = 4096
-				d := timeGEMM(b, cfg, 256)
+				d, _, _ := scenario.TimeGEMM(cfg, 256)
 				b.ReportMetric(d.Seconds()*1e6, "sim_us")
 			}
 		})

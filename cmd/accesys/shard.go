@@ -181,9 +181,8 @@ func (a *app) cmdShardRun(args []string) int {
 	}
 	w := &shard.Worker{Dir: *dir, Jobs: *jobs}
 	if *verbose {
-		eng := &sweep.Engine{Jobs: *jobs}
 		label := fmt.Sprintf("%s[%d/%d]", sc.Name, k, n)
-		w.OnResult = sweep.NewProgress(a.stderr, label, plan.Counts[k], eng.Workers(plan.Counts[k])).Observe
+		w.OnResult = sweep.NewProgress(a.stderr, label, plan.Counts[k], *jobs).Observe
 	}
 	start := time.Now()
 	sum, err := w.Run(plan, k, points)

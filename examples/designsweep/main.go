@@ -4,10 +4,11 @@
 // "balanced performance and cost" co-design flow the paper motivates.
 //
 // The matrix is declared programmatically through the scenario layer
-// (the same model `accesys sweep` loads from JSON manifests) and fans
-// out over the parallel sweep engine: all 25 design points run
-// concurrently (-jobs bounds the pool) and -cache memoises finished
-// points on disk so iterating on the cost model or target is instant.
+// (the same model `accesys sweep` loads from JSON manifests) and runs
+// through scenario.Options.Sweep, the sweep path every experiment
+// takes: all 25 design points run concurrently (-jobs bounds the pool)
+// and -cache memoises finished points on disk so iterating on the cost
+// model or target is instant.
 //
 //	go run ./examples/designsweep [-n 512] [-target 0.85] [-jobs N] [-cache dir]
 package main
@@ -64,28 +65,26 @@ func main() {
 			{Name: "hostmem", Values: specVals},
 		},
 	}
-	runs, err := sc.Expand(false)
+	points, err := sc.PointsFor(false)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "designsweep:", err)
 		os.Exit(1)
 	}
-	points := sc.Points(runs)
 
-	eng := &sweep.Engine{Jobs: *jobs}
+	// Stream per-point progress with an ETA to stderr so long sweeps
+	// don't look hung.
+	opt := scenario.Options{Verbose: true, Out: os.Stderr, Jobs: *jobs}
 	if *cacheDir != "" {
 		cache, err := sweep.OpenSalted(*cacheDir)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "designsweep: cache disabled: %v\n", err)
 		} else {
-			eng.Cache = cache
+			opt.Cache = cache
 		}
 	}
-	// Stream per-point progress with an ETA to stderr so long sweeps
-	// don't look hung.
-	eng.OnResult = sweep.NewProgress(os.Stderr, "dse", len(points), eng.Workers(len(points))).Observe
 
 	fmt.Printf("sweeping %d design points (GEMM %d)...\n\n", len(points), *n)
-	outs := eng.Run(points)
+	outs := opt.Sweep("dse", points)
 
 	type point struct {
 		gbps float64

@@ -9,7 +9,6 @@ import (
 	"fmt"
 
 	"accesys/internal/core"
-	"accesys/internal/driver"
 	"accesys/internal/pcie"
 	"accesys/internal/scenario"
 	"accesys/internal/sim"
@@ -29,12 +28,7 @@ func main() {
 		cfg.Name = fmt.Sprintf("pkt-%d", sz)
 		cfg.PCIe = pcie.Config{Link: pcie.LinkForGBps(*gbps, 16)}
 		cfg.Accel.HostDMA.BurstBytes = sz
-		sys, drv := scenario.BuildSystem(cfg)
-		var d sim.Tick
-		drv.RunGEMM(driver.GEMMSpec{M: *n, N: *n, K: *n}, func(r driver.Result) {
-			d = r.Job.Duration()
-		})
-		sys.Run()
+		d, _, _ := scenario.TimeGEMM(cfg, *n)
 		times = append(times, d)
 		if d < times[bestIdx] {
 			bestIdx = i

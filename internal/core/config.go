@@ -220,9 +220,6 @@ func (c Config) DevRange() mem.AddrRange {
 	return mem.Range(DevMemBase, c.DevMemBytes)
 }
 
-// BARRange returns accelerator 0's CSR window.
-func (c Config) BARRange() mem.AddrRange { return c.BARRangeOf(0) }
-
 // BARRangeOf returns cluster member i's CSR window.
 func (c Config) BARRangeOf(i int) mem.AddrRange {
 	return mem.Range(BARBase+uint64(i)*BARSize, BARSize)

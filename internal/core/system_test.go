@@ -128,53 +128,6 @@ func TestGEMMThroughFullSystemDevMem(t *testing.T) {
 	}
 }
 
-func TestBandwidthOrderingAcrossConfigs(t *testing.T) {
-	// Timing-only GEMM at the three PCIe tiers: higher bandwidth,
-	// lower time (memory-bound region, paper Fig. 3 / Fig. 7).
-	dur := func(cfg Config) sim.Tick {
-		cfg.Functional = false
-		sys, drv := buildWithDriver(t, cfg)
-		var d sim.Tick
-		drv.RunGEMM(driver.GEMMSpec{M: 256, N: 256, K: 256}, func(r driver.Result) {
-			d = r.Job.Duration()
-		})
-		sys.Run()
-		if d == 0 {
-			t.Fatalf("%s: job did not run", cfg.Name)
-		}
-		return d
-	}
-	t2 := dur(PCIe2GB())
-	t8 := dur(PCIe8GB())
-	t64 := dur(PCIe64GB())
-	if !(t64 < t8 && t8 < t2) {
-		t.Fatalf("bandwidth ordering violated: 2GB=%v 8GB=%v 64GB=%v", t2, t8, t64)
-	}
-	if float64(t2)/float64(t8) < 1.5 {
-		t.Fatalf("2GB/s vs 8GB/s speedup only %.2f", float64(t2)/float64(t8))
-	}
-}
-
-func TestDevMemBeatsLowBandwidthPCIe(t *testing.T) {
-	// Paper Fig. 5: device-side memory outperforms host memory behind
-	// a slow link.
-	dur := func(cfg Config) sim.Tick {
-		sys, drv := buildWithDriver(t, cfg)
-		var d sim.Tick
-		drv.RunGEMM(driver.GEMMSpec{M: 256, N: 256, K: 256}, func(r driver.Result) {
-			d = r.Job.Duration()
-		})
-		sys.Run()
-		return d
-	}
-	slow := PCIe2GB()
-	tPCIe := dur(slow)
-	tDev := dur(DevMemCfg())
-	if tDev >= tPCIe {
-		t.Fatalf("DevMem (%v) should beat PCIe-2GB (%v)", tDev, tPCIe)
-	}
-}
-
 func TestCPUNUMAPenaltyOnDevMem(t *testing.T) {
 	// The paper's Fig. 8 mechanism: CPU operators touching device
 	// memory across PCIe are far slower than on host DRAM.
@@ -216,28 +169,6 @@ func TestSimpleHostMemSweepHook(t *testing.T) {
 	}
 	if sys.HostSimple == nil || sys.HostDRAM != nil {
 		t.Fatal("HostSimple should replace the banked DRAM")
-	}
-}
-
-func TestComputeOverrideKnob(t *testing.T) {
-	// Fig. 2 substrate: the compute-time override must swing the job
-	// into the compute-bound region.
-	dur := func(override sim.Tick) sim.Tick {
-		cfg := PCIe8GB()
-		cfg.Name = "roofline"
-		cfg.Accel.ComputeOverride = override
-		sys, drv := buildWithDriver(t, cfg)
-		var d sim.Tick
-		drv.RunGEMM(driver.GEMMSpec{M: 128, N: 128, K: 128}, func(r driver.Result) {
-			d = r.Job.Duration()
-		})
-		sys.Run()
-		return d
-	}
-	fast := dur(10 * sim.Nanosecond)
-	slow := dur(5 * sim.Microsecond)
-	if float64(slow) < 2*float64(fast) {
-		t.Fatalf("compute override has no effect: fast=%v slow=%v", fast, slow)
 	}
 }
 
@@ -357,61 +288,5 @@ func TestAcceleratorCluster(t *testing.T) {
 		if up == 0 {
 			t.Fatalf("endpoint %d saw no traffic", i)
 		}
-	}
-}
-
-// TestClusterContention verifies the shared link is a real resource:
-// two concurrent jobs take longer than one, but less than two serial
-// ones.
-func TestClusterContention(t *testing.T) {
-	single := func() sim.Tick {
-		cfg := PCIe2GB()
-		cfg.Name = "single"
-		cfg.SMMU.Bypass = true
-		sys := Build(cfg)
-		drv := driver.New("single.drv", sys.EQ, sys.Stats, driver.Deps{
-			EQ: sys.EQ, Packets: sys.Packets, MMIO: sys.AttachHostPort("drv"),
-			FuncHost: sys.FuncHost(), FuncDev: sys.FuncDev(),
-			SMMU: sys.SMMU, Accel: sys.Accel, BARBase: BARBase,
-			HostRange: sys.Cfg.HostRange(), DevRange: sys.Cfg.DevRange(),
-			IOVABase: IOVABase,
-		}, driver.Config{NoIOMMU: true})
-		var d sim.Tick
-		drv.RunGEMM(driver.GEMMSpec{M: 256, N: 256, K: 256}, func(r driver.Result) { d = r.Job.Duration() })
-		sys.Run()
-		return d
-	}()
-
-	cfg := PCIe2GB()
-	cfg.Name = "contend"
-	cfg.Accelerators = 2
-	cfg.SMMU.Bypass = true
-	sys := Build(cfg)
-	mk := func(i int, lo, hi uint64) *driver.Driver {
-		return driver.New(fmt.Sprintf("contend.drv%d", i), sys.EQ, sys.Stats, driver.Deps{
-			EQ: sys.EQ, Packets: sys.Packets, MMIO: sys.AttachHostPort(fmt.Sprintf("drv%d", i)),
-			FuncHost: sys.FuncHost(), FuncDev: sys.FuncDev(),
-			SMMU: sys.SMMU, Accel: sys.Accels[i],
-			BARBase:   BARBase + uint64(i)*BARSize,
-			HostRange: mem.Range(lo, hi-lo), DevRange: sys.Cfg.DevRange(),
-			IOVABase: IOVABase,
-		}, driver.Config{NoIOMMU: true})
-	}
-	d0 := mk(0, 0, 128<<20)
-	d1 := mk(1, 128<<20, 256<<20)
-	var t0, t1 sim.Tick
-	d0.RunGEMM(driver.GEMMSpec{M: 256, N: 256, K: 256}, func(r driver.Result) { t0 = r.Job.Duration() })
-	d1.RunGEMM(driver.GEMMSpec{M: 256, N: 256, K: 256}, func(r driver.Result) { t1 = r.Job.Duration() })
-	sys.Run()
-
-	worst := t0
-	if t1 > worst {
-		worst = t1
-	}
-	if worst <= single+single/10 {
-		t.Fatalf("no contention visible: single=%v concurrent-worst=%v", single, worst)
-	}
-	if worst >= 2*single {
-		t.Fatalf("cluster fully serialized: single=%v concurrent-worst=%v", single, worst)
 	}
 }

@@ -80,9 +80,7 @@ func (e *InProcess) Run(ctx context.Context, job Job) error {
 	w := &shard.Worker{Dir: job.Dir, Jobs: jobs}
 	if job.Verbose && e.Out != nil {
 		label := fmt.Sprintf("%s s%d/%d", e.WorkerName, job.Shard, job.Of)
-		count := e.Plan.Counts[job.Shard]
-		eng := &sweep.Engine{Jobs: jobs}
-		w.OnResult = sweep.NewProgress(e.Out, label, count, eng.Workers(count)).Observe
+		w.OnResult = sweep.NewProgress(e.Out, label, e.Plan.Counts[job.Shard], jobs).Observe
 	}
 	// The simulation slice has no mid-point interruption, so run it in
 	// a goroutine and abandon it on cancellation: an aborting fleet

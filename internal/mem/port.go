@@ -67,9 +67,6 @@ func (p *RequestPort) Name() string { return p.name }
 // Peer returns the bound response port, or nil.
 func (p *RequestPort) Peer() *ResponsePort { return p.peer }
 
-// Owner returns the owning component.
-func (p *RequestPort) Owner() Requestor { return p.owner }
-
 // SendTimingReq offers a request to the peer responder. A false return
 // means "busy": the owner must hold the packet and wait for
 // RecvRetryReq before trying again (it may not send other requests on
@@ -95,9 +92,6 @@ func (p *ResponsePort) Name() string { return p.name }
 
 // Peer returns the bound request port, or nil.
 func (p *ResponsePort) Peer() *RequestPort { return p.peer }
-
-// Owner returns the owning component.
-func (p *ResponsePort) Owner() Responder { return p.owner }
 
 // SendTimingResp offers a response to the peer requester. A false
 // return means the requester is busy; the owner must hold the packet

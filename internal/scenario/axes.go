@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"sort"
@@ -78,6 +79,9 @@ var axisRegistry = map[string]axisDef{
 	// PCIe link by total raw bandwidth: {gbps, lanes}.
 	"link": {phaseField, func(v Value) (setting, error) {
 		m, err := obj(v, []string{"gbps", "lanes"})
+		if err == nil {
+			err = whole("lanes", m["lanes"])
+		}
 		if err != nil {
 			return setting{}, err
 		}
@@ -140,6 +144,9 @@ var axisRegistry = map[string]axisDef{
 		parts := []string{}
 		for _, f := range smmuFields {
 			if val, ok := m[f.key]; ok {
+				if err := whole(f.key, val); err != nil {
+					return setting{}, err
+				}
 				parts = append(parts, fmt.Sprintf("%s%g", f.tag, val))
 			}
 		}
@@ -238,6 +245,14 @@ func integer(unit string, set func(r *Run, n int)) func(Value) (setting, error) 
 		}
 		return parse(v)
 	}
+}
+
+// whole is integer's check for an int field of an object value.
+func whole(field string, f float64) error {
+	if f != math.Trunc(f) {
+		return fmt.Errorf("field %q: want an integer, got %g", field, f)
+	}
+	return nil
 }
 
 // named decodes a string-valued axis through a name lookup; the name
@@ -341,6 +356,9 @@ func clusterOf(v Value) ([]core.ClusterSlot, error) {
 				if !ok {
 					return nil, fmt.Errorf("slot %d: n: want a number, got %T", i, fv)
 				}
+				if err := whole("n", f); err != nil {
+					return nil, fmt.Errorf("slot %d: %v", i, err)
+				}
 				s.N = int(f)
 			default:
 				return nil, fmt.Errorf("slot %d: unknown field %q (want kind n)", i, k)
@@ -368,6 +386,9 @@ func topologyOf(v Value) (pcie.Topology, error) {
 		return pcie.Topology{}, fmt.Errorf("unknown topology %q (want \"flat\" or {levels, fanout})", s)
 	}
 	m, err := obj(v, []string{"levels", "fanout"})
+	if err == nil {
+		err = cmp.Or(whole("levels", m["levels"]), whole("fanout", m["fanout"]))
+	}
 	if err != nil {
 		return pcie.Topology{}, err
 	}

@@ -8,6 +8,7 @@ package scenario
 
 import (
 	"fmt"
+	"math"
 
 	"accesys/internal/core"
 	"accesys/internal/driver"
@@ -55,67 +56,21 @@ func BuildFarm(cfg core.Config) (*core.System, []*driver.Driver) {
 	k := sys.Cfg.Accelerators
 	hostSlice := (sys.Cfg.HostMemBytes / uint64(k)) &^ (arenaAlign - 1)
 	devSlice := (sys.Cfg.DevMemBytes / uint64(k)) &^ (arenaAlign - 1)
-	dcfg := driver.Config{
-		DMMode:     sys.Cfg.Access == core.DM,
-		DevMemMode: sys.Cfg.Access == core.DevMem,
-		NoIOMMU:    true,
-	}
 	drvs := make([]*driver.Driver, k)
-	for i := 0; i < k; i++ {
-		drvs[i] = driver.New(fmt.Sprintf("%s.drv%d", sys.Cfg.Name, i), sys.EQ, sys.Stats, driver.Deps{
-			EQ:        sys.EQ,
-			Packets:   sys.Packets,
-			MMIO:      sys.AttachHostPort(fmt.Sprintf("drv%d", i)),
-			FuncHost:  sys.FuncHost(),
-			FuncDev:   sys.FuncDev(),
-			SMMU:      sys.SMMU,
-			Accel:     sys.Accels[i],
-			BARBase:   core.BARBase + uint64(i)*core.BARSize,
-			HostRange: mem.Range(core.HostMemBase+uint64(i)*hostSlice, hostSlice),
-			DevRange:  mem.Range(core.DevMemBase+uint64(i)*devSlice, devSlice),
-			IOVABase:  core.IOVABase,
-			Flush:     sys.FlushCaches,
-		}, dcfg)
+	for i := range drvs {
+		drvs[i] = attachDriver(sys, fmt.Sprintf("drv%d", i), i,
+			mem.Range(core.HostMemBase+uint64(i)*hostSlice, hostSlice),
+			mem.Range(core.DevMemBase+uint64(i)*devSlice, devSlice))
 	}
 	return sys, drvs
 }
 
-// runTenants simulates the tenants' schedules on a fresh system and
+// runTenants simulates the tenants' schedules on a fresh farm and
 // returns each driven tenant's completion time. only >= 0 restricts
 // the run to that single tenant (the solo baseline); -1 co-runs all.
 func runTenants(cfg core.Config, tenants []TenantJob, only int) []sim.Tick {
 	sys, drvs := BuildFarm(cfg)
-	ends := make([]sim.Tick, len(tenants))
-	done := make([]bool, len(tenants))
-	for ti := range tenants {
-		if only >= 0 && ti != only {
-			done[ti] = true
-			continue
-		}
-		ti := ti
-		t := tenants[ti]
-		drv := drvs[ti]
-		remaining := t.Jobs
-		var launch func()
-		launch = func() {
-			drv.RunGEMM(driver.GEMMSpec{M: t.N, N: t.N, K: t.N}, func(driver.Result) {
-				remaining--
-				if remaining > 0 {
-					launch()
-					return
-				}
-				ends[ti] = sys.Now()
-				done[ti] = true
-			})
-		}
-		launch()
-	}
-	sys.Run()
-	for ti := range tenants {
-		if !done[ti] {
-			panic(fmt.Sprintf("scenario: tenant %d under %s never completed", ti, cfg.Name))
-		}
-	}
+	ends, _ := runSchedules(sys, drvs, tenants, only)
 	return ends
 }
 
@@ -169,21 +124,14 @@ func TenantsPoint(cfg core.Config, tenants []TenantJob) sweep.Point {
 			shared, solo := SimTenants(cfg, tenants)
 			vals := make(map[string]float64, 3*len(tenants)+1)
 			var makespan sim.Tick
-			worst, best := 0.0, 0.0
+			worst, best := 0.0, math.Inf(1)
 			for i := range tenants {
 				sd := float64(shared[i]) / float64(solo[i])
 				vals[fmt.Sprintf("t%d_exec_ns", i)] = float64(shared[i].Nanoseconds())
 				vals[fmt.Sprintf("t%d_solo_ns", i)] = float64(solo[i].Nanoseconds())
 				vals[fmt.Sprintf("t%d_slowdown", i)] = sd
-				if i == 0 || sd > worst {
-					worst = sd
-				}
-				if i == 0 || sd < best {
-					best = sd
-				}
-				if shared[i] > makespan {
-					makespan = shared[i]
-				}
+				worst, best = max(worst, sd), min(best, sd)
+				makespan = max(makespan, shared[i])
 			}
 			vals["fairness"] = worst / best
 			return sweep.Outcome{Dur: makespan, Values: vals}

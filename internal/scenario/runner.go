@@ -10,6 +10,7 @@ import (
 	"accesys/internal/core"
 	"accesys/internal/cpu"
 	"accesys/internal/driver"
+	"accesys/internal/mem"
 	"accesys/internal/sim"
 	"accesys/internal/sweep"
 	"accesys/internal/workload"
@@ -19,26 +20,77 @@ import (
 // standard front door for examples, experiments, and manifest sweeps.
 func BuildSystem(cfg core.Config) (*core.System, *driver.Driver) {
 	sys := core.Build(cfg)
-	dcfg := driver.Config{
-		DMMode:     sys.Cfg.Access == core.DM,
-		DevMemMode: sys.Cfg.Access == core.DevMem,
-		NoIOMMU:    sys.Cfg.SMMU.Bypass,
-	}
-	drv := driver.New(sys.Cfg.Name+".driver", sys.EQ, sys.Stats, driver.Deps{
+	return sys, attachDriver(sys, "driver", 0, sys.Cfg.HostRange(), sys.Cfg.DevRange())
+}
+
+// attachDriver wires a kernel driver named <config>.<port>, on a host
+// port of the same name, to cluster member i's accelerator and BAR. It
+// allocates its buffers from the host and dev windows. BuildSystem and
+// BuildFarm share it.
+func attachDriver(sys *core.System, port string, i int, host, dev mem.AddrRange) *driver.Driver {
+	return driver.New(sys.Cfg.Name+"."+port, sys.EQ, sys.Stats, driver.Deps{
 		EQ:        sys.EQ,
 		Packets:   sys.Packets,
-		MMIO:      sys.AttachHostPort("driver"),
+		MMIO:      sys.AttachHostPort(port),
 		FuncHost:  sys.FuncHost(),
 		FuncDev:   sys.FuncDev(),
 		SMMU:      sys.SMMU,
-		Accel:     sys.Accel,
-		BARBase:   core.BARBase,
-		HostRange: sys.Cfg.HostRange(),
-		DevRange:  sys.Cfg.DevRange(),
+		Accel:     sys.Accels[i],
+		BARBase:   core.BARBase + uint64(i)*core.BARSize,
+		HostRange: host,
+		DevRange:  dev,
 		IOVABase:  core.IOVABase,
 		Flush:     sys.FlushCaches,
-	}, dcfg)
-	return sys, drv
+	}, driver.Config{
+		DMMode:     sys.Cfg.Access == core.DM,
+		DevMemMode: sys.Cfg.Access == core.DevMem,
+		NoIOMMU:    sys.Cfg.SMMU.Bypass,
+	})
+}
+
+// runSchedules launches each member's schedule (Jobs back-to-back
+// square GEMMs of size N on the member's own driver) in member order,
+// runs the system until its event queue drains, and returns each
+// member's completion time and last driver result. only >= 0 restricts
+// the run to that one member; -1 runs all.
+func runSchedules(sys *core.System, drvs []*driver.Driver, jobs []TenantJob, only int) ([]sim.Tick, []driver.Result) {
+	ends := make([]sim.Tick, len(jobs))
+	last := make([]driver.Result, len(jobs))
+	left := make([]int, len(jobs))
+	for i, t := range jobs {
+		if only >= 0 && i != only {
+			continue
+		}
+		left[i] = t.Jobs
+		var launch func()
+		launch = func() {
+			drvs[i].RunGEMM(driver.GEMMSpec{M: t.N, N: t.N, K: t.N}, func(r driver.Result) {
+				last[i] = r
+				left[i]--
+				if left[i] > 0 {
+					launch()
+					return
+				}
+				ends[i] = sys.Now()
+			})
+		}
+		launch()
+	}
+	sys.Run()
+	checkDone(sys.Cfg.Name, "GEMMs", left)
+	return ends, last
+}
+
+// checkDone is the one completion check after a run's event queue
+// drains: left[i] counts member i's unfinished work, in units. Work
+// left over means the run deadlocked, and the panic names the config,
+// the member and what was left.
+func checkDone(cfg, units string, left []int) {
+	for i, n := range left {
+		if n > 0 {
+			panic(fmt.Sprintf("scenario: run under %s drained with %d %s of member %d unfinished", cfg, n, units, i))
+		}
+	}
 }
 
 // TimeGEMM builds the config, runs one timing-only n^3 GEMM, and
@@ -46,13 +98,8 @@ func BuildSystem(cfg core.Config) (*core.System, *driver.Driver) {
 // inspection.
 func TimeGEMM(cfg core.Config, n int) (sim.Tick, *core.System, driver.Result) {
 	sys, drv := BuildSystem(cfg)
-	var res driver.Result
-	drv.RunGEMM(driver.GEMMSpec{M: n, N: n, K: n}, func(r driver.Result) { res = r })
-	sys.Run()
-	if res.Completed == 0 {
-		panic(fmt.Sprintf("scenario: GEMM under %s never completed", cfg.Name))
-	}
-	return res.Job.Duration(), sys, res
+	_, last := runSchedules(sys, []*driver.Driver{drv}, []TenantJob{{N: n, Jobs: 1}}, -1)
+	return last[0].Job.Duration(), sys, last[0]
 }
 
 // GEMMPoint wraps one timing-only n^3 GEMM under cfg as a sweep
@@ -111,12 +158,12 @@ func SimViT(cfg core.Config, v workload.ViTVariant) ViTSplit {
 			return
 		}
 		it := g.Items[idx]
-		idx++
 		start := sys.Now()
 		if it.GEMM != nil {
 			j := it.GEMM
 			drv.RunGEMM(driver.GEMMSpec{M: j.M, N: j.N, K: j.K}, func(driver.Result) {
 				gemmT += sys.Now() - start
+				idx++
 				step()
 			})
 			return
@@ -135,15 +182,14 @@ func SimViT(cfg core.Config, v workload.ViTVariant) ViTSplit {
 			ComputeCycles: op.ComputeCycles,
 		}}, func() {
 			cpuT += sys.Now() - start
+			idx++
 			step()
 		})
 		rot += span
 	}
 	step()
 	sys.Run()
-	if idx != len(g.Items) {
-		panic(fmt.Sprintf("scenario: ViT run under %s stalled at item %d/%d", cfg.Name, idx, len(g.Items)))
-	}
+	checkDone(cfg.Name, "ViT items", []int{len(g.Items) - idx})
 
 	return ViTSplit{
 		GEMM:    gemmT * sim.Tick(g.Layers),

@@ -12,6 +12,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"reflect"
 	"strings"
 
 	"accesys/internal/accel"
@@ -342,7 +343,8 @@ func (s *Scenario) decode() ([]spaceAxis, []fixed, error) {
 			return fail("axis %q: empty matrix (no values)", ax.Name)
 		}
 		axes[i] = spaceAxis{name: ax.Name, phase: def.phase}
-		for _, v := range append(append([]Value{}, ax.Values...), ax.FullValues...) {
+		labels := map[string]int{}
+		for k, v := range append(append([]Value{}, ax.Values...), ax.FullValues...) {
 			cv, err := canon(v)
 			if err != nil {
 				return fail("axis %q: %v", ax.Name, err)
@@ -351,6 +353,14 @@ func (s *Scenario) decode() ([]spaceAxis, []fixed, error) {
 			if err != nil {
 				return fail("axis %q: %v", ax.Name, err)
 			}
+			// The label is the value's part of every run key, so two
+			// different values sharing one would run two configs under
+			// one key. A repeated value (fig6 revisits a point) is one
+			// config under one key.
+			if j, dup := labels[st.label]; dup && !reflect.DeepEqual(axes[i].vals[j], cv) {
+				return fail("axis %q: values %d and %d differ but share the label %q", ax.Name, j, k, st.label)
+			}
+			labels[st.label] = k
 			axes[i].vals = append(axes[i].vals, cv)
 			axes[i].sets = append(axes[i].sets, st)
 		}
@@ -544,7 +554,7 @@ func (o Options) Sweep(label string, points []sweep.Point) []sweep.Outcome {
 	eng := &sweep.Engine{Jobs: o.Jobs, Cache: o.Cache, Profile: o.Profile, Flight: o.Flight}
 	var observers []func(sweep.Result)
 	if o.Verbose && o.Out != nil {
-		observers = append(observers, sweep.NewProgress(o.Out, label, len(points), eng.Workers(len(points))).Observe)
+		observers = append(observers, sweep.NewProgress(o.Out, label, len(points), o.Jobs).Observe)
 	}
 	if o.OnResult != nil {
 		observers = append(observers, o.OnResult)

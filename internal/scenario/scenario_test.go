@@ -393,6 +393,28 @@ func TestValidateErrors(t *testing.T) {
 			`axis "dev_packet_bytes": want an integer, got 256.25`},
 		{"fractional accelerators", Scenario{Name: "x", Workload: gemm64,
 			Defaults: []Setting{{Axis: "accelerators", Value: 2.5}}}, `defaults "accelerators": want an integer, got 2.5`},
+		{"fractional link lanes", Scenario{Name: "x", Workload: gemm64,
+			Axes: []Axis{{Name: "link", Values: vals(map[string]any{"gbps": 8.0, "lanes": 8.5})}}},
+			`axis "link": field "lanes": want an integer, got 8.5`},
+		{"fractional smmu field", Scenario{Name: "x", Workload: gemm64,
+			Axes: []Axis{{Name: "smmu", Values: vals(map[string]any{"utlb_entries": 32.0, "walkers": 2.5})}}},
+			`axis "smmu": field "walkers": want an integer, got 2.5`},
+		{"fractional cluster n", Scenario{Name: "x", Workload: Workload{Kind: "farm", N: Size{Quick: 64, Full: 64}},
+			Axes: []Axis{{Name: "cluster", Values: vals([]any{map[string]any{"kind": "gemm", "n": 2.5}})}}},
+			`axis "cluster": slot 0: field "n": want an integer, got 2.5`},
+		{"fractional topology fanout", Scenario{Name: "x", Workload: gemm64,
+			Axes: []Axis{{Name: "topology", Values: vals(map[string]any{"levels": 2.0, "fanout": 2.7})}}},
+			`axis "topology": field "fanout": want an integer, got 2.7`},
+		// Each value's label is its part of the run key: two values
+		// sharing one would run two configs under one key.
+		{"link label collision", Scenario{Name: "x", Workload: gemm64,
+			Axes: []Axis{{Name: "link", Values: vals(
+				map[string]any{"gbps": 8.0, "lanes": 4.0}, map[string]any{"gbps": 8.0, "lanes": 8.0})}}},
+			`axis "link": values 0 and 1 differ but share the label "8"`},
+		{"full link label collides with a quick one", Scenario{Name: "x", Workload: gemm64,
+			Axes: []Axis{{Name: "link", Values: vals(map[string]any{"gbps": 4.0, "lanes": 4.0}, map[string]any{"gbps": 8.0, "lanes": 8.0}),
+				FullValues: vals(map[string]any{"gbps": 8.0, "lanes": 16.0})}}},
+			`axis "link": values 1 and 2 differ but share the label "8"`},
 	}
 	for _, tc := range cases {
 		err := tc.sc.Validate()

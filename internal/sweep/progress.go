@@ -29,13 +29,11 @@ type Progress struct {
 	wall     time.Duration
 }
 
-// NewProgress reports on a sweep of total points executed by workers
-// workers, prefixing every line with label.
-func NewProgress(w io.Writer, label string, total, workers int) *Progress {
-	if workers < 1 {
-		workers = 1
-	}
-	return &Progress{w: w, label: label, total: total, workers: workers}
+// NewProgress reports on a sweep of total points run by an engine with
+// the given Jobs setting, prefixing every line with label. The ETA
+// divides by the pool size the engine picks for that many points.
+func NewProgress(w io.Writer, label string, total, jobs int) *Progress {
+	return &Progress{w: w, label: label, total: total, workers: workers(jobs, total)}
 }
 
 // Observe records one completed point and prints its progress line.

@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -66,16 +67,19 @@ func TestProgressDividesByWorkers(t *testing.T) {
 	}
 }
 
+// TestEngineWorkers pins the engine's pool size rule, which Progress
+// divides its ETA by: Jobs caps it, the point count caps it, and it
+// never drops below one worker.
 func TestEngineWorkers(t *testing.T) {
-	e := &Engine{Jobs: 4}
-	if got := e.Workers(10); got != 4 {
-		t.Fatalf("Workers(10) = %d, want 4", got)
+	for _, tc := range []struct{ jobs, n, want int }{
+		{4, 10, 4}, {4, 2, 2}, {4, 0, 1}, {-1, 0, 1},
+	} {
+		if got := workers(tc.jobs, tc.n); got != tc.want {
+			t.Errorf("workers(%d, %d) = %d, want %d", tc.jobs, tc.n, got, tc.want)
+		}
 	}
-	if got := e.Workers(2); got != 2 {
-		t.Fatalf("Workers(2) = %d, want 2", got)
-	}
-	if got := e.Workers(0); got != 1 {
-		t.Fatalf("Workers(0) = %d, want 1", got)
+	if got, want := workers(0, 1<<20), runtime.NumCPU(); got != want {
+		t.Errorf("workers(0, many) = %d, want one per CPU (%d)", got, want)
 	}
 }
 
@@ -98,7 +102,7 @@ func TestProgressETADeterministicWithInjectedClock(t *testing.T) {
 		{Key: "b", Run: func() Outcome { return Outcome{Dur: 1000000} }},
 		{Key: "c", Run: func() Outcome { return Outcome{Dur: 1000000} }},
 	}
-	eng.OnResult = NewProgress(&sb, "clk", len(points), eng.Workers(len(points))).Observe
+	eng.OnResult = NewProgress(&sb, "clk", len(points), eng.Jobs).Observe
 	eng.Run(points)
 	// Mean wall is always 1.5s with one worker: [1/3] leaves 2 points
 	// (ETA 3s), [2/3] leaves 1 (1.5s rounds to 2s), [3/3] leaves none.
@@ -119,7 +123,7 @@ func TestEngineProgressIntegration(t *testing.T) {
 		points[i] = Point{Key: string(rune('a' + i)), Run: func() Outcome { return Outcome{Dur: 1} }}
 	}
 	eng := &Engine{Jobs: 2}
-	eng.OnResult = NewProgress(&sb, "int", len(points), eng.Workers(len(points))).Observe
+	eng.OnResult = NewProgress(&sb, "int", len(points), eng.Jobs).Observe
 	eng.Run(points)
 	out := sb.String()
 	if strings.Count(out, "\n") != len(points) {

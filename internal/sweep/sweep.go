@@ -113,24 +113,13 @@ func (e *Engine) now() time.Time {
 	return time.Now()
 }
 
-func (e *Engine) jobs() int {
-	if e.Jobs > 0 {
-		return e.Jobs
+// workers is the engine's pool size rule: jobs workers (<= 0 means
+// one per CPU), never more than the n points, and at least one.
+func workers(jobs, n int) int {
+	if jobs <= 0 {
+		jobs = runtime.NumCPU()
 	}
-	return runtime.NumCPU()
-}
-
-// Workers returns the pool size the engine would use for a sweep of n
-// points — what an ETA estimate should divide by.
-func (e *Engine) Workers(n int) int {
-	w := e.jobs()
-	if w > n {
-		w = n
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
+	return max(1, min(jobs, n))
 }
 
 func (e *Engine) report(r Result) {
@@ -208,11 +197,8 @@ func (e *Engine) execute(i int, p Point, dig string) Result {
 // (only the first of several concurrent failures is reported).
 func (e *Engine) Run(points []Point) []Outcome {
 	outs := make([]Outcome, len(points))
-	workers := e.jobs()
-	if workers > len(points) {
-		workers = len(points)
-	}
-	if workers <= 1 {
+	pool := workers(e.Jobs, len(points))
+	if pool == 1 {
 		for i, p := range points {
 			outs[i] = e.runPoint(i, p)
 		}
@@ -223,7 +209,7 @@ func (e *Engine) Run(points []Point) []Outcome {
 	fail := make(chan any, len(points))
 	var stopped atomic.Bool
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 0; w < pool; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

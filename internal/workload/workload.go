@@ -25,11 +25,9 @@ type GEMMJob struct {
 // MACs returns the multiply-accumulate count.
 func (g GEMMJob) MACs() uint64 { return uint64(g.M) * uint64(g.N) * uint64(g.K) }
 
-// BytesA, BytesB, BytesC are the packed operand sizes (4 B elements).
+// BytesA and BytesC are the packed A and C operand sizes (4 B
+// elements).
 func (g GEMMJob) BytesA() int { return g.M * g.K * 4 }
-
-// BytesB returns the packed B size.
-func (g GEMMJob) BytesB() int { return g.K * g.N * 4 }
 
 // BytesC returns the packed C size.
 func (g GEMMJob) BytesC() int { return g.M * g.N * 4 }
