@@ -19,7 +19,10 @@
 #                   loaders, and the event queue's dispatch order
 #                   against a brute-force reference (FUZZTIME per
 #                   target, default 10s)
-#   make golden   - golden-row conformance suite (all nine experiments)
+#   make golden   - golden-row conformance suite: all nine experiments
+#                   plus the hetfarm and tenants manifests, i.e. every
+#                   file in testdata/golden/ (UPDATE_GOLDEN=1 make
+#                   golden rewrites them)
 #   make bench    - one pass over the benchmark harness (short mode);
 #                   refreshes the BENCH_*.json perf trajectories in
 #                   place (ratcheted: committed values only improve)
@@ -104,9 +107,11 @@ fuzz:
 
 # The golden suite re-runs all nine experiments and diffs their rows
 # against testdata/golden/ (it skips itself under -short and -race, so
-# this is its only CI entry point).
+# this is its only CI entry point); the hetfarm and tenants rows there
+# are pinned by cmd/accesys's TestHetGoldenRows, which runs here too.
 golden:
 	$(GO) test -count=1 -run TestGolden ./internal/exp
+	$(GO) test -count=1 -run TestHetGoldenRows ./cmd/accesys
 
 cover:
 	$(GO) test -short -coverprofile=cover.out ./...

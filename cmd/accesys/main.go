@@ -414,7 +414,7 @@ func (a *app) cmdEquiv(args []string) int {
 	failed := false
 	var reports []*equiv.Report
 	for _, target := range targets {
-		sc, ok := exp.Matrix(target)
+		sc, ok := scenario.Builtin(target)
 		if !ok {
 			var err error
 			sc, err = scenario.Load(target)

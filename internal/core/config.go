@@ -2,7 +2,8 @@
 // with its cache hierarchy, the memory bus, host DRAM behind the
 // shared LLC, the PCIe tree (root complex, switch, endpoint), the
 // SMMU, the IOCache, and the MatrixFlow accelerator with local buffer
-// and device-side memory — the architecture of the paper's Fig. 1.
+// and device-side memory — the architecture of the paper's Fig. 1 —
+// and attaches the kernel drivers that run work on them.
 package core
 
 import (

@@ -7,6 +7,7 @@ import (
 	"accesys/internal/cache"
 	"accesys/internal/cpu"
 	"accesys/internal/dram"
+	"accesys/internal/driver"
 	"accesys/internal/interconnect"
 	"accesys/internal/mem"
 	"accesys/internal/pcie"
@@ -55,8 +56,6 @@ type System struct {
 	// Accel is cluster member 0; Accels lists the whole cluster.
 	Accel  *accel.MatrixFlow
 	Accels []*accel.MatrixFlow
-
-	hostFunc mem.Functional
 }
 
 // Build wires a System from a Config.
@@ -194,15 +193,7 @@ func Build(cfg Config) *System {
 		mem.Bind(a.HostDMAPort(), s.Tree.EP(i).DevPort())
 	}
 	s.Accel = s.Accels[0]
-
-	s.hostFunc = hostFunc
 	return s
-}
-
-// AttachHostPort adds a requestor port on the memory bus for a
-// host-side agent (the kernel driver's MMIO path).
-func (s *System) AttachHostPort(name string) *mem.ResponsePort {
-	return s.Bus.AddRequestorPort(name)
 }
 
 // hostView is the coherent functional view of host memory: the LLC
@@ -226,20 +217,74 @@ func (h hostView) WriteFunctional(addr uint64, data []byte) {
 	h.s.LLC.WriteFunctional(addr, data)
 }
 
-// FuncHost returns the coherent functional view of host memory used by
-// the driver and by tests.
-func (s *System) FuncHost() mem.Functional { return hostView{s} }
-
-// FuncDev returns the functional view of device memory.
-func (s *System) FuncDev() mem.Functional { return s.DevDRAM }
-
-// FlushCaches writes back and invalidates the whole cache hierarchy —
+// flushCaches writes back and invalidates the whole cache hierarchy —
 // the driver-managed coherence step of the DM access method.
-func (s *System) FlushCaches() {
+func (s *System) flushCaches() {
 	s.L1D.FlushAll()
 	s.L1I.FlushAll()
 	s.IOCache.FlushAll()
 	s.LLC.FlushAll()
+}
+
+// AttachDriver wires the system's kernel driver, <config>.driver, to
+// cluster member 0 over the whole host and device memory windows.
+func (s *System) AttachDriver() *driver.Driver {
+	return s.attach("driver", 0, s.Cfg.HostRange(), s.Cfg.DevRange())
+}
+
+// arenaAlign keeps farm arenas MiB-aligned so DMA bursts never
+// straddle a partition boundary.
+const arenaAlign = 1 << 20
+
+// AttachFarm wires one kernel driver, <config>.drv<i>, per cluster
+// member: each owns its member's BAR and member i's arena of the host
+// and device windows (farmArena), so concurrent schedules never share
+// buffers. The config must have SMMU bypass set: the members share one
+// SMMU, and concurrent root tables would clobber each other.
+func (s *System) AttachFarm() []*driver.Driver {
+	if !s.Cfg.SMMU.Bypass {
+		panic(fmt.Sprintf("core: farm under %s needs SMMU bypass (one translation stream per SMMU)", s.Cfg.Name))
+	}
+	drvs := make([]*driver.Driver, s.Cfg.Accelerators)
+	for i := range drvs {
+		host, dev := s.Cfg.farmArena(i)
+		drvs[i] = s.attach(fmt.Sprintf("drv%d", i), i, host, dev)
+	}
+	return drvs
+}
+
+// farmArena returns member i's slice of the host and device windows:
+// each window split into Accelerators disjoint, MiB-aligned arenas.
+func (c Config) farmArena(i int) (host, dev mem.AddrRange) {
+	k := uint64(c.Accelerators)
+	hostSlice := (c.HostMemBytes / k) &^ (arenaAlign - 1)
+	devSlice := (c.DevMemBytes / k) &^ (arenaAlign - 1)
+	return mem.Range(HostMemBase+uint64(i)*hostSlice, hostSlice),
+		mem.Range(DevMemBase+uint64(i)*devSlice, devSlice)
+}
+
+// attach wires a kernel driver named <config>.<port>, on a memory-bus
+// host port of the same name, to cluster member i's accelerator and
+// BAR. It allocates its buffers from the host and dev windows.
+func (s *System) attach(port string, i int, host, dev mem.AddrRange) *driver.Driver {
+	return driver.New(s.Cfg.Name+"."+port, s.EQ, s.Stats, driver.Deps{
+		EQ:        s.EQ,
+		Packets:   s.Packets,
+		MMIO:      s.Bus.AddRequestorPort(port),
+		FuncHost:  hostView{s},
+		FuncDev:   s.DevDRAM,
+		SMMU:      s.SMMU,
+		Accel:     s.Accels[i],
+		BARBase:   s.Cfg.BARRangeOf(i).Start,
+		HostRange: host,
+		DevRange:  dev,
+		IOVABase:  IOVABase,
+		Flush:     s.flushCaches,
+	}, driver.Config{
+		DMMode:     s.Cfg.Access == DM,
+		DevMemMode: s.Cfg.Access == DevMem,
+		NoIOMMU:    s.Cfg.SMMU.Bypass,
+	})
 }
 
 // Run drains the event queue.

@@ -1,14 +1,12 @@
 package core
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
 	"accesys/internal/accel"
 	"accesys/internal/cpu"
 	"accesys/internal/driver"
-	"accesys/internal/mem"
 	"accesys/internal/sim"
 )
 
@@ -20,36 +18,12 @@ func randMat(rng *rand.Rand, n int) []int32 {
 	return m
 }
 
-// buildWithDriver assembles a system plus its kernel driver.
-func buildWithDriver(t *testing.T, cfg Config) (*System, *driver.Driver) {
-	t.Helper()
-	sys := Build(cfg)
-	dcfg := driver.Config{
-		DMMode:     cfg.Access == DM,
-		DevMemMode: cfg.Access == DevMem,
-	}
-	drv := driver.New(sys.Cfg.Name+".driver", sys.EQ, sys.Stats, driver.Deps{
-		EQ:        sys.EQ,
-		Packets:   sys.Packets,
-		MMIO:      sys.AttachHostPort("driver"),
-		FuncHost:  sys.FuncHost(),
-		FuncDev:   sys.FuncDev(),
-		SMMU:      sys.SMMU,
-		Accel:     sys.Accel,
-		BARBase:   BARBase,
-		HostRange: sys.Cfg.HostRange(),
-		DevRange:  sys.Cfg.DevRange(),
-		IOVABase:  IOVABase,
-		Flush:     sys.FlushCaches,
-	}, dcfg)
-	return sys, drv
-}
-
 // runGEMM launches one functional GEMM and returns the result.
 func runGEMM(t *testing.T, cfg Config, n int) (driver.Result, *System) {
 	t.Helper()
 	cfg.Functional = true
-	sys, drv := buildWithDriver(t, cfg)
+	sys := Build(cfg)
+	drv := sys.AttachDriver()
 	rng := rand.New(rand.NewSource(42))
 	a := randMat(rng, n*n)
 	b := randMat(rng, n*n)
@@ -133,7 +107,7 @@ func TestCPUNUMAPenaltyOnDevMem(t *testing.T) {
 	// memory across PCIe are far slower than on host DRAM.
 	cfg := PCIe8GB()
 	cfg.Name = "numa"
-	sys, _ := buildWithDriver(t, cfg)
+	sys := Build(cfg)
 
 	hostBuf := uint64(0x100000)
 	devBuf := DevMemBase + 0x10000
@@ -193,7 +167,8 @@ func TestSequentialJobsSameSystem(t *testing.T) {
 	cfg := PCIe8GB()
 	cfg.Name = "seq"
 	cfg.Functional = true
-	sys, drv := buildWithDriver(t, cfg)
+	sys := Build(cfg)
+	drv := sys.AttachDriver()
 	rng := rand.New(rand.NewSource(7))
 
 	n := 32
@@ -219,74 +194,5 @@ func TestSequentialJobsSameSystem(t *testing.T) {
 	}
 	if r2.Launched < r1.Completed {
 		t.Fatal("jobs must serialize")
-	}
-}
-
-// TestAcceleratorCluster exercises the paper's "accelerator cluster"
-// box: two MatrixFlow instances behind the switch, each with its own
-// endpoint, BAR, and driver, running concurrent functional GEMMs.
-// (The shared SMMU models a single translation stream, so the cluster
-// runs with physical addressing; per-stream SMMU contexts are future
-// work.)
-func TestAcceleratorCluster(t *testing.T) {
-	cfg := PCIe8GB()
-	cfg.Name = "cluster"
-	cfg.Functional = true
-	cfg.Accelerators = 2
-	cfg.SMMU.Bypass = true
-	sys := Build(cfg)
-
-	newDrv := func(i int, hostLo, hostHi uint64) *driver.Driver {
-		return driver.New(fmt.Sprintf("cluster.drv%d", i), sys.EQ, sys.Stats, driver.Deps{
-			EQ:        sys.EQ,
-			Packets:   sys.Packets,
-			MMIO:      sys.AttachHostPort(fmt.Sprintf("drv%d", i)),
-			FuncHost:  sys.FuncHost(),
-			FuncDev:   sys.FuncDev(),
-			SMMU:      sys.SMMU,
-			Accel:     sys.Accels[i],
-			BARBase:   BARBase + uint64(i)*BARSize,
-			HostRange: mem.Range(hostLo, hostHi-hostLo),
-			DevRange:  sys.Cfg.DevRange(),
-			IOVABase:  IOVABase,
-		}, driver.Config{NoIOMMU: true})
-	}
-	d0 := newDrv(0, 0, 128<<20)
-	d1 := newDrv(1, 128<<20, 256<<20)
-
-	rng := rand.New(rand.NewSource(11))
-	n := 64
-	a0, b0 := randMat(rng, n*n), randMat(rng, n*n)
-	a1, b1 := randMat(rng, n*n), randMat(rng, n*n)
-
-	var r0, r1 driver.Result
-	d0.RunGEMM(driver.GEMMSpec{M: n, N: n, K: n, A: a0, B: b0}, func(r driver.Result) { r0 = r })
-	d1.RunGEMM(driver.GEMMSpec{M: n, N: n, K: n, A: a1, B: b1}, func(r driver.Result) { r1 = r })
-	sys.Run()
-
-	if r0.C == nil || r1.C == nil {
-		t.Fatal("cluster jobs did not complete")
-	}
-	w0 := accel.MatMulRef(a0, b0, n, n, n)
-	w1 := accel.MatMulRef(a1, b1, n, n, n)
-	for i := range w0 {
-		if r0.C[i] != w0[i] {
-			t.Fatalf("accel0 C[%d] wrong", i)
-		}
-		if r1.C[i] != w1[i] {
-			t.Fatalf("accel1 C[%d] wrong", i)
-		}
-	}
-	// True concurrency: the second job must not have waited for the
-	// first (both launched at tick 0).
-	if r1.Launched >= r0.Completed {
-		t.Fatal("cluster jobs serialized")
-	}
-	// And both endpoints carried traffic.
-	for i := 0; i < 2; i++ {
-		up := sys.Stats.Lookup(fmt.Sprintf("cluster.pcie.ep%d.tlps_up", i)).Value()
-		if up == 0 {
-			t.Fatalf("endpoint %d saw no traffic", i)
-		}
 	}
 }

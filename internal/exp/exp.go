@@ -65,14 +65,3 @@ func IDs() []string {
 	}
 	return ids
 }
-
-// Matrix exposes the built-in run matrix behind an experiment id to
-// external harnesses (the cross-backend equivalence audit runs every
-// reproduced figure through it). The returned scenario is a fresh
-// copy; mutating it cannot disturb the experiment.
-func Matrix(id string) (*scenario.Scenario, bool) {
-	if _, ok := ByID(id); !ok {
-		return nil, false
-	}
-	return scenario.Builtin(id)
-}

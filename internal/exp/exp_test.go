@@ -20,6 +20,11 @@ func TestIDsResolve(t *testing.T) {
 			t.Fatalf("experiment %q has no built-in scenario", id)
 		}
 	}
+	// accesys equiv resolves experiment ids as built-in scenarios, so
+	// the two sets must be the same.
+	if n := len(scenario.BuiltinNames()); n != len(IDs()) {
+		t.Fatalf("%d built-in scenarios for %d experiments", n, len(IDs()))
+	}
 	if _, ok := ByID("nope"); ok {
 		t.Fatal("unknown id should not resolve")
 	}

@@ -11,8 +11,6 @@ import (
 	"math"
 
 	"accesys/internal/core"
-	"accesys/internal/driver"
-	"accesys/internal/mem"
 	"accesys/internal/sim"
 	"accesys/internal/sweep"
 )
@@ -38,39 +36,15 @@ func resolveTenants(specs []TenantSpec, full bool) []TenantJob {
 	return out
 }
 
-// arenaAlign keeps per-member host/device arena slices MiB-aligned so
-// DMA bursts never straddle a partition boundary.
-const arenaAlign = 1 << 20
-
-// BuildFarm wires a system plus one kernel driver per cluster member:
-// each driver owns its member's BAR and a disjoint slice of the host
-// and device memory windows, so concurrent schedules never share
-// buffers. The config must have SMMU bypass set (the members share one
-// SMMU, and concurrent root tables would clobber each other) — RunAt
-// stamps it for farm/tenants workloads before fingerprinting.
-func BuildFarm(cfg core.Config) (*core.System, []*driver.Driver) {
-	sys := core.Build(cfg)
-	if !sys.Cfg.SMMU.Bypass {
-		panic(fmt.Sprintf("scenario: farm under %s needs SMMU bypass (one translation stream per SMMU)", sys.Cfg.Name))
-	}
-	k := sys.Cfg.Accelerators
-	hostSlice := (sys.Cfg.HostMemBytes / uint64(k)) &^ (arenaAlign - 1)
-	devSlice := (sys.Cfg.DevMemBytes / uint64(k)) &^ (arenaAlign - 1)
-	drvs := make([]*driver.Driver, k)
-	for i := range drvs {
-		drvs[i] = attachDriver(sys, fmt.Sprintf("drv%d", i), i,
-			mem.Range(core.HostMemBase+uint64(i)*hostSlice, hostSlice),
-			mem.Range(core.DevMemBase+uint64(i)*devSlice, devSlice))
-	}
-	return sys, drvs
-}
-
-// runTenants simulates the tenants' schedules on a fresh farm and
-// returns each driven tenant's completion time. only >= 0 restricts
-// the run to that single tenant (the solo baseline); -1 co-runs all.
+// runTenants simulates the tenants' schedules on a fresh farm (one
+// driver per member, core.System.AttachFarm) and returns each driven
+// tenant's completion time. only >= 0 restricts the run to that single
+// tenant (the solo baseline); -1 co-runs all. The config must have SMMU
+// bypass set; RunAt stamps it for farm/tenants workloads before
+// fingerprinting.
 func runTenants(cfg core.Config, tenants []TenantJob, only int) []sim.Tick {
-	sys, drvs := BuildFarm(cfg)
-	ends, _ := runSchedules(sys, drvs, tenants, only)
+	sys := core.Build(cfg)
+	ends, _ := runSchedules(sys, sys.AttachFarm(), tenants, only)
 	return ends
 }
 

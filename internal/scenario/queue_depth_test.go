@@ -22,7 +22,7 @@ func TestSystemQueueDepthStaysBounded(t *testing.T) {
 	farm := func(packet int) core.Config {
 		cfg := core.PCIe8GB()
 		cfg.Accelerators = 8
-		cfg.SMMU.Bypass = true // BuildFarm's precondition
+		cfg.SMMU.Bypass = true // AttachFarm's precondition
 		cfg.Accel.HostDMA.BurstBytes = packet
 		return cfg
 	}
@@ -36,14 +36,12 @@ func TestSystemQueueDepthStaysBounded(t *testing.T) {
 		{"farm8-gemm128-256B", farm(256), 128},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			var sys *core.System
+			sys := core.Build(tc.cfg)
 			var drvs []*driver.Driver
 			if tc.cfg.Accelerators > 1 {
-				sys, drvs = BuildFarm(tc.cfg)
+				drvs = sys.AttachFarm()
 			} else {
-				var drv *driver.Driver
-				sys, drv = BuildSystem(tc.cfg)
-				drvs = []*driver.Driver{drv}
+				drvs = []*driver.Driver{sys.AttachDriver()}
 			}
 			pending := len(drvs)
 			for _, drv := range drvs {

@@ -10,7 +10,6 @@ import (
 	"accesys/internal/core"
 	"accesys/internal/cpu"
 	"accesys/internal/driver"
-	"accesys/internal/mem"
 	"accesys/internal/sim"
 	"accesys/internal/sweep"
 	"accesys/internal/workload"
@@ -20,32 +19,7 @@ import (
 // standard front door for examples, experiments, and manifest sweeps.
 func BuildSystem(cfg core.Config) (*core.System, *driver.Driver) {
 	sys := core.Build(cfg)
-	return sys, attachDriver(sys, "driver", 0, sys.Cfg.HostRange(), sys.Cfg.DevRange())
-}
-
-// attachDriver wires a kernel driver named <config>.<port>, on a host
-// port of the same name, to cluster member i's accelerator and BAR. It
-// allocates its buffers from the host and dev windows. BuildSystem and
-// BuildFarm share it.
-func attachDriver(sys *core.System, port string, i int, host, dev mem.AddrRange) *driver.Driver {
-	return driver.New(sys.Cfg.Name+"."+port, sys.EQ, sys.Stats, driver.Deps{
-		EQ:        sys.EQ,
-		Packets:   sys.Packets,
-		MMIO:      sys.AttachHostPort(port),
-		FuncHost:  sys.FuncHost(),
-		FuncDev:   sys.FuncDev(),
-		SMMU:      sys.SMMU,
-		Accel:     sys.Accels[i],
-		BARBase:   core.BARBase + uint64(i)*core.BARSize,
-		HostRange: host,
-		DevRange:  dev,
-		IOVABase:  core.IOVABase,
-		Flush:     sys.FlushCaches,
-	}, driver.Config{
-		DMMode:     sys.Cfg.Access == core.DM,
-		DevMemMode: sys.Cfg.Access == core.DevMem,
-		NoIOMMU:    sys.Cfg.SMMU.Bypass,
-	})
+	return sys, sys.AttachDriver()
 }
 
 // runSchedules launches each member's schedule (Jobs back-to-back

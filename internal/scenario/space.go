@@ -93,19 +93,6 @@ func (sp *Space) axis(name string) *spaceAxis {
 // pos is the position of point i along the axis.
 func (ax *spaceAxis) pos(i int) int { return (i / ax.stride) % len(ax.sets) }
 
-// AxisValue returns the canonical value the named axis takes at point
-// i, without resolving the run — the cheap probe explore's axis
-// constraints use to reject candidates before any config is built.
-// ok is false when the axis is not part of the scenario or i is out
-// of range.
-func (sp *Space) AxisValue(i int, axis string) (Value, bool) {
-	ax := sp.axis(axis)
-	if ax == nil || i < 0 || i >= sp.size {
-		return nil, false
-	}
-	return ax.vals[ax.pos(i)], true
-}
-
 // RunAt resolves point i of the cross product — byte-identical to
 // Expand's i-th run: defaults and axis values applied in phase order,
 // labels recorded in declaration order, then named.

@@ -62,45 +62,6 @@ func TestSpaceRunAtRangeChecks(t *testing.T) {
 		if _, err := sp.RunAt(i); err == nil {
 			t.Fatalf("RunAt(%d) accepted an out-of-range index", i)
 		}
-		if _, ok := sp.AxisValue(i, "link"); ok {
-			t.Fatalf("AxisValue(%d) accepted an out-of-range index", i)
-		}
-	}
-}
-
-// TestSpaceAxisValue pins the cheap constraint probe: the value the
-// axis reports at index i must equal the label-bearing value the
-// resolved run was built from, without building the run.
-func TestSpaceAxisValue(t *testing.T) {
-	sc := MustBuiltin("fig4")
-	sp, err := sc.Space(false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < sp.Size(); i++ {
-		r, err := sp.RunAt(i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		v, ok := sp.AxisValue(i, "packet_bytes")
-		if !ok {
-			t.Fatalf("point %d has no packet_bytes value", i)
-		}
-		st, err := axisRegistry["packet_bytes"].parse(v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.label != r.Label("packet_bytes") {
-			t.Fatalf("point %d: AxisValue label %q, run label %q", i, st.label, r.Label("packet_bytes"))
-		}
-		if obj, ok := sp.AxisValue(i, "link"); !ok {
-			t.Fatalf("point %d has no link value", i)
-		} else if _, isMap := obj.(map[string]any); !isMap {
-			t.Fatalf("point %d: link value %T, want a canonical object", i, obj)
-		}
-	}
-	if _, ok := sp.AxisValue(0, "nonexistent"); ok {
-		t.Fatal("AxisValue invented a value for an undeclared axis")
 	}
 }
 

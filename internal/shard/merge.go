@@ -117,7 +117,7 @@ func Merge(dst string, srcs []string) (*MergeStats, error) {
 		if err != nil {
 			return nil, fmt.Errorf("shard: %s: %v", dir, err)
 		}
-		digests[i] = Digest(string(data))
+		digests[i] = sweep.Digest(string(data))
 	}
 	for i, sum := range sums[1:] {
 		if sum.Salt != sums[0].Salt {

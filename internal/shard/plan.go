@@ -42,7 +42,7 @@ func (p *Plan) Marshal() ([]byte, error) {
 	return json.MarshalIndent(p, "", "  ")
 }
 
-// isDigest reports whether s looks like a Digest value (hex SHA-256).
+// isDigest reports whether s looks like a sweep.Digest value (hex SHA-256).
 func isDigest(s string) bool {
 	if len(s) != 64 {
 		return false

@@ -56,20 +56,13 @@ func Assign(fingerprint string, n int) int {
 	return best
 }
 
-// Digest is the hex SHA-256 of a raw fingerprint — how plans and
-// summaries reference points without embedding the full (long)
-// fingerprint material. It is the same identity wall-time profiles
-// key on (sweep.Digest), so a plan's fingerprints look up profiled
-// walls directly.
-func Digest(fingerprint string) string { return sweep.Digest(fingerprint) }
-
 // Assignment places one expanded point in the partition.
 type Assignment struct {
 	// Index is the point's position in the scenario's expansion order.
 	Index int `json:"index"`
 	// Key is the point's sweep label.
 	Key string `json:"key"`
-	// Fingerprint is the Digest of the point's raw fingerprint.
+	// Fingerprint is the sweep.Digest of the point's raw fingerprint.
 	Fingerprint string `json:"fingerprint"`
 	// Shard is the assigned shard, in [0, Shards).
 	Shard int `json:"shard"`
@@ -123,7 +116,7 @@ func Partition(scenarioName string, full bool, points []sweep.Point, n int) (*Pl
 			return nil, fmt.Errorf("shard: point %q has no fingerprint; uncacheable points cannot be sharded", pt.Key)
 		}
 		k := Assign(pt.Fingerprint, n)
-		p.Points[i] = Assignment{Index: i, Key: pt.Key, Fingerprint: Digest(pt.Fingerprint), Shard: k}
+		p.Points[i] = Assignment{Index: i, Key: pt.Key, Fingerprint: sweep.Digest(pt.Fingerprint), Shard: k}
 		p.Counts[k]++
 	}
 	return p, nil

@@ -131,7 +131,7 @@ func PartitionWeighted(scenarioName string, full bool, points []sweep.Point, n i
 	p.Points = make([]Assignment, len(points))
 	for i, pt := range points {
 		k := assigned[pt.Fingerprint]
-		p.Points[i] = Assignment{Index: i, Key: pt.Key, Fingerprint: Digest(pt.Fingerprint), Shard: k}
+		p.Points[i] = Assignment{Index: i, Key: pt.Key, Fingerprint: sweep.Digest(pt.Fingerprint), Shard: k}
 		p.Counts[k]++
 	}
 	return p, nil

@@ -84,7 +84,7 @@ func (w *Worker) Run(plan *Plan, k int, points []sweep.Point) (*Summary, error) 
 		return nil, fmt.Errorf("shard: plan covers %d points, expansion has %d", len(plan.Points), len(points))
 	}
 	for i, pt := range points {
-		if Digest(pt.Fingerprint) != plan.Points[i].Fingerprint {
+		if sweep.Digest(pt.Fingerprint) != plan.Points[i].Fingerprint {
 			return nil, fmt.Errorf("shard: point %d (%s) does not match the plan; regenerate the plan from this manifest", i, pt.Key)
 		}
 	}

@@ -3,8 +3,8 @@ package sim
 import "fmt"
 
 // Clock describes a clock domain by its period in ticks. Components
-// embed a Clock to convert between cycles and ticks and to align events
-// to clock edges, as gem5's ClockedObject does.
+// embed a Clock to convert cycle counts to ticks, as gem5's
+// ClockedObject does.
 type Clock struct {
 	period Tick
 }
@@ -17,37 +17,5 @@ func NewClock(freqMHz float64) Clock {
 	return Clock{period: Tick(1e6/freqMHz + 0.5)}
 }
 
-// ClockFromPeriod builds a clock domain from an explicit period.
-func ClockFromPeriod(period Tick) Clock {
-	if period == 0 {
-		panic("sim: zero clock period")
-	}
-	return Clock{period: period}
-}
-
-// Period returns the tick count of one cycle.
-func (c Clock) Period() Tick { return c.period }
-
-// FrequencyMHz returns the clock rate in MHz.
-func (c Clock) FrequencyMHz() float64 { return 1e6 / float64(c.period) }
-
 // Cycles converts a cycle count to ticks.
 func (c Clock) Cycles(n uint64) Tick { return Tick(n) * c.period }
-
-// ToCycles converts a duration in ticks to whole elapsed cycles.
-func (c Clock) ToCycles(t Tick) uint64 { return uint64(t / c.period) }
-
-// NextEdge returns the first clock edge at or after t.
-func (c Clock) NextEdge(t Tick) Tick {
-	rem := t % c.period
-	if rem == 0 {
-		return t
-	}
-	return t + c.period - rem
-}
-
-// EdgeAfter returns the clock edge n cycles after the first edge at or
-// after t.
-func (c Clock) EdgeAfter(t Tick, n uint64) Tick {
-	return c.NextEdge(t) + Tick(n)*c.period
-}

@@ -269,40 +269,18 @@ func TestTickConversions(t *testing.T) {
 
 func TestClock(t *testing.T) {
 	c := NewClock(1000) // 1 GHz -> 1ns period
-	if c.Period() != Nanosecond {
-		t.Fatalf("period = %v, want 1ns", c.Period())
-	}
 	if c.Cycles(5) != 5*Nanosecond {
 		t.Fatalf("Cycles(5) = %v", c.Cycles(5))
 	}
-	if c.ToCycles(5500) != 5 {
-		t.Fatalf("ToCycles(5.5ns) = %v, want 5", c.ToCycles(5500))
-	}
-	if c.NextEdge(1000) != 1000 {
-		t.Fatal("NextEdge on an edge should be identity")
-	}
-	if c.NextEdge(1001) != 2000 {
-		t.Fatalf("NextEdge(1001) = %v, want 2000", c.NextEdge(1001))
-	}
-	if c.EdgeAfter(1001, 2) != 4000 {
-		t.Fatalf("EdgeAfter(1001, 2) = %v, want 4000", c.EdgeAfter(1001, 2))
-	}
-	if got := c.FrequencyMHz(); got != 1000 {
-		t.Fatalf("FrequencyMHz = %v", got)
-	}
-}
-
-func TestClockFromPeriod(t *testing.T) {
-	c := ClockFromPeriod(250) // 4 GHz
-	if c.FrequencyMHz() != 4000 {
-		t.Fatalf("FrequencyMHz = %v, want 4000", c.FrequencyMHz())
+	if got := NewClock(4000).Cycles(4); got != Nanosecond {
+		t.Fatalf("4 cycles at 4 GHz = %v, want 1ns", got)
 	}
 	defer func() {
 		if recover() == nil {
-			t.Fatal("zero period should panic")
+			t.Fatal("zero frequency should panic")
 		}
 	}()
-	ClockFromPeriod(0)
+	NewClock(0)
 }
 
 func TestExecutedCounter(t *testing.T) {
