@@ -11,6 +11,7 @@ package main
 
 import (
 	"os"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -29,7 +30,7 @@ func hetSweep(t *testing.T, args ...string) string {
 func TestHetGoldenRows(t *testing.T) {
 	update := os.Getenv("UPDATE_GOLDEN") != ""
 	for _, name := range hetManifests {
-		rows := hetSweep(t, "sweep", "-nocache", "../../testdata/"+name+".json")
+		rows := dropWallTime(hetSweep(t, "sweep", "-nocache", "../../testdata/"+name+".json"))
 		path := "../../testdata/golden/" + name + ".txt"
 		if update {
 			if err := os.WriteFile(path, []byte(rows), 0o644); err != nil {
@@ -41,10 +42,19 @@ func TestHetGoldenRows(t *testing.T) {
 		if err != nil {
 			t.Fatalf("missing golden file (run UPDATE_GOLDEN=1 go test ./cmd/accesys -run TestHetGoldenRows): %v", err)
 		}
-		if got, want := stripNotes(rows), stripNotes(string(golden)); got != want {
-			t.Fatalf("%s rows drifted from golden:\n--- got\n%s\n--- want\n%s", name, got, want)
+		if rows != string(golden) {
+			t.Fatalf("%s rows drifted from golden:\n--- got\n%s\n--- want\n%s", name, rows, golden)
 		}
 	}
+}
+
+// dropWallTime removes the "# wall time" note, the one line of a
+// sweep's output that differs between identical runs, so a refresh
+// with no row change leaves the golden files untouched.
+func dropWallTime(rows string) string {
+	return strings.Join(slices.DeleteFunc(strings.SplitAfter(rows, "\n"), func(line string) bool {
+		return strings.HasPrefix(strings.TrimSpace(line), "# wall time:")
+	}), "")
 }
 
 func TestHetSweepDeterministicAcrossJobs(t *testing.T) {

@@ -79,7 +79,6 @@ type Config struct {
 	CPUClockMHz float64 // default 1000 (1 GHz ARM)
 	CPUMLP      int     // default 8
 	L1DBytes    int     // default 64 KiB
-	L1IBytes    int     // default 32 KiB
 	LLCBytes    int     // default 2 MiB
 	IOCacheB    int     // default 32 KiB
 
@@ -135,9 +134,6 @@ func (c *Config) setDefaults() {
 	}
 	if c.L1DBytes == 0 {
 		c.L1DBytes = 64 << 10
-	}
-	if c.L1IBytes == 0 {
-		c.L1IBytes = 32 << 10
 	}
 	if c.LLCBytes == 0 {
 		c.LLCBytes = 2 << 20

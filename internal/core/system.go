@@ -20,7 +20,7 @@ import (
 // Cache hierarchy latencies Build wires in (shared with the analytic
 // backend, which models the coherent path from the same values).
 const (
-	// L1HitLatency is the L1 data/instruction lookup time.
+	// L1HitLatency is the L1 data cache lookup time.
 	L1HitLatency = 2 * sim.Nanosecond
 	// LLCHitLatency is the shared last-level cache lookup time.
 	LLCHitLatency = 10 * sim.Nanosecond
@@ -40,7 +40,6 @@ type System struct {
 
 	CPU     *cpu.CPU
 	L1D     *cache.Cache
-	L1I     *cache.Cache
 	LLC     *cache.Cache
 	IOCache *cache.Cache
 
@@ -116,17 +115,9 @@ func Build(cfg Config) *System {
 		HitLatency: L1HitLatency,
 		MSHRs:      16,
 	})
-	s.L1I = cache.New(n+".l1i", eq, pkts, reg, cache.Config{
-		SizeBytes:  cfg.L1IBytes,
-		Assoc:      4,
-		HitLatency: L1HitLatency,
-		MSHRs:      8,
-	})
 	mem.Bind(s.CPU.Port(), s.L1D.CPUPort())
 	mem.Bind(s.L1D.MemPort(), s.Bus.AddRequestorPort("l1d"))
-	mem.Bind(s.L1I.MemPort(), s.Bus.AddRequestorPort("l1i"))
 	s.L1D.SetDownstreamFunctional(s.LLC)
-	s.L1I.SetDownstreamFunctional(s.LLC)
 
 	// --- PCIe fabric --------------------------------------------------
 	// Each cluster member claims its BAR; endpoint 0 also claims the
@@ -166,7 +157,6 @@ func Build(cfg Config) *System {
 
 	// Coherence: the LLC snoops every upper cache.
 	s.LLC.RegisterSnooper(s.L1D)
-	s.LLC.RegisterSnooper(s.L1I)
 	s.LLC.RegisterSnooper(s.IOCache)
 
 	// --- Device side ---------------------------------------------------
@@ -205,14 +195,12 @@ type hostView struct{ s *System }
 func (h hostView) ReadFunctional(addr uint64, buf []byte) {
 	h.s.LLC.ReadFunctional(addr, buf)
 	h.s.L1D.OverlayFunctional(addr, buf)
-	h.s.L1I.OverlayFunctional(addr, buf)
 	h.s.IOCache.OverlayFunctional(addr, buf)
 }
 
 // WriteFunctional implements mem.Functional.
 func (h hostView) WriteFunctional(addr uint64, data []byte) {
 	h.s.L1D.UpdateFunctional(addr, data)
-	h.s.L1I.UpdateFunctional(addr, data)
 	h.s.IOCache.UpdateFunctional(addr, data)
 	h.s.LLC.WriteFunctional(addr, data)
 }
@@ -221,7 +209,6 @@ func (h hostView) WriteFunctional(addr uint64, data []byte) {
 // the driver-managed coherence step of the DM access method.
 func (s *System) flushCaches() {
 	s.L1D.FlushAll()
-	s.L1I.FlushAll()
 	s.IOCache.FlushAll()
 	s.LLC.FlushAll()
 }

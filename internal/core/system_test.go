@@ -2,9 +2,11 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"accesys/internal/accel"
+	"accesys/internal/cache"
 	"accesys/internal/cpu"
 	"accesys/internal/driver"
 	"accesys/internal/sim"
@@ -152,7 +154,7 @@ func TestTableIIDefaults(t *testing.T) {
 	if cfg.CPUClockMHz != 1000 {
 		t.Fatal("CPU clock default should be 1 GHz")
 	}
-	if cfg.L1DBytes != 64<<10 || cfg.L1IBytes != 32<<10 || cfg.LLCBytes != 2<<20 || cfg.IOCacheB != 32<<10 {
+	if cfg.L1DBytes != 64<<10 || cfg.LLCBytes != 2<<20 || cfg.IOCacheB != 32<<10 {
 		t.Fatal("cache sizes should match Table II")
 	}
 	if cfg.HostSpec.Name != "DDR3-1600" {
@@ -160,6 +162,22 @@ func TestTableIIDefaults(t *testing.T) {
 	}
 	if cfg.PCIe.Link.Lanes != 4 || cfg.PCIe.Link.LaneGbps != 4 {
 		t.Fatal("PCIe default should be 4 lanes x 4 Gbps")
+	}
+}
+
+// TestEveryCacheIsDriven checks that every cache field of a built
+// System has a requester bound to its CPU-side port. A cache nothing
+// drives still costs a build, an LLC snoop per request and a DM flush.
+func TestEveryCacheIsDriven(t *testing.T) {
+	farm := PCIe8GB()
+	farm.Name, farm.Accelerators = "farm", 2
+	for _, cfg := range []Config{PCIe8GB(), DevMemCfg(), farm} {
+		v := reflect.ValueOf(Build(cfg)).Elem()
+		for i := 0; i < v.NumField(); i++ {
+			if c, ok := v.Field(i).Interface().(*cache.Cache); ok && c.CPUPort().Peer() == nil {
+				t.Errorf("%s: %s has no requester on its CPU-side port", cfg.Name, v.Type().Field(i).Name)
+			}
+		}
 	}
 }
 

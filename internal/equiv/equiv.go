@@ -2,8 +2,8 @@
 // same expanded scenario points through the timing backend (the event
 // simulation, via the sweep engine and its result cache) and the
 // analytic backend (the closed-form models of internal/analytic,
-// parameterized from the same core.Config), normalizes both into
-// Observation records, and reports per-point relative divergence
+// parameterized from the same core.Config), compares the two run by
+// run and metric by metric, and reports per-point relative divergence
 // against configurable tolerance bands. The ROADMAP names this check
 // as the mechanism that turns the result cache from a speedup into a
 // validation asset: warm cache outcomes are compared without
@@ -14,8 +14,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
-	"sort"
+	"slices"
 
 	"accesys/internal/scenario"
 	"accesys/internal/sweep"
@@ -28,24 +29,6 @@ const (
 	DefaultTol  = 0.15
 	DefaultWarn = 0.075
 )
-
-// Backend names the two sides of every comparison.
-const (
-	BackendTiming   = "timing"
-	BackendAnalytic = "analytic"
-)
-
-// Observation is one normalized measurement: a backend's value for one
-// metric of one design point. Fingerprint is the point's cache-key
-// material, so observations from different processes (or from warm
-// cache entries) align on content, not on run order.
-type Observation struct {
-	Fingerprint string  `json:"fingerprint"`
-	Point       string  `json:"point"`
-	Backend     string  `json:"backend"`
-	Metric      string  `json:"metric"`
-	Value       float64 `json:"value"` // nanoseconds
-}
 
 // Status classifies one comparison against the tolerance bands.
 type Status string
@@ -217,116 +200,54 @@ func signedRel(c Comparison) float64 {
 	return (c.Analytic - c.Timing) / c.Timing
 }
 
-// TimingObservations normalizes swept outcomes into observations: the
-// primary duration becomes metric "exec"; a ViT outcome's split values
-// become "gemm" and "nongemm".
-func TimingObservations(points []sweep.Point, outs []sweep.Outcome) []Observation {
-	var obs []Observation
-	add := func(p sweep.Point, metric string, ns float64) {
-		obs = append(obs, Observation{
-			Fingerprint: p.Fingerprint,
-			Point:       p.Key,
-			Backend:     BackendTiming,
-			Metric:      metric,
-			Value:       ns,
-		})
-	}
+// compare pairs each run's timing outcome with its analytic metrics
+// (nil when the backend declined the run by design) by metric name.
+// Timing reports metric "exec" for the primary duration, plus "gemm"
+// and "nongemm" for a ViT outcome's split. A timing metric without an
+// analytic counterpart fails with a NaN divergence (a backend that
+// cannot speak to a point is a conformance break, not a silent skip)
+// unless the run was declined, when it records "nomodel". Analytic-only
+// metrics fail too; they follow every timing row, in name order.
+func compare(points []sweep.Point, outs []sweep.Outcome, analytic []map[string]float64, tol Tolerances) []Comparison {
+	var comps, orphans []Comparison
 	for i, p := range points {
-		o := outs[i]
-		add(p, "exec", o.Dur.Nanoseconds())
+		o, am := outs[i], analytic[i]
+		timing := map[string]float64{"exec": o.Dur.Nanoseconds()}
+		names := []string{"exec"}
 		if _, ok := o.Values["gemm"]; ok {
-			add(p, "gemm", o.Value("gemm")/1e3) // stored in ticks (ps)
-			add(p, "nongemm", o.Value("nongemm")/1e3)
+			timing["gemm"] = o.Value("gemm") / 1e3 // stored in ticks (ps)
+			timing["nongemm"] = o.Value("nongemm") / 1e3
+			names = append(names, "gemm", "nongemm")
 		}
-	}
-	return obs
-}
-
-// AnalyticObservations evaluates the analytic backend for every run.
-// Runs the backend declines by design (scenario.ErrNoModel) produce no
-// observations; their fingerprints come back in the second return so
-// Compare can classify them "nomodel" instead of missing-counterpart
-// failures. Any other analytic error stays fatal.
-func AnalyticObservations(sc *scenario.Scenario, runs []scenario.Run, points []sweep.Point) ([]Observation, map[string]bool, error) {
-	var obs []Observation
-	nomodel := make(map[string]bool)
-	for i, r := range runs {
-		metrics, err := sc.AnalyticMetrics(r)
-		if errors.Is(err, scenario.ErrNoModel) {
-			nomodel[points[i].Fingerprint] = true
-			continue
-		}
-		if err != nil {
-			return nil, nil, err
-		}
-		names := make([]string, 0, len(metrics))
-		for name := range metrics {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			obs = append(obs, Observation{
-				Fingerprint: points[i].Fingerprint,
-				Point:       r.Key,
-				Backend:     BackendAnalytic,
-				Metric:      name,
-				Value:       metrics[name],
-			})
-		}
-	}
-	return obs, nomodel, nil
-}
-
-// Compare joins the two observation sets on (fingerprint, metric) and
-// classifies each pair. Observations missing a counterpart are
-// reported as failures with a NaN divergence — a backend that cannot
-// speak to a point is a conformance break, not a silent skip — unless
-// the point's fingerprint is in nomodel, in which case the analytic
-// backend declined it by design and the comparison records "nomodel".
-func Compare(timing, an []Observation, nomodel map[string]bool, tol Tolerances) []Comparison {
-	type key struct{ fp, metric string }
-	index := make(map[key]Observation, len(an))
-	for _, o := range an {
-		index[key{o.Fingerprint, o.Metric}] = o
-	}
-	var comps []Comparison
-	seen := make(map[key]bool, len(timing))
-	for _, t := range timing {
-		k := key{t.Fingerprint, t.Metric}
-		seen[k] = true
-		a, ok := index[k]
-		if !ok {
-			status := Fail
-			if nomodel[t.Fingerprint] {
-				status = NoModel
+		for _, m := range names {
+			t := timing[m]
+			a, ok := am[m]
+			if !ok {
+				status := Fail
+				if am == nil {
+					status = NoModel
+				}
+				comps = append(comps, Comparison{Point: p.Key, Metric: m,
+					Timing: t, Rel: math.NaN(), Status: status})
+				continue
 			}
-			comps = append(comps, Comparison{Point: t.Point, Metric: t.Metric,
-				Timing: t.Value, Rel: math.NaN(), Status: status})
-			continue
+			rel := 0.0
+			if t != 0 {
+				rel = math.Abs(t-a) / t
+			} else if a != 0 {
+				rel = math.Inf(1)
+			}
+			comps = append(comps, Comparison{Point: p.Key, Metric: m,
+				Timing: t, Analytic: a, Rel: rel, Status: tol.Classify(rel)})
 		}
-		rel := 0.0
-		if t.Value != 0 {
-			rel = math.Abs(t.Value-a.Value) / t.Value
-		} else if a.Value != 0 {
-			rel = math.Inf(1)
-		}
-		comps = append(comps, Comparison{
-			Point:    t.Point,
-			Metric:   t.Metric,
-			Timing:   t.Value,
-			Analytic: a.Value,
-			Rel:      rel,
-			Status:   tol.Classify(rel),
-		})
-	}
-	for _, a := range an {
-		k := key{a.Fingerprint, a.Metric}
-		if !seen[k] {
-			comps = append(comps, Comparison{Point: a.Point, Metric: a.Metric,
-				Analytic: a.Value, Rel: math.NaN(), Status: Fail})
+		for _, m := range slices.Sorted(maps.Keys(am)) {
+			if _, ok := timing[m]; !ok {
+				orphans = append(orphans, Comparison{Point: p.Key, Metric: m,
+					Analytic: am[m], Rel: math.NaN(), Status: Fail})
+			}
 		}
 	}
-	return comps
+	return append(comps, orphans...)
 }
 
 // Summarize folds comparisons into a report. Non-finite divergences
@@ -375,15 +296,23 @@ func Run(sc *scenario.Scenario, opt scenario.Options, cli Tolerances) (*Report, 
 	if err != nil {
 		return nil, err
 	}
-	points := sc.Points(runs)
-	// Probe the analytic backend before paying for simulation, so a
-	// scenario without an analytic mapping errors instantly.
-	an, nomodel, err := AnalyticObservations(sc, runs, points)
-	if err != nil {
-		return nil, err
+	// Evaluate the analytic backend before paying for simulation, so a
+	// scenario without an analytic mapping errors instantly. A run the
+	// backend declines by design (scenario.ErrNoModel) keeps a nil
+	// entry; any other analytic error is fatal.
+	analytic := make([]map[string]float64, len(runs))
+	for i, r := range runs {
+		m, err := sc.AnalyticMetrics(r)
+		if errors.Is(err, scenario.ErrNoModel) {
+			continue
+		}
+		if err != nil {
+			return nil, err
+		}
+		analytic[i] = m
 	}
+	points := sc.Points(runs)
 	outs := opt.Sweep("equiv/"+sc.Name, points)
-	timing := TimingObservations(points, outs)
 	tol := Resolve(cli, sc.Analytic)
-	return Summarize(sc.Name, tol, Compare(timing, an, nomodel, tol)), nil
+	return Summarize(sc.Name, tol, compare(points, outs, analytic, tol)), nil
 }

@@ -3,10 +3,12 @@ package equiv
 import (
 	"encoding/json"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
 	"accesys/internal/scenario"
+	"accesys/internal/sim"
 	"accesys/internal/sweep"
 )
 
@@ -48,57 +50,104 @@ func TestClassifyBands(t *testing.T) {
 	}
 }
 
-func obs(backend, fp, metric string, v float64) Observation {
-	return Observation{Fingerprint: fp, Point: fp, Backend: backend, Metric: metric, Value: v}
+// cmpRun is one run fed to compare: its timing "exec" in ns and its
+// analytic metrics (nil: the model declined the run, nomodel).
+type cmpRun struct {
+	key string
+	ns  float64
+	an  map[string]float64
 }
 
+var cmpTol = Tolerances{Tol: 0.15, Warn: 0.075}
+
+func execNs(ns float64) map[string]float64 { return map[string]float64{"exec": ns} }
+
+func cmpRow(key, metric string, timing, analytic, rel float64, st Status) Comparison {
+	return Comparison{Point: key, Metric: metric, Timing: timing, Analytic: analytic, Rel: rel, Status: st}
+}
+
+// checkCompare runs compare over runs, checks the rows against want
+// (NaN divergences match each other) and returns the summary report.
+func checkCompare(t *testing.T, runs []cmpRun, want []Comparison) *Report {
+	t.Helper()
+	var points []sweep.Point
+	var outs []sweep.Outcome
+	var an []map[string]float64
+	for _, r := range runs {
+		points = append(points, sweep.Point{Key: r.key})
+		outs = append(outs, sweep.Outcome{Dur: sim.Tick(r.ns) * sim.Nanosecond})
+		an = append(an, r.an)
+	}
+	got := compare(points, outs, an, cmpTol)
+	if !slices.EqualFunc(got, want, func(g, w Comparison) bool {
+		if math.IsNaN(g.Rel) && math.IsNaN(w.Rel) {
+			g.Rel, w.Rel = 0, 0
+		}
+		return g == w
+	}) {
+		t.Errorf("compare = %+v, want %+v", got, want)
+	}
+	return Summarize(t.Name(), cmpTol, got)
+}
+
+// TestCompareJoinsOnFingerprintAndMetric pairs each run's timing and
+// analytic metric by name and classifies the divergence into bands.
 func TestCompareJoinsOnFingerprintAndMetric(t *testing.T) {
-	tol := Tolerances{Tol: 0.15, Warn: 0.075}
-	timing := []Observation{
-		obs(BackendTiming, "a", "exec", 100),
-		obs(BackendTiming, "b", "exec", 100),
-	}
-	an := []Observation{
-		obs(BackendAnalytic, "a", "exec", 105),
-		obs(BackendAnalytic, "b", "exec", 90),
-	}
-	comps := Compare(timing, an, nil, tol)
-	if len(comps) != 2 {
-		t.Fatalf("comparisons = %d, want 2", len(comps))
-	}
-	if comps[0].Status != Pass || comps[0].Rel != 0.05 {
-		t.Fatalf("point a: %+v", comps[0])
-	}
-	if comps[1].Status != Warn {
-		t.Fatalf("point b: %+v", comps[1])
+	r := checkCompare(t, []cmpRun{{"a", 100, execNs(105)}, {"b", 100, execNs(90)}, {"c", 100, execNs(120)}},
+		[]Comparison{cmpRow("a", "exec", 100, 105, 0.05, Pass), cmpRow("b", "exec", 100, 90, 0.1, Warn),
+			cmpRow("c", "exec", 100, 120, 0.2, Fail)})
+	if r.Passed != 1 || r.Warned != 1 || r.Failed != 1 || r.OK() {
+		t.Fatalf("report: %+v", r)
 	}
 }
 
 func TestCompareFlagsMissingCounterparts(t *testing.T) {
-	tol := Tolerances{Tol: 0.5, Warn: 0.25}
-	timing := []Observation{obs(BackendTiming, "only-timing", "exec", 100)}
-	an := []Observation{obs(BackendAnalytic, "only-analytic", "exec", 100)}
-	comps := Compare(timing, an, nil, tol)
-	if len(comps) != 2 {
-		t.Fatalf("comparisons = %d, want 2", len(comps))
-	}
-	for _, c := range comps {
-		if c.Status != Fail {
-			t.Fatalf("missing counterpart not failed: %+v", c)
-		}
-		if !math.IsNaN(c.Rel) {
-			t.Fatalf("missing counterpart should have NaN divergence: %+v", c)
-		}
+	// A timing metric the model did not return, and an analytic metric
+	// the simulator has no counterpart for; analytic-only rows follow
+	// every timing row.
+	r := checkCompare(t, []cmpRun{{"a", 100, map[string]float64{"gemm": 40}}, {"b", 100, execNs(100)}},
+		[]Comparison{cmpRow("a", "exec", 100, 0, math.NaN(), Fail), cmpRow("b", "exec", 100, 100, 0, Pass),
+			cmpRow("a", "gemm", 0, 40, math.NaN(), Fail)})
+	if r.Failed != 2 || r.OK() {
+		t.Fatalf("missing counterparts not failed: %+v", r)
 	}
 }
 
 func TestCompareZeroTiming(t *testing.T) {
-	tol := Tolerances{Tol: 0.15, Warn: 0.075}
-	comps := Compare(
-		[]Observation{obs(BackendTiming, "z", "exec", 0)},
-		[]Observation{obs(BackendAnalytic, "z", "exec", 5)}, nil, tol)
-	if comps[0].Status != Fail {
-		t.Fatalf("nonzero analytic vs zero timing must fail: %+v", comps[0])
+	r := checkCompare(t, []cmpRun{{"z", 0, execNs(5)}},
+		[]Comparison{cmpRow("z", "exec", 0, 5, math.Inf(1), Fail)})
+	if r.OK() {
+		t.Fatalf("nonzero analytic vs zero timing must fail: %+v", r)
+	}
+}
+
+func TestCompareClassifiesNoModelPoints(t *testing.T) {
+	r := checkCompare(t, []cmpRun{{"modeled", 100, execNs(101)}, {"declined", 100, nil}},
+		[]Comparison{cmpRow("modeled", "exec", 100, 101, 0.01, Pass), cmpRow("declined", "exec", 100, 0, math.NaN(), NoModel)})
+	if r.Passed != 1 || r.NoModeled != 1 || r.Failed != 0 {
+		t.Fatalf("counts: %+v", r)
+	}
+	if !r.OK() {
+		t.Fatal("a declared model gap must not fail the audit")
+	}
+}
+
+func TestSummarizeStillFailsUnknownMissingCounterparts(t *testing.T) {
+	// Only declined runs are excused; a run whose model returned no
+	// "exec" stays a conformance break.
+	r := checkCompare(t, []cmpRun{{"gone", 100, map[string]float64{}}},
+		[]Comparison{cmpRow("gone", "exec", 100, 0, math.NaN(), Fail)})
+	if r.Failed != 1 || r.OK() {
+		t.Fatalf("missing counterpart not failed: %+v", r)
+	}
+}
+
+func TestCompareKeepsRepeatedPoints(t *testing.T) {
+	// fig6 revisits one latency/size pair: both visits are rows.
+	r := checkCompare(t, []cmpRun{{"p", 100, execNs(101)}, {"p", 100, execNs(101)}},
+		[]Comparison{cmpRow("p", "exec", 100, 101, 0.01, Pass), cmpRow("p", "exec", 100, 101, 0.01, Pass)})
+	if r.Passed != 2 || !r.OK() {
+		t.Fatalf("report: %+v", r)
 	}
 }
 
@@ -251,44 +300,6 @@ func TestRunVitScenarioComparesSplit(t *testing.T) {
 	}
 	if !rep.OK() {
 		t.Fatalf("ViT-Base under pcie8gb diverges beyond default tolerance: %+v", rep.Comparisons)
-	}
-}
-
-func TestCompareClassifiesNoModelPoints(t *testing.T) {
-	tol := Tolerances{Tol: 0.15, Warn: 0.075}
-	timing := []Observation{
-		obs(BackendTiming, "modeled", "exec", 100),
-		obs(BackendTiming, "declined", "exec", 100),
-	}
-	an := []Observation{obs(BackendAnalytic, "modeled", "exec", 101)}
-	comps := Compare(timing, an, map[string]bool{"declined": true}, tol)
-	if len(comps) != 2 {
-		t.Fatalf("comparisons = %d, want 2", len(comps))
-	}
-	if comps[0].Status != Pass {
-		t.Fatalf("modeled point: %+v", comps[0])
-	}
-	if comps[1].Status != NoModel || !math.IsNaN(comps[1].Rel) {
-		t.Fatalf("declined point must be nomodel with NaN rel: %+v", comps[1])
-	}
-	r := Summarize("nm", tol, comps)
-	if r.Passed != 1 || r.NoModeled != 1 || r.Failed != 0 {
-		t.Fatalf("counts: %+v", r)
-	}
-	if !r.OK() {
-		t.Fatal("a declared model gap must not fail the audit")
-	}
-}
-
-func TestSummarizeStillFailsUnknownMissingCounterparts(t *testing.T) {
-	// Only declared nomodel points are excused; a genuinely missing
-	// counterpart stays a conformance break.
-	comps := Compare(
-		[]Observation{obs(BackendTiming, "gone", "exec", 100)},
-		nil, nil, Tolerances{Tol: 0.15, Warn: 0.075})
-	r := Summarize("gone", Tolerances{Tol: 0.15, Warn: 0.075}, comps)
-	if r.Failed != 1 || r.OK() {
-		t.Fatalf("missing counterpart not failed: %+v", r)
 	}
 }
 

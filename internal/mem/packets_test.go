@@ -161,8 +161,9 @@ func TestPacketsIsolatedAcrossGoroutines(t *testing.T) {
 
 // TestPacketQueueStableOrder checks Schedule against a stable sort by
 // readiness tick: in-order appends, out-of-order inserts and a second
-// batch scheduled after the queue has partly drained (so the live part
-// starts past the front of the backing array).
+// batch scheduled from an event at tick 128, after the queue has partly
+// drained (so the live part starts past the front of the backing
+// array).
 func TestPacketQueueStableOrder(t *testing.T) {
 	f := func(first, second []uint8) bool {
 		eq := sim.NewEventQueue()
@@ -185,8 +186,7 @@ func TestPacketQueueStableOrder(t *testing.T) {
 			}
 		}
 		schedule(first)
-		eq.RunUntil(128)
-		schedule(second)
+		eq.Schedule(func() { schedule(second) }, 128)
 		eq.Run()
 		slices.SortStableFunc(want, func(a, b item) int { return int(a.ready - b.ready) })
 		if len(sent) != len(want) {

@@ -65,7 +65,6 @@ type EventQueue struct {
 	free    []*Event // recycled one-shot events
 	now     Tick
 	seq     uint64
-	stopped bool
 	// Executed counts events dispatched since creation; useful for
 	// progress reporting and performance measurement.
 	Executed uint64
@@ -82,16 +81,6 @@ func (q *EventQueue) Now() Tick { return q.now }
 // Len reports the number of pending entries: every pending event,
 // plus one per non-empty Lane however many items it holds.
 func (q *EventQueue) Len() int { return len(q.pending) }
-
-// PeekTick reports the tick of the earliest pending event. The second
-// result is false when the queue is empty.
-func (q *EventQueue) PeekTick() (Tick, bool) {
-	n := len(q.pending)
-	if n == 0 {
-		return 0, false
-	}
-	return q.pending[n-1].when, true
-}
 
 // NewEvent creates a named, unscheduled event bound to this queue.
 // NewEvent events are owned by the caller and are never recycled.
@@ -209,22 +198,21 @@ func (q *EventQueue) Step() bool {
 }
 
 // yieldEvery is the dispatch checkpoint interval (a power of two):
-// Run and RunUntil call runtime.Gosched after every yieldEvery-th
-// dispatch. A simulation is one compute-bound goroutine, and on a
-// single P the garbage collector's fractional mark worker otherwise
-// gets the processor only when the scheduler preempts the loop, about
-// 10 ms later. Until the mark phase ends every pointer store in the
-// loop pays the write barrier, which cost small points about a
-// quarter of their wall time. Yielding here gets the mark worker
-// running within a fraction of a millisecond; at a few hundred
-// nanoseconds per event the checkpoint itself costs under 0.1%.
-// README's Performance section has the measurements behind 1024.
+// Run calls runtime.Gosched after every yieldEvery-th dispatch. A
+// simulation is one compute-bound goroutine, and on a single P the
+// garbage collector's fractional mark worker otherwise gets the
+// processor only when the scheduler preempts the loop, about 10 ms
+// later. Until the mark phase ends every pointer store in the loop
+// pays the write barrier, which cost small points about a quarter of
+// their wall time. Yielding here gets the mark worker running within
+// a fraction of a millisecond; at a few hundred nanoseconds per event
+// the checkpoint itself costs under 0.1%. README's Performance
+// section has the measurements behind 1024.
 const yieldEvery = 1024
 
-// Run dispatches events until the queue drains or Stop is called.
+// Run dispatches events until the queue drains.
 func (q *EventQueue) Run() {
-	q.stopped = false
-	for !q.stopped && q.Step() {
+	for q.Step() {
 		q.checkpoint()
 	}
 }
@@ -235,27 +223,6 @@ func (q *EventQueue) checkpoint() {
 		runtime.Gosched()
 	}
 }
-
-// RunUntil dispatches events with tick <= limit. Events beyond the
-// limit stay queued; the current time advances to the limit whether
-// the queue outlived it or drained before it, so repeated RunUntil
-// calls observe monotonic time.
-func (q *EventQueue) RunUntil(limit Tick) {
-	q.stopped = false
-	for !q.stopped {
-		if t, ok := q.PeekTick(); !ok || t > limit {
-			break
-		}
-		q.Step()
-		q.checkpoint()
-	}
-	if q.now < limit {
-		q.now = limit
-	}
-}
-
-// Stop makes a Run/RunUntil in progress return after the current event.
-func (q *EventQueue) Stop() { q.stopped = true }
 
 // eventLess reports whether a dispatches strictly before b: earlier tick
 // first, then lower priority band, then FIFO by sequence number.

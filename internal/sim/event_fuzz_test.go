@@ -3,7 +3,7 @@ package sim
 // FuzzEventQueueOrder is a differential check of the queue's dispatch
 // order. A byte-driven workload mixes Schedule, ScheduleEvent in all
 // three priority bands, Deschedule and Reschedule (also issued from
-// inside dispatching callbacks), Lane.Push, Step and RunUntil windows.
+// inside dispatching callbacks), Lane.Push, Step and runUntil windows.
 // A brute-force reference keeps every pending item as a plain (tick,
 // priority, sequence) key and finds the next dispatch by a min-scan;
 // each dispatch must be the reference's minimum, and the queue's
@@ -41,7 +41,7 @@ const (
 	opReschedule           // owned event to now + delay
 	opLanePush             // lane item at or after the lane's last tick
 	opStep                 // one Step (top level only)
-	opRunUntil             // RunUntil(now + delay) (top level only)
+	opRunUntil             // runUntil(now + delay) (top level only)
 	numOps
 )
 
@@ -168,13 +168,13 @@ func (f *orderFuzzer) op(op byte, top bool) {
 		if top {
 			from := q.Now()
 			limit := from + Tick(a%16)*3
-			q.RunUntil(limit)
+			runUntil(q, limit)
 			if want := max(from, limit); q.Now() != want {
-				f.t.Fatalf("RunUntil(%v) from %v left now at %v", limit, from, q.Now())
+				f.t.Fatalf("runUntil(%v) from %v left now at %v", limit, from, q.Now())
 			}
 			for id, k := range f.ref {
 				if k.when <= limit {
-					f.t.Fatalf("RunUntil(%v) returned with item %d due at %v", limit, id, k.when)
+					f.t.Fatalf("runUntil(%v) returned with item %d due at %v", limit, id, k.when)
 				}
 			}
 		}

@@ -107,71 +107,6 @@ func TestReschedule(t *testing.T) {
 	}
 }
 
-func TestRunUntil(t *testing.T) {
-	q := NewEventQueue()
-	var got []Tick
-	for _, tk := range []Tick{5, 10, 15, 20} {
-		tk := tk
-		q.Schedule(func() { got = append(got, tk) }, tk)
-	}
-	q.RunUntil(12)
-	if len(got) != 2 {
-		t.Fatalf("RunUntil(12) ran %d events, want 2", len(got))
-	}
-	if q.Now() != 12 {
-		t.Fatalf("Now() = %v after RunUntil(12)", q.Now())
-	}
-	q.RunUntil(100)
-	if len(got) != 4 {
-		t.Fatalf("second RunUntil ran %d total, want 4", len(got))
-	}
-}
-
-// RunUntil must advance time to the limit even when the queue drains
-// before reaching it — repeated RunUntil calls observe monotonic time
-// regardless of whether events remain.
-func TestRunUntilDrainedAdvancesToLimit(t *testing.T) {
-	q := NewEventQueue()
-	fired := false
-	q.Schedule(func() { fired = true }, 5)
-	q.RunUntil(20)
-	if !fired {
-		t.Fatal("event at 5 did not fire")
-	}
-	if q.Now() != 20 {
-		t.Fatalf("Now() = %v after RunUntil(20) drained the queue, want 20", q.Now())
-	}
-	// An empty queue must advance too.
-	q.RunUntil(30)
-	if q.Now() != 30 {
-		t.Fatalf("Now() = %v after RunUntil(30) on an empty queue, want 30", q.Now())
-	}
-	// Scheduling at the post-drain time must not panic as "in the past".
-	q.Schedule(func() {}, 30)
-	q.Run()
-}
-
-func TestStopDuringRun(t *testing.T) {
-	q := NewEventQueue()
-	n := 0
-	for i := 1; i <= 10; i++ {
-		q.Schedule(func() {
-			n++
-			if n == 3 {
-				q.Stop()
-			}
-		}, Tick(i))
-	}
-	q.Run()
-	if n != 3 {
-		t.Fatalf("ran %d events before stop, want 3", n)
-	}
-	q.Run() // resumes
-	if n != 10 {
-		t.Fatalf("ran %d events total, want 10", n)
-	}
-}
-
 func TestSchedulePastPanics(t *testing.T) {
 	q := NewEventQueue()
 	q.Schedule(func() {}, 100)
@@ -296,10 +231,10 @@ func TestExecutedCounter(t *testing.T) {
 
 // On one P a goroutine that becomes runnable while the event loop runs
 // gets the processor only when the loop yields it; the garbage
-// collector's mark worker is such a goroutine. Run and RunUntil must
-// yield within two checkpoint intervals, not wait for the scheduler to
-// preempt them some milliseconds later. Without the checkpoint the
-// chain below finishes all its dispatches before the goroutine runs.
+// collector's mark worker is such a goroutine. Run must yield within
+// two checkpoint intervals, not wait for the scheduler to preempt it
+// some milliseconds later. Without the checkpoint the chain below
+// finishes all its dispatches before the goroutine runs.
 func TestRunYieldsProcessor(t *testing.T) {
 	prev := runtime.GOMAXPROCS(1)
 	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
@@ -308,7 +243,6 @@ func TestRunYieldsProcessor(t *testing.T) {
 		run  func(q *EventQueue)
 	}{
 		{"Run", (*EventQueue).Run},
-		{"RunUntil", func(q *EventQueue) { q.RunUntil(1 << 40) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			const limit = 2 * yieldEvery

@@ -83,7 +83,7 @@ func (h *laneHarness) cancel() {
 	}
 }
 
-// run seeds the workload, then dispatches it in random RunUntil
+// run seeds the workload, then dispatches it in random runUntil
 // windows, adding and cancelling work between windows. check, when
 // non-nil, runs after every window.
 func (h *laneHarness) run(check func()) {
@@ -91,7 +91,7 @@ func (h *laneHarness) run(check func()) {
 		h.addWork()
 	}
 	for h.q.Len() > 0 {
-		h.q.RunUntil(h.q.Now() + Tick(h.rng.Intn(40)))
+		runUntil(h.q, h.q.Now()+Tick(h.rng.Intn(40)))
 		if check != nil {
 			check()
 		}
@@ -177,7 +177,7 @@ func TestLanePushOrderPanics(t *testing.T) {
 
 	q.Run()
 	mustPanic("into the past", "before now", func() { l.Push(fn, 5) })
-	q.RunUntil(50)
+	runUntil(q, 50)
 	mustPanic("past after a window", "before now", func() { l.Push(fn, 49) })
 	l.Push(fn, 50)
 	q.Run()
@@ -201,8 +201,8 @@ func TestLaneRingWraps(t *testing.T) {
 		}
 	}
 	push(6)
-	q.RunUntil(3) // pops four, leaving the head mid-ring
-	push(20)      // wraps, then grows
+	runUntil(q, 3) // pops four, leaving the head mid-ring
+	push(20)       // wraps, then grows
 	if l.n != 22 {
 		t.Fatalf("lane holds %d items, want 22", l.n)
 	}

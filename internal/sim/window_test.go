@@ -1,17 +1,28 @@
 package sim
 
-// Freelist-accounting regression tests for windowed execution: when
-// RunUntil returns with events still scheduled, pending pooled events must neither
-// leak out of the accounting nor be recycled while still queued. The
-// invariant checks below walk both the pending slice and the freelist by
-// identity, so a double-recycle (one handle at two freelist slots, or
-// queued and free at once) fails loudly instead of corrupting a later
-// window.
+// Freelist-accounting regression tests for windowed execution: when a
+// runUntil window returns with events still scheduled, pending pooled
+// events must neither leak out of the accounting nor be recycled
+// while still queued. The invariant checks below walk both the
+// pending slice and the freelist by identity, so a double-recycle
+// (one handle at two freelist slots, or queued and free at once)
+// fails loudly instead of corrupting a later window.
 
 import (
 	"math/rand"
 	"testing"
 )
+
+// runUntil dispatches the events due at or before limit, leaving later
+// ones queued, and then advances the clock to limit whether or not the
+// queue drained first. The window tests and the fuzz target chop their
+// workloads with it; the simulator itself only ever runs to drain.
+func runUntil(q *EventQueue, limit Tick) {
+	for n := len(q.pending); n > 0 && q.pending[n-1].when <= limit; n = len(q.pending) {
+		q.Step()
+	}
+	q.now = max(q.now, limit)
+}
 
 // checkAccounting verifies the pending/freelist bookkeeping
 // invariants: the pending slice is sorted latest-first, every pending
@@ -97,10 +108,10 @@ func TestRunUntilPendingEventsStayAccounted(t *testing.T) {
 		schedule(3)
 	}
 	for limit := Tick(10); q.Len() > 0; limit += 10 {
-		q.RunUntil(limit)
+		runUntil(q, limit)
 		checkAccounting(t, q, lanes...)
 		if q.Now() != limit {
-			t.Fatalf("RunUntil(%d) left now at %d", limit, q.Now())
+			t.Fatalf("runUntil(%d) left now at %d", limit, q.Now())
 		}
 	}
 	if fired == 0 {
@@ -124,15 +135,15 @@ func TestRunUntilPendingEventsStayAccounted(t *testing.T) {
 	}
 }
 
-// TestDescheduleAcrossWindows pins the interaction satellite-audited
-// in this PR: descheduling and rescheduling pooled events around a
-// RunUntil boundary must keep the accounting exact (a cancelled
-// one-shot returns to the freelist; pulling it back out un-frees it).
+// TestDescheduleAcrossWindows pins that descheduling and rescheduling
+// pooled events around a window boundary keeps the accounting exact (a
+// cancelled one-shot returns to the freelist; pulling it back out
+// un-frees it).
 func TestDescheduleAcrossWindows(t *testing.T) {
 	q := NewEventQueue()
 	a := q.Schedule(func() {}, 100)
 	b := q.Schedule(func() {}, 200)
-	q.RunUntil(50) // nothing fires; both still pending
+	runUntil(q, 50) // nothing fires; both still pending
 	checkAccounting(t, q)
 
 	q.Deschedule(a) // cancelled one-shot returns to the freelist
@@ -152,7 +163,7 @@ func TestDescheduleAcrossWindows(t *testing.T) {
 }
 
 // TestWindowedDispatchAllocFree extends the zero-alloc gate to
-// windowed execution: repeated RunUntil windows with events pending
+// windowed execution: repeated runUntil windows with events pending
 // across every boundary must not allocate.
 func TestWindowedDispatchAllocFree(t *testing.T) {
 	if raceEnabled {
@@ -172,7 +183,7 @@ func TestWindowedDispatchAllocFree(t *testing.T) {
 		}
 		// Four windows, each leaving later events pending.
 		for w := Tick(16); w <= 64; w += 16 {
-			q.RunUntil(base + w)
+			runUntil(q, base+w)
 		}
 	})
 	if allocs != 0 {
@@ -181,7 +192,7 @@ func TestWindowedDispatchAllocFree(t *testing.T) {
 }
 
 // TestWindowedDispatchOrderMatchesRun pins that chopping a schedule
-// into RunUntil windows cannot change the dispatch order: the same
+// into runUntil windows cannot change the dispatch order: the same
 // seeded workload replayed on a fresh queue under Run() fires
 // identically.
 func TestWindowedDispatchOrderMatchesRun(t *testing.T) {
@@ -206,7 +217,7 @@ func TestWindowedDispatchOrderMatchesRun(t *testing.T) {
 
 	qa, la := build()
 	for qa.Len() > 0 {
-		qa.RunUntil(qa.Now() + 7)
+		runUntil(qa, qa.Now()+7)
 	}
 	qb, lb := build()
 	qb.Run()
