@@ -16,8 +16,9 @@
 #   make fuzz     - short native-fuzz pass over the manifest and shard
 #                   plan parsers, the cache entry decoder, the cache's
 #                   entries.log reader, the profile.json/counters.json
-#                   loaders, and the event queue's dispatch order
-#                   against a brute-force reference (FUZZTIME per
+#                   loaders, the event queue's dispatch order against
+#                   a brute-force reference, and cache reads and
+#                   writes against a flat memory (FUZZTIME per
 #                   target, default 10s)
 #   make golden   - golden-row conformance suite: all nine experiments
 #                   plus the hetfarm and tenants manifests, i.e. every
@@ -92,10 +93,10 @@ e2e:
 	$(GO) test -count=1 ./cmd/accesys
 
 # Short native-fuzz pass: the parsers, the cache entry decoder, the
-# cache log reader and the event queue's ordering explore beyond their
-# seed corpora for FUZZTIME each. Crashers land under testdata/fuzz/
-# in the failing package — commit them as regression seeds after
-# fixing.
+# cache log reader, the event queue's ordering and the cache model's
+# data path explore beyond their seed corpora for FUZZTIME each.
+# Crashers land under testdata/fuzz/ in the failing package — commit
+# them as regression seeds after fixing.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzManifestParse$$' -fuzztime $(FUZZTIME) ./internal/scenario
 	$(GO) test -run '^$$' -fuzz '^FuzzPlanParse$$' -fuzztime $(FUZZTIME) ./internal/shard
@@ -104,6 +105,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzProfileLoad$$' -fuzztime $(FUZZTIME) ./internal/sweep
 	$(GO) test -run '^$$' -fuzz '^FuzzCountersLoad$$' -fuzztime $(FUZZTIME) ./internal/sweep
 	$(GO) test -run '^$$' -fuzz '^FuzzEventQueueOrder$$' -fuzztime $(FUZZTIME) ./internal/sim
+	$(GO) test -run '^$$' -fuzz '^FuzzCacheVsReference$$' -fuzztime $(FUZZTIME) ./internal/cache
 
 # The golden suite re-runs all nine experiments and diffs their rows
 # against testdata/golden/ (it skips itself under -short and -race, so

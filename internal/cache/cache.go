@@ -79,8 +79,8 @@ func (c *Config) setDefaults() {
 }
 
 // line is the state of one way in 16 bytes. It holds no pointers, so a
-// cache's whole line array is one allocation the garbage collector
-// never scans; the payload lives apart (see Cache.chunks).
+// block of lines is an allocation the garbage collector never scans;
+// the payload lives apart (see Cache.chunks).
 type line struct {
 	tag uint64
 	// stamp is zero while the line is invalid. Otherwise bit 0 is
@@ -132,9 +132,13 @@ type Cache struct {
 	memQ    *mem.PacketQueue // downstream requests
 	respQ   *mem.PacketQueue // upstream responses
 
-	// lines holds every way, set-major: set s owns
-	// lines[s*Assoc : (s+1)*Assoc].
-	lines      []line
+	// blocks holds the line state set-major, blockSets sets per block:
+	// set s owns ways [(s%blockSets)*Assoc, (s%blockSets+1)*Assoc) of
+	// blocks[s/blockSets], so a lookup reads one contiguous run. A
+	// block stays nil, and every lookup in it misses, until the first
+	// fill of one of its sets; a small run fills a few blocks and a
+	// build allocates none.
+	blocks     [][]line
 	setMask    uint64
 	setShift   uint
 	lineShift  uint
@@ -191,7 +195,7 @@ func New(name string, eq *sim.EventQueue, pkts *mem.Packets, reg *stats.Registry
 		eq:        eq,
 		pkts:      pkts,
 		cfg:       cfg,
-		lines:     make([]line, numSets*cfg.Assoc),
+		blocks:    make([][]line, (numSets+blockSets-1)/blockSets),
 		chunks:    make([][]byte, (numSets*cfg.Assoc+chunkLines-1)/chunkLines),
 		mshrs:     make([]*mshr, 0, cfg.MSHRs),
 		setMask:   uint64(numSets - 1),
@@ -248,7 +252,28 @@ func (c *Cache) setIndex(lineAddr uint64) int {
 // slot names one way of one set.
 type slot struct{ set, way int }
 
-func (c *Cache) line(s slot) *line { return &c.lines[s.set*c.cfg.Assoc+s.way] }
+// blockSets is the number of consecutive sets whose line state is
+// allocated at once.
+const (
+	blockShift = 4
+	blockSets  = 1 << blockShift
+)
+
+// ways returns the lines of a set, or nil while its block is
+// unallocated.
+func (c *Cache) ways(set int) []line {
+	b := c.blocks[set>>blockShift]
+	if b == nil {
+		return nil
+	}
+	i := (set & (blockSets - 1)) * c.cfg.Assoc
+	return b[i : i+c.cfg.Assoc]
+}
+
+// line returns the state of a slot, whose block must be allocated.
+func (c *Cache) line(s slot) *line {
+	return &c.blocks[s.set>>blockShift][(s.set&(blockSets-1))*c.cfg.Assoc+s.way]
+}
 
 // chunkLines is the number of line payloads allocated at once.
 const chunkLines = 64
@@ -267,7 +292,7 @@ func (c *Cache) data(s slot) []byte {
 // lookup finds the valid line holding lineAddr.
 func (c *Cache) lookup(lineAddr uint64) (slot, bool) {
 	set := c.setIndex(lineAddr)
-	ways := c.lines[set*c.cfg.Assoc : (set+1)*c.cfg.Assoc]
+	ways := c.ways(set)
 	for w := range ways {
 		if ways[w].tag == lineAddr && ways[w].valid() {
 			return slot{set, w}, true
@@ -280,7 +305,11 @@ func (c *Cache) lookup(lineAddr uint64) (slot, bool) {
 // victims, and returns a zeroed line bound to lineAddr.
 func (c *Cache) victim(lineAddr uint64) slot {
 	set := c.setIndex(lineAddr)
-	ways := c.lines[set*c.cfg.Assoc : (set+1)*c.cfg.Assoc]
+	numSets := int(c.setMask) + 1
+	if b := &c.blocks[set>>blockShift]; *b == nil {
+		*b = make([]line, min(blockSets, numSets)*c.cfg.Assoc)
+	}
+	ways := c.ways(set)
 	vi := 0
 	for i := range ways {
 		if !ways[i].valid() {
@@ -294,7 +323,7 @@ func (c *Cache) victim(lineAddr uint64) slot {
 	s := slot{set, vi}
 	v := &ways[vi]
 	if k := c.payloadLine(s) / chunkLines; c.chunks[k] == nil {
-		n := min(chunkLines, len(c.lines)-k*chunkLines)
+		n := min(chunkLines, numSets*c.cfg.Assoc-k*chunkLines)
 		c.chunks[k] = make([]byte, n*c.cfg.LineBytes)
 	}
 	if v.valid() {
@@ -674,12 +703,15 @@ func (c *Cache) UpdateFunctional(addr uint64, data []byte) {
 // invalidates the whole cache — the driver-managed flush used by the
 // DM access method.
 func (c *Cache) FlushAll() {
-	for i := range c.lines {
-		l := &c.lines[i]
-		if l.dirty() && c.downFunc != nil {
-			c.downFunc.WriteFunctional(l.tag, c.data(slot{i / c.cfg.Assoc, i % c.cfg.Assoc}))
+	for b, blk := range c.blocks {
+		for i := range blk {
+			l := &blk[i]
+			if l.dirty() && c.downFunc != nil {
+				set := b<<blockShift + i/c.cfg.Assoc
+				c.downFunc.WriteFunctional(l.tag, c.data(slot{set, i % c.cfg.Assoc}))
+			}
+			l.stamp = 0
 		}
-		l.stamp = 0
 	}
 }
 

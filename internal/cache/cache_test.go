@@ -2,6 +2,7 @@ package cache
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -417,22 +418,26 @@ func TestDirtyEvictionWritesBackLineAndRefillIsZero(t *testing.T) {
 	}
 }
 
-// FlushAll must handle lines whose payload was never allocated (most of
-// the cache here) next to dirty and clean lines.
+// FlushAll must handle sets whose line state and payload were never
+// allocated (most of the cache here) next to dirty and clean lines,
+// in the first line-state block and in a later one.
 func TestFlushAllSkipsUnfilledSets(t *testing.T) {
 	rg := newRig(t, Config{SizeBytes: 16 << 10, Assoc: 2, LineBytes: 64}) // 128 sets
 	rg.c.FlushAll()                                                       // nothing filled yet
-	dirty := pattern(64, 1)
-	rg.req.Send(mem.NewWrite(0x1c0, dirty)) // set 7
-	rg.req.Send(mem.NewRead(0x40, 4))       // set 1, clean
+	dirty, later := pattern(64, 1), pattern(64, 0x90)
+	rg.req.Send(mem.NewWrite(0x1c0, dirty))  // set 7, block 0
+	rg.req.Send(mem.NewWrite(0x1900, later)) // set 100, block 6
+	rg.req.Send(mem.NewRead(0x40, 4))        // set 1, clean
 	rg.eq.Run()
 	rg.c.FlushAll()
 	got := make([]byte, 64)
-	rg.mem.Store.Read(0x1c0, got)
-	if !bytes.Equal(got, dirty) {
-		t.Fatalf("flushed line = %v, want %v", got, dirty)
+	for la, want := range map[uint64][]byte{0x1c0: dirty, 0x1900: later} {
+		rg.mem.Store.Read(la, got)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("flushed line %#x = %v, want %v", la, got, want)
+		}
 	}
-	for _, la := range []uint64{0x1c0, 0x40} {
+	for _, la := range []uint64{0x1c0, 0x1900, 0x40} {
 		if _, ok := rg.c.lookup(la); ok {
 			t.Fatalf("line %#x still cached after FlushAll", la)
 		}
@@ -479,52 +484,197 @@ func TestSnoopsReturnLineData(t *testing.T) {
 	}
 }
 
+// refGeometries are the shapes the reference comparisons run over:
+// fewer sets than one line-state block, exactly one block, and many
+// blocks, each with a 3-way case, whose line count also leaves the
+// last payload chunk partly sized.
+var refGeometries = []Config{
+	{SizeBytes: 512, Assoc: 2, LineBytes: 64},   // 4 sets
+	{SizeBytes: 768, Assoc: 3, LineBytes: 64},   // 4 sets
+	{SizeBytes: 2048, Assoc: 2, LineBytes: 64},  // 16 sets: one block
+	{SizeBytes: 3072, Assoc: 3, LineBytes: 64},  // 16 sets: one block
+	{SizeBytes: 6144, Assoc: 3, LineBytes: 64},  // 32 sets: 2 blocks
+	{SizeBytes: 16384, Assoc: 4, LineBytes: 64}, // 64 sets: 4 blocks
+	{SizeBytes: 24576, Assoc: 3, LineBytes: 64}, // 128 sets: 8 blocks
+}
+
 // Property: randomized mixed reads/writes through the cache always
-// agree with a flat reference model.
-// The geometries include a non-power-of-two associativity, whose line
-// count leaves the last payload chunk partly sized.
+// agree with a flat reference model. Random addresses rarely collide
+// in a set, so each geometry first runs conflictOps, which evicts
+// dirty lines from every set.
 func TestCacheVsReferenceProperty(t *testing.T) {
-	for _, cfg := range []Config{
-		{SizeBytes: 512, Assoc: 2, LineBytes: 64},  // 4 sets
-		{SizeBytes: 768, Assoc: 3, LineBytes: 64},  // 4 sets
-		{SizeBytes: 6144, Assoc: 3, LineBytes: 64}, // 32 sets
-	} {
-		checkVsReference(t, cfg)
+	for _, cfg := range refGeometries {
+		if err := runVsReference(t, cfg, conflictOps(cfg)); err != nil {
+			t.Fatalf("%+v: conflicts: %v", cfg, err)
+		}
+		f := func(ops []struct {
+			Addr  uint16
+			Write bool
+			Val   byte
+		}) bool {
+			refOps := make([]refOp, len(ops))
+			for i, op := range ops {
+				refOps[i] = refOp{addr: uint64(op.Addr), size: 2, write: op.Write, val: op.Val}
+			}
+			return runVsReference(t, cfg, refOps) == nil
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+			t.Fatalf("%+v: %v", cfg, err)
+		}
 	}
 }
 
-func checkVsReference(t *testing.T, cfg Config) {
-	f := func(ops []struct {
-		Addr  uint16
-		Write bool
-		Val   byte
-	}) bool {
-		rg := newRig(t, cfg)
-		ref := make([]byte, 1<<16+8)
-		okAll := true
-		for _, op := range ops {
-			addr := uint64(op.Addr)
-			if op.Write {
-				rg.req.Send(mem.NewWrite(addr, []byte{op.Val, op.Val ^ 0xff}))
-				ref[addr], ref[addr+1] = op.Val, op.Val^0xff
-			} else {
-				rd := mem.NewRead(addr, 2)
-				want0, want1 := ref[addr], ref[addr+1]
-				rd2 := rd
-				rg.req.OnDone = func(p *mem.Packet) {
-					if p == rd2 && (p.Data[0] != want0 || p.Data[1] != want1) {
-						okAll = false
-					}
-				}
-				rg.req.Send(rd)
+// conflictOps writes two bytes into Assoc+2 lines of every set, so
+// every set evicts dirty lines, then reads each of those lines back.
+func conflictOps(cfg Config) []refOp {
+	numSets := cfg.SizeBytes / (cfg.Assoc * cfg.LineBytes)
+	var ops []refOp
+	for _, write := range []bool{true, false} {
+		for tag := range cfg.Assoc + 2 {
+			for set := range numSets {
+				line := tag*numSets + set
+				addr := uint64(line*cfg.LineBytes + set%(cfg.LineBytes-1))
+				ops = append(ops, refOp{addr: addr, size: 2, write: write, val: byte(line)})
 			}
-			rg.eq.Run()
-			rg.req.OnDone = nil
 		}
-		return okAll
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatalf("%+v: %v", cfg, err)
+	return ops
+}
+
+// FuzzCacheVsReference drives the reference comparison from bytes over
+// the geometries with more than one line-state block: the first byte
+// picks the geometry, then every 4 bytes are one access (address low
+// and high byte; bit 0 of the third selects a write and the rest its
+// size, 1-16 bytes; the fourth is the value written). Each geometry's
+// conflictOps is a seed.
+func FuzzCacheVsReference(f *testing.F) {
+	var multi []Config
+	for _, cfg := range refGeometries {
+		if cfg.SizeBytes/(cfg.Assoc*cfg.LineBytes) > blockSets {
+			multi = append(multi, cfg)
+		}
+	}
+	for i, cfg := range multi {
+		seed := []byte{byte(i)}
+		for _, op := range conflictOps(cfg) {
+			flags := byte(op.size-1) << 1
+			if op.write {
+				flags |= 1
+			}
+			seed = append(seed, byte(op.addr), byte(op.addr>>8), flags, op.val)
+		}
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		cfg := multi[int(data[0])%len(multi)]
+		data = data[1:min(len(data), 1+4*2048)]
+		var ops []refOp
+		for ; len(data) >= 4; data = data[4:] {
+			ops = append(ops, refOp{
+				addr:  uint64(data[0]) | uint64(data[1])<<8,
+				size:  1 + int(data[2]>>1)%16,
+				write: data[2]&1 != 0,
+				val:   data[3],
+			})
+		}
+		if err := runVsReference(t, cfg, ops); err != nil {
+			t.Fatalf("%+v: %v", cfg, err)
+		}
+	})
+}
+
+// refOp is one access of a reference comparison: size bytes at addr,
+// a write storing pattern(size, val).
+type refOp struct {
+	addr  uint64
+	size  int
+	write bool
+	val   byte
+}
+
+// runVsReference runs ops one at a time through a fresh cache of
+// geometry cfg and returns the first read whose data differs from a
+// flat reference memory.
+func runVsReference(t *testing.T, cfg Config, ops []refOp) error {
+	rg := newRig(t, cfg)
+	ref := make([]byte, 1<<16+16)
+	var err error
+	for _, op := range ops {
+		span := ref[op.addr : op.addr+uint64(op.size)]
+		if op.write {
+			data := pattern(op.size, op.val)
+			rg.req.Send(mem.NewWrite(op.addr, data))
+			copy(span, data)
+		} else {
+			rd, want := mem.NewRead(op.addr, op.size), bytes.Clone(span)
+			rg.req.OnDone = func(p *mem.Packet) {
+				if p == rd && !bytes.Equal(p.Data, want) && err == nil {
+					err = fmt.Errorf("read %#x+%d = %v, want %v", op.addr, op.size, p.Data, want)
+				}
+			}
+			rg.req.Send(rd)
+		}
+		rg.eq.Run()
+		rg.req.OnDone = nil
+	}
+	return err
+}
+
+// A fresh cache holds no line state: lookups, snoops, functional
+// accesses and a flush of it allocate nothing and leave every block
+// unallocated, and a fill allocates exactly the block of its set.
+func TestLineBlocksAllocatedOnFill(t *testing.T) {
+	rg := newRig(t, Config{SizeBytes: 16 << 10, Assoc: 2, LineBytes: 64}) // 128 sets: 8 blocks
+	c := rg.c
+	c.SetDownstreamFunctional(nil) // count the cache's allocations alone
+	buf := make([]byte, 256)
+	probe := func() {
+		for _, a := range []uint64{0, 0x40, 0x1c0, 0x2000, 0xffc0} {
+			c.lookup(a)
+			c.SnoopInvalidate(a)
+			c.SnoopDowngrade(a)
+			c.ReadFunctional(a+8, buf)
+			c.WriteFunctional(a+8, buf)
+			c.OverlayFunctional(a+8, buf)
+			c.UpdateFunctional(a+8, buf)
+		}
+		c.FlushAll()
+	}
+	if !raceEnabled {
+		if allocs := testing.AllocsPerRun(10, probe); allocs != 0 {
+			t.Fatalf("probing a fresh cache allocated %v times, want 0", allocs)
+		}
+	} else {
+		probe()
+	}
+	allocated := func() (n int) {
+		for _, b := range c.blocks {
+			if b != nil {
+				n++
+			}
+		}
+		return n
+	}
+	if n := allocated(); n != 0 {
+		t.Fatalf("%d of %d blocks allocated before any fill", n, len(c.blocks))
+	}
+
+	fill := func(addr uint64) {
+		rg.req.Send(mem.NewRead(addr, 4))
+		rg.eq.Run()
+	}
+	fill(0x1c0) // set 7: block 0
+	if n := allocated(); n != 1 || len(c.blocks[0]) != blockSets*c.cfg.Assoc {
+		t.Fatalf("after one fill: %d blocks allocated, block 0 holds %d lines; want 1 block of %d",
+			n, len(c.blocks[0]), blockSets*c.cfg.Assoc)
+	}
+	fill(0x3c0) // set 15: still block 0
+	fill(0x400) // set 16: block 1
+	if n := allocated(); n != 2 || c.blocks[1] == nil {
+		t.Fatalf("after fills of sets 7, 15 and 16: %d blocks allocated, want blocks 0 and 1", n)
 	}
 }
 

@@ -109,8 +109,9 @@ type Packet struct {
 // Release leaves to the garbage collector; the package-level NewRead,
 // NewWrite and NewWriteSize use it.
 type Packets struct {
-	free   []*Packet
-	nextID uint64
+	free     []*Packet
+	nextID   uint64
+	releases uint64
 }
 
 // NewPackets returns an empty freelist.
@@ -139,6 +140,13 @@ func (ps *Packets) lease() *Packet {
 // Leased reports how many packets the freelist has leased, which is
 // also the ID of the latest one.
 func (ps *Packets) Leased() uint64 { return ps.nextID }
+
+// Released reports how many leased packets have been released.
+func (ps *Packets) Released() uint64 { return ps.releases }
+
+// Live reports how many leased packets are still out: zero once a run
+// has drained, unless a component leaked one.
+func (ps *Packets) Live() uint64 { return ps.nextID - ps.releases }
 
 // NewRead leases a read request of the given size. The data buffer is
 // allocated lazily by the responder (see AllocData).
@@ -242,6 +250,7 @@ func (p *Packet) Release() {
 	p.route, p.states, p.scratch = route, states, scratch
 	p.home, p.released = home, true
 	home.free = append(home.free, p)
+	home.releases++
 }
 
 // MakeResponse converts the request into its response in place. The

@@ -46,6 +46,24 @@ func TestPacketsIDsDeterministic(t *testing.T) {
 	}
 }
 
+// Live counts leases not yet released; releasing an unpooled packet
+// touches no freelist.
+func TestPacketsLive(t *testing.T) {
+	pkts := NewPackets()
+	a, b := pkts.NewRead(0, 8), pkts.NewWriteSize(64, 8)
+	pkts.NewRead(128, 8)
+	NewRead(0, 8).Release()
+	a.Release()
+	if pkts.Leased() != 3 || pkts.Released() != 1 || pkts.Live() != 2 {
+		t.Fatalf("leased/released/live = %d/%d/%d, want 3/1/2", pkts.Leased(), pkts.Released(), pkts.Live())
+	}
+	b.Release()
+	pkts.NewRead(0, 8).Release() // reuses a freed packet: one more lease, one more release
+	if pkts.Leased() != 4 || pkts.Released() != 3 || pkts.Live() != 1 {
+		t.Fatalf("leased/released/live = %d/%d/%d, want 4/3/1", pkts.Leased(), pkts.Released(), pkts.Live())
+	}
+}
+
 func TestPacketsReleaseTwicePanics(t *testing.T) {
 	for name, p := range map[string]*Packet{
 		"pooled":   NewPackets().NewRead(0, 8),

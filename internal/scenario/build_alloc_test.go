@@ -1,15 +1,19 @@
 package scenario
 
 import (
+	"runtime"
 	"testing"
 
 	"accesys/internal/core"
 )
 
 // Assembling a system must stay cheap: caches and the SMMU TLB keep
-// their sets in one flat array per component, so allocations per build
-// do not scale with the number of sets. This is the regression gate
-// against per-set allocation creeping back into construction.
+// their sets in a few arrays per component, so allocations per build
+// do not scale with the number of sets, and a cache allocates its line
+// state only for the sets a run fills, so a build's bytes do not scale
+// with cache capacity (the 2-MiB LLC's eager line array alone was 512
+// KiB). This is the regression gate against per-set allocation and
+// eager line state creeping back into construction.
 func TestBuildSystemAllocCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -22,4 +26,23 @@ func TestBuildSystemAllocCeiling(t *testing.T) {
 	if allocs > ceiling {
 		t.Fatalf("BuildSystem(PCIe8GB) allocated %.0f times, want <= %d", allocs, ceiling)
 	}
+
+	const byteCeiling = 160 << 10
+	if bytes := bytesPerRun(20, func() { BuildSystem(cfg) }); bytes > byteCeiling {
+		t.Fatalf("BuildSystem(PCIe8GB) allocated %d bytes, want <= %d", bytes, byteCeiling)
+	}
+}
+
+// bytesPerRun is testing.AllocsPerRun for bytes: the average heap bytes
+// allocated by one call of f, after one warm-up call, on one P.
+func bytesPerRun(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
 }

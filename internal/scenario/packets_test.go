@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"fmt"
 	"slices"
 	"sync"
 	"testing"
@@ -56,4 +57,38 @@ func TestSystemPacketIDsDeterministic(t *testing.T) {
 	if !slices.Equal(soloDev, pairDev) {
 		t.Errorf("%s: packet IDs differ between a solo and a concurrent run", devmem.Name)
 	}
+}
+
+// TestRunsReleaseEveryPacket checks that a drained run has released
+// every packet it leased: each component that terminally consumes a
+// packet (a requester taking its response, a cache taking its fill or
+// writeback ack, the sink of a posted write) hands it back, so a leak
+// anywhere shows up as Live() > 0. It covers single-accelerator GEMMs
+// on both PCIe host memories and on device memory, and a two-member
+// farm whose members share the link.
+func TestRunsReleaseEveryPacket(t *testing.T) {
+	check := func(t *testing.T, sys *core.System) {
+		t.Helper()
+		ps := sys.Packets
+		if ps.Leased() == 0 || ps.Live() != 0 {
+			t.Fatalf("%s: %d packets leased, %d released, %d live; want none live",
+				sys.Cfg.Name, ps.Leased(), ps.Released(), ps.Live())
+		}
+	}
+	for _, cfg := range []core.Config{core.PCIe8GB(), core.PCIe64GB(), core.DevMemCfg()} {
+		for _, n := range []int{32, 128, 256} {
+			t.Run(fmt.Sprintf("%s/gemm%d", cfg.Name, n), func(t *testing.T) {
+				_, sys, _ := TimeGEMM(cfg, n)
+				check(t, sys)
+			})
+		}
+	}
+	t.Run("farm2", func(t *testing.T) {
+		cfg := core.PCIe8GB()
+		cfg.Accelerators = 2
+		cfg.SMMU.Bypass = true // AttachFarm's precondition
+		sys := core.Build(cfg)
+		runSchedules(sys, sys.AttachFarm(), []TenantJob{{N: 64, Jobs: 2}, {N: 96, Jobs: 1}}, -1)
+		check(t, sys)
+	})
 }
