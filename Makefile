@@ -15,11 +15,11 @@
 #                   serve daemon over HTTP, and explore determinism
 #   make fuzz     - short native-fuzz pass over the manifest and shard
 #                   plan parsers, the cache entry decoder, the cache's
-#                   entries.log reader, the profile.json/counters.json
-#                   loaders, the event queue's dispatch order against
-#                   a brute-force reference, and cache reads and
-#                   writes against a flat memory (FUZZTIME per
-#                   target, default 10s)
+#                   entries.log reader, the profile and counters
+#                   loaders (snapshot plus journal), the event queue's
+#                   dispatch order against a brute-force reference,
+#                   and cache reads and writes against a flat memory
+#                   (FUZZTIME per target, default 10s)
 #   make golden   - golden-row conformance suite: all nine experiments
 #                   plus the hetfarm and tenants manifests, i.e. every
 #                   file in testdata/golden/ (UPDATE_GOLDEN=1 make

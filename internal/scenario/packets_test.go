@@ -3,11 +3,13 @@ package scenario
 import (
 	"fmt"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
 	"accesys/internal/core"
 	"accesys/internal/driver"
+	"accesys/internal/sweep"
 )
 
 // packetTrace runs one GEMM-n on a fresh system a Step at a time and
@@ -91,4 +93,27 @@ func TestRunsReleaseEveryPacket(t *testing.T) {
 		runSchedules(sys, sys.AttachFarm(), []TenantJob{{N: 64, Jobs: 2}, {N: 96, Jobs: 1}}, -1)
 		check(t, sys)
 	})
+}
+
+// TestLeakedPacketFailsThePoint checks the packet balance every run
+// ends with: a packet leased and never handed back — what dropping the
+// cache's fill Release leaks on every miss — fails the point with a
+// panic naming the config.
+func TestLeakedPacketFailsThePoint(t *testing.T) {
+	cfg := core.PCIe8GB()
+	point := sweep.Point{Key: cfg.Name, Run: func() sweep.Outcome {
+		sys, drv := BuildSystem(cfg)
+		sys.Packets.NewRead(0, 64) // leased, never released
+		runSchedules(sys, []*driver.Driver{drv}, []TenantJob{{N: 32, Jobs: 1}}, -1)
+		return sweep.Outcome{}
+	}}
+	run := func() (msg string) {
+		defer func() { msg = fmt.Sprint(recover()) }()
+		(&sweep.Engine{Jobs: 1}).Run([]sweep.Point{point})
+		return ""
+	}
+	want := fmt.Sprintf("scenario: run under %s drained with 1 packets leased and never released", cfg.Name)
+	if msg := run(); !strings.Contains(msg, want) {
+		t.Fatalf("leaking point failed with %q, want %q", msg, want)
+	}
 }

@@ -51,19 +51,25 @@ func runSchedules(sys *core.System, drvs []*driver.Driver, jobs []TenantJob, onl
 		launch()
 	}
 	sys.Run()
-	checkDone(sys.Cfg.Name, "GEMMs", left)
+	checkDone(sys, "GEMMs", left)
 	return ends, last
 }
 
 // checkDone is the one completion check after a run's event queue
 // drains: left[i] counts member i's unfinished work, in units. Work
 // left over means the run deadlocked, and the panic names the config,
-// the member and what was left.
-func checkDone(cfg, units string, left []int) {
+// the member and what was left. A packet still leased from the
+// system's freelist means a component consumed one without releasing
+// it — a leak that would otherwise only show as allocation — and
+// panics the same way.
+func checkDone(sys *core.System, units string, left []int) {
 	for i, n := range left {
 		if n > 0 {
-			panic(fmt.Sprintf("scenario: run under %s drained with %d %s of member %d unfinished", cfg, n, units, i))
+			panic(fmt.Sprintf("scenario: run under %s drained with %d %s of member %d unfinished", sys.Cfg.Name, n, units, i))
 		}
+	}
+	if live := sys.Packets.Live(); live != 0 {
+		panic(fmt.Sprintf("scenario: run under %s drained with %d packets leased and never released", sys.Cfg.Name, live))
 	}
 }
 
@@ -163,7 +169,7 @@ func SimViT(cfg core.Config, v workload.ViTVariant) ViTSplit {
 	}
 	step()
 	sys.Run()
-	checkDone(cfg.Name, "ViT items", []int{len(g.Items) - idx})
+	checkDone(sys, "ViT items", []int{len(g.Items) - idx})
 
 	return ViTSplit{
 		GEMM:    gemmT * sim.Tick(g.Layers),

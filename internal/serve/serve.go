@@ -239,9 +239,14 @@ func (s *Server) submit(client string, sc *scenario.Scenario, manifest []byte, f
 	return j, nil
 }
 
-// finish moves a job to a terminal state, releases its quota slot, and
-// enforces the terminal-job retention cap.
+// finish persists the cache counters and wall profile, then moves a
+// job to a terminal state, releases its quota slot, and enforces the
+// terminal-job retention cap. Flushing first makes a job's counts and
+// cold walls durable by the time any client sees it finish.
 func (s *Server) finish(j *job, err error) {
+	if ferr := s.flushState(); ferr != nil {
+		s.logf("serve: flushing state after %s: %v", j.id, ferr)
+	}
 	j.mu.Lock()
 	j.finished = s.now()
 	if err != nil {
@@ -260,10 +265,6 @@ func (s *Server) finish(j *job, err error) {
 	}
 	s.evictLocked()
 	s.mu.Unlock()
-
-	if err := s.flushState(); err != nil {
-		s.logf("serve: flushing state after %s: %v", j.id, err)
-	}
 }
 
 // evictLocked enforces JobRetention: when terminal jobs exceed the

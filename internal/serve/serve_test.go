@@ -749,6 +749,54 @@ func TestStatsCountCacheAndDedup(t *testing.T) {
 	}
 }
 
+// TestFinishedJobIsDurable pins per-job persistence: once a job
+// reports done, a fresh LoadProfile of the cache directory already
+// holds its cold points' walls and the directory's counters already
+// hold its misses (cold job) and hits (warm job), with the daemon
+// still running.
+func TestFinishedJobIsDurable(t *testing.T) {
+	var dir string
+	_, ts := newTestServer(t, func(cfg *Config) {
+		dir = cfg.Cache.Dir()
+		prof, err := sweep.LoadProfile(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Profile = prof
+	})
+	persisted := func() (int, sweep.Counters) {
+		t.Helper()
+		prof, err := sweep.LoadProfile(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := sweep.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tot, err := c.Counters()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return prof.Len(), tot
+	}
+
+	_, body, _ := submitManifest(t, ts, miniManifest, "")
+	if st := waitDone(t, ts, body["id"].(string)); st.State != stateDone || st.Cold != 2 {
+		t.Fatalf("cold job = %+v", st)
+	}
+	if walls, tot := persisted(); walls != 2 || (tot != sweep.Counters{Misses: 2}) {
+		t.Fatalf("after the cold job: %d walls, counters %+v; want 2 walls, 2 misses", walls, tot)
+	}
+	_, body, _ = submitManifest(t, ts, miniManifest, "")
+	if st := waitDone(t, ts, body["id"].(string)); st.State != stateDone || st.Warm != 2 {
+		t.Fatalf("warm job = %+v", st)
+	}
+	if walls, tot := persisted(); walls != 2 || (tot != sweep.Counters{Hits: 2, Misses: 2}) {
+		t.Fatalf("after the warm job: %d walls, counters %+v; want 2 walls, 2 hits, 2 misses", walls, tot)
+	}
+}
+
 func TestRowsBeforeDoneConflicts(t *testing.T) {
 	release := make(chan struct{})
 	releaseAll := sync.OnceFunc(func() { close(release) })

@@ -61,9 +61,10 @@ type Cache struct {
 	mem    map[string]Outcome
 	memGen uint64
 
-	// flushMu serialises whole FlushCounters read-modify-write cycles,
-	// so two engines sharing one Cache from different goroutines can
-	// both flush without losing each other's counts.
+	// flushMu spans FlushCounters' move of counts from memory to the
+	// counters journal, so Totals never reads them in neither place.
+	// The journal's lock file serialises the appends themselves, across
+	// Caches and processes.
 	flushMu sync.Mutex
 }
 

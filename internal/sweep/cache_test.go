@@ -317,10 +317,47 @@ func FuzzCacheEntry(f *testing.F) {
 	})
 }
 
+// writeJournalPair writes a fuzzed snapshot and journal into dir; an
+// empty input stands for a file that does not exist.
+func writeJournalPair(t *testing.T, j journal, snap, recs []byte) {
+	t.Helper()
+	for name, data := range map[string][]byte{j.snapshot: snap, j.name: recs} {
+		if len(data) == 0 {
+			continue
+		}
+		if err := os.WriteFile(j.path(name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// compactNow runs j's compaction as a flush past the size threshold
+// would, and checks it left the journal empty.
+func compactNow(t testing.TB, j journal, compact func(snap, recs []byte) []byte) {
+	t.Helper()
+	unlock, err := lockFile(j.path(j.lock))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer unlock()
+	f, err := os.OpenFile(j.path(j.name), os.O_RDWR|os.O_CREATE|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if err := j.compactLocked(f, compact); err != nil {
+		t.Fatal(err)
+	}
+	if st, err := f.Stat(); err != nil || st.Size() != 0 {
+		t.Fatalf("journal after compaction: %v, %v", st, err)
+	}
+}
+
 // FuzzProfileLoad feeds arbitrary bytes to LoadProfile as a cache
-// directory's profile.json. A file that loads must hold only positive
-// walls, predict a positive wall for any digest given a positive
-// default, and survive Load -> Flush -> Load with every wall intact.
+// directory's profile.json snapshot and its journal. A pair that loads
+// must hold only positive walls, predict a positive wall for any
+// digest given a positive default, and survive Load -> Flush -> Load
+// and a compaction with every wall intact.
 func FuzzProfileLoad(f *testing.F) {
 	dir := f.TempDir()
 	p, err := LoadProfile(dir)
@@ -333,24 +370,34 @@ func FuzzProfileLoad(f *testing.F) {
 	if err := p.Flush(); err != nil {
 		f.Fatal(err)
 	}
-	flushed, err := os.ReadFile(filepath.Join(dir, ProfileName))
+	j := profileJournal(dir)
+	flushed, err := os.ReadFile(j.path(j.name))
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(flushed)
-	f.Add([]byte(`{"walls_ns":{"a":0,"b":-5,"c":1}}`))
-	f.Add([]byte(`{"walls_ns":{"a":9223372036854775807,"b":9223372036854775807}}`))
-	f.Add([]byte(`{"walls_ns":null}`))
-	f.Add([]byte(`{"walls_ns":{"a":1.5}}`))
-	f.Add([]byte(`null`))
-	f.Add([]byte(`{not json`))
+	f.Add([]byte(nil), flushed)
+	compactNow(f, j, compactProfile)
+	snap, err := os.ReadFile(j.path(j.snapshot))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(snap, []byte(nil))
+	f.Add(snap, append(flushed, "c 7\nd 9"...))                                // torn last line
+	f.Add(snap, []byte("garbage\n\n \n\"unterminated 5\nz 1.5\n\xff\xfe 3\n")) // garbled lines
+	f.Add([]byte(nil), []byte("a 0\nb -5\nc 1\na 4\n"))                        // non-positive walls
+	f.Add([]byte(nil), []byte("\"a\\nb\" 5\n\"\\\"q\" 6\na b 7\n"))            // quoted and spaced digests
+	f.Add([]byte(`{"walls_ns":{"a":0,"b":-5,"c":1}}`), []byte(nil))
+	f.Add([]byte(`{"walls_ns":{"a":9223372036854775807,"b":9223372036854775807}}`), []byte(nil))
+	f.Add([]byte(`{"walls_ns":{"a\nb":3,"\"q":4}}`), []byte("a\nb 5\n"))
+	f.Add([]byte(`{"walls_ns":null}`), []byte(nil))
+	f.Add([]byte(`{"walls_ns":{"a":1.5}}`), []byte(nil))
+	f.Add([]byte(`null`), []byte(nil))
+	f.Add([]byte(`{not json`), flushed)
 
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Fuzz(func(t *testing.T, snap, recs []byte) {
 		dir := t.TempDir()
-		path := filepath.Join(dir, ProfileName)
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
+		j := profileJournal(dir)
+		writeJournalPair(t, j, snap, recs)
 		p, err := LoadProfile(dir)
 		if err != nil {
 			return
@@ -366,8 +413,8 @@ func FuzzProfileLoad(f *testing.F) {
 		if got := p.Predict(Digest("unprofiled"), time.Nanosecond); got <= 0 {
 			t.Fatalf("Predict(unprofiled) = %v", got)
 		}
-		// Mark every wall as this process's, so Flush rewrites them all
-		// over the fuzzed file it re-reads.
+		// Mark every wall as this process's, so Flush journals them all
+		// behind the fuzzed records.
 		for d := range p.walls {
 			p.updated[d] = true
 		}
@@ -381,12 +428,33 @@ func FuzzProfileLoad(f *testing.F) {
 		if !reflect.DeepEqual(again.walls, p.walls) {
 			t.Fatalf("walls changed across Flush:\n%v\n%v", p.walls, again.walls)
 		}
+		compactNow(t, j, compactProfile)
+		again, err = LoadProfile(dir)
+		if err != nil {
+			t.Fatalf("reload after compaction: %v", err)
+		}
+		if !reflect.DeepEqual(again.walls, p.walls) {
+			t.Fatalf("walls changed across compaction:\n%v\n%v", p.walls, again.walls)
+		}
+		// The hand-rolled snapshot encoder must match encoding/json.
+		got, err := os.ReadFile(j.path(j.snapshot))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.MarshalIndent(profileFile{WallsNs: p.walls}, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, append(want, '\n')) {
+			t.Fatalf("compacted snapshot differs from encoding/json:\n%s\n%s", got, want)
+		}
 	})
 }
 
 // FuzzCountersLoad feeds arbitrary bytes to Counters as a cache
-// directory's counters.json. Counters that load must survive
-// Load -> FlushCounters -> Load unchanged.
+// directory's counters.json snapshot and its journal. Counters that
+// load must survive Load -> FlushCounters -> Load unchanged, gain
+// exactly a flushed miss, and survive a compaction.
 func FuzzCountersLoad(f *testing.F) {
 	c, err := Open(f.TempDir())
 	if err != nil {
@@ -399,43 +467,72 @@ func FuzzCountersLoad(f *testing.F) {
 	if err := c.FlushCounters(); err != nil {
 		f.Fatal(err)
 	}
-	flushed, err := os.ReadFile(filepath.Join(c.Dir(), countersName))
+	if err := c.AddCounters(Counters{Hits: 2, Errors: 1}); err != nil {
+		f.Fatal(err)
+	}
+	j := c.countersJournal()
+	flushed, err := os.ReadFile(j.path(j.name))
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(flushed)
-	f.Add([]byte(`{"hits":-1,"misses":9223372036854775807}`))
-	f.Add([]byte(`{"hits":1,"Hits":2}`))
-	f.Add([]byte(`{"hits":1.5}`))
-	f.Add([]byte(`null`))
-	f.Add([]byte(`{not json`))
+	f.Add([]byte(nil), flushed)
+	compactNow(f, j, compactCounters)
+	snap, err := os.ReadFile(j.path(j.snapshot))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(snap, []byte(nil))
+	f.Add(snap, append(flushed, "1 2"...))                                  // torn last line
+	f.Add(snap, []byte("garbage\n\n1 2\n1 2 3 4\n1.5 0 0\nx 1 1\n4 5 6\n")) // garbled lines
+	f.Add([]byte(nil), []byte("-1 0 0\n0 -2 0\n99999999999999999999 0 0\n"))
+	f.Add([]byte(`{"hits":-1,"misses":9223372036854775807}`), []byte(nil))
+	f.Add([]byte(`{"hits":1,"Hits":2}`), []byte(nil))
+	f.Add([]byte(`{"hits":1.5}`), []byte(nil))
+	f.Add([]byte(`null`), []byte(nil))
+	f.Add([]byte(`{not json`), flushed)
 
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Fuzz(func(t *testing.T, snap, recs []byte) {
 		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, countersName), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
 		c, err := Open(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
+		j := c.countersJournal()
+		writeJournalPair(t, j, snap, recs)
 		loaded, err := c.Counters()
 		if err != nil {
 			return
 		}
+		reload := func(what string) Counters {
+			t.Helper()
+			reopened, err := Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := reopened.Counters()
+			if err != nil {
+				t.Fatalf("reload after %s: %v", what, err)
+			}
+			return got
+		}
 		if err := c.FlushCounters(); err != nil {
 			t.Fatal(err)
 		}
-		reopened, err := Open(dir)
-		if err != nil {
+		if again := reload("FlushCounters"); again != loaded {
+			t.Fatalf("counters changed across FlushCounters: %+v -> %+v", loaded, again)
+		}
+		c.Get(Fingerprint("absent")) // one miss
+		if err := c.FlushCounters(); err != nil {
 			t.Fatal(err)
 		}
-		again, err := reopened.Counters()
-		if err != nil {
-			t.Fatalf("reload after FlushCounters: %v", err)
+		want := loaded
+		want.Misses++
+		if again := reload("a miss's flush"); again != want {
+			t.Fatalf("flushing one miss: %+v -> %+v", loaded, again)
 		}
-		if again != loaded {
-			t.Fatalf("counters changed across FlushCounters: %+v -> %+v", loaded, again)
+		compactNow(t, j, compactCounters)
+		if again := reload("compaction"); again != want {
+			t.Fatalf("counters changed across compaction: %+v -> %+v", want, again)
 		}
 	})
 }

@@ -140,8 +140,8 @@ func (c *Cache) ImportFrom(src *Cache) (ImportStats, error) {
 }
 
 // AddCounters folds the given deltas into the persisted totals — the
-// counter half of a cache merge. Like FlushCounters it is a full
-// read-modify-write: existing persisted counts are added to, never
+// counter half of a cache merge. Like FlushCounters it appends one
+// journalled delta: existing persisted counts are added to, never
 // clobbered, so merging a shard's counters into a destination that
 // already has its own history keeps both.
 func (c *Cache) AddCounters(d Counters) error {
@@ -150,18 +150,14 @@ func (c *Cache) AddCounters(d Counters) error {
 	return c.addCountersLocked(d)
 }
 
-// addCountersLocked is AddCounters with flushMu held.
+// addCountersLocked is AddCounters with flushMu held. A zero delta
+// writes nothing.
 func (c *Cache) addCountersLocked(d Counters) error {
-	t, err := c.Counters()
-	if err != nil {
-		return err
+	if c.dir == "" {
+		return errNoDir
 	}
-	t.Hits += d.Hits
-	t.Misses += d.Misses
-	t.Errors += d.Errors
-	data, err := json.Marshal(t)
-	if err != nil {
-		return err
+	if d == (Counters{}) {
+		return nil
 	}
-	return WriteFileAtomic(c.dir, "counters-*.tmp", countersName, data)
+	return c.countersJournal().append(countersRecord(d), compactCounters)
 }

@@ -7,11 +7,13 @@ package sweep
 // command.
 
 import (
+	"bytes"
 	"encoding/hex"
 	"encoding/json"
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 )
@@ -199,40 +201,97 @@ type Counters struct {
 	Errors int `json:"errors"`
 }
 
-// countersName holds the persisted counters inside the cache dir.
-const countersName = "counters.json"
+// countersName holds the persisted counters' snapshot inside the cache
+// dir, and countersJournalName the deltas flushed since it was last
+// compacted (see journal.go), one per flush:
+//
+//	<hits> <misses> <errors>\n
+const (
+	countersName        = "counters.json"
+	countersJournalName = "counters.journal"
+	countersLockName    = countersName + ".lock"
+)
 
-// Counters reads the persisted cumulative counters (zero if never
-// flushed).
+func (c *Cache) countersJournal() journal {
+	return journal{dir: c.dir, snapshot: countersName, name: countersJournalName, lock: countersLockName}
+}
+
+// Counters reads the persisted cumulative counters: the snapshot plus
+// every journalled delta (zero if never flushed). A snapshot that does
+// not parse is an error; a journal line that does not parse is
+// skipped.
 func (c *Cache) Counters() (Counters, error) {
-	var t Counters
 	if c.dir == "" {
-		return t, errNoDir
+		return Counters{}, errNoDir
 	}
-	data, err := os.ReadFile(filepath.Join(c.dir, countersName))
-	if os.IsNotExist(err) {
-		return t, nil
-	}
+	snap, recs, err := c.countersJournal().load()
 	if err != nil {
-		return t, err
+		return Counters{}, err
 	}
-	if err := json.Unmarshal(data, &t); err != nil {
+	t, err := foldCounters(snap, recs)
+	if err != nil {
 		return Counters{}, err
 	}
 	return t, nil
 }
 
-// FlushCounters folds this process's hit/miss/error counts into the
+// countersRecord is d's counters journal line.
+func countersRecord(d Counters) []byte {
+	rec := strconv.AppendInt(nil, int64(d.Hits), 10)
+	rec = append(rec, ' ')
+	rec = strconv.AppendInt(rec, int64(d.Misses), 10)
+	rec = append(rec, ' ')
+	rec = strconv.AppendInt(rec, int64(d.Errors), 10)
+	return append(rec, '\n')
+}
+
+// foldCounters sums a snapshot (nil when absent) and a journal's
+// deltas. A snapshot that does not parse is reported, with the
+// journal's sum alone, for compaction to replace it.
+func foldCounters(snap, recs []byte) (Counters, error) {
+	var t Counters
+	var err error
+	if snap != nil {
+		if err = json.Unmarshal(snap, &t); err != nil {
+			t = Counters{}
+		}
+	}
+	eachRecord(recs, func(line []byte) {
+		f := bytes.Fields(line)
+		if len(f) != 3 {
+			return
+		}
+		var d [3]int
+		for i, b := range f {
+			n, perr := strconv.Atoi(string(b))
+			if perr != nil {
+				return
+			}
+			d[i] = n
+		}
+		t.Hits += d[0]
+		t.Misses += d[1]
+		t.Errors += d[2]
+	})
+	return t, err
+}
+
+// compactCounters is the counters journal's compaction.
+func compactCounters(snap, recs []byte) []byte {
+	t, _ := foldCounters(snap, recs)
+	data, _ := json.Marshal(t)
+	return data
+}
+
+// FlushCounters adds this process's hit/miss/error counts to the
 // persisted totals and resets the in-memory counts, so repeated
-// flushes never double-count. The fold is a full read-modify-write
-// (see addCountersLocked): existing persisted totals — this process's
-// earlier flushes, other processes', merged shard counters — are added
-// to, never clobbered. It is atomic against readers (temp file +
-// rename) and against concurrent flushers and mergers on the same
-// Cache (flushMu serialises the whole cycle); only a flusher in a
-// different process can still race it, and a lost update there costs
-// only accuracy of the advisory cachestats report. On failure the
-// in-memory counts are restored so a retry can still flush them.
+// flushes never double-count. The add is one journalled delta (see
+// addCountersLocked), appended under the counters' lock file: existing
+// persisted totals — this process's earlier flushes, other processes',
+// merged shard counters — are added to, never clobbered, whichever
+// Cache or process flushes. flushMu additionally spans the move from
+// memory to disk, for Totals. On failure the in-memory counts are
+// restored so a retry can still flush them.
 func (c *Cache) FlushCounters() error {
 	if c.dir == "" {
 		return errNoDir

@@ -276,8 +276,23 @@ func TestCountersSurviveGC(t *testing.T) {
 	if err := c.FlushCounters(); err != nil {
 		t.Fatal(err)
 	}
+	p, err := LoadProfile(c.Dir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Observe("gc", time.Second)
+	if err := p.Flush(); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := c.GC(0, 1); err != nil {
 		t.Fatal(err)
+	}
+	// Both journals hold the only copy of what was flushed: GC must
+	// leave them in place.
+	for _, name := range []string{countersJournalName, profileJournalName} {
+		if _, err := os.Stat(filepath.Join(c.Dir(), name)); err != nil {
+			t.Fatalf("gc removed %s: %v", name, err)
+		}
 	}
 	tot, err := c.Counters()
 	if err != nil {
@@ -285,6 +300,52 @@ func TestCountersSurviveGC(t *testing.T) {
 	}
 	if tot.Hits != 1 {
 		t.Fatalf("counters lost by gc: %+v", tot)
+	}
+	if p, err = LoadProfile(c.Dir()); err != nil {
+		t.Fatal(err)
+	}
+	if w, ok := p.Wall("gc"); !ok || w != time.Second {
+		t.Fatalf("profile lost by gc: %v, %v", w, ok)
+	}
+}
+
+// TestFlushCountersConcurrentHandlesLoseNothing pins the cross-handle
+// counter race: two Caches on one directory — as two processes sharing
+// it hold — flush concurrently, and every count must land. A
+// read-modify-write of counters.json under a per-Cache mutex loses
+// some; journalled deltas under the directory's lock file lose none.
+func TestFlushCountersConcurrentHandlesLoseNothing(t *testing.T) {
+	dir := t.TempDir()
+	const rounds = 200
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		c, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				c.Get(Fingerprint("absent", w, i)) // one miss
+				if err := c.FlushCounters(); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	c, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tot, err := c.Counters()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if (tot != Counters{Misses: 2 * rounds}) {
+		t.Fatalf("counters = %+v, want %d misses (a concurrent flush lost counts)", tot, 2*rounds)
 	}
 }
 

@@ -2,10 +2,10 @@ package sweep
 
 // Per-point wall-time profiling: the engine measures how long each
 // cold point takes to simulate, and a Profile persists an EWMA of
-// those walls (profile.json, alongside the cache's counters.json) so
-// later runs can predict point costs they have not yet paid. The
-// weighted shard partitioner consumes these predictions to balance a
-// fleet by measured wall time instead of point count.
+// those walls (profile.json and its journal, alongside the cache's
+// counters) so later runs can predict point costs they have not yet
+// paid. The weighted shard partitioner consumes these predictions to
+// balance a fleet by measured wall time instead of point count.
 //
 // Profiles are keyed by the Digest of the raw (unsalted) fingerprint:
 // a point's cost is a property of its configuration, not of the
@@ -13,14 +13,18 @@ package sweep
 // invalidate the result cache.
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
+	"maps"
+	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
+	"unicode/utf8"
 )
 
 // Digest is the hex SHA-256 of a raw fingerprint — the stable identity
@@ -31,8 +35,9 @@ func Digest(fingerprint string) string {
 	return hex.EncodeToString(s[:])
 }
 
-// ProfileName holds the persisted profile inside a cache directory;
-// its name fails the cache's pre-log entry-name check, so GC leaves it
+// ProfileName holds the persisted profile's snapshot inside a cache
+// directory (profileJournalName holds the records flushed since); its
+// name fails the cache's pre-log entry-name check, so GC leaves it
 // in place.
 const ProfileName = "profile.json"
 
@@ -62,27 +67,50 @@ type Profile struct {
 	updated map[string]bool  // digests this process observed or folded
 }
 
-// LoadProfile reads dir's persisted profile (empty when the file does
-// not exist — a cold profile is a state, not an error).
+// LoadProfile reads dir's persisted profile: the snapshot, then the
+// journal's records over it (empty when neither exists — a cold
+// profile is a state, not an error). A snapshot that does not parse is
+// an error; a journal line that does not parse is skipped.
 func LoadProfile(dir string) (*Profile, error) {
-	p := &Profile{dir: dir, walls: map[string]int64{}, updated: map[string]bool{}}
-	data, err := os.ReadFile(filepath.Join(dir, ProfileName))
-	if os.IsNotExist(err) {
-		return p, nil
-	}
+	snap, recs, err := profileJournal(dir).load()
 	if err != nil {
 		return nil, err
 	}
-	var f profileFile
-	if err := json.Unmarshal(data, &f); err != nil {
+	walls, err := profileWalls(snap, recs)
+	if err != nil {
 		return nil, fmt.Errorf("sweep: %s: malformed %s: %v", dir, ProfileName, err)
 	}
-	for d, ns := range f.WallsNs {
-		if ns > 0 {
-			p.walls[d] = ns
+	return &Profile{dir: dir, walls: walls, updated: map[string]bool{}}, nil
+}
+
+// profileWalls folds a snapshot (nil when absent) and a journal into
+// one digest -> wall map: the snapshot's positive walls, then every
+// journal record in order, so the last record for a digest wins. A
+// snapshot that does not parse is reported after the journal is still
+// folded, for compaction to replace it.
+func profileWalls(snap, recs []byte) (map[string]int64, error) {
+	var f profileFile
+	var err error
+	if snap != nil {
+		if err = json.Unmarshal(snap, &f); err != nil {
+			f.WallsNs = nil
 		}
 	}
-	return p, nil
+	walls := f.WallsNs
+	if walls == nil {
+		walls = map[string]int64{}
+	}
+	for d, ns := range walls {
+		if ns <= 0 {
+			delete(walls, d)
+		}
+	}
+	eachRecord(recs, func(line []byte) {
+		if d, ns, ok := parseWallRecord(line); ok {
+			walls[d] = ns
+		}
+	})
+	return walls, err
 }
 
 // Len reports how many points the profile holds estimates for.
@@ -193,68 +221,144 @@ func (p *Profile) meanLocked() time.Duration {
 	return time.Duration(sum / int64(len(p.walls)))
 }
 
-// lockName guards Flush's read-overlay-rename cycle inside a cache
-// directory. Like ProfileName it fails the cache's pre-log entry-name
-// check, so GC leaves it in place.
+// lockName serialises Flush's appends and compactions, and reads of
+// the journal, inside a cache directory. Like ProfileName it fails the
+// cache's pre-log entry-name check, so GC leaves it in place.
 const lockName = ProfileName + ".lock"
 
+// profileJournalName holds the records flushed since profile.json was
+// last compacted (see journal.go), one per changed digest:
+//
+//	<digest> <EWMA wall ns>\n
+//
+// A digest is the hex Digest; a key that could break the line (one
+// holding a newline, or starting with a quote), which only a
+// hand-edited snapshot can supply, is written Go-quoted instead.
+const profileJournalName = "profile.journal"
+
+func profileJournal(dir string) journal {
+	return journal{dir: dir, snapshot: ProfileName, name: profileJournalName, lock: lockName}
+}
+
+// appendWallRecord appends one journal record for digest d.
+func appendWallRecord(b []byte, d string, ns int64) []byte {
+	if strings.ContainsRune(d, '\n') || strings.HasPrefix(d, `"`) {
+		b = strconv.AppendQuote(b, d)
+	} else {
+		b = append(b, d...)
+	}
+	b = append(b, ' ')
+	b = strconv.AppendInt(b, ns, 10)
+	return append(b, '\n')
+}
+
+// parseWallRecord decodes one journal line. It reports false for a
+// line that does not hold a digest and a positive wall; a digest that
+// is not valid UTF-8 is refused too, since the JSON snapshot could not
+// keep it.
+func parseWallRecord(line []byte) (string, int64, bool) {
+	i := bytes.LastIndexByte(line, ' ')
+	if i < 0 {
+		return "", 0, false
+	}
+	ns, err := strconv.ParseInt(string(line[i+1:]), 10, 64)
+	if err != nil || ns <= 0 {
+		return "", 0, false
+	}
+	d := string(line[:i])
+	if strings.HasPrefix(d, `"`) {
+		if d, err = strconv.Unquote(d); err != nil {
+			return "", 0, false
+		}
+	}
+	if !utf8.ValidString(d) {
+		return "", 0, false
+	}
+	return d, ns, true
+}
+
+// compactProfile is the profile journal's compaction: the snapshot
+// and journal folded into one snapshot.
+func compactProfile(snap, recs []byte) []byte {
+	walls, _ := profileWalls(snap, recs)
+	return encodeProfile(walls)
+}
+
+// encodeProfile returns the snapshot of walls byte for byte as
+// json.MarshalIndent(profileFile{walls}, "", "  ") and a newline would:
+// keys sorted, so the file is deterministic for a state. Encoding by
+// hand skips the reflection that would dominate a compaction.
+func encodeProfile(walls map[string]int64) []byte {
+	keys := slices.Sorted(maps.Keys(walls))
+	b := make([]byte, 0, 32+len(keys)*96)
+	b = append(b, "{\n  \"walls_ns\": {"...)
+	for i, d := range keys {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, "\n    "...)
+		b = appendJSONString(b, d)
+		b = append(b, ": "...)
+		b = strconv.AppendInt(b, walls[d], 10)
+	}
+	if len(keys) > 0 {
+		b = append(b, "\n  "...)
+	}
+	return append(b, "}\n}\n"...)
+}
+
+// appendJSONString appends s as encoding/json quotes it. Hex digests
+// take the fast path; any other key falls back to json.Marshal.
+func appendJSONString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			enc, _ := json.Marshal(s)
+			return append(b, enc...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
+}
+
 // Flush persists the profile: under an exclusive lock on the
-// directory's profile lock file, the persisted file is re-read and
-// this process's updated estimates are overlaid, so concurrent
-// flushers — goroutines or processes — profiling disjoint points
-// through one directory all land. Concurrent updates to the *same*
+// directory's profile lock file, one append adds a journal record for
+// each estimate this process updated since its last flush, so
+// concurrent flushers — goroutines or processes — profiling disjoint
+// points through one directory all land, and a flush costs O(updated),
+// not O(every digest ever profiled). Concurrent updates to the *same*
 // point still last-write-win one EWMA step, which is acceptable for a
-// scheduling hint. The write is staged and renamed, so readers never
-// see a half-written profile.
+// scheduling hint. A record torn by a crash is skipped by readers.
 func (p *Profile) Flush() error {
 	p.mu.Lock()
 	if len(p.updated) == 0 {
 		p.mu.Unlock()
 		return nil
 	}
-	updated := make(map[string]int64, len(p.updated))
+	type wall struct {
+		d  string
+		ns int64
+	}
+	updated := make([]wall, 0, len(p.updated))
+	recs := make([]byte, 0, len(p.updated)*96) // a hex digest, a wall, separators
 	for d := range p.updated {
-		updated[d] = p.walls[d]
+		ns := p.walls[d]
+		updated = append(updated, wall{d, ns})
+		recs = appendWallRecord(recs, d, ns)
 	}
 	p.mu.Unlock()
 
-	unlock, err := lockFile(filepath.Join(p.dir, lockName))
-	if err != nil {
-		return err
-	}
-	defer unlock()
-
-	out := profileFile{WallsNs: map[string]int64{}}
-	data, err := os.ReadFile(filepath.Join(p.dir, ProfileName))
-	if err == nil {
-		var f profileFile
-		if json.Unmarshal(data, &f) == nil {
-			for d, ns := range f.WallsNs {
-				if ns > 0 {
-					out.WallsNs[d] = ns
-				}
-			}
-		}
-	}
-	for d, ns := range updated {
-		out.WallsNs[d] = ns
-	}
-
-	enc, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := WriteFileAtomic(p.dir, "profile-*.tmp", ProfileName, append(enc, '\n')); err != nil {
+	if err := profileJournal(p.dir).append(recs, compactProfile); err != nil {
 		return err
 	}
 	// The flushed estimates are persisted: stop re-writing them, so a
-	// later flush neither costs O(every digest ever observed) nor
-	// overwrites newer estimates other processes flushed for them. A
-	// digest observed again since the copy keeps its mark.
+	// later flush neither re-appends them nor overwrites newer
+	// estimates other processes flushed for them. A digest observed
+	// again since the copy keeps its mark.
 	p.mu.Lock()
-	for d, ns := range updated {
-		if p.walls[d] == ns {
-			delete(p.updated, d)
+	for _, w := range updated {
+		if p.walls[w.d] == w.ns {
+			delete(p.updated, w.d)
 		}
 	}
 	p.mu.Unlock()

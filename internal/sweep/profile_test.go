@@ -167,8 +167,10 @@ func TestProfileFlushWithoutUpdatesWritesNothing(t *testing.T) {
 	if err := p.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, ProfileName)); !os.IsNotExist(err) {
-		t.Fatal("no-op flush created a profile file")
+	for _, name := range []string{ProfileName, profileJournalName} {
+		if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
+			t.Fatalf("no-op flush created %s", name)
+		}
 	}
 }
 
