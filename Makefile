@@ -32,13 +32,17 @@
 #   make benchcheck - perf regression gate: fresh trajectory run into a
 #                   scratch dir, compared against the committed
 #                   BENCH_*.json baselines with a BENCH_TOL band
+#   make layerbench - B/op and ns/event of a cold point's layers
+#                   (system build, a fig4 small-packet point, small
+#                   cold points) at -cpu 1 -count 5; writes no file
+#                   and is not part of ci
 #   make cover    - coverage profile with a minimum total-coverage gate
 #   make figures  - regenerate every paper artifact (parallel, cached)
 #   make equiv    - timing-vs-analytic audit of every reproduced figure
 
 GO ?= go
 
-.PHONY: all build vet lint test race examples benchvet e2e fuzz golden cover equiv ci bench benchsmoke benchcheck figures clean
+.PHONY: all build vet lint test race examples benchvet e2e fuzz golden cover equiv ci bench benchsmoke benchcheck layerbench figures clean
 
 # Minimum total statement coverage (percent) make cover enforces.
 COVER_FLOOR ?= 75
@@ -146,6 +150,12 @@ benchcheck:
 		-benchtime=1x -count=3 .
 	$(GO) run ./cmd/benchcheck -baseline . -fresh $(BENCHFRESH_DIR) -tol $(BENCH_TOL)
 	@rm -rf $(BENCHFRESH_DIR)
+
+# The layer benchmarks a cold point's cost is measured with. None of
+# them records into BENCH_*.json, so this prints and writes nothing.
+layerbench:
+	$(GO) test -run '^$$' -bench '^Benchmark(SystemBuild|Fig4SmallPacket|SmallPointsCold)$$' \
+		-benchmem -cpu 1 -count 5 .
 
 figures: build
 	$(GO) run ./cmd/accesys run -v

@@ -21,6 +21,8 @@
 package cache
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 
 	"accesys/internal/mem"
@@ -43,7 +45,7 @@ type Snooper interface {
 type Config struct {
 	SizeBytes int
 	Assoc     int
-	LineBytes int // default 64
+	LineBytes int // default 64, at most 4096
 	// HitLatency is lookup-to-data for hits and lookup-to-fill-issue
 	// for misses.
 	HitLatency sim.Tick
@@ -133,11 +135,14 @@ type Cache struct {
 	respQ   *mem.PacketQueue // upstream responses
 
 	// blocks holds the line state set-major, blockSets sets per block:
-	// set s owns ways [(s%blockSets)*Assoc, (s%blockSets+1)*Assoc) of
-	// blocks[s/blockSets], so a lookup reads one contiguous run. A
-	// block stays nil, and every lookup in it misses, until the first
-	// fill of one of its sets; a small run fills a few blocks and a
-	// build allocates none.
+	// in a block w ways wide, set s owns lines [(s%blockSets)*w,
+	// (s%blockSets+1)*w) of blocks[s/blockSets], so a lookup reads one
+	// contiguous run. A block stays nil, and every lookup in it misses,
+	// until the first fill of one of its sets; a small run fills a few
+	// blocks and a build allocates none. A block starts narrowWays wide
+	// and is rewritten at full associativity when one of its sets needs
+	// another valid way, so a run that uses one or two ways of every
+	// set holds one or two ways' worth of line state.
 	blocks     [][]line
 	setMask    uint64
 	setShift   uint
@@ -146,11 +151,13 @@ type Cache struct {
 
 	// chunks holds the line payloads way-major: the payload of way w
 	// of set s is payload line w*numSets+s, and chunk k holds payload
-	// lines [k*chunkLines, (k+1)*chunkLines). A chunk is allocated on
-	// the first fill of any of its lines. Fills take the lowest
-	// invalid way, so a workload that touches a few lines in many sets
+	// lines [k*chunkLines, (k+1)*chunkLines). A nil chunk reads as
+	// zeros in every line; it is allocated when one of its lines first
+	// stores a non-zero byte, so a timing-only run, whose operands are
+	// zeros, allocates no payload at all. Fills take the lowest invalid
+	// way, so a workload that stores data in a few lines of many sets
 	// fills way 0 of neighbouring sets and uses most of each chunk it
-	// allocates, and a build zeroes no payload at all.
+	// allocates.
 	chunks [][]byte
 
 	// mshrs holds the outstanding fills, at most cfg.MSHRs (the
@@ -160,9 +167,11 @@ type Cache struct {
 	needRetry bool
 
 	// txnFree/mshrFree recycle transaction and miss records so the
-	// steady-state request path does not allocate.
-	txnFree  []*txn
-	mshrFree []*mshr
+	// steady-state request path does not allocate. mshrsMade counts
+	// the miss records ever created; Audit expects all of them back.
+	txnFree   []*txn
+	mshrFree  []*mshr
+	mshrsMade int
 
 	snoopers []Snooper
 	downFunc mem.Functional
@@ -182,8 +191,8 @@ func New(name string, eq *sim.EventQueue, pkts *mem.Packets, reg *stats.Registry
 	if cfg.SizeBytes <= 0 || cfg.Assoc <= 0 {
 		panic(fmt.Sprintf("cache %s: size/assoc must be positive", name))
 	}
-	if !mem.IsPow2(uint64(cfg.LineBytes)) {
-		panic(fmt.Sprintf("cache %s: line size %d must be a power of two", name, cfg.LineBytes))
+	if !mem.IsPow2(uint64(cfg.LineBytes)) || cfg.LineBytes > maxLineBytes {
+		panic(fmt.Sprintf("cache %s: line size %d must be a power of two of at most %d", name, cfg.LineBytes, maxLineBytes))
 	}
 	numSets := cfg.SizeBytes / (cfg.Assoc * cfg.LineBytes)
 	if numSets == 0 || !mem.IsPow2(uint64(numSets)) {
@@ -253,40 +262,89 @@ func (c *Cache) setIndex(lineAddr uint64) int {
 type slot struct{ set, way int }
 
 // blockSets is the number of consecutive sets whose line state is
-// allocated at once.
+// allocated at once; narrowWays is how many ways each of them holds
+// until one needs more.
 const (
 	blockShift = 4
 	blockSets  = 1 << blockShift
+	narrowWays = 2
 )
 
-// ways returns the lines of a set, or nil while its block is
-// unallocated.
+// ways returns the lines a set holds: none while its block is
+// unallocated, otherwise its block's width of ways.
 func (c *Cache) ways(set int) []line {
 	b := c.blocks[set>>blockShift]
-	if b == nil {
-		return nil
-	}
-	i := (set & (blockSets - 1)) * c.cfg.Assoc
-	return b[i : i+c.cfg.Assoc]
+	w := len(b) >> blockShift
+	i := (set & (blockSets - 1)) * w
+	return b[i : i+w]
 }
 
-// line returns the state of a slot, whose block must be allocated.
+// line returns the state of a slot, whose block must hold its way.
 func (c *Cache) line(s slot) *line {
-	return &c.blocks[s.set>>blockShift][(s.set&(blockSets-1))*c.cfg.Assoc+s.way]
+	b := c.blocks[s.set>>blockShift]
+	return &b[(s.set&(blockSets-1))*(len(b)>>blockShift)+s.way]
+}
+
+// widen rewrites block k at full associativity; every set keeps its
+// lines in their ways, and the ways added are invalid.
+func (c *Cache) widen(k int) {
+	narrow, assoc := c.blocks[k], c.cfg.Assoc
+	w := len(narrow) >> blockShift
+	wide := make([]line, blockSets*assoc)
+	for s := range blockSets {
+		copy(wide[s*assoc:], narrow[s*w:(s+1)*w])
+	}
+	c.blocks[k] = wide
 }
 
 // chunkLines is the number of line payloads allocated at once.
-const chunkLines = 64
+const (
+	chunkShift = 6
+	chunkLines = 1 << chunkShift
+)
+
+// maxLineBytes bounds the line size, so that zeroLine covers any line.
+const maxLineBytes = 4096
+
+// zeroLine is what a line of an unallocated chunk reads as. Nothing
+// writes to it.
+var zeroLine [maxLineBytes]byte
 
 // payloadLine returns the way-major payload line number of a slot.
 func (c *Cache) payloadLine(s slot) int { return s.way<<c.setShift | s.set }
 
-// data returns the payload of a slot. Only valid lines have one: a
-// chunk exists from the first fill of one of its lines on.
-func (c *Cache) data(s slot) []byte {
+// payload returns the chunk holding a slot's payload, nil while it is
+// unallocated, and the payload's offset in it.
+func (c *Cache) payload(s slot) (chunk []byte, off int) {
 	i := c.payloadLine(s)
-	off := (i % chunkLines) << c.lineShift
-	return c.chunks[i/chunkLines][off : off+c.cfg.LineBytes]
+	return c.chunks[i>>chunkShift], (i & (chunkLines - 1)) << c.lineShift
+}
+
+// data returns the payload of a slot for reading: zeroLine while the
+// slot's chunk is unallocated. Only valid lines have a payload.
+func (c *Cache) data(s slot) []byte {
+	chunk, off := c.payload(s)
+	if chunk == nil {
+		return zeroLine[:c.cfg.LineBytes]
+	}
+	return chunk[off : off+c.cfg.LineBytes]
+}
+
+// store copies src into a slot's payload from byte off of the line on.
+// Storing only zeros into an unallocated chunk changes nothing it
+// reads, so the chunk is allocated only to hold a non-zero byte.
+func (c *Cache) store(s slot, off int, src []byte) {
+	src = src[:min(len(src), c.cfg.LineBytes-off)]
+	chunk, base := c.payload(s)
+	if chunk == nil {
+		if bytes.Equal(src, zeroLine[:len(src)]) {
+			return
+		}
+		k := c.payloadLine(s) >> chunkShift
+		chunk = make([]byte, min(chunkLines, (int(c.setMask)+1)*c.cfg.Assoc-k*chunkLines)*c.cfg.LineBytes)
+		c.chunks[k] = chunk
+	}
+	copy(chunk[base+off:], src)
 }
 
 // lookup finds the valid line holding lineAddr.
@@ -302,12 +360,15 @@ func (c *Cache) lookup(lineAddr uint64) (slot, bool) {
 }
 
 // victim picks a line to replace in lineAddr's set, writing back dirty
-// victims, and returns a zeroed line bound to lineAddr.
+// victims, and returns a zeroed line bound to lineAddr. The choice is
+// the lowest invalid way of all Assoc, else the least recently used:
+// a narrow block's missing ways are invalid, so a set whose held ways
+// are all valid widens its block and takes the first way added.
 func (c *Cache) victim(lineAddr uint64) slot {
 	set := c.setIndex(lineAddr)
-	numSets := int(c.setMask) + 1
-	if b := &c.blocks[set>>blockShift]; *b == nil {
-		*b = make([]line, min(blockSets, numSets)*c.cfg.Assoc)
+	k := set >> blockShift
+	if c.blocks[k] == nil {
+		c.blocks[k] = make([]line, blockSets*min(narrowWays, c.cfg.Assoc))
 	}
 	ways := c.ways(set)
 	vi := 0
@@ -320,12 +381,13 @@ func (c *Cache) victim(lineAddr uint64) slot {
 			vi = i
 		}
 	}
+	if ways[vi].valid() && len(ways) < c.cfg.Assoc {
+		vi = len(ways)
+		c.widen(k)
+		ways = c.ways(set)
+	}
 	s := slot{set, vi}
 	v := &ways[vi]
-	if k := c.payloadLine(s) / chunkLines; c.chunks[k] == nil {
-		n := min(chunkLines, numSets*c.cfg.Assoc-k*chunkLines)
-		c.chunks[k] = make([]byte, n*c.cfg.LineBytes)
-	}
 	if v.valid() {
 		c.evictions.Inc()
 		if v.dirty() {
@@ -338,7 +400,9 @@ func (c *Cache) victim(lineAddr uint64) slot {
 			c.memQ.Schedule(wb, c.eq.Now())
 		}
 	}
-	clear(c.data(s))
+	if chunk, off := c.payload(s); chunk != nil {
+		clear(chunk[off : off+c.cfg.LineBytes])
+	}
 	v.tag = lineAddr
 	v.stamp = 0
 	c.touch(v)
@@ -354,15 +418,15 @@ func (c *Cache) touch(l *line) {
 
 // apply copies data between a packet segment and a cache line.
 func (c *Cache) apply(s slot, tg target) {
-	l, d := c.line(s), c.data(s)
+	l := c.line(s)
 	pkt := tg.t.pkt
 	if tg.isWrite {
 		if pkt.Data != nil {
-			copy(d[tg.lineOff:tg.lineOff+tg.n], pkt.Data[tg.pktOff:tg.pktOff+tg.n])
+			c.store(s, tg.lineOff, pkt.Data[tg.pktOff:tg.pktOff+tg.n])
 		}
 		l.stamp |= dirtyBit
 	} else {
-		copy(pkt.AllocData()[tg.pktOff:tg.pktOff+tg.n], d[tg.lineOff:tg.lineOff+tg.n])
+		copy(pkt.AllocData()[tg.pktOff:tg.pktOff+tg.n], c.data(s)[tg.lineOff:tg.lineOff+tg.n])
 	}
 	c.touch(l)
 }
@@ -401,6 +465,7 @@ func (c *Cache) getMSHR() *mshr {
 		c.mshrFree = c.mshrFree[:n-1]
 		return m
 	}
+	c.mshrsMade++
 	return &mshr{}
 }
 
@@ -501,7 +566,7 @@ func (c *Cache) RecvTimingReq(port *mem.ResponsePort, pkt *mem.Packet) bool {
 				if !ok {
 					s = c.victim(la)
 				}
-				copy(c.data(s), data)
+				c.store(s, 0, data)
 				c.line(s).stamp |= dirtyBit
 				extra = c.cfg.SnoopLatency
 			}
@@ -556,7 +621,7 @@ func (c *Cache) RecvTimingResp(port *mem.RequestPort, pkt *mem.Packet) bool {
 	case *mshr:
 		m := st
 		s := c.victim(m.lineAddr)
-		copy(c.data(s), pkt.Data)
+		c.store(s, 0, pkt.Data)
 		for _, tg := range m.targets {
 			c.apply(s, tg)
 			c.lineDone(tg.t, now+c.cfg.ResponseLatency)
@@ -651,7 +716,7 @@ func (c *Cache) WriteFunctional(addr uint64, data []byte) {
 			if addr+uint64(len(data)) < ovEnd {
 				ovEnd = addr + uint64(len(data))
 			}
-			copy(c.data(s)[ovStart-la:ovEnd-la], data[ovStart-addr:ovEnd-addr])
+			c.store(s, int(ovStart-la), data[ovStart-addr:ovEnd-addr])
 		}
 	}
 	if c.downFunc != nil {
@@ -694,7 +759,7 @@ func (c *Cache) UpdateFunctional(addr uint64, data []byte) {
 			if addr+uint64(len(data)) < ovEnd {
 				ovEnd = addr + uint64(len(data))
 			}
-			copy(c.data(s)[ovStart-la:ovEnd-la], data[ovStart-addr:ovEnd-addr])
+			c.store(s, int(ovStart-la), data[ovStart-addr:ovEnd-addr])
 		}
 	}
 }
@@ -704,15 +769,34 @@ func (c *Cache) UpdateFunctional(addr uint64, data []byte) {
 // DM access method.
 func (c *Cache) FlushAll() {
 	for b, blk := range c.blocks {
+		w := len(blk) >> blockShift
 		for i := range blk {
 			l := &blk[i]
 			if l.dirty() && c.downFunc != nil {
-				set := b<<blockShift + i/c.cfg.Assoc
-				c.downFunc.WriteFunctional(l.tag, c.data(slot{set, i % c.cfg.Assoc}))
+				set := b<<blockShift + i/w
+				c.downFunc.WriteFunctional(l.tag, c.data(slot{set, i % w}))
 			}
 			l.stamp = 0
 		}
 	}
+}
+
+// Audit reports the state a cache must not hold once its run has
+// drained: outstanding misses, miss records not back on the freelist,
+// and queued or blocked packets.
+func (c *Cache) Audit() error {
+	var errs []error
+	if n := c.mshrsMade - len(c.mshrFree) - len(c.mshrs); n != 0 || len(c.mshrs) != 0 {
+		errs = append(errs, fmt.Errorf("%s: %d misses outstanding, %d miss records lost", c.name, len(c.mshrs), n))
+	}
+	queue := func(name string, q *mem.PacketQueue) {
+		if !q.Empty() || q.Blocked() {
+			errs = append(errs, fmt.Errorf("%s.%s: %d packets queued, blocked %v", c.name, name, q.Len(), q.Blocked()))
+		}
+	}
+	queue("memq", c.memQ)
+	queue("respq", c.respQ)
+	return errors.Join(errs...)
 }
 
 var _ mem.Requestor = (*Cache)(nil)

@@ -3,6 +3,7 @@ package cache
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -487,15 +488,17 @@ func TestSnoopsReturnLineData(t *testing.T) {
 // refGeometries are the shapes the reference comparisons run over:
 // fewer sets than one line-state block, exactly one block, and many
 // blocks, each with a 3-way case, whose line count also leaves the
-// last payload chunk partly sized.
+// last payload chunk partly sized, and a 16-way case, whose blocks
+// widen from narrowWays while their sets hold dirty lines.
 var refGeometries = []Config{
-	{SizeBytes: 512, Assoc: 2, LineBytes: 64},   // 4 sets
-	{SizeBytes: 768, Assoc: 3, LineBytes: 64},   // 4 sets
-	{SizeBytes: 2048, Assoc: 2, LineBytes: 64},  // 16 sets: one block
-	{SizeBytes: 3072, Assoc: 3, LineBytes: 64},  // 16 sets: one block
-	{SizeBytes: 6144, Assoc: 3, LineBytes: 64},  // 32 sets: 2 blocks
-	{SizeBytes: 16384, Assoc: 4, LineBytes: 64}, // 64 sets: 4 blocks
-	{SizeBytes: 24576, Assoc: 3, LineBytes: 64}, // 128 sets: 8 blocks
+	{SizeBytes: 512, Assoc: 2, LineBytes: 64},    // 4 sets
+	{SizeBytes: 768, Assoc: 3, LineBytes: 64},    // 4 sets
+	{SizeBytes: 2048, Assoc: 2, LineBytes: 64},   // 16 sets: one block
+	{SizeBytes: 3072, Assoc: 3, LineBytes: 64},   // 16 sets: one block
+	{SizeBytes: 6144, Assoc: 3, LineBytes: 64},   // 32 sets: 2 blocks
+	{SizeBytes: 16384, Assoc: 4, LineBytes: 64},  // 64 sets: 4 blocks
+	{SizeBytes: 24576, Assoc: 3, LineBytes: 64},  // 128 sets: 8 blocks
+	{SizeBytes: 32768, Assoc: 16, LineBytes: 64}, // 32 sets: 2 blocks
 }
 
 // Property: randomized mixed reads/writes through the cache always
@@ -524,17 +527,25 @@ func TestCacheVsReferenceProperty(t *testing.T) {
 	}
 }
 
-// conflictOps writes two bytes into Assoc+2 lines of every set, so
-// every set evicts dirty lines, then reads each of those lines back.
+// conflictOps makes four passes over two bytes in each of Assoc+2
+// lines of every set, so every set evicts dirty lines in each writing
+// pass, and every block widens while its sets hold dirty non-zero
+// lines. The passes write non-zero bytes (the first ones into
+// unallocated payload chunks), read back, write zeros over them (in
+// allocated chunks) and read back.
 func conflictOps(cfg Config) []refOp {
 	numSets := cfg.SizeBytes / (cfg.Assoc * cfg.LineBytes)
 	var ops []refOp
-	for _, write := range []bool{true, false} {
+	for _, pass := range []struct{ write, zero bool }{{true, false}, {false, false}, {true, true}, {false, false}} {
 		for tag := range cfg.Assoc + 2 {
 			for set := range numSets {
 				line := tag*numSets + set
 				addr := uint64(line*cfg.LineBytes + set%(cfg.LineBytes-1))
-				ops = append(ops, refOp{addr: addr, size: 2, write: write, val: byte(line)})
+				op := refOp{addr: addr, size: 2, write: pass.write, val: byte(line%255 + 1)}
+				if pass.zero {
+					op.val = 0
+				}
+				ops = append(ops, op)
 			}
 		}
 	}
@@ -545,8 +556,8 @@ func conflictOps(cfg Config) []refOp {
 // the geometries with more than one line-state block: the first byte
 // picks the geometry, then every 4 bytes are one access (address low
 // and high byte; bit 0 of the third selects a write and the rest its
-// size, 1-16 bytes; the fourth is the value written). Each geometry's
-// conflictOps is a seed.
+// size, 1-16 bytes; the fourth is the value written, 0 for zeros).
+// Each geometry's conflictOps is a seed.
 func FuzzCacheVsReference(f *testing.F) {
 	var multi []Config
 	for _, cfg := range refGeometries {
@@ -570,7 +581,7 @@ func FuzzCacheVsReference(f *testing.F) {
 			return
 		}
 		cfg := multi[int(data[0])%len(multi)]
-		data = data[1:min(len(data), 1+4*2048)]
+		data = data[1:min(len(data), 1+4*4096)]
 		var ops []refOp
 		for ; len(data) >= 4; data = data[4:] {
 			ops = append(ops, refOp{
@@ -587,7 +598,7 @@ func FuzzCacheVsReference(f *testing.F) {
 }
 
 // refOp is one access of a reference comparison: size bytes at addr,
-// a write storing pattern(size, val).
+// a write storing pattern(size, val), or zeros when val is 0.
 type refOp struct {
 	addr  uint64
 	size  int
@@ -605,7 +616,10 @@ func runVsReference(t *testing.T, cfg Config, ops []refOp) error {
 	for _, op := range ops {
 		span := ref[op.addr : op.addr+uint64(op.size)]
 		if op.write {
-			data := pattern(op.size, op.val)
+			data := make([]byte, op.size)
+			if op.val != 0 {
+				data = pattern(op.size, op.val)
+			}
 			rg.req.Send(mem.NewWrite(op.addr, data))
 			copy(span, data)
 		} else {
@@ -625,9 +639,11 @@ func runVsReference(t *testing.T, cfg Config, ops []refOp) error {
 
 // A fresh cache holds no line state: lookups, snoops, functional
 // accesses and a flush of it allocate nothing and leave every block
-// unallocated, and a fill allocates exactly the block of its set.
+// unallocated, and a fill allocates exactly the block of its set,
+// narrowWays wide. The block widens to Assoc ways when one of its sets
+// fills a third way, and no sooner.
 func TestLineBlocksAllocatedOnFill(t *testing.T) {
-	rg := newRig(t, Config{SizeBytes: 16 << 10, Assoc: 2, LineBytes: 64}) // 128 sets: 8 blocks
+	rg := newRig(t, Config{SizeBytes: 32 << 10, Assoc: 4, LineBytes: 64}) // 128 sets: 8 blocks
 	c := rg.c
 	c.SetDownstreamFunctional(nil) // count the cache's allocations alone
 	buf := make([]byte, 256)
@@ -667,14 +683,66 @@ func TestLineBlocksAllocatedOnFill(t *testing.T) {
 		rg.eq.Run()
 	}
 	fill(0x1c0) // set 7: block 0
-	if n := allocated(); n != 1 || len(c.blocks[0]) != blockSets*c.cfg.Assoc {
+	if n := allocated(); n != 1 || len(c.blocks[0]) != blockSets*narrowWays {
 		t.Fatalf("after one fill: %d blocks allocated, block 0 holds %d lines; want 1 block of %d",
-			n, len(c.blocks[0]), blockSets*c.cfg.Assoc)
+			n, len(c.blocks[0]), blockSets*narrowWays)
 	}
 	fill(0x3c0) // set 15: still block 0
 	fill(0x400) // set 16: block 1
 	if n := allocated(); n != 2 || c.blocks[1] == nil {
 		t.Fatalf("after fills of sets 7, 15 and 16: %d blocks allocated, want blocks 0 and 1", n)
+	}
+
+	const stride = 128 * 64 // one set's next line
+	fill(0x1c0 + stride)    // set 7's second way: still narrow
+	if len(c.blocks[0]) != blockSets*narrowWays {
+		t.Fatalf("block 0 holds %d lines after set 7's second way, want %d", len(c.blocks[0]), blockSets*narrowWays)
+	}
+	fill(0x1c0 + 2*stride) // set 7's third way widens block 0 alone
+	if len(c.blocks[0]) != blockSets*c.cfg.Assoc || len(c.blocks[1]) != blockSets*narrowWays {
+		t.Fatalf("after set 7's third way: blocks 0 and 1 hold %d and %d lines, want %d and %d",
+			len(c.blocks[0]), len(c.blocks[1]), blockSets*c.cfg.Assoc, blockSets*narrowWays)
+	}
+	for way := range 3 {
+		la := 0x1c0 + uint64(way)*stride
+		if s, ok := c.lookup(la); !ok || s.way != way {
+			t.Fatalf("line %#x at %+v (found %v) after widening, want way %d", la, s, ok, way)
+		}
+	}
+	if _, ok := c.lookup(0x3c0); !ok {
+		t.Fatal("set 15's line lost when block 0 widened")
+	}
+}
+
+// A timing-only run stores no data, so its lines allocate no payload;
+// yet a cached line of zeros is the newest copy of its bytes, and the
+// functional reads must show it over non-zero bytes below the cache.
+func TestZeroLineMasksDownstream(t *testing.T) {
+	rg := newRig(t, Config{})
+	old := pattern(192, 0x30)
+	rg.mem.Store.Write(0x800, old)
+	rg.req.Send(mem.NewWrite(0x800, make([]byte, 64))) // full line: no fetch
+	rg.req.Send(mem.NewWriteSize(0x840, 64))           // no payload at all
+	rg.eq.Run()
+	for _, ch := range rg.c.chunks {
+		if ch != nil {
+			t.Fatal("a zero line allocated a payload chunk")
+		}
+	}
+
+	buf := make([]byte, 160) // two cached zero lines and half a line below
+	rg.c.ReadFunctional(0x800, buf)
+	if want := append(make([]byte, 128), old[128:160]...); !bytes.Equal(buf, want) {
+		t.Fatalf("ReadFunctional = %v, want %v", buf, want)
+	}
+	for i := range buf {
+		buf[i] = 0xff
+	}
+	rg.c.OverlayFunctional(0x800, buf)
+	want := bytes.Repeat([]byte{0xff}, 160)
+	clear(want[:128])
+	if !bytes.Equal(buf, want) {
+		t.Fatalf("OverlayFunctional = %v, want %v", buf, want)
 	}
 }
 
@@ -693,5 +761,27 @@ func TestSetIndexCoverage(t *testing.T) {
 		if n != want {
 			t.Fatalf("set %d has %d accesses, want %d", s, n, want)
 		}
+	}
+}
+
+// Audit holds a cache to the state a drained run leaves: no miss
+// outstanding, every miss record recycled, and no packet queued or
+// blocked in either direction.
+func TestAuditReportsUndrainedCache(t *testing.T) {
+	rg := newRig(t, Config{})
+	rg.req.Send(mem.NewRead(0x100, 4))
+	err := rg.c.Audit()
+	if err == nil || !strings.Contains(err.Error(), "l1: 1 misses outstanding") || !strings.Contains(err.Error(), "l1.memq: 1 packets queued") {
+		t.Fatalf("Audit during a miss = %v, want the miss and its queued fill", err)
+	}
+	rg.req.RefuseResponses = true
+	rg.eq.Run()
+	if err := rg.c.Audit(); err == nil || !strings.Contains(err.Error(), "l1.respq: 1 packets queued, blocked true") {
+		t.Fatalf("Audit with the response refused = %v, want a blocked respq", err)
+	}
+	rg.req.ReleaseResponses()
+	rg.eq.Run()
+	if err := rg.c.Audit(); err != nil {
+		t.Fatalf("Audit after the read: %v", err)
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"accesys/internal/accel"
@@ -272,6 +273,14 @@ func (s *System) attach(port string, i int, host, dev mem.AddrRange) *driver.Dri
 		DevMemMode: s.Cfg.Access == DevMem,
 		NoIOMMU:    s.Cfg.SMMU.Bypass,
 	})
+}
+
+// Audit checks the state every run must leave once its event queue
+// has drained: the PCIe fabric's links idle with their credit back and
+// its TLPs back in the pool, and every cache without outstanding misses
+// or queued packets. It returns nil, or an error naming each violation.
+func (s *System) Audit() error {
+	return errors.Join(s.Tree.Audit(), s.L1D.Audit(), s.LLC.Audit(), s.IOCache.Audit())
 }
 
 // Run drains the event queue.

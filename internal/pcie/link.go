@@ -200,8 +200,12 @@ func (t *TLP) idle() bool {
 }
 
 // tlpPool recycles TLPs within one fabric. It is single-threaded like
-// the event queue the fabric runs on.
-type tlpPool struct{ free []*TLP }
+// the event queue the fabric runs on. made counts the TLPs it ever
+// created, so a drained fabric holds all of them in free.
+type tlpPool struct {
+	free []*TLP
+	made int
+}
 
 // get leases a zeroed TLP.
 func (p *tlpPool) get() *TLP {
@@ -211,6 +215,7 @@ func (p *tlpPool) get() *TLP {
 		p.free = p.free[:n-1]
 		return t
 	}
+	p.made++
 	t := &TLP{pool: p}
 	t.stepFn = t.step
 	return t
@@ -376,6 +381,15 @@ func (c *conn) txDone() {
 		c.OnDrain()
 	}
 	c.kick()
+}
+
+// audit reports a conn that is not idle: credit not back at capacity,
+// TLPs queued or a transmission in flight.
+func (c *conn) audit() error {
+	if c.credit == c.capacity && c.queued() == 0 && !c.txBusy {
+		return nil
+	}
+	return fmt.Errorf("%s: credit %d of %d, %d TLPs queued, transmitting %v", c.name, c.credit, c.capacity, c.queued(), c.txBusy)
 }
 
 // release returns buffer credit after a TLP fully leaves the receiving

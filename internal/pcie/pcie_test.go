@@ -3,6 +3,7 @@ package pcie
 import (
 	"bytes"
 	"math"
+	"strings"
 	"testing"
 
 	"accesys/internal/mem"
@@ -392,5 +393,24 @@ func TestQueueDepthStaysBounded(t *testing.T) {
 	t.Logf("event queue peaked at %d entries over %d steps", peak, steps)
 	if peak > 24 {
 		t.Fatalf("event queue peaked at %d entries over %d steps, want <= 24", peak, steps)
+	}
+}
+
+// Audit holds the fabric to the state a drained run leaves: it reports
+// a TLP still out of the pool while a read is under way, nothing once
+// the read has completed, and a link whose credit did not come back.
+func TestAuditReportsUndrainedFabric(t *testing.T) {
+	f := newFabric(t, defLink())
+	f.dma.Send(mem.NewRead(0x4000, 256))
+	if err := f.tree.Audit(); err == nil || !strings.Contains(err.Error(), "1 of 1 TLPs not back in the pool") {
+		t.Fatalf("Audit during a read = %v, want the TLP out of the pool", err)
+	}
+	f.eq.Run()
+	if err := f.tree.Audit(); err != nil {
+		t.Fatalf("Audit after the read: %v", err)
+	}
+	f.tree.EP(0).up.credit -= 8
+	if err := f.tree.Audit(); err == nil || !strings.Contains(err.Error(), "pcie.ep02sw: credit 2040 of 2048") {
+		t.Fatalf("Audit with credit missing = %v, want pcie.ep02sw named", err)
 	}
 }

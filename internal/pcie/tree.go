@@ -1,6 +1,7 @@
 package pcie
 
 import (
+	"errors"
 	"fmt"
 
 	"accesys/internal/mem"
@@ -243,6 +244,30 @@ func NewTree(name string, eq *sim.EventQueue, reg *stats.Registry, cfg Config, e
 		t.EPs = append(t.EPs, ep)
 	}
 	return t
+}
+
+// Audit reports the state a fabric must not hold once its run has
+// drained: a link whose receiver credit is not back at capacity, that
+// still queues TLPs or that is transmitting, and TLPs not back in the
+// fabric's pool.
+func (t *Tree) Audit() error {
+	conns := []*conn{t.RC.down, t.Switch.up}
+	conns = append(conns, t.Switch.downs...)
+	for _, l := range t.Leaves {
+		conns = append(conns, l.up)
+		conns = append(conns, l.downs...)
+	}
+	for _, ep := range t.EPs {
+		conns = append(conns, ep.up)
+	}
+	var errs []error
+	for _, c := range conns {
+		errs = append(errs, c.audit())
+	}
+	if p := t.RC.pool; len(p.free) != p.made {
+		errs = append(errs, fmt.Errorf("%s: %d of %d TLPs not back in the pool", t.RC.name, p.made-len(p.free), p.made))
+	}
+	return errors.Join(errs...)
 }
 
 // EP returns endpoint i.

@@ -46,3 +46,24 @@ func bytesPerRun(runs int, f func()) uint64 {
 	runtime.ReadMemStats(&after)
 	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
 }
+
+// A cold point's run must cost memory only for the cache state it
+// holds: a timing-only GEMM stores no data, so its caches allocate no
+// payload, and a DC GEMM-128, which touches every LLC set but fills
+// one or two of each set's 16 ways, allocates narrow line-state
+// blocks. This is the regression gate against payload or full-width
+// line state allocated on every fill: with both, the run allocated
+// about 1,046,000 bytes; without, about 383,000.
+func TestGEMMRunAllocCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	cfg := core.PCIe8GB()
+	if cfg.Access != core.DC {
+		t.Fatalf("PCIe8GB access method %v, want DC", cfg.Access)
+	}
+	const byteCeiling = 512 << 10
+	if bytes := bytesPerRun(5, func() { TimeGEMM(cfg, 128) }); bytes > byteCeiling {
+		t.Fatalf("TimeGEMM(PCIe8GB, 128) allocated %d bytes, want <= %d", bytes, byteCeiling)
+	}
+}

@@ -61,7 +61,8 @@ func runSchedules(sys *core.System, drvs []*driver.Driver, jobs []TenantJob, onl
 // the member and what was left. A packet still leased from the
 // system's freelist means a component consumed one without releasing
 // it — a leak that would otherwise only show as allocation — and
-// panics the same way.
+// panics the same way, as does a layer that System.Audit finds not
+// drained.
 func checkDone(sys *core.System, units string, left []int) {
 	for i, n := range left {
 		if n > 0 {
@@ -70,6 +71,9 @@ func checkDone(sys *core.System, units string, left []int) {
 	}
 	if live := sys.Packets.Live(); live != 0 {
 		panic(fmt.Sprintf("scenario: run under %s drained with %d packets leased and never released", sys.Cfg.Name, live))
+	}
+	if err := sys.Audit(); err != nil {
+		panic(fmt.Sprintf("scenario: run under %s drained with layers not idle: %v", sys.Cfg.Name, err))
 	}
 }
 
