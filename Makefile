@@ -32,10 +32,11 @@
 #   make benchcheck - perf regression gate: fresh trajectory run into a
 #                   scratch dir, compared against the committed
 #                   BENCH_*.json baselines with a BENCH_TOL band
-#   make layerbench - B/op and ns/event of a cold point's layers
-#                   (system build, a fig4 small-packet point, small
-#                   cold points) at -cpu 1 -count 5; writes no file
-#                   and is not part of ci
+#   make layerbench - B/op and ns/op or ns/event of a point's layers
+#                   (one GEMM-512 point's fingerprint, system build, a
+#                   fig4 small-packet point, small cold points) at
+#                   -cpu 1 -count 5; writes no file and is not part
+#                   of ci
 #   make cover    - coverage profile with a minimum total-coverage gate
 #   make figures  - regenerate every paper artifact (parallel, cached)
 #   make equiv    - timing-vs-analytic audit of every reproduced figure
@@ -154,7 +155,7 @@ benchcheck:
 # The layer benchmarks a cold point's cost is measured with. None of
 # them records into BENCH_*.json, so this prints and writes nothing.
 layerbench:
-	$(GO) test -run '^$$' -bench '^Benchmark(SystemBuild|Fig4SmallPacket|SmallPointsCold)$$' \
+	$(GO) test -run '^$$' -bench '^Benchmark(Fingerprint|SystemBuild|Fig4SmallPacket|SmallPointsCold)$$' \
 		-benchmem -cpu 1 -count 5 .
 
 figures: build

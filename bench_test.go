@@ -180,6 +180,22 @@ func BenchmarkSystemBuild(b *testing.B) {
 	}
 }
 
+// BenchmarkFingerprint times building one point's cache-key material:
+// the fingerprint GEMMPoint gives a PCIe-8GB GEMM-512 point, which a
+// warm re-run computes for every point before its cache hit. It
+// reports the fingerprint's length in bytes/fp (the key every cache
+// record and profile digest carries). It is a layer benchmark and is
+// not part of the BENCH_*.json ratchet.
+func BenchmarkFingerprint(b *testing.B) {
+	cfg := core.PCIe8GB()
+	b.ReportAllocs()
+	var fp string
+	for i := 0; i < b.N; i++ {
+		fp = sweep.Fingerprint("gemm", 512, cfg)
+	}
+	b.ReportMetric(float64(len(fp)), "bytes/fp")
+}
+
 // BenchmarkFig4SmallPacket times one fig4 point at the matrix's most
 // event-heavy packet size: GEMM-512 over PCIe-8GB with 64-B host DMA
 // packets, system build plus event loop. ns/event divides the wall

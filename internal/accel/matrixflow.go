@@ -2,6 +2,7 @@ package accel
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 
 	"accesys/internal/dma"
@@ -191,6 +192,12 @@ func (m *MatrixFlow) HostDMAPort() *mem.RequestPort { return m.hostDMA.Port() }
 
 // DevDMAPort returns the device-memory-path DMA request port.
 func (m *MatrixFlow) DevDMAPort() *mem.RequestPort { return m.devDMA.Port() }
+
+// AuditDMA reports, from both DMA engines, the transfers, bursts and
+// burst-state records a drained run must not hold (dma.Engine.Audit).
+func (m *MatrixFlow) AuditDMA() error {
+	return errors.Join(m.hostDMA.Audit(), m.devDMA.Audit())
+}
 
 // Status returns the current status register value.
 func (m *MatrixFlow) Status() uint64 { return m.regs[RegStatus/8] }

@@ -7,8 +7,6 @@
 package core
 
 import (
-	"fmt"
-
 	"accesys/internal/accel"
 	"accesys/internal/dma"
 	"accesys/internal/dram"
@@ -192,19 +190,6 @@ func (c Config) Resolved() Config {
 	c.Accel = c.Accel.Resolved()
 	c.PCIe = c.PCIe.Resolved()
 	return c
-}
-
-// FingerprintParts returns the canonical cache-key material for the
-// config: the struct itself plus a type tag for every interface-valued
-// field. JSON encodes interfaces by content only, so two Backend
-// implementations that marshal alike (e.g. both to "{}") would
-// otherwise alias in the sweep result cache; baking the %T tag in here
-// gives every current and future caller the rule automatically.
-// Append these parts to the workload identity, e.g.
-//
-//	sweep.Fingerprint(append([]any{"gemm", n}, cfg.FingerprintParts()...)...)
-func (c Config) FingerprintParts() []any {
-	return []any{c, fmt.Sprintf("%T", c.Accel.Backend)}
 }
 
 // HostRange returns the host DRAM window.

@@ -6,6 +6,7 @@
 package dma
 
 import (
+	"errors"
 	"fmt"
 
 	"accesys/internal/mem"
@@ -95,6 +96,7 @@ func (e *Engine) getBS() *burstState {
 		e.bsFree = e.bsFree[:n-1]
 		return st
 	}
+	e.bsMade++
 	return &burstState{}
 }
 
@@ -115,6 +117,7 @@ type Engine struct {
 	chans []*channel
 
 	bsFree []*burstState // recycled burst-state records
+	bsMade int           // records ever allocated, for Audit
 
 	descriptors *stats.Counter
 	bursts      *stats.Counter
@@ -270,6 +273,26 @@ func (e *Engine) RecvTimingResp(port *mem.RequestPort, pkt *mem.Packet) bool {
 		c.pump()
 	}
 	return true
+}
+
+// Audit reports the state an engine must not hold once its run has
+// drained: a current or queued transfer on any channel, bursts still
+// queued or in flight, and burst-state records not back on the
+// freelist (each in-flight burst holds one).
+func (e *Engine) Audit() error {
+	var errs []error
+	for _, c := range e.chans {
+		if c.cur != nil || len(c.queue) != 0 {
+			errs = append(errs, fmt.Errorf("%s.ch%d: transfer in progress %v, %d queued", e.name, c.idx, c.cur != nil, len(c.queue)))
+		}
+	}
+	if n := e.bsMade - len(e.bsFree); n != 0 {
+		errs = append(errs, fmt.Errorf("%s: %d bursts in flight or their state records lost", e.name, n))
+	}
+	if !e.reqQ.Empty() || e.reqQ.Blocked() {
+		errs = append(errs, fmt.Errorf("%s.reqq: %d bursts queued, blocked %v", e.name, e.reqQ.Len(), e.reqQ.Blocked()))
+	}
+	return errors.Join(errs...)
 }
 
 // RecvRetryReq implements mem.Requestor.

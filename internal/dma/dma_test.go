@@ -2,6 +2,7 @@ package dma
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"accesys/internal/mem"
@@ -182,5 +183,32 @@ func TestStartLatencyApplied(t *testing.T) {
 	eq.Run()
 	if doneAt < 120*sim.Nanosecond {
 		t.Fatalf("completion at %v, want >= start latency + memory", doneAt)
+	}
+}
+
+// Audit holds an engine to the state a drained run leaves: no current
+// or queued transfer, no burst queued or in flight, and every
+// burst-state record back on the freelist.
+func TestAuditReportsUndrainedEngine(t *testing.T) {
+	eq, e, m, _ := newEngine(t, Config{BurstBytes: 64, Channels: 1})
+	e.Read(0, 0, 256, nil, nil)
+	e.Read(0, 256, 256, nil, nil)
+	if err := e.Audit(); err == nil || !strings.Contains(err.Error(), "dma.ch0: transfer in progress true, 1 queued") {
+		t.Fatalf("Audit with transfers pending = %v, want them named", err)
+	}
+	m.RefuseRequests = true
+	eq.Run()
+	if err := e.Audit(); err == nil || !strings.Contains(err.Error(), "dma.reqq: 4 bursts queued, blocked true") ||
+		!strings.Contains(err.Error(), "dma: 4 bursts in flight") {
+		t.Fatalf("Audit with requests refused = %v, want 4 bursts queued behind a blocked reqq", err)
+	}
+	m.ReleaseRequests()
+	eq.Run()
+	if err := e.Audit(); err != nil {
+		t.Fatalf("Audit after both transfers: %v", err)
+	}
+	e.getBS() // a record that never returns to the freelist
+	if err := e.Audit(); err == nil || !strings.Contains(err.Error(), "dma: 1 bursts in flight or their state records lost") {
+		t.Fatalf("Audit with a lost record = %v, want it counted", err)
 	}
 }

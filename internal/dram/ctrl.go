@@ -1,6 +1,7 @@
 package dram
 
 import (
+	"errors"
 	"fmt"
 
 	"accesys/internal/mem"
@@ -83,6 +84,7 @@ type DRAM struct {
 
 	chans     []*chanCtrl
 	reqFree   []*dramReq // recycled queue entries
+	reqsMade  int        // entries ever allocated, for Audit
 	needRetry bool
 
 	reads     *stats.Counter
@@ -296,6 +298,7 @@ func (d *DRAM) getReq() *dramReq {
 		d.reqFree = d.reqFree[:n-1]
 		return req
 	}
+	d.reqsMade++
 	return new(dramReq)
 }
 
@@ -311,6 +314,27 @@ func (d *DRAM) maybeRetry() {
 	}
 	d.needRetry = false
 	d.port.SendRetryReq()
+}
+
+// Audit reports the state a controller must not hold once its run has
+// drained: requests still queued on a channel, queue entries not back
+// on the freelist, and queued or blocked responses.
+func (d *DRAM) Audit() error {
+	var errs []error
+	queued := 0
+	for _, cc := range d.chans {
+		if len(cc.readQ) != 0 || len(cc.writeQ) != 0 {
+			errs = append(errs, fmt.Errorf("%s.ch%d: %d reads and %d writes queued", d.name, cc.idx, len(cc.readQ), len(cc.writeQ)))
+		}
+		queued += len(cc.readQ) + len(cc.writeQ)
+	}
+	if n := d.reqsMade - len(d.reqFree) - queued; n != 0 {
+		errs = append(errs, fmt.Errorf("%s: %d request entries lost", d.name, n))
+	}
+	if !d.respQ.Empty() || d.respQ.Blocked() {
+		errs = append(errs, fmt.Errorf("%s.respq: %d packets queued, blocked %v", d.name, d.respQ.Len(), d.respQ.Blocked()))
+	}
+	return errors.Join(errs...)
 }
 
 // RecvRetryResp implements mem.Responder.

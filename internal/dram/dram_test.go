@@ -3,6 +3,7 @@ package dram
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -365,5 +366,30 @@ func BenchmarkStreamingRead(b *testing.B) {
 				b.ReportMetric(gbps, "sim_GB/s")
 			}
 		})
+	}
+}
+
+// Audit holds a controller to the state a drained run leaves: empty
+// channel queues, every request entry recycled, and no response
+// queued or blocked.
+func TestAuditReportsUndrainedController(t *testing.T) {
+	eq, d, r, _ := newDRAM(t, DDR4_2400)
+	r.Send(mem.NewRead(0, 64))
+	if err := d.Audit(); err == nil || !strings.Contains(err.Error(), "dram.ch0: 1 reads and 0 writes queued") {
+		t.Fatalf("Audit with a read queued = %v, want the queued read", err)
+	}
+	r.RefuseResponses = true
+	eq.Run()
+	if err := d.Audit(); err == nil || !strings.Contains(err.Error(), "dram.respq: 1 packets queued, blocked true") {
+		t.Fatalf("Audit with the response refused = %v, want a blocked respq", err)
+	}
+	r.ReleaseResponses()
+	eq.Run()
+	if err := d.Audit(); err != nil {
+		t.Fatalf("Audit after the read: %v", err)
+	}
+	d.getReq() // an entry that never returns to the freelist
+	if err := d.Audit(); err == nil || !strings.Contains(err.Error(), "dram: 1 request entries lost") {
+		t.Fatalf("Audit with a lost entry = %v, want it counted", err)
 	}
 }

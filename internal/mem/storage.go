@@ -42,9 +42,7 @@ func (s *Storage) Read(addr uint64, buf []byte) {
 		if f, ok := s.frames[frame]; ok {
 			copy(buf[:n], f[off:off+n])
 		} else {
-			for i := uint64(0); i < n; i++ {
-				buf[i] = 0
-			}
+			clear(buf[:n])
 		}
 		buf = buf[n:]
 		addr += n

@@ -68,7 +68,7 @@ func SimTenants(cfg core.Config, tenants []TenantJob) (shared, solo []sim.Tick) 
 func FarmPoint(cfg core.Config, n int) sweep.Point {
 	return sweep.Point{
 		Key:         cfg.Name,
-		Fingerprint: sweep.Fingerprint(append([]any{"farm", n}, cfg.FingerprintParts()...)...),
+		Fingerprint: sweep.Fingerprint("farm", n, cfg),
 		Run: func() sweep.Outcome {
 			// A farm is one single-job tenant per cluster member.
 			members := make([]TenantJob, cfg.NumAccels())
@@ -93,7 +93,7 @@ func FarmPoint(cfg core.Config, n int) sweep.Point {
 func TenantsPoint(cfg core.Config, tenants []TenantJob) sweep.Point {
 	return sweep.Point{
 		Key:         cfg.Name,
-		Fingerprint: sweep.Fingerprint(append([]any{"tenants", tenants}, cfg.FingerprintParts()...)...),
+		Fingerprint: sweep.Fingerprint("tenants", tenants, cfg),
 		Run: func() sweep.Outcome {
 			shared, solo := SimTenants(cfg, tenants)
 			vals := make(map[string]float64, 3*len(tenants)+1)

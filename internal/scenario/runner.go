@@ -92,7 +92,7 @@ func TimeGEMM(cfg core.Config, n int) (sim.Tick, *core.System, driver.Result) {
 func GEMMPoint(cfg core.Config, n int, extract func(*core.System, driver.Result) map[string]float64) sweep.Point {
 	return sweep.Point{
 		Key:         cfg.Name,
-		Fingerprint: sweep.Fingerprint(append([]any{"gemm", n}, cfg.FingerprintParts()...)...),
+		Fingerprint: sweep.Fingerprint("gemm", n, cfg),
 		Run: func() sweep.Outcome {
 			d, sys, res := TimeGEMM(cfg, n)
 			out := sweep.Outcome{Dur: d}
@@ -187,7 +187,7 @@ func SimViT(cfg core.Config, v workload.ViTVariant) ViTSplit {
 func ViTPoint(cfg core.Config, v workload.ViTVariant) sweep.Point {
 	return sweep.Point{
 		Key:         cfg.Name + "/" + v.Name,
-		Fingerprint: sweep.Fingerprint(append([]any{"vit", v}, cfg.FingerprintParts()...)...),
+		Fingerprint: sweep.Fingerprint("vit", v, cfg),
 		Run: func() sweep.Outcome {
 			t := SimViT(cfg, v)
 			return sweep.Outcome{

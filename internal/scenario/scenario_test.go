@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"accesys/internal/accel"
 	"accesys/internal/core"
 	"accesys/internal/sweep"
 )
@@ -179,10 +180,15 @@ func TestViTRunsShareIdentity(t *testing.T) {
 	}
 }
 
-// TestGEMMPointFingerprintsDifferByBackend pins the aliasing rule the
-// canonical FingerprintParts helper bakes in: configs whose
-// interface-valued backends marshal alike must not share cache
-// entries.
+// Two Backend implementations with the same content: both encode
+// their fields as one embedded TileModel.
+type twinBackendA struct{ accel.TileModel }
+type twinBackendB struct{ accel.TileModel }
+
+// TestGEMMPointFingerprintsDifferByBackend pins that a point's
+// fingerprint covers the whole config, interface-valued fields
+// included: Fingerprint writes each interface's dynamic type, so
+// backends whose content encodes alike must not share cache entries.
 func TestGEMMPointFingerprintsDifferByBackend(t *testing.T) {
 	a := core.PCIe8GB()
 	b := core.PCIe8GB()
@@ -195,6 +201,104 @@ func TestGEMMPointFingerprintsDifferByBackend(t *testing.T) {
 	if pc := GEMMPoint(c, 64, nil); pa.Fingerprint == pc.Fingerprint {
 		t.Fatal("different configs must not share a fingerprint")
 	}
+	x, y := core.PCIe8GB(), core.PCIe8GB()
+	x.Accel.Backend = twinBackendA{}
+	y.Accel.Backend = twinBackendB{}
+	px, py := GEMMPoint(x, 64, nil), GEMMPoint(y, 64, nil)
+	if px.Fingerprint == py.Fingerprint {
+		t.Fatal("backends of equal content but different types must not share a fingerprint")
+	}
+	if px.Fingerprint == pa.Fingerprint {
+		t.Fatal("a set backend must not alias the nil default")
+	}
+}
+
+// TestFingerprintCoversEveryConfigField walks core.Config by
+// reflection, through the HostSimple pointer and the Cluster slice,
+// and changes one leaf field at a time: every change must move the
+// GEMM point's fingerprint, or two configs would share a cache entry.
+// A field of a kind the walk cannot change fails the test, so a new
+// config field is covered or noticed.
+func TestFingerprintCoversEveryConfigField(t *testing.T) {
+	preset := GEMMPoint(core.PCIe8GB(), 64, nil).Fingerprint
+	seen := map[string]string{preset: "preset"}
+	muts := configMutations(t, reflect.TypeOf(core.Config{}), "Config")
+	for _, m := range muts {
+		cfg := core.PCIe8GB()
+		m.set(reflect.ValueOf(&cfg).Elem())
+		fp := GEMMPoint(cfg, 64, nil).Fingerprint
+		if prev, dup := seen[fp]; dup {
+			t.Errorf("changing %s leaves the fingerprint of %s", m.path, prev)
+		}
+		seen[fp] = m.path
+	}
+	if len(muts) < 100 {
+		t.Fatalf("walk found %d leaf fields, want at least 100", len(muts))
+	}
+}
+
+type configMutation struct {
+	path string
+	set  func(reflect.Value)
+}
+
+// configMutations lists, for a value of type typ, one change per leaf
+// field that makes it differ from whatever it held, plus a non-nil
+// zero value for each pointer and a one-element slice for each slice.
+func configMutations(t *testing.T, typ reflect.Type, path string) []configMutation {
+	t.Helper()
+	switch typ.Kind() {
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		return []configMutation{{path, func(v reflect.Value) { v.SetInt(v.Int() + 1) }}}
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		return []configMutation{{path, func(v reflect.Value) { v.SetUint(v.Uint() + 1) }}}
+	case reflect.Float32, reflect.Float64:
+		return []configMutation{{path, func(v reflect.Value) { v.SetFloat(v.Float() + 0.5) }}}
+	case reflect.String:
+		return []configMutation{{path, func(v reflect.Value) { v.SetString(v.String() + "x") }}}
+	case reflect.Bool:
+		return []configMutation{{path, func(v reflect.Value) { v.SetBool(!v.Bool()) }}}
+	case reflect.Interface:
+		backend := reflect.ValueOf(accel.TileModel{FillDrain: 3})
+		if !backend.Type().Implements(typ) {
+			t.Fatalf("%s: no test value for interface %s", path, typ)
+		}
+		return []configMutation{{path, func(v reflect.Value) { v.Set(backend) }}}
+	case reflect.Struct:
+		var out []configMutation
+		for i := range typ.NumField() {
+			f := typ.Field(i)
+			if !f.IsExported() {
+				continue
+			}
+			for _, m := range configMutations(t, f.Type, path+"."+f.Name) {
+				out = append(out, configMutation{m.path, func(v reflect.Value) { m.set(v.Field(i)) }})
+			}
+		}
+		return out
+	case reflect.Pointer:
+		out := []configMutation{{path, func(v reflect.Value) { v.Set(reflect.New(typ.Elem())) }}}
+		for _, m := range configMutations(t, typ.Elem(), path) {
+			out = append(out, configMutation{m.path, func(v reflect.Value) {
+				if v.IsNil() {
+					v.Set(reflect.New(typ.Elem()))
+				}
+				m.set(v.Elem())
+			}})
+		}
+		return out
+	case reflect.Slice:
+		out := []configMutation{{path + "[0]", func(v reflect.Value) { v.Set(reflect.MakeSlice(typ, 1, 1)) }}}
+		for _, m := range configMutations(t, typ.Elem(), path+"[0]") {
+			out = append(out, configMutation{m.path, func(v reflect.Value) {
+				v.Set(reflect.MakeSlice(typ, 1, 1))
+				m.set(v.Index(0))
+			}})
+		}
+		return out
+	}
+	t.Fatalf("%s: no mutation for kind %s", path, typ.Kind())
+	return nil
 }
 
 // TestPivotRenderEndToEnd sweeps a small two-axis pivot for real and

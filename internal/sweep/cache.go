@@ -354,8 +354,12 @@ func (c *Cache) Stats() (hits, misses, errors int) {
 // BinaryFingerprint hashes the running executable, giving a cache
 // salt that changes whenever the simulator is rebuilt from different
 // code — cached results can then never outlive the build that
-// produced them.
-func BinaryFingerprint() (string, error) {
+// produced them. A running process's executable does not change, so
+// the hash is taken once per process and every later call (each
+// OpenSalted, each shard or fleet salt check) returns the memo.
+func BinaryFingerprint() (string, error) { return binaryFingerprint() }
+
+var binaryFingerprint = sync.OnceValues(func() (string, error) {
 	exe, err := os.Executable()
 	if err != nil {
 		return "", err
@@ -370,4 +374,4 @@ func BinaryFingerprint() (string, error) {
 		return "", err
 	}
 	return hex.EncodeToString(h.Sum(nil)), nil
-}
+})

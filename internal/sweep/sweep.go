@@ -11,8 +11,6 @@
 package sweep
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"runtime"
 	"sync"
@@ -21,10 +19,6 @@ import (
 
 	"accesys/internal/sim"
 )
-
-// fingerprintVersion salts every fingerprint; bump it to invalidate
-// all cached results when the encoding changes incompatibly.
-const fingerprintVersion = "sweep/v1"
 
 // Outcome is the recorded result of one sweep point: the primary
 // simulated duration plus any named secondary metrics (extracted
@@ -243,45 +237,3 @@ func (e *Engine) Run(points []Point) []Outcome {
 	}
 	return outs
 }
-
-// Fingerprint canonically encodes the given parts (JSON, newline
-// separated, version salted) into cache-key material. Parts must be
-// JSON-encodable plain data — configuration structs, sizes, labels.
-// It panics on unencodable values, but note that JSON encodes
-// interface-typed fields by content only: two implementations that
-// marshal alike (e.g. both to "{}") would alias, so callers holding
-// interface-valued configuration must add a type tag part
-// (fmt.Sprintf("%T", v)) alongside the struct.
-func Fingerprint(parts ...any) string {
-	fb := fpBufPool.Get().(*fpBuf)
-	fb.buf.Reset()
-	fb.buf.WriteString(fingerprintVersion)
-	for _, p := range parts {
-		fb.buf.WriteByte('\n')
-		// Encoding straight into the pooled buffer avoids the
-		// per-part []byte of json.Marshal; Encode appends a newline
-		// the format does not want, so trim it back off.
-		if err := fb.enc.Encode(p); err != nil {
-			fpBufPool.Put(fb)
-			panic(fmt.Sprintf("sweep: unencodable fingerprint part %T: %v", p, err))
-		}
-		fb.buf.Truncate(fb.buf.Len() - 1)
-	}
-	s := fb.buf.String()
-	fpBufPool.Put(fb)
-	return s
-}
-
-// fpBuf is a reusable fingerprint encoding buffer; the encoder is
-// bound to the buffer once so each Fingerprint call costs only the
-// final string copy.
-type fpBuf struct {
-	buf bytes.Buffer
-	enc *json.Encoder
-}
-
-var fpBufPool = sync.Pool{New: func() any {
-	fb := &fpBuf{}
-	fb.enc = json.NewEncoder(&fb.buf)
-	return fb
-}}

@@ -1,7 +1,6 @@
 package sweep
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 	"sync/atomic"
@@ -198,12 +197,24 @@ func TestFingerprintStableAndDistinct(t *testing.T) {
 }
 
 func TestFingerprintRejectsUnencodable(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("func value should not fingerprint")
-		}
-	}()
-	Fingerprint(func() {})
+	type node struct{ Next *node }
+	cyclic := &node{}
+	cyclic.Next = cyclic
+	for name, v := range map[string]any{
+		"func":   func() {},
+		"chan":   make(chan int),
+		"field":  struct{ F func() }{func() {}},
+		"cyclic": cyclic,
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s value should not fingerprint", name)
+				}
+			}()
+			Fingerprint(v)
+		}()
+	}
 }
 
 func TestCacheHitSkipsRuns(t *testing.T) {
@@ -308,24 +319,35 @@ func TestEmptyFingerprintBypassesCache(t *testing.T) {
 }
 
 // TestFingerprintEncodingPinned pins the exact byte format of
-// Fingerprint — version header plus "\n"+JSON per part — because it is
-// on-disk cache key material: a drift here silently invalidates every
-// existing cache entry.
+// Fingerprint — version header, then " "+canonical form per part —
+// because it is on-disk cache key material: a drift here silently
+// invalidates every existing cache entry.
 func TestFingerprintEncodingPinned(t *testing.T) {
 	type cfg struct {
 		N    int
 		Name string
 	}
 	parts := []any{"gemm", 256, cfg{N: 3, Name: "a<b&c"}, []float64{1, 2.5}, nil}
-	want := "sweep/v1"
-	for _, p := range parts {
-		b, err := json.Marshal(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want += "\n" + string(b)
-	}
+	want := `sweep/v2 "gemm" 256; {3;"a<b&c"} [2;1;2.5;] n`
 	if got := Fingerprint(parts...); got != want {
+		t.Fatalf("fingerprint encoding drifted:\n got %q\nwant %q", got, want)
+	}
+
+	// Maps sort by key, pointers lead with '*', interfaces carry their
+	// dynamic type, and unexported fields are skipped.
+	five := 5
+	type more struct {
+		M      map[string]int
+		P, Nil *int
+		I, E   any
+		hidden int
+		On     bool
+		U      uint8
+		F      float32
+	}
+	got := Fingerprint(more{M: map[string]int{"b": 2, "a": 1}, P: &five, I: 7, hidden: 9, On: true, U: 3, F: 0.1})
+	want = `sweep/v2 {<2;"a"1;"b"2;>*5;n"int"7;nt3;0.1;}`
+	if got != want {
 		t.Fatalf("fingerprint encoding drifted:\n got %q\nwant %q", got, want)
 	}
 }
