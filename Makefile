@@ -128,9 +128,11 @@ cover:
 	{ echo "coverage $$total% below floor $(COVER_FLOOR)%"; exit 1; }
 
 # Cross-backend equivalence audit of every reproduced figure (exit 1
-# on divergence beyond each scenario's fail band).
+# on divergence beyond each scenario's fail band), against a fresh
+# cache directory so it neither reads nor fills the user's own cache.
 equiv:
-	$(GO) run ./cmd/accesys equiv fig2 fig3 fig4 fig5 fig6 tab4 fig7 fig8 fig9
+	@dir=$$(mktemp -d) && $(GO) run ./cmd/accesys equiv -cache $$dir fig2 fig3 fig4 fig5 fig6 tab4 fig7 fig8 fig9; \
+	status=$$?; rm -rf $$dir; exit $$status
 
 ci: lint vet race examples benchvet e2e fuzz golden equiv benchsmoke benchcheck cover
 

@@ -57,7 +57,7 @@ func (a *app) cmdExplore(args []string) int {
 	})
 	rep, err := explore.Run(sc, opt, p)
 	if err != nil {
-		return a.errorf("%v", err)
+		return a.fail(err)
 	}
 	rep.Frontier.Fprint(a.stdout)
 	if *csvPath != "" {

@@ -128,8 +128,8 @@ type app struct {
 	stderr io.Writer
 }
 
-// Exit codes: 0 success, 1 failed equivalence audit (points diverged
-// beyond the fail band), 2 usage or execution error.
+// Exit codes: 0 success, 1 failed points or a failed equivalence audit
+// (points diverged beyond the fail band), 2 usage or execution error.
 const (
 	exitOK   = 0
 	exitFail = 1
@@ -138,6 +138,16 @@ const (
 
 func (a *app) errorf(format string, args ...any) int {
 	fmt.Fprintf(a.stderr, "accesys: "+format+"\n", args...)
+	return usageErr
+}
+
+// fail prints err and returns its exit code: exitFail for a run's
+// failed points (sweep.Failed), usageErr for anything else.
+func (a *app) fail(err error) int {
+	fmt.Fprintf(a.stderr, "accesys: %v\n", err)
+	if errors.Is(err, sweep.ErrPoint) {
+		return exitFail
+	}
 	return usageErr
 }
 
@@ -244,13 +254,8 @@ func (a *app) finish(opt scenario.Options) {
 		fmt.Fprintf(a.stderr, "accesys: cache %s: %d hits, %d misses, %d errors\n",
 			opt.Cache.Dir(), hits, misses, errors)
 	}
-	if err := opt.Cache.FlushCounters(); err != nil {
-		fmt.Fprintf(a.stderr, "accesys: persisting cache counters: %v\n", err)
-	}
-	if opt.Profile != nil {
-		if err := opt.Profile.Flush(); err != nil {
-			fmt.Fprintf(a.stderr, "accesys: persisting wall profile: %v\n", err)
-		}
+	if err := opt.Cache.FlushState(opt.Profile); err != nil {
+		fmt.Fprintf(a.stderr, "accesys: persisting cache counters and wall profile: %v\n", err)
 	}
 }
 
@@ -347,6 +352,7 @@ func (a *app) cmdSweep(args []string) int {
 	defer stop()
 
 	opt := a.options(f)
+	code = exitOK
 	for _, path := range manifests {
 		sc, err := scenario.Load(path)
 		if err != nil {
@@ -355,7 +361,10 @@ func (a *app) cmdSweep(args []string) int {
 		start := time.Now()
 		res, err := sc.Run(opt)
 		if err != nil {
-			return a.errorf("%v", err)
+			if code = a.fail(err); code == usageErr {
+				return code
+			}
+			continue
 		}
 		res.Note("wall time: %.1fs", time.Since(start).Seconds())
 		res.Fprint(a.stdout)
@@ -366,7 +375,7 @@ func (a *app) cmdSweep(args []string) int {
 		}
 	}
 	a.finish(opt)
-	return exitOK
+	return code
 }
 
 func (a *app) writeCSV(path string, res *scenario.Result) int {
@@ -424,7 +433,11 @@ func (a *app) cmdEquiv(args []string) int {
 		}
 		rep, err := equiv.Run(sc, opt, cli)
 		if err != nil {
-			return a.errorf("%v", err)
+			if a.fail(err) == usageErr {
+				return usageErr
+			}
+			failed = true
+			continue
 		}
 		reports = append(reports, rep)
 		if !rep.OK() {

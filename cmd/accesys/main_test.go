@@ -102,8 +102,8 @@ func TestSweepBadManifestFails(t *testing.T) {
 // TestSweepRejectsUntileableSizes pins that a GEMM size the
 // accelerator cannot tile fails validation before any point runs, with
 // an error naming the field. The sweep runs in a re-executed process
-// (TestMain's ACCESYS_WORKER_MODE=run): a panicking worker also exits
-// 2, so only its stderr tells the two apart.
+// (TestMain's ACCESYS_WORKER_MODE=run), so a crash fails the test
+// instead of the test binary; a failed point would exit 1 instead.
 func TestSweepRejectsUntileableSizes(t *testing.T) {
 	for _, tc := range []struct{ field, manifest string }{
 		{"workload n", `{"name": "n100", "base": "pcie8gb", "workload": {"kind": "gemm", "n": 100}, "axes": [{"axis": "packet_bytes", "values": [256, 512]}]}`},
@@ -134,7 +134,7 @@ func TestSweepRejectsUntileableSizes(t *testing.T) {
 // over the bare Table II base sweeps: the base fills each half of the
 // link on its own, so neither axis is reset or left without a rate.
 // Like TestSweepRejectsUntileableSizes it re-executes the CLI, so a
-// panicking point fails the test instead of the test binary.
+// crash fails the test instead of the test binary.
 func TestSweepLinkAxesOverDefaultBase(t *testing.T) {
 	for _, axis := range []string{"lanes", "lane_gbps"} {
 		manifest := `{"name":"n","workload":{"kind":"gemm","n":64},"axes":[{"axis":"` + axis + `","values":[4,8]}]}`
@@ -159,6 +159,41 @@ func TestSweepLinkAxesOverDefaultBase(t *testing.T) {
 		_, b, _ := strings.Cut(lines[2], ",")
 		if a == b {
 			t.Errorf("%s: both points simulated alike (%s), the axis value was lost:\n%s", axis, a, data)
+		}
+	}
+}
+
+// pktManifest sweeps a packet size past the DMA page size next to a
+// valid one: its 8192-B point fails inside the simulator (dma.New
+// rejects the burst), its 64-B point runs.
+const pktManifest = `{
+  "name": "pkt",
+  "title": "packet sweep",
+  "base": "pcie8gb",
+  "workload": {"kind": "gemm", "n": 64},
+  "axes": [{"axis": "packet_bytes", "values": [64, 8192]}]
+}`
+
+// TestSweepFailedPointExitsOne pins the failure contract at the CLI: a
+// failed point costs only itself. The sweep exits 1 naming the failed
+// key, without a goroutine dump or rows, and caches its 64-B sibling,
+// so a re-run serves that point warm and re-tries only the failed one.
+func TestSweepFailedPointExitsOne(t *testing.T) {
+	path := writeManifest(t, pktManifest)
+	cache := t.TempDir()
+	for _, want := range []string{"0 hits, 2 misses", "1 hits, 1 misses"} {
+		code, out, errOut := testApp(t, "sweep", "-v", "-jobs", "2", "-cache", cache, path)
+		if code != exitFail {
+			t.Fatalf("exit %d, want %d:\n%s", code, exitFail, errOut)
+		}
+		if !strings.Contains(errOut, `"pkt-8192" panicked`) || strings.Contains(errOut, "goroutine") {
+			t.Fatalf("stderr does not name the failed point cleanly:\n%s", errOut)
+		}
+		if !strings.Contains(errOut, want+", 0 errors") {
+			t.Fatalf("cache stats want %q:\n%s", want, errOut)
+		}
+		if out != "" {
+			t.Fatalf("rows written for a failed sweep:\n%s", out)
 		}
 	}
 }

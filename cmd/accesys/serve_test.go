@@ -16,6 +16,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"sync"
 	"syscall"
@@ -101,6 +102,70 @@ func serveGetText(t *testing.T, base, id string) string {
 	return string(data)
 }
 
+// daemon is an `accesys serve` process under test.
+type daemon struct {
+	cmd     *exec.Cmd
+	base    string
+	logged  bytes.Buffer
+	drained sync.WaitGroup
+}
+
+// startDaemon re-execs this test binary as `accesys serve` on an
+// ephemeral port with the given extra flags and waits until it
+// announces its address.
+func startDaemon(t *testing.T, args ...string) *daemon {
+	t.Helper()
+	d := &daemon{cmd: exec.Command(os.Args[0], append([]string{"serve", "-addr", "127.0.0.1:0", "-v"}, args...)...)}
+	d.cmd.Env = append(os.Environ(), "ACCESYS_WORKER_MODE=run")
+	stderr, err := d.cmd.StderrPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { d.cmd.Process.Kill() })
+
+	// The daemon prints its bound address once the listener is up; keep
+	// draining stderr afterwards so the process never blocks on the pipe.
+	scanner := bufio.NewScanner(stderr)
+	for scanner.Scan() {
+		line := scanner.Text()
+		d.logged.WriteString(line + "\n")
+		if _, addr, ok := strings.Cut(line, "serving on "); ok {
+			d.base = addr
+			break
+		}
+	}
+	if d.base == "" {
+		t.Fatalf("daemon never announced its address:\n%s", d.logged.String())
+	}
+	d.drained.Add(1)
+	go func() {
+		defer d.drained.Done()
+		for scanner.Scan() {
+			d.logged.WriteString(scanner.Text() + "\n")
+		}
+	}()
+	return d
+}
+
+// stop sends SIGTERM and requires a graceful drain: exit 0 and the
+// drain notice in the log.
+func (d *daemon) stop(t *testing.T) {
+	t.Helper()
+	if err := d.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	d.drained.Wait()
+	if err := d.cmd.Wait(); err != nil {
+		t.Fatalf("daemon exit after SIGTERM: %v\n%s", err, d.logged.String())
+	}
+	if !strings.Contains(d.logged.String(), "serve drained") {
+		t.Fatalf("daemon log missing drain notice:\n%s", d.logged.String())
+	}
+}
+
 func TestServeSmokeDaemon(t *testing.T) {
 	// The daemon smoke: a real `accesys serve` process on an ephemeral
 	// port runs the CI smoke manifest cold, then warm, renders rows
@@ -109,43 +174,8 @@ func TestServeSmokeDaemon(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cacheDir := t.TempDir()
-
-	cmd := exec.Command(os.Args[0], "serve", "-addr", "127.0.0.1:0", "-cache", cacheDir, "-v")
-	cmd.Env = append(os.Environ(), "ACCESYS_WORKER_MODE=run")
-	stderr, err := cmd.StderrPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer cmd.Process.Kill()
-
-	// The daemon prints its bound address once the listener is up; keep
-	// draining stderr afterwards so the process never blocks on the pipe.
-	var base string
-	var logged bytes.Buffer
-	var drained sync.WaitGroup
-	scanner := bufio.NewScanner(stderr)
-	for scanner.Scan() {
-		line := scanner.Text()
-		logged.WriteString(line + "\n")
-		if _, addr, ok := strings.Cut(line, "serving on "); ok {
-			base = addr
-			break
-		}
-	}
-	if base == "" {
-		t.Fatalf("daemon never announced its address:\n%s", logged.String())
-	}
-	drained.Add(1)
-	go func() {
-		defer drained.Done()
-		for scanner.Scan() {
-			logged.WriteString(scanner.Text() + "\n")
-		}
-	}()
+	d := startDaemon(t, "-cache", t.TempDir())
+	base := d.base
 
 	// Cold run: every point simulated here.
 	code, body, _ := servePost(t, base, string(manifest), "smoke")
@@ -190,16 +220,37 @@ func TestServeSmokeDaemon(t *testing.T) {
 	}
 
 	// Graceful shutdown: SIGTERM drains and exits 0.
-	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+	d.stop(t)
+}
+
+// TestServeInProcessFleetSurvivesFailedPoint runs a daemon whose jobs
+// go through a fleet of in-process workers. A point that fails inside
+// a fleet worker fails its job, naming the point, and the daemon keeps
+// serving: a later healthy job still finishes done.
+func TestServeInProcessFleetSurvivesFailedPoint(t *testing.T) {
+	spec := filepath.Join(t.TempDir(), "fleet.json")
+	if err := os.WriteFile(spec, []byte(`{"workers": [{"name": "w0", "kind": "inprocess"}, {"name": "w1", "kind": "inprocess"}]}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	drained.Wait()
-	if err := cmd.Wait(); err != nil {
-		t.Fatalf("daemon exit after SIGTERM: %v\n%s", err, logged.String())
+	d := startDaemon(t, "-cache", t.TempDir(), "-fleet", spec)
+
+	code, body, _ := servePost(t, d.base, pktManifest, "")
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: %d %v", code, body)
 	}
-	if !strings.Contains(logged.String(), "serve drained") {
-		t.Fatalf("daemon log missing drain notice:\n%s", logged.String())
+	st := serveWait(t, d.base, body["id"].(string))
+	if st.State != "failed" || !strings.Contains(st.Error, `"pkt-8192" panicked`) {
+		t.Fatalf("job with a failed point = %+v, want failed naming pkt-8192", st)
 	}
+
+	code, body, _ = servePost(t, d.base, miniManifest, "")
+	if code != http.StatusAccepted {
+		t.Fatalf("follow-up submit: %d %v", code, body)
+	}
+	if st := serveWait(t, d.base, body["id"].(string)); st.State != "done" || st.Cold != 2 {
+		t.Fatalf("follow-up job = %+v, want done with 2 cold", st)
+	}
+	d.stop(t)
 }
 
 // fig4Superset is testdata/fig4.json with one extra packet size: the

@@ -85,6 +85,10 @@ func main() {
 
 	fmt.Printf("sweeping %d design points (GEMM %d)...\n\n", len(points), *n)
 	outs := opt.Sweep("dse", points)
+	if err := sweep.Failed(outs); err != nil {
+		fmt.Fprintln(os.Stderr, "designsweep:", err)
+		os.Exit(1)
+	}
 
 	type point struct {
 		gbps float64

@@ -87,20 +87,21 @@ func (c *channel) decompose(addr uint64) coord {
 }
 
 // applyRefresh folds due refreshes into bank availability. Refresh
-// closes every row and blocks all banks for tRFC.
+// closes every row and blocks all banks for tRFC; the k refreshes due
+// by now fold in one step, as only the last one's end bounds an ACT.
 func (c *channel) applyRefresh(now sim.Tick) {
-	for now >= c.nextRefill {
-		end := c.nextRefill + c.t.rfc
-		for i := range c.banks {
-			b := &c.banks[i]
-			b.rowOpen = false
-			if b.actReady < end {
-				b.actReady = end
-			}
-		}
-		c.refreshes++
-		c.nextRefill += c.t.refi
+	if now < c.nextRefill {
+		return
 	}
+	k := (now-c.nextRefill)/c.t.refi + 1
+	end := c.nextRefill + (k-1)*c.t.refi + c.t.rfc
+	for i := range c.banks {
+		b := &c.banks[i]
+		b.rowOpen = false
+		b.actReady = max(b.actReady, end)
+	}
+	c.refreshes += uint64(k)
+	c.nextRefill += k * c.t.refi
 }
 
 // rowHit reports whether the access would hit the open row.

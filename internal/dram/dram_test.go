@@ -3,6 +3,7 @@ package dram
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -391,5 +392,63 @@ func TestAuditReportsUndrainedController(t *testing.T) {
 	d.getReq() // an entry that never returns to the freelist
 	if err := d.Audit(); err == nil || !strings.Contains(err.Error(), "dram: 1 request entries lost") {
 		t.Fatalf("Audit with a lost entry = %v, want it counted", err)
+	}
+}
+
+// refreshLoop is the stepwise refresh applyRefresh folds in closed
+// form: one iteration per tREFI interval due by now. It is the
+// reference TestRefreshFoldMatchesLoop checks the fold against.
+func refreshLoop(c *channel, now sim.Tick) {
+	for now >= c.nextRefill {
+		end := c.nextRefill + c.t.rfc
+		for i := range c.banks {
+			b := &c.banks[i]
+			b.rowOpen = false
+			if b.actReady < end {
+				b.actReady = end
+			}
+		}
+		c.refreshes++
+		c.nextRefill += c.t.refi
+	}
+}
+
+func TestRefreshFoldMatchesLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, spec := range []Spec{DDR4_2400, HBM2_2000, LPDDR5_6400} {
+		fold, loop := newChannel(spec), newChannel(spec)
+		var now sim.Tick
+		for step := 0; step < 2000; step++ {
+			// Gaps from well inside one interval to hundreds of them,
+			// with bank state moved in between as accesses would.
+			switch rng.Intn(3) {
+			case 0:
+				now += sim.Tick(rng.Int63n(int64(fold.t.refi)))
+			case 1:
+				now += sim.Tick(rng.Int63n(int64(4 * fold.t.refi)))
+			default:
+				now += sim.Tick(rng.Int63n(int64(500 * fold.t.refi)))
+			}
+			bi := rng.Intn(len(fold.banks))
+			ready := now + sim.Tick(rng.Int63n(int64(2*fold.t.rfc)))
+			for _, c := range []*channel{fold, loop} {
+				c.banks[bi].rowOpen, c.banks[bi].row = true, uint64(step)
+				c.banks[bi].actReady = ready
+			}
+			fold.applyRefresh(now)
+			refreshLoop(loop, now)
+			if fold.refreshes != loop.refreshes || fold.nextRefill != loop.nextRefill {
+				t.Fatalf("%s step %d at %v: fold %d refreshes, next %v; loop %d, next %v",
+					spec.Name, step, now, fold.refreshes, fold.nextRefill, loop.refreshes, loop.nextRefill)
+			}
+			for i := range fold.banks {
+				if fold.banks[i] != loop.banks[i] {
+					t.Fatalf("%s step %d bank %d: fold %+v, loop %+v", spec.Name, step, i, fold.banks[i], loop.banks[i])
+				}
+			}
+		}
+		if fold.refreshes < 1000 {
+			t.Fatalf("%s: only %d refreshes folded; the gaps did not span intervals", spec.Name, fold.refreshes)
+		}
 	}
 }

@@ -313,6 +313,9 @@ func Run(sc *scenario.Scenario, opt scenario.Options, cli Tolerances) (*Report, 
 	}
 	points := sc.Points(runs)
 	outs := opt.Sweep("equiv/"+sc.Name, points)
+	if err := sweep.Failed(outs); err != nil {
+		return nil, err
+	}
 	tol := Resolve(cli, sc.Analytic)
 	return Summarize(sc.Name, tol, compare(points, outs, analytic, tol)), nil
 }

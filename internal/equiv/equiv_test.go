@@ -2,6 +2,7 @@ package equiv
 
 import (
 	"encoding/json"
+	"errors"
 	"math"
 	"slices"
 	"strings"
@@ -394,5 +395,14 @@ func TestRunMixedFarmAndTenantsAreNoModel(t *testing.T) {
 		if !rep.OK() || rep.NoModeled == 0 || rep.Passed+rep.Warned+rep.Failed != 0 {
 			t.Fatalf("%s: want all-nomodel clean audit: %+v", sc.Name, rep)
 		}
+	}
+}
+
+func TestRunFailedPointFailsTheAudit(t *testing.T) {
+	sc := miniScenario()
+	sc.Axes = []scenario.Axis{{Name: "packet_bytes", Values: []scenario.Value{64.0, 8192.0}}}
+	rep, err := Run(sc, scenario.Options{Jobs: 2}, Tolerances{})
+	if rep != nil || !errors.Is(err, sweep.ErrPoint) || !strings.Contains(err.Error(), `"equiv-mini-8192" panicked`) {
+		t.Fatalf("Run = %v, %v; want no report and the 8192-B point's failure", rep, err)
 	}
 }

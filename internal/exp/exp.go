@@ -23,12 +23,17 @@ type Result = scenario.Result
 func sweepScenario(opt Options, id string) (*scenario.Scenario, []scenario.Run, []sweep.Outcome) {
 	sc := scenario.MustBuiltin(id)
 	runs, err := sc.Expand(opt.Full)
+	var outs []sweep.Outcome
+	if err == nil {
+		outs = opt.Sweep(sc.Name, sc.Points(runs))
+		err = sweep.Failed(outs)
+	}
 	if err != nil {
-		// Built-in scenarios are validated by tests; a failure here is
-		// a programming error.
+		// Built-in scenarios are validated and run by tests; a failure
+		// here is a programming error.
 		panic(err)
 	}
-	return sc, runs, opt.Sweep(sc.Name, sc.Points(runs))
+	return sc, runs, outs
 }
 
 // experiments lists every reproduced figure and table in paper order.

@@ -369,8 +369,8 @@ func (s *Search) Rank(cands []*cand) []*cand {
 //
 // Every admitted promotion charges the budget whether or not the
 // cache already holds its result — that is what keeps point-budgeted
-// searches deterministic across cache states.
-func (s *Search) EvalTiming(ranked []*cand) {
+// searches deterministic across cache states. Failed points fail it.
+func (s *Search) EvalTiming(ranked []*cand) error {
 	var admitted []*cand
 	for _, c := range ranked {
 		if !s.budget.Take(s.opts.Profile.Predict(c.digest, defaultPredicted)) {
@@ -382,7 +382,7 @@ func (s *Search) EvalTiming(ranked []*cand) {
 		admitted = append(admitted, c)
 	}
 	if len(admitted) == 0 {
-		return
+		return nil
 	}
 	// Fold results in ascending point-index order regardless of rank.
 	sort.SliceStable(admitted, func(a, b int) bool { return admitted[a].index < admitted[b].index })
@@ -402,6 +402,9 @@ func (s *Search) EvalTiming(ranked []*cand) {
 	}
 	label := fmt.Sprintf("%s %s g%d", s.sc.Name, FidelityTiming, len(s.trace.Generations))
 	outs := run.Sweep(label, points)
+	if err := sweep.Failed(outs); err != nil {
+		return err
+	}
 	for i, c := range admitted {
 		c.out = outs[i]
 		c.cold = cold[i]
@@ -409,6 +412,7 @@ func (s *Search) EvalTiming(ranked []*cand) {
 	}
 	s.recordGen(FidelityTiming, admitted)
 	s.exact = append(s.exact, admitted...)
+	return nil
 }
 
 // timingObjective extracts the objective from a timing outcome in

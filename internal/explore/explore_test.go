@@ -2,8 +2,10 @@ package explore
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"accesys/internal/scenario"
@@ -374,5 +376,16 @@ func TestExploreRejectsInvalidOverrides(t *testing.T) {
 		if _, err := Run(miniScenario(), scenario.Options{}, p); err == nil {
 			t.Fatalf("override %+v accepted", p)
 		}
+	}
+}
+
+// A point that fails at the timing rung fails the search with its
+// error, instead of ranking a zero outcome as the fastest point.
+func TestExploreFailedPointFailsTheSearch(t *testing.T) {
+	sc := miniScenario()
+	sc.Axes[1].Values = []scenario.Value{8192.0}
+	rep, err := Run(sc, scenario.Options{Jobs: 2}, Params{Budget: "2"})
+	if rep != nil || !errors.Is(err, sweep.ErrPoint) || !strings.Contains(err.Error(), "panicked") {
+		t.Fatalf("Run = %v, %v; want no report and the points' failure", rep, err)
 	}
 }

@@ -44,7 +44,9 @@ func (random) Run(s *Search) error {
 		}
 		ranked := s.Rank(cands)
 		k := ceilFrac(len(ranked), s.promote)
-		s.EvalTiming(ranked[:k])
+		if err := s.EvalTiming(ranked[:k]); err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -73,6 +75,5 @@ func (halving) Run(s *Search) error {
 		return err
 	}
 	ranked := s.Rank(cands)
-	s.EvalTiming(ranked[:ceilDiv(len(ranked), s.eta)])
-	return nil
+	return s.EvalTiming(ranked[:ceilDiv(len(ranked), s.eta)])
 }

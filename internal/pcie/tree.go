@@ -84,7 +84,7 @@ type Config struct {
 
 	// Receiver buffer sizes gating the credit flow control.
 	RCBufBytes     int // default 8192
-	SwitchBufBytes int // default 4096
+	SwitchBufBytes int // default 2048
 	EPBufBytes     int // default 16384
 
 	// TxQueueDepth bounds TLPs queued at each bridge before admission

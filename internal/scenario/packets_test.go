@@ -97,8 +97,8 @@ func TestRunsReleaseEveryPacket(t *testing.T) {
 
 // TestLeakedPacketFailsThePoint checks the packet balance every run
 // ends with: a packet leased and never handed back — what dropping the
-// cache's fill Release leaks on every miss — fails the point with a
-// panic naming the config.
+// cache's fill Release leaks on every miss — fails the point with an
+// error naming the config.
 func TestLeakedPacketFailsThePoint(t *testing.T) {
 	cfg := core.PCIe8GB()
 	point := sweep.Point{Key: cfg.Name, Run: func() sweep.Outcome {
@@ -107,13 +107,9 @@ func TestLeakedPacketFailsThePoint(t *testing.T) {
 		runSchedules(sys, []*driver.Driver{drv}, []TenantJob{{N: 32, Jobs: 1}}, -1)
 		return sweep.Outcome{}
 	}}
-	run := func() (msg string) {
-		defer func() { msg = fmt.Sprint(recover()) }()
-		(&sweep.Engine{Jobs: 1}).Run([]sweep.Point{point})
-		return ""
-	}
+	outs := (&sweep.Engine{Jobs: 1}).Run([]sweep.Point{point})
 	want := fmt.Sprintf("scenario: run under %s drained with 1 packets leased and never released", cfg.Name)
-	if msg := run(); !strings.Contains(msg, want) {
+	if msg := fmt.Sprint(outs[0].Err); !strings.Contains(msg, want) {
 		t.Fatalf("leaking point failed with %q, want %q", msg, want)
 	}
 }

@@ -551,19 +551,15 @@ func (o Options) Logf(format string, args ...any) {
 // when the options ask for it, and returns outcomes in declaration
 // order.
 func (o Options) Sweep(label string, points []sweep.Point) []sweep.Outcome {
-	eng := &sweep.Engine{Jobs: o.Jobs, Cache: o.Cache, Profile: o.Profile, Flight: o.Flight}
-	var observers []func(sweep.Result)
+	eng := &sweep.Engine{Jobs: o.Jobs, Cache: o.Cache, Profile: o.Profile, Flight: o.Flight, OnResult: o.OnResult}
 	if o.Verbose && o.Out != nil {
-		observers = append(observers, sweep.NewProgress(o.Out, label, len(points), o.Jobs).Observe)
-	}
-	if o.OnResult != nil {
-		observers = append(observers, o.OnResult)
-	}
-	switch len(observers) {
-	case 1:
-		eng.OnResult = observers[0]
-	case 2:
-		eng.OnResult = func(r sweep.Result) { observers[0](r); observers[1](r) }
+		progress := sweep.NewProgress(o.Out, label, len(points), o.Jobs).Observe
+		eng.OnResult = func(r sweep.Result) {
+			progress(r)
+			if o.OnResult != nil {
+				o.OnResult(r)
+			}
+		}
 	}
 	return eng.Run(points)
 }
@@ -583,12 +579,16 @@ func (s *Scenario) PointsFor(full bool) ([]sweep.Point, error) {
 }
 
 // Run is the manifest front door: expand the matrix, sweep it, and
-// render the table.
+// render the table, or return sweep.Failed's error naming every failed
+// point.
 func (s *Scenario) Run(o Options) (*Result, error) {
 	runs, err := s.Expand(o.Full)
 	if err != nil {
 		return nil, err
 	}
 	outs := o.Sweep(s.Name, s.Points(runs))
+	if err := sweep.Failed(outs); err != nil {
+		return nil, err
+	}
 	return s.Render(o.Full, runs, outs)
 }

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
 	"strings"
 	"sync"
@@ -586,5 +587,28 @@ func TestResultWriteCSV(t *testing.T) {
 	want := "a,b\n1,\"with,comma\"\n"
 	if buf.String() != want {
 		t.Fatalf("csv = %q, want %q", buf.String(), want)
+	}
+}
+
+// TestRunFailedPointFailsTheRun pins Run's failure contract: a point
+// that fails inside the simulator fails the run with an error naming
+// it, renders no table, and still caches its sibling.
+func TestRunFailedPointFailsTheRun(t *testing.T) {
+	sc, err := Parse([]byte(`{"name": "pkt", "base": "pcie8gb", "workload": {"kind": "gemm", "n": 64},
+		"axes": [{"axis": "packet_bytes", "values": [64, 8192]}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := sweep.Memory()
+	res, err := sc.Run(Options{Jobs: 2, Cache: cache})
+	if res != nil || !errors.Is(err, sweep.ErrPoint) || !strings.Contains(err.Error(), `"pkt-8192" panicked`) {
+		t.Fatalf("Run = %v, %v; want no table and pkt-8192's failure", res, err)
+	}
+	if _, misses, _ := cache.Stats(); misses != 2 {
+		t.Fatalf("cold run: %d misses, want 2", misses)
+	}
+	sc.Run(Options{Jobs: 2, Cache: cache})
+	if hits, _, _ := cache.Stats(); hits != 1 {
+		t.Fatalf("re-run hit %d points, want the 64-B sibling only", hits)
 	}
 }

@@ -181,19 +181,7 @@ func (s *Server) Close() error {
 	close(s.done)
 	close(s.queue)
 	s.runners.Wait()
-	return s.flushState()
-}
-
-// flushState persists the shared cache's counters and the wall
-// profile; the first error wins but both are attempted.
-func (s *Server) flushState() error {
-	err := s.cfg.Cache.FlushCounters()
-	if s.cfg.Profile != nil {
-		if ferr := s.cfg.Profile.Flush(); err == nil {
-			err = ferr
-		}
-	}
-	return err
+	return s.cfg.Cache.FlushState(s.cfg.Profile)
 }
 
 // submit registers and enqueues a parsed job. It returns a submitError
@@ -240,11 +228,12 @@ func (s *Server) submit(client string, sc *scenario.Scenario, manifest []byte, f
 }
 
 // finish persists the cache counters and wall profile, then moves a
-// job to a terminal state, releases its quota slot, and enforces the
-// terminal-job retention cap. Flushing first makes a job's counts and
-// cold walls durable by the time any client sees it finish.
-func (s *Server) finish(j *job, err error) {
-	if ferr := s.flushState(); ferr != nil {
+// job to a terminal state with its result or error, releases its quota
+// slot, and enforces the terminal-job retention cap. Flushing first
+// makes a job's counts and cold walls durable by the time any client
+// sees it finish.
+func (s *Server) finish(j *job, res *scenario.Result, err error) {
+	if ferr := s.cfg.Cache.FlushState(s.cfg.Profile); ferr != nil {
 		s.logf("serve: flushing state after %s: %v", j.id, ferr)
 	}
 	j.mu.Lock()
@@ -253,7 +242,7 @@ func (s *Server) finish(j *job, err error) {
 		j.state = stateFailed
 		j.err = err.Error()
 	} else {
-		j.state = stateDone
+		j.state, j.result = stateDone, res
 	}
 	j.mu.Unlock()
 	j.publish()
@@ -303,7 +292,7 @@ func (s *Server) runLoop() {
 	for j := range s.queue {
 		select {
 		case <-s.done:
-			s.finish(j, fmt.Errorf("server shut down before the job ran"))
+			s.finish(j, nil, fmt.Errorf("server shut down before the job ran"))
 			continue
 		default:
 		}
@@ -322,26 +311,14 @@ func (s *Server) runJob(j *job) {
 		testHookRunning(j)
 	}
 
-	// A panicking simulation (the sweep engine re-raises worker panics
-	// wrapped with the point key) must fail this job, never take the
-	// daemon down with it.
-	res, err := func() (res *scenario.Result, err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				res, err = nil, fmt.Errorf("job panicked: %v", r)
-			}
-		}()
-		if s.cfg.FleetSpec != nil {
-			return s.runFleet(j)
-		}
-		return s.runInProcess(j)
-	}()
-	if err == nil {
-		j.mu.Lock()
-		j.result = res
-		j.mu.Unlock()
+	// A failed point fails the job with an error naming every failed
+	// point; the sweep engine has already turned a panic into that.
+	run := s.runInProcess
+	if s.cfg.FleetSpec != nil {
+		run = s.runFleet
 	}
-	s.finish(j, err)
+	res, err := run(j)
+	s.finish(j, res, err)
 }
 
 // runInProcess is the default executor: the job sweeps directly on the
@@ -401,11 +378,7 @@ func (s *Server) runFleet(j *job) (*scenario.Result, error) {
 	// so this sweep serves warm and renders byte-identically to a
 	// single-process run. It counts toward completed, not cold/warm —
 	// the fleet report already accounted for the simulations.
-	runs, err := j.scenario.Expand(j.full)
-	if err != nil {
-		return nil, err
-	}
-	opts := scenario.Options{
+	return j.scenario.Run(scenario.Options{
 		Full:  j.full,
 		Jobs:  s.cfg.Jobs,
 		Cache: s.cfg.Cache,
@@ -415,9 +388,7 @@ func (s *Server) runFleet(j *job) (*scenario.Result, error) {
 			j.mu.Unlock()
 			j.publish()
 		},
-	}
-	outs := opts.Sweep(j.scenario.Name, j.scenario.Points(runs))
-	return j.scenario.Render(j.full, runs, outs)
+	})
 }
 
 // gcLoop ages the shared cache periodically until Close.

@@ -75,7 +75,8 @@ func (w *Worker) now() time.Time {
 // the plan was built from — Run revalidates every fingerprint digest
 // against the plan before simulating, so a stale plan fails loudly
 // instead of filling the cache with mislabeled slices. The returned
-// summary has also been written to Dir/shard.json.
+// summary has also been written to Dir/shard.json. Failed points
+// return sweep.Failed's error after the flush, with no summary.
 func (w *Worker) Run(plan *Plan, k int, points []sweep.Point) (*Summary, error) {
 	if k < 0 || k >= plan.Shards {
 		return nil, fmt.Errorf("shard: shard %d out of range [0, %d)", k, plan.Shards)
@@ -125,16 +126,14 @@ func (w *Worker) Run(plan *Plan, k int, points []sweep.Point) (*Summary, error) 
 		}
 	}}
 	start := w.now()
-	eng.Run(slice)
+	failed := sweep.Failed(eng.Run(slice))
 	sum.WallNs = w.now().Sub(start).Nanoseconds()
 
-	if err := cache.FlushCounters(); err != nil {
-		return nil, fmt.Errorf("shard: persisting counters: %v", err)
+	if err := cache.FlushState(prof); err != nil {
+		return nil, fmt.Errorf("shard: persisting counters and wall profile: %v", err)
 	}
-	if prof != nil {
-		if err := prof.Flush(); err != nil {
-			return nil, fmt.Errorf("shard: persisting wall profile: %v", err)
-		}
+	if failed != nil {
+		return nil, failed
 	}
 	if sum.Counters, err = cache.Counters(); err != nil {
 		return nil, fmt.Errorf("shard: reading counters: %v", err)

@@ -8,6 +8,7 @@ package shard
 
 import (
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -390,6 +391,33 @@ func TestWorkerRunsOnInjectedClock(t *testing.T) {
 		wall, ok := prof.Wall(pts[idx].Fingerprint)
 		if !ok || wall != step {
 			t.Fatalf("profile wall for %s = %v, %v; want %v", pts[idx].Key, wall, ok, step)
+		}
+	}
+}
+
+// TestWorkerFailedPointFlushesThenFails pins a shard's failure path: a
+// failed point fails the run with its key, after the counters are
+// persisted and its siblings cached, and no shard.json claims success.
+// A re-run (the fleet's retry) serves the siblings warm.
+func TestWorkerFailedPointFlushesThenFails(t *testing.T) {
+	pts := fakePoints(4, nil)
+	pts[2].Run = func() sweep.Outcome { panic("boom") }
+	plan := mustPartition(t, pts, 1)
+	dir := t.TempDir()
+	for _, want := range []sweep.Counters{{Misses: 4}, {Hits: 3, Misses: 5}} {
+		_, err := (&Worker{Dir: dir, Jobs: 2}).Run(plan, 0, pts)
+		if err == nil || !errors.Is(err, sweep.ErrPoint) || !strings.Contains(err.Error(), `"pt-c" panicked`) {
+			t.Fatalf("Run error = %v, want pt-c's failure", err)
+		}
+		if _, err := ReadSummary(dir); err == nil {
+			t.Fatal("a failed shard wrote its summary")
+		}
+		c, err := sweep.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := c.Counters(); err != nil || got != want {
+			t.Fatalf("persisted counters = %+v (%v), want %+v", got, err, want)
 		}
 	}
 }

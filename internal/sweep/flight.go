@@ -11,11 +11,10 @@ package sweep
 import "sync"
 
 // flightCall is one in-flight execution. done closes when the leader
-// finishes; out and panicked are only read after that.
+// finishes; out is only read after that.
 type flightCall struct {
-	done     chan struct{}
-	out      Outcome
-	panicked any
+	done chan struct{}
+	out  Outcome
 }
 
 // Flight deduplicates concurrent executions by key (use the raw
@@ -32,8 +31,8 @@ type Flight struct {
 // finishes blocks and adopts the leader's outcome. The boolean reports
 // whether this caller led. Once a call completes its key is forgotten,
 // so a later Do runs fn again — persistent memoisation is the cache's
-// job, not the Flight's. A panicking fn panics in the leader and is
-// re-raised in every waiting follower.
+// job, not the Flight's. A failed outcome (Err set) is handed to the
+// followers like any other.
 func (f *Flight) Do(key string, fn func() Outcome) (Outcome, bool) {
 	f.mu.Lock()
 	if f.calls == nil {
@@ -42,28 +41,17 @@ func (f *Flight) Do(key string, fn func() Outcome) (Outcome, bool) {
 	if c, ok := f.calls[key]; ok {
 		f.mu.Unlock()
 		<-c.done
-		if c.panicked != nil {
-			panic(c.panicked)
-		}
 		return c.out, false
 	}
 	c := &flightCall{done: make(chan struct{})}
 	f.calls[key] = c
 	f.mu.Unlock()
 
-	func() {
-		defer func() {
-			c.panicked = recover()
-			f.mu.Lock()
-			delete(f.calls, key)
-			f.mu.Unlock()
-			close(c.done)
-		}()
-		c.out = fn()
-	}()
-	if c.panicked != nil {
-		panic(c.panicked)
-	}
+	c.out = fn()
+	f.mu.Lock()
+	delete(f.calls, key)
+	f.mu.Unlock()
+	close(c.done)
 	return c.out, true
 }
 

@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -106,45 +107,46 @@ func TestFlightDistinctKeysRunConcurrently(t *testing.T) {
 	wg.Wait()
 }
 
-func TestFlightPanicReachesLeader(t *testing.T) {
+func TestFlightFailureReachesLeader(t *testing.T) {
 	var f Flight
-	defer func() {
-		if r := recover(); fmt.Sprint(r) != "boom" {
-			t.Fatalf("leader recovered %v, want boom", r)
-		}
-		if f.Inflight() != 0 {
-			t.Error("panicked call still tracked")
-		}
-	}()
-	f.Do("k", func() Outcome { panic("boom") })
+	boom := errors.New("boom")
+	out, led := f.Do("k", func() Outcome { return Outcome{Err: boom} })
+	if !led || out.Err != boom {
+		t.Fatalf("leader got led=%v err=%v, want its own failure", led, out.Err)
+	}
+	if f.Inflight() != 0 {
+		t.Fatal("failed call still tracked")
+	}
+	// The key is forgotten: a later call runs fn again.
+	if out, led := f.Do("k", func() Outcome { return Outcome{Dur: 1} }); !led || out.Err != nil {
+		t.Fatalf("call after a failure: led=%v err=%v, want a fresh run", led, out.Err)
+	}
 }
 
-func TestFlightPanicReachesFollowers(t *testing.T) {
+func TestFlightFailureReachesFollowers(t *testing.T) {
 	// A follower that arrives after the leader's call completes leads a
-	// fresh call instead of adopting the panic, so retry the scenario
+	// fresh call instead of adopting the failure, so retry the scenario
 	// until the follower genuinely followed.
+	boom := errors.New("boom")
 	for attempt := 0; attempt < 100; attempt++ {
 		var f Flight
 		release := make(chan struct{})
 		started := make(chan struct{})
-		go func() {
-			defer func() { recover() }()
-			f.Do("k", func() Outcome {
-				close(started)
-				<-release
-				panic("boom")
-			})
-		}()
+		go f.Do("k", func() Outcome {
+			close(started)
+			<-release
+			return Outcome{Err: boom}
+		})
 		<-started
 		type outcome struct {
-			led       bool
-			recovered any
+			led bool
+			out Outcome
 		}
 		follower := make(chan outcome, 1)
 		go func() {
 			var o outcome
-			defer func() { o.recovered = recover(); follower <- o }()
-			_, o.led = f.Do("k", func() Outcome { return Outcome{} })
+			o.out, o.led = f.Do("k", func() Outcome { return Outcome{Dur: 1} })
+			follower <- o
 		}()
 		time.Sleep(time.Duration(attempt+1) * time.Millisecond)
 		close(release)
@@ -152,8 +154,8 @@ func TestFlightPanicReachesFollowers(t *testing.T) {
 		if o.led {
 			continue // follower raced in too late; try again
 		}
-		if fmt.Sprint(o.recovered) != "boom" {
-			t.Fatalf("follower recovered %v, want boom", o.recovered)
+		if o.out.Err != boom {
+			t.Fatalf("follower adopted %+v, want the leader's failure", o.out)
 		}
 		return
 	}
@@ -231,28 +233,29 @@ func TestEnginesSharingFlightSimulateOnce(t *testing.T) {
 	}
 }
 
-// TestEngineFlightPanicKeyWrapped pins that a panic shared through the
-// flight still surfaces wrapped with a point key.
+// TestEngineFlightPanicKeyWrapped pins that a panic inside a flight
+// still surfaces as a failed outcome naming the point's key.
 func TestEngineFlightPanicKeyWrapped(t *testing.T) {
 	var flight Flight
 	eng := &Engine{Jobs: 1, Flight: &flight}
-	defer func() {
-		r := recover()
-		if r == nil || !strings.Contains(fmt.Sprint(r), `point "bad"`) {
-			t.Fatalf("panic = %v, want point key wrap", r)
-		}
-	}()
-	eng.Run([]Point{{Key: "bad", Fingerprint: "fp-bad", Run: func() Outcome { panic("boom") }}})
+	outs := eng.Run([]Point{{Key: "bad", Fingerprint: "fp-bad", Run: func() Outcome { panic("boom") }}})
+	if err := outs[0].Err; err == nil || !strings.Contains(err.Error(), `"bad" panicked: boom`) {
+		t.Fatalf("Err = %v, want the key-wrapped panic", err)
+	}
+	if flight.Inflight() != 0 {
+		t.Fatal("failed call still tracked")
+	}
 }
 
-// TestEnginesSharingFlightLeaderPanicFailsFollowers is the satellite
-// audit of the serve daemon's failure path: when two engines sharing
-// one flight submit an overlapping point concurrently and the
-// *leader's* simulation panics, the follower must observe the failure
-// — re-raising the leader's panic key-wrapped — never hang on the
-// done channel and never adopt a zero Outcome as a real result. The
-// overlap is raced under -race; attempts where both engines led (no
-// overlap) retry until a genuine follower adopted the panic.
+// TestEnginesSharingFlightLeaderPanicFailsFollowers is the audit of
+// the serve daemon's failure path: when two engines sharing one flight
+// submit an overlapping point concurrently and the *leader's*
+// simulation panics, the follower must adopt the failure — Shared, Err
+// set to the leader's key-wrapped panic — never hang on the done
+// channel and never adopt a zero Outcome as a real result. Nothing is
+// cached. The overlap is raced under -race; attempts where both
+// engines led (no overlap) retry until a genuine follower adopted the
+// failure.
 func TestEnginesSharingFlightLeaderPanicFailsFollowers(t *testing.T) {
 	for attempt := 0; attempt < 100; attempt++ {
 		cache := openT(t, "s")
@@ -272,18 +275,11 @@ func TestEnginesSharingFlightLeaderPanicFailsFollowers(t *testing.T) {
 			},
 		}
 
-		type engineEnd struct {
-			recovered any
-			returned  bool
-		}
-		ends := make(chan engineEnd, 2)
+		ends := make(chan Result, 2)
 		launch := func() {
 			go func() {
-				var e engineEnd
-				defer func() { e.recovered = recover(); ends <- e }()
-				eng := &Engine{Jobs: 2, Cache: cache, Flight: &flight}
+				eng := &Engine{Jobs: 2, Cache: cache, Flight: &flight, OnResult: func(r Result) { ends <- r }}
 				eng.Run([]Point{point})
-				e.returned = true
 			}()
 		}
 		launch()
@@ -293,7 +289,7 @@ func TestEnginesSharingFlightLeaderPanicFailsFollowers(t *testing.T) {
 		close(release)
 
 		timeout := time.After(30 * time.Second)
-		var got [2]engineEnd
+		var got [2]Result
 		for i := range got {
 			select {
 			case got[i] = <-ends:
@@ -301,16 +297,19 @@ func TestEnginesSharingFlightLeaderPanicFailsFollowers(t *testing.T) {
 				t.Fatal("an engine hung after the leader's panic — follower never unblocked")
 			}
 		}
-		for i, e := range got {
-			if e.returned {
-				t.Fatalf("engine %d returned normally from a panicked point (zero Outcome adopted?)", i)
-			}
-			if !strings.Contains(fmt.Sprint(e.recovered), `point "overlap"`) {
-				t.Fatalf("engine %d recovered %v, want the key-wrapped leader panic", i, e.recovered)
+		for i, r := range got {
+			if err := r.Outcome.Err; err == nil || !strings.Contains(err.Error(), `"overlap" panicked: simulation blew up`) {
+				t.Fatalf("engine %d reported %+v, want the key-wrapped leader panic", i, r)
 			}
 		}
+		if _, ok := cache.Get(point.Fingerprint); ok {
+			t.Fatal("the failed point was cached")
+		}
 		if runs.Load() == 1 {
-			return // exactly one simulation: the other engine followed and adopted the panic
+			if !got[0].Shared && !got[1].Shared {
+				t.Fatal("one simulation but no engine reported a shared outcome")
+			}
+			return // the other engine followed and adopted the failure
 		}
 		// Both engines led their own call (the second arrived after the
 		// first completed): the follower path was not exercised; retry.

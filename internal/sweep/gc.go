@@ -313,6 +313,18 @@ func (c *Cache) FlushCounters() error {
 	return nil
 }
 
+// FlushState persists the counters and, when p is non-nil, p's wall
+// profile; both are attempted and the first error wins.
+func (c *Cache) FlushState(p *Profile) error {
+	err := c.FlushCounters()
+	if p != nil {
+		if perr := p.Flush(); err == nil {
+			err = perr
+		}
+	}
+	return err
+}
+
 // Totals returns the persisted counters plus this process's unflushed
 // counts, under flushMu so a concurrent FlushCounters cannot hide counts
 // it is moving to disk. A read error still returns the unflushed part.

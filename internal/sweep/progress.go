@@ -48,6 +48,8 @@ func (p *Progress) Observe(r Result) {
 		// Adopted from a concurrent execution: advances the count like
 		// a cache hit, and like one must not skew the wall estimate.
 		detail = " (shared)"
+	case r.Outcome.Err != nil:
+		detail = " (failed)"
 	default:
 		p.measured++
 		p.wall += r.Wall

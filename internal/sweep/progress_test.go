@@ -133,3 +133,18 @@ func TestEngineProgressIntegration(t *testing.T) {
 		t.Fatalf("missing final count:\n%s", out)
 	}
 }
+
+func TestProgressMarksFailedPoints(t *testing.T) {
+	var sb strings.Builder
+	p := NewProgress(&sb, "pkt", 2, 1)
+	p.Observe(Result{Key: "bad", Outcome: Outcome{Err: ErrPoint}, Wall: time.Hour})
+	p.Observe(Result{Key: "good", Outcome: Outcome{Dur: 1000}, Wall: time.Second})
+	lines := strings.Split(sb.String(), "\n")
+	if !strings.HasSuffix(lines[0], "bad -> 0ps (failed)") {
+		t.Fatalf("failed point line = %q", lines[0])
+	}
+	// The failed point's wall does not feed the estimate.
+	if strings.Contains(sb.String(), "ETA") || !strings.Contains(lines[1], "1.0s wall") {
+		t.Fatalf("failed wall leaked into the progress estimate:\n%s", sb.String())
+	}
+}

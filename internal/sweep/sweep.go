@@ -11,10 +11,10 @@
 package sweep
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"accesys/internal/sim"
@@ -27,6 +27,22 @@ import (
 type Outcome struct {
 	Dur    sim.Tick           `json:"dur"`
 	Values map[string]float64 `json:"values,omitempty"`
+	// Err, set when the point failed, names its key. Never cached.
+	Err error `json:"-"`
+}
+
+// ErrPoint is wrapped by every failed point's Err, telling a point's
+// failure apart from an error in the request around it.
+var ErrPoint = errors.New("sweep: point failed")
+
+// Failed joins the errors of the failed outcomes in declaration order;
+// nil when every point succeeded.
+func Failed(outs []Outcome) error {
+	errs := make([]error, len(outs))
+	for i, o := range outs {
+		errs[i] = o.Err
+	}
+	return errors.Join(errs...) // drops the nil errors
 }
 
 // Value returns the named secondary metric, or 0 when absent.
@@ -125,43 +141,37 @@ func (e *Engine) report(r Result) {
 	e.OnResult(r)
 }
 
-// runPoint executes (or recalls, or adopts) one point, wrapping any
-// panic with the point's key so every execution path reports failures
-// uniformly.
+// runPoint executes (or recalls, or adopts) one point and reports it.
 func (e *Engine) runPoint(i int, p Point) Outcome {
-	defer func() {
-		if r := recover(); r != nil {
-			panic(fmt.Sprintf("sweep: point %q panicked: %v", p.Key, r))
-		}
-	}()
-	if e.Flight == nil || p.Fingerprint == "" {
-		res := e.execute(i, p, "")
-		e.report(res)
-		return res.Outcome
-	}
-	// Dedup path: the whole lookup-or-simulate cycle runs inside the
-	// flight, so a concurrent engine that misses on the same point
-	// waits for this one instead of simulating it again — and a leader
-	// that starts just after a previous flight for the key landed
-	// still sees that result as an ordinary cache hit. The digest is
-	// hashed once here and shared with the profile observation.
 	var res Result
-	dig := Digest(p.Fingerprint)
-	out, led := e.Flight.Do(dig, func() Outcome {
-		res = e.execute(i, p, dig)
-		return res.Outcome
-	})
-	if !led {
-		res = Result{Index: i, Key: p.Key, Outcome: out, Shared: true}
+	if e.Flight == nil || p.Fingerprint == "" {
+		res = e.execute(i, p, "")
+	} else {
+		// Dedup path: the whole lookup-or-simulate cycle runs inside
+		// the flight, so a concurrent engine that misses on the same
+		// point waits for this one instead of simulating it again — and
+		// a leader that starts just after a previous flight for the key
+		// landed still sees that result as an ordinary cache hit. The
+		// digest is hashed once here and shared with the profile
+		// observation. A failed outcome reaches followers as it is.
+		dig := Digest(p.Fingerprint)
+		out, led := e.Flight.Do(dig, func() Outcome {
+			res = e.execute(i, p, dig)
+			return res.Outcome
+		})
+		if !led {
+			res = Result{Index: i, Key: p.Key, Outcome: out, Shared: true}
+		}
 	}
 	e.report(res)
-	return out
+	return res.Outcome
 }
 
 // execute runs or recalls one point without reporting — runPoint picks
 // the Result it publishes. dig, when non-empty, is the point's
 // already-computed fingerprint digest (memoized by runPoint so the
-// flight and the profile share one hash).
+// flight and the profile share one hash). It is the one place a point
+// runs, so it is where a panicking point becomes a failed outcome.
 func (e *Engine) execute(i int, p Point, dig string) Result {
 	var ref Ref
 	if e.Cache != nil && p.Fingerprint != "" {
@@ -171,24 +181,32 @@ func (e *Engine) execute(i int, p Point, dig string) Result {
 		}
 	}
 	start := e.now()
-	out := p.Run()
+	out := func() (out Outcome) {
+		defer func() {
+			if r := recover(); r != nil {
+				out = Outcome{Err: fmt.Errorf("%w: %q panicked: %v", ErrPoint, p.Key, r)}
+			}
+		}()
+		return p.Run()
+	}()
 	wall := e.now().Sub(start)
-	if e.Cache != nil && p.Fingerprint != "" {
-		e.Cache.PutRef(ref, out)
-	}
-	if e.Profile != nil && p.Fingerprint != "" {
-		if dig == "" {
-			dig = Digest(p.Fingerprint)
+	if out.Err == nil && p.Fingerprint != "" {
+		if e.Cache != nil {
+			e.Cache.PutRef(ref, out)
 		}
-		e.Profile.ObserveDigest(dig, wall)
+		if e.Profile != nil {
+			if dig == "" {
+				dig = Digest(p.Fingerprint)
+			}
+			e.Profile.ObserveDigest(dig, wall)
+		}
 	}
 	return Result{Index: i, Key: p.Key, Outcome: out, Wall: wall}
 }
 
 // Run executes every point and returns their outcomes in declaration
-// order. With Jobs > 1 points run concurrently; a panicking point is
-// re-raised on the calling goroutine, wrapped with the point's key
-// (only the first of several concurrent failures is reported).
+// order. With Jobs > 1 points run concurrently. A failed point fails
+// only its own outcome: every sibling still runs (see Failed).
 func (e *Engine) Run(points []Point) []Outcome {
 	outs := make([]Outcome, len(points))
 	pool := workers(e.Jobs, len(points))
@@ -198,42 +216,21 @@ func (e *Engine) Run(points []Point) []Outcome {
 		}
 		return outs
 	}
-
 	idx := make(chan int)
-	fail := make(chan any, len(points))
-	var stopped atomic.Bool
 	var wg sync.WaitGroup
-	for w := 0; w < pool; w++ {
+	for range pool {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				if stopped.Load() {
-					continue // fail-fast: drain without running
-				}
-				func() {
-					defer func() {
-						if r := recover(); r != nil {
-							stopped.Store(true)
-							fail <- r // already key-wrapped by runPoint
-						}
-					}()
-					outs[i] = e.runPoint(i, points[i])
-				}()
+				outs[i] = e.runPoint(i, points[i])
 			}
 		}()
 	}
 	for i := range points {
-		if stopped.Load() {
-			break
-		}
 		idx <- i
 	}
 	close(idx)
 	wg.Wait()
-	close(fail)
-	if f, ok := <-fail; ok {
-		panic(f)
-	}
 	return outs
 }

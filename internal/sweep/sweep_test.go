@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"sync/atomic"
@@ -73,48 +74,81 @@ func TestRunPanicPropagatesWithKey(t *testing.T) {
 		t.Run(fmt.Sprintf("jobs=%d", jobs), func(t *testing.T) {
 			points := slowPoints(4, nil)
 			points[2].Run = func() Outcome { panic("boom") }
-			defer func() {
-				r := recover()
-				if r == nil {
-					t.Fatal("panic did not propagate")
-				}
-				msg := fmt.Sprint(r)
-				if !strings.Contains(msg, "p2") || !strings.Contains(msg, "boom") {
-					t.Fatalf("panic message %q missing point key or cause", msg)
-				}
-			}()
-			(&Engine{Jobs: jobs}).Run(points)
+			outs := (&Engine{Jobs: jobs}).Run(points)
+			err := outs[2].Err
+			if err == nil || !errors.Is(err, ErrPoint) {
+				t.Fatalf("panicking point's Err = %v, want an ErrPoint", err)
+			}
+			if msg := err.Error(); !strings.Contains(msg, `"p2" panicked`) || !strings.Contains(msg, "boom") {
+				t.Fatalf("error %q missing point key or cause", msg)
+			}
+			if got := Failed(outs); got == nil || got.Error() != err.Error() {
+				t.Fatalf("Failed = %v, want just the p2 error", got)
+			}
 		})
 	}
 }
 
-func TestParallelPanicFailsFast(t *testing.T) {
-	const n = 12
+// TestParallelPanicFinishesSiblings is the failure contract of a
+// sweep: one panicking point in a -jobs 4 sweep fails only itself.
+// Every sibling finishes, is cached and profiled; the bad point is
+// neither, and a warm re-run re-simulates only it.
+func TestParallelPanicFinishesSiblings(t *testing.T) {
+	const n, bad = 12, 5
+	cache := openT(t, "s")
+	prof, err := LoadProfile(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
 	var ran atomic.Int64
-	points := make([]Point, n)
-	points[0] = Point{Key: "bad", Run: func() Outcome { panic("early failure") }}
-	for i := 1; i < n; i++ {
-		points[i] = Point{
-			Key: fmt.Sprintf("slow%d", i),
-			Run: func() Outcome {
-				ran.Add(1)
-				time.Sleep(30 * time.Millisecond)
-				return Outcome{Dur: 1}
-			},
+	points := slowPoints(n, &ran)
+	points[bad].Run = func() Outcome { ran.Add(1); panic("early failure") }
+	var failedReports atomic.Int64
+	eng := &Engine{Jobs: 4, Cache: cache, Profile: prof, OnResult: func(r Result) {
+		if r.Outcome.Err != nil {
+			failedReports.Add(1)
+		}
+	}}
+	outs := eng.Run(points)
+	if got := ran.Load(); got != n {
+		t.Fatalf("%d of %d points ran; every sibling must finish", got, n)
+	}
+	for i, o := range outs {
+		if i == bad {
+			if o.Err == nil {
+				t.Fatal("panicking point reported no error")
+			}
+			continue
+		}
+		if o.Err != nil || o.Dur != sim.Tick(i+1) {
+			t.Fatalf("sibling %d = %+v, want its own outcome", i, o)
 		}
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("panic did not propagate")
-		}
-		// Fail-fast: the failure aborts dispatch, so most of the
-		// remaining points never run (a couple may already be in
-		// flight or queued when the panic lands).
-		if got := ran.Load(); got > 4 {
-			t.Fatalf("%d of %d slow points ran after the failure; dispatch did not abort", got, n-1)
-		}
-	}()
-	(&Engine{Jobs: 2}).Run(points)
+	if failedReports.Load() != 1 {
+		t.Fatalf("OnResult saw %d failed points, want 1", failedReports.Load())
+	}
+	if _, ok := cache.Get(points[bad].Fingerprint); ok {
+		t.Fatal("the failed point was cached")
+	}
+	if _, ok := prof.Wall(points[bad].Fingerprint); ok || prof.Len() != n-1 {
+		t.Fatalf("profile holds %d walls (failed point profiled: %v), want the %d siblings only", prof.Len(), ok, n-1)
+	}
+	ran.Store(0)
+	again := eng.Run(points)
+	if got := ran.Load(); got != 1 || again[bad].Err == nil {
+		t.Fatalf("warm re-run simulated %d points (bad Err %v), want only the failed one", got, again[bad].Err)
+	}
+}
+
+func TestFailedJoinsInDeclarationOrder(t *testing.T) {
+	if err := Failed([]Outcome{{Dur: 1}, {}}); err != nil {
+		t.Fatalf("Failed over successes = %v", err)
+	}
+	a, b := errors.New("a"), errors.New("b")
+	err := Failed([]Outcome{{Err: a}, {Dur: 1}, {Err: b}})
+	if !errors.Is(err, a) || !errors.Is(err, b) || err.Error() != "a\nb" {
+		t.Fatalf("Failed = %q, want a then b", err)
+	}
 }
 
 func TestOpenSaltedUsesBuildFingerprint(t *testing.T) {
