@@ -13,13 +13,14 @@
 #   make e2e      - the CLI end-to-end tests that skip under -short and
 #                   -race: sweep, shard plan/run/merge, fleet, the
 #                   serve daemon over HTTP, and explore determinism
-#   make fuzz     - short native-fuzz pass over the manifest and shard
-#                   plan parsers, the cache entry decoder, the cache's
-#                   entries.log reader, the profile and counters
-#                   loaders (snapshot plus journal), the event queue's
-#                   dispatch order against a brute-force reference,
-#                   and cache reads and writes against a flat memory
-#                   (FUZZTIME per target, default 10s)
+#   make fuzz     - short native-fuzz pass over the manifest, shard
+#                   plan and fleet spec parsers, the cache entry
+#                   decoder, the cache's entries.log reader, the
+#                   profile and counters loaders (snapshot plus
+#                   journal), the event queue's dispatch order against
+#                   a brute-force reference, and cache reads and
+#                   writes against a flat memory (FUZZTIME per
+#                   target, default 10s)
 #   make golden   - golden-row conformance suite: all nine experiments
 #                   plus the hetfarm and tenants manifests, i.e. every
 #                   file in testdata/golden/ (UPDATE_GOLDEN=1 make
@@ -105,6 +106,7 @@ e2e:
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzManifestParse$$' -fuzztime $(FUZZTIME) ./internal/scenario
 	$(GO) test -run '^$$' -fuzz '^FuzzPlanParse$$' -fuzztime $(FUZZTIME) ./internal/shard
+	$(GO) test -run '^$$' -fuzz '^FuzzSpecParse$$' -fuzztime $(FUZZTIME) ./internal/fleet
 	$(GO) test -run '^$$' -fuzz '^FuzzCacheEntry$$' -fuzztime $(FUZZTIME) ./internal/sweep
 	$(GO) test -run '^$$' -fuzz '^FuzzCacheLog$$' -fuzztime $(FUZZTIME) ./internal/sweep
 	$(GO) test -run '^$$' -fuzz '^FuzzProfileLoad$$' -fuzztime $(FUZZTIME) ./internal/sweep

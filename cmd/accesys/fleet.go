@@ -7,7 +7,8 @@ package main
 // every worker of the fleet spec concurrently with retry and
 // reassignment, and merges the shard caches into the output cache —
 // which a subsequent `accesys sweep` then warm-hits byte-identically
-// to a single-process run.
+// to a single-process run. Failed points exit 1 after the merge, like
+// `accesys sweep`.
 
 import (
 	"context"
@@ -93,14 +94,17 @@ func (a *app) cmdFleet(args []string) int {
 			fmt.Fprintf(a.stderr, "accesys: "+format+"\n", args...)
 		},
 	})
-	if err != nil {
-		return a.errorf("%v", err)
+	if rep == nil {
+		return a.fail(err)
 	}
 
 	for _, sr := range rep.Shards {
 		note := ""
 		if sr.Attempts > 1 {
 			note = fmt.Sprintf(" (%d attempts)", sr.Attempts)
+		}
+		if len(sr.Failed) > 0 {
+			note += fmt.Sprintf(" (%d failed)", len(sr.Failed))
 		}
 		fmt.Fprintf(a.stdout, "shard %d/%d: %d points (%d cold, %d warm) on %s in %.1fs%s\n",
 			sr.Shard, plan.Shards, sr.Points, sr.Cold, sr.Warm, sr.Worker,
@@ -118,6 +122,9 @@ func (a *app) cmdFleet(args []string) int {
 	fmt.Fprintf(a.stdout, "fleet %s: %d shards over %d workers in %.1fs -> %s (%d entries imported, %d duplicates; %d hits, %d misses)%s\n",
 		sc.Name, plan.Shards, len(spec.Workers), time.Since(start).Seconds(), *out,
 		m.Imported, m.Duplicates, m.Counters.Hits, m.Counters.Misses, reassigned)
+	if err != nil {
+		return a.fail(err)
+	}
 	return exitOK
 }
 

@@ -232,3 +232,50 @@ func TestFleetSubprocessWorkerKilledMidRunMatchesGolden(t *testing.T) {
 		t.Fatalf("fleet rows differ from golden fig4 rows:\n--- got\n%s\n--- want\n%s", got, want)
 	}
 }
+
+// TestFleetFailedPointRunsOnceAndMerges pins a failed point as the
+// fleet's value: on pktManifest, with in-process and with subprocess
+// workers, every shard runs once, the 64-B point still merges into the
+// output cache, and the fleet exits 1 naming the failed point once in
+// its own output (a subprocess worker's forwarded stderr names it once
+// more, from the worker's single attempt).
+func TestFleetFailedPointRunsOnceAndMerges(t *testing.T) {
+	manifest := writeManifest(t, pktManifest)
+	for name, workers := range map[string][]string{
+		"inprocess":  {"-workers", "2"},
+		"subprocess": {"-fleet", writeFleetSpec(t, map[string]string{"w0": "run", "w1": "run"}, []string{"w0", "w1"})},
+	} {
+		t.Run(name, func(t *testing.T) {
+			out := t.TempDir()
+			code, stdout, errOut := testApp(t, append(append([]string{"fleet"}, workers...), "-out", out, manifest)...)
+			if code != exitFail {
+				t.Fatalf("fleet exit %d, want %d:\nstdout:\n%s\nstderr:\n%s", code, exitFail, stdout, errOut)
+			}
+			var own, forwarded int
+			for _, line := range strings.Split(errOut, "\n") {
+				if !strings.Contains(line, `"pkt-8192" panicked`) {
+					continue
+				}
+				if strings.HasPrefix(line, "accesys: ") {
+					own++
+				} else {
+					forwarded++
+				}
+			}
+			wantForwarded := 0
+			if name == "subprocess" {
+				wantForwarded = 1
+			}
+			if own != 1 || forwarded != wantForwarded || strings.Contains(errOut, "attempt 2") {
+				t.Fatalf("stderr names pkt-8192 %d+%d times, want 1+%d, each shard run once:\n%s", own, forwarded, wantForwarded, errOut)
+			}
+			if !strings.Contains(stdout, "fleet pkt: 2 shards over 2 workers") {
+				t.Fatalf("fleet summary missing:\n%s", stdout)
+			}
+			code, stats, errOut := testApp(t, "cachestats", "-cache", out)
+			if code != 0 || !strings.Contains(stats, "entries: 1\n") {
+				t.Fatalf("cachestats exit %d, want the 64-B point merged:\n%s%s", code, stats, errOut)
+			}
+		})
+	}
+}

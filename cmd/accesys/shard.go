@@ -186,11 +186,14 @@ func (a *app) cmdShardRun(args []string) int {
 	}
 	start := time.Now()
 	sum, err := w.Run(plan, k, points)
-	if err != nil {
+	if sum == nil {
 		return a.fail(err)
 	}
 	fmt.Fprintf(a.stdout, "shard %d/%d of %s: %d points (%d cold, %d warm) in %.1fs -> %s (salt %.12s…)\n",
 		k, n, sum.Scenario, sum.Points, sum.Cold, sum.Warm, time.Since(start).Seconds(), w.Dir, sum.Salt)
+	if err != nil {
+		return a.fail(err)
+	}
 	return exitOK
 }
 

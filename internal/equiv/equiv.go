@@ -212,13 +212,8 @@ func compare(points []sweep.Point, outs []sweep.Outcome, analytic []map[string]f
 	var comps, orphans []Comparison
 	for i, p := range points {
 		o, am := outs[i], analytic[i]
-		timing := map[string]float64{"exec": o.Dur.Nanoseconds()}
-		names := []string{"exec"}
-		if _, ok := o.Values["gemm"]; ok {
-			timing["gemm"] = o.Value("gemm") / 1e3 // stored in ticks (ps)
-			timing["nongemm"] = o.Value("nongemm") / 1e3
-			names = append(names, "gemm", "nongemm")
-		}
+		timing := scenario.TimingMetrics(o)
+		names := slices.Sorted(maps.Keys(timing)) // exec, then a ViT split's gemm, nongemm
 		for _, m := range names {
 			t := timing[m]
 			a, ok := am[m]

@@ -24,7 +24,6 @@ import (
 	"time"
 
 	"accesys/internal/scenario"
-	"accesys/internal/sim"
 	"accesys/internal/sweep"
 )
 
@@ -416,22 +415,18 @@ func (s *Search) EvalTiming(ranked []*cand) error {
 }
 
 // timingObjective extracts the objective from a timing outcome in
-// nanoseconds, matching the analytic screen's units: "exec" is the
-// end-to-end duration; "gemm"/"nongemm" are the ViT split values
-// (stored in ticks, converted like the equiv harness does).
+// nanoseconds, matching the analytic screen's units.
 func (s *Search) timingObjective(out sweep.Outcome) float64 {
-	if s.metric == "exec" {
-		return out.Dur.Nanoseconds()
-	}
-	return out.Value(s.metric) / float64(sim.Nanosecond)
+	return scenario.TimingMetrics(out)[s.metric]
 }
 
 // metricValue reads a named outcome value for metric constraints:
-// "exec" in nanoseconds, anything else as extracted. ok is false when
-// the outcome lacks the metric (the point is then infeasible).
+// "exec" and a ViT outcome's "gemm"/"nongemm" in nanoseconds, anything
+// else as extracted. ok is false when the outcome lacks the metric
+// (the point is then infeasible).
 func metricValue(out sweep.Outcome, name string) (float64, bool) {
-	if name == "exec" {
-		return out.Dur.Nanoseconds(), true
+	if v, ok := scenario.TimingMetrics(out)[name]; ok {
+		return v, true
 	}
 	v, ok := out.Values[name]
 	return v, ok

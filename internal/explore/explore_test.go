@@ -389,3 +389,28 @@ func TestExploreFailedPointFailsTheSearch(t *testing.T) {
 		t.Fatalf("Run = %v, %v; want no report and the points' failure", rep, err)
 	}
 }
+
+// TestMetricValueViTSplitInNanoseconds pins the constraint path's
+// units on a synthetic ViT outcome: "gemm"/"nongemm" are stored in
+// ticks but compared in nanoseconds, like "exec" and the objective;
+// other extracted metrics pass through as they are.
+func TestMetricValueViTSplitInNanoseconds(t *testing.T) {
+	out := sweep.Outcome{Dur: 7 * sim.Microsecond, Values: map[string]float64{
+		"gemm":    float64(5 * sim.Microsecond),
+		"nongemm": float64(2 * sim.Microsecond),
+		"pages":   3,
+	}}
+	for name, want := range map[string]float64{"exec": 7000, "gemm": 5000, "nongemm": 2000, "pages": 3} {
+		if got, ok := metricValue(out, name); !ok || got != want {
+			t.Errorf("metricValue(%q) = %v, %v; want %v", name, got, ok, want)
+		}
+		if name != "pages" {
+			if got := (&Search{metric: name}).timingObjective(out); got != want {
+				t.Errorf("timingObjective(%q) = %v, want %v", name, got, want)
+			}
+		}
+	}
+	if _, ok := metricValue(out, "fairness"); ok {
+		t.Error("a missing metric reads as present")
+	}
+}

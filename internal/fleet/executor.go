@@ -11,6 +11,7 @@ package fleet
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -42,8 +43,9 @@ type Job struct {
 }
 
 // Executor runs one shard job somewhere. Run must not return until the
-// shard's directory holds a complete cache + shard.json (success) or
-// the attempt is abandoned (error); the scheduler serialises calls per
+// shard's directory holds a complete cache + shard.json (success, or
+// an error wrapping sweep.ErrPoint when points failed) or the attempt
+// is abandoned (any other error); the scheduler serialises calls per
 // executor but runs distinct executors concurrently.
 type Executor interface {
 	// Name labels the worker in fleet progress output.
@@ -125,8 +127,6 @@ func shardRunArgs(job Job) []string {
 // current attempt.
 type Subprocess struct {
 	WorkerName string
-	// Argv0 overrides the executable (default: the running binary).
-	Argv0 string
 	// Env entries are appended to the inherited environment.
 	Env []string
 	// Jobs overrides the job's simulation pool size (the fleet spec's
@@ -139,18 +139,14 @@ type Subprocess struct {
 func (e *Subprocess) Name() string { return e.WorkerName }
 
 func (e *Subprocess) Run(ctx context.Context, job Job) error {
-	argv0 := e.Argv0
-	if argv0 == "" {
-		exe, err := os.Executable()
-		if err != nil {
-			return fmt.Errorf("fleet: locating own binary: %v", err)
-		}
-		argv0 = exe
+	exe, err := os.Executable()
+	if err != nil {
+		return fmt.Errorf("fleet: locating own binary: %v", err)
 	}
 	if e.Jobs > 0 {
 		job.Jobs = e.Jobs
 	}
-	return runCommand(ctx, argv0, shardRunArgs(job), e.Env, e.Out)
+	return runCommand(ctx, exe, shardRunArgs(job), e.Env, e.Out)
 }
 
 // Command executes shards through an argv template — typically an
@@ -194,6 +190,8 @@ func (e *Command) Run(ctx context.Context, job Job) error {
 // runCommand runs argv0 with args, streaming combined output to out.
 // A flushable out (the scheduler's prefixed writers) is flushed when
 // the child exits, so a killed worker's torn last line still surfaces.
+// Exit status 1 — a `shard run` whose points failed, after it wrote
+// the summary listing them — becomes an error wrapping sweep.ErrPoint.
 func runCommand(ctx context.Context, argv0 string, args, env []string, out io.Writer) error {
 	cmd := exec.CommandContext(ctx, argv0, args...)
 	cmd.Env = append(os.Environ(), env...)
@@ -205,7 +203,12 @@ func runCommand(ctx context.Context, argv0 string, args, env []string, out io.Wr
 	}
 	cmd.Stdout = out
 	cmd.Stderr = out
-	return cmd.Run()
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if errors.As(err, &exit) && exit.ExitCode() == 1 {
+		return fmt.Errorf("%w (%v)", sweep.ErrPoint, err)
+	}
+	return err
 }
 
 // SyncWriter serialises Write calls onto one underlying writer. The

@@ -1,23 +1,29 @@
 // Package fleet is the launcher that turns a partitioned sweep into
-// one command: it takes a (preferably wall-time-weighted) shard plan
-// plus a fleet spec naming N workers, drives `shard run` on every
-// worker concurrently, reassigns a failed worker's shard to a healthy
-// one (the shard's cache directory survives attempts, so completed
-// points are served warm to the successor), streams per-shard
-// progress, and finishes with the idempotent merge into one canonical
-// cache — the scale-out path for paper-scale (-full) sweeps that
-// parti-gem5 motivates for gem5's timing mode.
+// one command — the scale-out path for paper-scale (-full) sweeps that
+// parti-gem5 motivates for gem5's timing mode. It takes a (preferably
+// wall-time-weighted) shard plan plus a fleet spec naming N workers,
+// drives `shard run` on every worker concurrently, reassigns a failed
+// worker's shard to a healthy one (the shard's cache directory
+// survives attempts, so completed points are served warm to the
+// successor), streams per-shard progress, and finishes with the
+// idempotent merge into one canonical cache. A failed point is its
+// shard's outcome, not its worker's fault: the shard still merges and
+// the run reports the point's error.
 package fleet
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
+	"strings"
+	"sync"
 	"time"
 
 	"accesys/internal/shard"
@@ -178,18 +184,20 @@ type ShardResult struct {
 	Attempts int `json:"attempts"`
 	// WallNs is the successful attempt's scheduler-side wall time.
 	WallNs int64 `json:"wall_ns"`
-	// Points, Cold, and Warm echo the shard summary's accounting.
-	Points int `json:"points"`
-	Cold   int `json:"cold"`
-	Warm   int `json:"warm"`
+	// Points, Cold, Warm, and Failed echo the shard summary's
+	// accounting.
+	Points int      `json:"points"`
+	Cold   int      `json:"cold"`
+	Warm   int      `json:"warm"`
+	Failed []string `json:"failed,omitempty"`
 }
 
 // Report summarises one fleet run.
 type Report struct {
 	// Shards has one entry per shard, in shard order.
 	Shards []ShardResult `json:"shards"`
-	// Reassigned counts failed attempts that moved a shard to another
-	// worker; Retired counts workers taken out of rotation.
+	// Reassigned counts attempts that moved a shard to a worker that
+	// had not failed it; Retired counts workers taken out of rotation.
 	Reassigned int `json:"reassigned"`
 	Retired    int `json:"retired"`
 	// Merge is the final fold into the canonical cache.
@@ -223,9 +231,8 @@ type Scheduler struct {
 	Out io.Writer
 	// MaxAttempts bounds executions per shard (default 3).
 	MaxAttempts int
-	// RetireAfter takes a worker out of rotation after this many
-	// consecutive failures (default 2).
-	RetireAfter int
+	// retireAfter overrides the retireAfter constant (tests only).
+	retireAfter int
 	// Clock supplies the wall-clock readings behind per-shard wall
 	// reporting, so scheduling tests run on a fake clock. It is read
 	// concurrently from every worker goroutine and must be safe for
@@ -261,198 +268,131 @@ func (s *Scheduler) Dir(k int) string {
 	return filepath.Join(s.WorkDir, fmt.Sprintf("s%d", k))
 }
 
-type runResult struct {
-	worker int
-	shard  int
-	err    error
-	wall   time.Duration
-}
+// retireAfter is how many consecutive worker faults take a worker out
+// of rotation. The last live worker never retires: MaxAttempts bounds
+// a hopeless shard instead.
+const retireAfter = 2
 
-// Run executes the fleet: dispatch (heaviest shard first to the first
-// idle worker), retry with reassignment on failure, merge on success.
-// It returns an error when a shard exhausts MaxAttempts, when no
-// eligible worker remains for a pending shard, or when the final merge
+// Run executes the fleet. One goroutine per worker pulls the heaviest
+// pending shard it may take; a worker fault puts the shard back in
+// weight order for another worker, and once every shard is done the
+// shard caches merge into OutDir. A shard whose points failed is done,
+// not a worker fault: Run merges it too and returns the report with an
+// error wrapping sweep.ErrPoint that names every failed point. Run
+// returns no report when a shard exhausts MaxAttempts or the merge
 // fails.
 func (s *Scheduler) Run(ctx context.Context) (*Report, error) {
-	n := s.Plan.Shards
-	if len(s.Workers) == 0 {
+	n, nw := s.Plan.Shards, len(s.Workers)
+	if nw == 0 {
 		return nil, fmt.Errorf("fleet: no workers")
 	}
-	maxAttempts := s.MaxAttempts
-	if maxAttempts <= 0 {
-		maxAttempts = 3
-	}
-	retireAfter := s.RetireAfter
-	if retireAfter <= 0 {
-		retireAfter = 2
-	}
-
+	maxAttempts := cmp.Or(max(s.MaxAttempts, 0), 3)
+	retire := cmp.Or(s.retireAfter, retireAfter)
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	// Heaviest shards dispatch first so a long slice is never the last
-	// thing started — the fleet-level half of LPT scheduling.
-	pending := make([]int, n)
-	for k := range pending {
-		pending[k] = k
-	}
-	sort.SliceStable(pending, func(a, b int) bool {
-		return s.weight(pending[a]) > s.weight(pending[b])
-	})
-
-	jobs := make([]chan Job, len(s.Workers))
-	results := make(chan runResult, len(s.Workers))
-	for w := range s.Workers {
-		jobs[w] = make(chan Job, 1)
-		go func(w int) {
-			for job := range jobs[w] {
-				start := s.now()
-				err := s.Workers[w].Run(ctx, job)
-				results <- runResult{worker: w, shard: job.Shard, err: err, wall: s.now().Sub(start)}
-			}
-		}(w)
-	}
-	defer func() {
-		for _, ch := range jobs {
-			close(ch)
-		}
-	}()
-
-	excluded := make([]map[int]bool, n)
-	lastFailedOn := make([]int, n)
-	for k := range excluded {
-		excluded[k] = map[int]bool{}
-		lastFailedOn[k] = -1
-	}
-	attempts := make([]int, n)
-	consecFails := make([]int, len(s.Workers))
-	retired := make([]bool, len(s.Workers))
-	idle := make([]int, 0, len(s.Workers))
-	for w := range s.Workers {
-		idle = append(idle, w)
-	}
-
 	rep := &Report{Shards: make([]ShardResult, n), Dirs: make([]string, n)}
-	for k := 0; k < n; k++ {
-		rep.Dirs[k] = s.Dir(k)
-	}
-
-	inflight := 0
-	completed := 0
-	fail := func(format string, args ...any) (*Report, error) {
-		// Abort: cancel running jobs and drain them so no goroutine is
-		// left sending on results.
-		cancel()
-		for inflight > 0 {
-			<-results
-			inflight--
+	// mu guards the state below and rep; progress lines are written
+	// under it too, so Out needs no lock of its own.
+	var (
+		mu       sync.Mutex
+		changed  = sync.NewCond(&mu) // the queue, a shard or a worker changed state
+		pending  []int               // shards waiting for a worker, heaviest first
+		running  int                 // shards on a worker now
+		attempts = make([]int, n)
+		faulted  = make([][]bool, n) // faulted[k][w]: worker w failed shard k, or retired
+		retired  = make([]bool, nw)
+		abort    error
+	)
+	// requeue inserts shard k behind every shard at least as heavy, so
+	// heaviest-first dispatch is never the last thing started.
+	requeue := func(k int) {
+		at := slices.IndexFunc(pending, func(pk int) bool { return s.weight(k) > s.weight(pk) })
+		if at < 0 {
+			at = len(pending)
 		}
-		return nil, fmt.Errorf(format, args...)
+		pending = slices.Insert(pending, at, k)
 	}
-	for completed < n {
-		// Dispatch every idle worker that has an eligible pending shard.
-		var stillIdle []int
-		for _, w := range idle {
-			picked := -1
-			for pi, k := range pending {
-				if !excluded[k][w] {
-					picked = pi
-					break
-				}
-			}
-			if picked < 0 {
-				stillIdle = append(stillIdle, w)
+	for k := range n {
+		rep.Dirs[k] = s.Dir(k)
+		faulted[k] = make([]bool, nw)
+		requeue(k)
+	}
+	// next blocks until worker w may take a pending shard and claims
+	// it; -1 means w is done: every shard finished, the fleet aborted,
+	// or w retired. A worker does not take a shard it failed while
+	// another live worker has not failed it.
+	next := func(w int) int {
+		mu.Lock()
+		defer mu.Unlock()
+		for abort == nil && !retired[w] && (len(pending) > 0 || running > 0) {
+			i := slices.IndexFunc(pending, func(k int) bool {
+				return !faulted[k][w] || !slices.Contains(faulted[k], false)
+			})
+			if i < 0 {
+				changed.Wait()
 				continue
 			}
-			k := pending[picked]
-			pending = append(pending[:picked], pending[picked+1:]...)
+			k := pending[i]
+			pending = slices.Delete(pending, i, i+1)
+			running++
 			attempts[k]++
-			// A reassignment is a shard genuinely moving to a different
-			// worker after a failure; a sole worker retrying its own
-			// shard is not one.
-			if lastFailedOn[k] >= 0 && lastFailedOn[k] != w {
+			// A reassignment moves a shard to a worker that has not
+			// failed it; a sole worker retrying its own shard is not one.
+			if attempts[k] > 1 && !faulted[k][w] {
 				rep.Reassigned++
 			}
 			s.logf("fleet: shard %d/%d -> %s (attempt %d)", k, n, s.Workers[w].Name(), attempts[k])
-			jobs[w] <- Job{
-				Shard: k, Of: n, Dir: s.Dir(k),
-				Manifest: s.Manifest, PlanPath: s.PlanPath,
-				Full: s.Full, Jobs: s.Jobs, Verbose: s.Verbose,
-			}
-			inflight++
+			return k
 		}
-		idle = stillIdle
+		return -1
+	}
 
-		if inflight == 0 {
-			// Nothing running and nothing dispatchable. Before giving
-			// up, let pending shards retry on live workers that already
-			// failed them — a small fleet has no one else, and the
-			// shard's surviving cache directory makes the retry cheap.
-			// MaxAttempts still bounds total executions and RetireAfter
-			// still removes workers that keep dying.
-			cleared := false
-			for _, k := range pending {
-				for w := range s.Workers {
-					if excluded[k][w] && !retired[w] {
-						delete(excluded[k], w)
-						cleared = true
+	var wg sync.WaitGroup
+	for w := range nw {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			name := s.Workers[w].Name()
+			faults := 0
+			for k := next(w); k >= 0; k = next(w) {
+				sum, wall, err := s.attempt(ctx, w, k)
+				mu.Lock()
+				running--
+				if err == nil {
+					faults = 0
+					rep.Shards[k] = ShardResult{
+						Shard: k, Worker: name, Attempts: attempts[k], WallNs: wall.Nanoseconds(),
+						Points: sum.Points, Cold: sum.Cold, Warm: sum.Warm, Failed: sum.Failed,
+					}
+					s.logf("fleet: shard %d/%d done on %s in %.1fs (%d cold, %d warm)",
+						k, n, name, wall.Seconds(), sum.Cold, sum.Warm)
+				} else if abort == nil {
+					faults++
+					faulted[k][w] = true
+					s.logf("fleet: shard %d/%d failed on %s: %v; reassigning", k, n, name, err)
+					if attempts[k] >= maxAttempts {
+						abort = fmt.Errorf("fleet: shard %d failed %d times (last worker %s): %v", k, attempts[k], name, err)
+						cancel() // abandon the shards still running
+					}
+					requeue(k)
+					if faults >= retire && rep.Retired < nw-1 { // the last live worker stays
+						retired[w] = true
+						for _, f := range faulted {
+							f[w] = true // leave every shard to the live workers
+						}
+						rep.Retired++
+						s.logf("fleet: worker %s retired after %d consecutive failures", name, faults)
 					}
 				}
+				changed.Broadcast()
+				mu.Unlock()
 			}
-			if cleared {
-				continue
-			}
-			return fail("fleet: no eligible worker remains for shard %d (every live worker already failed it)", pending[0])
-		}
-
-		r := <-results
-		inflight--
-		w, k := r.worker, r.shard
-		if r.err == nil {
-			completed++
-			consecFails[w] = 0
-			sum, err := shard.ReadSummary(s.Dir(k))
-			if err != nil {
-				return fail("fleet: shard %d reported success but %v", k, err)
-			}
-			rep.Shards[k] = ShardResult{
-				Shard: k, Worker: s.Workers[w].Name(), Attempts: attempts[k],
-				WallNs: r.wall.Nanoseconds(),
-				Points: sum.Points, Cold: sum.Cold, Warm: sum.Warm,
-			}
-			s.logf("fleet: shard %d/%d done on %s in %.1fs (%d cold, %d warm)",
-				k, n, s.Workers[w].Name(), r.wall.Seconds(), sum.Cold, sum.Warm)
-			if !retired[w] {
-				idle = append(idle, w)
-			}
-			continue
-		}
-
-		// Failure: exclude this worker from the shard, re-queue it for
-		// the others, and retire a worker that keeps dying.
-		excluded[k][w] = true
-		lastFailedOn[k] = w
-		consecFails[w]++
-		s.logf("fleet: shard %d/%d failed on %s: %v; reassigning", k, n, s.Workers[w].Name(), r.err)
-		if attempts[k] >= maxAttempts {
-			return fail("fleet: shard %d failed %d times (last worker %s): %v", k, attempts[k], s.Workers[w].Name(), r.err)
-		}
-		// Re-insert by weight so the retried shard keeps its priority.
-		at := len(pending)
-		for pi, pk := range pending {
-			if s.weight(k) > s.weight(pk) {
-				at = pi
-				break
-			}
-		}
-		pending = append(pending[:at], append([]int{k}, pending[at:]...)...)
-		if consecFails[w] >= retireAfter {
-			retired[w] = true
-			rep.Retired++
-			s.logf("fleet: worker %s retired after %d consecutive failures", s.Workers[w].Name(), consecFails[w])
-		} else if !retired[w] {
-			idle = append(idle, w)
-		}
+		}()
+	}
+	wg.Wait()
+	if abort != nil {
+		return nil, abort
 	}
 
 	merge, err := shard.Merge(s.OutDir, rep.Dirs)
@@ -462,5 +402,40 @@ func (s *Scheduler) Run(ctx context.Context) (*Report, error) {
 	rep.Merge = merge
 	s.logf("fleet: merged %d shards into %s (%d entries imported, %d duplicates)",
 		n, s.OutDir, merge.Imported, merge.Duplicates)
-	return rep, nil
+	return rep, rep.failed()
+}
+
+// attempt runs shard k on worker w and reads the summary it leaves; an
+// error is a worker fault. A worker that reports sweep.ErrPoint and
+// whose summary lists the failed points has finished the shard.
+func (s *Scheduler) attempt(ctx context.Context, w, k int) (*shard.Summary, time.Duration, error) {
+	start := s.now()
+	err := s.Workers[w].Run(ctx, Job{
+		Shard: k, Of: s.Plan.Shards, Dir: s.Dir(k),
+		Manifest: s.Manifest, PlanPath: s.PlanPath,
+		Full: s.Full, Jobs: s.Jobs, Verbose: s.Verbose,
+	})
+	wall := s.now().Sub(start)
+	if err != nil && !errors.Is(err, sweep.ErrPoint) {
+		return nil, wall, err
+	}
+	sum, rerr := shard.ReadSummary(s.Dir(k))
+	if rerr != nil || (err != nil && len(sum.Failed) == 0) {
+		return nil, wall, errors.Join(err, rerr)
+	}
+	return sum, wall, nil
+}
+
+// failed joins every shard's failed points, in shard order, into one
+// error wrapping sweep.ErrPoint; nil when every point succeeded.
+func (r *Report) failed() error {
+	var errs []error
+	for _, sr := range r.Shards {
+		for _, msg := range sr.Failed {
+			// Summaries hold each point's full error text; keep its
+			// sweep.ErrPoint prefix once.
+			errs = append(errs, fmt.Errorf("%w: %s", sweep.ErrPoint, strings.TrimPrefix(msg, sweep.ErrPoint.Error()+": ")))
+		}
+	}
+	return errors.Join(errs...)
 }

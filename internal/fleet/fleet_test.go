@@ -3,8 +3,9 @@ package fleet
 // Scheduler tests over in-process executors and injected failures: the
 // fleet must complete every shard, reassign work away from dying
 // workers (serving a dead worker's partial progress warm to the
-// successor), retire workers that keep failing, and fail loudly when
-// no one can run a shard.
+// successor), retire workers that keep failing, finish a shard whose
+// points failed without blaming its worker, and fail loudly when a
+// shard exhausts its attempts.
 
 import (
 	"context"
@@ -171,7 +172,7 @@ func TestSchedulerReassignsAwayFromDeadWorker(t *testing.T) {
 		}
 	})
 	s.MaxAttempts = 5
-	s.RetireAfter = 1
+	s.retireAfter = 1
 	var log strings.Builder
 	s.Out = &log
 	rep, err := s.Run(context.Background())
@@ -230,16 +231,15 @@ func TestSchedulerServesDyingWorkersProgressWarm(t *testing.T) {
 }
 
 func TestSchedulerRetriesTransientFailureOnSoleWorker(t *testing.T) {
-	// A one-worker fleet whose worker fails each shard once: exclusion
-	// must relax when nobody else can take the shard, so the retry
-	// lands on the same (live) worker and the fleet completes.
+	// A one-worker fleet whose worker fails each shard once: with
+	// nobody else to take the shard, the retry lands on the same worker,
+	// which never retires as the last one live, and the fleet completes.
 	s, _ := newScheduler(t, 6, 2, func(plan *shard.Plan, pts []sweep.Point) []Executor {
 		return []Executor{&flakyWorker{
 			inner:  &InProcess{WorkerName: "flaky", Plan: plan, Points: pts},
 			failed: map[int]bool{},
 		}}
 	})
-	s.RetireAfter = 3 // two consecutive transient failures must not retire the only worker
 	var log strings.Builder
 	s.Out = &log
 	rep, err := s.Run(context.Background())
@@ -272,6 +272,25 @@ func TestSchedulerFailsWhenNoWorkerCanRunAShard(t *testing.T) {
 	}
 }
 
+// TestSchedulerLastWorkerNeverRetires pins MaxAttempts as the one
+// bound on a hopeless shard: a sole dead worker is never retired, so
+// it retries the heaviest shard until its attempts run out.
+func TestSchedulerLastWorkerNeverRetires(t *testing.T) {
+	s, _ := newScheduler(t, 6, 2, func(plan *shard.Plan, pts []sweep.Point) []Executor {
+		return []Executor{&deadWorker{name: "dead"}}
+	})
+	s.MaxAttempts = 4
+	var log strings.Builder
+	s.Out = &log
+	_, err := s.Run(context.Background())
+	if err == nil || !strings.Contains(err.Error(), "failed 4 times (last worker dead): injected death") {
+		t.Fatalf("Run error = %v, want the exhausted-attempts error\n%s", err, log.String())
+	}
+	if strings.Contains(log.String(), "retired") {
+		t.Fatalf("the last live worker retired:\n%s", log.String())
+	}
+}
+
 func TestSchedulerFailsWhenAttemptsExhausted(t *testing.T) {
 	s, _ := newScheduler(t, 6, 2, func(plan *shard.Plan, pts []sweep.Point) []Executor {
 		return []Executor{
@@ -281,10 +300,119 @@ func TestSchedulerFailsWhenAttemptsExhausted(t *testing.T) {
 		}
 	})
 	s.MaxAttempts = 2
-	s.RetireAfter = 100 // keep them in rotation so attempts, not eligibility, is the limit
 	_, err := s.Run(context.Background())
 	if err == nil || !strings.Contains(err.Error(), "failed 2 times") {
 		t.Fatalf("exhausted attempts not reported: %v", err)
+	}
+}
+
+// TestSchedulerFailedPointIsTheShardsOutcome pins a failed point as a
+// value: the shard holding it runs once, is merged with its siblings,
+// and charges no worker, and Run returns the report with one error
+// wrapping sweep.ErrPoint that names the failed points of two shards
+// in shard order.
+func TestSchedulerFailedPointIsTheShardsOutcome(t *testing.T) {
+	var bad []string
+	failing := map[int]bool{}
+	s, _ := newScheduler(t, 12, 3, func(plan *shard.Plan, pts []sweep.Point) []Executor {
+		// Fail the first point of the first two non-empty shards.
+		for k := 0; k < plan.Shards && len(bad) < 2; k++ {
+			if sel := plan.Select(k); len(sel) > 0 {
+				pts[sel[0]].Run = func() sweep.Outcome { panic("boom") }
+				bad = append(bad, pts[sel[0]].Key)
+				failing[k] = true
+			}
+		}
+		return inProcessWorkers(2)(plan, pts)
+	})
+	s.retireAfter = 1 // a charged failure would retire a worker at once
+	var log strings.Builder
+	s.Out = &log
+	rep, err := s.Run(context.Background())
+	if rep == nil {
+		t.Fatalf("no report: %v\n%s", err, log.String())
+	}
+	if !errors.Is(err, sweep.ErrPoint) {
+		t.Fatalf("Run error = %v, want one wrapping sweep.ErrPoint", err)
+	}
+	msg := err.Error()
+	first, second := strings.Index(msg, fmt.Sprintf("%q panicked", bad[0])), strings.Index(msg, fmt.Sprintf("%q panicked", bad[1]))
+	if first < 0 || second < first || strings.Count(msg, "panicked") != 2 ||
+		strings.Count(msg, sweep.ErrPoint.Error()) != 2 || strings.Contains(msg, "failed: "+sweep.ErrPoint.Error()) {
+		t.Fatalf("Run error %q, want %q then %q once each, one prefix apiece", msg, bad[0], bad[1])
+	}
+	if rep.Reassigned != 0 || rep.Retired != 0 || strings.Contains(log.String(), "attempt 2") {
+		t.Fatalf("a failed point was charged to its worker: %+v\n%s", rep, log.String())
+	}
+	for k, sr := range rep.Shards {
+		want := 0
+		if failing[k] {
+			want = 1
+		}
+		if sr.Attempts != 1 || len(sr.Failed) != want {
+			t.Fatalf("shard %d result %+v, want 1 attempt listing %d failed points", k, sr, want)
+		}
+	}
+	if rep.Merge == nil || rep.Merge.Imported != 10 {
+		t.Fatalf("merge stats = %+v, want the 10 good points imported", rep.Merge)
+	}
+}
+
+// recordingWorker fails every shard, like deadWorker, and records the
+// shards it was handed.
+type recordingWorker struct {
+	started <-chan struct{} // closed once the other worker is busy
+	mu      sync.Mutex
+	ran     []int
+}
+
+func (r *recordingWorker) Name() string { return "bad" }
+
+func (r *recordingWorker) Run(_ context.Context, job Job) error {
+	<-r.started
+	r.mu.Lock()
+	r.ran = append(r.ran, job.Shard)
+	r.mu.Unlock()
+	return errors.New("injected fault")
+}
+
+// slowWorker signals that it is busy, then runs its shard a little
+// later. The delay only widens the window in which a scheduler without
+// the eligibility rule would hand a faulting peer back the shard it
+// just failed; a correct scheduler passes whatever the timing.
+type slowWorker struct {
+	Executor
+	once    sync.Once
+	started chan struct{}
+}
+
+func (w *slowWorker) Run(ctx context.Context, job Job) error {
+	w.once.Do(func() { close(w.started) })
+	time.Sleep(50 * time.Millisecond)
+	return w.Executor.Run(ctx, job)
+}
+
+// TestSchedulerNeverRetakesAShardAnotherWorkerCanRun pins the
+// eligibility rule: a worker that failed a shard waits while a live
+// peer that has not failed it is busy, so the shard moves to the peer.
+func TestSchedulerNeverRetakesAShardAnotherWorkerCanRun(t *testing.T) {
+	started := make(chan struct{})
+	bad := &recordingWorker{started: started}
+	s, _ := newScheduler(t, 6, 2, func(plan *shard.Plan, pts []sweep.Point) []Executor {
+		return []Executor{bad, &slowWorker{
+			Executor: &InProcess{WorkerName: "ok", Plan: plan, Points: pts},
+			started:  started,
+		}}
+	})
+	s.MaxAttempts = 5
+	var log strings.Builder
+	s.Out = &log
+	rep, err := s.Run(context.Background())
+	if err != nil {
+		t.Fatalf("fleet failed: %v\n%s", err, log.String())
+	}
+	if len(bad.ran) != 1 || rep.Reassigned != 1 || rep.Shards[bad.ran[0]].Attempts != 2 {
+		t.Fatalf("faulting worker ran shards %v; report %+v, want one shard moved to ok\n%s", bad.ran, rep, log.String())
 	}
 }
 
@@ -382,6 +510,19 @@ func TestCommandExecutorSubstitutesTemplate(t *testing.T) {
 	}
 	if got := strings.TrimSpace(string(data)); got != "shard=2 of=5 dir=/work/s2" {
 		t.Fatalf("substituted command wrote %q", got)
+	}
+}
+
+// TestCommandExitStatusOneIsAFailedPoint pins the executors' exit
+// contract: `shard run` exits 1 when points failed, which maps to
+// sweep.ErrPoint; any other non-zero status is a worker fault.
+func TestCommandExitStatusOneIsAFailedPoint(t *testing.T) {
+	for status, want := range map[int]bool{1: true, 2: false, 137: false} {
+		c := &Command{WorkerName: "exit", Template: []string{"sh", "-c", fmt.Sprintf("exit %d", status)}}
+		err := c.Run(context.Background(), Job{})
+		if err == nil || errors.Is(err, sweep.ErrPoint) != want {
+			t.Errorf("exit %d: error %v, want wrapping sweep.ErrPoint %v", status, err, want)
+		}
 	}
 }
 

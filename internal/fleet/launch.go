@@ -60,7 +60,9 @@ func (o LaunchOptions) warnf(format string, args ...any) {
 // spec's workers (wall-time-weighted when OutDir's profile knows them),
 // write the plan into the work directory, execute every shard with
 // retry and reassignment, and merge the shard caches into OutDir. The
-// returned report and plan are non-nil exactly when err is nil.
+// returned report and plan are non-nil exactly when every shard ran and
+// merged; err is then nil, or the failed points' error wrapping
+// sweep.ErrPoint.
 func Launch(ctx context.Context, o LaunchOptions) (*Report, *shard.Plan, error) {
 	if o.Spec == nil {
 		return nil, nil, fmt.Errorf("fleet: launch needs a spec")
@@ -126,8 +128,8 @@ func Launch(ctx context.Context, o LaunchOptions) (*Report, *shard.Plan, error) 
 		MaxAttempts: o.MaxAttempts,
 	}
 	rep, err := sched.Run(ctx)
-	if err != nil {
+	if rep == nil {
 		return nil, nil, err
 	}
-	return rep, plan, nil
+	return rep, plan, err
 }

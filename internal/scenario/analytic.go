@@ -15,6 +15,7 @@ import (
 	"accesys/internal/analytic"
 	"accesys/internal/core"
 	"accesys/internal/smmu"
+	"accesys/internal/sweep"
 	"accesys/internal/workload"
 )
 
@@ -315,6 +316,18 @@ func devWritebackNsPerByte(cfg core.Config) float64 {
 		MemGBps: mem.gbps,
 	}
 	return wb.NsPerByte()
+}
+
+// TimingMetrics reads a timing outcome's metrics in nanoseconds, keyed
+// like AnalyticMetrics: "exec" always, plus "gemm"/"nongemm" when the
+// outcome carries a ViT split (stored in ticks).
+func TimingMetrics(out sweep.Outcome) map[string]float64 {
+	m := map[string]float64{"exec": out.Dur.Nanoseconds()}
+	if _, ok := out.Values["gemm"]; ok {
+		m["gemm"] = out.Tick("gemm").Nanoseconds()
+		m["nongemm"] = out.Tick("nongemm").Nanoseconds()
+	}
+	return m
 }
 
 // AnalyticMetrics evaluates the analytic backend for one resolved run,

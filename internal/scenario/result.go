@@ -20,11 +20,11 @@ import (
 
 // Result is one rendered table/figure.
 type Result struct {
-	ID      string
-	Title   string
-	Headers []string
-	Rows    [][]string
-	Notes   []string
+	ID      string     `json:"id"`
+	Title   string     `json:"title"`
+	Headers []string   `json:"headers"`
+	Rows    [][]string `json:"rows"`
+	Notes   []string   `json:"notes,omitempty"`
 }
 
 // AddRow appends a formatted row.

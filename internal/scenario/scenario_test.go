@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"reflect"
 	"strings"
@@ -610,5 +611,24 @@ func TestRunFailedPointFailsTheRun(t *testing.T) {
 	sc.Run(Options{Jobs: 2, Cache: cache})
 	if hits, _, _ := cache.Stats(); hits != 1 {
 		t.Fatalf("re-run hit %d points, want the 64-B sibling only", hits)
+	}
+}
+
+// TestResultJSONWireForm pins the JSON a Result encodes to: the serve
+// daemon's /rows body, which clients decode by these field names.
+func TestResultJSONWireForm(t *testing.T) {
+	res := &Result{ID: "x", Title: "t", Headers: []string{"a", "b"}, Rows: [][]string{{"1", "2"}}}
+	for _, tc := range []struct {
+		notes []string
+		want  string
+	}{
+		{nil, `{"id":"x","title":"t","headers":["a","b"],"rows":[["1","2"]]}`},
+		{[]string{"n"}, `{"id":"x","title":"t","headers":["a","b"],"rows":[["1","2"]],"notes":["n"]}`},
+	} {
+		res.Notes = tc.notes
+		got, err := json.Marshal(res)
+		if err != nil || string(got) != tc.want {
+			t.Fatalf("Result JSON = %s (%v), want %s", got, err, tc.want)
+		}
 	}
 }

@@ -142,15 +142,6 @@ func (s *Server) handlePoll(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, j.status())
 }
 
-// rowsPayload is the JSON form of a rendered result.
-type rowsPayload struct {
-	ID      string     `json:"id"`
-	Title   string     `json:"title"`
-	Headers []string   `json:"headers"`
-	Rows    [][]string `json:"rows"`
-	Notes   []string   `json:"notes,omitempty"`
-}
-
 func (s *Server) handleRows(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.job(r.PathValue("id"))
 	if !ok {
@@ -170,9 +161,7 @@ func (s *Server) handleRows(w http.ResponseWriter, r *http.Request) {
 	}
 	switch format := r.URL.Query().Get("format"); format {
 	case "", "json":
-		writeJSON(w, http.StatusOK, rowsPayload{
-			ID: res.ID, Title: res.Title, Headers: res.Headers, Rows: res.Rows, Notes: res.Notes,
-		})
+		writeJSON(w, http.StatusOK, res)
 	case "csv":
 		w.Header().Set("Content-Type", "text/csv")
 		res.WriteCSV(w)

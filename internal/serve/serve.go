@@ -339,7 +339,9 @@ func (s *Server) runInProcess(j *job) (*scenario.Result, error) {
 // spools to the job's work directory (subprocess and command workers
 // load it from disk), the shard caches merge into the shared cache,
 // and a warm collection sweep renders the rows. Progress is
-// shard-grained: counters land when the fleet report does.
+// shard-grained: counters land when the fleet report does. The work
+// directory is removed once the shards have merged; failed points then
+// fail the job.
 func (s *Server) runFleet(j *job) (*scenario.Result, error) {
 	dir := filepath.Join(s.cfg.WorkDir, j.id)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -364,8 +366,11 @@ func (s *Server) runFleet(j *job) (*scenario.Result, error) {
 		Jobs:     s.cfg.Jobs,
 		Warnf:    func(format string, args ...any) { s.logf("serve: %s: "+format, append([]any{j.id}, args...)...) },
 	})
-	if err != nil {
+	if rep == nil {
 		return nil, err
+	}
+	if rerr := os.RemoveAll(dir); rerr != nil {
+		s.logf("serve: %s: removing fleet work directory: %v", j.id, rerr)
 	}
 	j.mu.Lock()
 	for _, sr := range rep.Shards {
@@ -374,6 +379,9 @@ func (s *Server) runFleet(j *job) (*scenario.Result, error) {
 	}
 	j.mu.Unlock()
 	j.publish()
+	if err != nil {
+		return nil, err
+	}
 	// Collection pass: every point is now merged into the shared cache,
 	// so this sweep serves warm and renders byte-identically to a
 	// single-process run. It counts toward completed, not cold/warm —

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -133,7 +135,7 @@ func TestSubmitPollRowsLifecycle(t *testing.T) {
 		t.Fatalf("missing timestamps: %+v", st)
 	}
 
-	var rows rowsPayload
+	var rows scenario.Result
 	if code := getJSON(t, ts.URL+"/sweeps/"+id+"/rows", &rows); code != http.StatusOK {
 		t.Fatalf("rows status %d", code)
 	}
@@ -830,7 +832,7 @@ func TestServeFleetExecutor(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fleet-backed serve is not short")
 	}
-	_, ts := newTestServer(t, func(c *Config) {
+	srv, ts := newTestServer(t, func(c *Config) {
 		c.FleetSpec = fleet.LocalSpec(2)
 	})
 	_, body, _ := submitManifest(t, ts, miniManifest, "")
@@ -841,12 +843,39 @@ func TestServeFleetExecutor(t *testing.T) {
 	if st.Cold != 2 {
 		t.Fatalf("fleet job cold = %d, want 2", st.Cold)
 	}
-	var rows rowsPayload
+	var rows scenario.Result
 	if code := getJSON(t, ts.URL+"/sweeps/"+st.ID+"/rows", &rows); code != http.StatusOK {
 		t.Fatalf("rows status %d", code)
 	}
 	if len(rows.Rows) != 2 {
 		t.Fatalf("fleet rows %+v", rows)
+	}
+	// The job's fleet work directory is gone once its shards merged.
+	if _, err := os.Stat(filepath.Join(srv.cfg.WorkDir, st.ID)); !os.IsNotExist(err) {
+		t.Fatalf("fleet work directory left behind: %v", err)
+	}
+}
+
+// TestServeFleetJobWithFailedPoint runs a fleet-backed job whose
+// manifest holds a failing point: the job fails naming that point
+// once, after counting both points' runs, and its work directory is
+// gone because the shards still merged.
+func TestServeFleetJobWithFailedPoint(t *testing.T) {
+	const pktManifest = `{
+  "name": "pkt",
+  "title": "packet sweep",
+  "base": "pcie8gb",
+  "workload": {"kind": "gemm", "n": 64},
+  "axes": [{"axis": "packet_bytes", "values": [64, 8192]}]
+}`
+	srv, ts := newTestServer(t, func(c *Config) { c.FleetSpec = fleet.LocalSpec(2) })
+	_, body, _ := submitManifest(t, ts, pktManifest, "")
+	st := waitDone(t, ts, body["id"].(string))
+	if st.State != stateFailed || strings.Count(st.Error, `"pkt-8192" panicked`) != 1 || st.Cold != 2 {
+		t.Fatalf("fleet job = %+v, want failed naming pkt-8192 once after 2 cold runs", st)
+	}
+	if _, err := os.Stat(filepath.Join(srv.cfg.WorkDir, st.ID)); !os.IsNotExist(err) {
+		t.Fatalf("fleet work directory left behind: %v", err)
 	}
 }
 

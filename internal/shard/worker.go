@@ -44,6 +44,9 @@ type Summary struct {
 	WallNs int64 `json:"wall_ns"`
 	// Counters are the shard cache's persisted totals after the run.
 	Counters sweep.Counters `json:"counters"`
+	// Failed lists each failed point's error, in slice order. A shard
+	// with failed points is finished: its other points are cached.
+	Failed []string `json:"failed,omitempty"`
 }
 
 // Worker executes one shard of a partitioned sweep.
@@ -75,8 +78,9 @@ func (w *Worker) now() time.Time {
 // the plan was built from — Run revalidates every fingerprint digest
 // against the plan before simulating, so a stale plan fails loudly
 // instead of filling the cache with mislabeled slices. The returned
-// summary has also been written to Dir/shard.json. Failed points
-// return sweep.Failed's error after the flush, with no summary.
+// summary has also been written to Dir/shard.json. When points failed,
+// Run returns that summary, listing them, together with sweep.Failed's
+// error.
 func (w *Worker) Run(plan *Plan, k int, points []sweep.Point) (*Summary, error) {
 	if k < 0 || k >= plan.Shards {
 		return nil, fmt.Errorf("shard: shard %d out of range [0, %d)", k, plan.Shards)
@@ -126,14 +130,16 @@ func (w *Worker) Run(plan *Plan, k int, points []sweep.Point) (*Summary, error) 
 		}
 	}}
 	start := w.now()
-	failed := sweep.Failed(eng.Run(slice))
+	outs := eng.Run(slice)
 	sum.WallNs = w.now().Sub(start).Nanoseconds()
+	for _, o := range outs {
+		if o.Err != nil {
+			sum.Failed = append(sum.Failed, o.Err.Error())
+		}
+	}
 
 	if err := cache.FlushState(prof); err != nil {
 		return nil, fmt.Errorf("shard: persisting counters and wall profile: %v", err)
-	}
-	if failed != nil {
-		return nil, failed
 	}
 	if sum.Counters, err = cache.Counters(); err != nil {
 		return nil, fmt.Errorf("shard: reading counters: %v", err)
@@ -141,7 +147,7 @@ func (w *Worker) Run(plan *Plan, k int, points []sweep.Point) (*Summary, error) 
 	if err := writeSummary(w.Dir, sum); err != nil {
 		return nil, err
 	}
-	return sum, nil
+	return sum, sweep.Failed(outs)
 }
 
 // writeSummary stages the summary and renames it into place, so a

@@ -11,6 +11,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -74,7 +75,7 @@ func TestWorkerRunsExactlyItsSlice(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if *got != *sum {
+		if !reflect.DeepEqual(got, sum) {
 			t.Fatalf("ReadSummary = %+v, want %+v", got, sum)
 		}
 	}
@@ -397,20 +398,24 @@ func TestWorkerRunsOnInjectedClock(t *testing.T) {
 
 // TestWorkerFailedPointFlushesThenFails pins a shard's failure path: a
 // failed point fails the run with its key, after the counters are
-// persisted and its siblings cached, and no shard.json claims success.
-// A re-run (the fleet's retry) serves the siblings warm.
+// persisted and its siblings cached, and shard.json lists the failure.
+// A re-run serves the siblings warm.
 func TestWorkerFailedPointFlushesThenFails(t *testing.T) {
 	pts := fakePoints(4, nil)
 	pts[2].Run = func() sweep.Outcome { panic("boom") }
 	plan := mustPartition(t, pts, 1)
 	dir := t.TempDir()
 	for _, want := range []sweep.Counters{{Misses: 4}, {Hits: 3, Misses: 5}} {
-		_, err := (&Worker{Dir: dir, Jobs: 2}).Run(plan, 0, pts)
+		sum, err := (&Worker{Dir: dir, Jobs: 2}).Run(plan, 0, pts)
 		if err == nil || !errors.Is(err, sweep.ErrPoint) || !strings.Contains(err.Error(), `"pt-c" panicked`) {
 			t.Fatalf("Run error = %v, want pt-c's failure", err)
 		}
-		if _, err := ReadSummary(dir); err == nil {
-			t.Fatal("a failed shard wrote its summary")
+		got, rerr := ReadSummary(dir)
+		if rerr != nil {
+			t.Fatalf("a failed shard wrote no summary: %v", rerr)
+		}
+		if !reflect.DeepEqual(got, sum) || len(got.Failed) != 1 || got.Failed[0] != err.Error() {
+			t.Fatalf("summary %+v (returned %+v), want pt-c's failure %q listed", got, sum, err)
 		}
 		c, err := sweep.Open(dir)
 		if err != nil {
