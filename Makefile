@@ -14,7 +14,8 @@
 #                   -race: sweep, shard plan/run/merge, fleet, the
 #                   serve daemon over HTTP, and explore determinism
 #   make fuzz     - short native-fuzz pass over the manifest, shard
-#                   plan and fleet spec parsers, the cache entry
+#                   plan and fleet spec parsers, manifests from parse
+#                   to an audited run (small inputs), the cache entry
 #                   decoder, the cache's entries.log reader, the
 #                   profile and counters loaders (snapshot plus
 #                   journal), the event queue's dispatch order against
@@ -35,9 +36,9 @@
 #                   BENCH_*.json baselines with a BENCH_TOL band
 #   make layerbench - B/op and ns/op or ns/event of a point's layers
 #                   (one GEMM-512 point's fingerprint, system build, a
-#                   fig4 small-packet point, small cold points) at
-#                   -cpu 1 -count 5; writes no file and is not part
-#                   of ci
+#                   fig4 small-packet point, small cold points, a warm
+#                   fig4 re-run) at -cpu 1 -count 5; writes no file
+#                   and is not part of ci
 #   make cover    - coverage profile with a minimum total-coverage gate
 #   make figures  - regenerate every paper artifact (parallel, cached)
 #   make equiv    - timing-vs-analytic audit of every reproduced figure
@@ -98,13 +99,15 @@ benchvet:
 e2e:
 	$(GO) test -count=1 ./cmd/accesys
 
-# Short native-fuzz pass: the parsers, the cache entry decoder, the
-# cache log reader, the event queue's ordering and the cache model's
-# data path explore beyond their seed corpora for FUZZTIME each.
+# Short native-fuzz pass: the parsers, accepted manifests' runs, the
+# cache entry decoder, the cache log reader, the event queue's
+# ordering and the cache model's data path explore beyond their seed
+# corpora for FUZZTIME each.
 # Crashers land under testdata/fuzz/ in the failing package — commit
 # them as regression seeds after fixing.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzManifestParse$$' -fuzztime $(FUZZTIME) ./internal/scenario
+	$(GO) test -run '^$$' -fuzz '^FuzzManifestRun$$' -fuzztime $(FUZZTIME) ./internal/scenario
 	$(GO) test -run '^$$' -fuzz '^FuzzPlanParse$$' -fuzztime $(FUZZTIME) ./internal/shard
 	$(GO) test -run '^$$' -fuzz '^FuzzSpecParse$$' -fuzztime $(FUZZTIME) ./internal/fleet
 	$(GO) test -run '^$$' -fuzz '^FuzzCacheEntry$$' -fuzztime $(FUZZTIME) ./internal/sweep
@@ -119,7 +122,7 @@ fuzz:
 # this is its only CI entry point); the hetfarm and tenants rows there
 # are pinned by cmd/accesys's TestHetGoldenRows, which runs here too.
 golden:
-	$(GO) test -count=1 -run TestGolden ./internal/exp
+	$(GO) test -count=1 -run TestGolden ./internal/scenario
 	$(GO) test -count=1 -run TestHetGoldenRows ./cmd/accesys
 
 cover:
@@ -156,10 +159,11 @@ benchcheck:
 	$(GO) run ./cmd/benchcheck -baseline . -fresh $(BENCHFRESH_DIR) -tol $(BENCH_TOL)
 	@rm -rf $(BENCHFRESH_DIR)
 
-# The layer benchmarks a cold point's cost is measured with. None of
-# them records into BENCH_*.json, so this prints and writes nothing.
+# The layer benchmarks a cold point's and a warm re-run's cost are
+# measured with. None of them records into BENCH_*.json, so this
+# prints and writes nothing.
 layerbench:
-	$(GO) test -run '^$$' -bench '^Benchmark(Fingerprint|SystemBuild|Fig4SmallPacket|SmallPointsCold)$$' \
+	$(GO) test -run '^$$' -bench '^Benchmark(Fingerprint|SystemBuild|Fig4SmallPacket|SmallPointsCold|WarmCacheSweep)$$' \
 		-benchmem -cpu 1 -count 5 .
 
 figures: build

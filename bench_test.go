@@ -1,7 +1,7 @@
 // Package accesys_bench hosts the benchmark harness: the recorded
 // throughput trajectories (BENCH_*.json, written by `make bench` and
 // compared by `make benchcheck`), benchmarks of single layers (system
-// build, one fig4 point, scenario expansion, the analytic backend, a
+// build, one fig4 point, a warm fig4 re-run, the analytic backend, a
 // ViT layer), and ablations of modelled design choices (local buffer,
 // access method, SMMU, host DRAM, cut-through forwarding). The paper's
 // figures are not benchmarked here: the golden suite (`make golden`)
@@ -17,7 +17,6 @@ import (
 	"testing"
 	"time"
 
-	"accesys/internal/analytic"
 	"accesys/internal/bench"
 	"accesys/internal/core"
 	"accesys/internal/dram"
@@ -294,24 +293,9 @@ func BenchmarkViTLayer(b *testing.B) {
 	}
 }
 
-// BenchmarkScenarioExpand measures the declarative layer's
-// cross-product expansion: the fixed cost every sweep, audit, and
-// manifest run pays before the first simulation starts.
-func BenchmarkScenarioExpand(b *testing.B) {
-	sc := scenario.MustBuiltin("fig4")
-	var runs int
-	for i := 0; i < b.N; i++ {
-		expanded, err := sc.Expand(false)
-		if err != nil {
-			b.Fatal(err)
-		}
-		runs = len(expanded)
-	}
-	b.ReportMetric(float64(runs), "points")
-}
-
-// BenchmarkWarmCacheSweep measures warm-cache sweep throughput: every
-// point is served from the on-disk result cache, so this is the
+// BenchmarkWarmCacheSweep measures a whole warm re-run of the fig4
+// matrix: expansion, point construction (fingerprints included) and
+// the engine serving every point from the on-disk result cache — the
 // end-to-end cost of an `accesys sweep`/`accesys equiv` re-run over
 // already-simulated design points.
 func BenchmarkWarmCacheSweep(b *testing.B) {
@@ -320,39 +304,26 @@ func BenchmarkWarmCacheSweep(b *testing.B) {
 		b.Fatal(err)
 	}
 	sc := scenario.MustBuiltin("fig4")
-	runs, err := sc.Expand(false)
+	points, err := sc.PointsFor(false)
 	if err != nil {
 		b.Fatal(err)
 	}
-	points := sc.Points(runs)
 	for _, p := range points {
 		cache.Put(p.Fingerprint, sweep.Outcome{Dur: sim.Millisecond})
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		runs, err := sc.Expand(false)
+		if err != nil {
+			b.Fatal(err)
+		}
 		eng := &sweep.Engine{Jobs: 1, Cache: cache}
-		outs := eng.Run(points)
+		outs := eng.Run(sc.Points(runs))
 		if outs[0].Dur != sim.Millisecond {
 			b.Fatal("cache miss in warm sweep")
 		}
 	}
 	b.ReportMetric(float64(len(points)), "points")
-}
-
-// BenchmarkCompositionSeries measures the analytic composition model's
-// sampling cost — the closed-form backend the equivalence harness runs
-// per design point.
-func BenchmarkCompositionSeries(b *testing.B) {
-	m := analytic.Composition{TOtherNs: 1000}
-	c := analytic.Config{Name: "bench", GEMMNs: 5e6, NonGEMMs: 2e6}
-	var sum float64
-	for i := 0; i < b.N; i++ {
-		s := m.Series(c, 1024)
-		sum += s[len(s)-1]
-	}
-	if sum == 0 {
-		b.Fatal("model returned zeros")
-	}
 }
 
 // BenchmarkAnalyticBackend measures the full analytic evaluation of a

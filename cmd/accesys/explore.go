@@ -57,7 +57,13 @@ func (a *app) cmdExplore(args []string) int {
 	})
 	rep, err := explore.Run(sc, opt, p)
 	if err != nil {
-		return a.fail(err)
+		// Failed points still flush what the good points counted and
+		// timed, as sweep and equiv do.
+		code := a.fail(err)
+		if code == exitFail {
+			a.finish(opt)
+		}
+		return code
 	}
 	rep.Frontier.Fprint(a.stdout)
 	if *csvPath != "" {

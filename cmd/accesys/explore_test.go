@@ -12,6 +12,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"accesys/internal/scenario"
+	"accesys/internal/sweep"
 )
 
 // miniExploreManifest is the two-point mini matrix plus an explore
@@ -235,5 +238,47 @@ func TestExploreFig4CacheAliasesGoldenSweep(t *testing.T) {
 	}
 	if got, want := stripNotes(rows), stripNotes(string(golden)); got != want {
 		t.Fatalf("explore-warmed sweep rows differ from golden fig4 rows:\n--- got\n%s\n--- want\n%s", got, want)
+	}
+}
+
+// TestExploreFailedPointFlushesState pins explore's failure contract to
+// sweep's: a search whose 8192-B point fails exits 1, but first flushes
+// what the good 64-B point cost, so the persisted counters hold both
+// misses and the wall profile holds the good point's wall (and not the
+// failed one's).
+func TestExploreFailedPointFlushesState(t *testing.T) {
+	manifest := writeManifest(t, `{
+  "name": "pkt",
+  "base": "pcie8gb",
+  "workload": {"kind": "gemm", "n": 64},
+  "axes": [{"axis": "packet_bytes", "values": [64, 8192]}],
+  "explore": {"objective": {"metric": "exec", "goal": "min"}, "seed": 1, "budget": "2", "promote": 1}
+}`)
+	cache := t.TempDir()
+	code, out, errOut := testApp(t, "explore", "-jobs", "2", "-cache", cache, "-trace", "", manifest)
+	if code != exitFail || !strings.Contains(errOut, `"pkt-8192" panicked`) {
+		t.Fatalf("exit %d, want %d naming the failed point:\n%s", code, exitFail, errOut)
+	}
+	if out != "" {
+		t.Fatalf("frontier printed for a failed search:\n%s", out)
+	}
+	_, stats, _ := testApp(t, "cachestats", "-cache", cache)
+	if !strings.Contains(stats, "misses:  2\n") || !strings.Contains(stats, "entries: 1\n") {
+		t.Fatalf("cachestats does not count the explore's misses:\n%s", stats)
+	}
+	sc, err := scenario.Load(manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	points, err := sc.PointsFor(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof, err := sweep.LoadProfile(cache)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := prof.Wall(points[0].Fingerprint); !ok || prof.Len() != 1 {
+		t.Fatalf("profile holds %d walls, want only the 64-B point's", prof.Len())
 	}
 }

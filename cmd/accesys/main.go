@@ -19,14 +19,18 @@
 // (the historical interface), so `accesys -full fig4` keeps working.
 //
 // run executes built-in experiments in paper order (all of them by
-// default). Experiment ids: fig2 fig3 fig4 fig5 fig6 tab4 fig7 fig8
-// fig9.
+// default; `accesys list` prints the ids: fig2 fig3 fig4 fig5 fig6
+// tab4 fig7 fig8 fig9). Each is a registry scenario run exactly as
+// sweep runs a manifest, with the figure's own row shaping and
+// shape-check notes.
 //
 // sweep loads declarative scenario manifests (JSON; see README.md
 // "Manifest-driven sweeps" for the schema) and runs their matrices —
 // new scenario matrices need no new Go. A manifest encoding of a
 // built-in matrix emits rows byte-identical to the built-in
-// experiment, because both reach the same renderer.
+// experiment, because both reach the same renderer. For run and sweep
+// alike, a failed point is reported by key and the command exits 1
+// once the cache counters and wall profile are flushed.
 //
 // equiv is the cross-backend equivalence harness: it runs the same
 // expanded points through the timing simulation and the closed-form
@@ -107,7 +111,6 @@ import (
 	"time"
 
 	"accesys/internal/equiv"
-	"accesys/internal/exp"
 	"accesys/internal/scenario"
 	"accesys/internal/sweep"
 )
@@ -285,43 +288,24 @@ func parse(fs *flag.FlagSet, args []string) int {
 func (a *app) cmdRun(args []string) int {
 	fs := a.newFlagSet("run")
 	f := addSweepFlags(fs)
-	list := fs.Bool("list", false, "list experiment ids and exit")
 	fs.Usage = func() {
 		fmt.Fprintf(a.stderr, "usage: accesys run [-full] [-v] [-jobs N] [-cache dir] [-nocache] [-cpuprofile file] [-memprofile file] [experiment ...]\n")
-		fmt.Fprintf(a.stderr, "experiments: %s (default: all)\n", strings.Join(exp.IDs(), " "))
+		fmt.Fprintf(a.stderr, "experiments: %s (default: all)\n", strings.Join(scenario.BuiltinNames(), " "))
 		fs.PrintDefaults()
 	}
 	if code := parse(fs, args); code >= 0 {
 		return code
 	}
-
-	if *list {
-		return a.cmdList(nil)
-	}
-
-	stop, code := a.startProfiles(f)
-	if code >= 0 {
-		return code
-	}
-	defer stop()
-
-	opt := a.options(f)
 	ids := fs.Args()
 	if len(ids) == 0 {
-		ids = exp.IDs()
+		ids = scenario.BuiltinNames()
 	}
-	for _, id := range ids {
-		expf, ok := exp.ByID(id)
-		if !ok {
-			return a.errorf("unknown experiment %q (want one of %s)", id, strings.Join(exp.IDs(), " "))
+	return a.runScenarios(f, ids, "", func(id string) (*scenario.Scenario, error) {
+		if sc, ok := scenario.Builtin(id); ok {
+			return sc, nil
 		}
-		start := time.Now()
-		res := expf(opt)
-		res.Note("wall time: %.1fs", time.Since(start).Seconds())
-		res.Fprint(a.stdout)
-	}
-	a.finish(opt)
-	return exitOK
+		return nil, fmt.Errorf("unknown experiment %q (want one of %s)", id, strings.Join(scenario.BuiltinNames(), " "))
+	})
 }
 
 func (a *app) cmdSweep(args []string) int {
@@ -344,7 +328,15 @@ func (a *app) cmdSweep(args []string) int {
 	if *csvPath != "" && len(manifests) != 1 {
 		return a.errorf("-csv needs exactly one manifest, have %d", len(manifests))
 	}
+	return a.runScenarios(f, manifests, *csvPath, scenario.Load)
+}
 
+// runScenarios is run's and sweep's shared loop: resolve each target,
+// run it, print its table with a wall-time note (and the CSV when
+// asked), then flush the cache counters and wall profile. A failed
+// point moves on to the next target and exits 1 after the flush; an
+// unresolvable target exits 2 at once.
+func (a *app) runScenarios(f *sweepFlags, targets []string, csvPath string, resolve func(string) (*scenario.Scenario, error)) int {
 	stop, code := a.startProfiles(f)
 	if code >= 0 {
 		return code
@@ -353,8 +345,8 @@ func (a *app) cmdSweep(args []string) int {
 
 	opt := a.options(f)
 	code = exitOK
-	for _, path := range manifests {
-		sc, err := scenario.Load(path)
+	for _, target := range targets {
+		sc, err := resolve(target)
 		if err != nil {
 			return a.errorf("%v", err)
 		}
@@ -368,8 +360,8 @@ func (a *app) cmdSweep(args []string) int {
 		}
 		res.Note("wall time: %.1fs", time.Since(start).Seconds())
 		res.Fprint(a.stdout)
-		if *csvPath != "" {
-			if code := a.writeCSV(*csvPath, res); code != exitOK {
+		if csvPath != "" {
+			if code := a.writeCSV(csvPath, res); code != exitOK {
 				return code
 			}
 		}
@@ -403,7 +395,7 @@ func (a *app) cmdEquiv(args []string) int {
 	asJSON := fs.Bool("json", false, "emit machine-readable JSON reports instead of tables")
 	fs.Usage = func() {
 		fmt.Fprintf(a.stderr, "usage: accesys equiv [-full] [-v] [-jobs N] [-cache dir] [-nocache] [-tol f] [-warn f] [-json] manifest.json|experiment ...\n")
-		fmt.Fprintf(a.stderr, "experiments: %s\n", strings.Join(exp.IDs(), " "))
+		fmt.Fprintf(a.stderr, "experiments: %s\n", strings.Join(scenario.BuiltinNames(), " "))
 		fs.PrintDefaults()
 	}
 	if code := parse(fs, args); code >= 0 {
@@ -525,7 +517,7 @@ func (a *app) cmdList(args []string) int {
 	if len(args) != 0 {
 		return a.errorf("list takes no arguments")
 	}
-	for _, id := range exp.IDs() {
+	for _, id := range scenario.BuiltinNames() {
 		fmt.Fprintln(a.stdout, id)
 	}
 	return exitOK

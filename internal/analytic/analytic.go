@@ -77,17 +77,3 @@ func (m Composition) Crossover(a, b Config) (float64, bool) {
 	w := dg / den
 	return w, w > 0 && w < 1
 }
-
-// Series samples the model for a configuration across npts fractions
-// from 0 to 1 inclusive.
-func (m Composition) Series(c Config, npts int) []float64 {
-	if npts < 2 {
-		panic("analytic: need at least 2 points")
-	}
-	out := make([]float64, npts)
-	for i := range out {
-		w := float64(i) / float64(npts-1)
-		out[i] = m.TimeNs(c, w)
-	}
-	return out
-}

@@ -95,20 +95,6 @@ func TestCrossoverDegenerate(t *testing.T) {
 	}
 }
 
-func TestSeries(t *testing.T) {
-	m := Composition{}
-	c := Config{GEMMNs: 1000, NonGEMMs: 2000}
-	s := m.Series(c, 11)
-	if len(s) != 11 || s[0] != 1000 || s[10] != 2000 {
-		t.Fatalf("series endpoints wrong: %v", s)
-	}
-	for i := 1; i < len(s); i++ {
-		if s[i] < s[i-1] {
-			t.Fatal("series should be monotonic for NonGEMMs > GEMMNs")
-		}
-	}
-}
-
 // Property: the model is linear in w, so the crossover (when interior)
 // is unique and consistent with a fine scan.
 func TestCrossoverProperty(t *testing.T) {

@@ -283,14 +283,14 @@ func TestAxisRegistryPinned(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", p.axis, err)
 		}
-		labels := sc.AxisStrings(p.axis, false)
+		sets := sp.axis(p.axis).sets
 		for i, s := range p.samples {
 			r := runs[i]
 			if got := r.Label(p.axis); got != s.label {
 				t.Errorf("%s %v: label %q, want %q", p.axis, s.v, got, s.label)
 			}
-			if labels[i] != s.label {
-				t.Errorf("%s %v: AxisStrings %q, want %q", p.axis, s.v, labels[i], s.label)
+			if sets[i].label != s.label {
+				t.Errorf("%s %v: space label %q, want %q", p.axis, s.v, sets[i].label, s.label)
 			}
 			if got := res.Headers[1+i]; got != s.header {
 				t.Errorf("%s %v: header %q, want %q", p.axis, s.v, got, s.header)

@@ -1,4 +1,4 @@
-package exp
+package scenario
 
 // Determinism is the contract the parallel sweep engine ships on: a
 // simulation run is a pure function of its configuration, so jobs=N
@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"accesys/internal/core"
-	"accesys/internal/scenario"
 	"accesys/internal/sweep"
 )
 
@@ -20,12 +19,12 @@ import (
 func miniPoints() []sweep.Point {
 	var points []sweep.Point
 	for _, cfg := range []core.Config{core.PCIe2GB(), core.PCIe8GB(), core.PCIe64GB(), core.DevMemCfg()} {
-		points = append(points, scenario.GEMMPoint(cfg, 64, nil))
+		points = append(points, GEMMPoint(cfg, 64, nil))
 	}
 	bypass := core.PCIe8GB()
 	bypass.Name = "mini-bypass"
 	bypass.SMMU.Bypass = true
-	points = append(points, scenario.GEMMPoint(bypass, 64, nil))
+	points = append(points, GEMMPoint(bypass, 64, nil))
 	return points
 }
 
@@ -41,7 +40,7 @@ func render(outs []sweep.Outcome) []byte {
 
 func TestSameConfigTwiceIsByteIdentical(t *testing.T) {
 	run := func() ([]byte, []byte) {
-		d, sys, _ := scenario.TimeGEMM(core.PCIe8GB(), 64)
+		d, sys, _ := TimeGEMM(core.PCIe8GB(), 64)
 		var stats bytes.Buffer
 		if err := sys.Stats.Dump(&stats); err != nil {
 			t.Fatal(err)
@@ -85,8 +84,8 @@ func TestCachedSweepMatchesFresh(t *testing.T) {
 }
 
 func TestViTSimulationDeterministic(t *testing.T) {
-	a := scenario.SimViT(core.PCIe8GB(), miniViT)
-	b := scenario.SimViT(core.PCIe8GB(), miniViT)
+	a := SimViT(core.PCIe8GB(), miniViT)
+	b := SimViT(core.PCIe8GB(), miniViT)
 	if a != b {
 		t.Fatalf("identical ViT runs differ: %+v vs %+v", a, b)
 	}
@@ -113,14 +112,14 @@ func TestExperimentDeterministicUnderJobs(t *testing.T) {
 // real experiment declares.
 func tab4Mini(t *testing.T, opt Options) *Result {
 	t.Helper()
-	sc := &scenario.Scenario{
+	sc := &Scenario{
 		Name:     "tab4mini",
 		Title:    "mini",
 		Base:     "pcie8gb",
-		Workload: scenario.Workload{Kind: "gemm"},
-		Axes: []scenario.Axis{
-			{Name: "size", Values: []scenario.Value{64}},
-			{Name: "smmu_bypass", Values: []scenario.Value{false, true}},
+		Workload: Workload{Kind: "gemm"},
+		Axes: []Axis{
+			{Name: "size", Values: []Value{64}},
+			{Name: "smmu_bypass", Values: []Value{false, true}},
 		},
 		Metrics: []string{"pages", "smmu"},
 	}

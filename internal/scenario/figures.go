@@ -1,25 +1,40 @@
-package exp
+package scenario
+
+// The paper's figures: each built-in's row shaping and shape-check
+// notes, attached to its registry entry as the scenario's figure hook.
+// Run calls the hook in place of Render, handing it the space the
+// matrix was expanded from, so a hook reads axis values and strides
+// without decoding the scenario again.
 
 import (
 	"fmt"
 
 	"accesys/internal/analytic"
 	"accesys/internal/sim"
+	"accesys/internal/sweep"
 )
 
-// Fig2Roofline reproduces Fig. 2: fixed 8 GB/s PCIe, sweep the
+// figureFunc shapes a built-in's swept outcomes (all passed, in run order)
+// into its table and notes.
+type figureFunc func(sp *Space, runs []Run, outs []sweep.Outcome, o Options) (*Result, error)
+
+// numbers reads a numeric axis's canonical values.
+func (ax *spaceAxis) numbers() []float64 {
+	out := make([]float64, len(ax.vals))
+	for i, v := range ax.vals {
+		out[i], _ = v.(float64)
+	}
+	return out
+}
+
+// fig2Roofline reproduces Fig. 2: fixed 8 GB/s PCIe, sweep the
 // systolic array's per-tile computation time, report normalized
 // execution time with the memory/compute-bound knee.
-func Fig2Roofline(opt Options) *Result {
-	sc, _, outs := sweepScenario(opt, "fig2")
-	n := sc.SizeFor(opt.Full)
-	r := &Result{
-		ID:      sc.Name,
-		Title:   sc.TitleFor(opt.Full),
-		Headers: []string{"compute_ns/tile", "exec_ms", "normalized"},
-	}
+func fig2Roofline(sp *Space, _ []Run, outs []sweep.Outcome, _ Options) (*Result, error) {
+	n := sp.sc.SizeFor(sp.full)
+	r := sp.result("compute_ns/tile", "exec_ms", "normalized")
 
-	overrides := sc.AxisNumbers("compute_ns", opt.Full)
+	overrides := sp.axis("compute_ns").numbers()
 	var minT sim.Tick = sim.MaxTick
 	for _, o := range outs {
 		if o.Dur < minT {
@@ -46,17 +61,16 @@ func Fig2Roofline(opt Options) *Result {
 		plateau.Seconds()*1e3, knee, float64(outs[len(outs)-1].Dur)/float64(minT))
 	model := analytic.Roofline{Tiles: tiles, TransferNs: plateau.Nanoseconds()}
 	r.Note("analytic roofline knee: %.0f ns/tile", model.KneeNs())
-	return r
+	return r, nil
 }
 
-// Fig3BandwidthSweep reproduces Fig. 3: execution time across lane
+// fig3BandwidthSweep reproduces Fig. 3: execution time across lane
 // counts {2,4,8,16} x per-lane rates {2..64 Gbps}. The whole table is
 // the scenario's declared pivot; only the saturation check is code.
-func Fig3BandwidthSweep(opt Options) *Result {
-	sc, runs, outs := sweepScenario(opt, "fig3")
-	r, err := sc.Render(opt.Full, runs, outs)
+func fig3BandwidthSweep(sp *Space, runs []Run, outs []sweep.Outcome, _ Options) (*Result, error) {
+	r, err := sp.render(runs, outs)
 	if err != nil {
-		panic(err)
+		return nil, err
 	}
 
 	var slowest, fastest sim.Tick
@@ -71,22 +85,21 @@ func Fig3BandwidthSweep(opt Options) *Result {
 	r.Note("paper: highest bandwidth outperforms lowest by up to 1109.9%%; scaling saturates when compute-bound")
 	r.Note("measured: slowest/fastest = %.1fx (%.0f%%)",
 		float64(slowest)/float64(fastest), 100*(float64(slowest)/float64(fastest)-1))
-	return r
+	return r, nil
 }
 
-// Fig4PacketSize reproduces Fig. 4: execution time vs DMA request
+// fig4PacketSize reproduces Fig. 4: execution time vs DMA request
 // packet size for several link bandwidths. The table is the scenario's
 // declared pivot — `accesys sweep` on the fig4 manifest reaches the
 // identical renderer, which is what makes its rows byte-identical.
-func Fig4PacketSize(opt Options) *Result {
-	sc, runs, outs := sweepScenario(opt, "fig4")
-	r, err := sc.Render(opt.Full, runs, outs)
+func fig4PacketSize(sp *Space, runs []Run, outs []sweep.Outcome, _ Options) (*Result, error) {
+	r, err := sp.render(runs, outs)
 	if err != nil {
-		panic(err)
+		return nil, err
 	}
 
-	sizes := sc.AxisNumbers("packet_bytes", opt.Full)
-	bandwidths := sc.AxisLen("link", opt.Full)
+	sizes := sp.axis("packet_bytes").numbers()
+	bandwidths := len(sp.axis("link").sets)
 	convexOK := true
 	for bi := 0; bi < bandwidths; bi++ {
 		var t64, t256, t4096 sim.Tick
@@ -107,23 +120,21 @@ func Fig4PacketSize(opt Options) *Result {
 	}
 	r.Note("paper: convex curve, optimum ~256 B; 64 B costs +12%%, 4096 B +36%% vs optimum")
 	r.Note("measured: convex (both extremes slower than 256 B) across all bandwidths = %v", convexOK)
-	return r
+	return r, nil
 }
 
-// Fig5MemoryLocation reproduces Fig. 5: normalized speedup of DevMem
+// fig5MemoryLocation reproduces Fig. 5: normalized speedup of DevMem
 // vs host-side memory (2 and 64 GB/s PCIe) across memory technologies,
 // normalized to DDR4 device-side.
-func Fig5MemoryLocation(opt Options) *Result {
-	sc, _, outs := sweepScenario(opt, "fig5")
-	r := &Result{
-		ID:      sc.Name,
-		Title:   sc.TitleFor(opt.Full),
-		Headers: []string{"memory", "DevMem", "host PCIe-2GB/s", "host PCIe-64GB/s"},
-	}
+func fig5MemoryLocation(sp *Space, _ []Run, outs []sweep.Outcome, _ Options) (*Result, error) {
+	r := sp.result("memory", "DevMem", "host PCIe-2GB/s", "host PCIe-64GB/s")
 
 	// Matrix order: memory technology outer, placement
 	// (devmem/pcie2gb/pcie64gb) inner.
-	techs := sc.AxisStrings("mem", opt.Full)
+	var techs []string
+	for _, st := range sp.axis("mem").sets {
+		techs = append(techs, st.label)
+	}
 	devT := make(map[string]sim.Tick)
 	host2T := make(map[string]sim.Tick)
 	host64T := make(map[string]sim.Tick)
@@ -149,25 +160,23 @@ func Fig5MemoryLocation(opt Options) *Result {
 	r.Note("paper: DevMem always beats host-side; 64 GB/s PCIe reaches ~78%% of DevMem performance")
 	r.Note("measured: DevMem >= host(2GB/s) for all techs = %v; host@64GB/s reaches %.0f%% of DevMem (HBM2)",
 		okAll, 100*frac)
-	return r
+	return r, nil
 }
 
-// Fig6MemSweep reproduces Fig. 6: host memory bandwidth sweep (a) and
+// fig6MemSweep reproduces Fig. 6: host memory bandwidth sweep (a) and
 // latency sweep (b) using the fixed-latency SimpleMem model behind a
 // 64 GB/s link.
-func Fig6MemSweep(opt Options) *Result {
-	sc, _, outs := sweepScenario(opt, "fig6")
-	r := &Result{
-		ID:      sc.Name,
-		Title:   sc.TitleFor(opt.Full),
-		Headers: []string{"sweep", "value", "exec_ms", "normalized"},
-	}
+func fig6MemSweep(sp *Space, _ []Run, outs []sweep.Outcome, _ Options) (*Result, error) {
+	r := sp.result("sweep", "value", "exec_ms", "normalized")
 
 	// The scenario's simplemem axis lists the bandwidth sweep (at a
 	// fixed latency) followed by the latency sweep; derive the value
 	// lists and the split point from the axis itself so registry.go
 	// stays the single source of truth.
-	points := sc.AxisObjects("simplemem", opt.Full)
+	var points []map[string]any
+	for _, v := range sp.axis("simplemem").vals {
+		points = append(points, v.(map[string]any))
+	}
 	split := len(points)
 	for i, p := range points {
 		if p["latency_ns"] != points[0]["latency_ns"] {
@@ -195,22 +204,17 @@ func Fig6MemSweep(opt Options) *Result {
 	r.Note("paper: bandwidth improves performance ~60%% and saturates past ~100 GB/s; latency adds only ~4.9%%")
 	r.Note("measured: bandwidth 8->256 GB/s improves %.0f%%; latency 1->36 ns costs %.1f%%",
 		100*bwGain, 100*latLoss)
-	return r
+	return r, nil
 }
 
-// Tab4Translation reproduces Table IV: SMMU statistics across matrix
+// tab4Translation reproduces Table IV: SMMU statistics across matrix
 // sizes. The scenario declares two runs per size — translated (with
 // SMMU metrics extracted into the outcome) and the same job with the
 // SMMU bypassed — so overhead is measured the honest way, comparing
 // end-to-end times.
-func Tab4Translation(opt Options) *Result {
-	sc, _, outs := sweepScenario(opt, "tab4")
-	sizes := sc.AxisNumbers("size", opt.Full)
-	r := &Result{
-		ID:      sc.Name,
-		Title:   sc.TitleFor(opt.Full),
-		Headers: []string{"metric"},
-	}
+func tab4Translation(sp *Space, _ []Run, outs []sweep.Outcome, opt Options) (*Result, error) {
+	sizes := sp.axis("size").numbers()
+	r := sp.result("metric")
 	for _, n := range sizes {
 		r.Headers = append(r.Headers, fmt.Sprintf("%g", n))
 	}
@@ -260,5 +264,5 @@ func Tab4Translation(opt Options) *Result {
 
 	r.Note("paper (2048): 12288 pages, 68.4M translations, PTW mean 368 cyc, overhead U-shaped 6%% -> 1%% -> 6.5%%")
 	r.Note("measured: footprint = 3 x N^2 x 4 B / 4 KiB pages exactly; translation counts scale with streamed bursts")
-	return r
+	return r, nil
 }

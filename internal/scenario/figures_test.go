@@ -1,4 +1,4 @@
-package exp
+package scenario
 
 import (
 	"strings"
@@ -6,29 +6,9 @@ import (
 
 	"accesys/internal/core"
 	"accesys/internal/driver"
-	"accesys/internal/scenario"
 	"accesys/internal/sim"
 	"accesys/internal/workload"
 )
-
-func TestIDsResolve(t *testing.T) {
-	for _, id := range IDs() {
-		if _, ok := ByID(id); !ok {
-			t.Fatalf("experiment %q does not resolve", id)
-		}
-		if _, ok := scenario.Builtin(id); !ok {
-			t.Fatalf("experiment %q has no built-in scenario", id)
-		}
-	}
-	// accesys equiv resolves experiment ids as built-in scenarios, so
-	// the two sets must be the same.
-	if n := len(scenario.BuiltinNames()); n != len(IDs()) {
-		t.Fatalf("%d built-in scenarios for %d experiments", n, len(IDs()))
-	}
-	if _, ok := ByID("nope"); ok {
-		t.Fatal("unknown id should not resolve")
-	}
-}
 
 func TestResultFprint(t *testing.T) {
 	r := &Result{
@@ -50,7 +30,7 @@ func TestResultFprint(t *testing.T) {
 
 func TestTimeGEMMAcrossConfigs(t *testing.T) {
 	for _, cfg := range []core.Config{core.PCIe2GB(), core.PCIe8GB(), core.PCIe64GB(), core.DevMemCfg()} {
-		d, sys, res := scenario.TimeGEMM(cfg, 64)
+		d, sys, res := TimeGEMM(cfg, 64)
 		if d == 0 {
 			t.Fatalf("%s: zero duration", cfg.Name)
 		}
@@ -67,15 +47,15 @@ var miniViT = workload.ViTVariant{Name: "ViT-Mini", Hidden: 128, Heads: 4, Layer
 
 func TestRunViTChainsAllItems(t *testing.T) {
 	cfg := core.PCIe8GB()
-	times := scenario.SimViT(cfg, miniViT)
+	times := SimViT(cfg, miniViT)
 	if times.GEMM == 0 || times.NonGEMM == 0 {
 		t.Fatalf("split missing: gemm=%v nongemm=%v", times.GEMM, times.NonGEMM)
 	}
 }
 
 func TestViTDevMemNonGEMMPenalty(t *testing.T) {
-	host := scenario.SimViT(core.PCIe8GB(), miniViT)
-	dev := scenario.SimViT(core.DevMemCfg(), miniViT)
+	host := SimViT(core.PCIe8GB(), miniViT)
+	dev := SimViT(core.DevMemCfg(), miniViT)
 	if !(dev.NonGEMM > host.NonGEMM) {
 		t.Fatalf("DevMem Non-GEMM (%v) should exceed host (%v)", dev.NonGEMM, host.NonGEMM)
 	}
@@ -92,7 +72,7 @@ func TestBuildSystemDriverRoundtrip(t *testing.T) {
 	cfg := core.PCIe8GB()
 	cfg.Name = "roundtrip"
 	cfg.Functional = true
-	sys, drv := scenario.BuildSystem(cfg)
+	sys, drv := BuildSystem(cfg)
 	a := make([]int32, 32*32)
 	b := make([]int32, 32*32)
 	for i := range a {
@@ -113,7 +93,7 @@ func TestTab4SmallestColumn(t *testing.T) {
 	// Run just the smallest matrix of Table IV end to end.
 	cfg := core.PCIe8GB()
 	cfg.Name = "tab4test"
-	d, sys, res := scenario.TimeGEMM(cfg, 64)
+	d, sys, res := TimeGEMM(cfg, 64)
 	if res.PagesMapped != 12 {
 		t.Fatalf("pages = %d, want 12 (paper Table IV)", res.PagesMapped)
 	}

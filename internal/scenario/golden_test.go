@@ -1,4 +1,4 @@
-package exp
+package scenario
 
 // The golden conformance suite: canonical output rows for all nine
 // experiments live under testdata/golden/ at the repository root, and
@@ -7,7 +7,7 @@ package exp
 // engine, the renderer) are held to that claim on every test run
 // instead of by one-off manual checks. Regenerate the files with
 //
-//	UPDATE_GOLDEN=1 go test ./internal/exp -run TestGolden
+//	UPDATE_GOLDEN=1 go test ./internal/scenario -run TestGolden
 //
 // after a change that intentionally alters rows, and review the diff
 // like any other code change.
@@ -68,15 +68,14 @@ func TestGoldenRows(t *testing.T) {
 	// a single new simulation.
 	opt := Options{Cache: sweep.Memory()}
 	ranFig7 := false
-	for _, id := range IDs() {
-		id := id
+	for _, id := range BuiltinNames() {
 		t.Run(id, func(t *testing.T) {
-			expf, ok := ByID(id)
-			if !ok {
-				t.Fatalf("no experiment %q", id)
-			}
 			_, missesBefore, _ := opt.Cache.Stats()
-			got := renderGolden(expf(opt))
+			res, err := MustBuiltin(id).Run(opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := renderGolden(res)
 			_, misses, _ := opt.Cache.Stats()
 			switch {
 			case id == "fig7":
@@ -93,7 +92,7 @@ func TestGoldenRows(t *testing.T) {
 			}
 			want, err := os.ReadFile(path)
 			if err != nil {
-				t.Fatalf("missing golden file (run UPDATE_GOLDEN=1 go test ./internal/exp -run TestGolden): %v", err)
+				t.Fatalf("missing golden file (run UPDATE_GOLDEN=1 go test ./internal/scenario -run TestGolden): %v", err)
 			}
 			if d := diffRows(got, want); d != "" {
 				t.Errorf("%s output drifted from golden rows; %s", id, d)

@@ -1,17 +1,15 @@
 package scenario
 
 // The built-in registry: the run matrices of the paper's nine
-// evaluation artifacts (Section V), declared as scenario values. The
-// figure-specific row shaping and shape checks live in internal/exp;
-// everything the sweep engine needs — systems, workload sizes, axes,
-// metrics — is declared here, and any of these matrices can equally be
-// expressed as a JSON manifest (internal/scenario/testdata holds
-// golden copies).
+// evaluation artifacts (Section V), declared as scenario values in
+// paper order. Everything the sweep engine needs — systems, workload
+// sizes, axes, metrics — is declared here, and any of these matrices
+// can equally be expressed as a JSON manifest (internal/scenario/testdata
+// holds golden copies). Each entry's figure hook (figures.go) shapes
+// its rows and shape-check notes; a manifest copy has no hook and
+// renders its declared table.
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // lk is a link axis value: total raw bandwidth over a lane count.
 func lk(gbps, lanes float64) Value {
@@ -25,8 +23,12 @@ func sm(latNs, bwGBps float64) Value {
 
 func vals(vs ...any) []Value { return vs }
 
-var builtins = map[string]func() *Scenario{
-	"fig2": func() *Scenario {
+// builtins lists the registry in paper order.
+var builtins = []struct {
+	name string
+	new  func() *Scenario
+}{
+	{"fig2", func() *Scenario {
 		return &Scenario{
 			Name:     "fig2",
 			Title:    "Roofline: GEMM %d, PCIe 8 GB/s, sweep per-tile compute time",
@@ -35,9 +37,10 @@ var builtins = map[string]func() *Scenario{
 			Axes: []Axis{
 				{Name: "compute_ns", Values: vals(0, 100, 200, 400, 800, 1500, 3000, 6000, 12000)},
 			},
+			figure: fig2Roofline,
 		}
-	},
-	"fig3": func() *Scenario {
+	}},
+	{"fig3", func() *Scenario {
 		return &Scenario{
 			Name:     "fig3",
 			Title:    "PCIe bandwidth sweep, GEMM %d (paper: 2048)",
@@ -47,10 +50,11 @@ var builtins = map[string]func() *Scenario{
 				{Name: "lanes", Values: vals(2, 4, 8, 16)},
 				{Name: "lane_gbps", Values: vals(2, 4, 8, 16, 32, 64)},
 			},
-			Table: Table{Row: "lanes", RowHeader: "lanes", Col: "lane_gbps", Cell: "ms3"},
+			Table:  Table{Row: "lanes", RowHeader: "lanes", Col: "lane_gbps", Cell: "ms3"},
+			figure: fig3BandwidthSweep,
 		}
-	},
-	"fig4": func() *Scenario {
+	}},
+	{"fig4", func() *Scenario {
 		return &Scenario{
 			Name:     "fig4",
 			Title:    "Packet size sweep, GEMM %d",
@@ -62,10 +66,11 @@ var builtins = map[string]func() *Scenario{
 				{Name: "link", Values: vals(lk(4, 4), lk(8, 8), lk(16, 16), lk(32, 16), lk(64, 16))},
 				{Name: "packet_bytes", Values: vals(64, 128, 256, 512, 1024, 2048, 4096)},
 			},
-			Table: Table{Row: "link", RowHeader: "GB/s", Col: "packet_bytes", Cell: "ms3"},
+			Table:  Table{Row: "link", RowHeader: "GB/s", Col: "packet_bytes", Cell: "ms3"},
+			figure: fig4PacketSize,
 		}
-	},
-	"fig5": func() *Scenario {
+	}},
+	{"fig5", func() *Scenario {
 		return &Scenario{
 			Name:     "fig5",
 			Title:    "Memory type and location, GEMM %d (speedup vs DDR4 DevMem)",
@@ -75,9 +80,10 @@ var builtins = map[string]func() *Scenario{
 				{Name: "mem", Values: vals("DDR4-2400", "HBM2-2000", "GDDR5-2000", "LPDDR5-6400")},
 				{Name: "preset", Values: vals("devmem", "pcie2gb", "pcie64gb")},
 			},
+			figure: fig5MemoryLocation,
 		}
-	},
-	"fig6": func() *Scenario {
+	}},
+	{"fig6", func() *Scenario {
 		return &Scenario{
 			Name:     "fig6",
 			Title:    "Host memory bandwidth/latency sweeps, GEMM %d (SimpleMem)",
@@ -102,9 +108,10 @@ var builtins = map[string]func() *Scenario{
 			// model's max() algebra underpredicts queueing, so this
 			// scenario carries a wider documented fidelity band.
 			Analytic: &AnalyticSpec{Tol: 0.2, Warn: 0.075},
+			figure:   fig6MemSweep,
 		}
-	},
-	"tab4": func() *Scenario {
+	}},
+	{"tab4", func() *Scenario {
 		return &Scenario{
 			Name:     "tab4",
 			Title:    "Address translation statistics (SMMU), DC access method",
@@ -115,32 +122,36 @@ var builtins = map[string]func() *Scenario{
 				{Name: "smmu_bypass", Values: vals(false, true)},
 			},
 			Metrics: []string{"pages", "smmu"},
+			figure:  tab4Translation,
 		}
-	},
-	"fig7": func() *Scenario {
+	}},
+	{"fig7", func() *Scenario {
 		return &Scenario{
 			Name:     "fig7",
 			Title:    "Transformer inference across memory/interconnect configurations",
 			Workload: Workload{Kind: "vit"},
 			Axes:     vitAxes(vals("ViT-Base", "ViT-Large", "ViT-Huge")),
+			figure:   fig7Transformer,
 		}
-	},
-	"fig8": func() *Scenario {
+	}},
+	{"fig8", func() *Scenario {
 		return &Scenario{
 			Name:     "fig8",
 			Title:    "GEMM vs Non-GEMM runtime split (ViT-Base/Large/Huge)",
 			Workload: Workload{Kind: "vit"},
 			Axes:     vitAxes(vals("ViT-Base", "ViT-Large", "ViT-Huge")),
+			figure:   fig8Split,
 		}
-	},
-	"fig9": func() *Scenario {
+	}},
+	{"fig9", func() *Scenario {
 		return &Scenario{
 			Name:     "fig9",
 			Title:    "Composition model: time vs Non-GEMM fraction (ViT-Base units)",
 			Workload: Workload{Kind: "vit"},
 			Axes:     vitAxes(vals("ViT-Base")),
+			figure:   fig9Model,
 		}
-	},
+	}},
 }
 
 // vitAxes is the Section V.C system matrix crossed with the given
@@ -154,11 +165,12 @@ func vitAxes(models []Value) []Axis {
 
 // Builtin returns a fresh copy of the named built-in scenario.
 func Builtin(name string) (*Scenario, bool) {
-	f, ok := builtins[name]
-	if !ok {
-		return nil, false
+	for _, b := range builtins {
+		if b.name == name {
+			return b.new(), true
+		}
 	}
-	return f(), true
+	return nil, false
 }
 
 // MustBuiltin is Builtin for names the caller knows exist.
@@ -170,12 +182,11 @@ func MustBuiltin(name string) *Scenario {
 	return s
 }
 
-// BuiltinNames lists the registry alphabetically.
+// BuiltinNames lists the registry in paper order.
 func BuiltinNames() []string {
-	names := make([]string, 0, len(builtins))
-	for k := range builtins {
-		names = append(names, k)
+	names := make([]string, len(builtins))
+	for i, b := range builtins {
+		names[i] = b.name
 	}
-	sort.Strings(names)
 	return names
 }

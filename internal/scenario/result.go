@@ -1,10 +1,9 @@
 package scenario
 
-// This file renders swept outcomes as tables. Result used to live in
-// internal/exp; it moved here so manifest-driven sweeps and the
-// built-in experiments share one table type and one renderer (the
+// This file renders swept outcomes as tables. Manifest sweeps and the
+// built-in figures share one table type and one renderer: the
 // byte-identity guarantee between `accesys run fig4` and
-// `accesys sweep testdata/fig4.json` rests on that sharing).
+// `accesys sweep testdata/fig4.json` rests on that sharing.
 
 import (
 	"cmp"
@@ -96,10 +95,26 @@ var cellFormats = map[string]func(sim.Tick) string{
 // row-by-column pivot when Table names both axes, otherwise a flat
 // one-row-per-point listing with extracted metrics as extra columns.
 func (s *Scenario) Render(full bool, runs []Run, outs []sweep.Outcome) (*Result, error) {
+	sp, err := s.Space(full)
+	if err != nil {
+		return nil, err
+	}
+	return sp.render(runs, outs)
+}
+
+// result starts the space's table: the scenario's id and mode title
+// over the given headers.
+func (sp *Space) result(headers ...string) *Result {
+	return &Result{ID: sp.sc.Name, Title: sp.sc.TitleFor(sp.full), Headers: headers}
+}
+
+// render is Render over an already decoded space.
+func (sp *Space) render(runs []Run, outs []sweep.Outcome) (*Result, error) {
+	s := sp.sc
 	if len(runs) != len(outs) {
 		return nil, fmt.Errorf("scenario %s: %d runs but %d outcomes", s.Name, len(runs), len(outs))
 	}
-	r := &Result{ID: s.Name, Title: s.TitleFor(full)}
+	r := sp.result()
 	cell := cellFormats[s.cell()]
 
 	if s.Table.Col == "" {
@@ -108,10 +123,6 @@ func (s *Scenario) Render(full bool, runs []Run, outs []sweep.Outcome) (*Result,
 
 	// Pivot: validation pinned exactly two axes. Their strides locate
 	// each (row, col) cell's outcome in either declaration order.
-	sp, err := s.Space(full)
-	if err != nil {
-		return nil, err
-	}
 	rows, cols := sp.axis(s.Table.Row), sp.axis(s.Table.Col)
 	r.Headers = []string{cmp.Or(s.Table.RowHeader, s.Table.Row)}
 	for _, c := range cols.sets {

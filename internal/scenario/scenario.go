@@ -3,8 +3,9 @@
 // cross product is the run matrix, plus the metrics to extract per
 // point and an optional table shape for rendering. The nine built-in
 // experiments of the paper's evaluation declare their matrices here
-// (see registry.go), and Load reads the same model from a JSON
-// manifest so an arbitrary matrix runs with zero new Go.
+// (see registry.go) with their row shaping (figures.go), and Load
+// reads the same model from a JSON manifest so an arbitrary matrix
+// runs with zero new Go. Scenario.Run is the one front door for both.
 package scenario
 
 import (
@@ -154,6 +155,10 @@ type Scenario struct {
 	// `accesys explore` (see explore.go); nil scenarios can only be
 	// swept exhaustively.
 	Explore *ExploreSpec `json:"explore,omitempty"`
+
+	// figure, set only on built-ins, shapes Run's outcomes into the
+	// paper's table and notes in place of Render (see figures.go).
+	figure figureFunc
 }
 
 // Run is one resolved point of the matrix: the full system config plus
@@ -197,69 +202,6 @@ func (s *Scenario) TitleFor(full bool) string {
 		return fmt.Sprintf(s.Title, s.SizeFor(full))
 	}
 	return s.Title
-}
-
-// resolvedAxis returns the named axis as the scenario's space resolves
-// it for the given mode: nil when the scenario does not validate or
-// does not declare the axis.
-func (s *Scenario) resolvedAxis(name string, full bool) *spaceAxis {
-	sp, err := s.Space(full)
-	if err != nil {
-		return nil
-	}
-	return sp.axis(name)
-}
-
-// AxisStrings returns the named axis's value labels (quick+full as
-// requested) — the labels figure code uses when walking the matrix.
-func (s *Scenario) AxisStrings(name string, full bool) []string {
-	var out []string
-	if ax := s.resolvedAxis(name, full); ax != nil {
-		for _, st := range ax.sets {
-			out = append(out, st.label)
-		}
-	}
-	return out
-}
-
-// AxisNumbers returns the named axis's values as numbers — what
-// figure code walking the matrix uses for knee/stride math.
-// Non-numeric values come back as 0.
-func (s *Scenario) AxisNumbers(name string, full bool) []float64 {
-	var out []float64
-	if ax := s.resolvedAxis(name, full); ax != nil {
-		for _, v := range ax.vals {
-			f, _ := v.(float64)
-			out = append(out, f)
-		}
-	}
-	return out
-}
-
-// AxisObjects returns the named axis's object values with their
-// numeric fields — how figure code reads composite axes (link,
-// simplemem) without duplicating the value lists. Non-object values
-// come back as empty maps.
-func (s *Scenario) AxisObjects(name string, full bool) []map[string]float64 {
-	var out []map[string]float64
-	if ax := s.resolvedAxis(name, full); ax != nil {
-		for _, v := range ax.vals {
-			fields := map[string]float64{}
-			m, _ := v.(map[string]any)
-			for k, f := range m {
-				if fv, ok := f.(float64); ok {
-					fields[k] = fv
-				}
-			}
-			out = append(out, fields)
-		}
-	}
-	return out
-}
-
-// AxisLen returns the named axis's value count for the given mode.
-func (s *Scenario) AxisLen(name string, full bool) int {
-	return len(s.AxisNumbers(name, full))
 }
 
 // canon round-trips a value through JSON so Go-declared scenarios and
@@ -470,15 +412,7 @@ func (s *Scenario) Expand(full bool) ([]Run, error) {
 	if err != nil {
 		return nil, err
 	}
-	runs := make([]Run, 0, sp.Size())
-	for i := 0; i < sp.Size(); i++ {
-		r, err := sp.RunAt(i)
-		if err != nil {
-			return nil, err
-		}
-		runs = append(runs, r)
-	}
-	return runs, nil
+	return sp.runs()
 }
 
 // nameRun fixes the run's config name and progress key. ViT runs are
@@ -578,11 +512,16 @@ func (s *Scenario) PointsFor(full bool) ([]sweep.Point, error) {
 	return s.Points(runs), nil
 }
 
-// Run is the manifest front door: expand the matrix, sweep it, and
-// render the table, or return sweep.Failed's error naming every failed
-// point.
+// Run is the one front door for built-ins and manifests alike: expand
+// the matrix, sweep it, and shape the table (a built-in's figure hook,
+// else Render), or return sweep.Failed's error naming every failed
+// point. The scenario is decoded once per call.
 func (s *Scenario) Run(o Options) (*Result, error) {
-	runs, err := s.Expand(o.Full)
+	sp, err := s.Space(o.Full)
+	if err != nil {
+		return nil, err
+	}
+	runs, err := sp.runs()
 	if err != nil {
 		return nil, err
 	}
@@ -590,5 +529,8 @@ func (s *Scenario) Run(o Options) (*Result, error) {
 	if err := sweep.Failed(outs); err != nil {
 		return nil, err
 	}
-	return s.Render(o.Full, runs, outs)
+	if s.figure != nil {
+		return s.figure(sp, runs, outs, o)
+	}
+	return sp.render(runs, outs)
 }

@@ -156,6 +156,19 @@ func (sp *Space) RunAt(i int) (Run, error) {
 	return r, nil
 }
 
+// runs resolves every point in order: Expand's body.
+func (sp *Space) runs() ([]Run, error) {
+	runs := make([]Run, 0, sp.size)
+	for i := 0; i < sp.size; i++ {
+		r, err := sp.RunAt(i)
+		if err != nil {
+			return nil, err
+		}
+		runs = append(runs, r)
+	}
+	return runs, nil
+}
+
 // PointAt resolves point i and wraps it as an engine-ready sweep
 // point, identical to PointsFor(full)[i].
 func (sp *Space) PointAt(i int) (Run, sweep.Point, error) {
