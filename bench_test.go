@@ -180,17 +180,18 @@ func BenchmarkSystemBuild(b *testing.B) {
 }
 
 // BenchmarkFingerprint times building one point's cache-key material:
-// the fingerprint GEMMPoint gives a PCIe-8GB GEMM-512 point, which a
-// warm re-run computes for every point before its cache hit. It
-// reports the fingerprint's length in bytes/fp (the key every cache
-// record and profile digest carries). It is a layer benchmark and is
-// not part of the BENCH_*.json ratchet.
+// the fingerprint a PCIe-8GB GEMM-512 point gets, which a warm re-run
+// computes for every point before its cache hit. The config goes by
+// pointer, as Scenario.Points passes each run's. It reports the
+// fingerprint's length in bytes/fp (the key every cache record and
+// profile digest carries). It is a layer benchmark and is not part of
+// the BENCH_*.json ratchet.
 func BenchmarkFingerprint(b *testing.B) {
 	cfg := core.PCIe8GB()
 	b.ReportAllocs()
 	var fp string
 	for i := 0; i < b.N; i++ {
-		fp = sweep.Fingerprint("gemm", 512, cfg)
+		fp = sweep.Fingerprint("gemm", 512, &cfg)
 	}
 	b.ReportMetric(float64(len(fp)), "bytes/fp")
 }

@@ -331,12 +331,21 @@ func (a *app) cmdSweep(args []string) int {
 	return a.runScenarios(f, manifests, *csvPath, scenario.Load)
 }
 
-// runScenarios is run's and sweep's shared loop: resolve each target,
-// run it, print its table with a wall-time note (and the CSV when
-// asked), then flush the cache counters and wall profile. A failed
-// point moves on to the next target and exits 1 after the flush; an
-// unresolvable target exits 2 at once.
+// runScenarios is run's and sweep's shared loop: resolve every target,
+// then run each, print its table with a wall-time note (and the CSV
+// when asked), and flush the cache counters and wall profile on every
+// exit after the first run. An unresolvable target exits 2 before
+// anything simulates; a failed point moves on to the next target and
+// exits 1 after the flush.
 func (a *app) runScenarios(f *sweepFlags, targets []string, csvPath string, resolve func(string) (*scenario.Scenario, error)) int {
+	scs := make([]*scenario.Scenario, len(targets))
+	for i, target := range targets {
+		sc, err := resolve(target)
+		if err != nil {
+			return a.errorf("%v", err)
+		}
+		scs[i] = sc
+	}
 	stop, code := a.startProfiles(f)
 	if code >= 0 {
 		return code
@@ -344,12 +353,9 @@ func (a *app) runScenarios(f *sweepFlags, targets []string, csvPath string, reso
 	defer stop()
 
 	opt := a.options(f)
+	defer a.finish(opt)
 	code = exitOK
-	for _, target := range targets {
-		sc, err := resolve(target)
-		if err != nil {
-			return a.errorf("%v", err)
-		}
+	for _, sc := range scs {
 		start := time.Now()
 		res, err := sc.Run(opt)
 		if err != nil {
@@ -366,7 +372,6 @@ func (a *app) runScenarios(f *sweepFlags, targets []string, csvPath string, reso
 			}
 		}
 	}
-	a.finish(opt)
 	return code
 }
 

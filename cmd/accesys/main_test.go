@@ -204,6 +204,40 @@ func TestSweepMissingManifestFileFails(t *testing.T) {
 	}
 }
 
+// TestSweepBadTargetSimulatesNothing pins that every target resolves
+// before the first runs: a missing second manifest exits 2 with no
+// rows printed and no point simulated or cached.
+func TestSweepBadTargetSimulatesNothing(t *testing.T) {
+	cache := t.TempDir()
+	smoke := filepath.Join("..", "..", "testdata", "smoke.json")
+	code, out, errOut := testApp(t, "sweep", "-jobs", "1", "-cache", cache, smoke, "/nonexistent.json")
+	if code != usageErr {
+		t.Fatalf("exit %d, want %d:\n%s", code, usageErr, errOut)
+	}
+	if out != "" {
+		t.Fatalf("rows printed before the bad target exited:\n%s", out)
+	}
+	_, stats, _ := testApp(t, "cachestats", "-cache", cache)
+	if !strings.Contains(stats, "misses:  0\n") || !strings.Contains(stats, "entries: 0\n") {
+		t.Fatalf("a point simulated before the bad target exited:\n%s", stats)
+	}
+}
+
+// TestSweepCSVErrorFlushesState pins that a failed CSV write, which
+// exits 2 after the sweep ran, still persists the sweep's counters.
+func TestSweepCSVErrorFlushesState(t *testing.T) {
+	cache := t.TempDir()
+	manifest := writeManifest(t, miniManifest)
+	code, _, errOut := testApp(t, "sweep", "-jobs", "1", "-cache", cache, "-csv", t.TempDir(), manifest)
+	if code != usageErr {
+		t.Fatalf("exit %d, want %d:\n%s", code, usageErr, errOut)
+	}
+	_, stats, _ := testApp(t, "cachestats", "-cache", cache)
+	if !strings.Contains(stats, "misses:  2\n") || !strings.Contains(stats, "entries: 2\n") {
+		t.Fatalf("cachestats lost the sweep's misses:\n%s", stats)
+	}
+}
+
 func TestSweepRunsManifestAndWritesCSV(t *testing.T) {
 	manifest := writeManifest(t, miniManifest)
 	csvPath := filepath.Join(t.TempDir(), "out.csv")

@@ -151,6 +151,7 @@ func (t *TLP) step() {
 		out := s.route(t, t.fwdUp)
 		t.releaseConn = t.fwdFrom
 		t.fwd, t.fwdFrom = nil, nil
+		s.out++
 		out.send(t)
 	case stageDeliver:
 		c := t.dlvFrom

@@ -2,6 +2,7 @@ package pcie
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -412,5 +413,12 @@ func TestAuditReportsUndrainedFabric(t *testing.T) {
 	f.tree.EP(0).up.credit -= 8
 	if err := f.tree.Audit(); err == nil || !strings.Contains(err.Error(), "pcie.ep02sw: credit 2040 of 2048") {
 		t.Fatalf("Audit with credit missing = %v, want pcie.ep02sw named", err)
+	}
+	f.tree.EP(0).up.credit += 8
+	sw := f.tree.Switch
+	sw.out--
+	want := fmt.Sprintf("%s: %d TLPs in, %d out", sw.name, sw.in, sw.out)
+	if err := f.tree.Audit(); err == nil || err.Error() != want {
+		t.Fatalf("Audit with a TLP not forwarded = %v, want %q", err, want)
 	}
 }

@@ -36,6 +36,10 @@ type Switch struct {
 
 	forwarded *stats.Counter
 	bytes     *stats.Counter
+	// in and out count the TLPs that entered the switch and that left
+	// it on an egress link; a drained switch has forwarded them all.
+	// They are kept apart from the stats, which a caller may reset.
+	in, out uint64
 }
 
 func newSwitch(name string, eq *sim.EventQueue, reg *stats.Registry, cfg Config) *Switch {
@@ -54,6 +58,7 @@ func newSwitch(name string, eq *sim.EventQueue, reg *stats.Registry, cfg Config)
 func (s *Switch) deliverTLP(from *conn, t *TLP) {
 	upstream := from != s.fromRC
 	s.forwarded.Inc()
+	s.in++
 	s.bytes.Add(uint64(t.Bytes))
 
 	t.stage = stageForward
@@ -79,6 +84,14 @@ func (s *Switch) route(t *TLP, upstream bool) *conn {
 		panic(fmt.Sprintf("pcie: %s: no endpoint claims %v", s.name, t.Pkt))
 	}
 	return s.downs[target]
+}
+
+// audit reports a switch that did not forward every TLP it received.
+func (s *Switch) audit() error {
+	if s.in != s.out {
+		return fmt.Errorf("%s: %d TLPs in, %d out", s.name, s.in, s.out)
+	}
+	return nil
 }
 
 var _ receiver = (*Switch)(nil)

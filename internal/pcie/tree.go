@@ -248,7 +248,8 @@ func NewTree(name string, eq *sim.EventQueue, reg *stats.Registry, cfg Config, e
 
 // Audit reports the state a fabric must not hold once its run has
 // drained: a link whose receiver credit is not back at capacity, that
-// still queues TLPs or that is transmitting, and TLPs not back in the
+// still queues TLPs or that is transmitting, a switch that received
+// more or fewer TLPs than it forwarded, and TLPs not back in the
 // fabric's pool.
 func (t *Tree) Audit() error {
 	conns := []*conn{t.RC.down, t.Switch.up}
@@ -263,6 +264,10 @@ func (t *Tree) Audit() error {
 	var errs []error
 	for _, c := range conns {
 		errs = append(errs, c.audit())
+	}
+	errs = append(errs, t.Switch.audit())
+	for _, l := range t.Leaves {
+		errs = append(errs, l.audit())
 	}
 	if p := t.RC.pool; len(p.free) != p.made {
 		errs = append(errs, fmt.Errorf("%s: %d of %d TLPs not back in the pool", t.RC.name, p.made-len(p.free), p.made))

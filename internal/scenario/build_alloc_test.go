@@ -67,3 +67,34 @@ func TestGEMMRunAllocCeiling(t *testing.T) {
 		t.Fatalf("TimeGEMM(PCIe8GB, 128) allocated %d bytes, want <= %d", bytes, byteCeiling)
 	}
 }
+
+// Building a warm pass's points must stay lean: a warm re-run of fig4
+// resolves and fingerprints 35 points before its 35 cache hits, and
+// each point's 1 KB config is built once, in the runs slice, and
+// shared by its point and fingerprint rather than copied or boxed.
+// This is the regression gate against per-point config copies and
+// JSON canonicalisation creeping back into expansion: with both, a
+// pass allocated about 196,800 bytes.
+func TestWarmPassAllocCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	sc := MustBuiltin("fig4")
+	pass := func() {
+		sp, err := sc.Space(false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs, err := sp.runs()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(sc.Points(runs)) != 35 {
+			t.Fatal("fig4 no longer has 35 quick points")
+		}
+	}
+	const byteCeiling = 100 << 10
+	if bytes := bytesPerRun(20, pass); bytes > byteCeiling {
+		t.Fatalf("a warm fig4 pass's Space+runs+Points allocated %d bytes, want <= %d", bytes, byteCeiling)
+	}
+}

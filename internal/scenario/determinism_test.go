@@ -19,12 +19,12 @@ import (
 func miniPoints() []sweep.Point {
 	var points []sweep.Point
 	for _, cfg := range []core.Config{core.PCIe2GB(), core.PCIe8GB(), core.PCIe64GB(), core.DevMemCfg()} {
-		points = append(points, GEMMPoint(cfg, 64, nil))
+		points = append(points, GEMMPoint(&cfg, 64, nil))
 	}
 	bypass := core.PCIe8GB()
 	bypass.Name = "mini-bypass"
 	bypass.SMMU.Bypass = true
-	points = append(points, GEMMPoint(bypass, 64, nil))
+	points = append(points, GEMMPoint(&bypass, 64, nil))
 	return points
 }
 

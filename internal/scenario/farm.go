@@ -64,8 +64,9 @@ func SimTenants(cfg core.Config, tenants []TenantJob) (shared, solo []sim.Tick) 
 
 // FarmPoint wraps one co-running farm GEMM under cfg as a sweep point.
 // The leading "farm" identity element keeps farm fingerprints disjoint
-// from every "gemm"/"vit" point over the same config.
-func FarmPoint(cfg core.Config, n int) sweep.Point {
+// from every "gemm"/"vit" point over the same config. Like GEMMPoint,
+// it shares cfg.
+func FarmPoint(cfg *core.Config, n int) sweep.Point {
 	return sweep.Point{
 		Key:         cfg.Name,
 		Fingerprint: sweep.Fingerprint("farm", n, cfg),
@@ -75,7 +76,7 @@ func FarmPoint(cfg core.Config, n int) sweep.Point {
 			for i := range members {
 				members[i] = TenantJob{N: n, Jobs: 1}
 			}
-			ends := runTenants(cfg, members, -1)
+			ends := runTenants(*cfg, members, -1)
 			vals := make(map[string]float64, len(ends))
 			var makespan sim.Tick
 			for i, e := range ends {
@@ -90,12 +91,13 @@ func FarmPoint(cfg core.Config, n int) sweep.Point {
 // TenantsPoint wraps one multi-tenant contention run as a sweep point.
 // The outcome carries per-tenant shared/solo times, slowdowns, and the
 // fairness ratio (max slowdown / min slowdown; 1.0 = perfectly fair).
-func TenantsPoint(cfg core.Config, tenants []TenantJob) sweep.Point {
+// Like GEMMPoint, it shares cfg.
+func TenantsPoint(cfg *core.Config, tenants []TenantJob) sweep.Point {
 	return sweep.Point{
 		Key:         cfg.Name,
 		Fingerprint: sweep.Fingerprint("tenants", tenants, cfg),
 		Run: func() sweep.Outcome {
-			shared, solo := SimTenants(cfg, tenants)
+			shared, solo := SimTenants(*cfg, tenants)
 			vals := make(map[string]float64, 3*len(tenants)+1)
 			var makespan sim.Tick
 			worst, best := 0.0, math.Inf(1)

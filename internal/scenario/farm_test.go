@@ -58,7 +58,7 @@ func TestFarmAndTenantRunsDeterministic(t *testing.T) {
 		}
 		// Re-simulating the same point must reproduce every value and
 		// the duration exactly.
-		p := sc.pointFor(runs[0])
+		p := sc.pointFor(&runs[0])
 		a, b := p.Run(), p.Run()
 		if a.Dur != b.Dur || !reflect.DeepEqual(a.Values, b.Values) {
 			t.Fatalf("%s point not deterministic:\n%+v\n%+v", name, a, b)
@@ -72,7 +72,7 @@ func TestTenantMetricsSane(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := sc.pointFor(runs[0]).Run()
+	out := sc.pointFor(&runs[0]).Run()
 	for i := range runs[0].Tenants {
 		shared := out.Values[tenantKey(i, "exec_ns")]
 		solo := out.Values[tenantKey(i, "solo_ns")]
@@ -146,10 +146,10 @@ func TestHeterogeneousFingerprintsDisjoint(t *testing.T) {
 	cfg := core.PCIe8GB()
 	cfg.SMMU.Bypass = true
 	cfg = cfg.Resolved()
-	if GEMMPoint(cfg, 64, nil).Fingerprint == FarmPoint(cfg, 64).Fingerprint {
+	if GEMMPoint(&cfg, 64, nil).Fingerprint == FarmPoint(&cfg, 64).Fingerprint {
 		t.Fatal("farm point aliases gemm point over the same config")
 	}
-	if FarmPoint(cfg, 64).Fingerprint == TenantsPoint(cfg, []TenantJob{{N: 64, Jobs: 1}}).Fingerprint {
+	if FarmPoint(&cfg, 64).Fingerprint == TenantsPoint(&cfg, []TenantJob{{N: 64, Jobs: 1}}).Fingerprint {
 		t.Fatal("tenants point aliases farm point")
 	}
 
@@ -164,7 +164,8 @@ func TestHeterogeneousFingerprintsDisjoint(t *testing.T) {
 	}
 }
 
-func bypassed(cfg core.Config) core.Config {
+func bypassed(cfg core.Config) *core.Config {
 	cfg.SMMU.Bypass = true
-	return cfg.Resolved()
+	cfg = cfg.Resolved()
+	return &cfg
 }

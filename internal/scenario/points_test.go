@@ -6,7 +6,12 @@ package scenario
 // independent of anything but (scenario, full). These pin that for
 // every built-in matrix in both modes.
 
-import "testing"
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"io"
+	"testing"
+)
 
 func TestPointEnumerationOrderStable(t *testing.T) {
 	for _, name := range BuiltinNames() {
@@ -59,5 +64,36 @@ func TestPointsForMatchesExpandPlusPoints(t *testing.T) {
 		if got[i].Key != want[i].Key || got[i].Fingerprint != want[i].Fingerprint {
 			t.Fatalf("point %d differs: %q vs %q", i, got[i].Key, want[i].Key)
 		}
+	}
+}
+
+// builtinFingerprintDigest is the SHA-256 of every built-in point's
+// fingerprint, quick then full per scenario in BuiltinNames order, one
+// fingerprint per line. A fingerprint is the on-disk cache key, so a
+// change here means every warm re-run of an existing cache misses.
+// Update it only together with a deliberate key change (a new
+// core.Config field, a fingerprint version bump), and say so.
+const builtinFingerprintDigest = "6a5a9cce11b34387b4f28257927c63847620a3d063a12780e97bb95276ad1979"
+
+// TestBuiltinFingerprintsStable pins the cache keys of every built-in
+// point, so a refactor of expansion, point construction or the
+// fingerprint encoder that moves a key fails here rather than as a
+// silent cold re-run of an old sweep/v2 cache.
+func TestBuiltinFingerprintsStable(t *testing.T) {
+	h := sha256.New()
+	for _, name := range BuiltinNames() {
+		for _, full := range []bool{false, true} {
+			points, err := MustBuiltin(name).PointsFor(full)
+			if err != nil {
+				t.Fatalf("%s full=%v: %v", name, full, err)
+			}
+			for _, p := range points {
+				io.WriteString(h, p.Fingerprint)
+				io.WriteString(h, "\n")
+			}
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != builtinFingerprintDigest {
+		t.Fatalf("built-in fingerprint digest = %s, want %s: cache keys moved", got, builtinFingerprintDigest)
 	}
 }

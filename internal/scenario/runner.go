@@ -89,12 +89,14 @@ func TimeGEMM(cfg core.Config, n int) (sim.Tick, *core.System, driver.Result) {
 // GEMMPoint wraps one timing-only n^3 GEMM under cfg as a sweep
 // point. extract, when non-nil, pulls named metrics out of the
 // finished system into the outcome (so they survive the result cache).
-func GEMMPoint(cfg core.Config, n int, extract func(*core.System, driver.Result) map[string]float64) sweep.Point {
+// The point shares cfg rather than copying it, so cfg must not change
+// while the point is in use.
+func GEMMPoint(cfg *core.Config, n int, extract func(*core.System, driver.Result) map[string]float64) sweep.Point {
 	return sweep.Point{
 		Key:         cfg.Name,
 		Fingerprint: sweep.Fingerprint("gemm", n, cfg),
 		Run: func() sweep.Outcome {
-			d, sys, res := TimeGEMM(cfg, n)
+			d, sys, res := TimeGEMM(*cfg, n)
 			out := sweep.Outcome{Dur: d}
 			if extract != nil {
 				out.Values = extract(sys, res)
@@ -183,13 +185,14 @@ func SimViT(cfg core.Config, v workload.ViTVariant) ViTSplit {
 
 // ViTPoint wraps one (config, model) ViT run as a sweep point. The
 // outcome carries the GEMM/Non-GEMM split so it survives the result
-// cache, the one place ViT outcomes are remembered.
-func ViTPoint(cfg core.Config, v workload.ViTVariant) sweep.Point {
+// cache, the one place ViT outcomes are remembered. Like GEMMPoint, it
+// shares cfg.
+func ViTPoint(cfg *core.Config, v workload.ViTVariant) sweep.Point {
 	return sweep.Point{
 		Key:         cfg.Name + "/" + v.Name,
 		Fingerprint: sweep.Fingerprint("vit", v, cfg),
 		Run: func() sweep.Outcome {
-			t := SimViT(cfg, v)
+			t := SimViT(*cfg, v)
 			return sweep.Outcome{
 				Dur: t.Total(),
 				Values: map[string]float64{
@@ -223,7 +226,7 @@ func metricNames() string { return sortedKeys(metricGroups) }
 
 // extractor builds the per-run metric extraction closure for the
 // scenario's declared groups, or nil when none are declared.
-func (s *Scenario) extractor(r Run) func(*core.System, driver.Result) map[string]float64 {
+func (s *Scenario) extractor(r *Run) func(*core.System, driver.Result) map[string]float64 {
 	if len(s.Metrics) == 0 {
 		return nil
 	}
@@ -255,28 +258,31 @@ func (s *Scenario) extractor(r Run) func(*core.System, driver.Result) map[string
 	}
 }
 
-// pointFor wraps one resolved run as an engine-ready sweep point.
-func (s *Scenario) pointFor(r Run) sweep.Point {
+// pointFor wraps one resolved run as an engine-ready sweep point that
+// shares the run's config.
+func (s *Scenario) pointFor(r *Run) sweep.Point {
 	var p sweep.Point
 	switch s.Workload.Kind {
 	case "vit":
-		p = ViTPoint(r.Cfg, r.Model)
+		p = ViTPoint(&r.Cfg, r.Model)
 	case "farm":
-		p = FarmPoint(r.Cfg, r.N)
+		p = FarmPoint(&r.Cfg, r.N)
 	case "tenants":
-		p = TenantsPoint(r.Cfg, r.Tenants)
+		p = TenantsPoint(&r.Cfg, r.Tenants)
 	default:
-		p = GEMMPoint(r.Cfg, r.N, s.extractor(r))
+		p = GEMMPoint(&r.Cfg, r.N, s.extractor(r))
 	}
 	p.Key = r.Key
 	return p
 }
 
-// Points converts resolved runs into engine-ready sweep points.
+// Points converts resolved runs into engine-ready sweep points. Each
+// point aliases its run's config instead of copying it, so runs must
+// not change while the points are in use.
 func (s *Scenario) Points(runs []Run) []sweep.Point {
 	points := make([]sweep.Point, len(runs))
-	for i, r := range runs {
-		points[i] = s.pointFor(r)
+	for i := range runs {
+		points[i] = s.pointFor(&runs[i])
 	}
 	return points
 }

@@ -13,8 +13,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"reflect"
 	"strings"
+	"unicode/utf8"
 
 	"accesys/internal/accel"
 	"accesys/internal/core"
@@ -204,13 +206,22 @@ func (s *Scenario) TitleFor(full bool) string {
 	return s.Title
 }
 
-// canon round-trips a value through JSON so Go-declared scenarios and
-// manifest-loaded ones see identical representations (ints become
-// float64, structs become maps).
+// canon gives Go-declared scenarios and manifest-loaded ones identical
+// value representations, as a JSON round trip would (ints become
+// float64, structs become maps). The shapes axis values take (int,
+// float64, string, bool, nil, and map[string]any and []any of them)
+// are walked directly; anything else, or anything the walk cannot
+// vouch for (a non-finite float or an invalid UTF-8 string inside a
+// map or slice), takes the round trip itself, so canon accepts,
+// rejects and rewrites exactly what the round trip does. A top-level
+// float64, string, bool or nil passes through unchecked.
 func canon(v Value) (Value, error) {
 	switch v.(type) {
 	case float64, string, bool, nil:
 		return v, nil
+	}
+	if cv, ok := canonWalk(v, 0); ok {
+		return cv, nil
 	}
 	b, err := json.Marshal(v)
 	if err != nil {
@@ -221,6 +232,55 @@ func canon(v Value) (Value, error) {
 		return nil, err
 	}
 	return out, nil
+}
+
+// maxCanonDepth bounds canonWalk's nesting; a deeper (or cyclic) value
+// takes the round trip, which rejects it as JSON does.
+const maxCanonDepth = 64
+
+// canonWalk is canon's structural fast path: it reports false for any
+// value whose round trip it does not reproduce exactly.
+func canonWalk(v Value, depth int) (Value, bool) {
+	if depth > maxCanonDepth {
+		return nil, false
+	}
+	switch x := v.(type) {
+	case nil, bool:
+		return v, true
+	case string:
+		return v, utf8.ValidString(x)
+	case float64:
+		return v, !math.IsNaN(x) && !math.IsInf(x, 0)
+	case int:
+		return float64(x), true
+	case map[string]any:
+		if x == nil {
+			return nil, true
+		}
+		out := make(map[string]any, len(x))
+		for k, e := range x {
+			ce, ok := canonWalk(e, depth+1)
+			if !ok || !utf8.ValidString(k) {
+				return nil, false
+			}
+			out[k] = ce
+		}
+		return out, true
+	case []any:
+		if x == nil {
+			return nil, true
+		}
+		out := make([]any, len(x))
+		for i, e := range x {
+			ce, ok := canonWalk(e, depth+1)
+			if !ok {
+				return nil, false
+			}
+			out[i] = ce
+		}
+		return out, true
+	}
+	return nil, false
 }
 
 // Validate checks the scenario against the axis registry without

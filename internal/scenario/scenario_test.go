@@ -194,19 +194,19 @@ type twinBackendB struct{ accel.TileModel }
 func TestGEMMPointFingerprintsDifferByBackend(t *testing.T) {
 	a := core.PCIe8GB()
 	b := core.PCIe8GB()
-	pa := GEMMPoint(a, 64, nil)
-	if pb := GEMMPoint(b, 64, nil); pa.Fingerprint != pb.Fingerprint {
+	pa := GEMMPoint(&a, 64, nil)
+	if pb := GEMMPoint(&b, 64, nil); pa.Fingerprint != pb.Fingerprint {
 		t.Fatal("identical configs should share a fingerprint")
 	}
 	c := core.PCIe8GB()
 	c.Accel.ComputeOverride = 1
-	if pc := GEMMPoint(c, 64, nil); pa.Fingerprint == pc.Fingerprint {
+	if pc := GEMMPoint(&c, 64, nil); pa.Fingerprint == pc.Fingerprint {
 		t.Fatal("different configs must not share a fingerprint")
 	}
 	x, y := core.PCIe8GB(), core.PCIe8GB()
 	x.Accel.Backend = twinBackendA{}
 	y.Accel.Backend = twinBackendB{}
-	px, py := GEMMPoint(x, 64, nil), GEMMPoint(y, 64, nil)
+	px, py := GEMMPoint(&x, 64, nil), GEMMPoint(&y, 64, nil)
 	if px.Fingerprint == py.Fingerprint {
 		t.Fatal("backends of equal content but different types must not share a fingerprint")
 	}
@@ -222,13 +222,14 @@ func TestGEMMPointFingerprintsDifferByBackend(t *testing.T) {
 // A field of a kind the walk cannot change fails the test, so a new
 // config field is covered or noticed.
 func TestFingerprintCoversEveryConfigField(t *testing.T) {
-	preset := GEMMPoint(core.PCIe8GB(), 64, nil).Fingerprint
+	base := core.PCIe8GB()
+	preset := GEMMPoint(&base, 64, nil).Fingerprint
 	seen := map[string]string{preset: "preset"}
 	muts := configMutations(t, reflect.TypeOf(core.Config{}), "Config")
 	for _, m := range muts {
 		cfg := core.PCIe8GB()
 		m.set(reflect.ValueOf(&cfg).Elem())
-		fp := GEMMPoint(cfg, 64, nil).Fingerprint
+		fp := GEMMPoint(&cfg, 64, nil).Fingerprint
 		if prev, dup := seen[fp]; dup {
 			t.Errorf("changing %s leaves the fingerprint of %s", m.path, prev)
 		}

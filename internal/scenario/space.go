@@ -1,10 +1,11 @@
 package scenario
 
 // The lazy enumeration seam: a Space indexes a scenario's cross
-// product without materializing it. Expand is a loop over RunAt, so
-// both paths resolve points identically — the explore optimizer walks
-// the same (index, fingerprint) coordinates that shard plans and the
-// golden corpus pin, it just never has to build all of them.
+// product without materializing it. Expand and RunAt share one
+// resolver (runAt), so both paths resolve points identically — the
+// explore optimizer walks the same (index, fingerprint) coordinates
+// that shard plans and the golden corpus pin, it just never has to
+// build all of them.
 
 import (
 	"fmt"
@@ -97,17 +98,25 @@ func (ax *spaceAxis) pos(i int) int { return (i / ax.stride) % len(ax.sets) }
 // Expand's i-th run: defaults and axis values applied in phase order,
 // labels recorded in declaration order, then named.
 func (sp *Space) RunAt(i int) (Run, error) {
+	var r Run
+	if err := sp.runAt(i, &r); err != nil {
+		return Run{}, err
+	}
+	return r, nil
+}
+
+// runAt resolves point i in place into the zero Run r, so a run's
+// config is built where it is stored and never copied.
+func (sp *Space) runAt(i int, r *Run) error {
 	s := sp.sc
 	if i < 0 || i >= sp.size {
-		return Run{}, fmt.Errorf("scenario %s: point index %d out of range [0,%d)", s.Name, i, sp.size)
+		return fmt.Errorf("scenario %s: point index %d out of range [0,%d)", s.Name, i, sp.size)
 	}
-	r := Run{
-		Cfg:       presets[s.base()](),
-		N:         s.SizeFor(sp.full),
-		Model:     workload.ViTBase,
-		axisNames: sp.names,
-		labels:    make([]string, len(sp.axes)),
-	}
+	r.Cfg = presets[s.base()]()
+	r.N = s.SizeFor(sp.full)
+	r.Model = workload.ViTBase
+	r.axisNames = sp.names
+	r.labels = make([]string, len(sp.axes))
 	// Apply defaults and the selected value of every axis in phase
 	// order (presets replace the config wholesale, so they go first;
 	// placement-aware axes like "mem" go last), but record labels in
@@ -118,7 +127,7 @@ func (sp *Space) RunAt(i int) (Run, error) {
 	for phase := 0; phase <= maxPhase; phase++ {
 		for _, d := range sp.defaults {
 			if d.phase == phase {
-				d.apply(&r)
+				d.apply(r)
 			}
 		}
 		for j := range sp.axes {
@@ -127,7 +136,7 @@ func (sp *Space) RunAt(i int) (Run, error) {
 				continue
 			}
 			st := ax.sets[ax.pos(i)]
-			st.apply(&r)
+			st.apply(r)
 			r.labels[j] = st.label
 		}
 	}
@@ -142,39 +151,39 @@ func (sp *Space) RunAt(i int) (Run, error) {
 		if k == "tenants" {
 			r.Tenants = resolveTenants(s.Workload.Tenants, sp.full)
 			if na := r.Cfg.NumAccels(); na < len(r.Tenants) {
-				return Run{}, fmt.Errorf("scenario %s: %d tenants need at least that many accelerators, cluster has %d", s.Name, len(r.Tenants), na)
+				return fmt.Errorf("scenario %s: %d tenants need at least that many accelerators, cluster has %d", s.Name, len(r.Tenants), na)
 			}
 		}
 	}
-	s.nameRun(&r)
+	s.nameRun(r)
 	switch s.Workload.Kind {
 	case "gemm", "", "farm":
 		if r.N <= 0 {
-			return Run{}, fmt.Errorf("scenario %s: run %s has no GEMM size", s.Name, r.Key)
+			return fmt.Errorf("scenario %s: run %s has no GEMM size", s.Name, r.Key)
 		}
 	}
-	return r, nil
+	return nil
 }
 
-// runs resolves every point in order: Expand's body.
+// runs resolves every point in order, each in its slot of one slice:
+// Expand's body.
 func (sp *Space) runs() ([]Run, error) {
-	runs := make([]Run, 0, sp.size)
-	for i := 0; i < sp.size; i++ {
-		r, err := sp.RunAt(i)
-		if err != nil {
+	runs := make([]Run, sp.size)
+	for i := range runs {
+		if err := sp.runAt(i, &runs[i]); err != nil {
 			return nil, err
 		}
-		runs = append(runs, r)
 	}
 	return runs, nil
 }
 
 // PointAt resolves point i and wraps it as an engine-ready sweep
-// point, identical to PointsFor(full)[i].
+// point, identical to PointsFor(full)[i]. The point shares a run of
+// its own, so the returned copy may change freely.
 func (sp *Space) PointAt(i int) (Run, sweep.Point, error) {
-	r, err := sp.RunAt(i)
-	if err != nil {
+	r := new(Run)
+	if err := sp.runAt(i, r); err != nil {
 		return Run{}, sweep.Point{}, err
 	}
-	return r, sp.sc.pointFor(r), nil
+	return *r, sp.sc.pointFor(r), nil
 }

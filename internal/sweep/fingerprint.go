@@ -28,7 +28,10 @@ const maxFingerprintDepth = 64
 //   - slices and arrays are [len; elements], maps <len; key value ...>
 //     with the pairs sorted by their encoding;
 //   - nil (pointer, slice, map, interface or a nil part) is n, and a
-//     pointer's value follows a '*';
+//     pointer's value follows a '*' — except that a non-nil pointer
+//     part encodes as the value it points to, so a caller can pass a
+//     large struct by pointer without boxing a copy and get the same
+//     key;
 //   - an interface-typed field writes its dynamic type's name (quoted)
 //     before the value, so two implementations with equal content
 //     never alias.
@@ -38,14 +41,27 @@ const maxFingerprintDepth = 64
 // complex numbers and unsafe pointers panic, as does nesting deeper
 // than maxFingerprintDepth.
 func Fingerprint(parts ...any) string {
-	b := make([]byte, 0, 512)
-	b = append(b, fingerprintVersion...)
+	buf := fingerprintBufs.Get().(*[]byte)
+	defer fingerprintBufs.Put(buf)
+	b := append((*buf)[:0], fingerprintVersion...)
 	for _, p := range parts {
 		b = append(b, ' ')
-		b = appendValue(b, reflect.ValueOf(p), 0)
+		v := reflect.ValueOf(p)
+		if v.Kind() == reflect.Pointer && !v.IsNil() {
+			v = v.Elem()
+		}
+		b = appendValue(b, v, 0)
 	}
+	*buf = b
 	return string(b)
 }
+
+// fingerprintBufs recycles Fingerprint's scratch buffers, so a key
+// costs one allocation: the string it returns.
+var fingerprintBufs = sync.Pool{New: func() any {
+	b := make([]byte, 0, 512)
+	return &b
+}}
 
 func appendValue(b []byte, v reflect.Value, depth int) []byte {
 	if depth > maxFingerprintDepth {

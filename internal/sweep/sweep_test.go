@@ -384,6 +384,20 @@ func TestFingerprintEncodingPinned(t *testing.T) {
 	if got != want {
 		t.Fatalf("fingerprint encoding drifted:\n got %q\nwant %q", got, want)
 	}
+
+	// A non-nil pointer part encodes as the value it points to, so a
+	// config passed by pointer keys like one passed by value; a nested
+	// pointer still leads with '*' and a nil pointer part is n.
+	c := cfg{N: 3, Name: "a<b&c"}
+	var nilCfg *cfg
+	got = Fingerprint("gemm", &c, more{P: &five}, nilCfg)
+	want = `sweep/v2 "gemm" {3;"a<b&c"} {n*5;nnnf0;0;} n`
+	if got != want {
+		t.Fatalf("fingerprint encoding drifted:\n got %q\nwant %q", got, want)
+	}
+	if byValue := Fingerprint("gemm", c); Fingerprint("gemm", &c) != byValue {
+		t.Fatalf("pointer part keys differently from its value: %q vs %q", Fingerprint("gemm", &c), byValue)
+	}
 }
 
 // TestCacheRefMatchesGetPut pins that the precomputed-Ref path and the
