@@ -242,8 +242,8 @@ func TestExploreFig4CacheAliasesGoldenSweep(t *testing.T) {
 }
 
 // TestExploreFailedPointFlushesState pins explore's failure contract to
-// sweep's: a search whose 8192-B point fails exits 1, but first flushes
-// what the good 64-B point cost, so the persisted counters hold both
+// sweep's: a search whose 3-way TLB point fails exits 1, but first
+// flushes what the good 4-way point cost, so the persisted counters hold both
 // misses and the wall profile holds the good point's wall (and not the
 // failed one's).
 func TestExploreFailedPointFlushesState(t *testing.T) {
@@ -251,12 +251,12 @@ func TestExploreFailedPointFlushesState(t *testing.T) {
   "name": "pkt",
   "base": "pcie8gb",
   "workload": {"kind": "gemm", "n": 64},
-  "axes": [{"axis": "packet_bytes", "values": [64, 8192]}],
+  "axes": [{"axis": "smmu", "values": [{"tlb_assoc": 4}, {"tlb_assoc": 3}]}],
   "explore": {"objective": {"metric": "exec", "goal": "min"}, "seed": 1, "budget": "2", "promote": 1}
 }`)
 	cache := t.TempDir()
 	code, out, errOut := testApp(t, "explore", "-jobs", "2", "-cache", cache, "-trace", "", manifest)
-	if code != exitFail || !strings.Contains(errOut, `"pkt-8192" panicked`) {
+	if code != exitFail || !strings.Contains(errOut, `"pkt-assoc3" panicked`) {
 		t.Fatalf("exit %d, want %d naming the failed point:\n%s", code, exitFail, errOut)
 	}
 	if out != "" {

@@ -253,7 +253,7 @@ func TestFleetFailedPointRunsOnceAndMerges(t *testing.T) {
 			}
 			var own, forwarded int
 			for _, line := range strings.Split(errOut, "\n") {
-				if !strings.Contains(line, `"pkt-8192" panicked`) {
+				if !strings.Contains(line, `"pkt-assoc3" panicked`) {
 					continue
 				}
 				if strings.HasPrefix(line, "accesys: ") {
@@ -267,7 +267,7 @@ func TestFleetFailedPointRunsOnceAndMerges(t *testing.T) {
 				wantForwarded = 1
 			}
 			if own != 1 || forwarded != wantForwarded || strings.Contains(errOut, "attempt 2") {
-				t.Fatalf("stderr names pkt-8192 %d+%d times, want 1+%d, each shard run once:\n%s", own, forwarded, wantForwarded, errOut)
+				t.Fatalf("stderr names pkt-assoc3 %d+%d times, want 1+%d, each shard run once:\n%s", own, forwarded, wantForwarded, errOut)
 			}
 			if !strings.Contains(stdout, "fleet pkt: 2 shards over 2 workers") {
 				t.Fatalf("fleet summary missing:\n%s", stdout)

@@ -88,7 +88,8 @@
 // serves status polls, rendered rows (json/csv/text), and a streaming
 // ndjson progress feed, all against one shared warm cache. Concurrent
 // jobs submitting overlapping manifests coalesce on in-flight points,
-// so the overlap is simulated exactly once; a full queue answers 503
+// so the overlap is simulated exactly once, and share -jobs ×
+// -concurrency simulation slots; a full queue answers 503
 // and an over-quota client 429, both with Retry-After. See README.md
 // "Sweep as a service" for the API schema.
 //

@@ -163,15 +163,16 @@ func TestSweepLinkAxesOverDefaultBase(t *testing.T) {
 	}
 }
 
-// pktManifest sweeps a packet size past the DMA page size next to a
-// valid one: its 8192-B point fails inside the simulator (dma.New
-// rejects the burst), its 64-B point runs.
+// pktManifest sweeps a TLB geometry the SMMU cannot build next to a
+// valid one: its 3-way point (512 entries make 170 sets, not a power
+// of two) passes validation and fails inside the simulator, its 4-way
+// point runs.
 const pktManifest = `{
   "name": "pkt",
   "title": "packet sweep",
   "base": "pcie8gb",
   "workload": {"kind": "gemm", "n": 64},
-  "axes": [{"axis": "packet_bytes", "values": [64, 8192]}]
+  "axes": [{"axis": "smmu", "values": [{"tlb_assoc": 4}, {"tlb_assoc": 3}]}]
 }`
 
 // TestSweepFailedPointExitsOne pins the failure contract at the CLI: a
@@ -186,7 +187,7 @@ func TestSweepFailedPointExitsOne(t *testing.T) {
 		if code != exitFail {
 			t.Fatalf("exit %d, want %d:\n%s", code, exitFail, errOut)
 		}
-		if !strings.Contains(errOut, `"pkt-8192" panicked`) || strings.Contains(errOut, "goroutine") {
+		if !strings.Contains(errOut, `"pkt-assoc3" panicked`) || strings.Contains(errOut, "goroutine") {
 			t.Fatalf("stderr does not name the failed point cleanly:\n%s", errOut)
 		}
 		if !strings.Contains(errOut, want+", 0 errors") {

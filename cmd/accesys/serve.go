@@ -25,7 +25,7 @@ func (a *app) cmdServe(args []string) int {
 	fs := a.newFlagSet("serve")
 	addr := fs.String("addr", "localhost:8044", "listen address (host:port; port 0 picks a free port)")
 	cacheDir := fs.String("cache", defaultCacheDir(), "shared result cache directory")
-	jobs := fs.Int("jobs", 0, "simulation workers per running job (0 = one per CPU)")
+	jobs := fs.Int("jobs", 0, "the daemon runs jobs × concurrency simulations at once, in slots shared by every running job (0 = one per CPU)")
 	concurrency := fs.Int("concurrency", 0, "jobs running at once (0 = serve default)")
 	queue := fs.Int("queue", 0, "max jobs queued but not running before 503 (0 = serve default)")
 	quota := fs.Int("quota", 0, "max unfinished jobs per client before 429 (0 = serve default)")

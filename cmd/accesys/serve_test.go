@@ -239,8 +239,8 @@ func TestServeInProcessFleetSurvivesFailedPoint(t *testing.T) {
 		t.Fatalf("submit: %d %v", code, body)
 	}
 	st := serveWait(t, d.base, body["id"].(string))
-	if st.State != "failed" || !strings.Contains(st.Error, `"pkt-8192" panicked`) {
-		t.Fatalf("job with a failed point = %+v, want failed naming pkt-8192", st)
+	if st.State != "failed" || !strings.Contains(st.Error, `"pkt-assoc3" panicked`) {
+		t.Fatalf("job with a failed point = %+v, want failed naming pkt-assoc3", st)
 	}
 
 	code, body, _ = servePost(t, d.base, miniManifest, "")

@@ -14,6 +14,10 @@ import (
 	"accesys/internal/stats"
 )
 
+// DefaultPageBytes is the page size an engine splits bursts at unless
+// its config names another: the largest burst a default engine takes.
+const DefaultPageBytes = 4096
+
 // Config parameterizes an Engine.
 type Config struct {
 	// Channels is the number of independent DMA channels (default 4).
@@ -22,8 +26,8 @@ type Config struct {
 	BurstBytes int
 	// WindowBytes bounds in-flight bytes per channel (default 8192).
 	WindowBytes int
-	// PageBytes is the split boundary for translated paths
-	// (default 4096; 0 disables page splitting).
+	// PageBytes is the boundary every burst is split at
+	// (0 means DefaultPageBytes). BurstBytes may not exceed it.
 	PageBytes uint64
 	// StartLatency models descriptor fetch/decode per transfer
 	// (default 40 ns).
@@ -43,7 +47,7 @@ func (c *Config) setDefaults() {
 		c.WindowBytes = 8192
 	}
 	if c.PageBytes == 0 {
-		c.PageBytes = 4096
+		c.PageBytes = DefaultPageBytes
 	}
 	if c.StartLatency == 0 {
 		c.StartLatency = 40 * sim.Nanosecond

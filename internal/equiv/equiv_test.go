@@ -400,9 +400,9 @@ func TestRunMixedFarmAndTenantsAreNoModel(t *testing.T) {
 
 func TestRunFailedPointFailsTheAudit(t *testing.T) {
 	sc := miniScenario()
-	sc.Axes = []scenario.Axis{{Name: "packet_bytes", Values: []scenario.Value{64.0, 8192.0}}}
+	sc.Axes = []scenario.Axis{{Name: "smmu", Values: []scenario.Value{map[string]any{"tlb_assoc": 4.0}, map[string]any{"tlb_assoc": 3.0}}}}
 	rep, err := Run(sc, scenario.Options{Jobs: 2}, Tolerances{})
-	if rep != nil || !errors.Is(err, sweep.ErrPoint) || !strings.Contains(err.Error(), `"equiv-mini-8192" panicked`) {
-		t.Fatalf("Run = %v, %v; want no report and the 8192-B point's failure", rep, err)
+	if rep != nil || !errors.Is(err, sweep.ErrPoint) || !strings.Contains(err.Error(), `"equiv-mini-assoc3" panicked`) {
+		t.Fatalf("Run = %v, %v; want no report and the 3-way TLB point's failure", rep, err)
 	}
 }

@@ -383,7 +383,7 @@ func TestExploreRejectsInvalidOverrides(t *testing.T) {
 // error, instead of ranking a zero outcome as the fastest point.
 func TestExploreFailedPointFailsTheSearch(t *testing.T) {
 	sc := miniScenario()
-	sc.Axes[1].Values = []scenario.Value{8192.0}
+	sc.Axes[1] = scenario.Axis{Name: "smmu", Values: []scenario.Value{map[string]any{"tlb_assoc": 3.0}}}
 	rep, err := Run(sc, scenario.Options{Jobs: 2}, Params{Budget: "2"})
 	if rep != nil || !errors.Is(err, sweep.ErrPoint) || !strings.Contains(err.Error(), "panicked") {
 		t.Fatalf("Run = %v, %v; want no report and the points' failure", rep, err)

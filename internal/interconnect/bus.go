@@ -6,6 +6,7 @@
 package interconnect
 
 import (
+	"errors"
 	"fmt"
 
 	"accesys/internal/mem"
@@ -222,6 +223,26 @@ func (b *Bus) wakeRespWaiters(i int) {
 	w := waiters[0]
 	b.respWaiters[i] = waiters[1:]
 	w.SendRetryResp()
+}
+
+// Audit reports the state a bus must not hold once its run has
+// drained: a packet queued in, or a block on, any egress queue, and a
+// refused port still waiting for its retry.
+func (b *Bus) Audit() error {
+	var errs []error
+	queue := func(name string, i int, q *mem.PacketQueue, waiters int) {
+		if !q.Empty() || q.Blocked() || waiters != 0 {
+			errs = append(errs, fmt.Errorf("%s.%s[%d]: %d packets queued, blocked %v, %d refused ports waiting",
+				b.name, name, i, q.Len(), q.Blocked(), waiters))
+		}
+	}
+	for i, q := range b.reqQueues {
+		queue("reqq", i, q, len(b.reqWaiters[i]))
+	}
+	for i, q := range b.respQueues {
+		queue("respq", i, q, len(b.respWaiters[i]))
+	}
+	return errors.Join(errs...)
 }
 
 var _ mem.Requestor = (*Bus)(nil)

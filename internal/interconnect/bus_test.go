@@ -2,6 +2,7 @@ package interconnect
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"accesys/internal/mem"
@@ -162,4 +163,30 @@ func TestBusAddRange(t *testing.T) {
 	rg.req0.Send(mem.NewWriteSize(1<<20, 0)) // size 0: routing only
 	defer func() { recover() }()
 	rg.eq.Run()
+}
+
+// Audit holds a bus to the state a drained run leaves: no packet
+// queued on, and no block on, any egress queue, and no refused port
+// still waiting for its retry, in either direction.
+func TestAuditReportsUndrainedBus(t *testing.T) {
+	rg := newRig(t, Config{Latency: sim.Nanosecond, QueueDepth: 1})
+	rg.mem0.RefuseRequests = true
+	for i := 0; i < 3; i++ {
+		rg.req0.Send(mem.NewRead(uint64(i)*64, 64))
+	}
+	rg.eq.Run()
+	if err := rg.bus.Audit(); err == nil || !strings.Contains(err.Error(), "membus.reqq[0]: 1 packets queued, blocked true, 1 refused ports waiting") {
+		t.Fatalf("Audit with requests refused = %v, want the blocked reqq and its waiter", err)
+	}
+	rg.req0.RefuseResponses = true
+	rg.mem0.ReleaseRequests()
+	rg.eq.Run()
+	if err := rg.bus.Audit(); err == nil || !strings.Contains(err.Error(), "membus.respq[0]: 1 packets queued, blocked true") {
+		t.Fatalf("Audit with responses refused = %v, want the blocked respq", err)
+	}
+	rg.req0.ReleaseResponses()
+	rg.eq.Run()
+	if err := rg.bus.Audit(); err != nil || len(rg.req0.Done) != 3 {
+		t.Fatalf("Audit after %d of 3 reads: %v", len(rg.req0.Done), err)
+	}
 }

@@ -9,6 +9,7 @@ import (
 
 	"accesys/internal/accel"
 	"accesys/internal/core"
+	"accesys/internal/dma"
 	"accesys/internal/dram"
 	"accesys/internal/pcie"
 	"accesys/internal/sim"
@@ -92,8 +93,8 @@ var axisRegistry = map[string]axisDef{
 	"lanes":     {phaseField, integer("", func(r *Run, n int) { r.Cfg.PCIe.Link.Lanes = n })},
 	"lane_gbps": {phaseField, numeric("Gbps", func(r *Run, f float64) { r.Cfg.PCIe.Link.LaneGbps = f })},
 	// Host-path and device-path DMA burst (request packet) sizes.
-	"packet_bytes":     {phaseField, integer("B", func(r *Run, n int) { r.Cfg.Accel.HostDMA.BurstBytes = n })},
-	"dev_packet_bytes": {phaseField, integer("B", func(r *Run, n int) { r.Cfg.Accel.DevDMA.BurstBytes = n })},
+	"packet_bytes":     {phaseField, burst(func(r *Run, n int) { r.Cfg.Accel.HostDMA.BurstBytes = n })},
+	"dev_packet_bytes": {phaseField, burst(func(r *Run, n int) { r.Cfg.Accel.DevDMA.BurstBytes = n })},
 	// Per-tile compute time override in nanoseconds (0 = model),
 	// scaled before the conversion so fractions keep their picoseconds.
 	"compute_ns": {phaseField, numeric("", func(r *Run, f float64) {
@@ -242,6 +243,24 @@ func integer(unit string, set func(r *Run, n int)) func(Value) (setting, error) 
 	return func(v Value) (setting, error) {
 		if f, ok := v.(float64); ok && f != math.Trunc(f) {
 			return setting{}, fmt.Errorf("want an integer, got %g", f)
+		}
+		return parse(v)
+	}
+}
+
+// burst is integer for a DMA burst size. No engine takes a burst past
+// its page, and a negative one never finishes a transfer, so both are
+// rejected here rather than failing (or hanging) every point that
+// carries them; 0 keeps the engine's default.
+func burst(set func(r *Run, n int)) func(Value) (setting, error) {
+	parse := integer("B", set)
+	return func(v Value) (setting, error) {
+		f, ok := v.(float64)
+		switch {
+		case ok && f > dma.DefaultPageBytes:
+			return setting{}, fmt.Errorf("burst %g B exceeds the %d-B DMA page size", f, dma.DefaultPageBytes)
+		case ok && f < 0:
+			return setting{}, fmt.Errorf("burst %g B is negative", f)
 		}
 		return parse(v)
 	}

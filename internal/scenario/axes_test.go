@@ -10,6 +10,7 @@ package scenario
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"testing"
 
 	"accesys/internal/sweep"
@@ -94,6 +95,7 @@ var axisPins = []axisPin{
 			{4096.0, "4096", "4096B", "4096"},
 		},
 		wrongType: "big", wrongTypeErr: `scenario pin: axis "packet_bytes": want a number, got string`,
+		outOfSet: 8192.0, outOfSetErr: `scenario pin: axis "packet_bytes": burst 8192 B exceeds the 4096-B DMA page size`,
 	},
 	{
 		axis:  "dev_packet_bytes",
@@ -102,6 +104,7 @@ var axisPins = []axisPin{
 			{128, "128", "128B", "128"},
 		},
 		wrongType: "big", wrongTypeErr: `scenario pin: axis "dev_packet_bytes": want a number, got string`,
+		outOfSet: -64.0, outOfSetErr: `scenario pin: axis "dev_packet_bytes": burst -64 B is negative`,
 	},
 	{
 		axis:  "compute_ns",
@@ -320,6 +323,25 @@ func TestAxisRegistryPinned(t *testing.T) {
 	for _, name := range names {
 		if !covered[name] {
 			t.Errorf("axis %q has no pinned values", name)
+		}
+	}
+}
+
+// TestValidateRejectsBurstPastPage pins the burst/page rule: the
+// FuzzManifestRun probe whose 8192-B point used to fail inside dma.New
+// is now rejected before any point runs, naming the page size, and so
+// is such a burst given as a default.
+func TestValidateRejectsBurstPastPage(t *testing.T) {
+	for _, data := range []string{
+		`{"name":"pkt","base":"pcie8gb","workload":{"kind":"gemm","n":64},"axes":[{"axis":"packet_bytes","values":[64,8192]}]}`,
+		`{"name":"pkt","base":"pcie8gb","workload":{"kind":"gemm","n":64},"defaults":[{"axis":"dev_packet_bytes","value":8192}],"axes":[{"axis":"lanes","values":[4]}]}`,
+	} {
+		sc, err := Parse([]byte(data))
+		if err == nil {
+			err = sc.Validate()
+		}
+		if err == nil || !strings.Contains(err.Error(), "exceeds the 4096-B DMA page size") {
+			t.Errorf("%s: error %v, want the DMA page size named", data, err)
 		}
 	}
 }

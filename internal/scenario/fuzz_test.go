@@ -88,10 +88,12 @@ func FuzzManifestParse(f *testing.F) {
 // or a ViT workload are skipped, not failed.
 func FuzzManifestRun(f *testing.F) {
 	addCommittedManifests(f)
-	// The probes: a packet past the DMA page size (a failed point), a
-	// per-tile compute time of 1e12 ns (16,000 s simulated), and an
-	// accelerator count of 0 and of 64.
+	// The probes: a packet past the DMA page size (rejected by
+	// Validate), a per-tile compute time of 1e12 ns (16,000 s
+	// simulated), an accelerator count of 0 and of 64, and a TLB
+	// geometry the SMMU cannot build (a failed point).
 	f.Add([]byte(`{"name":"pkt","base":"pcie8gb","workload":{"kind":"gemm","n":64},"axes":[{"axis":"packet_bytes","values":[64,8192]}]}`))
+	f.Add([]byte(`{"name":"tlb","base":"pcie8gb","workload":{"kind":"gemm","n":64},"axes":[{"axis":"smmu","values":[{"tlb_assoc":4},{"tlb_assoc":3}]}]}`))
 	f.Add([]byte(`{"name":"slow","base":"pcie8gb","workload":{"kind":"gemm","n":64},"axes":[{"axis":"compute_ns","values":[1e12]}]}`))
 	f.Add([]byte(`{"name":"acc","base":"pcie8gb","workload":{"kind":"gemm","n":64},"axes":[{"axis":"accelerators","values":[0,64]}]}`))
 

@@ -597,14 +597,14 @@ func TestResultWriteCSV(t *testing.T) {
 // it, renders no table, and still caches its sibling.
 func TestRunFailedPointFailsTheRun(t *testing.T) {
 	sc, err := Parse([]byte(`{"name": "pkt", "base": "pcie8gb", "workload": {"kind": "gemm", "n": 64},
-		"axes": [{"axis": "packet_bytes", "values": [64, 8192]}]}`))
+		"axes": [{"axis": "smmu", "values": [{"tlb_assoc": 4}, {"tlb_assoc": 3}]}]}`))
 	if err != nil {
 		t.Fatal(err)
 	}
 	cache := sweep.Memory()
 	res, err := sc.Run(Options{Jobs: 2, Cache: cache})
-	if res != nil || !errors.Is(err, sweep.ErrPoint) || !strings.Contains(err.Error(), `"pkt-8192" panicked`) {
-		t.Fatalf("Run = %v, %v; want no table and pkt-8192's failure", res, err)
+	if res != nil || !errors.Is(err, sweep.ErrPoint) || !strings.Contains(err.Error(), `"pkt-assoc3" panicked`) {
+		t.Fatalf("Run = %v, %v; want no table and pkt-assoc3's failure", res, err)
 	}
 	if _, misses, _ := cache.Stats(); misses != 2 {
 		t.Fatalf("cold run: %d misses, want 2", misses)

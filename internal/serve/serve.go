@@ -3,7 +3,9 @@
 // scenario manifests, queues them onto a bounded job queue, executes
 // them against one shared warm cache, and serves rendered rows back.
 // Concurrent jobs submitting overlapping manifests share cold
-// simulations through one in-flight dedup Flight instead of racing;
+// simulations through one in-flight dedup Flight instead of racing,
+// and every running job draws on the one simulation budget that
+// Flight carries;
 // a full queue pushes back with Retry-After instead of accepting
 // unbounded work; per-client quotas keep one client from monopolising
 // the queue; a retention cap on finished jobs keeps the job table
@@ -15,6 +17,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"time"
 
@@ -32,8 +35,10 @@ type Config struct {
 	// and is flushed after every job, so the daemon keeps improving the
 	// fleet partitioner's schedule while it serves.
 	Profile *sweep.Profile
-	// Jobs bounds each running job's sweep worker pool (0 = one per
-	// CPU).
+	// Jobs sizes the daemon's simulation budget: Jobs × Concurrency
+	// cold simulations run at once, shared by every running job, and
+	// each job may use every slot that is free (0 = one per CPU). A
+	// fleet job's shards run with Jobs workers each.
 	Jobs int
 	// Concurrency is how many jobs run at once (default 2). Queued jobs
 	// beyond it wait in submission order.
@@ -76,6 +81,16 @@ func (c Config) concurrency() int {
 	return 2
 }
 
+// slots is the daemon's simulation budget: Jobs × Concurrency, with
+// Jobs 0 counting one per CPU.
+func (c Config) slots() int {
+	jobs := c.Jobs
+	if jobs <= 0 {
+		jobs = runtime.NumCPU()
+	}
+	return jobs * c.concurrency()
+}
+
 func (c Config) queueLimit() int {
 	if c.QueueLimit > 0 {
 		return c.QueueLimit
@@ -101,7 +116,7 @@ func (c Config) jobRetention() int {
 // on an http.Server, and Close on shutdown.
 type Server struct {
 	cfg    Config
-	flight sweep.Flight
+	flight *sweep.Flight // dedup and the simulation budget, shared by every job
 
 	mu       sync.Mutex
 	jobs     map[string]*job
@@ -120,6 +135,11 @@ type Server struct {
 // and quota states deterministic.
 var testHookRunning func(*job)
 
+// testHookRun, when non-nil, replaces the in-process executor's
+// scenario run, receiving the options the job would sweep with —
+// white-box tests sweep blocking points through the server's Flight.
+var testHookRun func(*job, scenario.Options) (*scenario.Result, error)
+
 // New validates the config and starts the runner pool (and the GC
 // ticker when configured). The server accepts submissions until Close.
 func New(cfg Config) (*Server, error) {
@@ -134,6 +154,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		cfg:      cfg,
+		flight:   sweep.NewFlight(cfg.slots()),
 		jobs:     map[string]*job{},
 		byClient: map[string]int{},
 		queue:    make(chan *job, cfg.queueLimit()),
@@ -323,16 +344,22 @@ func (s *Server) runJob(j *job) {
 
 // runInProcess is the default executor: the job sweeps directly on the
 // shared cache, coalescing with every other running job through the
-// server's Flight.
+// server's Flight. Its engine gets a worker per simulation slot, so a
+// job may use every slot the other jobs leave free; the Flight keeps
+// the daemon's total within the budget.
 func (s *Server) runInProcess(j *job) (*scenario.Result, error) {
-	return j.scenario.Run(scenario.Options{
+	o := scenario.Options{
 		Full:     j.full,
-		Jobs:     s.cfg.Jobs,
+		Jobs:     s.cfg.slots(),
 		Cache:    s.cfg.Cache,
 		Profile:  s.cfg.Profile,
-		Flight:   &s.flight,
+		Flight:   s.flight,
 		OnResult: j.observe,
-	})
+	}
+	if testHookRun != nil {
+		return testHookRun(j, o)
+	}
+	return j.scenario.Run(o)
 }
 
 // runFleet executes the job through the fleet scheduler: the manifest

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -338,6 +339,87 @@ func TestConcurrentOverlapDedup(t *testing.T) {
 		if st.Cold+st.Warm+st.Shared != st.Completed {
 			t.Fatalf("counter partition broken: %+v", st)
 		}
+	}
+}
+
+// slotProbe stands in for the in-process executor's scenario run: each
+// job sweeps as many distinct blocking points as its manifest holds,
+// through the options the server built, and the probe counts how many
+// simulate at once.
+type slotProbe struct {
+	running, peak atomic.Int32
+	release       chan struct{}
+}
+
+func newSlotProbe(t *testing.T) *slotProbe {
+	p := &slotProbe{release: make(chan struct{})}
+	testHookRun = func(j *job, o scenario.Options) (*scenario.Result, error) {
+		points := make([]sweep.Point, j.total)
+		for i := range points {
+			points[i] = sweep.Point{
+				Key:         fmt.Sprintf("%s-%d", j.id, i),
+				Fingerprint: sweep.Fingerprint("slot-probe", j.id, i),
+				Run: func() sweep.Outcome {
+					now := p.running.Add(1)
+					for old := p.peak.Load(); now > old && !p.peak.CompareAndSwap(old, now); old = p.peak.Load() {
+					}
+					<-p.release
+					p.running.Add(-1)
+					return sweep.Outcome{Dur: 1}
+				},
+			}
+		}
+		return &scenario.Result{ID: j.id}, sweep.Failed(o.Sweep(j.id, points))
+	}
+	t.Cleanup(func() { testHookRun = nil })
+	return p
+}
+
+// waitRunning polls until want probe points simulate at once.
+func (p *slotProbe) waitRunning(t *testing.T, want int32) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for p.running.Load() < want {
+		if time.Now().After(deadline) {
+			close(p.release)
+			t.Fatalf("%d points simulating, want %d", p.running.Load(), want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestLoneJobUsesEverySlot pins the shared budget's first half: with
+// Concurrency 2 and Jobs 1 the daemon has two simulation slots, and a
+// job running alone simulates on both.
+func TestLoneJobUsesEverySlot(t *testing.T) {
+	probe := newSlotProbe(t)
+	_, ts := newTestServer(t, func(c *Config) { c.Concurrency = 2; c.Jobs = 1 })
+	_, body, _ := submitManifest(t, ts, miniManifest, "alice")
+	probe.waitRunning(t, 2)
+	close(probe.release)
+	if st := waitDone(t, ts, body["id"].(string)); st.State != stateDone || st.Cold != 2 {
+		t.Fatalf("lone job = %+v, want done with 2 cold points", st)
+	}
+}
+
+// TestConcurrentJobsShareSlots pins the second half: two running jobs,
+// each able to use every slot, never simulate more than Jobs ×
+// Concurrency points together.
+func TestConcurrentJobsShareSlots(t *testing.T) {
+	probe := newSlotProbe(t)
+	_, ts := newTestServer(t, func(c *Config) { c.Concurrency = 2; c.Jobs = 1 })
+	_, b1, _ := submitManifest(t, ts, overlapManifest, "alice")
+	_, b2, _ := submitManifest(t, ts, overlapManifest, "bob")
+	probe.waitRunning(t, 2)
+	time.Sleep(20 * time.Millisecond) // room for a third to slip in
+	close(probe.release)
+	for _, b := range []map[string]any{b1, b2} {
+		if st := waitDone(t, ts, b["id"].(string)); st.State != stateDone || st.Cold != 3 {
+			t.Fatalf("job = %+v, want done with 3 cold points", st)
+		}
+	}
+	if p := probe.peak.Load(); p != 2 {
+		t.Fatalf("peak %d simulations at once, want 2 (Jobs × Concurrency)", p)
 	}
 }
 
@@ -694,7 +776,7 @@ func TestJobRetentionEvictsOldestTerminal(t *testing.T) {
 }
 
 func TestPanickingJobFailsWithoutKillingServer(t *testing.T) {
-	// A packet size past the DMA page size panics inside the simulator.
+	// A TLB geometry the SMMU cannot build panics inside the simulator.
 	// The manifest expands fine, so the submission is accepted; the
 	// runner must contain the panic as a failed job and keep serving.
 	const panicManifest = `{
@@ -702,7 +784,7 @@ func TestPanickingJobFailsWithoutKillingServer(t *testing.T) {
   "title": "panic sweep",
   "base": "pcie8gb",
   "workload": {"kind": "gemm", "n": 64},
-  "axes": [{"axis": "packet_bytes", "values": [8192]}]
+  "axes": [{"axis": "smmu", "values": [{"tlb_assoc": 3}]}]
 }`
 	_, ts := newTestServer(t, nil)
 	code, body, _ := submitManifest(t, ts, panicManifest, "")
@@ -866,13 +948,13 @@ func TestServeFleetJobWithFailedPoint(t *testing.T) {
   "title": "packet sweep",
   "base": "pcie8gb",
   "workload": {"kind": "gemm", "n": 64},
-  "axes": [{"axis": "packet_bytes", "values": [64, 8192]}]
+  "axes": [{"axis": "smmu", "values": [{"tlb_assoc": 4}, {"tlb_assoc": 3}]}]
 }`
 	srv, ts := newTestServer(t, func(c *Config) { c.FleetSpec = fleet.LocalSpec(2) })
 	_, body, _ := submitManifest(t, ts, pktManifest, "")
 	st := waitDone(t, ts, body["id"].(string))
-	if st.State != stateFailed || strings.Count(st.Error, `"pkt-8192" panicked`) != 1 || st.Cold != 2 {
-		t.Fatalf("fleet job = %+v, want failed naming pkt-8192 once after 2 cold runs", st)
+	if st.State != stateFailed || strings.Count(st.Error, `"pkt-assoc3" panicked`) != 1 || st.Cold != 2 {
+		t.Fatalf("fleet job = %+v, want failed naming pkt-assoc3 once after 2 cold runs", st)
 	}
 	if _, err := os.Stat(filepath.Join(srv.cfg.WorkDir, st.ID)); !os.IsNotExist(err) {
 		t.Fatalf("fleet work directory left behind: %v", err)
@@ -892,7 +974,7 @@ func TestConcurrentOverlapLeaderPanicFailsBothJobs(t *testing.T) {
   "title": "panic overlap",
   "base": "pcie8gb",
   "workload": {"kind": "gemm", "n": 64},
-  "axes": [{"axis": "packet_bytes", "values": [8192]}]
+  "axes": [{"axis": "smmu", "values": [{"tlb_assoc": 3}]}]
 }`
 	start := make(chan struct{})
 	arrived := make(chan struct{}, 2)

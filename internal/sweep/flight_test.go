@@ -14,61 +14,41 @@ import (
 
 func TestFlightCoalescesConcurrentCallers(t *testing.T) {
 	var f Flight
-	var runs atomic.Int32
-	release := make(chan struct{})
-	started := make(chan struct{})
-
-	leaderDone := make(chan Outcome, 1)
-	go func() {
-		out, led := f.Do("k", func() Outcome {
-			close(started)
-			runs.Add(1)
-			<-release
-			return Outcome{Dur: 42}
-		})
-		if !led {
-			t.Error("first caller did not lead")
-		}
-		leaderDone <- out
-	}()
-	<-started
+	leader, led := f.Join("k")
+	if !led {
+		t.Fatal("first caller did not lead")
+	}
 
 	const followers = 8
-	var wg sync.WaitGroup
-	var calling sync.WaitGroup
+	var wg, joined sync.WaitGroup
 	outs := make([]Outcome, followers)
+	calls := make([]*Call, followers)
 	for i := 0; i < followers; i++ {
 		wg.Add(1)
-		calling.Add(1)
+		joined.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			calling.Done()
-			out, led := f.Do("k", func() Outcome {
-				runs.Add(1)
-				return Outcome{Dur: 9999}
-			})
+			c, led := f.Join("k")
+			joined.Done()
 			if led {
 				t.Error("follower led while the leader was in flight")
 			}
-			outs[i] = out
+			calls[i] = c
+			outs[i] = c.Wait()
 		}(i)
 	}
-	// The leader stays blocked on release until every follower is at
-	// (or past) its Do call, so all of them join the in-flight call.
-	calling.Wait()
-	time.Sleep(10 * time.Millisecond)
-	close(release)
+	// Joining never blocks, so every follower holds the call before
+	// the leader lands and all of them adopt the leader's outcome.
+	joined.Wait()
+	f.Land(leader, Outcome{Dur: 42})
 	wg.Wait()
-	if out := <-leaderDone; out.Dur != 42 {
-		t.Fatalf("leader outcome = %v", out.Dur)
-	}
 	for i, out := range outs {
-		if out.Dur != 42 {
-			t.Fatalf("follower %d outcome = %v, want 42", i, out.Dur)
+		if out.Dur != 42 || calls[i] != leader {
+			t.Fatalf("follower %d outcome = %v on call %p, want 42 on the leader's %p", i, out.Dur, calls[i], leader)
 		}
 	}
-	if n := runs.Load(); n != 1 {
-		t.Fatalf("fn ran %d times, want 1", n)
+	if out := leader.Wait(); out.Dur != 42 {
+		t.Fatalf("leader outcome = %v", out.Dur)
 	}
 	if f.Inflight() != 0 {
 		t.Fatal("flight still tracks a completed call")
@@ -78,8 +58,9 @@ func TestFlightCoalescesConcurrentCallers(t *testing.T) {
 func TestFlightForgetsCompletedCalls(t *testing.T) {
 	var f Flight
 	for i := 0; i < 3; i++ {
-		out, led := f.Do("k", func() Outcome { return Outcome{Dur: 7} })
-		if !led || out.Dur != 7 {
+		c, led := f.Join("k")
+		f.Land(c, Outcome{Dur: 7})
+		if out := c.Wait(); !led || out.Dur != 7 {
 			t.Fatalf("sequential call %d: led=%v out=%v", i, led, out.Dur)
 		}
 	}
@@ -95,13 +76,15 @@ func TestFlightDistinctKeysRunConcurrently(t *testing.T) {
 			defer wg.Done()
 			// Every key waits on the same gate: if distinct keys
 			// serialised, this would deadlock.
-			f.Do(fmt.Sprintf("k%d", i), func() Outcome {
-				if i == 3 {
-					close(gate)
-				}
-				<-gate
-				return Outcome{}
-			})
+			c, led := f.Join(fmt.Sprintf("k%d", i))
+			if !led {
+				t.Errorf("key k%d did not lead", i)
+			}
+			if i == 3 {
+				close(gate)
+			}
+			<-gate
+			f.Land(c, Outcome{})
 		}(i)
 	}
 	wg.Wait()
@@ -110,56 +93,36 @@ func TestFlightDistinctKeysRunConcurrently(t *testing.T) {
 func TestFlightFailureReachesLeader(t *testing.T) {
 	var f Flight
 	boom := errors.New("boom")
-	out, led := f.Do("k", func() Outcome { return Outcome{Err: boom} })
-	if !led || out.Err != boom {
+	c, led := f.Join("k")
+	f.Land(c, Outcome{Err: boom})
+	if out := c.Wait(); !led || out.Err != boom {
 		t.Fatalf("leader got led=%v err=%v, want its own failure", led, out.Err)
 	}
 	if f.Inflight() != 0 {
 		t.Fatal("failed call still tracked")
 	}
-	// The key is forgotten: a later call runs fn again.
-	if out, led := f.Do("k", func() Outcome { return Outcome{Dur: 1} }); !led || out.Err != nil {
-		t.Fatalf("call after a failure: led=%v err=%v, want a fresh run", led, out.Err)
+	// The key is forgotten: a later call leads again.
+	if c, led := f.Join("k"); !led || c.out.Err != nil {
+		t.Fatalf("call after a failure: led=%v err=%v, want a fresh run", led, c.out.Err)
 	}
 }
 
 func TestFlightFailureReachesFollowers(t *testing.T) {
-	// A follower that arrives after the leader's call completes leads a
-	// fresh call instead of adopting the failure, so retry the scenario
-	// until the follower genuinely followed.
+	// Joining does not block, so the follower is inside the leader's
+	// flight by construction: no retry loop is needed to overlap them.
+	var f Flight
 	boom := errors.New("boom")
-	for attempt := 0; attempt < 100; attempt++ {
-		var f Flight
-		release := make(chan struct{})
-		started := make(chan struct{})
-		go f.Do("k", func() Outcome {
-			close(started)
-			<-release
-			return Outcome{Err: boom}
-		})
-		<-started
-		type outcome struct {
-			led bool
-			out Outcome
-		}
-		follower := make(chan outcome, 1)
-		go func() {
-			var o outcome
-			o.out, o.led = f.Do("k", func() Outcome { return Outcome{Dur: 1} })
-			follower <- o
-		}()
-		time.Sleep(time.Duration(attempt+1) * time.Millisecond)
-		close(release)
-		o := <-follower
-		if o.led {
-			continue // follower raced in too late; try again
-		}
-		if o.out.Err != boom {
-			t.Fatalf("follower adopted %+v, want the leader's failure", o.out)
-		}
-		return
+	leader, _ := f.Join("k")
+	c, led := f.Join("k")
+	if led {
+		t.Fatal("follower led while the leader was in flight")
 	}
-	t.Fatal("follower never overlapped the leader in 100 attempts")
+	follower := make(chan Outcome, 1)
+	go func() { follower <- c.Wait() }()
+	f.Land(leader, Outcome{Err: boom})
+	if out := <-follower; out.Err != boom {
+		t.Fatalf("follower adopted %+v, want the leader's failure", out)
+	}
 }
 
 // TestEnginesSharingFlightSimulateOnce is the dedup contract the serve
@@ -315,4 +278,155 @@ func TestEnginesSharingFlightLeaderPanicFailsFollowers(t *testing.T) {
 		// first completed): the follower path was not exercised; retry.
 	}
 	t.Fatal("engines never overlapped on the panicking point in 100 attempts")
+}
+
+// TestEngineAdoptsLedPointLast is the no-wait contract: a one-worker
+// engine that meets a point another engine is leading keeps the
+// flight and runs its other points first, then adopts the held point
+// as Shared, with outcomes still in declaration order.
+func TestEngineAdoptsLedPointLast(t *testing.T) {
+	var flight Flight
+	started, release := make(chan struct{}), make(chan struct{})
+	held := Point{Key: "held", Fingerprint: "fp-held", Run: func() Outcome {
+		close(started)
+		<-release
+		return Outcome{Dur: 7}
+	}}
+	leaderDone := make(chan struct{})
+	go func() {
+		defer close(leaderDone)
+		(&Engine{Jobs: 1, Flight: &flight}).Run([]Point{held})
+	}()
+	<-started
+
+	point := func(key string, dur sim.Tick) Point {
+		return Point{Key: key, Fingerprint: "fp-" + key, Run: func() Outcome { return Outcome{Dur: dur} }}
+	}
+	points := []Point{point("a", 1), held, point("c", 3)}
+	reports := make(chan Result, len(points))
+	outs := make(chan []Outcome, 1)
+	go func() {
+		outs <- (&Engine{Jobs: 1, Flight: &flight, OnResult: func(r Result) { reports <- r }}).Run(points)
+	}()
+	// Both other points finish while the held one is still in flight.
+	for _, want := range []string{"a", "c"} {
+		select {
+		case r := <-reports:
+			if r.Key != want || r.Shared || r.Cached {
+				t.Fatalf("report %+v, want %s run cold", r, want)
+			}
+		case <-time.After(10 * time.Second):
+			close(release)
+			t.Fatalf("engine waited on the held point before running %s", want)
+		}
+	}
+	close(release)
+	if r := <-reports; r.Key != "held" || !r.Shared || r.Index != 1 || r.Outcome.Dur != 7 {
+		t.Fatalf("last report %+v, want the held point adopted as Shared", r)
+	}
+	got := <-outs
+	for i, want := range []sim.Tick{1, 7, 3} {
+		if got[i].Dur != want {
+			t.Fatalf("outcome %d = %v, want %v (declaration order)", i, got[i].Dur, want)
+		}
+	}
+	<-leaderDone
+	if flight.Inflight() != 0 {
+		t.Fatal("flight still tracks a landed call")
+	}
+}
+
+// blocking returns n distinct points that count how many of them are
+// running at once (peak holds the maximum) and block until release
+// closes.
+func blocking(tag string, n int, running, peak *atomic.Int32, release chan struct{}) []Point {
+	ps := make([]Point, n)
+	for i := range ps {
+		ps[i] = Point{Key: fmt.Sprintf("%s%d", tag, i), Fingerprint: fmt.Sprintf("fp-%s-%d", tag, i), Run: func() Outcome {
+			now := running.Add(1)
+			for p := peak.Load(); now > p && !peak.CompareAndSwap(p, now); p = peak.Load() {
+			}
+			<-release
+			running.Add(-1)
+			return Outcome{Dur: sim.Tick(i)}
+		}}
+	}
+	return ps
+}
+
+// waitRunning polls until want points are running at once.
+func waitRunning(t *testing.T, running *atomic.Int32, want int32) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for running.Load() < want {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d points running, want %d", running.Load(), want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestFlightSlotsBoundEveryEngine pins the shared simulation budget:
+// one engine may use every free slot, and two engines sharing the
+// Flight never simulate more than its slots together.
+func TestFlightSlotsBoundEveryEngine(t *testing.T) {
+	t.Run("one engine uses every slot", func(t *testing.T) {
+		flight := NewFlight(3)
+		var running, peak atomic.Int32
+		release := make(chan struct{})
+		done := make(chan []Outcome, 1)
+		go func() { done <- (&Engine{Jobs: 3, Flight: flight}).Run(blocking("a", 3, &running, &peak, release)) }()
+		waitRunning(t, &running, 3)
+		close(release)
+		<-done
+	})
+	t.Run("two engines share the slots", func(t *testing.T) {
+		flight := NewFlight(2)
+		var running, peak atomic.Int32
+		release := make(chan struct{})
+		var wg sync.WaitGroup
+		for _, tag := range []string{"a", "b"} {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				(&Engine{Jobs: 4, Flight: flight}).Run(blocking(tag, 4, &running, &peak, release))
+			}()
+		}
+		waitRunning(t, &running, 2)
+		time.Sleep(20 * time.Millisecond) // room for a third to slip in
+		close(release)
+		wg.Wait()
+		if p := peak.Load(); p != 2 {
+			t.Fatalf("peak %d simulations at once, want 2 (the Flight's slots)", p)
+		}
+	})
+}
+
+// TestColdWallExcludesSlotWait pins where the wall clock starts: a
+// point that waited for a slot reports only its own run as Wall, so
+// the profile and cold-point latencies never count the queueing.
+func TestColdWallExcludesSlotWait(t *testing.T) {
+	flight := NewFlight(1)
+	var running, peak atomic.Int32
+	release := make(chan struct{})
+	holder := make(chan []Outcome, 1)
+	go func() {
+		holder <- (&Engine{Jobs: 1, Flight: flight}).Run(blocking("hold", 1, &running, &peak, release))
+	}()
+	waitRunning(t, &running, 1)
+
+	var wall time.Duration
+	waiter := make(chan []Outcome, 1)
+	go func() {
+		eng := &Engine{Jobs: 1, Flight: flight, OnResult: func(r Result) { wall = r.Wall }}
+		waiter <- eng.Run([]Point{{Key: "quick", Fingerprint: "fp-quick", Run: func() Outcome { return Outcome{Dur: 1} }}})
+	}()
+	const held = 100 * time.Millisecond
+	time.Sleep(held)
+	close(release)
+	<-holder
+	<-waiter
+	if wall >= held/2 {
+		t.Fatalf("quick point's Wall = %v after a %v slot wait, want only its own run", wall, held)
+	}
 }

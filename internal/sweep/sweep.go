@@ -102,10 +102,12 @@ type Engine struct {
 	Profile *Profile
 	// Flight, when non-nil, coalesces concurrent executions of
 	// identical points (keyed by fingerprint digest) across every
-	// engine sharing it: one engine simulates, the others adopt the
-	// outcome and report it with Result.Shared set. Cache lookups move
-	// inside the flight, so for deduplicated points hits+misses count
-	// leaders only.
+	// engine sharing it: one engine simulates, the others run their
+	// remaining points first, then adopt the outcome and report it
+	// with Result.Shared set. Cache lookups move inside the flight, so
+	// for deduplicated points hits+misses count leaders only. A
+	// Flight from NewFlight also bounds the cold simulations all its
+	// engines run at once; Jobs then only bounds this engine's share.
 	Flight *Flight
 	// Clock supplies the wall-clock readings behind Result.Wall — the
 	// sole time source on the ETA path, injectable so progress output
@@ -141,27 +143,31 @@ func (e *Engine) report(r Result) {
 	e.OnResult(r)
 }
 
-// runPoint executes (or recalls, or adopts) one point and reports it.
-func (e *Engine) runPoint(i int, p Point) Outcome {
+// runPoint executes (or recalls) one point and reports it. A point
+// another engine is already leading is not waited on: runPoint keeps
+// that flight's call in joined[i] instead, for Run to adopt once
+// everything else has run.
+func (e *Engine) runPoint(i int, p Point, joined []*Call) Outcome {
 	var res Result
 	if e.Flight == nil || p.Fingerprint == "" {
 		res = e.execute(i, p, "")
 	} else {
 		// Dedup path: the whole lookup-or-simulate cycle runs inside
 		// the flight, so a concurrent engine that misses on the same
-		// point waits for this one instead of simulating it again — and
-		// a leader that starts just after a previous flight for the key
-		// landed still sees that result as an ordinary cache hit. The
-		// digest is hashed once here and shared with the profile
-		// observation. A failed outcome reaches followers as it is.
+		// point adopts this one's outcome instead of simulating it
+		// again — and a leader that starts just after a previous flight
+		// for the key landed still sees that result as an ordinary
+		// cache hit (execute Puts before the call lands). The digest is
+		// hashed once here and shared with the profile observation. A
+		// failed outcome reaches the joiners as it is.
 		dig := Digest(p.Fingerprint)
-		out, led := e.Flight.Do(dig, func() Outcome {
-			res = e.execute(i, p, dig)
-			return res.Outcome
-		})
+		c, led := e.Flight.Join(dig)
 		if !led {
-			res = Result{Index: i, Key: p.Key, Outcome: out, Shared: true}
+			joined[i] = c
+			return Outcome{}
 		}
+		res = e.execute(i, p, dig)
+		e.Flight.Land(c, res.Outcome)
 	}
 	e.report(res)
 	return res.Outcome
@@ -180,6 +186,10 @@ func (e *Engine) execute(i int, p Point, dig string) Result {
 			return Result{Index: i, Key: p.Key, Outcome: out, Cached: true}
 		}
 	}
+	// A cold simulation holds one of the Flight's slots; the wall
+	// clock starts once the slot is held, so Wall never counts the
+	// wait for one.
+	e.Flight.acquire()
 	start := e.now()
 	out := func() (out Outcome) {
 		defer func() {
@@ -190,6 +200,7 @@ func (e *Engine) execute(i int, p Point, dig string) Result {
 		return p.Run()
 	}()
 	wall := e.now().Sub(start)
+	e.Flight.release()
 	if out.Err == nil && p.Fingerprint != "" {
 		if e.Cache != nil {
 			e.Cache.PutRef(ref, out)
@@ -206,31 +217,48 @@ func (e *Engine) execute(i int, p Point, dig string) Result {
 
 // Run executes every point and returns their outcomes in declaration
 // order. With Jobs > 1 points run concurrently. A failed point fails
-// only its own outcome: every sibling still runs (see Failed).
+// only its own outcome: every sibling still runs (see Failed). Points
+// another engine is simulating through the shared Flight are adopted,
+// and reported Shared, only after every other point has run.
 func (e *Engine) Run(points []Point) []Outcome {
 	outs := make([]Outcome, len(points))
-	pool := workers(e.Jobs, len(points))
-	if pool == 1 {
-		for i, p := range points {
-			outs[i] = e.runPoint(i, p)
-		}
-		return outs
+	var joined []*Call // by point index: flights another engine leads
+	if e.Flight != nil {
+		joined = make([]*Call, len(points))
 	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for range pool {
-		wg.Add(1)
-		go func() {
+	if pool := workers(e.Jobs, len(points)); pool == 1 {
+		for i, p := range points {
+			outs[i] = e.runPoint(i, p, joined)
+		}
+	} else {
+		idx := make(chan int)
+		var wg sync.WaitGroup
+		// joined goes in as an argument: a closure capturing the
+		// variable would move it to the heap on every Run.
+		work := func(joined []*Call) {
 			defer wg.Done()
 			for i := range idx {
-				outs[i] = e.runPoint(i, points[i])
+				outs[i] = e.runPoint(i, points[i], joined)
 			}
-		}()
+		}
+		for range pool {
+			wg.Add(1)
+			go work(joined)
+		}
+		for i := range points {
+			idx <- i
+		}
+		close(idx)
+		wg.Wait()
 	}
-	for i := range points {
-		idx <- i
+	// Every call this engine led has landed by now, and a leader
+	// waits on nothing but a simulation slot, which every simulation
+	// gives back, so these waits cannot deadlock.
+	for i, c := range joined {
+		if c != nil {
+			outs[i] = c.Wait()
+			e.report(Result{Index: i, Key: points[i].Key, Outcome: outs[i], Shared: true})
+		}
 	}
-	close(idx)
-	wg.Wait()
 	return outs
 }
