@@ -67,7 +67,7 @@ func (a *app) loadPlan(path string, full bool, shards int, profileDir string) (*
 			return nil, nil, nil, err
 		}
 	}
-	plan, err := shard.PartitionWeighted(sc.Name, full, points, shards, prof)
+	plan, err := shard.Partition(sc.Name, full, points, shards, prof)
 	if err != nil {
 		return nil, nil, nil, err
 	}

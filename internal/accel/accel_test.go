@@ -371,8 +371,24 @@ func newPipe() *pipeRW {
 func (p *pipeRW) Read(b []byte) (int, error)  { return p.r.Read(b) }
 func (p *pipeRW) Write(b []byte) (int, error) { return p.w.Write(b) }
 
-func TestPadDim(t *testing.T) {
-	if PadDim(1) != 16 || PadDim(16) != 16 || PadDim(17) != 32 || PadDim(197) != 208 {
-		t.Fatal("PadDim wrong")
+func TestNewRejectsNegativeComputeOverride(t *testing.T) {
+	neg := -5 * int64(sim.Nanosecond)
+	for _, c := range []struct {
+		override sim.Tick
+		want     string
+	}{
+		{0, ""},
+		{100 * sim.Nanosecond, ""},
+		{sim.Tick(neg), "accel mf: ComputeOverride -5000 ps is negative"},
+	} {
+		func() {
+			defer func() {
+				r := recover()
+				if r == nil && c.want != "" || r != nil && r != c.want {
+					t.Errorf("ComputeOverride %d: panic %v, want %q", c.override, r, c.want)
+				}
+			}()
+			newHarness(t, Config{ComputeOverride: c.override})
+		}()
 	}
 }

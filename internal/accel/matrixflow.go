@@ -166,6 +166,11 @@ func New(name string, eq *sim.EventQueue, pkts *mem.Packets, reg *stats.Registry
 	if cfg.BAR.Size() == 0 {
 		panic(fmt.Sprintf("accel %s: BAR range required", name))
 	}
+	// Ticks are unsigned: a negative duration converted to one wraps
+	// past 2^63.
+	if d := int64(cfg.ComputeOverride); d < 0 {
+		panic(fmt.Sprintf("accel %s: ComputeOverride %d ps is negative", name, d))
+	}
 
 	m := &MatrixFlow{name: name, eq: eq, cfg: cfg, clock: sim.NewClock(cfg.ClockMHz)}
 	m.csrPort = mem.NewResponsePort(name+".csr", m)

@@ -16,11 +16,7 @@ import (
 //   - C (M x N): tile-packed — tile (p,q), element [i*Dim+j] =
 //     C[p*Dim+i][q*Dim+j], tiles row-major.
 //
-// All dimensions must be multiples of Dim; callers pad with zeros
-// (see PadDim).
-
-// PadDim rounds a dimension up to the next multiple of Dim.
-func PadDim(x int) int { return (x + Dim - 1) / Dim * Dim }
+// All dimensions must be multiples of Dim; callers pad with zeros.
 
 // ElemBytes is the element size: int32 operands and accumulators, the
 // "integer format" of MatrixFlow with the 4-byte footprint the paper's

@@ -7,24 +7,12 @@ import "fmt"
 
 // Roofline models the accelerator system of Fig. 2: execution time is
 // the maximum of the compute ramp (tiles x per-tile time) and the
-// data-transfer floor, plus a fixed offset.
+// data-transfer floor.
 type Roofline struct {
 	// Tiles is the number of output tiles in the workload.
 	Tiles int
 	// TransferNs is the memory/PCIe-bound execution floor.
 	TransferNs float64
-	// FixedNs covers job launch and drain overheads.
-	FixedNs float64
-}
-
-// ExecTimeNs returns the modeled execution time for a per-tile compute
-// time.
-func (r Roofline) ExecTimeNs(perTileNs float64) float64 {
-	compute := float64(r.Tiles) * perTileNs
-	if compute < r.TransferNs {
-		compute = r.TransferNs
-	}
-	return compute + r.FixedNs
 }
 
 // KneeNs returns the per-tile compute time at which the system moves

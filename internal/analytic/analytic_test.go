@@ -7,25 +7,18 @@ import (
 )
 
 func TestRooflineShape(t *testing.T) {
-	r := Roofline{Tiles: 4096, TransferNs: 1.5e6, FixedNs: 1000}
-	// Deep in the compute-bound region: time scales linearly.
-	t1 := r.ExecTimeNs(1000)
-	t2 := r.ExecTimeNs(2000)
-	if math.Abs(t2-t1-4096*1000) > 1 {
-		t.Fatalf("compute-bound region not linear: %v -> %v", t1, t2)
-	}
-	// Below the knee: plateau at the transfer floor.
+	r := Roofline{Tiles: 4096, TransferNs: 1.5e6}
+	// The knee is where the compute ramp (tiles x per-tile time) meets
+	// the transfer floor.
 	knee := r.KneeNs()
 	if math.Abs(knee-1.5e6/4096) > 1e-9 {
 		t.Fatalf("knee = %v", knee)
 	}
-	lo := r.ExecTimeNs(knee / 10)
-	lo2 := r.ExecTimeNs(knee / 100)
-	if lo != lo2 {
-		t.Fatal("plateau should be flat below the knee")
+	if ramp := float64(r.Tiles) * knee; math.Abs(ramp-r.TransferNs) > 1e-6 {
+		t.Fatalf("ramp at the knee = %v, want the floor %v", ramp, r.TransferNs)
 	}
-	if lo != 1.5e6+1000 {
-		t.Fatalf("plateau = %v", lo)
+	if (Roofline{}).KneeNs() != 0 {
+		t.Fatal("a tile-less roofline has no knee")
 	}
 }
 

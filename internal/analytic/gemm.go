@@ -51,11 +51,6 @@ type GEMMModel struct {
 	FixedNs float64
 }
 
-// Blocks returns the number of A row blocks.
-func (g GEMMModel) Blocks() int {
-	return (g.TilesM + g.RBTiles - 1) / g.RBTiles
-}
-
 // upstreamIINs returns the upstream-pipeline floor for moving
 // readBytes of requests plus writeBytes of posted writes: one TLP per
 // initiation interval.

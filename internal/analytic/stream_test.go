@@ -116,13 +116,6 @@ func TestGEMMModelTransferBound(t *testing.T) {
 	}
 }
 
-func TestGEMMModelBlocks(t *testing.T) {
-	g := GEMMModel{TilesM: 13, RBTiles: 4}
-	if got := g.Blocks(); got != 4 {
-		t.Fatalf("Blocks = %d, want 4", got)
-	}
-}
-
 func TestGEMMModelUpstreamIIFloor(t *testing.T) {
 	g := GEMMModel{
 		TilesM: 1, TilesN: 2, RBTiles: 1,

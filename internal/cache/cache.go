@@ -789,13 +789,7 @@ func (c *Cache) Audit() error {
 	if n := c.mshrsMade - len(c.mshrFree) - len(c.mshrs); n != 0 || len(c.mshrs) != 0 {
 		errs = append(errs, fmt.Errorf("%s: %d misses outstanding, %d miss records lost", c.name, len(c.mshrs), n))
 	}
-	queue := func(name string, q *mem.PacketQueue) {
-		if !q.Empty() || q.Blocked() {
-			errs = append(errs, fmt.Errorf("%s.%s: %d packets queued, blocked %v", c.name, name, q.Len(), q.Blocked()))
-		}
-	}
-	queue("memq", c.memQ)
-	queue("respq", c.respQ)
+	errs = append(errs, c.memQ.Audit(c.name+".memq"), c.respQ.Audit(c.name+".respq"))
 	return errors.Join(errs...)
 }
 

@@ -93,9 +93,6 @@ func New(name string, eq *sim.EventQueue, pkts *mem.Packets, reg *stats.Registry
 // Port returns the CPU's cache port.
 func (c *CPU) Port() *mem.RequestPort { return c.port }
 
-// Busy reports whether an op stream is in progress.
-func (c *CPU) Busy() bool { return c.ops != nil }
-
 // Run executes ops in order and calls onDone at completion. The CPU
 // must be idle.
 func (c *CPU) Run(ops []Op, onDone func()) {

@@ -115,7 +115,7 @@ func TestEmptyOpList(t *testing.T) {
 	if !done {
 		t.Fatal("empty op list should complete immediately")
 	}
-	if c.Busy() {
+	if c.ops != nil {
 		t.Fatal("CPU should be idle")
 	}
 }

@@ -331,9 +331,7 @@ func (d *DRAM) Audit() error {
 	if n := d.reqsMade - len(d.reqFree) - queued; n != 0 {
 		errs = append(errs, fmt.Errorf("%s: %d request entries lost", d.name, n))
 	}
-	if !d.respQ.Empty() || d.respQ.Blocked() {
-		errs = append(errs, fmt.Errorf("%s.respq: %d packets queued, blocked %v", d.name, d.respQ.Len(), d.respQ.Blocked()))
-	}
+	errs = append(errs, d.respQ.Audit(d.name+".respq"))
 	return errors.Join(errs...)
 }
 

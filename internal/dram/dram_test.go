@@ -2,7 +2,6 @@ package dram
 
 import (
 	"bytes"
-	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -26,6 +25,11 @@ func TestSpecsValidate(t *testing.T) {
 	}
 }
 
+// peakGBps is a spec's aggregate theoretical (pin-rate) bandwidth.
+func peakGBps(s Spec) float64 {
+	return float64(s.DataRateMTs) * float64(s.ChannelBits/8) * float64(s.Channels) / 1000
+}
+
 // TestTableIIIBandwidths pins the presets to the paper's Table III.
 func TestTableIIIBandwidths(t *testing.T) {
 	cases := []struct {
@@ -41,7 +45,7 @@ func TestTableIIIBandwidths(t *testing.T) {
 		{LPDDR5_6400, 25.6},
 	}
 	for _, c := range cases {
-		if got := c.spec.PeakBandwidthGBps(); got != c.want {
+		if got := peakGBps(c.spec); got != c.want {
 			t.Errorf("%s peak = %v GB/s, want %v", c.spec.Name, got, c.want)
 		}
 	}
@@ -185,7 +189,7 @@ func TestStreamingBandwidth(t *testing.T) {
 			}
 			elapsed := eq.Now().Seconds()
 			gbps := float64(total) / elapsed / 1e9
-			peak := spec.PeakBandwidthGBps()
+			peak := peakGBps(spec)
 			if gbps < 0.4*peak {
 				t.Fatalf("achieved %.1f GB/s, below 40%% of peak %.1f", gbps, peak)
 			}
@@ -343,11 +347,6 @@ func TestPostedWriteLatencyShort(t *testing.T) {
 	if r.DoneAt[0] > 15*sim.Nanosecond {
 		t.Fatalf("posted write took %v, want ~frontend latency", r.DoneAt[0])
 	}
-}
-
-func ExampleSpec_PeakBandwidthGBps() {
-	fmt.Printf("%s: %.1f GB/s\n", HBM2_2000.Name, HBM2_2000.PeakBandwidthGBps())
-	// Output: HBM2-2000: 64.0 GB/s
 }
 
 func BenchmarkStreamingRead(b *testing.B) {

@@ -72,11 +72,6 @@ func (s Spec) BurstTicks() sim.Tick {
 // BanksPerChannel returns the total independent banks in one channel.
 func (s Spec) BanksPerChannel() int { return s.Ranks * s.BankGroups * s.BanksPerGroup }
 
-// PeakBandwidthGBps returns the aggregate theoretical bandwidth.
-func (s Spec) PeakBandwidthGBps() float64 {
-	return float64(s.DataRateMTs) * float64(s.ChannelBits/8) * float64(s.Channels) / 1000
-}
-
 // Cycles converts a cycle count to ticks for this spec.
 func (s Spec) Cycles(n int) sim.Tick { return sim.Tick(n) * s.TCK() }
 

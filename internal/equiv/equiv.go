@@ -165,9 +165,6 @@ type Report struct {
 // OK reports whether every comparison stayed inside the fail band.
 func (r *Report) OK() bool { return r.Failed == 0 }
 
-// JSON renders the report for machine consumption.
-func (r *Report) JSON() ([]byte, error) { return json.MarshalIndent(r, "", "  ") }
-
 // Result renders the report as a human table through the same
 // renderer the scenario sweeps print with.
 func (r *Report) Result() *scenario.Result {

@@ -184,7 +184,7 @@ func TestReportJSONEncodesNonFiniteDivergence(t *testing.T) {
 		{Point: "gone", Metric: "exec", Timing: 100, Rel: math.NaN(), Status: Fail},
 		{Point: "zero", Metric: "exec", Analytic: 5, Rel: math.Inf(1), Status: Fail},
 	})
-	data, err := r.JSON()
+	data, err := json.MarshalIndent(r, "", "  ")
 	if err != nil {
 		t.Fatalf("report with non-finite divergence failed to encode: %v", err)
 	}
@@ -204,7 +204,7 @@ func TestReportJSONRoundTrips(t *testing.T) {
 	r := Summarize("demo", Tolerances{Tol: 0.15, Warn: 0.075}, []Comparison{
 		{Point: "p", Metric: "exec", Timing: 100, Analytic: 99, Rel: 0.01, Status: Pass},
 	})
-	data, err := r.JSON()
+	data, err := json.MarshalIndent(r, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}

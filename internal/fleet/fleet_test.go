@@ -42,7 +42,7 @@ func fakePoints(n int) []sweep.Point {
 func newScheduler(t *testing.T, npoints, nshards int, mk func(plan *shard.Plan, pts []sweep.Point) []Executor) (*Scheduler, []sweep.Point) {
 	t.Helper()
 	pts := fakePoints(npoints)
-	plan, err := shard.Partition("fleetfake", false, pts, nshards)
+	plan, err := shard.Partition("fleetfake", false, pts, nshards, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -457,7 +457,7 @@ func TestLocalSpec(t *testing.T) {
 		t.Fatal(err)
 	}
 	pts := fakePoints(4)
-	plan, err := shard.Partition("x", false, pts, 3)
+	plan, err := shard.Partition("x", false, pts, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -80,7 +80,7 @@ func Launch(ctx context.Context, o LaunchOptions) (*Report, *shard.Plan, error) 
 	} else {
 		o.warnf("wall profile unusable, planning unweighted: %v", err)
 	}
-	plan, err := shard.PartitionWeighted(o.Name, o.Full, o.Points, len(o.Spec.Workers), prof)
+	plan, err := shard.Partition(o.Name, o.Full, o.Points, len(o.Spec.Workers), prof)
 	if err != nil {
 		return nil, nil, err
 	}

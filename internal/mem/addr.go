@@ -24,11 +24,6 @@ func (r AddrRange) Contains(addr uint64) bool {
 	return addr >= r.Start && addr < r.End
 }
 
-// ContainsRange reports whether the entire other range lies inside r.
-func (r AddrRange) ContainsRange(o AddrRange) bool {
-	return o.Start >= r.Start && o.End <= r.End
-}
-
 // Overlaps reports whether the two ranges share any address.
 func (r AddrRange) Overlaps(o AddrRange) bool {
 	return r.Start < o.End && o.Start < r.End
@@ -96,18 +91,6 @@ func (m *AddrMap) Find(addr uint64) (int, bool) {
 		return m.entries[i].target, true
 	}
 	return 0, false
-}
-
-// FindRange returns the full entry containing addr.
-func (m *AddrMap) FindRange(addr uint64) (AddrRange, int, bool) {
-	m.sort()
-	i := sort.Search(len(m.entries), func(i int) bool {
-		return m.entries[i].r.End > addr
-	})
-	if i < len(m.entries) && m.entries[i].r.Contains(addr) {
-		return m.entries[i].r, m.entries[i].target, true
-	}
-	return AddrRange{}, 0, false
 }
 
 // Ranges returns all registered ranges in ascending order.

@@ -7,17 +7,16 @@ import (
 
 func TestCmdProperties(t *testing.T) {
 	cases := []struct {
-		cmd                            Cmd
-		read, write, request, response bool
+		cmd                  Cmd
+		read, write, request bool
 	}{
-		{ReadReq, true, false, true, false},
-		{ReadResp, true, false, false, true},
-		{WriteReq, false, true, true, false},
-		{WriteResp, false, true, false, true},
+		{ReadReq, true, false, true},
+		{ReadResp, true, false, false},
+		{WriteReq, false, true, true},
+		{WriteResp, false, true, false},
 	}
 	for _, c := range cases {
-		if c.cmd.IsRead() != c.read || c.cmd.IsWrite() != c.write ||
-			c.cmd.IsRequest() != c.request || c.cmd.IsResponse() != c.response {
+		if c.cmd.IsRead() != c.read || c.cmd.IsWrite() != c.write || c.cmd.IsRequest() != c.request {
 			t.Errorf("%v: property mismatch", c.cmd)
 		}
 	}
@@ -33,7 +32,7 @@ func TestPacketLifecycle(t *testing.T) {
 		t.Fatalf("unexpected read packet: %v", p)
 	}
 	p.MakeResponse()
-	if !p.IsResponse() || p.Cmd != ReadResp {
+	if p.Cmd != ReadResp {
 		t.Fatalf("MakeResponse produced %v", p.Cmd)
 	}
 
@@ -217,9 +216,6 @@ func TestAddrRange(t *testing.T) {
 	if !r.Overlaps(Range(0x1fff, 2)) || r.Overlaps(Range(0x2000, 16)) {
 		t.Fatal("Overlaps boundary behaviour wrong")
 	}
-	if !r.ContainsRange(Range(0x1800, 0x100)) || r.ContainsRange(Range(0x1800, 0x1000)) {
-		t.Fatal("ContainsRange wrong")
-	}
 }
 
 func TestAddrMap(t *testing.T) {
@@ -245,11 +241,6 @@ func TestAddrMap(t *testing.T) {
 		if ok != c.ok || (ok && got != c.target) {
 			t.Errorf("Find(%#x) = (%d,%v), want (%d,%v)", c.addr, got, ok, c.target, c.ok)
 		}
-	}
-
-	r, target, ok := m.FindRange(0x4123)
-	if !ok || target != 2 || r.Start != 0x4000 {
-		t.Fatalf("FindRange = %v,%d,%v", r, target, ok)
 	}
 
 	ranges := m.Ranges()

@@ -46,9 +46,6 @@ func (c Cmd) IsWrite() bool { return c == WriteReq || c == WriteResp }
 // IsRequest reports whether the command is a request.
 func (c Cmd) IsRequest() bool { return c == ReadReq || c == WriteReq }
 
-// IsResponse reports whether the command is a response.
-func (c Cmd) IsResponse() bool { return c == ReadResp || c == WriteResp }
-
 // ResponseFor returns the response command matching a request.
 func (c Cmd) ResponseFor() Cmd {
 	switch c {
@@ -265,9 +262,6 @@ func (p *Packet) MakeResponse() {
 
 // IsRequest reports whether the packet currently holds a request.
 func (p *Packet) IsRequest() bool { return p.Cmd.IsRequest() }
-
-// IsResponse reports whether the packet currently holds a response.
-func (p *Packet) IsResponse() bool { return p.Cmd.IsResponse() }
 
 // PushRoute records the response port a request arrived on so the
 // eventual response can be steered back out of it.

@@ -1,6 +1,8 @@
 package mem
 
 import (
+	"fmt"
+
 	"accesys/internal/sim"
 )
 
@@ -44,15 +46,6 @@ func (q *PacketQueue) Len() int { return len(q.entries) - q.head }
 
 // Empty reports whether nothing is queued.
 func (q *PacketQueue) Empty() bool { return q.head == len(q.entries) }
-
-// NextReady returns the readiness tick of the head packet, or MaxTick
-// when empty.
-func (q *PacketQueue) NextReady() sim.Tick {
-	if q.Empty() {
-		return sim.MaxTick
-	}
-	return q.entries[q.head].ready
-}
 
 // Schedule enqueues pkt to be sent no earlier than when. Packets keep
 // FIFO order among equal readiness ticks; a packet scheduled earlier
@@ -145,3 +138,12 @@ func (q *PacketQueue) RetryReceived() {
 
 // Blocked reports whether the queue is stalled waiting for a retry.
 func (q *PacketQueue) Blocked() bool { return q.blocked }
+
+// Audit reports a queue, known to its owner as name, that still holds
+// packets or waits for a retry: the state no drained run may leave.
+func (q *PacketQueue) Audit(name string) error {
+	if q.Empty() && !q.blocked {
+		return nil
+	}
+	return fmt.Errorf("%s: %d packets queued, blocked %v", name, q.Len(), q.blocked)
+}

@@ -70,9 +70,6 @@ func (s *Storage) Write(addr uint64, data []byte) {
 	}
 }
 
-// FramesTouched reports how many 4 KiB frames have been allocated.
-func (s *Storage) FramesTouched() int { return len(s.frames) }
-
 // Access applies a packet functionally: reads fill pkt.Data (allocating
 // it if nil), writes store pkt.Data when present. Timing-only writes
 // (nil data) leave contents untouched.

@@ -31,7 +31,7 @@ func TestStorageZeroFill(t *testing.T) {
 			t.Fatal("untouched storage should read as zero")
 		}
 	}
-	if s.FramesTouched() != 0 {
+	if len(s.frames) != 0 {
 		t.Fatal("read should not allocate frames")
 	}
 }
@@ -48,8 +48,8 @@ func TestStorageCrossFrame(t *testing.T) {
 	if !bytes.Equal(got, data) {
 		t.Fatal("cross-frame roundtrip failed")
 	}
-	if s.FramesTouched() != 4 {
-		t.Fatalf("FramesTouched = %d, want 4", s.FramesTouched())
+	if len(s.frames) != 4 {
+		t.Fatalf("%d frames allocated, want 4", len(s.frames))
 	}
 }
 
@@ -149,15 +149,16 @@ func TestPacketQueueBackpressure(t *testing.T) {
 
 func TestPacketQueueNextReady(t *testing.T) {
 	eq := sim.NewEventQueue()
-	q := NewPacketQueue("q", eq, func(p *Packet) bool { return true })
-	if q.NextReady() != sim.MaxTick {
-		t.Fatal("empty queue NextReady should be MaxTick")
-	}
+	var sentAt sim.Tick
+	q := NewPacketQueue("q", eq, func(p *Packet) bool {
+		sentAt = eq.Now()
+		return true
+	})
 	q.Schedule(NewRead(0, 8), 42)
-	if q.NextReady() != 42 {
-		t.Fatalf("NextReady = %v", q.NextReady())
-	}
 	eq.Run()
+	if sentAt != 42 || !q.Empty() {
+		t.Fatalf("sent at %v (empty %v), want 42 and drained", sentAt, q.Empty())
+	}
 }
 
 func TestPacketQueuePastTickClamps(t *testing.T) {

@@ -22,7 +22,7 @@ func TestWriteReadRoundtrip(t *testing.T) {
 
 	req.Send(mem.NewWrite(0x1000, []byte{0xaa, 0xbb, 0xcc, 0xdd}))
 	eq.Run()
-	if len(req.Done) != 1 || !req.Done[0].IsResponse() {
+	if len(req.Done) != 1 || req.Done[0].Cmd != mem.WriteResp {
 		t.Fatalf("write did not complete: %v", req.Done)
 	}
 
@@ -113,8 +113,8 @@ func TestOnDoneCallback(t *testing.T) {
 	eq, req, _ := harness(t, sim.Nanosecond)
 	var calls int
 	req.OnDone = func(p *mem.Packet) {
-		if !p.IsResponse() {
-			t.Errorf("OnDone got non-response %v", p)
+		if p.Cmd != mem.WriteResp {
+			t.Errorf("OnDone got %v, want a write response", p)
 		}
 		calls++
 	}

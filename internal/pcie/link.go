@@ -304,12 +304,14 @@ type conn struct {
 	Stalls uint64
 }
 
-func newConn(name string, eq *sim.EventQueue, link LinkConfig, dst receiver, bufBytes int) *conn {
-	if link.PropDelay == 0 {
-		link.PropDelay = 5 * sim.Nanosecond
-	}
-	c := &conn{name: name, eq: eq, link: link, dst: dst,
+// newConn builds a channel of cfg's link into dst's bufBytes receiver
+// buffer; cfg is resolved.
+func newConn(name string, eq *sim.EventQueue, cfg Config, dst receiver, bufBytes int) *conn {
+	c := &conn{name: name, eq: eq, link: cfg.Link, dst: dst,
 		dlv: eq.NewLane(name), capacity: bufBytes, credit: bufBytes}
+	if cfg.CutThrough {
+		c.cutThroughHdr = cfg.TLPHeaderBytes
+	}
 	c.txDoneEv = eq.NewEvent(name+".txdone", c.txDone)
 	return c
 }

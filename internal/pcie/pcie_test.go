@@ -422,3 +422,27 @@ func TestAuditReportsUndrainedFabric(t *testing.T) {
 		t.Fatalf("Audit with a TLP not forwarded = %v, want %q", err, want)
 	}
 }
+
+// Audit names a bridge packet queue a drained run left blocked: the
+// RC's queue into host memory while memory refuses, then the EP's
+// completion queue while the device refuses.
+func TestAuditReportsUndrainedBridgeQueues(t *testing.T) {
+	f := newFabric(t, defLink())
+	f.hostMem.RefuseRequests = true
+	f.dma.Send(mem.NewRead(0x4000, 64))
+	f.eq.Run()
+	if err := f.tree.Audit(); err == nil || !strings.Contains(err.Error(), "pcie.rc.memq: 1 packets queued, blocked true") {
+		t.Fatalf("Audit with host memory refusing = %v, want the blocked RC memq", err)
+	}
+	f.dma.RefuseResponses = true
+	f.hostMem.ReleaseRequests()
+	f.eq.Run()
+	if err := f.tree.Audit(); err == nil || !strings.Contains(err.Error(), "pcie.ep0.devrespq: 1 packets queued, blocked true") {
+		t.Fatalf("Audit with the device refusing = %v, want the blocked EP devrespq", err)
+	}
+	f.dma.ReleaseResponses()
+	f.eq.Run()
+	if err := f.tree.Audit(); err != nil || len(f.dma.Done) != 1 {
+		t.Fatalf("Audit after %d of 1 reads: %v", len(f.dma.Done), err)
+	}
+}

@@ -176,27 +176,18 @@ func NewTree(name string, eq *sim.EventQueue, reg *stats.Registry, cfg Config, e
 	t.Switch = newSwitch(name+".switch", eq, reg, cfg)
 	t.Switch.epPort = make([]int, len(epRanges))
 
-	cut := 0
-	if cfg.CutThrough {
-		cut = cfg.TLPHeaderBytes
-	}
-
 	// RC -> switch and switch -> RC conns.
-	t.RC.down = newConn(name+".rc2sw", eq, cfg.Link, t.Switch, cfg.SwitchBufBytes)
+	t.RC.down = newConn(name+".rc2sw", eq, cfg, t.Switch, cfg.SwitchBufBytes)
 	t.RC.down.OnDrain = t.RC.wakeHost
-	t.RC.down.cutThroughHdr = cut
 	t.Switch.fromRC = t.RC.down
-	t.Switch.up = newConn(name+".sw2rc", eq, cfg.Link, t.RC, cfg.RCBufBytes)
-	t.Switch.up.cutThroughHdr = cut
+	t.Switch.up = newConn(name+".sw2rc", eq, cfg, t.RC, cfg.RCBufBytes)
 
 	if cfg.Topology.Flat() {
 		for i, ranges := range epRanges {
 			ep := newEndpoint(fmt.Sprintf("%s.ep%d", name, i), i, eq, reg, cfg, pool, ranges)
-			down := newConn(fmt.Sprintf("%s.sw2ep%d", name, i), eq, cfg.Link, ep, cfg.EPBufBytes)
-			down.cutThroughHdr = cut
-			ep.up = newConn(fmt.Sprintf("%s.ep%d2sw", name, i), eq, cfg.Link, t.Switch, cfg.SwitchBufBytes)
+			down := newConn(fmt.Sprintf("%s.sw2ep%d", name, i), eq, cfg, ep, cfg.EPBufBytes)
+			ep.up = newConn(fmt.Sprintf("%s.ep%d2sw", name, i), eq, cfg, t.Switch, cfg.SwitchBufBytes)
 			ep.up.OnDrain = ep.wakeDev
-			ep.up.cutThroughHdr = cut
 			t.Switch.downs = append(t.Switch.downs, down)
 			t.Switch.epPort[i] = i
 			for _, r := range ranges {
@@ -216,11 +207,9 @@ func NewTree(name string, eq *sim.EventQueue, reg *stats.Registry, cfg Config, e
 	for j := 0; j < nLeaf; j++ {
 		leaf := newSwitch(fmt.Sprintf("%s.leaf%d", name, j), eq, reg, cfg)
 		leaf.epPort = make([]int, len(epRanges))
-		down := newConn(fmt.Sprintf("%s.sw2l%d", name, j), eq, cfg.Link, leaf, cfg.SwitchBufBytes)
-		down.cutThroughHdr = cut
+		down := newConn(fmt.Sprintf("%s.sw2l%d", name, j), eq, cfg, leaf, cfg.SwitchBufBytes)
 		leaf.fromRC = down
-		leaf.up = newConn(fmt.Sprintf("%s.l%d2sw", name, j), eq, cfg.Link, t.Switch, cfg.SwitchBufBytes)
-		leaf.up.cutThroughHdr = cut
+		leaf.up = newConn(fmt.Sprintf("%s.l%d2sw", name, j), eq, cfg, t.Switch, cfg.SwitchBufBytes)
 		t.Switch.downs = append(t.Switch.downs, down)
 		t.Leaves = append(t.Leaves, leaf)
 	}
@@ -228,11 +217,9 @@ func NewTree(name string, eq *sim.EventQueue, reg *stats.Registry, cfg Config, e
 		j := cfg.Topology.LeafOf(i)
 		leaf := t.Leaves[j]
 		ep := newEndpoint(fmt.Sprintf("%s.ep%d", name, i), i, eq, reg, cfg, pool, ranges)
-		down := newConn(fmt.Sprintf("%s.l%d2ep%d", name, j, i), eq, cfg.Link, ep, cfg.EPBufBytes)
-		down.cutThroughHdr = cut
-		ep.up = newConn(fmt.Sprintf("%s.ep%d2l%d", name, i, j), eq, cfg.Link, leaf, cfg.SwitchBufBytes)
+		down := newConn(fmt.Sprintf("%s.l%d2ep%d", name, j, i), eq, cfg, ep, cfg.EPBufBytes)
+		ep.up = newConn(fmt.Sprintf("%s.ep%d2l%d", name, i, j), eq, cfg, leaf, cfg.SwitchBufBytes)
 		ep.up.OnDrain = ep.wakeDev
-		ep.up.cutThroughHdr = cut
 		leaf.downs = append(leaf.downs, down)
 		port := len(leaf.downs) - 1
 		leaf.epPort[i] = port
@@ -249,8 +236,9 @@ func NewTree(name string, eq *sim.EventQueue, reg *stats.Registry, cfg Config, e
 // Audit reports the state a fabric must not hold once its run has
 // drained: a link whose receiver credit is not back at capacity, that
 // still queues TLPs or that is transmitting, a switch that received
-// more or fewer TLPs than it forwarded, and TLPs not back in the
-// fabric's pool.
+// more or fewer TLPs than it forwarded, a root complex or endpoint
+// packet queue still holding packets or blocked, and TLPs not back in
+// the fabric's pool.
 func (t *Tree) Audit() error {
 	conns := []*conn{t.RC.down, t.Switch.up}
 	conns = append(conns, t.Switch.downs...)
@@ -258,10 +246,11 @@ func (t *Tree) Audit() error {
 		conns = append(conns, l.up)
 		conns = append(conns, l.downs...)
 	}
+	errs := []error{t.RC.memQ.Audit(t.RC.name + ".memq"), t.RC.respQ.Audit(t.RC.name + ".respq")}
 	for _, ep := range t.EPs {
 		conns = append(conns, ep.up)
+		errs = append(errs, ep.devRespQ.Audit(ep.name+".devrespq"), ep.busReqQ.Audit(ep.name+".busreqq"))
 	}
-	var errs []error
 	for _, c := range conns {
 		errs = append(errs, c.audit())
 	}

@@ -9,6 +9,8 @@ import (
 
 	"accesys/internal/core"
 	"accesys/internal/driver"
+	"accesys/internal/mem"
+	"accesys/internal/memtest"
 	"accesys/internal/sweep"
 )
 
@@ -112,4 +114,25 @@ func TestLeakedPacketFailsThePoint(t *testing.T) {
 	if msg := fmt.Sprint(outs[0].Err); !strings.Contains(msg, want) {
 		t.Fatalf("leaking point failed with %q, want %q", msg, want)
 	}
+}
+
+// TestStuckRunNamesTheStuckLayer checks that a run drained with work
+// left over also names the layers the audit finds not idle: here a
+// requestor on the memory bus that refuses its response leaves the
+// bus's response queue blocked.
+func TestStuckRunNamesTheStuckLayer(t *testing.T) {
+	sys, _ := BuildSystem(core.PCIe8GB())
+	req := memtest.NewRequestor(sys.EQ)
+	mem.Bind(req.Port, sys.Bus.AddRequestorPort("stuck"))
+	req.RefuseResponses = true
+	req.Send(mem.NewRead(sys.Cfg.HostRange().Start, 64))
+	sys.Run()
+	defer func() {
+		msg := fmt.Sprint(recover())
+		want := fmt.Sprintf("scenario: run under %s drained with 1 GEMMs of member 0 unfinished; layers not idle: ", sys.Cfg.Name)
+		if !strings.HasPrefix(msg, want) || !strings.Contains(msg, "membus.respq[") {
+			t.Fatalf("stuck run panicked with %q, want %q and the blocked membus response queue", msg, want)
+		}
+	}()
+	checkDone(sys, "GEMMs", []int{1})
 }

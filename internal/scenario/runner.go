@@ -58,22 +58,27 @@ func runSchedules(sys *core.System, drvs []*driver.Driver, jobs []TenantJob, onl
 // checkDone is the one completion check after a run's event queue
 // drains: left[i] counts member i's unfinished work, in units. Work
 // left over means the run deadlocked, and the panic names the config,
-// the member and what was left. A packet still leased from the
-// system's freelist means a component consumed one without releasing
-// it — a leak that would otherwise only show as allocation — and
-// panics the same way, as does a layer that System.Audit finds not
-// drained.
+// the member, what was left and the layers System.Audit finds stuck.
+// A packet still leased from the system's freelist means a component
+// consumed one without releasing it — a leak that would otherwise only
+// show as allocation — and panics the same way, as does a layer that
+// System.Audit finds not drained.
 func checkDone(sys *core.System, units string, left []int) {
+	audit := sys.Audit()
 	for i, n := range left {
 		if n > 0 {
-			panic(fmt.Sprintf("scenario: run under %s drained with %d %s of member %d unfinished", sys.Cfg.Name, n, units, i))
+			msg := fmt.Sprintf("scenario: run under %s drained with %d %s of member %d unfinished", sys.Cfg.Name, n, units, i)
+			if audit != nil {
+				msg += "; layers not idle: " + audit.Error()
+			}
+			panic(msg)
 		}
 	}
 	if live := sys.Packets.Live(); live != 0 {
 		panic(fmt.Sprintf("scenario: run under %s drained with %d packets leased and never released", sys.Cfg.Name, live))
 	}
-	if err := sys.Audit(); err != nil {
-		panic(fmt.Sprintf("scenario: run under %s drained with layers not idle: %v", sys.Cfg.Name, err))
+	if audit != nil {
+		panic(fmt.Sprintf("scenario: run under %s drained with layers not idle: %v", sys.Cfg.Name, audit))
 	}
 }
 

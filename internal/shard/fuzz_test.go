@@ -18,7 +18,7 @@ import (
 
 func FuzzPlanParse(f *testing.F) {
 	pts := fakePoints(7, nil)
-	if plan, err := Partition("seed", false, pts, 3); err == nil {
+	if plan, err := Partition("seed", false, pts, 3, nil); err == nil {
 		if data, err := plan.Marshal(); err == nil {
 			f.Add(data)
 		}
@@ -28,7 +28,7 @@ func FuzzPlanParse(f *testing.F) {
 		for i := range pts {
 			prof.Observe(pts[i].Fingerprint, time.Duration(i+1)*100*time.Millisecond)
 		}
-		if plan, err := PartitionWeighted("seed-weighted", true, pts, 2, prof); err == nil {
+		if plan, err := Partition("seed-weighted", true, pts, 2, prof); err == nil {
 			if data, err := plan.Marshal(); err == nil {
 				f.Add(data)
 			}

@@ -15,8 +15,8 @@ func TestPlanMarshalParseRoundTrip(t *testing.T) {
 		prof.Observe(pts[i].Fingerprint, time.Duration(i+1)*time.Second)
 	}
 	for name, mk := range map[string]func() (*Plan, error){
-		"rendezvous": func() (*Plan, error) { return Partition("rt", false, pts, 3) },
-		"weighted":   func() (*Plan, error) { return PartitionWeighted("rt", true, pts, 3, prof) },
+		"rendezvous": func() (*Plan, error) { return Partition("rt", false, pts, 3, nil) },
+		"weighted":   func() (*Plan, error) { return Partition("rt", true, pts, 3, prof) },
 	} {
 		plan, err := mk()
 		if err != nil {
@@ -42,7 +42,7 @@ func TestPlanMarshalParseRoundTrip(t *testing.T) {
 
 func TestParsePlanRejectsInvalid(t *testing.T) {
 	pts := fakePoints(4, nil)
-	valid, err := Partition("v", false, pts, 2)
+	valid, err := Partition("v", false, pts, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestParsePlanAcceptsPlanOutput(t *testing.T) {
 	// The exact bytes `accesys shard plan` prints (Marshal) round-trip
 	// through ParsePlan with Select still working.
 	pts := fakePoints(6, nil)
-	plan, err := Partition("cli", false, pts, 2)
+	plan, err := Partition("cli", false, pts, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

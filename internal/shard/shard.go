@@ -1,6 +1,7 @@
 // Package shard distributes a sweep across worker processes: it
 // partitions a scenario's expanded points into K disjoint shards by
-// rendezvous-hashing their configuration fingerprints, runs one
+// rendezvous-hashing their configuration fingerprints (or by measured
+// wall time, for the points a profile knows), runs one
 // shard's slice through the sweep engine into a self-contained cache
 // directory, and merges N such directories back into one canonical
 // cache. Because outcomes are keyed by content hash, a merged cache
@@ -19,6 +20,7 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"io"
+	"sort"
 	"strconv"
 
 	"accesys/internal/sweep"
@@ -41,12 +43,12 @@ func score(k int, fingerprint string) [sha256.Size]byte {
 	return s
 }
 
-// Assign returns the rendezvous shard (0-based) for the fingerprint
+// assign returns the rendezvous shard (0-based) for the fingerprint
 // among n shards: the shard with the highest score wins. Equal
 // fingerprints always land on the same shard, and the winner among the
 // first n shards is unaffected by shards ≥ n — the stability property
 // the partition tests pin.
-func Assign(fingerprint string, n int) int {
+func assign(fingerprint string, n int) int {
 	best, bestScore := 0, score(0, fingerprint)
 	for k := 1; k < n; k++ {
 		if s := score(k, fingerprint); bytes.Compare(s[:], bestScore[:]) > 0 {
@@ -94,13 +96,36 @@ type Plan struct {
 	Points []Assignment `json:"points"`
 }
 
-// Partition assigns every point to one of n shards by
-// rendezvous-hashing its fingerprint. Points sharing a fingerprint
-// (e.g. ViT scenarios keyed by physical config) land on the same
-// shard, so no result is simulated twice across the fleet. Points
-// must all carry fingerprints — an uncacheable point has no location
-// to merge from.
-func Partition(scenarioName string, full bool, points []sweep.Point, n int) (*Plan, error) {
+// group is one fingerprint's worth of points: duplicates (e.g. ViT
+// scenarios keyed by physical config) must share a shard so no result
+// simulates twice, and only the first run is cold, so the group costs
+// one wall regardless of its size.
+type group struct {
+	fingerprint string // raw
+	digest      string // sweep.Digest of the fingerprint
+	indexes     []int  // expansion indexes, ascending
+	wallNs      int64  // profiled wall; 0 when unprofiled
+	profiled    bool
+	shard       int
+}
+
+// Partition assigns every point to one of n shards. Points sharing a
+// fingerprint land on the same shard, so no result is simulated twice
+// across the fleet. Points must all carry fingerprints — an
+// uncacheable point has no location to merge from.
+//
+// A fingerprint prof has no wall for keeps its rendezvous placement,
+// so a nil profile, or one that knows none of the points, gives the
+// pure rendezvous plan. When the profile knows some walls, balancing
+// by point count would waste fleet time (one shard full of 2048-size
+// GEMMs finishes long after a shard of small ones): profiled
+// fingerprints are placed greedily onto the least-loaded shard in
+// longest-processing-time order (LPT, makespan <= 4/3·OPT + one point
+// of slack), and unprofiled ones, left where rendezvous put them
+// (profiling more points never shuffles the unprofiled remainder), are
+// charged at the mean profiled wall. The result is deterministic given
+// the same points and profile state.
+func Partition(scenarioName string, full bool, points []sweep.Point, n int, prof *sweep.Profile) (*Plan, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("shard: need at least one shard, have %d", n)
 	}
@@ -111,13 +136,77 @@ func Partition(scenarioName string, full bool, points []sweep.Point, n int) (*Pl
 		Counts:   make([]int, n),
 		Points:   make([]Assignment, len(points)),
 	}
+
+	// Group points by fingerprint in first-appearance order.
+	var groups, profiled []*group
+	byFP := map[string]*group{}
+	var totalNs int64
 	for i, pt := range points {
 		if pt.Fingerprint == "" {
 			return nil, fmt.Errorf("shard: point %q has no fingerprint; uncacheable points cannot be sharded", pt.Key)
 		}
-		k := Assign(pt.Fingerprint, n)
-		p.Points[i] = Assignment{Index: i, Key: pt.Key, Fingerprint: sweep.Digest(pt.Fingerprint), Shard: k}
-		p.Counts[k]++
+		g, ok := byFP[pt.Fingerprint]
+		if !ok {
+			g = &group{fingerprint: pt.Fingerprint, digest: sweep.Digest(pt.Fingerprint)}
+			if prof != nil {
+				if w, found := prof.WallByDigest(g.digest); found {
+					g.wallNs, g.profiled = w.Nanoseconds(), true
+					profiled = append(profiled, g)
+					totalNs += g.wallNs
+				}
+			}
+			byFP[pt.Fingerprint] = g
+			groups = append(groups, g)
+		}
+		g.indexes = append(g.indexes, i)
+		if g.profiled {
+			p.Profiled++
+		}
+	}
+
+	var meanNs int64
+	if len(profiled) > 0 {
+		meanNs = max(totalNs/int64(len(profiled)), 1)
+	}
+	loads := make([]int64, n)
+	for _, g := range groups {
+		if !g.profiled {
+			g.shard = assign(g.fingerprint, n)
+			loads[g.shard] += meanNs
+		}
+	}
+	if len(profiled) > 0 {
+		// LPT: heaviest profiled group first onto the least-loaded
+		// shard. Equal-wall groups order by earliest expansion index,
+		// and the least-loaded scan uses a strict < so shards carrying
+		// equal load always lose to the lowest shard index — both
+		// tie-breaks are pinned
+		// (TestWeightedPartitionEqualLoadTieGoesToLowestShard), so
+		// weighted plans are byte-stable across runs and hosts.
+		sort.SliceStable(profiled, func(a, b int) bool {
+			if profiled[a].wallNs != profiled[b].wallNs {
+				return profiled[a].wallNs > profiled[b].wallNs
+			}
+			return profiled[a].indexes[0] < profiled[b].indexes[0]
+		})
+		for _, g := range profiled {
+			best := 0
+			for k := 1; k < n; k++ {
+				if loads[k] < loads[best] {
+					best = k
+				}
+			}
+			g.shard = best
+			loads[best] += g.wallNs
+		}
+		p.Weighted, p.PredictedWallNs = true, loads
+	}
+
+	for _, g := range groups {
+		for _, i := range g.indexes {
+			p.Points[i] = Assignment{Index: i, Key: points[i].Key, Fingerprint: g.digest, Shard: g.shard}
+			p.Counts[g.shard]++
+		}
 	}
 	return p, nil
 }

@@ -79,7 +79,7 @@ func TestPartitionIsDisjointCover(t *testing.T) {
 		manifest := randomManifest(rng, i)
 		sc, points := expand(t, manifest)
 		for n := 1; n <= 8; n++ {
-			plan, err := Partition(sc.Name, false, points, n)
+			plan, err := Partition(sc.Name, false, points, n, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -131,11 +131,11 @@ func TestPartitionStableAcrossExpansions(t *testing.T) {
 		sc1, pts1 := expand(t, manifest)
 		sc2, pts2 := expand(t, manifest)
 		for n := 1; n <= 8; n++ {
-			p1, err := Partition(sc1.Name, false, pts1, n)
+			p1, err := Partition(sc1.Name, false, pts1, n, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			p2, err := Partition(sc2.Name, false, pts2, n)
+			p2, err := Partition(sc2.Name, false, pts2, n, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -157,11 +157,11 @@ func TestRendezvousResizeMovesOnlyToNewShard(t *testing.T) {
 		manifest := randomManifest(rng, i)
 		sc, points := expand(t, manifest)
 		for n := 1; n <= 7; n++ {
-			before, err := Partition(sc.Name, false, points, n)
+			before, err := Partition(sc.Name, false, points, n, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			after, err := Partition(sc.Name, false, points, n+1)
+			after, err := Partition(sc.Name, false, points, n+1, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -192,7 +192,7 @@ func TestRendezvousResizeMovesBoundedMinimum(t *testing.T) {
 	for n := 1; n <= 7; n++ {
 		moved := 0
 		for _, fp := range fps {
-			if Assign(fp, n) != Assign(fp, n+1) {
+			if assign(fp, n) != assign(fp, n+1) {
 				moved++
 			}
 		}
@@ -208,18 +208,18 @@ func TestRendezvousResizeMovesBoundedMinimum(t *testing.T) {
 
 func TestAssignSingleShard(t *testing.T) {
 	for _, fp := range []string{"", "a", "anything at all"} {
-		if got := Assign(fp, 1); got != 0 {
-			t.Fatalf("Assign(%q, 1) = %d", fp, got)
+		if got := assign(fp, 1); got != 0 {
+			t.Fatalf("assign(%q, 1) = %d", fp, got)
 		}
 	}
 }
 
 func TestPartitionRejectsBadInput(t *testing.T) {
 	pts := []sweep.Point{{Key: "p", Fingerprint: "fp"}}
-	if _, err := Partition("s", false, pts, 0); err == nil {
+	if _, err := Partition("s", false, pts, 0, nil); err == nil {
 		t.Fatal("zero shards accepted")
 	}
-	if _, err := Partition("s", false, []sweep.Point{{Key: "p"}}, 2); err == nil {
+	if _, err := Partition("s", false, []sweep.Point{{Key: "p"}}, 2, nil); err == nil {
 		t.Fatal("fingerprint-less point accepted")
 	}
 }

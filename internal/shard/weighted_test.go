@@ -5,7 +5,7 @@ package shard
 // greedy LPT placement obeys the classic list-scheduling bound (max
 // shard load <= mean load + heaviest point, which implies the LPT
 // 4/3·OPT + heaviest bound since OPT >= mean); and with no profile at
-// all the plan degrades to exactly the PR 4 rendezvous partition.
+// all the plan degrades to exactly the rendezvous partition.
 
 import (
 	"fmt"
@@ -81,7 +81,7 @@ func TestWeightedPartitionIsDisjointCover(t *testing.T) {
 		}
 		prof := profileFor(t, pts, walls)
 		for n := 1; n <= 6; n++ {
-			plan, err := PartitionWeighted("fake", false, pts, n, prof)
+			plan, err := Partition("fake", false, pts, n, prof)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -124,7 +124,7 @@ func TestWeightedPartitionObeysGreedyBound(t *testing.T) {
 		}
 		prof := profileFor(t, pts, walls)
 		for n := 1; n <= 8; n++ {
-			plan, err := PartitionWeighted("fake", false, pts, n, prof)
+			plan, err := Partition("fake", false, pts, n, prof)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -143,6 +143,18 @@ func TestWeightedPartitionObeysGreedyBound(t *testing.T) {
 	}
 }
 
+// rendezvousPlan is the reference unweighted plan: every point on its
+// fingerprint's rendezvous shard, no weighted fields.
+func rendezvousPlan(name string, pts []sweep.Point, n int) *Plan {
+	p := &Plan{Scenario: name, Shards: n, Counts: make([]int, n), Points: make([]Assignment, len(pts))}
+	for i, pt := range pts {
+		k := assign(pt.Fingerprint, n)
+		p.Points[i] = Assignment{Index: i, Key: pt.Key, Fingerprint: sweep.Digest(pt.Fingerprint), Shard: k}
+		p.Counts[k]++
+	}
+	return p
+}
+
 func TestWeightedPartitionEmptyProfileDegradesToRendezvous(t *testing.T) {
 	pts := fakePoints(20, nil)
 	empty, err := sweep.LoadProfile(t.TempDir())
@@ -154,12 +166,9 @@ func TestWeightedPartitionEmptyProfileDegradesToRendezvous(t *testing.T) {
 	foreign, _ := sweep.LoadProfile(t.TempDir())
 	foreign.Observe("unrelated-fingerprint", time.Second)
 	for n := 1; n <= 6; n++ {
-		want, err := Partition("fake", false, pts, n)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := rendezvousPlan("fake", pts, n)
 		for name, prof := range map[string]*sweep.Profile{"nil": nil, "empty": empty, "foreign": foreign} {
-			got, err := PartitionWeighted("fake", false, pts, n, prof)
+			got, err := Partition("fake", false, pts, n, prof)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -179,11 +188,11 @@ func TestWeightedPartitionDeterministic(t *testing.T) {
 	}
 	prof := profileFor(t, pts, walls)
 	for n := 2; n <= 5; n++ {
-		p1, err := PartitionWeighted("fake", false, pts, n, prof)
+		p1, err := Partition("fake", false, pts, n, prof)
 		if err != nil {
 			t.Fatal(err)
 		}
-		p2, err := PartitionWeighted("fake", false, pts, n, prof)
+		p2, err := Partition("fake", false, pts, n, prof)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -206,7 +215,7 @@ func TestWeightedPartitionKeepsDuplicateFingerprintsTogether(t *testing.T) {
 	prof, _ := sweep.LoadProfile(t.TempDir())
 	prof.Observe(pts[0].Fingerprint, 10*time.Second)
 	prof.Observe(pts[1].Fingerprint, 10*time.Second)
-	plan, err := PartitionWeighted("dup", false, pts, 2, prof)
+	plan, err := Partition("dup", false, pts, 2, prof)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,11 +249,11 @@ func TestWeightedPlanNoWorseThanUnweighted(t *testing.T) {
 		}
 		prof := profileFor(t, pts, walls)
 		for n := 2; n <= 6; n++ {
-			weighted, err := PartitionWeighted("fig4like", false, pts, n, prof)
+			weighted, err := Partition("fig4like", false, pts, n, prof)
 			if err != nil {
 				t.Fatal(err)
 			}
-			unweighted, err := Partition("fig4like", false, pts, n)
+			unweighted, err := Partition("fig4like", false, pts, n, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -292,7 +301,7 @@ func predictedMax(loads []int64) int64 {
 func TestWeightedPartitionEqualLoadTieGoesToLowestShard(t *testing.T) {
 	pts := fakePoints(4, nil)
 	walls := map[int]int64{0: 50, 1: 50, 2: 50, 3: 50}
-	plan, err := PartitionWeighted("tie", false, pts, 2, profileFor(t, pts, walls))
+	plan, err := Partition("tie", false, pts, 2, profileFor(t, pts, walls))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +319,7 @@ func TestWeightedPartitionEqualLoadTieGoesToLowestShard(t *testing.T) {
 
 // TestWeightedPlanByteStable is the property test behind the
 // determinism claim: for random point sets and profiles, repeated
-// PartitionWeighted calls marshal to byte-identical plans.
+// Partition calls marshal to byte-identical plans.
 func TestWeightedPlanByteStable(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 20; trial++ {
@@ -328,7 +337,7 @@ func TestWeightedPlanByteStable(t *testing.T) {
 			}
 		}
 		prof := profileFor(t, pts, walls)
-		base, err := PartitionWeighted("stable", false, pts, n, prof)
+		base, err := Partition("stable", false, pts, n, prof)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -337,7 +346,7 @@ func TestWeightedPlanByteStable(t *testing.T) {
 			t.Fatal(err)
 		}
 		for rep := 0; rep < 5; rep++ {
-			plan, err := PartitionWeighted("stable", false, pts, n, prof)
+			plan, err := Partition("stable", false, pts, n, prof)
 			if err != nil {
 				t.Fatal(err)
 			}

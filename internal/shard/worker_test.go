@@ -42,7 +42,7 @@ func fakePoints(n int, ran *sync.Map) []sweep.Point {
 
 func mustPartition(t *testing.T, pts []sweep.Point, n int) *Plan {
 	t.Helper()
-	plan, err := Partition("fake", false, pts, n)
+	plan, err := Partition("fake", false, pts, n, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -57,11 +57,3 @@ func TicksFromNanoseconds(ns float64) Tick {
 	}
 	return Tick(ns*float64(Nanosecond) + 0.5)
 }
-
-// TicksFromSeconds converts a floating second duration to ticks.
-func TicksFromSeconds(s float64) Tick {
-	if s <= 0 {
-		return 0
-	}
-	return Tick(s*float64(Second) + 0.5)
-}

@@ -10,6 +10,7 @@
 package smmu
 
 import (
+	"errors"
 	"fmt"
 
 	"accesys/internal/mem"
@@ -98,6 +99,31 @@ func (c Config) Resolved() Config {
 	return c
 }
 
+// Validate checks the resolved configuration: no entry, associativity
+// or walker count is negative, and the main TLB has a power-of-two
+// number of sets.
+func (c Config) Validate() error {
+	c.setDefaults()
+	for _, f := range []struct {
+		name string
+		n    int
+	}{
+		{"UTLBEntries", c.UTLBEntries},
+		{"TLBEntries", c.TLBEntries},
+		{"TLBAssoc", c.TLBAssoc},
+		{"PWCEntries", c.PWCEntries},
+		{"Walkers", c.Walkers},
+	} {
+		if f.n < 0 {
+			return fmt.Errorf("%s %d is negative", f.name, f.n)
+		}
+	}
+	if sets := c.TLBEntries / c.TLBAssoc; sets == 0 || !mem.IsPow2(uint64(sets)) {
+		return fmt.Errorf("TLB sets (%d) must be a power of two", sets)
+	}
+	return nil
+}
+
 type utlbEntry struct {
 	vpn, ppn uint64
 	lastUse  uint64
@@ -181,11 +207,11 @@ type passThrough struct{}
 
 // New builds an SMMU whose walker leases its PTE reads from pkts.
 func New(name string, eq *sim.EventQueue, pkts *mem.Packets, reg *stats.Registry, cfg Config) *SMMU {
+	if err := cfg.Validate(); err != nil {
+		panic(fmt.Sprintf("smmu %s: %v", name, err))
+	}
 	cfg.setDefaults()
 	numSets := cfg.TLBEntries / cfg.TLBAssoc
-	if numSets == 0 || !mem.IsPow2(uint64(numSets)) {
-		panic(fmt.Sprintf("smmu %s: TLB sets (%d) must be a power of two", name, numSets))
-	}
 	s := &SMMU{
 		name:       name,
 		eq:         eq,
@@ -229,11 +255,20 @@ func (s *SMMU) SetRootTable(phys uint64) {
 	s.haveRoot = true
 }
 
-// InvalidateAll flushes the uTLB, TLB, and page-walk cache.
-func (s *SMMU) InvalidateAll() {
-	s.utlb = s.utlb[:0]
-	clear(s.tlb)
-	s.pwc = s.pwc[:0]
+// Audit reports the state an SMMU must not hold once its run has
+// drained: queued or blocked packets, a walk still active or queued,
+// and packets still waiting on a walk.
+func (s *SMMU) Audit() error {
+	errs := []error{s.memQ.Audit(s.name + ".memq"), s.respQ.Audit(s.name + ".respq")}
+	waiting := 0
+	for _, w := range s.walks {
+		waiting += len(w.waiting)
+	}
+	if s.activeWalks != 0 || len(s.walkQueue) != 0 || waiting != 0 {
+		errs = append(errs, fmt.Errorf("%s: %d walks active, %d queued, %d packets waiting on a walk",
+			s.name, s.activeWalks, len(s.walkQueue), waiting))
+	}
+	return errors.Join(errs...)
 }
 
 func (s *SMMU) utlbLookup(vpn uint64) (uint64, bool) {

@@ -2,6 +2,7 @@ package smmu
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -54,6 +55,21 @@ func (f funcStore) ReadFunctional(addr uint64, buf []byte)   { f.m.Store.Read(ad
 func (f funcStore) WriteFunctional(addr uint64, data []byte) { f.m.Store.Write(addr, data) }
 
 func (rg *rig) count(name string) float64 { return rg.reg.Lookup("smmu." + name).Value() }
+
+// translate is the reference walk: a functional read of each table
+// level, mirroring what the hardware walker does with timed reads. It
+// reports false on any invalid entry.
+func (b *TableBuilder) translate(iova uint64) (uint64, bool) {
+	base := b.root
+	for level := 0; level < WalkLevels; level++ {
+		pte := b.readPTE(base + vaIndex(iova, level)*PTESize)
+		if !PTEValid(pte) {
+			return 0, false
+		}
+		base = PTEAddr(pte)
+	}
+	return base + iova%PageBytes, true
+}
 
 func TestPTEEncoding(t *testing.T) {
 	pte := MakePTE(0x1234_5000)
@@ -191,19 +207,6 @@ func TestTLBHoldsMoreThanUTLB(t *testing.T) {
 	}
 }
 
-func TestInvalidateAllForcesRewalk(t *testing.T) {
-	rg := newRig(t, Config{})
-	rg.tb.Map(0x10_0000, 0x20_0000)
-	rg.dev.Send(mem.NewRead(0x10_0000, 4))
-	rg.eq.Run()
-	rg.s.InvalidateAll()
-	rg.dev.Send(mem.NewRead(0x10_0000, 4))
-	rg.eq.Run()
-	if rg.count("ptws") != 2 {
-		t.Fatalf("after invalidate, expected rewalk: ptws=%v", rg.count("ptws"))
-	}
-}
-
 func TestPageCrossingPanics(t *testing.T) {
 	rg := newRig(t, Config{})
 	rg.tb.Map(0x10_0000, 0x20_0000)
@@ -228,7 +231,7 @@ func TestWriteTranslated(t *testing.T) {
 	}
 }
 
-// Property: hardware walk result always equals the software Translate.
+// Property: hardware walk result always equals the reference walk.
 func TestWalkMatchesSoftwareTranslate(t *testing.T) {
 	rg := newRig(t, Config{UTLBEntries: 2, TLBEntries: 16, TLBAssoc: 2, PWCEntries: 4})
 	// Build a scattered mapping.
@@ -256,7 +259,7 @@ func TestWalkMatchesSoftwareTranslate(t *testing.T) {
 			}
 		}
 		iova := keys[int(pick)%len(keys)] + uint64(off)%PageBytes
-		want, ok := rg.tb.Translate(iova)
+		want, ok := rg.tb.translate(iova)
 		if !ok {
 			return false
 		}
@@ -282,14 +285,14 @@ func TestTableBuilderIdempotentMap(t *testing.T) {
 	if rg.nextFrame != framesBefore {
 		t.Fatal("mapping a sibling page should not allocate new tables")
 	}
-	if pa, ok := rg.tb.Translate(0x10_1000); !ok || pa != 0x20_1000 {
-		t.Fatalf("Translate = %#x, %v", pa, ok)
+	if pa, ok := rg.tb.translate(0x10_1000); !ok || pa != 0x20_1000 {
+		t.Fatalf("translate = %#x, %v", pa, ok)
 	}
 }
 
 func TestTranslateUnmapped(t *testing.T) {
 	rg := newRig(t, Config{})
-	if _, ok := rg.tb.Translate(0x9999_0000); ok {
+	if _, ok := rg.tb.translate(0x9999_0000); ok {
 		t.Fatal("unmapped IOVA should not translate")
 	}
 }
@@ -310,5 +313,63 @@ func TestStatsShape(t *testing.T) {
 	lat := rg.reg.Lookup("smmu.trans_ns").(*stats.Distribution)
 	if lat.Count() != 64 || lat.Mean() <= 0 {
 		t.Fatalf("trans_ns distribution wrong: count=%d mean=%v", lat.Count(), lat.Mean())
+	}
+}
+
+func TestConfigValidate(t *testing.T) {
+	for _, c := range []struct {
+		cfg  Config
+		want string
+	}{
+		{Config{}, ""},
+		{Config{TLBEntries: 256, TLBAssoc: 8, Walkers: 4}, ""},
+		{Config{UTLBEntries: -1}, "UTLBEntries -1 is negative"},
+		{Config{TLBEntries: -512}, "TLBEntries -512 is negative"},
+		{Config{TLBAssoc: -4}, "TLBAssoc -4 is negative"},
+		{Config{PWCEntries: -2}, "PWCEntries -2 is negative"},
+		{Config{Walkers: -1}, "Walkers -1 is negative"},
+		{Config{TLBAssoc: 3}, "TLB sets (170) must be a power of two"},
+		{Config{TLBEntries: 2, TLBAssoc: 4}, "TLB sets (0) must be a power of two"},
+	} {
+		err := c.cfg.Validate()
+		if (c.want == "") != (err == nil) || (err != nil && err.Error() != c.want) {
+			t.Errorf("%+v: Validate = %v, want %q", c.cfg, err, c.want)
+		}
+	}
+}
+
+func TestNewPanicsWithValidateError(t *testing.T) {
+	defer func() {
+		if r := recover(); r != "smmu smmu: Walkers -1 is negative" {
+			t.Fatalf("panic = %v", r)
+		}
+	}()
+	New("smmu", sim.NewEventQueue(), mem.NewPackets(), stats.NewRegistry(), Config{Walkers: -1})
+}
+
+func TestAuditReportsUndrainedSMMU(t *testing.T) {
+	rg := newRig(t, Config{Walkers: 1})
+	rg.tb.Map(0x10_0000, 0x20_0000)
+	rg.tb.Map(0x30_0000, 0x40_0000)
+	rg.m.RefuseRequests = true
+	rg.dev.Send(mem.NewRead(0x10_0000, 4))
+	rg.dev.Send(mem.NewRead(0x10_0040, 4)) // joins the first walk
+	rg.dev.Send(mem.NewRead(0x30_0000, 4)) // waits for the only walker
+	rg.eq.Run()
+	err := rg.s.Audit()
+	if err == nil || !strings.Contains(err.Error(), "smmu.memq: 1 packets queued, blocked true") ||
+		!strings.Contains(err.Error(), "smmu: 1 walks active, 1 queued, 3 packets waiting on a walk") {
+		t.Fatalf("Audit with memory refusing = %v, want the blocked memq and both walks", err)
+	}
+	rg.dev.RefuseResponses = true
+	rg.m.ReleaseRequests()
+	rg.eq.Run()
+	if err := rg.s.Audit(); err == nil || !strings.Contains(err.Error(), "smmu.respq: 3 packets queued, blocked true") {
+		t.Fatalf("Audit with responses refused = %v, want the blocked respq", err)
+	}
+	rg.dev.ReleaseResponses()
+	rg.eq.Run()
+	if err := rg.s.Audit(); err != nil || len(rg.dev.Done) != 3 {
+		t.Fatalf("Audit after %d of 3 reads: %v", len(rg.dev.Done), err)
 	}
 }

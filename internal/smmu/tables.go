@@ -72,17 +72,3 @@ func (b *TableBuilder) MapRange(iova, phys, size uint64) {
 		b.Map(iova+off, phys+off)
 	}
 }
-
-// Translate performs a software walk, mirroring what the hardware
-// walker does with timed reads. It reports false on any invalid entry.
-func (b *TableBuilder) Translate(iova uint64) (uint64, bool) {
-	base := b.root
-	for level := 0; level < WalkLevels; level++ {
-		pte := b.readPTE(base + vaIndex(iova, level)*PTESize)
-		if !PTEValid(pte) {
-			return 0, false
-		}
-		base = PTEAddr(pte)
-	}
-	return base + iova%PageBytes, true
-}

@@ -7,7 +7,6 @@ package stats
 import (
 	"fmt"
 	"io"
-	"math"
 	"sort"
 	"strings"
 )
@@ -75,13 +74,12 @@ func (c *Counter) Add(n uint64) { c.n += n }
 // Count returns the raw count.
 func (c *Counter) Count() uint64 { return c.n }
 
-// Distribution tracks count, sum, min, max and sum of squares of a
-// sampled quantity, enough to report mean and standard deviation.
+// Distribution tracks count, sum, min and max of a sampled quantity,
+// enough to report its mean.
 type Distribution struct {
 	name, desc string
 	n          uint64
 	sum        float64
-	sumSq      float64
 	min, max   float64
 }
 
@@ -96,7 +94,7 @@ func (d *Distribution) Value() float64 { return d.Mean() }
 
 // Reset implements Stat.
 func (d *Distribution) Reset() {
-	d.n, d.sum, d.sumSq = 0, 0, 0
+	d.n, d.sum = 0, 0
 	d.min, d.max = 0, 0
 }
 
@@ -110,7 +108,6 @@ func (d *Distribution) Sample(v float64) {
 	}
 	d.n++
 	d.sum += v
-	d.sumSq += v * v
 }
 
 // Count returns the number of observations.
@@ -132,19 +129,6 @@ func (d *Distribution) Min() float64 { return d.min }
 
 // Max returns the largest observation.
 func (d *Distribution) Max() float64 { return d.max }
-
-// StdDev returns the population standard deviation.
-func (d *Distribution) StdDev() float64 {
-	if d.n == 0 {
-		return 0
-	}
-	m := d.Mean()
-	v := d.sumSq/float64(d.n) - m*m
-	if v < 0 {
-		v = 0
-	}
-	return math.Sqrt(v)
-}
 
 // Formula is a derived statistic computed from other stats on demand.
 type Formula struct {

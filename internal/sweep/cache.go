@@ -134,7 +134,7 @@ func (c *Cache) key(fingerprint string) string {
 }
 
 // Ref is a precomputed cache reference: the salted key for one
-// fingerprint, reusable across GetRef and PutRef. Compute it after Salt
+// fingerprint, reusable across lookups and PutRef. Compute it after Salt
 // is set; a Ref does not track later Salt changes. The key's log index
 // hash is computed only when the disk is touched (a memory hit never
 // needs it).
@@ -164,11 +164,7 @@ func (r *Ref) hash() *[32]byte {
 // a different fingerprint, or a log read failure, counts as a miss and
 // an error (the next Put supersedes the bad record).
 func (c *Cache) Get(fingerprint string) (Outcome, bool) {
-	return c.GetRef(c.Ref(fingerprint))
-}
-
-// GetRef is Get for an already-computed reference.
-func (c *Cache) GetRef(r Ref) (Outcome, bool) {
+	r := c.Ref(fingerprint)
 	return c.getRef(&r)
 }
 

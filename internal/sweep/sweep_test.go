@@ -414,7 +414,8 @@ func TestCacheRefMatchesGetPut(t *testing.T) {
 		t.Fatalf("Get after PutRef = %v %v", out, ok)
 	}
 	c.Put(fp, Outcome{Dur: 7})
-	if out, ok := c.GetRef(c.Ref(fp)); !ok || out.Dur != 7 {
-		t.Fatalf("GetRef after Put = %v %v", out, ok)
+	r := c.Ref(fp)
+	if out, ok := c.getRef(&r); !ok || out.Dur != 7 {
+		t.Fatalf("getRef after Put = %v %v", out, ok)
 	}
 }

@@ -6,8 +6,6 @@
 // marshalling) runs on the CPU.
 package workload
 
-import "fmt"
-
 // Tokens is the ViT sequence length: 196 patches + class token,
 // padded to the systolic array tile (16): 208.
 const (
@@ -24,13 +22,6 @@ type GEMMJob struct {
 
 // MACs returns the multiply-accumulate count.
 func (g GEMMJob) MACs() uint64 { return uint64(g.M) * uint64(g.N) * uint64(g.K) }
-
-// BytesA and BytesC are the packed A and C operand sizes (4 B
-// elements).
-func (g GEMMJob) BytesA() int { return g.M * g.K * 4 }
-
-// BytesC returns the packed C size.
-func (g GEMMJob) BytesC() int { return g.M * g.N * 4 }
 
 // NonGEMMOp is a CPU-resident operator with streaming memory traffic
 // and a compute budget.
@@ -68,17 +59,6 @@ func (g Graph) GEMMs() []GEMMJob {
 	return out
 }
 
-// CPUOps returns the Non-GEMM items in order.
-func (g Graph) CPUOps() []NonGEMMOp {
-	var out []NonGEMMOp
-	for _, it := range g.Items {
-		if it.CPU != nil {
-			out = append(out, *it.CPU)
-		}
-	}
-	return out
-}
-
 // TotalMACs returns the GEMM work of the full model (all layers).
 func (g Graph) TotalMACs() uint64 {
 	var m uint64
@@ -86,11 +66,6 @@ func (g Graph) TotalMACs() uint64 {
 		m += j.MACs()
 	}
 	return m * uint64(g.Layers)
-}
-
-// Square returns an N x N x N GEMM workload.
-func Square(n int) GEMMJob {
-	return GEMMJob{Name: fmt.Sprintf("gemm%d", n), M: n, N: n, K: n}
 }
 
 // ViTVariant selects a Vision Transformer model size.
@@ -165,22 +140,4 @@ func ViT(v ViTVariant) Graph {
 		elemOp("residual2", t*d, cpeAdd, 2),
 	)
 	return Graph{Name: v.Name, Items: items, Layers: v.Layers}
-}
-
-// GEMMFraction estimates the fraction of total MACs+element-ops that
-// are GEMM work, useful as a sanity measure (the timed split comes
-// from simulation).
-func (g Graph) GEMMFraction() float64 {
-	var gemmWork, cpuWork float64
-	for _, it := range g.Items {
-		if it.GEMM != nil {
-			gemmWork += float64(it.GEMM.MACs())
-		} else {
-			cpuWork += float64(it.CPU.ComputeCycles)
-		}
-	}
-	if gemmWork+cpuWork == 0 {
-		return 0
-	}
-	return gemmWork / (gemmWork + cpuWork)
 }

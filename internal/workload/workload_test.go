@@ -37,8 +37,14 @@ func TestViTGraphShape(t *testing.T) {
 	if gemms[0].Name != "qkv" || gemms[0].N != 3*768 || gemms[0].K != 768 {
 		t.Fatalf("qkv = %+v", gemms[0])
 	}
-	if len(g.CPUOps()) != 8 {
-		t.Fatalf("expected 8 Non-GEMM ops per layer, got %d", len(g.CPUOps()))
+	cpuOps := 0
+	for _, it := range g.Items {
+		if it.CPU != nil {
+			cpuOps++
+		}
+	}
+	if cpuOps != 8 {
+		t.Fatalf("expected 8 Non-GEMM ops per layer, got %d", cpuOps)
 	}
 }
 
@@ -66,21 +72,24 @@ func TestModelOrderingBySize(t *testing.T) {
 }
 
 func TestSquare(t *testing.T) {
-	j := Square(1024)
-	if j.M != 1024 || j.N != 1024 || j.K != 1024 {
-		t.Fatalf("Square = %+v", j)
-	}
+	j := GEMMJob{M: 1024, N: 1024, K: 1024}
 	if j.MACs() != 1<<30 {
 		t.Fatalf("MACs = %d", j.MACs())
-	}
-	if j.BytesA() != 4<<20 || j.BytesC() != 4<<20 {
-		t.Fatal("operand byte sizes wrong")
 	}
 }
 
 func TestGEMMFractionHigh(t *testing.T) {
-	// Transformer layers are GEMM-dominated in raw work.
-	f := ViT(ViTBase).GEMMFraction()
+	// Transformer layers are GEMM-dominated in raw work: the fraction
+	// of MACs + Non-GEMM element cycles that is GEMM MACs.
+	var gemmWork, cpuWork float64
+	for _, it := range ViT(ViTBase).Items {
+		if it.GEMM != nil {
+			gemmWork += float64(it.GEMM.MACs())
+		} else {
+			cpuWork += float64(it.CPU.ComputeCycles)
+		}
+	}
+	f := gemmWork / (gemmWork + cpuWork)
 	if f < 0.8 || f >= 1 {
 		t.Fatalf("GEMM work fraction = %.3f, want 0.8..1", f)
 	}
