@@ -19,9 +19,10 @@
 #                   decoder, the cache's entries.log reader, the
 #                   profile and counters loaders (snapshot plus
 #                   journal), the event queue's dispatch order against
-#                   a brute-force reference, and cache reads and
-#                   writes against a flat memory (FUZZTIME per
-#                   target, default 10s)
+#                   a brute-force reference, cache reads and writes
+#                   against a flat memory, and fingerprint encoders
+#                   against the reflection-walk reference (FUZZTIME
+#                   per target, default 10s)
 #   make golden   - golden-row conformance suite: all nine experiments
 #                   plus the hetfarm and tenants manifests, i.e. every
 #                   file in testdata/golden/ (UPDATE_GOLDEN=1 make
@@ -102,9 +103,9 @@ e2e:
 	$(GO) test -count=1 ./cmd/accesys
 
 # Short native-fuzz pass: the parsers, accepted manifests' runs, the
-# cache entry decoder, the cache log reader, the event queue's
-# ordering and the cache model's data path explore beyond their seed
-# corpora for FUZZTIME each.
+# cache entry decoder, the cache log reader, the fingerprint encoders,
+# the event queue's ordering and the cache model's data path explore
+# beyond their seed corpora for FUZZTIME each.
 # Crashers land under testdata/fuzz/ in the failing package — commit
 # them as regression seeds after fixing.
 fuzz:
@@ -116,6 +117,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzCacheLog$$' -fuzztime $(FUZZTIME) ./internal/sweep
 	$(GO) test -run '^$$' -fuzz '^FuzzProfileLoad$$' -fuzztime $(FUZZTIME) ./internal/sweep
 	$(GO) test -run '^$$' -fuzz '^FuzzCountersLoad$$' -fuzztime $(FUZZTIME) ./internal/sweep
+	$(GO) test -run '^$$' -fuzz '^FuzzFingerprintMatchesReference$$' -fuzztime $(FUZZTIME) ./internal/sweep
 	$(GO) test -run '^$$' -fuzz '^FuzzEventQueueOrder$$' -fuzztime $(FUZZTIME) ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzCacheVsReference$$' -fuzztime $(FUZZTIME) ./internal/cache
 

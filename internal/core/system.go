@@ -276,18 +276,24 @@ func (s *System) attach(port string, i int, host, dev mem.AddrRange) *driver.Dri
 }
 
 // Audit checks the state every run must leave once its event queue
-// has drained: both memory buses with their egress queues empty and
-// no refused port waiting, the PCIe fabric's links idle with their
-// credit back, its bridge queues empty and its TLPs back in the pool,
-// the SMMU with no walk under way and its queues empty, every cache
-// without outstanding misses or queued packets, every DRAM controller
-// with its channel queues empty and its request entries recycled, and
-// every accelerator's DMA engines idle with their burst records
-// returned. It returns nil, or an error naming each violation.
+// has drained: the CPU with no operator running, no line outstanding
+// and its port unblocked, both memory buses with their egress queues
+// empty and no refused port waiting, the PCIe fabric's links idle
+// with their credit back, its bridge queues empty and its TLPs back
+// in the pool, the SMMU with no walk under way and its queues empty,
+// every cache without outstanding misses or queued packets, every
+// DRAM controller with its channel queues empty and its request
+// entries recycled, a fixed-latency host memory with no response
+// queued and no retry owed, and every accelerator's DMA engines idle
+// with their burst records returned. It returns nil, or an error
+// naming each violation.
 func (s *System) Audit() error {
-	errs := []error{s.Bus.Audit(), s.DevBus.Audit(), s.Tree.Audit(), s.SMMU.Audit(), s.L1D.Audit(), s.LLC.Audit(), s.IOCache.Audit(), s.DevDRAM.Audit()}
+	errs := []error{s.CPU.Audit(), s.Bus.Audit(), s.DevBus.Audit(), s.Tree.Audit(), s.SMMU.Audit(), s.L1D.Audit(), s.LLC.Audit(), s.IOCache.Audit(), s.DevDRAM.Audit()}
 	if s.HostDRAM != nil {
 		errs = append(errs, s.HostDRAM.Audit())
+	}
+	if s.HostSimple != nil {
+		errs = append(errs, s.HostSimple.Audit())
 	}
 	for _, a := range s.Accels {
 		errs = append(errs, a.AuditDMA())

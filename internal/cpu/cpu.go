@@ -9,6 +9,7 @@
 package cpu
 
 import (
+	"errors"
 	"fmt"
 
 	"accesys/internal/mem"
@@ -52,16 +53,15 @@ type CPU struct {
 	opIdx  int
 	onDone func()
 
-	outstanding  int
-	rdCursor     uint64
-	rdLeft       int
-	wrCursor     uint64
-	wrLeft       int
-	computeLeft  bool
-	memLeft      bool
-	opStart      sim.Tick
-	portBlocked  bool
-	pendingIssue *mem.Packet
+	outstanding int
+	rdCursor    uint64
+	rdLeft      int
+	wrCursor    uint64
+	wrLeft      int
+	computeLeft bool
+	memLeft     bool
+	opStart     sim.Tick
+	portBlocked bool
 
 	opsDone *stats.Counter
 	busyNs  *stats.Scalar
@@ -184,6 +184,23 @@ func (c *CPU) RecvTimingResp(port *mem.RequestPort, pkt *mem.Packet) bool {
 		c.maybeOpDone()
 	}
 	return true
+}
+
+// Audit checks the state a drained run must leave: no operator in
+// progress, no line outstanding or left to issue, and the cache port
+// not blocked. It returns nil, or an error naming each violation.
+func (c *CPU) Audit() error {
+	var errs []error
+	if c.ops != nil {
+		errs = append(errs, fmt.Errorf("%s: operator %d of %d in progress", c.name, c.opIdx+1, len(c.ops)))
+	}
+	if c.outstanding != 0 || c.rdLeft != 0 || c.wrLeft != 0 {
+		errs = append(errs, fmt.Errorf("%s: %d lines outstanding, %d read and %d write bytes left to issue", c.name, c.outstanding, c.rdLeft, c.wrLeft))
+	}
+	if c.portBlocked {
+		errs = append(errs, fmt.Errorf("%s: port blocked", c.name))
+	}
+	return errors.Join(errs...)
 }
 
 // RecvRetryReq implements mem.Requestor.

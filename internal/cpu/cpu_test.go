@@ -133,10 +133,16 @@ func TestBackpressuredPort(t *testing.T) {
 	if done {
 		t.Fatal("op should stall against a refusing memory")
 	}
+	if err := c.Audit(); err == nil || err.Error() != "cpu: operator 1 of 1 in progress\ncpu: 0 lines outstanding, 512 read and 0 write bytes left to issue\ncpu: port blocked" {
+		t.Fatalf("stalled CPU audit = %v", err)
+	}
 	m.ReleaseRequests()
 	eq.Run()
 	if !done {
 		t.Fatal("op should finish after release")
+	}
+	if err := c.Audit(); err != nil {
+		t.Fatalf("drained CPU audit = %v", err)
 	}
 }
 

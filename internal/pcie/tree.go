@@ -145,6 +145,36 @@ func (c Config) Resolved() Config {
 	return c
 }
 
+// Validate checks the resolved configuration: the link has lanes and
+// a lane rate, no TLP header, buffer or queue depth is negative, and
+// the topology is one NewTree builds. Each error names its field.
+// Latencies and initiation intervals are unsigned sim.Ticks, so none
+// can be negative.
+func (c Config) Validate() error {
+	c.setDefaults()
+	switch {
+	case c.Link.Lanes <= 0:
+		return fmt.Errorf("Link.Lanes %d is not positive", c.Link.Lanes)
+	case !(c.Link.LaneGbps > 0):
+		return fmt.Errorf("Link.LaneGbps %g is not positive", c.Link.LaneGbps)
+	}
+	for _, f := range []struct {
+		name string
+		n    int
+	}{
+		{"TLPHeaderBytes", c.TLPHeaderBytes},
+		{"RCBufBytes", c.RCBufBytes},
+		{"SwitchBufBytes", c.SwitchBufBytes},
+		{"EPBufBytes", c.EPBufBytes},
+		{"TxQueueDepth", c.TxQueueDepth},
+	} {
+		if f.n < 0 {
+			return fmt.Errorf("%s %d is negative", f.name, f.n)
+		}
+	}
+	return c.Topology.Validate()
+}
+
 // Tree is an assembled PCIe fabric: RC <-> Switch <-> EP[i] for the
 // flat shape, or RC <-> Switch (root) <-> Leaves[j] <-> EP[i] for the
 // 2-level shape.
@@ -159,15 +189,12 @@ type Tree struct {
 // NewTree builds the fabric with one endpoint per element of epRanges;
 // each endpoint claims its address ranges for downstream routing.
 func NewTree(name string, eq *sim.EventQueue, reg *stats.Registry, cfg Config, epRanges ...[]mem.AddrRange) *Tree {
-	cfg.setDefaults()
-	if cfg.Link.Lanes <= 0 || cfg.Link.LaneGbps <= 0 {
-		panic(fmt.Sprintf("pcie: %s: link needs lanes and rate", name))
+	if err := cfg.Validate(); err != nil {
+		panic(fmt.Sprintf("pcie %s: %v", name, err))
 	}
+	cfg.setDefaults()
 	if len(epRanges) == 0 {
 		panic(fmt.Sprintf("pcie: %s: at least one endpoint required", name))
-	}
-	if err := cfg.Topology.Validate(); err != nil {
-		panic(fmt.Sprintf("pcie: %s: %v", name, err))
 	}
 
 	t := &Tree{cfg: cfg}

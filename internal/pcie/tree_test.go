@@ -33,6 +33,42 @@ func TestTopologyValidate(t *testing.T) {
 	}
 }
 
+func TestConfigValidate(t *testing.T) {
+	link := LinkConfig{Lanes: 4, LaneGbps: 5}
+	for _, c := range []struct {
+		cfg  Config
+		want string
+	}{
+		{Config{Link: link}, ""},
+		{Config{Link: link, Topology: Topology{Levels: 2, Fanout: 2}, CutThrough: true}, ""},
+		{Config{}, "Link.Lanes 0 is not positive"},
+		{Config{Link: LinkConfig{Lanes: -4, LaneGbps: 5}}, "Link.Lanes -4 is not positive"},
+		{Config{Link: LinkConfig{Lanes: 4}}, "Link.LaneGbps 0 is not positive"},
+		{Config{Link: LinkConfig{Lanes: 4, LaneGbps: -1}}, "Link.LaneGbps -1 is not positive"},
+		{Config{Link: link, TLPHeaderBytes: -24}, "TLPHeaderBytes -24 is negative"},
+		{Config{Link: link, RCBufBytes: -1}, "RCBufBytes -1 is negative"},
+		{Config{Link: link, SwitchBufBytes: -1}, "SwitchBufBytes -1 is negative"},
+		{Config{Link: link, EPBufBytes: -1}, "EPBufBytes -1 is negative"},
+		{Config{Link: link, TxQueueDepth: -2}, "TxQueueDepth -2 is negative"},
+		{Config{Link: link, Topology: Topology{Levels: 2}}, "pcie: 2-level topology needs fanout >= 1"},
+	} {
+		err := c.cfg.Validate()
+		if (c.want == "") != (err == nil) || (err != nil && err.Error() != c.want) {
+			t.Errorf("%+v: Validate = %v, want %q", c.cfg, err, c.want)
+		}
+	}
+}
+
+func TestNewTreePanicsWithValidateError(t *testing.T) {
+	defer func() {
+		if r := recover(); r != "pcie pcie: Link.Lanes -4 is not positive" {
+			t.Fatalf("panic = %v", r)
+		}
+	}()
+	NewTree("pcie", sim.NewEventQueue(), stats.NewRegistry(), Config{Link: LinkConfig{Lanes: -4, LaneGbps: 5}},
+		[]mem.AddrRange{mem.Range(0, 4096)})
+}
+
 func TestTopologyLeafMath(t *testing.T) {
 	flat := Topology{}
 	if flat.LeafCount(5) != 5 || flat.LeafOf(3) != 3 {

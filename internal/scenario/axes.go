@@ -97,7 +97,7 @@ var axisRegistry = map[string]axisDef{
 	"dev_packet_bytes": {phaseField, burst(func(r *Run, n int) { r.Cfg.Accel.DevDMA.BurstBytes = n })},
 	// Per-tile compute time override in nanoseconds (0 = model),
 	// scaled before the conversion so fractions keep their picoseconds.
-	"compute_ns": {phaseField, numeric("", func(r *Run, f float64) {
+	"compute_ns": {phaseField, duration(func(r *Run, f float64) {
 		r.Cfg.Accel.ComputeOverride = sim.Tick(f * float64(sim.Nanosecond))
 	})},
 	"hostmem": {phaseField, named(specByName, func(r *Run, s dram.Spec) { r.Cfg.HostSpec = s })},
@@ -116,6 +116,13 @@ var axisRegistry = map[string]axisDef{
 		m, err := obj(v, []string{"latency_ns", "bandwidth_gbps"})
 		if err != nil {
 			return setting{}, err
+		}
+		// A negative latency would clamp to 0 ns in the conversion, and
+		// a negative bandwidth has no meaning.
+		for _, f := range []struct{ key, unit string }{{"latency_ns", "ns"}, {"bandwidth_gbps", "GB/s"}} {
+			if m[f.key] < 0 {
+				return setting{}, fmt.Errorf("field %q: %g %s is negative", f.key, m[f.key], f.unit)
+			}
 		}
 		p := &core.SimpleMemParams{Latency: sim.TicksFromNanoseconds(m["latency_ns"]), BandwidthGBps: m["bandwidth_gbps"]}
 		return labelled(fmt.Sprintf("%g-%g", m["latency_ns"], m["bandwidth_gbps"]), func(r *Run) { r.Cfg.HostSimple = p }), nil
@@ -261,6 +268,19 @@ func burst(set func(r *Run, n int)) func(Value) (setting, error) {
 			return setting{}, fmt.Errorf("burst %g B exceeds the %d-B DMA page size", f, dma.DefaultPageBytes)
 		case ok && f < 0:
 			return setting{}, fmt.Errorf("burst %g B is negative", f)
+		}
+		return parse(v)
+	}
+}
+
+// duration is numeric for an axis in nanoseconds. A negative value is
+// rejected here, since converting it to an unsigned sim.Tick is not a
+// check: Go leaves a negative float's conversion implementation-defined.
+func duration(set func(r *Run, ns float64)) func(Value) (setting, error) {
+	parse := numeric("", set)
+	return func(v Value) (setting, error) {
+		if f, ok := v.(float64); ok && f < 0 {
+			return setting{}, fmt.Errorf("%g ns is negative", f)
 		}
 		return parse(v)
 	}

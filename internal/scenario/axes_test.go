@@ -114,6 +114,7 @@ var axisPins = []axisPin{
 			{12.5, "12.5", "12.5", "12500"},
 		},
 		wrongType: "fast", wrongTypeErr: `scenario pin: axis "compute_ns": want a number, got string`,
+		outOfSet: -5.0, outOfSetErr: `scenario pin: axis "compute_ns": -5 ns is negative`,
 	},
 	{
 		axis:  "hostmem",
@@ -342,6 +343,27 @@ func TestValidateRejectsBurstPastPage(t *testing.T) {
 		}
 		if err == nil || !strings.Contains(err.Error(), "exceeds the 4096-B DMA page size") {
 			t.Errorf("%s: error %v, want the DMA page size named", data, err)
+		}
+	}
+}
+
+// TestValidateRejectsNegativeDurations pins that a negative duration
+// or bandwidth fails at decode, naming the axis and field, instead of
+// wrapping (compute_ns) or clamping to 0 (simplemem latency_ns) when
+// it becomes a sim.Tick.
+func TestValidateRejectsNegativeDurations(t *testing.T) {
+	for _, c := range []struct{ axis, want string }{
+		{`{"axis":"compute_ns","values":[10,-5]}`, `axis "compute_ns": -5 ns is negative`},
+		{`{"axis":"simplemem","values":[{"latency_ns":-5,"bandwidth_gbps":12.5}]}`, `axis "simplemem": field "latency_ns": -5 ns is negative`},
+		{`{"axis":"simplemem","values":[{"latency_ns":30,"bandwidth_gbps":-1}]}`, `axis "simplemem": field "bandwidth_gbps": -1 GB/s is negative`},
+	} {
+		data := `{"name":"neg","base":"pcie8gb","workload":{"kind":"gemm","n":64},"axes":[` + c.axis + `]}`
+		sc, err := Parse([]byte(data))
+		if err == nil {
+			err = sc.Validate()
+		}
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %v, want %q", c.axis, err, c.want)
 		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"io"
+	"path/filepath"
 	"testing"
 )
 
@@ -95,5 +96,43 @@ func TestBuiltinFingerprintsStable(t *testing.T) {
 	}
 	if got := hex.EncodeToString(h.Sum(nil)); got != builtinFingerprintDigest {
 		t.Fatalf("built-in fingerprint digest = %s, want %s: cache keys moved", got, builtinFingerprintDigest)
+	}
+}
+
+// manifestFingerprintDigest is the SHA-256 of every point's
+// fingerprint in the repo's testdata/*.json manifests, quick then full
+// per file in name order, one fingerprint per line. It covers the
+// "farm" and "tenants" parts (a by-value []TenantJob, Cluster slices)
+// that no built-in reaches; update it under the same rule as
+// builtinFingerprintDigest.
+const manifestFingerprintDigest = "9c2827aa12ab96e6cff1cb0c1a11832c59c0cb1998e09b14a9357ad974562432"
+
+// TestManifestFingerprintsStable pins the cache keys of the repo's
+// example manifests, as TestBuiltinFingerprintsStable does for the
+// built-ins.
+func TestManifestFingerprintsStable(t *testing.T) {
+	paths, err := filepath.Glob("../../testdata/*.json")
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no manifests: %v", err)
+	}
+	h := sha256.New()
+	for _, path := range paths {
+		sc, err := Load(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, full := range []bool{false, true} {
+			points, err := sc.PointsFor(full)
+			if err != nil {
+				t.Fatalf("%s full=%v: %v", path, full, err)
+			}
+			for _, p := range points {
+				io.WriteString(h, p.Fingerprint)
+				io.WriteString(h, "\n")
+			}
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != manifestFingerprintDigest {
+		t.Fatalf("manifest fingerprint digest = %s, want %s: cache keys moved", got, manifestFingerprintDigest)
 	}
 }

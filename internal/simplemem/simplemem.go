@@ -6,6 +6,9 @@
 package simplemem
 
 import (
+	"errors"
+	"fmt"
+
 	"accesys/internal/mem"
 	"accesys/internal/sim"
 	"accesys/internal/stats"
@@ -114,6 +117,19 @@ func (m *Memory) sendRetry() {
 		m.needRetry = false
 		m.port.SendRetryReq()
 	}
+}
+
+// Audit checks the state a drained run must leave: no response queued
+// or blocked, no retry owed to a refused requestor, and the retry
+// event not pending. It returns nil, or an error naming each
+// violation.
+func (m *Memory) Audit() error {
+	var errs []error
+	if m.needRetry || m.retryEvent.Pending() {
+		errs = append(errs, fmt.Errorf("%s: retry owed %v, retry event pending %v", m.name, m.needRetry, m.retryEvent.Pending()))
+	}
+	errs = append(errs, m.respQ.Audit(m.name+".respq"))
+	return errors.Join(errs...)
 }
 
 // RecvRetryResp implements mem.Responder.

@@ -132,3 +132,24 @@ func TestBackpressuredResponse(t *testing.T) {
 		t.Fatal("response should complete after release")
 	}
 }
+
+func TestAuditReportsUndrainedMemory(t *testing.T) {
+	eq, m, r := newMem(t, Config{Latency: 30 * sim.Nanosecond, BandwidthGBps: 1})
+	r.RefuseResponses = true
+	r.Send(mem.NewRead(0x100, 64))
+	r.Send(mem.NewRead(0x140, 64)) // refused while the first serializes
+	var busy error
+	eq.ScheduleAfter(func() { busy = m.Audit() }, 10*sim.Nanosecond)
+	eq.Run()
+	if busy == nil || busy.Error() != "mem: retry owed true, retry event pending true\nmem.respq: 1 packets queued, blocked false" {
+		t.Fatalf("busy memory audit = %v", busy)
+	}
+	if err := m.Audit(); err == nil || err.Error() != "mem.respq: 2 packets queued, blocked true" {
+		t.Fatalf("blocked memory audit = %v", err)
+	}
+	r.ReleaseResponses()
+	eq.Run()
+	if err := m.Audit(); err != nil {
+		t.Fatalf("drained memory audit = %v", err)
+	}
+}

@@ -234,19 +234,22 @@ func TestFingerprintRejectsUnencodable(t *testing.T) {
 	type node struct{ Next *node }
 	cyclic := &node{}
 	cyclic.Next = cyclic
-	for name, v := range map[string]any{
-		"func":   func() {},
-		"chan":   make(chan int),
-		"field":  struct{ F func() }{func() {}},
-		"cyclic": cyclic,
+	for name, c := range map[string]struct {
+		v    any
+		want string
+	}{
+		"func":   {func() {}, "sweep: unencodable fingerprint part of type func()"},
+		"chan":   {make(chan int), "sweep: unencodable fingerprint part of type chan int"},
+		"field":  {struct{ F func() }{func() {}}, "sweep: unencodable fingerprint part of type func()"},
+		"cyclic": {cyclic, "sweep: unencodable fingerprint part: nesting deeper than 64 (cyclic value?)"},
 	} {
 		func() {
 			defer func() {
-				if recover() == nil {
-					t.Errorf("%s value should not fingerprint", name)
+				if got := recover(); got != c.want {
+					t.Errorf("%s value panicked with %v, want %q", name, got, c.want)
 				}
 			}()
-			Fingerprint(v)
+			Fingerprint(c.v)
 		}()
 	}
 }
