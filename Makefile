@@ -38,10 +38,12 @@
 #   make layerbench - B/op and ns/op or ns/event of a point's layers
 #                   (one GEMM-512 point's fingerprint, system build, a
 #                   fig4 small-packet point, small cold points, a warm
-#                   fig4 re-run) at -cpu 1 -count 5, then the wall per
-#                   point of two engines sweeping the same cold points
-#                   through one two-slot Flight (FlightOverlap, -cpu 2);
-#                   writes no file and is not part of ci
+#                   fig4 re-run, the DRAM controller streaming reads and
+#                   the PCIe fabric streaming TLPs) at -cpu 1 -count 5,
+#                   then the wall per point of two engines sweeping the
+#                   same cold points through one two-slot Flight
+#                   (FlightOverlap, -cpu 2); writes no file and is not
+#                   part of ci
 #   make cover    - coverage profile with a minimum total-coverage gate
 #   make figures  - regenerate every paper artifact (parallel, cached)
 #   make equiv    - timing-vs-analytic audit of every reproduced figure
@@ -169,6 +171,8 @@ benchcheck:
 layerbench:
 	$(GO) test -run '^$$' -bench '^Benchmark(Fingerprint|SystemBuild|Fig4SmallPacket|SmallPointsCold|WarmCacheSweep)$$' \
 		-benchmem -cpu 1 -count 5 .
+	$(GO) test -run '^$$' -bench '^BenchmarkStreamingRead$$' -benchmem -cpu 1 -count 5 ./internal/dram
+	$(GO) test -run '^$$' -bench '^BenchmarkFabricStream$$' -benchmem -cpu 1 -count 5 ./internal/pcie
 	$(GO) test -run '^$$' -bench '^BenchmarkFlightOverlap$$' -benchmem -cpu 2 -count 5 ./internal/sweep
 
 figures: build

@@ -119,6 +119,7 @@ type job struct {
 	tile        int // tile index within the block
 
 	aBuf, bBuf, bNext []byte
+	bLoading          []byte // the panel being loaded (one at a time)
 	bNextReady        bool
 	bWaiting          bool
 
@@ -148,6 +149,11 @@ type MatrixFlow struct {
 	regs [numRegs]uint64
 	job  *job
 
+	// The job's event and DMA callbacks, bound once in New so that a
+	// tile or transfer allocates no closure.
+	aLoadedFn, bLoadedFn, bPrefetchedFn func()
+	tileDoneFn, cWrittenFn, finishFn    func()
+
 	// OnDone fires when a job completes (after the MSI write lands).
 	OnDone func(JobResult)
 
@@ -173,6 +179,8 @@ func New(name string, eq *sim.EventQueue, pkts *mem.Packets, reg *stats.Registry
 	}
 
 	m := &MatrixFlow{name: name, eq: eq, cfg: cfg, clock: sim.NewClock(cfg.ClockMHz)}
+	m.aLoadedFn, m.bLoadedFn, m.bPrefetchedFn = m.aLoaded, m.bLoaded, m.bPrefetched
+	m.tileDoneFn, m.cWrittenFn, m.finishFn = m.tileDone, m.cWritten, m.finish
 	m.csrPort = mem.NewResponsePort(name+".csr", m)
 	m.csrRespQ = mem.NewPacketQueue(name+".csrresp", eq, func(p *mem.Packet) bool {
 		return m.csrPort.SendTimingResp(p)
@@ -295,35 +303,52 @@ func (m *MatrixFlow) loadABlock() {
 		j.aBuf = make([]byte, size)
 	}
 	addr := j.aAddr + uint64(j.rb*APanelBytes(j.k))
-	m.engine(j).Read(0, addr, size, j.aBuf, func() {
-		j.q = 0
-		j.bNextReady = false
-		m.loadBPanel(j.q, false)
-	})
+	m.engine(j).Read(0, addr, size, j.aBuf, m.aLoadedFn)
 }
 
-// loadBPanel fetches panel q; prefetch selects the bNext slot.
+// aLoaded starts the row block's first B panel once its A block landed.
+func (m *MatrixFlow) aLoaded() {
+	j := m.job
+	j.q = 0
+	j.bNextReady = false
+	m.loadBPanel(j.q, false)
+}
+
+// loadBPanel fetches panel q; prefetch selects the bNext slot. Only one
+// panel is in flight at a time: the next is prefetched once the
+// current one has landed.
 func (m *MatrixFlow) loadBPanel(q int, prefetch bool) {
 	j := m.job
 	panel := BPanelBytes(j.k)
-	var buf []byte
+	j.bLoading = nil
 	if m.cfg.Functional {
-		buf = make([]byte, panel)
+		j.bLoading = make([]byte, panel)
 	}
 	addr := j.bAddr + uint64(q*panel)
-	m.engine(j).Read(1, addr, panel, buf, func() {
-		if prefetch {
-			j.bNext = buf
-			j.bNextReady = true
-			if j.bWaiting {
-				j.bWaiting = false
-				m.swapAndStart()
-			}
-			return
-		}
-		j.bBuf = buf
-		m.startPanelComputes()
-	})
+	done := m.bLoadedFn
+	if prefetch {
+		done = m.bPrefetchedFn
+	}
+	m.engine(j).Read(1, addr, panel, j.bLoading, done)
+}
+
+// bLoaded starts the tiles of the panel just loaded.
+func (m *MatrixFlow) bLoaded() {
+	j := m.job
+	j.bBuf = j.bLoading
+	m.startPanelComputes()
+}
+
+// bPrefetched parks the prefetched panel, starting it if the tile loop
+// is already waiting for it.
+func (m *MatrixFlow) bPrefetched() {
+	j := m.job
+	j.bNext = j.bLoading
+	j.bNextReady = true
+	if j.bWaiting {
+		j.bWaiting = false
+		m.swapAndStart()
+	}
 }
 
 // startPanelComputes kicks the tile loop for the current panel and
@@ -345,7 +370,7 @@ func (m *MatrixFlow) computeTile() {
 		dur = m.clock.Cycles(m.cfg.Backend.TileCycles(j.k))
 	}
 	j.computeBusy += dur
-	m.eq.ScheduleAfter(func() { m.tileDone() }, dur)
+	m.eq.ScheduleAfter(m.tileDoneFn, dur)
 }
 
 func (m *MatrixFlow) tileDone() {
@@ -365,10 +390,7 @@ func (m *MatrixFlow) tileDone() {
 
 	cOff := uint64((p*j.tilesN + j.q) * TileCBytes)
 	j.outstandingC++
-	m.engine(j).Write(2, j.cAddr+cOff, TileCBytes, data, func() {
-		j.outstandingC--
-		m.maybeFinish()
-	})
+	m.engine(j).Write(2, j.cAddr+cOff, TileCBytes, data, m.cWrittenFn)
 
 	j.tile++
 	if j.tile < j.rbCount {
@@ -376,6 +398,12 @@ func (m *MatrixFlow) tileDone() {
 		return
 	}
 	m.advancePanel()
+}
+
+// cWritten retires one C tile's write.
+func (m *MatrixFlow) cWritten() {
+	m.job.outstandingC--
+	m.maybeFinish()
 }
 
 // swapAndStart promotes the prefetched B panel and starts its tiles.
@@ -416,7 +444,7 @@ func (m *MatrixFlow) maybeFinish() {
 	if j.msiAddr != 0 {
 		msi := make([]byte, 8)
 		msi[0] = 1
-		m.hostDMA.Write(3, j.msiAddr, 8, msi, func() { m.finish() })
+		m.hostDMA.Write(3, j.msiAddr, 8, msi, m.finishFn)
 		return
 	}
 	m.finish()

@@ -80,22 +80,59 @@ func (c *Config) setDefaults() {
 	}
 }
 
+// Validate checks the resolved configuration: size, associativity,
+// MSHRs and queue depth are positive, the line is a power of two of at
+// most 4096 bytes, and the set count is a power of two. Each error
+// names its field.
+func (c Config) Validate() error {
+	c.setDefaults()
+	for _, f := range []struct {
+		name string
+		n    int
+	}{
+		{"SizeBytes", c.SizeBytes},
+		{"Assoc", c.Assoc},
+		{"LineBytes", c.LineBytes},
+		{"MSHRs", c.MSHRs},
+		{"MemQueueDepth", c.MemQueueDepth},
+	} {
+		if f.n <= 0 {
+			return fmt.Errorf("%s %d is not positive", f.name, f.n)
+		}
+	}
+	if !mem.IsPow2(uint64(c.LineBytes)) || c.LineBytes > maxLineBytes {
+		return fmt.Errorf("LineBytes %d is not a power of two of at most %d", c.LineBytes, maxLineBytes)
+	}
+	if sets := c.SizeBytes / (c.Assoc * c.LineBytes); sets == 0 || !mem.IsPow2(uint64(sets)) {
+		return fmt.Errorf("SizeBytes %d / (Assoc %d * LineBytes %d) gives %d sets, not a power of two",
+			c.SizeBytes, c.Assoc, c.LineBytes, sets)
+	}
+	return nil
+}
+
 // line is the state of one way in 16 bytes. It holds no pointers, so a
 // block of lines is an allocation the garbage collector never scans;
-// the payload lives apart (see Cache.chunks).
+// the payload, if the line has one, lives apart (see Cache.payloads).
 type line struct {
 	tag uint64
 	// stamp is zero while the line is invalid. Otherwise bit 0 is
-	// dirtyBit and the bits above it are the line's last use, a count
-	// no other line of the cache shares.
+	// dirtyBit, bit 1 is payloadBit, and the bits above them are the
+	// line's last use, a count no other line of the cache shares.
 	stamp uint64
 }
 
-const dirtyBit = 1
+const (
+	dirtyBit = 1
+	// payloadBit marks a line whose bytes are in Cache.payloads; every
+	// other valid line reads as zeros.
+	payloadBit = 2
+	flagBits   = dirtyBit | payloadBit
+	useShift   = 2
+)
 
 func (l *line) valid() bool     { return l.stamp != 0 }
 func (l *line) dirty() bool     { return l.stamp&dirtyBit != 0 }
-func (l *line) lastUse() uint64 { return l.stamp >> 1 }
+func (l *line) lastUse() uint64 { return l.stamp >> useShift }
 
 // txn tracks one original packet that may span several lines.
 type txn struct {
@@ -149,16 +186,16 @@ type Cache struct {
 	lineShift  uint
 	useCounter uint64
 
-	// chunks holds the line payloads way-major: the payload of way w
-	// of set s is payload line w*numSets+s, and chunk k holds payload
-	// lines [k*chunkLines, (k+1)*chunkLines). A nil chunk reads as
-	// zeros in every line; it is allocated when one of its lines first
-	// stores a non-zero byte, so a timing-only run, whose operands are
-	// zeros, allocates no payload at all. Fills take the lowest invalid
-	// way, so a workload that stores data in a few lines of many sets
-	// fills way 0 of neighbouring sets and uses most of each chunk it
-	// allocates.
-	chunks [][]byte
+	// payloads holds the payload of each line whose payloadBit is set,
+	// keyed by payloadKey of its slot. A line gets one when it first
+	// stores a non-zero byte and gives it back when it is replaced or
+	// invalidated, so a zero line costs no lookup on any path, and a
+	// timing-only run, whose operands are zeros, holds payloads only
+	// for the page-table lines and the few other words it writes. The
+	// map is made on the first payload. spare keeps the given-back
+	// payloads, cleared, for the next line that needs one.
+	payloads map[int][]byte
+	spare    [][]byte
 
 	// mshrs holds the outstanding fills, at most cfg.MSHRs (the
 	// admission check guarantees it); it is only searched, never
@@ -187,25 +224,17 @@ type Cache struct {
 // New builds a cache and registers statistics under name. Fills and
 // writebacks are leased from pkts, the system's packet freelist.
 func New(name string, eq *sim.EventQueue, pkts *mem.Packets, reg *stats.Registry, cfg Config) *Cache {
+	if err := cfg.Validate(); err != nil {
+		panic(fmt.Sprintf("cache %s: %v", name, err))
+	}
 	cfg.setDefaults()
-	if cfg.SizeBytes <= 0 || cfg.Assoc <= 0 {
-		panic(fmt.Sprintf("cache %s: size/assoc must be positive", name))
-	}
-	if !mem.IsPow2(uint64(cfg.LineBytes)) || cfg.LineBytes > maxLineBytes {
-		panic(fmt.Sprintf("cache %s: line size %d must be a power of two of at most %d", name, cfg.LineBytes, maxLineBytes))
-	}
 	numSets := cfg.SizeBytes / (cfg.Assoc * cfg.LineBytes)
-	if numSets == 0 || !mem.IsPow2(uint64(numSets)) {
-		panic(fmt.Sprintf("cache %s: %d sets (size %d / assoc %d / line %d) must be a power of two",
-			name, numSets, cfg.SizeBytes, cfg.Assoc, cfg.LineBytes))
-	}
 	c := &Cache{
 		name:      name,
 		eq:        eq,
 		pkts:      pkts,
 		cfg:       cfg,
 		blocks:    make([][]line, (numSets+blockSets-1)/blockSets),
-		chunks:    make([][]byte, (numSets*cfg.Assoc+chunkLines-1)/chunkLines),
 		mshrs:     make([]*mshr, 0, cfg.MSHRs),
 		setMask:   uint64(numSets - 1),
 		setShift:  mem.Log2(uint64(numSets)),
@@ -297,54 +326,69 @@ func (c *Cache) widen(k int) {
 	c.blocks[k] = wide
 }
 
-// chunkLines is the number of line payloads allocated at once.
-const (
-	chunkShift = 6
-	chunkLines = 1 << chunkShift
-)
-
 // maxLineBytes bounds the line size, so that zeroLine covers any line.
 const maxLineBytes = 4096
 
-// zeroLine is what a line of an unallocated chunk reads as. Nothing
-// writes to it.
+// zeroLine is what a line without a payload reads as. Nothing writes to
+// it.
 var zeroLine [maxLineBytes]byte
 
-// payloadLine returns the way-major payload line number of a slot.
-func (c *Cache) payloadLine(s slot) int { return s.way<<c.setShift | s.set }
+// payloadKey names a slot in Cache.payloads. A slot keeps its way when
+// its block widens, so the key stays valid.
+func (c *Cache) payloadKey(s slot) int { return s.way<<c.setShift | s.set }
 
-// payload returns the chunk holding a slot's payload, nil while it is
-// unallocated, and the payload's offset in it.
-func (c *Cache) payload(s slot) (chunk []byte, off int) {
-	i := c.payloadLine(s)
-	return c.chunks[i>>chunkShift], (i & (chunkLines - 1)) << c.lineShift
-}
-
-// data returns the payload of a slot for reading: zeroLine while the
-// slot's chunk is unallocated. Only valid lines have a payload.
-func (c *Cache) data(s slot) []byte {
-	chunk, off := c.payload(s)
-	if chunk == nil {
+// data returns the payload of slot s, whose line is l, for reading:
+// zeroLine unless the line has a payload.
+func (c *Cache) data(s slot, l *line) []byte {
+	if l.stamp&payloadBit == 0 {
 		return zeroLine[:c.cfg.LineBytes]
 	}
-	return chunk[off : off+c.cfg.LineBytes]
+	return c.payloads[c.payloadKey(s)]
 }
 
-// store copies src into a slot's payload from byte off of the line on.
-// Storing only zeros into an unallocated chunk changes nothing it
-// reads, so the chunk is allocated only to hold a non-zero byte.
-func (c *Cache) store(s slot, off int, src []byte) {
+// store copies src into the payload of slot s, whose valid line is l,
+// from byte off of the line on. Storing only zeros into a line without
+// a payload changes nothing it reads, so a payload is taken only to
+// hold a non-zero byte.
+func (c *Cache) store(s slot, l *line, off int, src []byte) {
 	src = src[:min(len(src), c.cfg.LineBytes-off)]
-	chunk, base := c.payload(s)
-	if chunk == nil {
-		if bytes.Equal(src, zeroLine[:len(src)]) {
-			return
-		}
-		k := c.payloadLine(s) >> chunkShift
-		chunk = make([]byte, min(chunkLines, (int(c.setMask)+1)*c.cfg.Assoc-k*chunkLines)*c.cfg.LineBytes)
-		c.chunks[k] = chunk
+	if l.stamp&payloadBit != 0 {
+		copy(c.payloads[c.payloadKey(s)][off:], src)
+		return
 	}
-	copy(chunk[base+off:], src)
+	if bytes.Equal(src, zeroLine[:len(src)]) {
+		return
+	}
+	var p []byte
+	if n := len(c.spare); n > 0 {
+		p = c.spare[n-1]
+		c.spare[n-1] = nil
+		c.spare = c.spare[:n-1]
+	} else {
+		p = make([]byte, c.cfg.LineBytes)
+	}
+	if c.payloads == nil {
+		c.payloads = make(map[int][]byte)
+	}
+	c.payloads[c.payloadKey(s)] = p
+	copy(p[off:], src)
+	l.stamp |= payloadBit
+}
+
+// dropPayload gives back the payload of slot s, whose line is l, if it
+// has one; the line then reads as zeros. A line that is replaced or
+// invalidated drops its payload first, since an invalid line's stamp
+// keeps no flag.
+func (c *Cache) dropPayload(s slot, l *line) {
+	if l.stamp&payloadBit == 0 {
+		return
+	}
+	k := c.payloadKey(s)
+	p := c.payloads[k]
+	delete(c.payloads, k)
+	clear(p)
+	c.spare = append(c.spare, p)
+	l.stamp &^= payloadBit
 }
 
 // lookup finds the valid line holding lineAddr.
@@ -395,13 +439,11 @@ func (c *Cache) victim(lineAddr uint64) slot {
 			// way can be refilled at once.
 			c.writebacks.Inc()
 			wb := c.pkts.NewWriteSize(v.tag, c.cfg.LineBytes)
-			copy(wb.AllocData(), c.data(s))
+			copy(wb.AllocData(), c.data(s, v))
 			wb.PushState(wbState{})
 			c.memQ.Schedule(wb, c.eq.Now())
 		}
-	}
-	if chunk, off := c.payload(s); chunk != nil {
-		clear(chunk[off : off+c.cfg.LineBytes])
+		c.dropPayload(s, v)
 	}
 	v.tag = lineAddr
 	v.stamp = 0
@@ -410,23 +452,24 @@ func (c *Cache) victim(lineAddr uint64) slot {
 }
 
 // touch makes l the cache's most recently used line, which also makes
-// it valid; its dirty flag is kept.
+// it valid; its flags are kept.
 func (c *Cache) touch(l *line) {
 	c.useCounter++
-	l.stamp = c.useCounter<<1 | l.stamp&dirtyBit
+	l.stamp = c.useCounter<<useShift | l.stamp&flagBits
 }
 
-// apply copies data between a packet segment and a cache line.
+// apply copies data between a packet segment and a cache line. A read
+// marked NoPayload copies nothing.
 func (c *Cache) apply(s slot, tg target) {
 	l := c.line(s)
 	pkt := tg.t.pkt
 	if tg.isWrite {
 		if pkt.Data != nil {
-			c.store(s, tg.lineOff, pkt.Data[tg.pktOff:tg.pktOff+tg.n])
+			c.store(s, l, tg.lineOff, pkt.Data[tg.pktOff:tg.pktOff+tg.n])
 		}
 		l.stamp |= dirtyBit
-	} else {
-		copy(pkt.AllocData()[tg.pktOff:tg.pktOff+tg.n], c.data(s)[tg.lineOff:tg.lineOff+tg.n])
+	} else if !pkt.NoPayload {
+		copy(pkt.AllocData()[tg.pktOff:tg.pktOff+tg.n], c.data(s, l)[tg.lineOff:tg.lineOff+tg.n])
 	}
 	c.touch(l)
 }
@@ -535,7 +578,7 @@ func (c *Cache) RecvTimingReq(port *mem.ResponsePort, pkt *mem.Packet) bool {
 	}
 
 	isWrite := pkt.Cmd.IsWrite()
-	if pkt.Cmd.IsRead() {
+	if pkt.Cmd.IsRead() && !pkt.NoPayload {
 		pkt.AllocData()
 	}
 	t := c.getTxn()
@@ -566,8 +609,9 @@ func (c *Cache) RecvTimingReq(port *mem.ResponsePort, pkt *mem.Packet) bool {
 				if !ok {
 					s = c.victim(la)
 				}
-				c.store(s, 0, data)
-				c.line(s).stamp |= dirtyBit
+				l := c.line(s)
+				c.store(s, l, 0, data)
+				l.stamp |= dirtyBit
 				extra = c.cfg.SnoopLatency
 			}
 		}
@@ -621,7 +665,7 @@ func (c *Cache) RecvTimingResp(port *mem.RequestPort, pkt *mem.Packet) bool {
 	case *mshr:
 		m := st
 		s := c.victim(m.lineAddr)
-		c.store(s, 0, pkt.Data)
+		c.store(s, c.line(s), 0, pkt.Data)
 		for _, tg := range m.targets {
 			c.apply(s, tg)
 			c.lineDone(tg.t, now+c.cfg.ResponseLatency)
@@ -664,8 +708,9 @@ func (c *Cache) SnoopInvalidate(lineAddr uint64) (bool, []byte) {
 	dirty := l.dirty()
 	var data []byte
 	if dirty {
-		data = append([]byte(nil), c.data(s)...)
+		data = append([]byte(nil), c.data(s, l)...)
 	}
+	c.dropPayload(s, l)
 	l.stamp = 0
 	return dirty, data
 }
@@ -676,8 +721,9 @@ func (c *Cache) SnoopDowngrade(lineAddr uint64) (bool, []byte) {
 	if !ok || !c.line(s).dirty() {
 		return false, nil
 	}
-	c.line(s).stamp &^= dirtyBit
-	return true, append([]byte(nil), c.data(s)...)
+	l := c.line(s)
+	l.stamp &^= dirtyBit
+	return true, append([]byte(nil), c.data(s, l)...)
 }
 
 // ReadFunctional implements mem.Functional: cached lines win over
@@ -697,7 +743,7 @@ func (c *Cache) ReadFunctional(addr uint64, buf []byte) {
 			if addr+uint64(len(buf)) < ovEnd {
 				ovEnd = addr + uint64(len(buf))
 			}
-			copy(buf[ovStart-addr:ovEnd-addr], c.data(s)[ovStart-la:ovEnd-la])
+			copy(buf[ovStart-addr:ovEnd-addr], c.data(s, c.line(s))[ovStart-la:ovEnd-la])
 		}
 	}
 }
@@ -716,7 +762,7 @@ func (c *Cache) WriteFunctional(addr uint64, data []byte) {
 			if addr+uint64(len(data)) < ovEnd {
 				ovEnd = addr + uint64(len(data))
 			}
-			c.store(s, int(ovStart-la), data[ovStart-addr:ovEnd-addr])
+			c.store(s, c.line(s), int(ovStart-la), data[ovStart-addr:ovEnd-addr])
 		}
 	}
 	if c.downFunc != nil {
@@ -740,7 +786,7 @@ func (c *Cache) OverlayFunctional(addr uint64, buf []byte) {
 			if addr+uint64(len(buf)) < ovEnd {
 				ovEnd = addr + uint64(len(buf))
 			}
-			copy(buf[ovStart-addr:ovEnd-addr], c.data(s)[ovStart-la:ovEnd-la])
+			copy(buf[ovStart-addr:ovEnd-addr], c.data(s, c.line(s))[ovStart-la:ovEnd-la])
 		}
 	}
 }
@@ -759,7 +805,7 @@ func (c *Cache) UpdateFunctional(addr uint64, data []byte) {
 			if addr+uint64(len(data)) < ovEnd {
 				ovEnd = addr + uint64(len(data))
 			}
-			c.store(s, int(ovStart-la), data[ovStart-addr:ovEnd-addr])
+			c.store(s, c.line(s), int(ovStart-la), data[ovStart-addr:ovEnd-addr])
 		}
 	}
 }
@@ -772,10 +818,11 @@ func (c *Cache) FlushAll() {
 		w := len(blk) >> blockShift
 		for i := range blk {
 			l := &blk[i]
+			s := slot{b<<blockShift + i/w, i % w}
 			if l.dirty() && c.downFunc != nil {
-				set := b<<blockShift + i/w
-				c.downFunc.WriteFunctional(l.tag, c.data(slot{set, i % w}))
+				c.downFunc.WriteFunctional(l.tag, c.data(s, l))
 			}
+			c.dropPayload(s, l)
 			l.stamp = 0
 		}
 	}

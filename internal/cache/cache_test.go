@@ -487,8 +487,7 @@ func TestSnoopsReturnLineData(t *testing.T) {
 
 // refGeometries are the shapes the reference comparisons run over:
 // fewer sets than one line-state block, exactly one block, and many
-// blocks, each with a 3-way case, whose line count also leaves the
-// last payload chunk partly sized, and a 16-way case, whose blocks
+// blocks, each with a 3-way case, and a 16-way case, whose blocks
 // widen from narrowWays while their sets hold dirty lines.
 var refGeometries = []Config{
 	{SizeBytes: 512, Assoc: 2, LineBytes: 64},    // 4 sets
@@ -504,11 +503,17 @@ var refGeometries = []Config{
 // Property: randomized mixed reads/writes through the cache always
 // agree with a flat reference model. Random addresses rarely collide
 // in a set, so each geometry first runs conflictOps, which evicts
-// dirty lines from every set.
+// dirty lines from every set, and payloadSeeds, which the fuzz target
+// runs on one geometry only.
 func TestCacheVsReferenceProperty(t *testing.T) {
 	for _, cfg := range refGeometries {
 		if err := runVsReference(t, cfg, conflictOps(cfg)); err != nil {
 			t.Fatalf("%+v: conflicts: %v", cfg, err)
+		}
+		for name, ops := range payloadSeeds {
+			if err := runVsReference(t, cfg, ops); err != nil {
+				t.Fatalf("%+v: %s: %v", cfg, name, err)
+			}
 		}
 		f := func(ops []struct {
 			Addr  uint16
@@ -530,9 +535,9 @@ func TestCacheVsReferenceProperty(t *testing.T) {
 // conflictOps makes four passes over two bytes in each of Assoc+2
 // lines of every set, so every set evicts dirty lines in each writing
 // pass, and every block widens while its sets hold dirty non-zero
-// lines. The passes write non-zero bytes (the first ones into
-// unallocated payload chunks), read back, write zeros over them (in
-// allocated chunks) and read back.
+// lines. The passes write non-zero bytes (the first ones into lines
+// without a payload), read back, write zeros over them (into lines
+// with one) and read back.
 func conflictOps(cfg Config) []refOp {
 	numSets := cfg.SizeBytes / (cfg.Assoc * cfg.LineBytes)
 	var ops []refOp
@@ -552,12 +557,79 @@ func conflictOps(cfg Config) []refOp {
 	return ops
 }
 
+// payloadSeeds are op sequences, over the first geometry with more
+// than one line-state block (32 sets of 3 ways, so lines 2048 bytes
+// apart share a set), that walk a line through each transition of its
+// payload: a non-zero store into a cached zero line, zeros stored over
+// a line with a payload, eviction and writeback of such a line and the
+// refill of its way, a dirty snoop of it (downgrade, then invalidate),
+// and functional write-through over cached and uncached lines, then a
+// flush of everything.
+var payloadSeeds = map[string][]refOp{
+	"non-zero into zero line": {
+		{addr: 0x40, size: 16, write: true}, // zeros: a miss fills a zero line
+		{addr: 0x48, size: 2, write: true, val: 9},
+		{addr: 0x40, size: 16},
+	},
+	"zeros over payload": {
+		{addr: 0x80, size: 16, write: true, val: 0x21},
+		{addr: 0x84, size: 4, write: true},
+		{addr: 0x80, size: 16},
+		{addr: 0x80, size: 16, write: true},
+		{addr: 0x80, size: 16},
+	},
+	"evict and write back payload": {
+		{addr: 0x100, size: 8, write: true, val: 0x31},
+		{addr: 0x100 + 1*2048, size: 4, write: true, val: 0x41},
+		{addr: 0x100 + 2*2048, size: 4},
+		{addr: 0x100 + 3*2048, size: 4},
+		{addr: 0x100 + 4*2048, size: 4}, // refills the evicted ways
+		{addr: 0x100 + 5*2048, size: 4},
+		{addr: 0x100, size: 16},
+		{addr: 0x100 + 1*2048, size: 8},
+	},
+	"dirty snoop of payload": {
+		{addr: 0x200, size: 8, write: true, val: 0x51},
+		{addr: 0x200, kind: snoopDown},
+		{addr: 0x200, size: 16},
+		{addr: 0x204, size: 2, write: true, val: 0x61},
+		{addr: 0x200, kind: snoopInv},
+		{addr: 0x200, size: 16},
+		{addr: 0x200, kind: snoopDown}, // clean: nothing moves
+		{addr: 0x200, kind: snoopInv},  // clean with a payload
+		{addr: 0x200, size: 16},
+	},
+	"payload reused after a drop": {
+		{addr: 0x600, size: 16, write: true, val: 0xb1},
+		{addr: 0x600, kind: snoopInv}, // gives the payload back
+		{addr: 0x680, size: 4},        // a cached zero line
+		{addr: 0x688, size: 2, write: true, val: 0xc1},
+		{addr: 0x680, size: 16},
+	},
+	"functional write-through": {
+		{addr: 0x400, size: 16, write: true, val: 0x71},
+		{addr: 0x400, size: 8, kind: funcWrite}, // zeros over a payload
+		{addr: 0x408, size: 8, kind: funcWrite, val: 0x81},
+		{addr: 0x1400, size: 4, kind: funcWrite, val: 0x91}, // uncached
+		{addr: 0x500, size: 4},                              // a cached zero line
+		{addr: 0x504, size: 4, kind: funcWrite, val: 0xa1},
+		{addr: 0x400, size: 16},
+		{addr: 0x500, size: 8},
+		{addr: 0x1400, size: 4},
+		{kind: flushAll},
+		{addr: 0x400, size: 16},
+		{addr: 0x500, size: 8},
+	},
+}
+
 // FuzzCacheVsReference drives the reference comparison from bytes over
 // the geometries with more than one line-state block: the first byte
-// picks the geometry, then every 4 bytes are one access (address low
-// and high byte; bit 0 of the third selects a write and the rest its
-// size, 1-16 bytes; the fourth is the value written, 0 for zeros).
-// Each geometry's conflictOps is a seed.
+// picks the geometry, then every 4 bytes are one op (address low and
+// high byte; in the third, bit 0 selects a write, bits 1-4 the size,
+// 1-16 bytes, and bits 5-7 the kind: 0-3 a timing access, 4 a
+// functional write, 5 and 6 a snoop invalidate and downgrade of the
+// address's line, 7 a flush; the fourth is the value written, 0 for
+// zeros). Each geometry's conflictOps and payloadSeeds are seeds.
 func FuzzCacheVsReference(f *testing.F) {
 	var multi []Config
 	for _, cfg := range refGeometries {
@@ -565,16 +637,25 @@ func FuzzCacheVsReference(f *testing.F) {
 			multi = append(multi, cfg)
 		}
 	}
-	for i, cfg := range multi {
-		seed := []byte{byte(i)}
-		for _, op := range conflictOps(cfg) {
-			flags := byte(op.size-1) << 1
+	encode := func(geometry int, ops []refOp) []byte {
+		seed := []byte{byte(geometry)}
+		for _, op := range ops {
+			flags := byte(max(op.size, 1)-1) << 1
 			if op.write {
 				flags |= 1
 			}
+			if op.kind != timingAccess {
+				flags |= byte(op.kind+3) << 5
+			}
 			seed = append(seed, byte(op.addr), byte(op.addr>>8), flags, op.val)
 		}
-		f.Add(seed)
+		return seed
+	}
+	for i, cfg := range multi {
+		f.Add(encode(i, conflictOps(cfg)))
+	}
+	for _, ops := range payloadSeeds {
+		f.Add(encode(0, ops))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
@@ -589,6 +670,7 @@ func FuzzCacheVsReference(f *testing.F) {
 				size:  1 + int(data[2]>>1)%16,
 				write: data[2]&1 != 0,
 				val:   data[3],
+				kind:  refKind(max(0, int(data[2]>>5)-3)),
 			})
 		}
 		if err := runVsReference(t, cfg, ops); err != nil {
@@ -597,33 +679,72 @@ func FuzzCacheVsReference(f *testing.F) {
 	})
 }
 
-// refOp is one access of a reference comparison: size bytes at addr,
-// a write storing pattern(size, val), or zeros when val is 0.
+// refKind is what a refOp does: a timing access through the cache's
+// cpu port, or one of the calls the coherence point and the functional
+// backdoor make.
+type refKind uint8
+
+const (
+	timingAccess refKind = iota
+	funcWrite            // WriteFunctional: write-through
+	snoopInv             // SnoopInvalidate of the op's line
+	snoopDown            // SnoopDowngrade of the op's line
+	flushAll             // FlushAll
+)
+
+// refOp is one op of a reference comparison: a timing access or
+// functional write of size bytes at addr, a write storing
+// pattern(size, val), or zeros when val is 0; a snoop of addr's line;
+// or a flush.
 type refOp struct {
 	addr  uint64
 	size  int
 	write bool
 	val   byte
+	kind  refKind
 }
 
 // runVsReference runs ops one at a time through a fresh cache of
-// geometry cfg and returns the first read whose data differs from a
-// flat reference memory.
+// geometry cfg and returns the first read whose data, through the
+// timing port or ReadFunctional, differs from a flat reference memory,
+// or the first op after which payloadsHeld fails. A snoop that returns
+// dirty data writes it below the cache, as the coherence point taking
+// ownership of the line would.
 func runVsReference(t *testing.T, cfg Config, ops []refOp) error {
 	rg := newRig(t, cfg)
 	ref := make([]byte, 1<<16+16)
 	var err error
 	for _, op := range ops {
 		span := ref[op.addr : op.addr+uint64(op.size)]
-		if op.write {
-			data := make([]byte, op.size)
-			if op.val != 0 {
-				data = pattern(op.size, op.val)
+		data := make([]byte, op.size)
+		if op.val != 0 {
+			data = pattern(op.size, op.val)
+		}
+		switch la := mem.AlignDown(op.addr, uint64(rg.c.cfg.LineBytes)); {
+		case op.kind == funcWrite:
+			rg.c.WriteFunctional(op.addr, data)
+			copy(span, data)
+		case op.kind == snoopInv || op.kind == snoopDown:
+			snoop := rg.c.SnoopInvalidate
+			if op.kind == snoopDown {
+				snoop = rg.c.SnoopDowngrade
 			}
+			if dirty, line := snoop(la); dirty {
+				rg.mem.Store.Write(la, line)
+			}
+		case op.kind == flushAll:
+			rg.c.FlushAll()
+		case op.write:
 			rg.req.Send(mem.NewWrite(op.addr, data))
 			copy(span, data)
-		} else {
-			rd, want := mem.NewRead(op.addr, op.size), bytes.Clone(span)
+		default:
+			want := bytes.Clone(span)
+			got := make([]byte, op.size)
+			rg.c.ReadFunctional(op.addr, got)
+			if !bytes.Equal(got, want) && err == nil {
+				err = fmt.Errorf("functional read %#x+%d = %v, want %v", op.addr, op.size, got, want)
+			}
+			rd := mem.NewRead(op.addr, op.size)
 			rg.req.OnDone = func(p *mem.Packet) {
 				if p == rd && !bytes.Equal(p.Data, want) && err == nil {
 					err = fmt.Errorf("read %#x+%d = %v, want %v", op.addr, op.size, p.Data, want)
@@ -633,8 +754,35 @@ func runVsReference(t *testing.T, cfg Config, ops []refOp) error {
 		}
 		rg.eq.Run()
 		rg.req.OnDone = nil
+		if e := payloadsHeld(rg.c); e != nil && err == nil {
+			err = fmt.Errorf("after %+v: %v", op, e)
+		}
 	}
 	return err
+}
+
+// payloadsHeld checks that c.payloads holds a payload, one line long,
+// for exactly the valid lines whose payloadBit is set: a line that is
+// replaced or invalidated gives its payload back.
+func payloadsHeld(c *Cache) error {
+	flagged := 0
+	for b, blk := range c.blocks {
+		w := len(blk) >> blockShift
+		for i := range blk {
+			if blk[i].stamp&payloadBit == 0 {
+				continue
+			}
+			flagged++
+			s := slot{b<<blockShift + i/w, i % w}
+			if p, ok := c.payloads[c.payloadKey(s)]; !ok || len(p) != c.cfg.LineBytes {
+				return fmt.Errorf("line %#x at %+v has no payload", blk[i].tag, s)
+			}
+		}
+	}
+	if len(c.payloads) != flagged {
+		return fmt.Errorf("%d payloads held for %d lines with one", len(c.payloads), flagged)
+	}
+	return nil
 }
 
 // A fresh cache holds no line state: lookups, snoops, functional
@@ -724,10 +872,8 @@ func TestZeroLineMasksDownstream(t *testing.T) {
 	rg.req.Send(mem.NewWrite(0x800, make([]byte, 64))) // full line: no fetch
 	rg.req.Send(mem.NewWriteSize(0x840, 64))           // no payload at all
 	rg.eq.Run()
-	for _, ch := range rg.c.chunks {
-		if ch != nil {
-			t.Fatal("a zero line allocated a payload chunk")
-		}
+	if len(rg.c.payloads) != 0 {
+		t.Fatal("a zero line took a payload")
 	}
 
 	buf := make([]byte, 160) // two cached zero lines and half a line below
@@ -783,5 +929,66 @@ func TestAuditReportsUndrainedCache(t *testing.T) {
 	rg.eq.Run()
 	if err := rg.c.Audit(); err != nil {
 		t.Fatalf("Audit after the read: %v", err)
+	}
+}
+
+func TestConfigValidate(t *testing.T) {
+	for _, c := range []struct {
+		cfg  Config
+		want string
+	}{
+		{Config{SizeBytes: 8 << 10, Assoc: 2}, ""},
+		{Config{SizeBytes: 8 << 10, Assoc: 1, LineBytes: 4096}, ""},
+		{Config{Assoc: 2}, "SizeBytes 0 is not positive"},
+		{Config{SizeBytes: -4096, Assoc: 2}, "SizeBytes -4096 is not positive"},
+		{Config{SizeBytes: 8 << 10}, "Assoc 0 is not positive"},
+		{Config{SizeBytes: 8 << 10, Assoc: 2, LineBytes: -64}, "LineBytes -64 is not positive"},
+		{Config{SizeBytes: 8 << 10, Assoc: 2, MSHRs: -1}, "MSHRs -1 is not positive"},
+		{Config{SizeBytes: 8 << 10, Assoc: 2, MemQueueDepth: -2}, "MemQueueDepth -2 is not positive"},
+		{Config{SizeBytes: 8 << 10, Assoc: 2, LineBytes: 48}, "LineBytes 48 is not a power of two of at most 4096"},
+		{Config{SizeBytes: 64 << 10, Assoc: 2, LineBytes: 8192}, "LineBytes 8192 is not a power of two of at most 4096"},
+		{Config{SizeBytes: 12 << 10, Assoc: 2}, "SizeBytes 12288 / (Assoc 2 * LineBytes 64) gives 96 sets, not a power of two"},
+		{Config{SizeBytes: 64, Assoc: 2}, "SizeBytes 64 / (Assoc 2 * LineBytes 64) gives 0 sets, not a power of two"},
+	} {
+		err := c.cfg.Validate()
+		if (c.want == "") != (err == nil) || (err != nil && err.Error() != c.want) {
+			t.Errorf("%+v: Validate = %v, want %q", c.cfg, err, c.want)
+		}
+	}
+}
+
+func TestNewPanicsWithValidateError(t *testing.T) {
+	defer func() {
+		if r := recover(); r != "cache llc: Assoc -4 is not positive" {
+			t.Fatalf("panic = %v", r)
+		}
+	}()
+	New("llc", sim.NewEventQueue(), nil, stats.NewRegistry(), Config{SizeBytes: 2 << 20, Assoc: -4})
+}
+
+// A read marked NoPayload, missing or hitting, gets no payload, but the
+// fill it causes still carries the line's bytes into the cache, so a
+// later read sees them.
+func TestNoPayloadReadLeavesCachedData(t *testing.T) {
+	rg := newRig(t, Config{})
+	want := pattern(64, 0x11)
+	rg.mem.Store.Write(0x300, want)
+	for range 2 { // a miss, then a hit
+		rd := mem.NewRead(0x300, 64)
+		rd.NoPayload = true
+		rg.req.Send(rd)
+		rg.eq.Run()
+		if rd.Data != nil {
+			t.Fatalf("NoPayload read carries %v, want no payload", rd.Data)
+		}
+	}
+	if rg.reg.Lookup("l1.misses").Value() != 1 || rg.reg.Lookup("l1.hits").Value() != 1 {
+		t.Fatal("want one miss, then one hit")
+	}
+	rd := mem.NewRead(0x300, 64)
+	rg.req.Send(rd)
+	rg.eq.Run()
+	if !bytes.Equal(rd.Data, want) {
+		t.Fatalf("read after NoPayload reads = %v, want %v", rd.Data, want)
 	}
 }

@@ -62,7 +62,31 @@ func (c Config) Resolved() Config {
 	return c
 }
 
-// transfer is one queued descriptor.
+// Validate checks the resolved configuration: the channel count, burst
+// and window are positive, and no burst crosses a page. Each error
+// names its field.
+func (c Config) Validate() error {
+	c.setDefaults()
+	for _, f := range []struct {
+		name string
+		n    int
+	}{
+		{"Channels", c.Channels},
+		{"BurstBytes", c.BurstBytes},
+		{"WindowBytes", c.WindowBytes},
+	} {
+		if f.n <= 0 {
+			return fmt.Errorf("%s %d is not positive", f.name, f.n)
+		}
+	}
+	if uint64(c.BurstBytes) > c.PageBytes {
+		return fmt.Errorf("BurstBytes %d exceeds PageBytes %d", c.BurstBytes, c.PageBytes)
+	}
+	return nil
+}
+
+// transfer is one queued descriptor. Records are recycled through the
+// engine's freelist.
 type transfer struct {
 	isWrite bool
 	addr    uint64
@@ -78,10 +102,15 @@ type transfer struct {
 }
 
 type channel struct {
-	e     *Engine
-	idx   int
+	e   *Engine
+	idx int
+	// queue holds the transfers waiting behind cur, oldest first; it is
+	// popped by shifting down, so its array is reused.
 	queue []*transfer
 	cur   *transfer
+	// startFn is the bound start method, made once so that scheduling
+	// a transfer's start allocates no closure.
+	startFn func()
 }
 
 type burstState struct {
@@ -109,6 +138,23 @@ func (e *Engine) putBS(st *burstState) {
 	e.bsFree = append(e.bsFree, st)
 }
 
+// getTransfer leases a transfer record from the engine's freelist.
+func (e *Engine) getTransfer() *transfer {
+	if n := len(e.trFree); n > 0 {
+		t := e.trFree[n-1]
+		e.trFree[n-1] = nil
+		e.trFree = e.trFree[:n-1]
+		return t
+	}
+	e.trMade++
+	return &transfer{}
+}
+
+func (e *Engine) putTransfer(t *transfer) {
+	*t = transfer{}
+	e.trFree = append(e.trFree, t)
+}
+
 // Engine is a multi-channel DMA engine sharing one request port.
 type Engine struct {
 	name string
@@ -118,10 +164,12 @@ type Engine struct {
 
 	port  *mem.RequestPort
 	reqQ  *mem.PacketQueue
-	chans []*channel
+	chans []channel
 
 	bsFree []*burstState // recycled burst-state records
 	bsMade int           // records ever allocated, for Audit
+	trFree []*transfer   // recycled transfer records
+	trMade int           // records ever allocated, for Audit
 
 	descriptors *stats.Counter
 	bursts      *stats.Counter
@@ -134,17 +182,20 @@ type Engine struct {
 // to the PCIe endpoint (host path) or to the device memory fabric
 // (DevMem path).
 func New(name string, eq *sim.EventQueue, pkts *mem.Packets, reg *stats.Registry, cfg Config) *Engine {
-	cfg.setDefaults()
-	if cfg.BurstBytes > int(cfg.PageBytes) {
-		panic(fmt.Sprintf("dma %s: burst %d exceeds page size %d", name, cfg.BurstBytes, cfg.PageBytes))
+	if err := cfg.Validate(); err != nil {
+		panic(fmt.Sprintf("dma %s: %v", name, err))
 	}
+	cfg.setDefaults()
 	e := &Engine{name: name, eq: eq, pkts: pkts, cfg: cfg}
 	e.port = mem.NewRequestPort(name+".port", e)
 	e.reqQ = mem.NewPacketQueue(name+".reqq", eq, func(p *mem.Packet) bool {
 		return e.port.SendTimingReq(p)
 	})
-	for i := 0; i < cfg.Channels; i++ {
-		e.chans = append(e.chans, &channel{e: e, idx: i})
+	e.chans = make([]channel, cfg.Channels)
+	for i := range e.chans {
+		c := &e.chans[i]
+		c.e, c.idx = e, i
+		c.startFn = c.start
 	}
 	g := reg.Group(name)
 	e.descriptors = g.Counter("descriptors", "transfers processed")
@@ -171,10 +222,11 @@ func (e *Engine) SetBurstBytes(n int) {
 }
 
 // Read schedules a gather of n bytes from addr into buf (which may be
-// nil for timing-only traffic). onDone fires when the last burst
-// lands. The transfer is assigned to channel ch mod Channels.
+// nil for timing-only traffic, whose bursts then carry no payload).
+// onDone fires when the last burst lands. The transfer is assigned to
+// channel ch mod Channels.
 func (e *Engine) Read(ch int, addr uint64, n int, buf []byte, onDone func()) {
-	e.submit(ch, &transfer{isWrite: false, addr: addr, n: n, buf: buf, onDone: onDone})
+	e.submit(ch, false, addr, n, buf, onDone)
 }
 
 // Write schedules a scatter of n bytes to addr. data may be nil for
@@ -183,14 +235,16 @@ func (e *Engine) Write(ch int, addr uint64, n int, data []byte, onDone func()) {
 	if data != nil && len(data) != n {
 		panic(fmt.Sprintf("dma %s: write size %d != len(data) %d", e.name, n, len(data)))
 	}
-	e.submit(ch, &transfer{isWrite: true, addr: addr, n: n, buf: data, onDone: onDone})
+	e.submit(ch, true, addr, n, data, onDone)
 }
 
-func (e *Engine) submit(ch int, t *transfer) {
-	if t.n <= 0 {
+func (e *Engine) submit(ch int, isWrite bool, addr uint64, n int, buf []byte, onDone func()) {
+	if n <= 0 {
 		panic(fmt.Sprintf("dma %s: empty transfer", e.name))
 	}
-	c := e.chans[ch%len(e.chans)]
+	t := e.getTransfer()
+	t.isWrite, t.addr, t.n, t.buf, t.onDone = isWrite, addr, n, buf, onDone
+	c := &e.chans[ch%len(e.chans)]
 	c.queue = append(c.queue, t)
 	e.descriptors.Inc()
 	if c.cur == nil {
@@ -204,13 +258,19 @@ func (c *channel) next() {
 		return
 	}
 	c.cur = c.queue[0]
-	c.queue = c.queue[1:]
+	n := copy(c.queue, c.queue[1:])
+	c.queue[n] = nil
+	c.queue = c.queue[:n]
 	c.cur.started = false
-	c.e.eq.ScheduleAfter(func() {
-		c.cur.started = true
-		c.cur.issuedAt = c.e.eq.Now()
-		c.pump()
-	}, c.e.cfg.StartLatency)
+	c.e.eq.ScheduleAfter(c.startFn, c.e.cfg.StartLatency)
+}
+
+// start begins issuing the current transfer once its descriptor
+// latency has passed.
+func (c *channel) start() {
+	c.cur.started = true
+	c.cur.issuedAt = c.e.eq.Now()
+	c.pump()
 }
 
 // pump issues bursts while the window allows.
@@ -242,6 +302,9 @@ func (c *channel) pump() {
 			c.e.bytesWrit.Add(uint64(n))
 		} else {
 			pkt = c.e.pkts.NewRead(addr, n)
+			// Nothing reads a timing-only burst's payload, so no
+			// responder need materialise it.
+			pkt.NoPayload = t.buf == nil
 			c.e.bytesRead.Add(uint64(n))
 		}
 		pkt.Uncacheable = c.e.cfg.Uncacheable
@@ -272,6 +335,9 @@ func (e *Engine) RecvTimingResp(port *mem.RequestPort, pkt *mem.Packet) bool {
 		if t.onDone != nil {
 			t.onDone()
 		}
+		// c.cur still names t while onDone runs, so a transfer it
+		// submits to this channel queues behind t; t is returned after.
+		e.putTransfer(t)
 		c.next()
 	} else {
 		c.pump()
@@ -281,17 +347,22 @@ func (e *Engine) RecvTimingResp(port *mem.RequestPort, pkt *mem.Packet) bool {
 
 // Audit reports the state an engine must not hold once its run has
 // drained: a current or queued transfer on any channel, bursts still
-// queued or in flight, and burst-state records not back on the
-// freelist (each in-flight burst holds one).
+// queued or in flight, and burst-state and transfer records not back
+// on their freelists (each in-flight burst holds one of the first,
+// each current or queued transfer one of the second).
 func (e *Engine) Audit() error {
 	var errs []error
-	for _, c := range e.chans {
+	for i := range e.chans {
+		c := &e.chans[i]
 		if c.cur != nil || len(c.queue) != 0 {
 			errs = append(errs, fmt.Errorf("%s.ch%d: transfer in progress %v, %d queued", e.name, c.idx, c.cur != nil, len(c.queue)))
 		}
 	}
 	if n := e.bsMade - len(e.bsFree); n != 0 {
 		errs = append(errs, fmt.Errorf("%s: %d bursts in flight or their state records lost", e.name, n))
+	}
+	if n := e.trMade - len(e.trFree); n != 0 {
+		errs = append(errs, fmt.Errorf("%s: %d transfers in progress or their records lost", e.name, n))
 	}
 	if !e.reqQ.Empty() || e.reqQ.Blocked() {
 		errs = append(errs, fmt.Errorf("%s.reqq: %d bursts queued, blocked %v", e.name, e.reqQ.Len(), e.reqQ.Blocked()))

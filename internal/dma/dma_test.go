@@ -2,6 +2,7 @@ package dma
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
@@ -211,4 +212,130 @@ func TestAuditReportsUndrainedEngine(t *testing.T) {
 	if err := e.Audit(); err == nil || !strings.Contains(err.Error(), "dma: 1 bursts in flight or their state records lost") {
 		t.Fatalf("Audit with a lost record = %v, want it counted", err)
 	}
+}
+
+// Audit also holds an engine to its transfer records: each current or
+// queued transfer holds one, and a drained engine has all of them back.
+func TestAuditCountsTransferRecords(t *testing.T) {
+	eq, e, _, _ := newEngine(t, Config{BurstBytes: 64, Channels: 2})
+	e.Read(0, 0, 256, nil, nil)
+	e.Write(1, 4096, 128, nil, nil)
+	if err := e.Audit(); err == nil || !strings.Contains(err.Error(), "dma: 2 transfers in progress or their records lost") {
+		t.Fatalf("Audit with two transfers pending = %v, want their records counted", err)
+	}
+	eq.Run()
+	if err := e.Audit(); err != nil {
+		t.Fatalf("Audit after both transfers: %v", err)
+	}
+	e.getTransfer() // a record that never returns to the freelist
+	if err := e.Audit(); err == nil || !strings.Contains(err.Error(), "dma: 1 transfers in progress or their records lost") {
+		t.Fatalf("Audit with a lost record = %v, want it counted", err)
+	}
+}
+
+// A transfer that a completion callback submits to its own channel
+// queues behind the finishing one and reuses its record.
+func TestTransferRecordsRecycled(t *testing.T) {
+	eq, e, _, _ := newEngine(t, Config{BurstBytes: 64, Channels: 1})
+	left := 8
+	var again func()
+	again = func() {
+		if left--; left > 0 {
+			e.Read(0, uint64(left)*4096, 256, nil, again)
+		}
+	}
+	e.Read(0, 0, 256, nil, again)
+	eq.Run()
+	if left != 0 {
+		t.Fatalf("%d transfers never ran", left)
+	}
+	if e.trMade != 2 || len(e.trFree) != 2 {
+		t.Fatalf("8 chained transfers made %d records, %d back; want 2 and 2", e.trMade, len(e.trFree))
+	}
+}
+
+// storeResponder answers requests from a Storage after 20 ns and
+// records, for each read, whether its response carries a payload.
+type storeResponder struct {
+	eq       *sim.EventQueue
+	port     *mem.ResponsePort
+	store    *mem.Storage
+	respQ    *mem.PacketQueue
+	payloads []bool
+}
+
+func newStoreResponder(eq *sim.EventQueue) *storeResponder {
+	s := &storeResponder{eq: eq, store: mem.NewStorage(1 << 20)}
+	s.port = mem.NewResponsePort("store", s)
+	s.respQ = mem.NewPacketQueue("store.respq", eq, func(p *mem.Packet) bool { return s.port.SendTimingResp(p) })
+	return s
+}
+
+func (s *storeResponder) RecvTimingReq(_ *mem.ResponsePort, pkt *mem.Packet) bool {
+	s.store.Access(pkt, pkt.Addr)
+	if pkt.Cmd.IsRead() {
+		s.payloads = append(s.payloads, pkt.Data != nil)
+	}
+	pkt.MakeResponse()
+	s.respQ.Schedule(pkt, s.eq.Now()+20*sim.Nanosecond)
+	return true
+}
+
+func (s *storeResponder) RecvRetryResp(*mem.ResponsePort) { s.respQ.RetryReceived() }
+
+// A read into no buffer is timing-only: its bursts are marked
+// NoPayload and come back without one, while a read into a buffer
+// still gets every byte.
+func TestTimingOnlyReadCarriesNoPayload(t *testing.T) {
+	eq := sim.NewEventQueue()
+	e := New("dma", eq, mem.NewPackets(), stats.NewRegistry(), Config{BurstBytes: 256})
+	m := newStoreResponder(eq)
+	mem.Bind(e.Port(), m.port)
+	want := make([]byte, 512)
+	for i := range want {
+		want[i] = byte(i*7 + 1)
+	}
+	m.store.Write(0x1000, want)
+
+	e.Read(0, 0x1000, 512, nil, nil)
+	eq.Run()
+	if !slices.Equal(m.payloads, []bool{false, false}) {
+		t.Fatalf("timing-only read's bursts carried payloads %v, want none", m.payloads)
+	}
+	m.payloads = nil
+	got := make([]byte, 512)
+	e.Read(0, 0x1000, 512, got, nil)
+	eq.Run()
+	if !slices.Equal(m.payloads, []bool{true, true}) || !bytes.Equal(got, want) {
+		t.Fatalf("buffered read's bursts carried payloads %v and gathered %v, want both and %v", m.payloads, got, want)
+	}
+}
+
+func TestConfigValidate(t *testing.T) {
+	for _, c := range []struct {
+		cfg  Config
+		want string
+	}{
+		{Config{}, ""},
+		{Config{BurstBytes: 4096, PageBytes: 4096}, ""},
+		{Config{Channels: -1}, "Channels -1 is not positive"},
+		{Config{BurstBytes: -64}, "BurstBytes -64 is not positive"},
+		{Config{WindowBytes: -1}, "WindowBytes -1 is not positive"},
+		{Config{BurstBytes: 8192}, "BurstBytes 8192 exceeds PageBytes 4096"},
+		{Config{BurstBytes: 512, PageBytes: 256}, "BurstBytes 512 exceeds PageBytes 256"},
+	} {
+		err := c.cfg.Validate()
+		if (c.want == "") != (err == nil) || (err != nil && err.Error() != c.want) {
+			t.Errorf("%+v: Validate = %v, want %q", c.cfg, err, c.want)
+		}
+	}
+}
+
+func TestNewPanicsWithValidateError(t *testing.T) {
+	defer func() {
+		if r := recover(); r != "dma hostdma: WindowBytes -8 is not positive" {
+			t.Fatalf("panic = %v", r)
+		}
+	}()
+	New("hostdma", sim.NewEventQueue(), nil, stats.NewRegistry(), Config{WindowBytes: -8})
 }

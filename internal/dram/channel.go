@@ -45,11 +45,15 @@ type channel struct {
 
 	banks []bank
 
-	busFree    sim.Tick
-	lastIsWr   bool
-	actWindow  []sim.Tick // recent ACT times for tFAW (ring of 4)
-	lastAct    sim.Tick   // for tRRD
-	nextRefill sim.Tick   // next refresh due
+	busFree  sim.Tick
+	lastIsWr bool
+	// actWindow is a ring of the last four ACT times, for tFAW: ACT
+	// number i (counting from 0) is recorded in actWindow[i%4], and
+	// acts counts every ACT recorded.
+	actWindow  [4]sim.Tick
+	acts       uint64
+	lastAct    sim.Tick // for tRRD
+	nextRefill sim.Tick // next refresh due
 
 	// Stats accumulated by the owning controller.
 	rowHits   uint64
@@ -63,7 +67,6 @@ func newChannel(spec Spec) *channel {
 		t:          t,
 		rowBytes:   spec.RowBytes,
 		banks:      make([]bank, spec.BanksPerChannel()),
-		actWindow:  make([]sim.Tick, 0, 4),
 		nextRefill: t.refi,
 	}
 }
@@ -122,19 +125,18 @@ func maxTick(ts ...sim.Tick) sim.Tick {
 }
 
 // fawConstraint returns the earliest tick a new ACT may issue under the
-// four-activate window.
+// four-activate window: tFAW after the fourth most recent ACT, which is
+// the slot the next record overwrites.
 func (c *channel) fawConstraint() sim.Tick {
-	if len(c.actWindow) < 4 {
+	if c.acts < 4 {
 		return 0
 	}
-	return c.actWindow[len(c.actWindow)-4] + c.t.faw
+	return c.actWindow[c.acts%4] + c.t.faw
 }
 
 func (c *channel) recordAct(t sim.Tick) {
-	c.actWindow = append(c.actWindow, t)
-	if len(c.actWindow) > 8 {
-		c.actWindow = c.actWindow[len(c.actWindow)-4:]
-	}
+	c.actWindow[c.acts%4] = t
+	c.acts++
 	c.lastAct = t
 }
 

@@ -83,6 +83,13 @@ type Packet struct {
 	// Uncacheable requests bypass cache allocation (DM access method).
 	Uncacheable bool
 
+	// NoPayload marks a read whose requester reads none of the
+	// response's payload: responders leave Data nil rather than
+	// materialise bytes nobody reads. Only the DMA engine sets it, on
+	// bursts of a timing-only transfer; cache fills, page walks and CPU
+	// reads carry their data.
+	NoPayload bool
+
 	route  []*ResponsePort
 	states []any
 

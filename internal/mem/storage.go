@@ -71,12 +71,14 @@ func (s *Storage) Write(addr uint64, data []byte) {
 }
 
 // Access applies a packet functionally: reads fill pkt.Data (allocating
-// it if nil), writes store pkt.Data when present. Timing-only writes
-// (nil data) leave contents untouched.
+// it if nil) unless marked NoPayload, writes store pkt.Data when
+// present. Timing-only writes (nil data) leave contents untouched.
 func (s *Storage) Access(pkt *Packet, offset uint64) {
 	switch {
 	case pkt.Cmd.IsRead():
-		s.Read(offset, pkt.AllocData()[:pkt.Size])
+		if !pkt.NoPayload {
+			s.Read(offset, pkt.AllocData()[:pkt.Size])
+		}
 	case pkt.Cmd.IsWrite():
 		if pkt.Data != nil {
 			s.Write(offset, pkt.Data[:pkt.Size])

@@ -80,6 +80,13 @@ func TestStorageAccessPacket(t *testing.T) {
 	if !bytes.Equal(r2.Data, []byte{9, 8, 7, 6}) {
 		t.Fatal("timing-only write must not clobber data")
 	}
+	// A read whose requester reads no payload gets none.
+	r3 := NewRead(0, 4)
+	r3.NoPayload = true
+	s.Access(r3, 0x100)
+	if r3.Data != nil {
+		t.Fatalf("NoPayload read carries %v, want no payload", r3.Data)
+	}
 }
 
 // Property: write-then-read roundtrips at arbitrary offsets/lengths.

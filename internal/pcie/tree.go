@@ -32,11 +32,11 @@ func (t Topology) Flat() bool { return t.Levels <= 1 }
 func (t Topology) Validate() error {
 	switch {
 	case t.Levels < 0 || t.Levels > 2:
-		return fmt.Errorf("pcie: topology levels %d (want 0, 1, or 2)", t.Levels)
+		return fmt.Errorf("topology levels %d (want 0, 1, or 2)", t.Levels)
 	case t.Levels == 2 && t.Fanout < 1:
-		return fmt.Errorf("pcie: 2-level topology needs fanout >= 1")
+		return fmt.Errorf("2-level topology needs fanout >= 1")
 	case t.Levels < 2 && t.Fanout != 0:
-		return fmt.Errorf("pcie: fanout %d requires levels = 2", t.Fanout)
+		return fmt.Errorf("fanout %d requires levels = 2", t.Fanout)
 	}
 	return nil
 }

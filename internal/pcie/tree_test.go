@@ -50,7 +50,7 @@ func TestConfigValidate(t *testing.T) {
 		{Config{Link: link, SwitchBufBytes: -1}, "SwitchBufBytes -1 is negative"},
 		{Config{Link: link, EPBufBytes: -1}, "EPBufBytes -1 is negative"},
 		{Config{Link: link, TxQueueDepth: -2}, "TxQueueDepth -2 is negative"},
-		{Config{Link: link, Topology: Topology{Levels: 2}}, "pcie: 2-level topology needs fanout >= 1"},
+		{Config{Link: link, Topology: Topology{Levels: 2}}, "2-level topology needs fanout >= 1"},
 	} {
 		err := c.cfg.Validate()
 		if (c.want == "") != (err == nil) || (err != nil && err.Error() != c.want) {

@@ -129,8 +129,8 @@ type utlbEntry struct {
 	lastUse  uint64
 }
 
+// tlbEntry is one main-TLB way; lastUse is zero while it is invalid.
 type tlbEntry struct {
-	valid    bool
 	vpn, ppn uint64
 	lastUse  uint64
 }
@@ -142,7 +142,8 @@ type pwcEntry struct {
 	lastUse uint64
 }
 
-// walk tracks one in-flight page-table walk.
+// walk tracks one in-flight page-table walk. Records are recycled
+// through the SMMU's freelist, waiting list included.
 type walk struct {
 	vpn     uint64
 	level   int
@@ -177,17 +178,29 @@ type SMMU struct {
 	haveRoot  bool
 
 	utlb []utlbEntry
-	// tlb holds the main TLB set-major: set i owns
-	// tlb[i*TLBAssoc : (i+1)*TLBAssoc]. Entries hold no pointers, so
-	// the whole TLB is one allocation the garbage collector never scans.
-	tlb        []tlbEntry
-	tlbSetMask uint64
-	pwc        []pwcEntry
-	useCtr     uint64
+	// tlb holds the main TLB set-major in blocks of B = 1<<tlbBlockShift
+	// consecutive sets: set i owns TLBAssoc ways from way (i%B)*TLBAssoc
+	// of tlb[i/B]. A block stays nil, and every lookup in it misses as
+	// on invalid entries, until the first fill of one of its sets, so a
+	// build allocates no TLB and a run only the blocks of the pages it
+	// touches. Entries hold no pointers, so the garbage collector never
+	// scans a block.
+	tlb           [][]tlbEntry
+	tlbSetMask    uint64
+	tlbBlockShift uint
+	pwc           []pwcEntry
+	useCtr        uint64
 
 	walks       map[uint64]*walk // by vpn
 	activeWalks int
-	walkQueue   []*walk
+	// walkQueue holds the walks waiting for a walker, oldest first; it
+	// is popped by shifting down, so its array is reused.
+	walkQueue []*walk
+
+	// walkFree recycles walk records; walksMade counts the records ever
+	// created, and Audit expects all of them back.
+	walkFree  []*walk
+	walksMade int
 
 	needRetry bool
 
@@ -212,14 +225,16 @@ func New(name string, eq *sim.EventQueue, pkts *mem.Packets, reg *stats.Registry
 	}
 	cfg.setDefaults()
 	numSets := cfg.TLBEntries / cfg.TLBAssoc
+	blockShift := min(maxTLBBlockShift, mem.Log2(uint64(numSets)))
 	s := &SMMU{
-		name:       name,
-		eq:         eq,
-		pkts:       pkts,
-		cfg:        cfg,
-		tlb:        make([]tlbEntry, numSets*cfg.TLBAssoc),
-		tlbSetMask: uint64(numSets - 1),
-		walks:      make(map[uint64]*walk),
+		name:          name,
+		eq:            eq,
+		pkts:          pkts,
+		cfg:           cfg,
+		tlb:           make([][]tlbEntry, numSets>>blockShift),
+		tlbSetMask:    uint64(numSets - 1),
+		tlbBlockShift: blockShift,
+		walks:         make(map[uint64]*walk),
 	}
 	s.devPort = mem.NewResponsePort(name+".dev", s)
 	s.memPort = mem.NewRequestPort(name+".mem", s)
@@ -257,7 +272,8 @@ func (s *SMMU) SetRootTable(phys uint64) {
 
 // Audit reports the state an SMMU must not hold once its run has
 // drained: queued or blocked packets, a walk still active or queued,
-// and packets still waiting on a walk.
+// packets still waiting on a walk, and walk records not back on the
+// freelist.
 func (s *SMMU) Audit() error {
 	errs := []error{s.memQ.Audit(s.name + ".memq"), s.respQ.Audit(s.name + ".respq")}
 	waiting := 0
@@ -267,6 +283,9 @@ func (s *SMMU) Audit() error {
 	if s.activeWalks != 0 || len(s.walkQueue) != 0 || waiting != 0 {
 		errs = append(errs, fmt.Errorf("%s: %d walks active, %d queued, %d packets waiting on a walk",
 			s.name, s.activeWalks, len(s.walkQueue), waiting))
+	}
+	if n := s.walksMade - len(s.walkFree); n != 0 {
+		errs = append(errs, fmt.Errorf("%s: %d walks in flight or their records lost", s.name, n))
 	}
 	return errors.Join(errs...)
 }
@@ -299,16 +318,29 @@ func (s *SMMU) utlbFill(vpn, ppn uint64) {
 	s.utlb[lru] = utlbEntry{vpn: vpn, ppn: ppn, lastUse: s.useCtr}
 }
 
-// tlbSet returns the ways of vpn's main-TLB set.
-func (s *SMMU) tlbSet(vpn uint64) []tlbEntry {
-	base := int(vpn&s.tlbSetMask) * s.cfg.TLBAssoc
-	return s.tlb[base : base+s.cfg.TLBAssoc]
+// maxTLBBlockShift is log2 of the sets a main-TLB block holds, unless
+// the TLB has fewer sets.
+const maxTLBBlockShift = 4
+
+// tlbSet returns the ways of vpn's main-TLB set: none while its block
+// is unallocated, unless fill allocates it.
+func (s *SMMU) tlbSet(vpn uint64, fill bool) []tlbEntry {
+	set := vpn & s.tlbSetMask
+	k := set >> s.tlbBlockShift
+	if s.tlb[k] == nil {
+		if !fill {
+			return nil
+		}
+		s.tlb[k] = make([]tlbEntry, s.cfg.TLBAssoc<<s.tlbBlockShift)
+	}
+	base := int(set&(1<<s.tlbBlockShift-1)) * s.cfg.TLBAssoc
+	return s.tlb[k][base : base+s.cfg.TLBAssoc]
 }
 
 func (s *SMMU) tlbLookup(vpn uint64) (uint64, bool) {
-	set := s.tlbSet(vpn)
+	set := s.tlbSet(vpn, false)
 	for i := range set {
-		if set[i].valid && set[i].vpn == vpn {
+		if set[i].lastUse != 0 && set[i].vpn == vpn {
 			s.useCtr++
 			set[i].lastUse = s.useCtr
 			return set[i].ppn, true
@@ -318,10 +350,10 @@ func (s *SMMU) tlbLookup(vpn uint64) (uint64, bool) {
 }
 
 func (s *SMMU) tlbFill(vpn, ppn uint64) {
-	set := s.tlbSet(vpn)
+	set := s.tlbSet(vpn, true)
 	vi := 0
 	for i := range set {
-		if !set[i].valid {
+		if set[i].lastUse == 0 {
 			vi = i
 			break
 		}
@@ -330,7 +362,7 @@ func (s *SMMU) tlbFill(vpn, ppn uint64) {
 		}
 	}
 	s.useCtr++
-	set[vi] = tlbEntry{valid: true, vpn: vpn, ppn: ppn, lastUse: s.useCtr}
+	set[vi] = tlbEntry{vpn: vpn, ppn: ppn, lastUse: s.useCtr}
 }
 
 // pwcKey tags a VA prefix with the level whose table base it resolves:
@@ -418,7 +450,9 @@ func (s *SMMU) RecvTimingReq(port *mem.ResponsePort, pkt *mem.Packet) bool {
 		w.waiting = append(w.waiting, pendingPkt{pkt: pkt, arrived: now})
 		return true
 	}
-	w := &walk{vpn: vpn, started: now, waiting: []pendingPkt{{pkt: pkt, arrived: now}}}
+	w := s.getWalk()
+	w.vpn, w.started = vpn, now
+	w.waiting = append(w.waiting, pendingPkt{pkt: pkt, arrived: now})
 	if level, base, ok := s.pwcLookup(vpn); ok {
 		w.level, w.base = level, base
 	} else {
@@ -509,15 +543,38 @@ func (s *SMMU) walkStepDone(w *walk, pte *mem.Packet) {
 		s.memQ.Schedule(pkt, now+s.cfg.UTLBLatency)
 	}
 	delete(s.walks, w.vpn)
+	s.putWalk(w)
 
 	if len(s.walkQueue) > 0 {
 		nw := s.walkQueue[0]
-		s.walkQueue = s.walkQueue[1:]
+		n := copy(s.walkQueue, s.walkQueue[1:])
+		s.walkQueue[n] = nil
+		s.walkQueue = s.walkQueue[:n]
 		s.stepWalk(nw)
 	} else {
 		s.activeWalks--
 	}
 	s.retryAfterFree()
+}
+
+// getWalk leases a walk record from the freelist.
+func (s *SMMU) getWalk() *walk {
+	if n := len(s.walkFree); n > 0 {
+		w := s.walkFree[n-1]
+		s.walkFree[n-1] = nil
+		s.walkFree = s.walkFree[:n-1]
+		return w
+	}
+	s.walksMade++
+	return &walk{}
+}
+
+// putWalk returns a finished walk's record, keeping its waiting list's
+// array.
+func (s *SMMU) putWalk(w *walk) {
+	clear(w.waiting)
+	*w = walk{waiting: w.waiting[:0]}
+	s.walkFree = append(s.walkFree, w)
 }
 
 func (s *SMMU) retryAfterFree() {

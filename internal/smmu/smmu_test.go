@@ -358,7 +358,8 @@ func TestAuditReportsUndrainedSMMU(t *testing.T) {
 	rg.eq.Run()
 	err := rg.s.Audit()
 	if err == nil || !strings.Contains(err.Error(), "smmu.memq: 1 packets queued, blocked true") ||
-		!strings.Contains(err.Error(), "smmu: 1 walks active, 1 queued, 3 packets waiting on a walk") {
+		!strings.Contains(err.Error(), "smmu: 1 walks active, 1 queued, 3 packets waiting on a walk") ||
+		!strings.Contains(err.Error(), "smmu: 2 walks in flight or their records lost") {
 		t.Fatalf("Audit with memory refusing = %v, want the blocked memq and both walks", err)
 	}
 	rg.dev.RefuseResponses = true
@@ -371,5 +372,59 @@ func TestAuditReportsUndrainedSMMU(t *testing.T) {
 	rg.eq.Run()
 	if err := rg.s.Audit(); err != nil || len(rg.dev.Done) != 3 {
 		t.Fatalf("Audit after %d of 3 reads: %v", len(rg.dev.Done), err)
+	}
+	rg.s.getWalk() // a record that never returns to the freelist
+	if err := rg.s.Audit(); err == nil || !strings.Contains(err.Error(), "smmu: 1 walks in flight or their records lost") {
+		t.Fatalf("Audit with a lost walk record = %v, want it counted", err)
+	}
+}
+
+// Walk records are recycled: walks that run one after another, each
+// with packets waiting on it, share one record and its waiting list.
+func TestWalkRecordsRecycled(t *testing.T) {
+	rg := newRig(t, Config{Walkers: 1})
+	for p := range uint64(6) {
+		rg.tb.Map(0x10_0000+p*PageBytes, 0x20_0000+p*PageBytes)
+	}
+	for p := range uint64(6) {
+		rg.dev.Send(mem.NewRead(0x10_0000+p*PageBytes, 4))
+		rg.dev.Send(mem.NewRead(0x10_0000+p*PageBytes+64, 4))
+		rg.eq.Run()
+	}
+	if len(rg.dev.Done) != 12 || rg.count("ptws") != 6 {
+		t.Fatalf("%d reads done over %v walks, want 12 over 6", len(rg.dev.Done), rg.count("ptws"))
+	}
+	if rg.s.walksMade != 1 || len(rg.s.walkFree) != 1 || cap(rg.s.walkFree[0].waiting) < 2 {
+		t.Fatalf("6 walks made %d records, %d back; want one, back with its waiting list", rg.s.walksMade, len(rg.s.walkFree))
+	}
+}
+
+// The main TLB holds no entries until a walk fills one: a fresh SMMU
+// has no block allocated, a fill allocates the block of its set, and
+// a lookup in an unallocated block misses, as on invalid entries.
+func TestTLBBlocksAllocatedOnFill(t *testing.T) {
+	rg := newRig(t, Config{}) // 128 sets of 4 ways: 8 blocks of 16 sets
+	allocated := func() (n int) {
+		for _, b := range rg.s.tlb {
+			if b != nil {
+				n++
+			}
+		}
+		return n
+	}
+	if len(rg.s.tlb) != 8 || allocated() != 0 {
+		t.Fatalf("fresh TLB: %d of %d blocks allocated, want 0 of 8", allocated(), len(rg.s.tlb))
+	}
+	if _, ok := rg.s.tlbLookup(3); ok || allocated() != 0 {
+		t.Fatal("a lookup in an unallocated block hit or allocated it")
+	}
+	rg.tb.Map(0x10_0000, 0x20_0000) // vpn 0x100: set 0, block 0
+	rg.dev.Send(mem.NewRead(0x10_0000, 4))
+	rg.eq.Run()
+	if allocated() != 1 || len(rg.s.tlb[0]) != 16*4 {
+		t.Fatalf("after one walk: %d blocks allocated, block 0 holds %d entries; want 1 of 64", allocated(), len(rg.s.tlb[0]))
+	}
+	if ppn, ok := rg.s.tlbLookup(0x100); !ok || ppn != 0x200 {
+		t.Fatalf("TLB lookup of the walked page = %#x, %v; want 0x200, true", ppn, ok)
 	}
 }

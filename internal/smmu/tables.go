@@ -1,6 +1,7 @@
 package smmu
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"accesys/internal/mem"
@@ -14,6 +15,9 @@ type TableBuilder struct {
 	mem   mem.Functional
 	alloc func() uint64 // returns the physical base of a fresh 4 KiB frame
 	root  uint64
+	// buf carries one PTE through the functional interface; a local
+	// array would escape to the heap on every access.
+	buf [PTESize]byte
 }
 
 // NewTableBuilder allocates a root table. alloc must return 4
@@ -27,21 +31,13 @@ func NewTableBuilder(f mem.Functional, alloc func() uint64) *TableBuilder {
 func (b *TableBuilder) Root() uint64 { return b.root }
 
 func (b *TableBuilder) readPTE(addr uint64) uint64 {
-	var buf [PTESize]byte
-	b.mem.ReadFunctional(addr, buf[:])
-	var v uint64
-	for i := 0; i < PTESize; i++ {
-		v |= uint64(buf[i]) << (8 * i)
-	}
-	return v
+	b.mem.ReadFunctional(addr, b.buf[:])
+	return binary.LittleEndian.Uint64(b.buf[:])
 }
 
 func (b *TableBuilder) writePTE(addr, v uint64) {
-	var buf [PTESize]byte
-	for i := 0; i < PTESize; i++ {
-		buf[i] = byte(v >> (8 * i))
-	}
-	b.mem.WriteFunctional(addr, buf[:])
+	binary.LittleEndian.PutUint64(b.buf[:], v)
+	b.mem.WriteFunctional(addr, b.buf[:])
 }
 
 // Map installs a translation from one IOVA page to one physical page,
