@@ -109,7 +109,10 @@ e2e:
 # the event queue's ordering and the cache model's data path explore
 # beyond their seed corpora for FUZZTIME each.
 # Crashers land under testdata/fuzz/ in the failing package — commit
-# them as regression seeds after fixing.
+# them as regression seeds after fixing. FuzzCacheVsReference's inputs
+# run up to 2,560 cache operations, so minimizing one at the default
+# budget (60 s) would spend its whole FUZZTIME; 10 attempts per input
+# keep it executing.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzManifestParse$$' -fuzztime $(FUZZTIME) ./internal/scenario
 	$(GO) test -run '^$$' -fuzz '^FuzzManifestRun$$' -fuzztime $(FUZZTIME) ./internal/scenario
@@ -121,7 +124,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzCountersLoad$$' -fuzztime $(FUZZTIME) ./internal/sweep
 	$(GO) test -run '^$$' -fuzz '^FuzzFingerprintMatchesReference$$' -fuzztime $(FUZZTIME) ./internal/sweep
 	$(GO) test -run '^$$' -fuzz '^FuzzEventQueueOrder$$' -fuzztime $(FUZZTIME) ./internal/sim
-	$(GO) test -run '^$$' -fuzz '^FuzzCacheVsReference$$' -fuzztime $(FUZZTIME) ./internal/cache
+	$(GO) test -run '^$$' -fuzz '^FuzzCacheVsReference$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 10x ./internal/cache
 
 # The golden suite re-runs all nine experiments and diffs their rows
 # against testdata/golden/ (it skips itself under -short and -race, so

@@ -50,6 +50,19 @@ func (c *Config) setDefaults() {
 	}
 }
 
+// Validate checks the configuration: a well-formed spec and a range
+// that fits within the spec's total capacity (neither has a default).
+// Each error names its field.
+func (c Config) Validate() error {
+	if err := c.Spec.Validate(); err != nil {
+		return fmt.Errorf("Spec %v", err)
+	}
+	if total := c.Spec.CapacityPerChannel * uint64(c.Spec.Channels); c.Range.Size() > total {
+		return fmt.Errorf("Range %v does not fit %s capacity %d", c.Range, c.Spec.Name, total)
+	}
+	return nil
+}
+
 type dramReq struct {
 	pkt     *mem.Packet
 	co      coord
@@ -96,17 +109,13 @@ type DRAM struct {
 	latency   *stats.Distribution
 }
 
-// New builds a DRAM device. The range size must not exceed the spec's
-// total capacity.
+// New builds a DRAM device. It panics, naming the device, on a
+// configuration Validate rejects.
 func New(name string, eq *sim.EventQueue, reg *stats.Registry, cfg Config) *DRAM {
+	if err := cfg.Validate(); err != nil {
+		panic(fmt.Sprintf("dram %s: %v", name, err))
+	}
 	cfg.setDefaults()
-	if err := cfg.Spec.Validate(); err != nil {
-		panic(err)
-	}
-	total := cfg.Spec.CapacityPerChannel * uint64(cfg.Spec.Channels)
-	if cfg.Range.Size() > total {
-		panic(fmt.Sprintf("dram: range %v exceeds %s capacity %d", cfg.Range, cfg.Spec.Name, total))
-	}
 	d := &DRAM{name: name, eq: eq, cfg: cfg}
 	d.port = mem.NewResponsePort(name+".port", d)
 	d.respQ = mem.NewPacketQueue(name+".resp", eq, func(p *mem.Packet) bool {

@@ -2,6 +2,7 @@ package dram
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -356,12 +357,13 @@ func BenchmarkStreamingRead(b *testing.B) {
 				eq := sim.NewEventQueue()
 				reg := stats.NewRegistry()
 				d := New("dram", eq, reg, Config{Spec: spec, Range: mem.Range(0, 64<<20)})
-				r := memtest.NewRequestor(eq)
+				r := memtest.NewStreamer(eq)
 				mem.Bind(r.Port, d.Port())
-				for a := uint64(0); a < 1<<20; a += 256 {
-					r.Send(mem.NewRead(a, 256))
-				}
+				r.Read(0, 1<<20, 256)
 				eq.Run()
+				if r.Completed != 4096 {
+					b.Fatalf("%d of 4096 reads completed", r.Completed)
+				}
 				gbps := float64(1<<20) / eq.Now().Seconds() / 1e9
 				b.ReportMetric(gbps, "sim_GB/s")
 			}
@@ -450,4 +452,41 @@ func TestRefreshFoldMatchesLoop(t *testing.T) {
 			t.Fatalf("%s: only %d refreshes folded; the gaps did not span intervals", spec.Name, fold.refreshes)
 		}
 	}
+}
+
+func TestConfigValidate(t *testing.T) {
+	r := mem.Range(0, 64<<20)
+	oddBurst := DDR4_2400
+	oddBurst.BurstLength = 3
+	noCap := DDR4_2400
+	noCap.CapacityPerChannel = 0
+	shortRC := DDR4_2400
+	shortRC.RC = shortRC.RAS
+	for _, c := range []struct {
+		cfg  Config
+		want string
+	}{
+		{Config{Spec: DDR4_2400, Range: r}, ""},
+		{Config{Spec: HBM2_2000, Range: mem.Range(0, HBM2_2000.CapacityPerChannel*uint64(HBM2_2000.Channels))}, ""},
+		{Config{Spec: oddBurst, Range: r}, "Spec DDR4-2400: BurstLength 3 must be even and >= 2"},
+		{Config{Spec: noCap, Range: r}, "Spec DDR4-2400: CapacityPerChannel is zero"},
+		{Config{Spec: shortRC, Range: r}, fmt.Sprintf("Spec DDR4-2400: RC %d must cover RAS+RP (%d)", shortRC.RC, shortRC.RAS+shortRC.RP)},
+		{Config{Spec: Spec{Name: "bare"}, Range: r}, "Spec bare: Channels, ChannelBits and DataRateMTs must be positive"},
+		{Config{Spec: DDR4_2400, Range: mem.Range(0, 16<<30)}, "Range [0x0,0x400000000) does not fit DDR4-2400 capacity 8589934592"},
+		{Config{Spec: DDR4_2400, Range: mem.AddrRange{Start: 0x2000, End: 0x1000}}, "Range [0x2000,0x1000) does not fit DDR4-2400 capacity 8589934592"},
+	} {
+		err := c.cfg.Validate()
+		if (c.want == "") != (err == nil) || (err != nil && err.Error() != c.want) {
+			t.Errorf("%s %v: Validate = %v, want %q", c.cfg.Spec.Name, c.cfg.Range, err, c.want)
+		}
+	}
+}
+
+func TestNewPanicsWithValidateError(t *testing.T) {
+	defer func() {
+		if r := recover(); r != "dram devmem: Range [0x0,0x400000000) does not fit DDR4-2400 capacity 8589934592" {
+			t.Fatalf("panic = %v", r)
+		}
+	}()
+	New("devmem", sim.NewEventQueue(), stats.NewRegistry(), Config{Spec: DDR4_2400, Range: mem.Range(0, 16<<30)})
 }

@@ -107,23 +107,24 @@ func (s Spec) InterleavedStreamGBps() float64 {
 	return float64(s.Channels) * float64(s.RowBytes) / (rowNs + actNs)
 }
 
-// Validate reports configuration errors.
+// Validate reports configuration errors, each prefixed with the
+// spec's name and naming its fields.
 func (s Spec) Validate() error {
 	switch {
 	case s.Channels <= 0 || s.ChannelBits <= 0 || s.DataRateMTs <= 0:
-		return fmt.Errorf("dram: %s: geometry/rate must be positive", s.Name)
+		return fmt.Errorf("%s: Channels, ChannelBits and DataRateMTs must be positive", s.Name)
 	case s.BurstLength < 2 || s.BurstLength%2 != 0:
-		return fmt.Errorf("dram: %s: burst length must be even and >= 2", s.Name)
+		return fmt.Errorf("%s: BurstLength %d must be even and >= 2", s.Name, s.BurstLength)
 	case s.BanksPerChannel() <= 0:
-		return fmt.Errorf("dram: %s: needs at least one bank", s.Name)
+		return fmt.Errorf("%s: Ranks, BankGroups and BanksPerGroup give no bank", s.Name)
 	case s.RowBytes == 0 || s.RowBytes%uint64(s.BurstBytes()) != 0:
-		return fmt.Errorf("dram: %s: row bytes must be a burst multiple", s.Name)
+		return fmt.Errorf("%s: RowBytes %d is not a multiple of the %d-B burst", s.Name, s.RowBytes, s.BurstBytes())
 	case s.CL <= 0 || s.RCD <= 0 || s.RP <= 0 || s.RAS <= 0 || s.RC <= 0:
-		return fmt.Errorf("dram: %s: core timings must be positive", s.Name)
+		return fmt.Errorf("%s: CL, RCD, RP, RAS and RC must be positive", s.Name)
 	case s.RC < s.RAS+s.RP:
-		return fmt.Errorf("dram: %s: tRC must cover tRAS+tRP", s.Name)
+		return fmt.Errorf("%s: RC %d must cover RAS+RP (%d)", s.Name, s.RC, s.RAS+s.RP)
 	case s.CapacityPerChannel == 0:
-		return fmt.Errorf("dram: %s: zero capacity", s.Name)
+		return fmt.Errorf("%s: CapacityPerChannel is zero", s.Name)
 	}
 	return nil
 }

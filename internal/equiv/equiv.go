@@ -282,7 +282,8 @@ func Summarize(name string, tol Tolerances, comps []Comparison) *Report {
 // outcomes through the sweep engine (warm cache entries satisfy points
 // without re-simulating), evaluate the analytic backend, and compare.
 // cli carries explicit tolerance overrides (zero = scenario/harness
-// defaults).
+// defaults). A read-only scenario's runs and points come from its memo,
+// so a repeated audit neither decodes nor fingerprints again.
 func Run(sc *scenario.Scenario, opt scenario.Options, cli Tolerances) (*Report, error) {
 	runs, err := sc.Expand(opt.Full)
 	if err != nil {
@@ -303,7 +304,10 @@ func Run(sc *scenario.Scenario, opt scenario.Options, cli Tolerances) (*Report, 
 		}
 		analytic[i] = m
 	}
-	points := sc.Points(runs)
+	points, err := sc.PointsFor(opt.Full)
+	if err != nil {
+		return nil, err
+	}
 	outs := opt.Sweep("equiv/"+sc.Name, points)
 	if err := sweep.Failed(outs); err != nil {
 		return nil, err

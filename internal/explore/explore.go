@@ -139,7 +139,7 @@ func Run(sc *scenario.Scenario, opts scenario.Options, p Params) (*Report, error
 		spec.Budget = defaultBudget
 	}
 	// Re-validate: CLI overrides may have replaced stanza fields.
-	check := *sc
+	check := sc.Clone()
 	check.Explore = &spec
 	if err := check.Validate(); err != nil {
 		return nil, err

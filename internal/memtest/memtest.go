@@ -95,6 +95,62 @@ func (r *Requestor) ReleaseResponses() {
 // queued-but-unsent packets too.
 func (r *Requestor) Pending() int { return len(r.queue) }
 
+// Streamer reads a span of addresses back to back in fixed-size
+// requests, as fast as its peer accepts them, and releases each
+// response. Its reads are pooled and NoPayload, and it logs nothing, so
+// a benchmark driving a component with it measures the component, not
+// the harness: in steady state a read costs the streamer no allocation.
+type Streamer struct {
+	EQ   *sim.EventQueue
+	Port *mem.RequestPort
+	// Completed counts the responses received.
+	Completed int
+
+	pkts      *mem.Packets
+	next, end uint64
+	size      int
+	pending   *mem.Packet // refused, resent on the peer's retry
+}
+
+// NewStreamer builds a streamer; bind its Port to the component under
+// test.
+func NewStreamer(eq *sim.EventQueue) *Streamer {
+	s := &Streamer{EQ: eq, pkts: mem.NewPackets()}
+	s.Port = mem.NewRequestPort("memtest.stream", s)
+	return s
+}
+
+// Read starts reading [base, base+bytes) in size-byte requests.
+func (s *Streamer) Read(base, bytes uint64, size int) {
+	s.next, s.end, s.size = base, base+bytes, size
+	s.issue()
+}
+
+func (s *Streamer) issue() {
+	for s.next < s.end {
+		if s.pending == nil {
+			s.pending = s.pkts.NewRead(s.next, s.size)
+			s.pending.NoPayload = true
+			s.pending.Issued = s.EQ.Now()
+		}
+		if !s.Port.SendTimingReq(s.pending) {
+			return
+		}
+		s.pending = nil
+		s.next += uint64(s.size)
+	}
+}
+
+// RecvTimingResp implements mem.Requestor.
+func (s *Streamer) RecvTimingResp(port *mem.RequestPort, pkt *mem.Packet) bool {
+	s.Completed++
+	pkt.Release()
+	return true
+}
+
+// RecvRetryReq implements mem.Requestor.
+func (s *Streamer) RecvRetryReq(port *mem.RequestPort) { s.issue() }
+
 // EchoResponder serves requests from a Storage after a fixed latency.
 type EchoResponder struct {
 	EQ      *sim.EventQueue
@@ -154,4 +210,5 @@ func (e *EchoResponder) ReleaseRequests() {
 }
 
 var _ mem.Requestor = (*Requestor)(nil)
+var _ mem.Requestor = (*Streamer)(nil)
 var _ mem.Responder = (*EchoResponder)(nil)

@@ -10,6 +10,7 @@ import (
 	"accesys/internal/mem"
 	"accesys/internal/memtest"
 	"accesys/internal/sim"
+	"accesys/internal/simplemem"
 	"accesys/internal/stats"
 )
 
@@ -357,14 +358,17 @@ func BenchmarkFabricStream(b *testing.B) {
 		eq := sim.NewEventQueue()
 		reg := stats.NewRegistry()
 		tree := NewTree("pcie", eq, reg, defLink(), []mem.AddrRange{mem.Range(barBase, barSize)})
-		dma := memtest.NewRequestor(eq)
+		dma := memtest.NewStreamer(eq)
 		mem.Bind(dma.Port, tree.EP(0).DevPort())
-		hostMem := memtest.NewEchoResponder(eq, hostMemBase, hostMemSize, 50*sim.Nanosecond)
-		mem.Bind(tree.RC.UpstreamPort(), hostMem.Port)
-		for a := uint64(0); a < 1<<18; a += 256 {
-			dma.Send(mem.NewRead(a, 256))
-		}
+		// A fixed-latency memory without a request log: the echo
+		// responder snapshots every request it serves.
+		hostMem := simplemem.New("host", eq, reg, simplemem.Config{Range: mem.Range(hostMemBase, hostMemSize), Latency: 50 * sim.Nanosecond})
+		mem.Bind(tree.RC.UpstreamPort(), hostMem.Port())
+		dma.Read(0, 1<<18, 256)
 		eq.Run()
+		if dma.Completed != 1024 {
+			b.Fatalf("%d of 1024 reads completed", dma.Completed)
+		}
 		b.ReportMetric(float64(eq.Executed), "events")
 	}
 }

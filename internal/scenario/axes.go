@@ -176,7 +176,7 @@ var axisRegistry = map[string]axisDef{
 	}},
 	"model": {phaseField, named(modelByName, func(r *Run, m workload.ViTVariant) { r.Model = m })},
 	// Accelerator cluster size (endpoints sharing the switch).
-	"accelerators": {phaseField, integer("", func(r *Run, n int) { r.Cfg.Accelerators = n })},
+	"accelerators": {phaseField, count(func(r *Run, n int) { r.Cfg.Accelerators = n })},
 	// Heterogeneous composition: [{kind, n}, ...] slots expanding to
 	// consecutive endpoints (overrides accelerators).
 	"cluster": {phaseField, func(v Value) (setting, error) {
@@ -268,6 +268,19 @@ func burst(set func(r *Run, n int)) func(Value) (setting, error) {
 			return setting{}, fmt.Errorf("burst %g B exceeds the %d-B DMA page size", f, dma.DefaultPageBytes)
 		case ok && f < 0:
 			return setting{}, fmt.Errorf("burst %g B is negative", f)
+		}
+		return parse(v)
+	}
+}
+
+// count is integer for a number of components. Below 1 is rejected
+// here: 0 would silently run as the default single component and a
+// negative count fails every point at build time.
+func count(set func(r *Run, n int)) func(Value) (setting, error) {
+	parse := integer("", set)
+	return func(v Value) (setting, error) {
+		if f, ok := v.(float64); ok && f < 1 {
+			return setting{}, fmt.Errorf("%g is below 1", f)
 		}
 		return parse(v)
 	}

@@ -219,6 +219,7 @@ var axisPins = []axisPin{
 			{2, "2", "2", "2"},
 		},
 		wrongType: "many", wrongTypeErr: `scenario pin: axis "accelerators": want a number, got string`,
+		outOfSet: 0.0, outOfSetErr: `scenario pin: axis "accelerators": 0 is below 1`,
 	},
 	{
 		axis:  "cluster",
@@ -364,6 +365,23 @@ func TestValidateRejectsNegativeDurations(t *testing.T) {
 		}
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: error %v, want %q", c.axis, err, c.want)
+		}
+	}
+}
+
+// TestValidateRejectsAcceleratorsBelowOne pins that an accelerator
+// count below 1, swept or as a default, fails at decode naming the
+// axis, instead of running as one accelerator (0) or failing every
+// point at build time (-1).
+func TestValidateRejectsAcceleratorsBelowOne(t *testing.T) {
+	for _, c := range []struct{ stanza, want string }{
+		{`"axes":[{"axis":"accelerators","values":[2,-1]}]`, `scenario acc: axis "accelerators": -1 is below 1`},
+		{`"axes":[{"axis":"accelerators","values":[0,64]}]`, `scenario acc: axis "accelerators": 0 is below 1`},
+		{`"defaults":[{"axis":"accelerators","value":0}],"axes":[{"axis":"lanes","values":[4]}]`, `scenario acc: defaults "accelerators": 0 is below 1`},
+	} {
+		_, err := Parse([]byte(`{"name":"acc","base":"pcie8gb","workload":{"kind":"gemm","n":64},` + c.stanza + `}`))
+		if err == nil || err.Error() != c.want {
+			t.Errorf("%s: error %v, want %q", c.stanza, err, c.want)
 		}
 	}
 }

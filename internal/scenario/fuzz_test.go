@@ -88,9 +88,9 @@ func FuzzManifestParse(f *testing.F) {
 // or a ViT workload are skipped, not failed.
 func FuzzManifestRun(f *testing.F) {
 	addCommittedManifests(f)
-	// The probes: a packet past the DMA page size (rejected by
-	// Validate), a per-tile compute time of 1e12 ns (16,000 s
-	// simulated), an accelerator count of 0 and of 64, and a TLB
+	// The probes: a packet past the DMA page size and an accelerator
+	// count of 0 beside one of 64 (both rejected by Validate), a
+	// per-tile compute time of 1e12 ns (16,000 s simulated), and a TLB
 	// geometry the SMMU cannot build (a failed point).
 	f.Add([]byte(`{"name":"pkt","base":"pcie8gb","workload":{"kind":"gemm","n":64},"axes":[{"axis":"packet_bytes","values":[64,8192]}]}`))
 	f.Add([]byte(`{"name":"tlb","base":"pcie8gb","workload":{"kind":"gemm","n":64},"axes":[{"axis":"smmu","values":[{"tlb_assoc":4},{"tlb_assoc":3}]}]}`))

@@ -15,22 +15,23 @@ import (
 
 // Parse decodes and validates one manifest. Unknown fields are
 // rejected so typos fail loudly instead of silently shrinking the
-// matrix.
+// matrix. The scenario is read-only: the decode Parse validates with is
+// the one every later call on it reuses (Clone it to change it).
 func Parse(data []byte) (*Scenario, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
-	var s Scenario
-	if err := dec.Decode(&s); err != nil {
+	s := new(Scenario)
+	if err := dec.Decode(s); err != nil {
 		return nil, fmt.Errorf("scenario: manifest: %v", err)
 	}
 	var trailing any
 	if err := dec.Decode(&trailing); err != io.EOF {
 		return nil, fmt.Errorf("scenario: manifest: trailing data after the scenario object")
 	}
-	if err := s.Validate(); err != nil {
+	if err := s.freeze().Validate(); err != nil {
 		return nil, err
 	}
-	return &s, nil
+	return s, nil
 }
 
 // Marshal encodes a scenario as manifest JSON — the inverse of Parse,
@@ -42,7 +43,8 @@ func Marshal(s *Scenario) ([]byte, error) {
 	return json.MarshalIndent(s, "", "  ")
 }
 
-// Load reads and validates the manifest at path.
+// Load reads and validates the manifest at path; like Parse's, the
+// scenario is read-only.
 func Load(path string) (*Scenario, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {

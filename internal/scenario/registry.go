@@ -163,11 +163,22 @@ func vitAxes(models []Value) []Axis {
 	}
 }
 
-// Builtin returns a fresh copy of the named built-in scenario.
+// shared holds each built-in's one read-only value, in registry order.
+var shared = func() []*Scenario {
+	out := make([]*Scenario, len(builtins))
+	for i, b := range builtins {
+		out[i] = b.new().freeze()
+	}
+	return out
+}()
+
+// Builtin returns the named built-in scenario: one value per name,
+// shared by every caller and read-only, so its decode and each scale's
+// points are built once per process. Clone it to change it.
 func Builtin(name string) (*Scenario, bool) {
-	for _, b := range builtins {
+	for i, b := range builtins {
 		if b.name == name {
-			return b.new(), true
+			return shared[i], true
 		}
 	}
 	return nil, false

@@ -126,7 +126,9 @@ type Table struct {
 	Cell string `json:"cell,omitempty"`
 }
 
-// Scenario is one declarative sweep.
+// Scenario is one declarative sweep. Values from Builtin, Parse and
+// Load are read-only and decode once (see memo.go): change a Clone
+// instead.
 type Scenario struct {
 	// Name identifies the scenario; it prefixes run keys and is the
 	// Result ID.
@@ -161,6 +163,9 @@ type Scenario struct {
 	// figure, set only on built-ins, shapes Run's outcomes into the
 	// paper's table and notes in place of Render (see figures.go).
 	figure figureFunc
+	// memo caches the decode and each scale's expansion of a read-only
+	// value; nil for a value built as a literal or cloned.
+	memo *memo
 }
 
 // Run is one resolved point of the matrix: the full system config plus
@@ -286,7 +291,7 @@ func canonWalk(v Value, depth int) (Value, bool) {
 // Validate checks the scenario against the axis registry without
 // expanding it.
 func (s *Scenario) Validate() error {
-	_, _, err := s.decode()
+	_, _, err := s.decoded()
 	return err
 }
 
@@ -466,13 +471,19 @@ func (s *Scenario) hasAxis(name string) bool {
 // defaulted-and-overridden core.Config plus workload parameters; gemm
 // runs are named <scenario>-<label>-..., while vit runs keep the
 // physical config name (so identical systems share cache entries
-// across scenarios) and are keyed <config>/<model>.
+// across scenarios) and are keyed <config>/<model>. For a read-only
+// value (Builtin, Parse, Load) the runs are resolved once per scale
+// and shared: the caller must not change them.
 func (s *Scenario) Expand(full bool) ([]Run, error) {
-	sp, err := s.Space(full)
-	if err != nil {
-		return nil, err
+	if s.bound() == nil {
+		sp, err := s.Space(full)
+		if err != nil {
+			return nil, err
+		}
+		return sp.runs()
 	}
-	return sp.runs()
+	_, runs, _, err := s.expand(full)
+	return runs, err
 }
 
 // nameRun fixes the run's config name and progress key. ViT runs are
@@ -564,28 +575,25 @@ func (o Options) Sweep(label string, points []sweep.Point) []sweep.Outcome {
 // yield the same points in the same positions, independent of
 // execution options — the contract distributed shard plans are built
 // on (a plan references points by expansion index and fingerprint).
+// PointsFor(full)[i] is the point of Expand(full)[i]. For a read-only
+// value the points and their fingerprints are built once per scale and
+// shared: the caller must not change them.
 func (s *Scenario) PointsFor(full bool) ([]sweep.Point, error) {
-	runs, err := s.Expand(full)
-	if err != nil {
-		return nil, err
-	}
-	return s.Points(runs), nil
+	_, _, points, err := s.expand(full)
+	return points, err
 }
 
 // Run is the one front door for built-ins and manifests alike: expand
 // the matrix, sweep it, and shape the table (a built-in's figure hook,
 // else Render), or return sweep.Failed's error naming every failed
-// point. The scenario is decoded once per call.
+// point. A read-only value reuses its expansion across calls, so a
+// warm re-run neither decodes nor fingerprints again.
 func (s *Scenario) Run(o Options) (*Result, error) {
-	sp, err := s.Space(o.Full)
+	sp, runs, points, err := s.expand(o.Full)
 	if err != nil {
 		return nil, err
 	}
-	runs, err := sp.runs()
-	if err != nil {
-		return nil, err
-	}
-	outs := o.Sweep(s.Name, s.Points(runs))
+	outs := o.Sweep(s.Name, points)
 	if err := sweep.Failed(outs); err != nil {
 		return nil, err
 	}

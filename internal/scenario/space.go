@@ -46,13 +46,15 @@ type Space struct {
 	size     int
 }
 
-// Space validates the scenario once and returns the indexable view of
-// its cross product for the given mode.
+// Space validates the scenario and returns the indexable view of its
+// cross product for the given mode. A read-only value decodes once and
+// every space shares that decode; building a space resolves no point.
 func (s *Scenario) Space(full bool) (*Space, error) {
-	axes, defaults, err := s.decode()
+	decoded, defaults, err := s.decoded()
 	if err != nil {
 		return nil, err
 	}
+	axes := append([]spaceAxis(nil), decoded...)
 	sp := &Space{sc: s, full: full, defaults: defaults, axes: axes, names: make([]string, len(axes)), size: 1}
 	for i := range axes {
 		if !full {

@@ -68,7 +68,7 @@ func TestSpaceRunAtRangeChecks(t *testing.T) {
 // TestExploreStanzaValidation covers the manifest-level checks.
 func TestExploreStanzaValidation(t *testing.T) {
 	base := func() *Scenario {
-		sc := MustBuiltin("fig4")
+		sc := MustBuiltin("fig4").Clone()
 		sc.Explore = &ExploreSpec{}
 		return sc
 	}

@@ -22,8 +22,12 @@ const (
 
 // job is one submitted sweep.
 type job struct {
-	id       string
-	client   string
+	id     string
+	client string
+	name   string
+	// scenario is dropped when the job finishes: its memo holds every
+	// resolved run and fingerprinted point, which a retained job no
+	// longer needs.
 	scenario *scenario.Scenario
 	manifest []byte
 	full     bool
@@ -141,7 +145,7 @@ func (j *job) status() JobStatus {
 	defer j.mu.Unlock()
 	return JobStatus{
 		ID:          j.id,
-		Scenario:    j.scenario.Name,
+		Scenario:    j.name,
 		Client:      j.client,
 		State:       j.state,
 		Error:       j.err,

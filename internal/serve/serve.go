@@ -229,6 +229,7 @@ func (s *Server) submit(client string, sc *scenario.Scenario, manifest []byte, f
 	j := &job{
 		id:        fmt.Sprintf("j%d", s.nextID),
 		client:    client,
+		name:      sc.Name,
 		scenario:  sc,
 		manifest:  manifest,
 		full:      full,
@@ -259,6 +260,7 @@ func (s *Server) finish(j *job, res *scenario.Result, err error) {
 	}
 	j.mu.Lock()
 	j.finished = s.now()
+	j.scenario = nil
 	if err != nil {
 		j.state = stateFailed
 		j.err = err.Error()

@@ -8,6 +8,7 @@ package simplemem
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"accesys/internal/mem"
 	"accesys/internal/sim"
@@ -22,6 +23,21 @@ type Config struct {
 	Latency sim.Tick
 	// BandwidthGBps limits throughput; 0 means unlimited.
 	BandwidthGBps float64
+}
+
+// Validate checks the configuration: a non-empty range and a
+// bandwidth that is not negative. Each error names its field. Latency
+// is an unsigned sim.Tick, so it cannot be negative.
+func (c Config) Validate() error {
+	switch {
+	case c.Range.End <= c.Range.Start:
+		return fmt.Errorf("Range %v is empty", c.Range)
+	case c.BandwidthGBps < 0:
+		return fmt.Errorf("BandwidthGBps %g is negative", c.BandwidthGBps)
+	case math.IsNaN(c.BandwidthGBps):
+		return fmt.Errorf("BandwidthGBps is NaN")
+	}
+	return nil
 }
 
 // Memory is a single-ported memory with fixed latency and a
@@ -47,8 +63,12 @@ type Memory struct {
 	latency    *stats.Distribution
 }
 
-// New builds a Memory and registers its statistics under name.
+// New builds a Memory and registers its statistics under name. It
+// panics, naming the memory, on a configuration Validate rejects.
 func New(name string, eq *sim.EventQueue, reg *stats.Registry, cfg Config) *Memory {
+	if err := cfg.Validate(); err != nil {
+		panic(fmt.Sprintf("simplemem %s: %v", name, err))
+	}
 	m := &Memory{name: name, eq: eq, cfg: cfg}
 	m.port = mem.NewResponsePort(name+".port", m)
 	m.respQ = mem.NewPacketQueue(name+".resp", eq, func(p *mem.Packet) bool {

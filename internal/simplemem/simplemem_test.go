@@ -2,6 +2,7 @@ package simplemem
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"accesys/internal/mem"
@@ -152,4 +153,33 @@ func TestAuditReportsUndrainedMemory(t *testing.T) {
 	if err := m.Audit(); err != nil {
 		t.Fatalf("drained memory audit = %v", err)
 	}
+}
+
+func TestConfigValidate(t *testing.T) {
+	r := mem.Range(0, 1<<20)
+	for _, c := range []struct {
+		cfg  Config
+		want string
+	}{
+		{Config{Range: r}, ""},
+		{Config{Range: r, Latency: 30 * sim.Nanosecond, BandwidthGBps: 64}, ""},
+		{Config{}, "Range [0x0,0x0) is empty"},
+		{Config{Range: mem.AddrRange{Start: 0x2000, End: 0x1000}}, "Range [0x2000,0x1000) is empty"},
+		{Config{Range: r, BandwidthGBps: -1}, "BandwidthGBps -1 is negative"},
+		{Config{Range: r, BandwidthGBps: math.NaN()}, "BandwidthGBps is NaN"},
+	} {
+		err := c.cfg.Validate()
+		if (c.want == "") != (err == nil) || (err != nil && err.Error() != c.want) {
+			t.Errorf("%+v: Validate = %v, want %q", c.cfg, err, c.want)
+		}
+	}
+}
+
+func TestNewPanicsWithValidateError(t *testing.T) {
+	defer func() {
+		if r := recover(); r != "simplemem host: BandwidthGBps -8 is negative" {
+			t.Fatalf("panic = %v", r)
+		}
+	}()
+	New("host", sim.NewEventQueue(), stats.NewRegistry(), Config{Range: mem.Range(0, 4096), BandwidthGBps: -8})
 }
